@@ -248,21 +248,21 @@ def _bessel_j_prime(nu: float, x: float) -> float:
 
 
 @_jit
-def _radial_condition(l: int, dim: int, x: float) -> float:
-    """Radial Neumann condition on the unit ball of dimension ``dim``.
+def _radial_condition(l: int, dim: int, x: float) -> tuple[float, float]:
+    """Radial Neumann condition f on the unit ball of dimension ``dim``, with its partner g.
 
-    dim == 2: J_l'(x) for angular index l.  dim >= 3 (l == 0 only):
-    J_nu'(x) - (nu/x) J_nu(x) with nu = (dim - 2)/2.
+    dim == 2: (J_l'(x), J_l(x)) for angular index l.  dim >= 3 (l == 0 only):
+    (-J_{nu+1}(x), J_nu(x)) with nu = (dim - 2)/2, where
+    -J_{nu+1} = J_nu' - (nu/x) J_nu (DLMF 10.6.2).  Both come from one
+    ``_bessel_j3`` triple; the zeros of f and g interlace (DLMF 10.21(i)).
     """
     if dim == 2:
-        return _bessel_j_prime(float(l), x)
-    nu = 0.5 * (dim - 2)
-    jm, jn, jp = _bessel_j3(nu, x)
-    if nu == 0.0:
-        d = -jp
-    else:
-        d = 0.5 * (jm - jp)
-    return d - (nu / x) * jn
+        jm, jn, jp = _bessel_j3(float(l), x)
+        if l == 0:
+            return -jp, jn
+        return 0.5 * (jm - jp), jn
+    _, jn, jp = _bessel_j3(0.5 * (dim - 2), x)
+    return -jp, jn
 
 
 @_jit
@@ -285,7 +285,7 @@ def _bisect_radial(l: int, dim: int, a: float, fa: float, b: float, fb: float, x
         if b - a <= xtol or mid == a or mid == b:
             # converged, or bracket at floating-point resolution
             return mid
-        fm = _radial_condition(l, dim, mid)
+        fm = _radial_condition(l, dim, mid)[0]
         if not (fm == fm):
             return math.nan
         if fm == 0.0:
@@ -306,4 +306,4 @@ def warmup() -> None:
     _bessel_j_prime(1.0, 2.0)
     _radial_condition(1, 2, 2.0)
     _radial_condition(0, 3, 5.0)
-    _bisect_radial(1, 2, 1.5, _radial_condition(1, 2, 1.5), 2.0, _radial_condition(1, 2, 2.0), 1e-10)
+    _bisect_radial(1, 2, 1.5, _radial_condition(1, 2, 1.5)[0], 2.0, _radial_condition(1, 2, 2.0)[0], 1e-10)

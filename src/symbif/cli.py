@@ -41,6 +41,13 @@ SCHEMA_VERSION = 1
 SUBCOMMANDS = ("spectrum", "lambda-set", "analyze", "bif", "rabinowitz", "morse-degree")
 
 
+def _real(value, what: str):
+    """``value`` itself if it is a JSON number (bools excluded); SchemaError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{what} must be a real number, got {value!r}")
+    return value
+
+
 @dataclass
 class AnalysisConfig:
     """Validated configuration: the system document plus run parameters."""
@@ -75,10 +82,14 @@ class AnalysisConfig:
         if window is not None:
             if not isinstance(window, list) or len(window) != 2:
                 raise SchemaError(f"window must be [lo, hi], got {window!r}")
-            window = (float(window[0]), float(window[1]))
+            window = tuple(float(_real(w, "window entry")) for w in window)
         tol = doc.get("tolerances", {})
         if not isinstance(tol, dict) or set(tol) - {"root", "merge"}:
             raise SchemaError(f"tolerances must be {{root?, merge?}}, got {tol!r}")
+        for key, value in tol.items():
+            _real(value, f"tolerance {key!r}")
+        if doc.get("spectrum_bound") is not None:
+            _real(doc["spectrum_bound"], "spectrum_bound")
         return cls(
             system=doc.get("system"),
             window=window,

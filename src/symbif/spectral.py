@@ -6,14 +6,19 @@ eigenspace for a root with l >= 1 is one copy of the rotation-l irreducible
 (real dimension 2), and trivial of dimension 1 for l = 0.  On the N-ball with
 N >= 3 the package evaluates only the stated radial test
 J_nu'(x) - (nu/x) J_nu(x) = 0 with nu = (N-2)/2, which characterises the
-eigenvalues whose eigenspace is a trivial SO(N)-representation; full spectra
+eigenvalues whose eigenspace is a trivial SO(N)-representation; it is
+evaluated as -J_{nu+1}(x), the same function (DLMF 10.6.2).  Full spectra
 for N >= 3 (or for other invariant domains) are supplied by the user as
 structured documents.
 
-Root finding is sign-change bracketing on a pi/8 grid followed by bisection;
-two structurally different Bessel evaluation paths (ascending series vs.
-backward recurrence) back the production kernels, and the test suite runs an
-independent series-based oracle against every root.
+Root finding is one scan: sign-change bracketing on a fixed pi/8 lattice,
+then bisection.  Each kernel call also gives a partner whose zeros
+interlace with the condition's (J_l for J_l', J_nu for -J_{nu+1}; DLMF
+10.21(i)); the scan checks after every cell that the two still alternate,
+so a root list is complete or the call raises :class:`ConvergenceError`.
+Two structurally different Bessel evaluation paths (ascending series vs.
+backward recurrence) back the production kernels, and the test suite runs
+an independent series-based oracle against every root.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from . import _kernels
 from .errors import (
@@ -281,13 +284,13 @@ def radial_condition(angular_index: int, dim: int, x: float) -> float:
     """Value of the radial Neumann condition at x > 0.
 
     Disk (dim == 2): J_l'(x).  Ball (dim >= 3, l == 0 only): the trivial-type
-    radial test J_nu'(x) - (nu/x) J_nu(x), nu = (dim-2)/2.
+    radial test J_nu'(x) - (nu/x) J_nu(x) = -J_{nu+1}(x), nu = (dim-2)/2.
     """
     _check_radial_family(angular_index, dim)
     x = float(x)
     if x <= 0.0 or math.isnan(x):
         raise DomainError(f"radial condition needs x > 0, got {x!r}")
-    return _kernels._radial_condition(angular_index, dim, x)
+    return _kernels._radial_condition(angular_index, dim, x)[0]
 
 
 def _check_radial_family(angular_index: int, dim: int) -> None:
@@ -306,8 +309,8 @@ def _check_radial_family(angular_index: int, dim: int) -> None:
 # root finding
 # ---------------------------------------------------------------------------
 
-_GAP_SUSPECT = math.pi * 1.05
-_MAX_RESCAN_DEPTH = 3
+#: halvings of a lattice cell that fails the interlacing check before the scan gives up
+_MAX_HALVINGS = 3
 
 
 def _refine(l: int, dim: int, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
@@ -319,84 +322,57 @@ def _refine(l: int, dim: int, a: float, fa: float, b: float, fb: float, xtol: fl
     return x
 
 
-def _scan_interval(l: int, dim: int, lo: float, hi: float, step: float, xtol: float) -> list[float]:
-    """Roots of the radial condition strictly inside (lo, hi], by bracketing."""
-    if hi <= lo:
-        return []
-    n = int(math.ceil((hi - lo) / step))
-    grid = np.linspace(lo, hi, n + 1)
-    roots: list[float] = []
-    fa = _kernels._radial_condition(l, dim, float(grid[0])) if lo > 0.0 else None
-    a = float(grid[0])
-    for xb in grid[1:]:
-        b = float(xb)
-        fb = _kernels._radial_condition(l, dim, b)
-        if math.isnan(fb):
-            raise ConvergenceError(f"radial condition evaluated to NaN at x={b!r} (l={l}, dim={dim})")
-        if fa is not None:
-            if fa == 0.0:
-                roots.append(a)
-            elif fb != 0.0 and (fa > 0.0) != (fb > 0.0):
-                roots.append(_refine(l, dim, a, fa, b, fb, xtol))
-        a, fa = b, fb
-    if fa == 0.0:
-        roots.append(a)
-    return roots
+def _lattice_scan(
+    l: int, dim: int, x_max: float, step: float, xtol: float, after: float = 0.0
+) -> list[float]:
+    """Roots of f above ``after`` through the first beyond ``x_max``, on the lattice step, 2*step, ...
 
-
-def _lattice_scan(l: int, dim: int, x_max: float, step: float, xtol: float) -> list[float]:
-    """Roots in (0, x_max] bracketed on the fixed lattice step, 2*step, ...
-
-    Brackets never depend on x_max, so a root's refined value is identical for
-    every range that contains it (the prefix-stability guarantee).
+    The zeros of f and of its partner g (both from ``_kernels._radial_condition``)
+    interlace, f leading for the disk with l >= 1 and g otherwise, so the
+    leader's sign changes run ahead of the other's by 0 or 1.  A cell that
+    breaks this hides a pair of zeros and is scanned again on its halved
+    lattice, at most ``_MAX_HALVINGS`` times before ConvergenceError.  No
+    bracket depends on ``x_max`` or ``after`` (prefix stability).  The scan
+    starts at the end of the cell holding ``after``; (0, step] is never scanned.
     """
-    roots: list[float] = []
-    prev_x = 0.0
-    prev_f: float | None = None
-    i = 1
-    while prev_x <= x_max:
-        x = i * step
-        f = _kernels._radial_condition(l, dim, x)
-        if math.isnan(f):
+    f_leads = dim == 2 and l >= 1
+
+    def point(x: float) -> tuple[float, float, float]:
+        f, g = _kernels._radial_condition(l, dim, x)
+        if math.isnan(f) or math.isnan(g):
             raise ConvergenceError(f"radial condition evaluated to NaN at x={x!r} (l={l}, dim={dim})")
-        if f == 0.0:
-            roots.append(x)
-        elif prev_f is not None and prev_f != 0.0 and (prev_f > 0.0) != (f > 0.0):
-            roots.append(_refine(l, dim, prev_x, prev_f, x, f, xtol))
-        prev_x, prev_f = x, f
+        return x, f, g
+
+    def cell(a, b, ahead: int, halvings: int) -> tuple[list[float], int]:
+        """Roots in the cell (a, b] of two lattice points, and the lead's count ahead at b."""
+        (xa, fa, ga), (xb, fb, gb) = a, b
+        f_turns = (fa > 0.0) != (fb > 0.0)
+        g_turns = (ga > 0.0) != (gb > 0.0)
+        ahead_b = ahead + ((f_turns - g_turns) if f_leads else (g_turns - f_turns))
+        if ahead_b in (0, 1):
+            return ([_refine(l, dim, xa, fa, xb, fb, xtol)] if f_turns else []), ahead_b
+        if halvings == _MAX_HALVINGS:
+            raise ConvergenceError(
+                f"zeros of the radial condition and its partner fail to interlace in "
+                f"({xa!r}, {xb!r}] after {halvings} halvings (l={l}, dim={dim})"
+            )
+        mid = point(0.5 * (xa + xb))
+        left, ahead = cell(a, mid, ahead, halvings + 1)
+        right, ahead = cell(mid, b, ahead, halvings + 1)
+        return left + right, ahead
+
+    i = max(1, math.ceil(after / step))
+    prev = point(i * step)
+    # the lead is one zero ahead exactly when the sign pattern differs from that at 0+
+    ahead = int(((prev[1] > 0.0) == (prev[2] > 0.0)) != f_leads)
+    roots: list[float] = []
+    while not roots or roots[-1] <= x_max:
         i += 1
-    return [r for r in roots if r <= x_max]
-
-
-def _scan_roots(l: int, dim: int, x_max: float, step: float, xtol: float) -> list[float]:
-    """All positive roots <= x_max, with a halved-step rescan of suspect gaps.
-
-    A gap wider than pi between consecutive detected roots is rescanned at
-    half the step (to depth 3) in case a sign-change pair slipped between grid
-    points; x = 0 is never reported as a root.
-    """
-    roots = _lattice_scan(l, dim, x_max, step, xtol)
-    out: list[float] = []
-    for i, r in enumerate(roots):
-        if i > 0:
-            prev = out[-1]
-            gap = r - prev
-            finer = step
-            depth = 0
-            while gap > _GAP_SUSPECT and depth < _MAX_RESCAN_DEPTH:
-                finer *= 0.5
-                depth += 1
-                missed = [
-                    x
-                    for x in _scan_interval(l, dim, prev + xtol, r - xtol, finer, xtol)
-                    if not close(x, prev, 1e-9) and not close(x, r, 1e-9)
-                ]
-                if missed:
-                    out.extend(missed)
-                    break
-        out.append(r)
-    out.sort()
-    return out
+        x = point(i * step)
+        found, ahead = cell(prev, x, ahead, 0)
+        roots.extend(r for r in found if r > after)
+        prev = x
+    return roots
 
 
 def radial_roots_up_to(
@@ -408,20 +384,27 @@ def radial_roots_up_to(
     step: float = GRID_STEP,
     cache: "RootCache | None" = None,
 ) -> list[float]:
-    """All positive roots of the radial condition not exceeding ``x_max``."""
+    """All positive roots of the radial condition not exceeding ``x_max``.
+
+    No root is silently missed while no lattice cell holds more than three
+    zeros of the condition f and its partner g together (see
+    ``_lattice_scan``).  Consecutive zeros lie at least 1.2 apart, and four
+    of them span at least 4.5 (disk l <= 70 and balls N <= 7, x <= 200), so
+    the default pi/8 step holds at most one and steps up to 4 at most three.
+    A ``cache`` also keeps the first root beyond ``x_max``, so it serves the
+    same request again, and a longer request resumes the scan after the last
+    cached root.
+    """
     _check_radial_family(angular_index, dim)
     if x_max <= 0.0:
         return []
-    if cache is not None:
-        cached = cache.get(dim, angular_index)
-        if cached and x_max <= cached[-1]:
-            return [r for r in cached if r <= x_max]
-    roots = _scan_roots(angular_index, dim, x_max, step, xtol)
-    if cache is not None:
-        cached = cache.get(dim, angular_index)
-        if len(roots) >= len(cached):
-            cache.put(dim, angular_index, roots)
-    return roots
+    cached = cache.get(dim, angular_index) if cache is not None else []
+    if not cached or x_max > cached[-1]:
+        after = cached[-1] if cached else 0.0
+        cached = cached + _lattice_scan(angular_index, dim, x_max, step, xtol, after)
+        if cache is not None:
+            cache.put(dim, angular_index, cached)
+    return [r for r in cached if r <= x_max]
 
 
 def neumann_radial_roots(
@@ -756,6 +739,7 @@ class BallDomain(_SuppliedDomain):
     xtol: float = ROOT_XTOL
     step: float = GRID_STEP
     merge_rel: float = MERGE_REL
+    cache: RootCache | None = field(default=None, repr=False, compare=False)
 
     kind = "ball"
     is_disk = False
@@ -764,13 +748,15 @@ class BallDomain(_SuppliedDomain):
         super().__post_init__()
         if not isinstance(self.dim, int) or self.dim < 3:
             raise ValidationError(f"ball dimension must be an integer >= 3, got {self.dim!r}")
+        if self.cache is None:
+            self.cache = RootCache(xtol=self.xtol, step=self.step)
 
     def irr_dims(self) -> None:
         return None  # harmonic dimension tables are out of scope; callers may override
 
     def rep_nontrivial(self, entry: SpectrumEntry) -> bool:
         return ball_rep_nontrivial(
-            entry, self.dim, xtol=self.xtol, step=self.step, match_rel=self.merge_rel
+            entry, self.dim, xtol=self.xtol, step=self.step, match_rel=self.merge_rel, cache=self.cache
         )
 
 
@@ -819,7 +805,7 @@ def domain_from_json(
         if "dim" not in doc:
             raise SchemaError("ball domain needs 'dim'")
         entries = _entries_from_docs(doc.get("entries"), merge_rel)
-        return BallDomain(entries, dim=doc["dim"], xtol=xtol, step=step, merge_rel=merge_rel)
+        return BallDomain(entries, dim=doc["dim"], xtol=xtol, step=step, merge_rel=merge_rel, cache=cache)
     if kind == "custom":
         unknown = set(doc) - {"type", "entries", "irr_dims"}
         if unknown:

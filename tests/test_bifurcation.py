@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from symbif import (
@@ -16,6 +18,7 @@ from symbif import (
     UnsupportedDomain,
     ValidationError,
     analyze,
+    ball_rep_nontrivial,
     bif_a9,
     bif_difference,
     check_glob,
@@ -23,7 +26,9 @@ from symbif import (
     enumerate_zero_sum_subsets,
     kernel_reps,
     lambda_set,
+    neumann_radial_roots,
     rabinowitz_excludes_bounded,
+    radial_roots_up_to,
     unbounded_verdict,
 )
 from symbif.bifurcation import (
@@ -309,6 +314,27 @@ class TestUnboundedVerdict:
 
 
 class TestAnalyze:
+    def test_ball_trivial_type_roots_scanned_once(self, kernel_calls):
+        trivial = [r * r for r in neumann_radial_roots(0, 3, 8)]
+        alphas = sorted(trivial + [1.0 + 2.5 * k for k in range(90)])
+        entries = [SpectrumEntry(0.0, RepDescriptor.trivial(1))] + [
+            SpectrumEntry(a, RepDescriptor.trivial(1) if a in trivial else RepDescriptor.irr(1))
+            for a in alphas
+        ]
+        domain = BallDomain(entries, dim=3)
+        kernel_calls[0] = 0
+        verdicts = analyze(a9_spec(q1=2, p2=0, domain=domain), (-300.0, 300.0))
+        assert len(verdicts) >= 90
+        during_analyze = kernel_calls[0]
+        kernel_calls[0] = 0
+        # b = 1, so the largest candidate eigenvalue is the largest |lambda0|;
+        # one scan up to its test range, plus the lattice point each resumption
+        # of the cached scan starts from
+        radial_roots_up_to(0, 3, math.sqrt(max(abs(v.lambda0) for v in verdicts)) + math.pi)
+        assert 0 < during_analyze <= 1.05 * kernel_calls[0]
+        for e in entries:
+            assert domain.rep_nontrivial(e) == ball_rep_nontrivial(e, 3) == e.rep.has_nontrivial()
+
     def test_a9_window(self):
         spec = a9_spec(q1=2, p2=0)
         verdicts = analyze(spec, (-1.0, 15.0))

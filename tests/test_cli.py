@@ -280,3 +280,19 @@ class TestCacheAndConfig:
         cfg.write_text(json.dumps({"system": A9_SYSTEM, "window": [2.0, 1.0]}))
         code, _, err = run_cli(capsys, "lambda-set", "--config", str(cfg))
         assert code == 1 and "ValidationError" in err
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"window": ["a", 1]},
+            {"window": [0, True]},
+            {"tolerances": {"root": "x"}},
+            {"tolerances": {"merge": False}},
+            {"spectrum_bound": "20"},
+        ],
+    )
+    def test_non_numeric_config_value_is_exit_1(self, capsys, tmp_path, field):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"system": A9_SYSTEM, "window": [0.0, 1.0], **field}))
+        code, _, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert code == 1 and "SchemaError" in err and "Traceback" not in err

@@ -133,17 +133,75 @@ class TestRadialRoots:
             neumann_radial_roots(1, 3, 1)
 
     def test_halved_step_rescan_recovers_missed_pair(self):
-        # step 4 puts two roots of J_1' (8.54, 11.71) inside one bracket, so the
-        # coarse pass sees no sign change there; the gap between the roots it does
-        # find (5.33, 14.86) exceeds pi and triggers the halved-step rescan
-        from symbif.spectral import _scan_roots
+        # step 4 puts two roots of J_1' (8.54, 11.71) inside one cell, so f shows
+        # no sign change there while its partner J_1 changes sign once (10.17);
+        # the interlacing check fails and the cell is scanned on its halved
+        # lattice.  The first cell (0, 4] is never scanned, so 1.84 is absent.
+        from symbif.spectral import _lattice_scan
 
         reference = neumann_radial_roots(1, 2, 5)
-        coarse = _scan_roots(1, 2, 16.0, step=4.0, xtol=1e-10)
+        coarse = [r for r in _lattice_scan(1, 2, 16.0, step=4.0, xtol=1e-10) if r <= 16.0]
         missing_first = [r for r in reference if r > 4.0]
         assert len(coarse) == len(missing_first)
         for got, want in zip(coarse, missing_first):
             assert abs(got - want) < 1e-8
+
+
+class TestInterlacingCheck:
+    def test_partner_is_j_and_ball_form_matches_derivative(self):
+        from symbif import _kernels
+
+        for l in (0, 1, 4):
+            for x in (0.7, 9.3, 70.0):
+                f, g = _kernels._radial_condition(l, 2, x)
+                assert f == bessel_j_prime(l, x) and g == bessel_j(l, x)
+        for dim in (3, 4, 5, 7):
+            nu = 0.5 * (dim - 2)
+            for x in (0.7, 9.3, 70.0):
+                f, g = _kernels._radial_condition(0, dim, x)
+                ref = float(mpmath.besselj(nu, x, derivative=1) - nu / x * mpmath.besselj(nu, x))
+                assert abs(f - ref) <= 1e-13 and g == bessel_j(nu, x), (dim, x)
+
+    def test_hidden_pair_raises_instead_of_dropping_roots(self, monkeypatch):
+        # f = J_1' is made to keep its sign on (5, 9), hiding its roots 5.33 and
+        # 8.54, while the partner J_1 still changes sign at 7.02; no halving can
+        # restore the alternation, so the scan must fail rather than return
+        # the shorter list [1.84, 11.71, ...]
+        from symbif import ConvergenceError, _kernels
+
+        real = _kernels._radial_condition
+
+        def hidden_pair(l, dim, x):
+            f, g = real(l, dim, x)
+            return (-abs(f) if 5.0 < x < 9.0 else f), g
+
+        monkeypatch.setattr(_kernels, "_radial_condition", hidden_pair)
+        with pytest.raises(ConvergenceError, match="interlace"):
+            radial_roots_up_to(1, 2, 12.0)
+
+    def test_disk_spectrum_evaluation_budget(self, kernel_calls):
+        disk_spectrum(3200.0)
+        assert kernel_calls[0] <= 25_000
+
+    def test_cache_serves_the_request_that_filled_it(self, kernel_calls):
+        cache = RootCache()
+        first = disk_spectrum(3200.0, cache=cache)
+        kernel_calls[0] = 0
+        assert disk_spectrum(3200.0, cache=cache) == first
+        assert kernel_calls[0] == 0
+
+    def test_resumed_scan_matches_a_fresh_one(self):
+        cache = RootCache()
+        disk_spectrum(777.0, cache=cache)
+        resumed = disk_spectrum(3200.0, cache=cache)
+        fresh = disk_spectrum(3200.0)
+        assert json.dumps([e.to_json() for e in resumed]) == json.dumps([e.to_json() for e in fresh])
+        for dim in (3, 4, 7):
+            cache = RootCache()
+            short = radial_roots_up_to(0, dim, 40.0, cache=cache)
+            longer = radial_roots_up_to(0, dim, 150.5, cache=cache)
+            assert longer[: len(short)] == short
+            assert longer == radial_roots_up_to(0, dim, 150.5)
 
 
 class TestDiskSpectrum:
