@@ -21,22 +21,29 @@ first n eigenspaces and q1 = p1 - mu_b0.  A family of indices whose sum is
 nonzero excludes the bounded alternative for any continuum returning exactly
 at those parameters; the parity conditions of the unboundedness certificates
 are checked exactly.
+
+A verdict costs one bisection, O(log n) in the number n of eigenvalues,
+plus work proportional to the ring elements it returns, so :func:`analyze`
+is linear in the number of candidates.  The domain's spectrum index finds
+k0 by bisection and holds V(n) as a prefix table, so
+D(V(n)) = (-1)^t (I - sum_k m_k chi[k]) is read off without summing
+eigenspaces; the powers use the closed form (u; c)^n = (u^n; n u^(n-1) c)
+of :mod:`symbif.euler`.  :func:`analyze` looks the kernel up once per
+candidate and takes Lambda membership from the same lookup.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, UnsupportedDomain, ValidationError
-from .euler import EulerSO2, SO2Rep, deg_minus_id
-from .spectral import BallDomain, DiskDomain, SpectrumEntry, close
+from .euler import EulerSO2, deg_minus_id
+from .spectral import BallDomain, DiskDomain, SpectrumEntry, SpectrumIndex, close
 from .system import (
     KernelReps,
     SystemSpec,
     kernel_reps,
-    lambda_membership,
     lambda_set,
 )
 
@@ -83,7 +90,10 @@ def check_glob(spec: SystemSpec, lambda0: float) -> GlobCheck:
     lam = float(lambda0)
     if lam == 0.0:
         raise PreconditionError("check_glob needs lambda0 != 0; use check_glob_zero at 0")
-    kr = kernel_reps(spec, lam)
+    return _glob_from_kernel(kernel_reps(spec, lam))
+
+
+def _glob_from_kernel(kr: KernelReps) -> GlobCheck:
     if kr.is_zero():
         return GlobCheck(INCONCLUSIVE, J_KERNEL_EMPTY)
     if kr.v1.equiv_mod_even_trivial(kr.v2):
@@ -123,21 +133,14 @@ def bif_difference(spec: SystemSpec, lambda0: float) -> EulerSO2:
     return d1 - d2 if lam > 0 else d2 - d1
 
 
-def _a9_entry_index(spec: SystemSpec, alpha: float) -> tuple[int, list[SpectrumEntry]]:
-    """1-based position of alpha in the spectrum, with the entries up to it."""
+def _a9_entry_index(spec: SystemSpec, alpha: float) -> tuple[int, SpectrumIndex]:
+    """1-based position of alpha in the spectrum, with the domain's spectrum index."""
     rel = spec.domain.merge_rel
-    entries = spec.domain.entries_up_to(alpha * (1.0 + 10.0 * rel) + rel)
-    for k, e in enumerate(entries, start=1):
-        if close(e.eigenvalue, alpha, rel):
-            return k, entries
-    raise PreconditionError(f"{alpha!r} is not an eigenvalue of the loaded spectrum")
-
-
-def _sum_so2(entries: Iterable[SpectrumEntry]) -> SO2Rep:
-    total = SO2Rep()
-    for e in entries:
-        total = total + e.rep.to_so2_rep()
-    return total
+    index, n = spec.domain.spectrum_index(alpha * (1.0 + 10.0 * rel) + rel)
+    hits = index.matches(alpha, rel, n)
+    if not hits:
+        raise PreconditionError(f"{alpha!r} is not an eigenvalue of the loaded spectrum")
+    return hits[0] + 1, index
 
 
 def bif_a9(spec: SystemSpec, lambda0: float) -> EulerSO2:
@@ -157,12 +160,12 @@ def bif_a9(spec: SystemSpec, lambda0: float) -> EulerSO2:
         raise PreconditionError(f"positive parameters need p1 - mu_b0 > 0; {lambda0!r} is not in Lambda")
     if lam < 0 and p2 <= 0:
         raise PreconditionError(f"negative parameters need p2 > 0; {lambda0!r} is not in Lambda")
-    k0, entries = _a9_entry_index(spec, abs(lam))
-    eig_deg = deg_minus_id(entries[k0 - 1].rep.to_so2_rep())
+    k0, index = _a9_entry_index(spec, abs(lam))
+    eig_deg = deg_minus_id(index.entries[k0 - 1].rep.to_so2_rep())
     if lam > 0:
-        prefix = deg_minus_id(_sum_so2(entries[: k0 - 1]))
+        prefix = deg_minus_id(index.prefix_rep(k0 - 1))
         return prefix**q1 * (eig_deg**q1 - EulerSO2.one())
-    prefix = deg_minus_id(_sum_so2(entries[:k0]))
+    prefix = deg_minus_id(index.prefix_rep(k0))
     return prefix ** (-p2) * (eig_deg**p2 - EulerSO2.one())
 
 
@@ -259,7 +262,8 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
 
     Candidates are the members of Lambda in the window together with 0 when
     the window contains it.  Exact index elements are attached only in the
-    normalized block form on the disk, where the closed forms apply.
+    normalized block form on the disk, where the closed forms apply.  Each
+    candidate costs one bisection of the spectrum index, O(log n).
     """
     lo, hi = float(window[0]), float(window[1])
     rel = spec.domain.merge_rel
@@ -272,16 +276,16 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
     for lam in candidates:
         at_zero = close(lam, 0.0, rel)
         kr = kernel_reps(spec, lam)
-        gc = check_glob_zero(spec) if at_zero else check_glob(spec, lam)
+        gc = check_glob_zero(spec) if at_zero else _glob_from_kernel(kr)
         bif = bif_a9(spec, lam) if exact else None
         unb = NO_VERDICT
         if spec.a9 and not at_zero:
-            k0, entries = _a9_entry_index(spec, abs(lam))
-            unb = unbounded_verdict(spec, entries[k0 - 1], 1 if lam > 0 else -1).verdict
+            k0, index = _a9_entry_index(spec, abs(lam))
+            unb = unbounded_verdict(spec, index.entries[k0 - 1], 1 if lam > 0 else -1).verdict
         verdicts.append(
             BifurcationVerdict(
                 lambda0=0.0 if at_zero else lam,
-                in_lambda=lambda_membership(spec, lam),
+                in_lambda=kr.matched,
                 kernel=kr,
                 glob=gc.glob,
                 justification=gc.justification,
@@ -298,16 +302,38 @@ def enumerate_zero_sum_subsets(
     """Nonempty parameter subsets whose indices sum to zero.
 
     These are the only families at which a bounded continuum could return to
-    the trivial solutions; every other subset is excluded.  Exponential in the
+    the trivial solutions; every other subset is excluded.  Subsets come in
+    the order of ``itertools.combinations`` by size.  Exponential in the
     number of members, so refuses more than ``max_members``.
+
+    Each index becomes one integer: its coefficient vector read as balanced
+    digits in a base above twice the largest possible partial sum of any
+    coordinate, so a subset sums to the zero element exactly when its
+    integers sum to 0.  A depth-first walk visits every subset once, adding
+    one integer per step, in lexicographic order of positions; sorting the
+    hits by size (stably) gives the combinations order.  Memory is O(n + hits).
     """
     if len(indices) > max_members:
         raise ValidationError(
             f"subset enumeration is exponential; refusing {len(indices)} > {max_members} members"
         )
-    out: list[tuple[float, ...]] = []
-    for r in range(1, len(indices) + 1):
-        for combo in itertools.combinations(indices, r):
-            if not rabinowitz_excludes_bounded(ix for _, ix in combo):
-                out.append(tuple(lam for lam, _ in combo))
-    return out
+    lams = [lam for lam, _ in indices]
+    keys = sorted({k for _, ix in indices for k in ix.cyclic})
+    coords = [[ix.unit, *(ix.coefficient(k) for k in keys)] for _, ix in indices]
+    base = 2 * max((sum(abs(c[j]) for c in coords) for j in range(len(keys) + 1)), default=0) + 1
+    weights = [sum(v * base**j for j, v in enumerate(c)) for c in coords]
+    hits: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def walk(start: int, total: int) -> None:
+        for i in range(start, len(weights)):
+            chosen.append(i)
+            s = total + weights[i]
+            if s == 0:
+                hits.append(tuple(chosen))
+            walk(i + 1, s)
+            chosen.pop()
+
+    walk(0, 0)
+    hits.sort(key=len)
+    return [tuple(lams[i] for i in hit) for hit in hits]

@@ -345,7 +345,8 @@ def run(args: argparse.Namespace) -> int:
         cache, stale = RootCache.load(args.cache, xtol=config.root_tol, step=GRID_STEP)
         if stale:
             print(
-                f"symbif: note: root cache {args.cache} has mismatched tolerance metadata; regenerating",
+                f"symbif: note: root cache {args.cache} has mismatched tolerance metadata or malformed "
+                "root lists; regenerating",
                 file=sys.stderr,
             )
     payload = _HANDLERS[args.subcommand](config, args, cache)

@@ -11,14 +11,23 @@ finite cyclic classes are positive dimensional circles whose products carry no
 cells of nonzero Euler characteristic.  An element is invertible exactly when
 its unit coefficient is +1 or -1, and then ``(u; c)^-1 = (u; -c)``.
 
+Because the cyclic part squares to zero, powers have a closed form and cost
+one element however large the exponent:
+
+    (u; c)^n = (u^n; n * u^(n-1) * c)         for n >= 0,
+
+and a negative power is the power of the inverse, which exists only when
+u = +-1 (any other unit coefficient raises NotInvertible).
+
 The module also provides the closed-form degree of ``-Id`` on a ball of an
 orthogonal SO(2)-representation, the basic invariant behind every bifurcation
 certificate emitted by this package:
 
-    deg(-Id, B(V)) = (-1)^t * prod_k (I - chi[k])^{m_k}
+    deg(-Id, B(V)) = (-1)^t * prod_k (I - chi[k])^{m_k} = (-1)^t * (I - sum_k m_k chi[k])
 
 for ``V`` with trivial summand of dimension ``t`` and ``m_k`` copies of the
-two-dimensional rotation representation with rotation number ``k``.
+two-dimensional rotation representation with rotation number ``k``; it is
+evaluated from the right-hand side, one element per call.
 """
 
 from __future__ import annotations
@@ -120,20 +129,16 @@ class EulerSO2:
         return EulerSO2(self.unit, {k: -v for k, v in self.cyclic.items()})
 
     def __pow__(self, n: int) -> "EulerSO2":
+        """Closed form ``(u; c)^n = (u^n; n u^(n-1) c)``; n < 0 inverts first."""
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValidationError(f"exponent must be an integer, got {n!r}")
-        base = self
         if n < 0:
-            base = self.invert()
-            n = -n
-        result = EulerSO2.one()
-        # binary exponentiation; n == 0 yields the empty product I
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return self.invert() ** -n
+        if n == 0:
+            return EulerSO2.one()
+        u = self.unit
+        factor = n * u ** (n - 1)
+        return EulerSO2(u**n, {k: factor * v for k, v in self.cyclic.items()})
 
     # -- predicates and views ----------------------------------------------
 
@@ -242,13 +247,11 @@ def deg_minus_id(rep: SO2Rep) -> EulerSO2:
 
     Product of the base cases: ``(-1)^t`` for the trivial summand and
     ``I - chi[k]`` for each copy of the rotation-k irreducible.  Expanding by
-    the ring rules gives ``(-1)^t * (I - sum_k m_k chi[k])``.
+    the ring rules gives ``(-1)^t * (I - sum_k m_k chi[k])``, which is what is
+    evaluated.
     """
-    sign = EulerSO2(-1) if rep.trivial_dim % 2 else EulerSO2.one()
-    result = sign
-    for k, m in rep.rotation_mults.items():
-        result = result * (EulerSO2.one() - EulerSO2.chi(k)) ** m
-    return result
+    sign = -1 if rep.trivial_dim % 2 else 1
+    return EulerSO2(sign, {k: -sign * m for k, m in rep.rotation_mults.items()})
 
 
 def rep_equiv_mod_even_trivial(v: SO2Rep, w: SO2Rep) -> bool:

@@ -16,6 +16,8 @@ then bisection.  Each kernel call also gives a partner whose zeros
 interlace with the condition's (J_l for J_l', J_nu for -J_{nu+1}; DLMF
 10.21(i)); the scan checks after every cell that the two still alternate,
 so a root list is complete or the call raises :class:`ConvergenceError`.
+The scan starts from the signs of the pair as x -> 0+ (DLMF 10.2.2), so
+the first cell is checked like every other.
 Two structurally different Bessel evaluation paths (ascending series vs.
 backward recurrence) back the production kernels, and the test suite runs
 an independent series-based oracle against every root.
@@ -25,6 +27,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import tempfile
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -44,8 +49,10 @@ __all__ = [
     "MERGE_REL",
     "ROOT_XTOL",
     "GRID_STEP",
+    "MAX_DISK_ENTRIES",
     "RepDescriptor",
     "SpectrumEntry",
+    "SpectrumIndex",
     "RootCache",
     "bessel_j",
     "bessel_j_prime",
@@ -67,6 +74,10 @@ MERGE_REL = 1e-8
 ROOT_XTOL = 1e-10
 #: grid step for sign-change bracketing
 GRID_STEP = math.pi / 8.0
+#: most distinct disk eigenvalues one request may ask for, by the two-term Weyl
+#: estimate alpha/4 + sqrt(alpha)/2 (10,000 reaches alpha ~ 39,600, x ~ 199,
+#: inside the x <= 200 range the kernels' accuracy is stated for)
+MAX_DISK_ENTRIES = 10_000
 
 
 def close(a: float, b: float, rel: float = MERGE_REL) -> bool:
@@ -311,6 +322,8 @@ def _check_radial_family(angular_index: int, dim: int) -> None:
 
 #: halvings of a lattice cell that fails the interlacing check before the scan gives up
 _MAX_HALVINGS = 3
+#: stand-in magnitude for a kernel value that underflowed to 0.0
+_UNDERFLOW = math.ulp(0.0)
 
 
 def _refine(l: int, dim: int, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
@@ -332,15 +345,24 @@ def _lattice_scan(
     leader's sign changes run ahead of the other's by 0 or 1.  A cell that
     breaks this hides a pair of zeros and is scanned again on its halved
     lattice, at most ``_MAX_HALVINGS`` times before ConvergenceError.  No
-    bracket depends on ``x_max`` or ``after`` (prefix stability).  The scan
-    starts at the end of the cell holding ``after``; (0, step] is never scanned.
+    bracket depends on ``x_max`` or ``after`` (prefix stability).  With
+    ``after == 0`` the scan starts at x = 0+, where g > 0 and f has the sign
+    of its leading power (DLMF 10.2.2): J_l' > 0 for l >= 1, while J_0' and
+    -J_{nu+1} are negative; otherwise it starts at the end of the cell
+    holding ``after``.  A value that underflowed to 0.0 (high orders near
+    the origin) keeps the sign of the point before it.
     """
     f_leads = dim == 2 and l >= 1
+    origin = (0.0, 1.0 if f_leads else -1.0, 1.0)
 
-    def point(x: float) -> tuple[float, float, float]:
+    def point(x: float, before: tuple[float, float, float]) -> tuple[float, float, float]:
         f, g = _kernels._radial_condition(l, dim, x)
         if math.isnan(f) or math.isnan(g):
             raise ConvergenceError(f"radial condition evaluated to NaN at x={x!r} (l={l}, dim={dim})")
+        if f == 0.0:
+            f = math.copysign(_UNDERFLOW, before[1])
+        if g == 0.0:
+            g = math.copysign(_UNDERFLOW, before[2])
         return x, f, g
 
     def cell(a, b, ahead: int, halvings: int) -> tuple[list[float], int]:
@@ -356,19 +378,19 @@ def _lattice_scan(
                 f"zeros of the radial condition and its partner fail to interlace in "
                 f"({xa!r}, {xb!r}] after {halvings} halvings (l={l}, dim={dim})"
             )
-        mid = point(0.5 * (xa + xb))
+        mid = point(0.5 * (xa + xb), a)
         left, ahead = cell(a, mid, ahead, halvings + 1)
         right, ahead = cell(mid, b, ahead, halvings + 1)
         return left + right, ahead
 
-    i = max(1, math.ceil(after / step))
-    prev = point(i * step)
+    i = math.ceil(after / step)
+    prev = point(i * step, origin) if i else origin
     # the lead is one zero ahead exactly when the sign pattern differs from that at 0+
     ahead = int(((prev[1] > 0.0) == (prev[2] > 0.0)) != f_leads)
     roots: list[float] = []
     while not roots or roots[-1] <= x_max:
         i += 1
-        x = point(i * step)
+        x = point(i * step, prev)
         found, ahead = cell(prev, x, ahead, 0)
         roots.extend(r for r in found if r > after)
         prev = x
@@ -453,7 +475,10 @@ class RootCache:
     The record list for each (dim, l) pair is always a complete prefix of the
     true root sequence, so cached data can serve any request whose range it
     covers.  A file whose tolerance metadata disagrees with the requested
-    tolerances is discarded and regenerated.
+    tolerances, or that holds a list that is not finite, strictly increasing
+    and indexed 1..n, is discarded and regenerated.  Saving writes a
+    temporary file beside the target and renames it over the target, so a
+    reader sees the old file or the new one, never a partial write.
     """
 
     xtol: float = ROOT_XTOL
@@ -478,7 +503,15 @@ class RootCache:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), sort_keys=True) + "\n", encoding="utf-8")
+        target = Path(path)
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as out:
+                out.write(json.dumps(self.to_json(), sort_keys=True) + "\n")
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(
@@ -495,10 +528,12 @@ class RootCache:
             if tol["xtol"] != xtol or tol["step"] != step:
                 return fresh, True
             for dim, l, idx, x in doc["records"]:
-                key = (int(dim), int(l))
-                fresh.records.setdefault(key, []).append(float(x))
-            for key, roots in fresh.records.items():
-                roots.sort()
+                roots = fresh.records.setdefault((int(dim), int(l)), [])
+                x = float(x)
+                # indexed 1..n in order, finite and strictly increasing
+                if idx != len(roots) + 1 or not math.isfinite(x) or (roots and x <= roots[-1]):
+                    return cls(xtol=xtol, step=step), True
+                roots.append(x)
             return fresh, False
         except (KeyError, TypeError, ValueError, json.JSONDecodeError):
             return cls(xtol=xtol, step=step), True
@@ -540,9 +575,17 @@ def disk_spectrum(
     The zero eigenvalue (constants, trivial of dimension 1) is always present;
     each positive eigenvalue is the square of a root of J_l' and carries one
     copy of the rotation-l irreducible (trivial of dimension 1 when l = 0).
+    A request whose Weyl estimate exceeds ``MAX_DISK_ENTRIES`` raises
+    InsufficientSpectrum before any evaluation.
     """
     if not max_eigenvalue > 0.0:
         raise ValidationError(f"max_eigenvalue must be positive, got {max_eigenvalue!r}")
+    estimate = max_eigenvalue / 4.0 + math.sqrt(max_eigenvalue) / 2.0
+    if estimate > MAX_DISK_ENTRIES:
+        raise InsufficientSpectrum(
+            f"the disk spectrum up to {max_eigenvalue!r} has about {estimate:.4g} distinct eigenvalues "
+            f"(Weyl estimate), more than the budget of {MAX_DISK_ENTRIES}"
+        )
     x_max = math.sqrt(max_eigenvalue)
     entries = [SpectrumEntry(0.0, RepDescriptor.trivial(1), angular_index=0, root_index=None)]
     l = 0
@@ -646,6 +689,66 @@ def load_custom_spectrum(source, *, merge_rel: float = MERGE_REL) -> list[Spectr
 # ---------------------------------------------------------------------------
 
 
+class SpectrumIndex:
+    """Lookup structure over a domain's ascending spectrum entries.
+
+    ``eigenvalues`` is the sorted eigenvalue list, searched by bisection.
+    The prefix table describes V(n), the sum of the first n eigenspaces:
+    ``trivial[n]`` is its trivial dimension, and its irreducible
+    multiplicities are kept at every ``_STRIDE``-th n, so
+    :meth:`prefix_rep` adds at most ``_STRIDE - 1`` eigenspaces to a stored
+    table and deg(-Id, B(V(n))) = (-1)^t (I - sum_k m_k chi[k]) needs no
+    sum over the spectrum.  A domain builds one index and rebuilds it only
+    when its spectrum grows.
+    """
+
+    __slots__ = ("entries", "eigenvalues", "trivial", "checkpoints")
+
+    #: entries between stored multiplicity tables (memory n/_STRIDE tables, lookup O(labels + _STRIDE))
+    _STRIDE = 32
+
+    def __init__(self, entries: Sequence[SpectrumEntry]) -> None:
+        self.entries = entries
+        self.eigenvalues = [e.eigenvalue for e in entries]
+        self.trivial = [0]
+        self.checkpoints: list[dict[int, int]] = [{}]
+        mults: dict[int, int] = {}
+        for n, e in enumerate(entries, start=1):
+            self.trivial.append(self.trivial[-1] + e.rep.trivial_dim)
+            for k, m in e.rep.irreducibles.items():
+                mults[k] = mults.get(k, 0) + m
+            if n % self._STRIDE == 0:
+                self.checkpoints.append(dict(mults))
+
+    def count_up_to(self, alpha_max: float) -> int:
+        """Number of entries with eigenvalue <= alpha_max."""
+        return bisect_right(self.eigenvalues, alpha_max)
+
+    def matches(self, target: float, rel: float, n: int) -> list[int]:
+        """Ascending positions i < n with ``close(target, eigenvalues[i], rel)``.
+
+        A match lies at most rel * max(1, |target|) / (1 - rel) from the
+        target; bisection narrows the search to twice that distance (slack
+        for rounding), and ``close`` decides on each eigenvalue found.
+        """
+        lo, hi = 0, n
+        if rel < 1.0:
+            reach = 2.0 * rel * max(1.0, abs(target)) / (1.0 - rel) + 4.0 * math.ulp(max(1.0, abs(target)))
+            lo = bisect_left(self.eigenvalues, target - reach, 0, n)
+            hi = bisect_right(self.eigenvalues, target + reach, lo, n)
+        eigs = self.eigenvalues
+        return [i for i in range(lo, hi) if close(target, eigs[i], rel)]
+
+    def prefix_rep(self, n: int) -> SO2Rep:
+        """V(n), the first n eigenspaces, with labels read as rotation numbers (disk)."""
+        start = n - n % self._STRIDE
+        mults = dict(self.checkpoints[start // self._STRIDE])
+        for e in self.entries[start:n]:
+            for k, m in e.rep.irreducibles.items():
+                mults[k] = mults.get(k, 0) + m
+        return SO2Rep(self.trivial[n], mults)
+
+
 @dataclass
 class DiskDomain:
     """Unit disk; the spectrum is computed on demand (and memoised).
@@ -661,6 +764,7 @@ class DiskDomain:
     cache: RootCache | None = field(default=None, repr=False, compare=False)
     _memo: list[SpectrumEntry] = field(default_factory=list, init=False, repr=False, compare=False)
     _memo_bound: float = field(default=-1.0, init=False, repr=False, compare=False)
+    _index: SpectrumIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     kind = "disk"
     dim = 2
@@ -669,7 +773,13 @@ class DiskDomain:
     def irr_dims(self) -> None:
         return None  # rotation irreducibles all have real dimension 2
 
-    def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
+    def spectrum_index(self, alpha_max: float) -> tuple[SpectrumIndex, int]:
+        """The index over the computed spectrum, and how many of its entries are <= alpha_max.
+
+        Extends the spectrum to ``alpha_max`` first, or raises
+        InsufficientSpectrum beyond ``bound``; the index is rebuilt only
+        when the spectrum grows.
+        """
         alpha_max = max(0.0, float(alpha_max))
         if self.bound is not None and _beyond_coverage(alpha_max, self.bound, self.merge_rel):
             raise InsufficientSpectrum(
@@ -681,7 +791,14 @@ class DiskDomain:
                 target, xtol=self.xtol, step=self.step, merge_rel=self.merge_rel, cache=self.cache
             )
             self._memo_bound = target
-        return [e for e in self._memo if e.eigenvalue <= alpha_max]
+            self._index = None
+        if self._index is None:
+            self._index = SpectrumIndex(self._memo)
+        return self._index, self._index.count_up_to(alpha_max)
+
+    def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
+        index, n = self.spectrum_index(alpha_max)
+        return index.entries[:n]
 
     def first_entries(self, k: int) -> list[SpectrumEntry]:
         if k < 1:
@@ -706,22 +823,39 @@ class _SuppliedDomain:
     """Base for domains whose spectrum is user-supplied and finite."""
 
     entries: list[SpectrumEntry]
+    _index: SpectrumIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.entries or self.entries[0].eigenvalue != 0.0:
             raise ValidationError("supplied spectra must start at the zero eigenvalue")
+        for prev, nxt in zip(self.entries, self.entries[1:]):
+            if nxt.eigenvalue < prev.eigenvalue:
+                raise ValidationError(
+                    f"supplied entries must be in ascending eigenvalue order ({nxt.eigenvalue!r} after {prev.eigenvalue!r})"
+                )
 
     @property
     def coverage(self) -> float:
         return self.entries[-1].eigenvalue
 
-    def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
+    def spectrum_index(self, alpha_max: float) -> tuple[SpectrumIndex, int]:
+        """The index over the supplied entries, and how many are <= alpha_max.
+
+        Raises InsufficientSpectrum when alpha_max lies beyond the supplied
+        spectrum; the index is built on first use.
+        """
         alpha_max = max(0.0, float(alpha_max))
         if _beyond_coverage(alpha_max, self.coverage, getattr(self, "merge_rel", MERGE_REL)):
             raise InsufficientSpectrum(
                 f"need eigenvalues up to {alpha_max!r} but the supplied spectrum stops at {self.coverage!r}"
             )
-        return [e for e in self.entries if e.eigenvalue <= alpha_max]
+        if self._index is None:
+            self._index = SpectrumIndex(self.entries)
+        return self._index, self._index.count_up_to(alpha_max)
+
+    def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
+        index, n = self.spectrum_index(alpha_max)
+        return index.entries[:n]
 
     def first_entries(self, k: int) -> list[SpectrumEntry]:
         if k < 1:

@@ -15,7 +15,10 @@ domain's Neumann spectrum.  From these the module derives
   ``(-alpha - lambda*b)/(1 + alpha)`` on the B2 block.
 
 The same relative tolerance drives eigenvalue merging, Lambda membership and
-kernel matching, so the three stay consistent by construction.
+kernel matching, so the three stay consistent by construction.  Membership
+and kernel lookups search the domain's :class:`~symbif.spectral.SpectrumIndex`
+by bisection and apply that tolerance to the few neighbours found, so each
+costs O(log n) in the number of eigenvalues.
 """
 
 from __future__ import annotations
@@ -257,26 +260,42 @@ def lambda_set(spec: SystemSpec, window: tuple[float, float]) -> list[float]:
     return out
 
 
+def _matched_entries(spec: SystemSpec, lam: float):
+    """The spectrum index and, for B1 and for B2, (mult, matched positions) per nonzero b.
+
+    The spectrum is asked for the entries up to the largest |lam * b| plus
+    the matching margin, so InsufficientSpectrum is raised exactly where the
+    matching needs more of the spectrum than is available.
+    """
+    rel = spec.domain.merge_rel
+    bs1, bs2 = spec.nonzero_b1(), spec.nonzero_b2()
+    cap = max((abs(lam * b) for b, _ in bs1 + bs2), default=0.0)
+    index, n = spec.domain.spectrum_index(_with_margin(cap, rel))
+    # close(lam*b, -alpha) and close(-(lam*b), alpha) agree bit for bit
+    v1 = [(mult, index.matches(lam * b, rel, n)) for b, mult in bs1]
+    v2 = [(mult, index.matches(-(lam * b), rel, n)) for b, mult in bs2]
+    return index, v1, v2
+
+
 def lambda_membership(spec: SystemSpec, lam: float) -> bool:
     """Whether some spectral pair matches lam within the merge tolerance."""
-    rel = spec.domain.merge_rel
-    cap = max((abs(lam * b) for b, _ in spec.nonzero_b1() + spec.nonzero_b2()), default=0.0)
-    entries = spec.domain.entries_up_to(_with_margin(cap, rel))
-    for b, _ in spec.nonzero_b1():
-        if any(close(lam * b, e.eigenvalue, rel) for e in entries):
-            return True
-    for b, _ in spec.nonzero_b2():
-        if any(close(lam * b, -e.eigenvalue, rel) for e in entries):
-            return True
-    return False
+    _, v1, v2 = _matched_entries(spec, lam)
+    return any(hits for _, hits in v1 + v2)
 
 
 @dataclass(eq=True)
 class KernelReps:
-    """Isotypic pieces V1, V2 of the Hessian kernel on the normal slice."""
+    """Isotypic pieces V1, V2 of the Hessian kernel on the normal slice.
+
+    ``matched`` (set by :func:`kernel_reps`, not compared) records whether
+    some spectral pair matched the parameter, which is Lambda membership:
+    a supplied eigenspace may be the zero representation, so a zero kernel
+    does not rule a match out.
+    """
 
     v1: RepDescriptor
     v2: RepDescriptor
+    matched: bool = field(default=False, init=False, repr=False, compare=False)
 
     def is_zero(self) -> bool:
         return self.v1.is_zero() and self.v2.is_zero()
@@ -294,21 +313,20 @@ def kernel_reps(spec: SystemSpec, lambda0: float) -> KernelReps:
     Each match contributes the eigenspace repeated mu_B(b) times; b = 0 never
     matches (those directions belong to the orbit, not the normal slice).
     """
-    lam = float(lambda0)
-    rel = spec.domain.merge_rel
-    cap = max((abs(lam * b) for b, _ in spec.nonzero_b1() + spec.nonzero_b2()), default=0.0)
-    entries = spec.domain.entries_up_to(_with_margin(cap, rel))
-    v1 = RepDescriptor.zero()
-    v2 = RepDescriptor.zero()
-    for b, mult in spec.nonzero_b1():
-        for e in entries:
-            if close(lam * b, e.eigenvalue, rel):
-                v1 = v1 + e.rep.scaled(mult)
-    for b, mult in spec.nonzero_b2():
-        for e in entries:
-            if close(lam * b, -e.eigenvalue, rel):
-                v2 = v2 + e.rep.scaled(mult)
-    return KernelReps(v1, v2)
+    index, *blocks = _matched_entries(spec, float(lambda0))
+    pieces = []
+    for block in blocks:
+        trivial, irr = 0, {}
+        for mult, hits in block:
+            for i in hits:
+                rep = index.entries[i].rep
+                trivial += mult * rep.trivial_dim
+                for label, m in rep.irreducibles.items():
+                    irr[label] = irr.get(label, 0) + mult * m
+        pieces.append(RepDescriptor(trivial, irr))
+    kr = KernelReps(*pieces)
+    kr.matched = any(hits for block in blocks for _, hits in block)
+    return kr
 
 
 @dataclass(eq=True)

@@ -21,3 +21,25 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_radial_condition", counted)
     return calls
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """``call_counts(owner, name)`` counts calls of ``owner.name`` from then on.
+
+    Returns a one-element list holding the live count; the attribute is
+    restored when the test ends.
+    """
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return count

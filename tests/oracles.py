@@ -11,6 +11,12 @@ Bessel's equation J_nu'' = -J_nu'/x - (1 - nu^2/x^2) J_nu (DLMF 10.2.1); a
 step that leaves the sign-change bracket falls back to bisection.  The module
 imports nothing from ``symbif`` and never consults the production kernels, so
 agreement of roots is a two-sided check.
+
+:func:`reference_verdicts` is the verdict oracle: given a spectrum as plain
+JSON entries it assembles the verdicts the straightforward way, by linear
+scans for every match, explicit sums of eigenspaces for V(n), degrees as
+products of their base cases and powers as repeated products, with ring
+elements held as (unit, {k: coefficient}) pairs.
 """
 
 from __future__ import annotations
@@ -133,3 +139,141 @@ def oracle_radial_roots(l: int, dim: int, count: int, xtol: float = 1e-11) -> tu
         if x_prev > 1000.0:
             raise RuntimeError(f"oracle failed to find {count} roots for (l={l}, dim={dim})")
     return tuple(roots[:count])
+
+
+# ---------------------------------------------------------------------------
+# verdict reference
+# ---------------------------------------------------------------------------
+
+
+def _close(a: float, b: float, rel: float) -> bool:
+    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+
+
+def _ring(unit: int, cyclic: dict | None = None) -> tuple[int, dict]:
+    return unit, {k: v for k, v in (cyclic or {}).items() if v}
+
+
+def _r_add(x, y, sign: int = 1):
+    c = dict(x[1])
+    for k, v in y[1].items():
+        c[k] = c.get(k, 0) + sign * v
+    return _ring(x[0] + sign * y[0], c)
+
+
+def _r_mul(x, y):
+    c = {}
+    for k, v in y[1].items():
+        c[k] = c.get(k, 0) + x[0] * v
+    for k, v in x[1].items():
+        c[k] = c.get(k, 0) + y[0] * v
+    return _ring(x[0] * y[0], c)
+
+
+def _r_pow(x, n: int):
+    if n < 0:
+        if x[0] not in (1, -1):
+            raise ArithmeticError("not invertible")
+        x, n = _ring(x[0], {k: -v for k, v in x[1].items()}), -n
+    out = _ring(1)
+    for _ in range(n):
+        out = _r_mul(out, x)
+    return out
+
+
+def _rep_sum(reps) -> tuple[int, dict]:
+    trivial, irr = 0, {}
+    for t, i in reps:
+        trivial += t
+        for k, m in i.items():
+            irr[k] = irr.get(k, 0) + m
+    return trivial, irr
+
+
+def _deg(rep) -> tuple[int, dict]:
+    """(-1)^t times one factor I - chi[k] per copy of the rotation-k irreducible."""
+    trivial, irr = rep
+    out = _ring(-1 if trivial % 2 else 1)
+    for k, m in irr.items():
+        for _ in range(m):
+            out = _r_mul(out, _ring(1, {k: -1}))
+    return out
+
+
+def _rep_json(rep) -> dict:
+    return {"trivial": rep[0], "irr": {str(k): m for k, m in sorted(rep[1].items()) if m}}
+
+
+def reference_verdicts(entries: list[dict], b1: dict, b2: dict, mu_b0: int, a9: bool, window, *,
+                       rel: float = 1e-8, disk: bool = True) -> list[dict]:
+    """Verdict documents for the window, in the schema of ``BifurcationVerdict.to_json``.
+
+    ``entries`` are spectrum-entry documents in ascending order reaching past
+    every eigenvalue the window pairs with; ``b1``/``b2`` map block
+    eigenvalues to multiplicities.
+    """
+    lo, hi = float(window[0]), float(window[1])
+    alphas = [e["eigenvalue"] for e in entries]
+    reps = [(e["rep"]["trivial"], {int(k): m for k, m in e["rep"].get("irr", {}).items()}) for e in entries]
+    bs1 = sorted((b, m) for b, m in b1.items() if b != 0)
+    bs2 = sorted((b, m) for b, m in b2.items() if b != 0)
+    members = sorted(
+        m
+        for m in [a / b + 0.0 for b, _ in bs1 for a in alphas] + [-a / b + 0.0 for b, _ in bs2 for a in alphas]
+        if lo <= m <= hi
+    )
+    candidates: list[float] = []
+    for m in members:
+        if not candidates or not _close(candidates[-1], m, rel):
+            candidates.append(m)
+    if lo <= 0.0 <= hi and not any(_close(c, 0.0, rel) for c in candidates):
+        candidates.append(0.0)
+    candidates.sort()
+    p1, p2 = sum(b1.values()), sum(b2.values())
+    q1 = p1 - mu_b0
+    morse = sum(m for b, m in list(b1.items()) + list(b2.items()) if b != 0)
+    out = []
+    for lam in candidates:
+        at_zero = _close(lam, 0.0, rel)
+        hits1 = [(i, m) for b, m in bs1 for i, a in enumerate(alphas) if _close(lam * b, a, rel)]
+        hits2 = [(i, m) for b, m in bs2 for i, a in enumerate(alphas) if _close(lam * b, -a, rel)]
+        v1 = _rep_sum((m * reps[i][0], {k: m * x for k, x in reps[i][1].items()}) for i, m in hits1)
+        v2 = _rep_sum((m * reps[i][0], {k: m * x for k, x in reps[i][1].items()}) for i, m in hits2)
+        if at_zero:
+            glob = ("Bifurcates" if morse % 2 else "Inconclusive", "ZeroCaseParity")
+        elif v1 == (0, {}) and v2 == (0, {}):
+            glob = ("Inconclusive", "KernelEmpty")
+        elif v1[1] == v2[1] and v1[0] % 2 == v2[0] % 2:
+            glob = ("Inconclusive", "EquivalentModEvenTrivial")
+        else:
+            glob = ("Bifurcates", "RepNonEquivalence")
+        bif, unbounded = None, "NoVerdict"
+        if a9 and not at_zero:
+            k0 = next(k for k, a in enumerate(alphas, start=1) if _close(a, abs(lam), rel))
+            nontrivial = bool(reps[k0 - 1][1])
+            q = (q1, p2) if lam > 0 else (p2, q1)
+            if q[0] > 0 and q[0] % 2 == 0 and q[1] % 2 == 0 and nontrivial:
+                unbounded = "Unbounded"
+        if a9 and disk:
+            if at_zero:
+                bif = _ring((-1) ** q1 - (-1) ** p2)
+            else:
+                eig = _deg(reps[k0 - 1])
+                if lam > 0:
+                    prefix = _deg(_rep_sum(reps[: k0 - 1]))
+                    bif = _r_mul(_r_pow(prefix, q1), _r_add(_r_pow(eig, q1), _ring(1), -1))
+                else:
+                    prefix = _deg(_rep_sum(reps[:k0]))
+                    bif = _r_mul(_r_pow(prefix, -p2), _r_add(_r_pow(eig, p2), _ring(1), -1))
+        out.append(
+            {
+                "lambda0": 0.0 if at_zero else lam,
+                "in_lambda": bool(hits1 or hits2),
+                "kernel": {"v1": _rep_json(v1), "v2": _rep_json(v2)},
+                "glob": glob[0],
+                "justification": glob[1],
+                "bif": None if bif is None else {"unit": bif[0], "cyclic": {str(k): v for k, v in sorted(bif[1].items())}},
+                "unbounded": unbounded,
+            }
+        )
+    return out

@@ -1,7 +1,12 @@
+import itertools
+import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import symbif.bifurcation
+from oracles import reference_verdicts
 from symbif import (
     BIFURCATES,
     INCONCLUSIVE,
@@ -11,6 +16,7 @@ from symbif import (
     CustomDomain,
     DiskDomain,
     EulerSO2,
+    InsufficientSpectrum,
     PreconditionError,
     RepDescriptor,
     SpectrumEntry,
@@ -264,6 +270,28 @@ class TestRabinowitz:
         with pytest.raises(ValidationError):
             enumerate_zero_sum_subsets(labelled)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.builds(
+                EulerSO2,
+                st.integers(-2, 2),
+                st.dictionaries(st.integers(1, 3), st.integers(-3, 3), max_size=2),
+            ),
+            max_size=12,
+        )
+    )
+    def test_enumeration_matches_combinations(self, family):
+        # small coefficients on few keys, so many subsets cancel
+        labelled = [(float(i), ix) for i, ix in enumerate(family)]
+        brute = [
+            tuple(lam for lam, _ in combo)
+            for r in range(1, len(labelled) + 1)
+            for combo in itertools.combinations(labelled, r)
+            if not rabinowitz_excludes_bounded(ix for _, ix in combo)
+        ]
+        assert enumerate_zero_sum_subsets(labelled) == brute
+
 
 class TestUnboundedVerdict:
     def test_positive_even_pattern(self):
@@ -404,3 +432,107 @@ class TestAnalyze:
             "v2": {"trivial": 0, "irr": {}},
         }
         assert doc["bif"] == {"unit": 0, "cyclic": {"1": -2}}
+
+
+def _dumps(verdicts) -> str:
+    return json.dumps([v.to_json() for v in verdicts], sort_keys=True)
+
+
+class TestVerdictsAgainstReference:
+    """analyze against the straightforward reference of ``oracles.reference_verdicts``."""
+
+    @pytest.fixture(scope="class")
+    def domain(self):
+        domain = DiskDomain()
+        domain.entries_up_to(1600.0)
+        return domain
+
+    def check(self, domain, b1, b2, mu_b0, a9, window):
+        spec = SystemSpec(
+            p1=sum(b1.values()), p2=sum(b2.values()), sigma_b1=b1, sigma_b2=b2, mu_b0=mu_b0, domain=domain, a9=a9
+        )
+        entries = [e.to_json() for e in domain.entries_up_to(1600.0)]
+        reference = reference_verdicts(entries, b1, b2, mu_b0, a9, window)
+        got = _dumps(analyze(spec, window))
+        assert got == json.dumps(reference, sort_keys=True)
+        return reference
+
+    def test_worked_examples(self, domain):
+        assert len(self.check(domain, {2: 1}, {}, 0, False, (0.5, 3.0))) == 1
+        assert len(self.check(domain, {3: 2}, {}, 0, False, (4.5, 5.2))) == 1
+        assert len(self.check(domain, {1: 2}, {}, 0, True, (-1.0, 15.0))) == 4
+
+    def test_a9_window_1200(self, domain):
+        verdicts = self.check(domain, {1: 2}, {1: 2}, 0, True, (-1200.0, 1200.0))
+        assert len(verdicts) > 300
+        assert any(v["unbounded"] == UNBOUNDED for v in verdicts)
+        self.check(domain, {0: 1, 1: 3}, {1: 1}, 1, True, (-1200.0, 1200.0))
+
+    def test_fractional_and_negative_blocks(self, domain):
+        b1 = {0.5 + 1 / 4096: 1, -(0.75 + 2 / 4096): 1}
+        b2 = {1.25 + 3 / 4096: 2, -(0.375 + 1 / 4096): 1}
+        verdicts = self.check(domain, b1, b2, 0, False, (-800.0, 800.0))
+        assert {v["justification"] for v in verdicts} >= {J_REP_NONEQUIV, J_ZERO_PARITY}
+
+
+    def test_zero_eigenspace_is_still_a_member(self):
+        # a supplied eigenspace may be the zero representation: the kernel is
+        # then zero, yet the parameter is in Lambda
+        entries = [
+            SpectrumEntry(0.0, RepDescriptor.trivial(1)),
+            SpectrumEntry(2.0, RepDescriptor.zero()),
+            SpectrumEntry(5.0, RepDescriptor.irr(3)),
+        ]
+        spec = SystemSpec(p1=1, p2=1, sigma_b1={1: 1}, sigma_b2={0.5: 1}, domain=CustomDomain(entries))
+        window = (-8.0, 4.5)
+        reference = reference_verdicts([e.to_json() for e in entries], {1: 1}, {0.5: 1}, 0, False, window, disk=False)
+        verdicts = analyze(spec, window)
+        assert _dumps(verdicts) == json.dumps(reference, sort_keys=True)
+        (at_two,) = [v for v in verdicts if v.lambda0 == 2.0]
+        assert at_two.in_lambda and at_two.kernel.is_zero() and at_two.justification == J_KERNEL_EMPTY
+
+
+class TestVerdictCost:
+    """Work per candidate, counted: one kernel lookup each, and no spectrum copies per candidate."""
+
+    @pytest.fixture(scope="class")
+    def domain(self):
+        domain = DiskDomain()
+        domain.entries_up_to(1300.0)
+        return domain
+
+    def test_kernel_lookup_once_per_candidate(self, domain, call_counts):
+        calls = call_counts(symbif.bifurcation, "kernel_reps")
+        verdicts = analyze(a9_spec(q1=2, p2=2, domain=domain), (-300.0, 300.0))
+        assert 0 < calls[0] <= len(verdicts)
+
+    def test_entries_copied_a_constant_number_of_times(self, domain, call_counts):
+        copies = call_counts(DiskDomain, "entries_up_to")
+        sizes = []
+        for w in (300.0, 1200.0):
+            copies[0] = 0
+            analyze(a9_spec(q1=2, p2=2, domain=domain), (-w, w))
+            sizes.append(copies[0])
+        assert sizes[0] == sizes[1] <= 2
+
+    def test_ring_elements_grow_with_candidates(self, domain, call_counts):
+        built = call_counts(EulerSO2, "__post_init__")
+        counts = []
+        for w in (300.0, 1200.0):
+            built[0] = 0
+            n = len(analyze(a9_spec(q1=3, p2=1, mu=1, domain=domain), (-w, w)))
+            counts.append((n, built[0]))
+        (n_small, e_small), (n_large, e_large) = counts
+        assert e_large / e_small <= 1.1 * n_large / n_small
+
+    def test_insufficient_spectrum_unchanged(self):
+        # raised by the candidate set, and by a kernel lookup past the bound
+        cases = [
+            ({}, 1.0, "need eigenvalues up to 2.00000021 but the spectrum bound is 1.0"),
+            ({1: 1}, 150.0, "need eigenvalues up to 172.3257788344548 but the spectrum bound is 150.0"),
+        ]
+        for b1, bound, message in cases:
+            spec = SystemSpec(p1=len(b1), p2=1, sigma_b1=b1, sigma_b2={2: 1}, domain=DiskDomain(bound=bound))
+            with pytest.raises(InsufficientSpectrum) as exc:
+                analyze(spec, (-1.0, 100.0))
+            assert str(exc.value) == message

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symbif
 from symbif.cli import main, parse_report
 
 ALPHA2 = 3.3899577166932745  # close enough for --lambda matching (1e-8 relative)
@@ -65,6 +70,23 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 2
         assert "InsufficientSpectrum" in err
+
+    def test_huge_window_is_refused_not_run(self, tmp_path):
+        # the disk spectrum such a window needs is beyond the entry budget,
+        # so the process ends at once with exit 2 instead of scanning for ever
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"system": A9_SYSTEM, "window": [0.0, 1e308]}))
+        src = str(Path(symbif.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "symbif.cli", "analyze", "--config", str(cfg)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=5,
+        )
+        assert proc.returncode == 2
+        assert "InsufficientSpectrum" in proc.stderr and "Weyl" in proc.stderr
 
 
 class TestLambdaSet:

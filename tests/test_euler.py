@@ -110,12 +110,24 @@ class TestRingAxioms:
         a = EulerSO2(unit, cyclic)
         assert a.invert() * a == I
 
-    @given(elements, st.integers(1, 6))
+    @given(elements, st.integers(-6, 6))
     def test_pow_matches_repeated_mul(self, a, n):
+        if n < 0 and a.unit not in (1, -1):
+            return  # no inverse; see test_negative_pow_of_nonunit_raises
+        step = a if n >= 0 else a.invert()
         expected = I
-        for _ in range(n):
-            expected = expected * a
+        for _ in range(abs(n)):
+            expected = expected * step
         assert a**n == expected
+
+    @given(
+        st.integers(-10, 10).filter(lambda u: u not in (1, -1)),
+        st.dictionaries(st.integers(1, 12), st.integers(-10, 10), max_size=5),
+        st.integers(-6, -1),
+    )
+    def test_negative_pow_of_nonunit_raises(self, unit, cyclic, n):
+        with pytest.raises(NotInvertible):
+            EulerSO2(unit, cyclic) ** n
 
     @given(elements, st.integers(1, 6))
     def test_pow_closed_form(self, a, n):
@@ -141,6 +153,14 @@ class TestDegMinusId:
     def test_closed_form(self):
         v = SO2Rep(3, {1: 2, 4: 1})
         assert deg_minus_id(v) == -(I - 2 * chi(1) - chi(4))
+
+    @given(reps)
+    def test_product_of_base_cases(self, v):
+        expected = -I if v.trivial_dim % 2 else I
+        for k, m in v.rotation_mults.items():
+            for _ in range(m):
+                expected = expected * (I - chi(k))
+        assert deg_minus_id(v) == expected
 
     @given(reps, reps)
     def test_product_law(self, v, w):

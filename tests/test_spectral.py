@@ -5,7 +5,9 @@ import mpmath
 import pytest
 
 from symbif import (
+    DiskDomain,
     DomainError,
+    InsufficientSpectrum,
     RepDescriptor,
     RootCache,
     SchemaError,
@@ -21,7 +23,7 @@ from symbif import (
     radial_condition,
     radial_roots_up_to,
 )
-from symbif.spectral import ROOT_XTOL
+from symbif.spectral import MAX_DISK_ENTRIES, ROOT_XTOL
 
 from oracles import oracle_radial_roots, radial_condition_mp
 
@@ -136,14 +138,14 @@ class TestRadialRoots:
         # step 4 puts two roots of J_1' (8.54, 11.71) inside one cell, so f shows
         # no sign change there while its partner J_1 changes sign once (10.17);
         # the interlacing check fails and the cell is scanned on its halved
-        # lattice.  The first cell (0, 4] is never scanned, so 1.84 is absent.
+        # lattice.  The first cell (0, 4] starts from the signs at 0+, so its
+        # root 1.84 is refined like the others.
         from symbif.spectral import _lattice_scan
 
         reference = neumann_radial_roots(1, 2, 5)
         coarse = [r for r in _lattice_scan(1, 2, 16.0, step=4.0, xtol=1e-10) if r <= 16.0]
-        missing_first = [r for r in reference if r > 4.0]
-        assert len(coarse) == len(missing_first)
-        for got, want in zip(coarse, missing_first):
+        assert len(coarse) == len(reference) == 5
+        for got, want in zip(coarse, reference):
             assert abs(got - want) < 1e-8
 
 
@@ -178,6 +180,34 @@ class TestInterlacingCheck:
         monkeypatch.setattr(_kernels, "_radial_condition", hidden_pair)
         with pytest.raises(ConvergenceError, match="interlace"):
             radial_roots_up_to(1, 2, 12.0)
+
+    def test_first_cell_is_checked(self, monkeypatch):
+        # with step 4 the first cell (0, 4] holds J_1' = 0 at 1.84 and J_1 = 0
+        # at 3.83; scanned from the signs at 0+ it yields its root ...
+        assert abs(radial_roots_up_to(1, 2, 16.0, step=4.0)[0] - 1.8411837813406593) < 1e-8
+        # ... and with that root hidden, J_1 alone changes sign there, so the
+        # check fails instead of returning the list without it
+        from symbif import ConvergenceError, _kernels
+
+        real = _kernels._radial_condition
+
+        def hidden_first(l, dim, x):
+            f, g = real(l, dim, x)
+            return (abs(f) if x < 5.0 else f), g
+
+        monkeypatch.setattr(_kernels, "_radial_condition", hidden_first)
+        with pytest.raises(ConvergenceError, match="interlace"):
+            radial_roots_up_to(1, 2, 16.0, step=4.0)
+
+    def test_underflow_near_origin_is_not_a_root(self):
+        # J_140 and J_140' underflow to 0.0 at the first lattice points; those
+        # zeros keep the sign at 0+, so no root appears below the first one
+        from symbif import _kernels
+
+        assert _kernels._radial_condition(140, 2, math.pi / 8.0) == (0.0, 0.0)
+        roots = radial_roots_up_to(140, 2, 145.0)
+        assert len(roots) == 1
+        assert abs(roots[0] - float(mpmath.besseljzero(140, 1, derivative=1))) < 1e-8
 
     def test_disk_spectrum_evaluation_budget(self, kernel_calls):
         disk_spectrum(3200.0)
@@ -328,7 +358,79 @@ class TestCustomSpectrum:
             load_custom_spectrum("not json {")
 
 
+class TestEntryBudget:
+    def test_huge_request_refused_before_any_evaluation(self, monkeypatch):
+        from symbif import _kernels
+
+        def never(l, dim, x):
+            raise AssertionError("a refused request must not evaluate the kernel")
+
+        monkeypatch.setattr(_kernels, "_radial_condition", never)
+        for alpha in (1e308, math.inf, 4.0 * MAX_DISK_ENTRIES):
+            with pytest.raises(InsufficientSpectrum, match="Weyl"):
+                disk_spectrum(alpha)
+            with pytest.raises(InsufficientSpectrum, match="Weyl"):
+                DiskDomain().entries_up_to(alpha)
+
+
 class TestRootCache:
+    @staticmethod
+    def saved(tmp_path):
+        cache = RootCache()
+        cache.put(2, 1, [1.5, 4.5, 7.5])
+        cache.put(2, 0, [3.8])
+        path = tmp_path / "roots.json"
+        cache.save(path)
+        return path
+
+    def test_save_replaces_the_file_and_leaves_no_temporary(self, tmp_path):
+        path = self.saved(tmp_path)
+        cache = RootCache()
+        cache.put(2, 3, [4.2])
+        cache.save(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["roots.json"]
+        assert RootCache.load(path)[0].records == {(2, 3): [4.2]}
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = self.saved(tmp_path)
+        before = path.read_bytes()
+
+        def broken(self):
+            raise RuntimeError("serialization failed")
+
+        monkeypatch.setattr(RootCache, "to_json", broken)
+        with pytest.raises(RuntimeError):
+            RootCache().save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["roots.json"]
+
+    def test_truncated_file_is_stale(self, tmp_path):
+        path = self.saved(tmp_path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        loaded, stale = RootCache.load(path)
+        assert stale and loaded.records == {}
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda recs: recs[1].__setitem__(3, float("nan")),  # NaN root
+            lambda recs: recs[1].__setitem__(3, float("inf")),  # infinite root
+            lambda recs: recs[2].__setitem__(2, 4),  # index gap 1, 2, 4
+            lambda recs: recs[2].__setitem__(3, 1.5),  # repeated root
+            lambda recs: recs.reverse(),  # descending order
+        ],
+        ids=["nan", "inf", "index-gap", "not-increasing", "reversed"],
+    )
+    def test_malformed_root_list_is_stale(self, tmp_path, change):
+        path = self.saved(tmp_path)
+        doc = json.loads(path.read_text())
+        assert [r[:3] for r in doc["records"]] == [[2, 0, 1], [2, 1, 1], [2, 1, 2], [2, 1, 3]]
+        change(doc["records"])
+        path.write_text(json.dumps(doc))
+        loaded, stale = RootCache.load(path)
+        assert stale and loaded.records == {}
+
     def test_round_trip(self, tmp_path):
         cache = RootCache()
         cache.put(2, 1, [1.5, 4.5])
