@@ -12,12 +12,16 @@ for N >= 3 (or for other invariant domains) are supplied by the user as
 structured documents.
 
 Root finding is one scan: sign-change bracketing on a fixed pi/8 lattice,
-then bisection.  Each kernel call also gives a partner whose zeros
-interlace with the condition's (J_l for J_l', J_nu for -J_{nu+1}; DLMF
-10.21(i)); the scan checks after every cell that the two still alternate,
-so a root list is complete or the call raises :class:`ConvergenceError`.
-The scan starts from the signs of the pair as x -> 0+ (DLMF 10.2.2), so
-the first cell is checked like every other.
+then safeguarded Newton inside each bracket (``_kernels._bisect_radial``).
+Each kernel call also gives a partner whose zeros interlace with the
+condition's (J_l for J_l', J_nu for -J_{nu+1}; DLMF 10.21(i)); the scan
+checks after every cell that the two still alternate, so a root list is
+complete or the call raises :class:`ConvergenceError`.  The scan starts
+from the signs of the pair as x -> 0+ (DLMF 10.2.2), so the first cell is
+checked like every other; for the disk with l >= 1 it starts instead at
+the last lattice point at or below sqrt(l(l+2)) < j'_{l,1}, where J_l' and
+J_l are known to be positive, and checks those signs there.  Requests for
+roots beyond x = ``MAX_ROOT_X`` are refused.
 Two structurally different Bessel evaluation paths (ascending series vs.
 backward recurrence) back the production kernels, and the test suite runs
 an independent series-based oracle against every root.
@@ -50,6 +54,7 @@ __all__ = [
     "ROOT_XTOL",
     "GRID_STEP",
     "MAX_DISK_ENTRIES",
+    "MAX_ROOT_X",
     "RepDescriptor",
     "SpectrumEntry",
     "SpectrumIndex",
@@ -78,6 +83,9 @@ GRID_STEP = math.pi / 8.0
 #: estimate alpha/4 + sqrt(alpha)/2 (10,000 reaches alpha ~ 39,600, x ~ 199,
 #: inside the x <= 200 range the kernels' accuracy is stated for)
 MAX_DISK_ENTRIES = 10_000
+#: largest x a root scan may be asked to reach: the kernels' accuracy is stated
+#: for x <= 200, and every disk request inside MAX_DISK_ENTRIES stays below 199
+MAX_ROOT_X = 200.0
 
 
 def close(a: float, b: float, rel: float = MERGE_REL) -> bool:
@@ -271,7 +279,8 @@ def bessel_j(order: float, x: float) -> float:
     """Bessel function of the first kind, J_order(x), for x >= 0.
 
     Orders are nonnegative integers or half-integers.  Accuracy is within
-    1e-13 * max(1, |J|) for x <= 200 (see ``symbif._kernels``).
+    3e-13 * max(1, |J|) for orders up to 8 and 5e-12 for integer orders up
+    to 199, for x <= 200 (see ``symbif._kernels``).
     """
     nu = _check_order(order)
     x = float(x)
@@ -330,7 +339,7 @@ def _refine(l: int, dim: int, a: float, fa: float, b: float, fb: float, xtol: fl
     x = _kernels._bisect_radial(l, dim, a, fa, b, fb, xtol)
     if math.isnan(x):
         raise ConvergenceError(
-            f"bisection failed to refine bracket [{a!r}, {b!r}] for (l={l}, dim={dim})"
+            f"root refinement failed in bracket [{a!r}, {b!r}] for (l={l}, dim={dim})"
         )
     return x
 
@@ -348,9 +357,13 @@ def _lattice_scan(
     bracket depends on ``x_max`` or ``after`` (prefix stability).  With
     ``after == 0`` the scan starts at x = 0+, where g > 0 and f has the sign
     of its leading power (DLMF 10.2.2): J_l' > 0 for l >= 1, while J_0' and
-    -J_{nu+1} are negative; otherwise it starts at the end of the cell
-    holding ``after``.  A value that underflowed to 0.0 (high orders near
-    the origin) keeps the sign of the point before it.
+    -J_{nu+1} are negative.  For the disk with l >= 1 it skips ahead to the
+    last lattice point at or below sqrt(l(l+2)), which lies below
+    j'_{l,1} < j_{l,1} (DLMF 10.21(i)), so no zero of f or g precedes it
+    and the brackets are those of the full scan; ConvergenceError unless
+    f > 0 and g > 0 there.  With ``after > 0`` the scan starts at the end of
+    the cell holding ``after``.  A value that underflowed to 0.0 (high
+    orders near the origin) keeps the sign of the point before it.
     """
     f_leads = dim == 2 and l >= 1
     origin = (0.0, 1.0 if f_leads else -1.0, 1.0)
@@ -383,8 +396,21 @@ def _lattice_scan(
         right, ahead = cell(mid, b, ahead, halvings + 1)
         return left + right, ahead
 
-    i = math.ceil(after / step)
-    prev = point(i * step, origin) if i else origin
+    if f_leads and not after:
+        i = math.floor(math.sqrt(l * (l + 2)) / step)
+        prev = origin
+        if i:
+            x = i * step
+            f, g = _kernels._radial_condition(l, dim, x)
+            if not (f > 0.0 and g > 0.0):
+                raise ConvergenceError(
+                    f"J_{l}' and J_{l} must be positive below sqrt(l(l+2)), got {f!r} and {g!r} "
+                    f"at x={x!r}"
+                )
+            prev = (x, f, g)
+    else:
+        i = math.ceil(after / step)
+        prev = point(i * step, origin) if i else origin
     # the lead is one zero ahead exactly when the sign pattern differs from that at 0+
     ahead = int(((prev[1] > 0.0) == (prev[2] > 0.0)) != f_leads)
     roots: list[float] = []
@@ -411,15 +437,23 @@ def radial_roots_up_to(
     No root is silently missed while no lattice cell holds more than three
     zeros of the condition f and its partner g together (see
     ``_lattice_scan``).  Consecutive zeros lie at least 1.2 apart, and four
-    of them span at least 4.5 (disk l <= 70 and balls N <= 7, x <= 200), so
+    of them span at least 4.5 (disk l < 200 and balls N <= 7, x <= 200), so
     the default pi/8 step holds at most one and steps up to 4 at most three.
-    A ``cache`` also keeps the first root beyond ``x_max``, so it serves the
-    same request again, and a longer request resumes the scan after the last
-    cached root.
+    A request beyond ``MAX_ROOT_X`` raises InsufficientSpectrum before any
+    evaluation.  A ``cache`` also keeps the first root beyond ``x_max``, so
+    it serves the same request again, and a longer request resumes the scan
+    after the last cached root.
     """
     _check_radial_family(angular_index, dim)
+    if math.isnan(x_max):
+        raise DomainError("radial roots need a bound x_max, got nan")
     if x_max <= 0.0:
         return []
+    if x_max > MAX_ROOT_X:
+        raise InsufficientSpectrum(
+            f"radial roots up to x = {x_max!r} lie beyond the supported range x <= {MAX_ROOT_X!r} "
+            f"(l={angular_index}, dim={dim})"
+        )
     cached = cache.get(dim, angular_index) if cache is not None else []
     if not cached or x_max > cached[-1]:
         after = cached[-1] if cached else 0.0
@@ -441,7 +475,8 @@ def neumann_radial_roots(
     """First ``count`` positive roots of the radial Neumann condition.
 
     x = 0 is excluded by convention; the zero eigenvalue is injected once by
-    the spectrum builders, not reported as a radial root.
+    the spectrum builders, not reported as a radial root.  Fewer than
+    ``count`` roots below ``MAX_ROOT_X`` raise InsufficientSpectrum.
     """
     _check_radial_family(angular_index, dim)
     if count < 1:
@@ -451,16 +486,17 @@ def neumann_radial_roots(
         if len(cached) >= count:
             return cached[:count]
     # roots sit near l + (k + dim/2) * pi; scan a window and extend if short
-    x_max = angular_index + dim + (count + 2) * math.pi
-    for _ in range(64):
+    x_max = min(angular_index + dim + (count + 2) * math.pi, MAX_ROOT_X)
+    while True:
         roots = radial_roots_up_to(angular_index, dim, x_max, xtol=xtol, step=step, cache=cache)
         if len(roots) >= count:
             return roots[:count]
-        x_max *= 1.5
-    raise ConvergenceError(
-        f"could not locate {count} roots for (l={angular_index}, dim={dim}); "
-        f"search stalled at x <= {x_max!r}"
-    )
+        if x_max == MAX_ROOT_X:
+            raise InsufficientSpectrum(
+                f"only {len(roots)} roots for (l={angular_index}, dim={dim}) lie in the supported "
+                f"range x <= {MAX_ROOT_X!r}, need {count}"
+            )
+        x_max = min(1.5 * x_max, MAX_ROOT_X)
 
 
 # ---------------------------------------------------------------------------

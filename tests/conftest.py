@@ -9,17 +9,49 @@ def warm_kernels():
     _kernels.warmup()
 
 
+class KernelCalls:
+    """Calls of the radial kernel, split into lattice points and refinement steps.
+
+    ``refinement`` counts the calls made inside ``_bisect_radial`` and
+    ``brackets`` the brackets it refined; every other call is a ``lattice``
+    point of the scan.
+    """
+
+    def __init__(self):
+        self.refining = False
+        self.reset()
+
+    def reset(self):
+        self.lattice = self.refinement = self.brackets = 0
+
+    @property
+    def total(self):
+        return self.lattice + self.refinement
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Count calls of the radial kernel, on the lattice and in bisection alike."""
-    real = _kernels._radial_condition
-    calls = [0]
+    """A live :class:`KernelCalls` count of the radial kernel from then on."""
+    real_condition, real_refine = _kernels._radial_condition, _kernels._bisect_radial
+    calls = KernelCalls()
 
-    def counted(l, dim, x):
-        calls[0] += 1
-        return real(l, dim, x)
+    def condition(l, dim, x):
+        if calls.refining:
+            calls.refinement += 1
+        else:
+            calls.lattice += 1
+        return real_condition(l, dim, x)
 
-    monkeypatch.setattr(_kernels, "_radial_condition", counted)
+    def refine(*args):
+        calls.brackets += 1
+        calls.refining = True
+        try:
+            return real_refine(*args)
+        finally:
+            calls.refining = False
+
+    monkeypatch.setattr(_kernels, "_radial_condition", condition)
+    monkeypatch.setattr(_kernels, "_bisect_radial", refine)
     return calls
 
 

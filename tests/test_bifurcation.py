@@ -1,11 +1,14 @@
 import itertools
 import json
 import math
+import re
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import symbif.bifurcation
+import symbif.spectral
 from oracles import reference_verdicts
 from symbif import (
     BIFURCATES,
@@ -342,7 +345,7 @@ class TestUnboundedVerdict:
 
 
 class TestAnalyze:
-    def test_ball_trivial_type_roots_scanned_once(self, kernel_calls):
+    def test_ball_trivial_type_roots_scanned_once(self, kernel_calls, call_counts):
         trivial = [r * r for r in neumann_radial_roots(0, 3, 8)]
         alphas = sorted(trivial + [1.0 + 2.5 * k for k in range(90)])
         entries = [SpectrumEntry(0.0, RepDescriptor.trivial(1))] + [
@@ -350,16 +353,20 @@ class TestAnalyze:
             for a in alphas
         ]
         domain = BallDomain(entries, dim=3)
-        kernel_calls[0] = 0
+        scans = call_counts(symbif.spectral, "_lattice_scan")
+        kernel_calls.reset()
         verdicts = analyze(a9_spec(q1=2, p2=0, domain=domain), (-300.0, 300.0))
         assert len(verdicts) >= 90
-        during_analyze = kernel_calls[0]
-        kernel_calls[0] = 0
+        during = (kernel_calls.lattice, kernel_calls.refinement)
+        resumptions = scans[0] - 1
+        assert resumptions >= 1
+        kernel_calls.reset()
         # b = 1, so the largest candidate eigenvalue is the largest |lambda0|;
-        # one scan up to its test range, plus the lattice point each resumption
-        # of the cached scan starts from
+        # the cached scan refines the brackets of one scan up to its test
+        # range, and evaluates that scan's lattice points plus the point each
+        # resumption starts from
         radial_roots_up_to(0, 3, math.sqrt(max(abs(v.lambda0) for v in verdicts)) + math.pi)
-        assert 0 < during_analyze <= 1.05 * kernel_calls[0]
+        assert during == (kernel_calls.lattice + resumptions, kernel_calls.refinement)
         for e in entries:
             assert domain.rep_nontrivial(e) == ball_rep_nontrivial(e, 3) == e.rep.has_nontrivial()
 
@@ -527,12 +534,19 @@ class TestVerdictCost:
 
     def test_insufficient_spectrum_unchanged(self):
         # raised by the candidate set, and by a kernel lookup past the bound
-        cases = [
-            ({}, 1.0, "need eigenvalues up to 2.00000021 but the spectrum bound is 1.0"),
-            ({1: 1}, 150.0, "need eigenvalues up to 172.3257788344548 but the spectrum bound is 150.0"),
-        ]
-        for b1, bound, message in cases:
-            spec = SystemSpec(p1=len(b1), p2=1, sigma_b1=b1, sigma_b2={2: 1}, domain=DiskDomain(bound=bound))
-            with pytest.raises(InsufficientSpectrum) as exc:
-                analyze(spec, (-1.0, 100.0))
-            assert str(exc.value) == message
+        spec = SystemSpec(p1=0, p2=1, sigma_b1={}, sigma_b2={2: 1}, domain=DiskDomain(bound=1.0))
+        with pytest.raises(InsufficientSpectrum) as exc:
+            analyze(spec, (-1.0, 100.0))
+        assert str(exc.value) == "need eigenvalues up to 2.00000021 but the spectrum bound is 1.0"
+        # the lookup at the candidate alpha = j'_{4,2}^2 asks for 2 * alpha
+        # plus the matching margin; the number is a computed root, so it is
+        # compared with the bisection refiner's value and with mpmath
+        spec = SystemSpec(p1=1, p2=1, sigma_b1={1: 1}, sigma_b2={2: 1}, domain=DiskDomain(bound=150.0))
+        with pytest.raises(InsufficientSpectrum) as exc:
+            analyze(spec, (-1.0, 100.0))
+        found = re.fullmatch(r"need eigenvalues up to (\S+) but the spectrum bound is 150\.0", str(exc.value))
+        assert found is not None, str(exc.value)
+        need = float(found.group(1))
+        assert math.isclose(need, 172.3257788344548, rel_tol=1e-9, abs_tol=0.0)
+        alpha = float(mpmath.besseljzero(4, 2, derivative=1)) ** 2
+        assert math.isclose(need, 2.0 * alpha * (1.0 + 1e-7) + 1e-8, rel_tol=1e-12, abs_tol=0.0)

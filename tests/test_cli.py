@@ -71,22 +71,41 @@ class TestAnalyze:
         assert code == 2
         assert "InsufficientSpectrum" in err
 
-    def test_huge_window_is_refused_not_run(self, tmp_path):
-        # the disk spectrum such a window needs is beyond the entry budget,
-        # so the process ends at once with exit 2 instead of scanning for ever
-        cfg = tmp_path / "huge.json"
-        cfg.write_text(json.dumps({"system": A9_SYSTEM, "window": [0.0, 1e308]}))
+    @staticmethod
+    def analyze_process(cfg):
+        """``symbif analyze --config cfg`` in a fresh process that must end within 5 s."""
         src = str(Path(symbif.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "symbif.cli", "analyze", "--config", str(cfg)],
             capture_output=True,
             text=True,
             env=env,
             timeout=5,
         )
+
+    def test_huge_window_is_refused_not_run(self, tmp_path):
+        # the disk spectrum such a window needs is beyond the entry budget,
+        # so the process ends at once with exit 2 instead of scanning for ever
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"system": A9_SYSTEM, "window": [0.0, 1e308]}))
+        proc = self.analyze_process(cfg)
         assert proc.returncode == 2
         assert "InsufficientSpectrum" in proc.stderr and "Weyl" in proc.stderr
+
+    def test_huge_ball_eigenvalue_is_refused_not_run(self, tmp_path):
+        # the trivial-type test of the eigenvalue 1e12 would scan the ball's
+        # radial roots up to x ~ 1e6; the root range stops it before any evaluation
+        entries = [
+            {"eigenvalue": 0.0, "rep": {"trivial": 1, "irr": {}}},
+            {"eigenvalue": 1e12, "rep": {"trivial": 0, "irr": {"1": 1}}},
+        ]
+        system = {**A9_SYSTEM, "domain": {"type": "ball", "dim": 3, "entries": entries}}
+        cfg = tmp_path / "ball.json"
+        cfg.write_text(json.dumps({"system": system, "window": [1.0, 1e12]}))
+        proc = self.analyze_process(cfg)
+        assert proc.returncode == 2
+        assert "InsufficientSpectrum" in proc.stderr and "supported range" in proc.stderr
 
 
 class TestLambdaSet:

@@ -1,10 +1,12 @@
 import json
 import math
+from functools import lru_cache
 
 import mpmath
 import pytest
 
 from symbif import (
+    ConvergenceError,
     DiskDomain,
     DomainError,
     InsufficientSpectrum,
@@ -14,6 +16,7 @@ from symbif import (
     SpectrumEntry,
     UnsupportedDomain,
     ValidationError,
+    _kernels,
     ball_rep_nontrivial,
     bessel_j,
     bessel_j_prime,
@@ -23,9 +26,15 @@ from symbif import (
     radial_condition,
     radial_roots_up_to,
 )
-from symbif.spectral import MAX_DISK_ENTRIES, ROOT_XTOL
+from symbif.spectral import GRID_STEP, MAX_DISK_ENTRIES, MAX_ROOT_X, ROOT_XTOL, _lattice_scan
 
 from oracles import oracle_radial_roots, radial_condition_mp
+
+
+@lru_cache(maxsize=None)
+def jp_zero(l: int, k: int) -> float:
+    """k-th positive zero of J_l' from mpmath (J_0' = -J_1 counts x = 0 out)."""
+    return float(mpmath.besseljzero(l, k, derivative=1))
 
 
 class TestBesselValues:
@@ -74,6 +83,14 @@ class TestBesselValues:
                 ref = float(mpmath.besselj(nu, x))
                 assert abs(bessel_j(nu, x) - ref) <= 3e-12 * max(1.0, abs(ref)), (nu, x)
 
+    @pytest.mark.parametrize("nu", [70, 150, 190, 199])
+    def test_high_order_accuracy(self, nu):
+        # the documented ceiling for integer orders up to 199, x <= 200
+        for x in (30.0, 61.0, 140.0, 0.98 * nu, 1.02 * nu, 195.0, 200.0):
+            f, g = _kernels._radial_condition(nu, 2, x)
+            assert abs(g - float(mpmath.besselj(nu, x))) <= 5e-12, (nu, x)
+            assert abs(f - float(mpmath.besselj(nu, x, derivative=1))) <= 5e-12, (nu, x)
+
     @pytest.mark.parametrize("nu", [0, 1, 2, 4, 0.5, 2.5])
     def test_prime_accuracy_against_reference(self, nu):
         for x in [0.3, 2.0, 7.0, 12.5, 40.0, 120.0]:
@@ -104,11 +121,17 @@ class TestRadialRoots:
                 assert lo == 0 or hi == 0 or (lo > 0) != (hi > 0)
 
     def test_oracle_agreement(self):
-        for l in (0, 1, 2):
-            mine = neumann_radial_roots(l, 2, 3)
-            theirs = oracle_radial_roots(l, 2, 3)
+        for l, dim in [(0, 2), (1, 2), (2, 2), (0, 3), (0, 4), (0, 5), (0, 7)]:
+            mine = neumann_radial_roots(l, dim, 3)
+            theirs = oracle_radial_roots(l, dim, 3)
             for a, b in zip(mine, theirs):
-                assert abs(a - b) < 1e-9
+                assert abs(a - b) < 1e-12, (l, dim, a, b)
+
+    @pytest.mark.parametrize("l", [150, 177, 190])
+    def test_high_order_roots_pinned(self, l):
+        # the largest root below 199, near the entry-budget edge
+        roots = radial_roots_up_to(l, 2, 199.0)
+        assert abs(roots[-1] - jp_zero(l, len(roots))) <= 1e-12
 
     def test_oracle_roots_bracket_a_sign_change(self):
         for l in (0, 1, 2):
@@ -211,14 +234,15 @@ class TestInterlacingCheck:
 
     def test_disk_spectrum_evaluation_budget(self, kernel_calls):
         disk_spectrum(3200.0)
-        assert kernel_calls[0] <= 25_000
+        assert kernel_calls.total <= 8_000
+        assert kernel_calls.refinement <= 4 * kernel_calls.brackets
 
     def test_cache_serves_the_request_that_filled_it(self, kernel_calls):
         cache = RootCache()
         first = disk_spectrum(3200.0, cache=cache)
-        kernel_calls[0] = 0
+        kernel_calls.reset()
         assert disk_spectrum(3200.0, cache=cache) == first
-        assert kernel_calls[0] == 0
+        assert kernel_calls.total == 0
 
     def test_resumed_scan_matches_a_fresh_one(self):
         cache = RootCache()
@@ -232,6 +256,120 @@ class TestInterlacingCheck:
             longer = radial_roots_up_to(0, dim, 150.5, cache=cache)
             assert longer[: len(short)] == short
             assert longer == radial_roots_up_to(0, dim, 150.5)
+
+
+class TestKnownSignPrefix:
+    @pytest.mark.parametrize("l", [1, 2, 5, 20, 60, 150, 190])
+    def test_first_root_lies_above_the_bound(self, l):
+        # j'_{l,1} > sqrt(l(l+2)) (DLMF 10.21(i)) is what lets the scan skip ahead
+        assert jp_zero(l, 1) > math.sqrt(l * (l + 2))
+
+    @pytest.mark.parametrize("l", [1, 5, 20, 60])
+    def test_skip_keeps_the_brackets(self, l, kernel_calls):
+        # a scan resumed just above 0 walks the whole lattice; the skipping
+        # scan refines the same brackets, so the roots agree bit for bit
+        skipped = _lattice_scan(l, 2, 70.0, GRID_STEP, ROOT_XTOL)
+        lattice = kernel_calls.lattice
+        kernel_calls.reset()
+        assert skipped == _lattice_scan(l, 2, 70.0, GRID_STEP, ROOT_XTOL, after=5e-324)
+        # the full walk evaluates lattice points 1, 2, ...; the skipping scan
+        # starts at the last one at or below sqrt(l(l+2))
+        start = math.floor(math.sqrt(l * (l + 2)) / GRID_STEP)
+        assert kernel_calls.lattice - lattice == start - 1
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_wrong_sign_at_the_start_point_raises(self, part, monkeypatch):
+        real = _kernels._radial_condition
+        start = math.floor(math.sqrt(5 * 7) / GRID_STEP) * GRID_STEP
+
+        def flipped(l, dim, x):
+            pair = list(real(l, dim, x))
+            if x == start:
+                pair[part] = -pair[part]
+            return tuple(pair)
+
+        monkeypatch.setattr(_kernels, "_radial_condition", flipped)
+        with pytest.raises(ConvergenceError, match="positive"):
+            radial_roots_up_to(5, 2, 20.0)
+
+
+class TestNewtonRefinement:
+    def test_steps_leaving_the_bracket_fall_back_to_the_midpoint(self, monkeypatch):
+        # with the partner zeroed the disk slope is -f/x, so every Newton
+        # step goes to 2x, beyond the bracket; bisection still converges
+        real = _kernels._radial_condition
+        fa, fb = real(1, 2, 1.5)[0], real(1, 2, 2.0)[0]
+        calls = [0]
+
+        def no_partner(l, dim, x):
+            calls[0] += 1
+            return real(l, dim, x)[0], 0.0
+
+        monkeypatch.setattr(_kernels, "_radial_condition", no_partner)
+        root = _kernels._bisect_radial(1, 2, 1.5, fa, 2.0, fb, ROOT_XTOL)
+        assert abs(root - jp_zero(1, 1)) <= ROOT_XTOL
+        assert calls[0] >= math.log2(0.5 / ROOT_XTOL) - 1
+
+    def test_nan_inside_a_bracket_raises(self, monkeypatch):
+        real = _kernels._radial_condition
+
+        def nan_off_lattice(l, dim, x):
+            on_lattice = abs(x / GRID_STEP - round(x / GRID_STEP)) < 1e-9
+            return real(l, dim, x) if on_lattice else (math.nan, math.nan)
+
+        assert math.isnan(_kernels._bisect_radial(1, 2, 1.5, math.nan, 2.0, -1.0, ROOT_XTOL))
+        monkeypatch.setattr(_kernels, "_radial_condition", nan_off_lattice)
+        with pytest.raises(ConvergenceError, match="refinement failed"):
+            radial_roots_up_to(1, 2, 5.0)
+
+    @staticmethod
+    def brackets(l, dim, x_max, monkeypatch):
+        """The (l, dim, a, fa, b, fb) brackets a scan up to x_max refines."""
+        real = _kernels._bisect_radial
+        found = []
+
+        def record(*args):
+            found.append(args[:6])
+            return real(*args)
+
+        monkeypatch.setattr(_kernels, "_bisect_radial", record)
+        radial_roots_up_to(l, dim, x_max)
+        monkeypatch.setattr(_kernels, "_bisect_radial", real)
+        assert found
+        return found
+
+    @pytest.mark.parametrize("l,dim", [(0, 2), (3, 2), (40, 2), (0, 3), (0, 4), (0, 7)])
+    def test_newton_step_uses_the_exact_slope(self, l, dim, monkeypatch):
+        # the second iterate is the Newton step from the false-position point,
+        # with f' = J_l'' (disk) or -J_{nu+1}' (balls) as mpmath gives it
+        nu = l if dim == 2 else 0.5 * (dim - 2)
+        real = _kernels._radial_condition
+        for bracket in self.brackets(l, dim, l + 12.0, monkeypatch)[:3]:
+            xs = []
+
+            def record(l, dim, x):
+                xs.append(x)
+                return real(l, dim, x)
+
+            monkeypatch.setattr(_kernels, "_radial_condition", record)
+            _kernels._bisect_radial(*bracket, ROOT_XTOL)
+            monkeypatch.setattr(_kernels, "_radial_condition", real)
+            x1 = xs[0]
+            if dim == 2:
+                slope = mpmath.besselj(nu, x1, derivative=2)
+            else:
+                slope = -mpmath.besselj(nu + 1, x1, derivative=1)
+            newton = x1 - real(l, dim, x1)[0] / float(slope)
+            assert abs(xs[1] - newton) <= 1e-9 * abs(newton - x1), (bracket, xs, newton)
+
+    @pytest.mark.parametrize("l,dim", [(0, 2), (1, 2), (5, 2), (60, 2), (0, 3), (0, 7)])
+    def test_zero_and_tiny_xtol_terminate_at_the_root(self, l, dim, monkeypatch):
+        real = _kernels._bisect_radial
+        for bracket in self.brackets(l, dim, l + 15.0, monkeypatch):
+            want = real(*bracket, 1e-14)
+            for xtol in (0.0, 1e-300):
+                got = real(*bracket, xtol)
+                assert abs(got - want) <= 4 * math.ulp(want), (bracket, xtol, got, want)
 
 
 class TestDiskSpectrum:
@@ -373,7 +511,67 @@ class TestEntryBudget:
                 DiskDomain().entries_up_to(alpha)
 
 
+class TestRootRange:
+    def test_scan_beyond_the_range_refused_before_any_evaluation(self, monkeypatch):
+        def never(l, dim, x):
+            raise AssertionError("a refused request must not evaluate the kernel")
+
+        monkeypatch.setattr(_kernels, "_radial_condition", never)
+        for dim in (2, 3, 7):
+            with pytest.raises(InsufficientSpectrum, match="supported range"):
+                radial_roots_up_to(0, dim, MAX_ROOT_X * (1.0 + 1e-15))
+            with pytest.raises(DomainError):
+                radial_roots_up_to(0, dim, math.nan)
+        with pytest.raises(InsufficientSpectrum, match="supported range"):
+            ball_rep_nontrivial(SpectrumEntry(1e12, RepDescriptor.irr(1)), 3)
+
+    def test_disk_budget_stays_inside_the_range(self):
+        # the largest alpha with alpha/4 + sqrt(alpha)/2 <= MAX_DISK_ENTRIES
+        x_edge = -1.0 + math.sqrt(1.0 + 4.0 * MAX_DISK_ENTRIES)
+        assert x_edge < 199.01 < MAX_ROOT_X
+        assert len(radial_roots_up_to(0, 2, x_edge)) == 63
+
+    def test_count_beyond_the_range_is_insufficient(self):
+        with pytest.raises(InsufficientSpectrum, match="need 100"):
+            neumann_radial_roots(0, 2, 100)
+
+
+#: a cache file written by the bisection refiner (before Newton refinement)
+#: for disk_spectrum(30.0) and radial_roots_up_to(0, 3, 10.0)
+BISECTION_CACHE = {
+    "records": [
+        [2, 0, 1, 3.8317059702309093], [2, 0, 2, 7.0155866698132705],
+        [2, 1, 1, 1.8411837813805472], [2, 1, 2, 5.331442773545712], [2, 1, 3, 8.536316366309197],
+        [2, 2, 1, 3.054236928244622], [2, 2, 2, 6.706133194142463],
+        [2, 3, 1, 4.2011889412054355], [2, 3, 2, 8.01523659834244],
+        [2, 4, 1, 5.317553126094715], [2, 4, 2, 9.282396285223946],
+        [2, 5, 1, 6.415616375693729],
+        [3, 0, 1, 4.4934094578657575], [3, 0, 2, 7.72525183698173], [3, 0, 3, 10.904121659406659],
+    ],
+    "schema_version": 1,
+    "tolerances": {"step": 0.39269908169872414, "xtol": 1e-10},
+}
+
+
 class TestRootCache:
+    def test_cache_from_the_bisection_refiner_is_served(self, tmp_path, kernel_calls):
+        path = tmp_path / "roots.json"
+        path.write_text(json.dumps(BISECTION_CACHE, sort_keys=True) + "\n")
+        loaded, stale = RootCache.load(path)
+        assert not stale
+        fresh = disk_spectrum(30.0)
+        kernel_calls.reset()
+        served = disk_spectrum(30.0, cache=loaded)
+        assert radial_roots_up_to(0, 3, 10.0, cache=loaded) == [4.4934094578657575, 7.72525183698173]
+        assert kernel_calls.total == 0
+        assert [(e.angular_index, e.root_index) for e in served] == [
+            (e.angular_index, e.root_index) for e in fresh
+        ]
+        for old, new in zip(served, fresh):
+            assert abs(math.sqrt(old.eigenvalue) - math.sqrt(new.eigenvalue)) <= 1e-10
+        loaded.save(path)
+        assert json.loads(path.read_text()) == BISECTION_CACHE
+
     @staticmethod
     def saved(tmp_path):
         cache = RootCache()
