@@ -3,10 +3,8 @@
 These are the hot inner loops of the package: every spectrum computation
 boils down to thousands of evaluations of a radial Neumann condition, on
 the scan lattice and inside the safeguarded Newton refinement of each
-bracket (about three per root).  The kernels are compiled with numba's
-``@njit`` when it is available; setting the environment variable
-``SYMBIF_NO_NUMBA=1`` (or uninstalling numba) selects the identical
-pure-Python path.
+bracket (about three per root).  They are plain Python with ``math``
+only; there is one evaluation path.
 
 Evaluation strategy for J_nu(x), nu a nonnegative integer or half-integer:
 
@@ -34,32 +32,14 @@ package errors.
 from __future__ import annotations
 
 import math
-import os
 
 SERIES_X_MAX = 8.0
 ASYMPTOTIC_X_MIN = 60.0
 
-
-def _identity(func):
-    return func
-
-
-_WANT_NUMBA = os.environ.get("SYMBIF_NO_NUMBA", "").strip().lower() not in {"1", "true", "yes"}
-if _WANT_NUMBA:
-    try:
-        from numba import njit as _njit
-
-        _jit = _njit(cache=True)
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        _jit = _identity
-        NUMBA_ENABLED = False
-else:
-    _jit = _identity
-    NUMBA_ENABLED = False
+#: no compiled backend exists; ``perfbench/run.py`` reads this to name the backend it ran
+NUMBA_ENABLED = False
 
 
-@_jit
 def _series_j(nu: float, x: float) -> float:
     """Ascending series for J_nu(x); accurate for small x."""
     if x == 0.0:
@@ -75,7 +55,6 @@ def _series_j(nu: float, x: float) -> float:
     return s
 
 
-@_jit
 def _miller3(n: int, x: float) -> tuple[float, float, float]:
     """(J_{n-1}, J_n, J_{n+1}) for integer n >= 0, x > 0, by downward recurrence.
 
@@ -118,7 +97,6 @@ def _miller3(n: int, x: float) -> tuple[float, float, float]:
     return jm / s, jn / s, jp / s
 
 
-@_jit
 def _sph3(n: int, x: float) -> tuple[float, float, float]:
     """(J_{nu-1}, J_nu, J_{nu+1}) for nu = n + 1/2, x > 0, via spherical functions.
 
@@ -170,7 +148,6 @@ def _sph3(n: int, x: float) -> tuple[float, float, float]:
     return out_m, out_n, out_p
 
 
-@_jit
 def _asym_j(nu: float, x: float) -> tuple[float, bool]:
     """Large-x expansion of J_nu(x); flag reports whether it converged."""
     mu = 4.0 * nu * nu
@@ -204,7 +181,6 @@ def _asym_j(nu: float, x: float) -> tuple[float, bool]:
     return val, ok
 
 
-@_jit
 def _bessel_j3(nu: float, x: float) -> tuple[float, float, float]:
     """(J_{nu-1}, J_nu, J_{nu+1}); nu integer or half-integer, nu >= 0, x >= 0."""
     half = nu != math.floor(nu)
@@ -235,12 +211,10 @@ def _bessel_j3(nu: float, x: float) -> tuple[float, float, float]:
     return _miller3(n, x)
 
 
-@_jit
 def _bessel_j(nu: float, x: float) -> float:
     return _bessel_j3(nu, x)[1]
 
 
-@_jit
 def _bessel_j_prime(nu: float, x: float) -> float:
     """J_nu'(x) via (J_{nu-1} - J_{nu+1})/2, with J_0' = -J_1."""
     if x == 0.0:
@@ -253,7 +227,6 @@ def _bessel_j_prime(nu: float, x: float) -> float:
     return 0.5 * (jm - jp)
 
 
-@_jit
 def _radial_condition(l: int, dim: int, x: float) -> tuple[float, float]:
     """Radial Neumann condition f on the unit ball of dimension ``dim``, with its partner g.
 
@@ -271,7 +244,6 @@ def _radial_condition(l: int, dim: int, x: float) -> tuple[float, float]:
     return -jp, jn
 
 
-@_jit
 def _bisect_radial(l: int, dim: int, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
     """Root of the radial condition in a sign-change bracket [a, b], by safeguarded Newton.
 
@@ -320,14 +292,3 @@ def _bisect_radial(l: int, dim: int, a: float, fa: float, b: float, fb: float, x
             return 0.5 * (a + b)
         x = x + step
     return math.nan
-
-
-def warmup() -> None:
-    """Force JIT compilation of every kernel (no-op on the fallback path)."""
-    _bessel_j(0.0, 0.5)
-    _bessel_j(1.5, 20.0)
-    _bessel_j(2.0, 100.0)
-    _bessel_j_prime(1.0, 2.0)
-    _radial_condition(1, 2, 2.0)
-    _radial_condition(0, 3, 5.0)
-    _bisect_radial(1, 2, 1.5, _radial_condition(1, 2, 1.5)[0], 2.0, _radial_condition(1, 2, 2.0)[0], 1e-10)

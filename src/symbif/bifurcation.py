@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, UnsupportedDomain, ValidationError
-from .euler import EulerSO2, deg_minus_id
+from .euler import EulerSO2, deg_minus_id, rep_equiv_mod_even_trivial
 from .spectral import BallDomain, DiskDomain, SpectrumEntry, SpectrumIndex, close
 from .system import (
     KernelReps,
@@ -96,7 +96,7 @@ def check_glob(spec: SystemSpec, lambda0: float) -> GlobCheck:
 def _glob_from_kernel(kr: KernelReps) -> GlobCheck:
     if kr.is_zero():
         return GlobCheck(INCONCLUSIVE, J_KERNEL_EMPTY)
-    if kr.v1.equiv_mod_even_trivial(kr.v2):
+    if rep_equiv_mod_even_trivial(kr.v1, kr.v2):
         return GlobCheck(INCONCLUSIVE, J_EQUIV_MOD_EVEN)
     return GlobCheck(BIFURCATES, J_REP_NONEQUIV)
 
@@ -128,8 +128,8 @@ def bif_difference(spec: SystemSpec, lambda0: float) -> EulerSO2:
     if lam == 0.0:
         raise PreconditionError("bif_difference needs lambda0 != 0")
     kr = kernel_reps(spec, lam)
-    d1 = deg_minus_id(kr.v1.to_so2_rep())
-    d2 = deg_minus_id(kr.v2.to_so2_rep())
+    d1 = deg_minus_id(kr.v1)
+    d2 = deg_minus_id(kr.v2)
     return d1 - d2 if lam > 0 else d2 - d1
 
 
@@ -161,7 +161,7 @@ def bif_a9(spec: SystemSpec, lambda0: float) -> EulerSO2:
     if lam < 0 and p2 <= 0:
         raise PreconditionError(f"negative parameters need p2 > 0; {lambda0!r} is not in Lambda")
     k0, index = _a9_entry_index(spec, abs(lam))
-    eig_deg = deg_minus_id(index.entries[k0 - 1].rep.to_so2_rep())
+    eig_deg = deg_minus_id(index.entries[k0 - 1].rep)
     if lam > 0:
         prefix = deg_minus_id(index.prefix_rep(k0 - 1))
         return prefix**q1 * (eig_deg**q1 - EulerSO2.one())

@@ -28,12 +28,17 @@ certificate emitted by this package:
 for ``V`` with trivial summand of dimension ``t`` and ``m_k`` copies of the
 two-dimensional rotation representation with rotation number ``k``; it is
 evaluated from the right-hand side, one element per call.
+
+:class:`SO2Rep` is the package's one representation class: spectral
+entries, kernel pieces, prefix sums of eigenspaces and degrees all use it.
+Its document is ``{"trivial": t, "irr": {"k": m, ...}}``; ``"rot"`` is read
+in place of ``"irr"`` but never written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import NotInvertible, SchemaError, ValidationError
 
@@ -187,59 +192,95 @@ class EulerSO2:
 
 @dataclass(eq=True)
 class SO2Rep:
-    """Orthogonal SO(2)-representation: trivial summand plus rotation parts.
+    """Orthogonal representation: a trivial summand plus nontrivial irreducibles.
 
-    ``rotation_mults`` maps the rotation number ``k >= 1`` to the real
-    multiplicity of the two-dimensional irreducible on which SO(2) acts by
-    k-fold rotations; total real dimension is ``trivial_dim + 2*sum(mults)``.
+    ``irreducibles`` maps a label ``k >= 1`` to the multiplicity of a
+    nontrivial irreducible.  On the disk the label is the rotation number of
+    the two-dimensional irreducible on which SO(2) acts by k-fold rotations,
+    which is how :func:`deg_minus_id` reads it; for the N-ball it is the
+    spherical-harmonic degree, and a custom domain names its own labels.
+    Zero multiplicities are pruned, so equality is equality of contents.
     """
 
     trivial_dim: int = 0
-    rotation_mults: dict[int, int] = field(default_factory=dict)
+    irreducibles: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trivial_dim, int) or self.trivial_dim < 0:
+        if not isinstance(self.trivial_dim, int) or isinstance(self.trivial_dim, bool) or self.trivial_dim < 0:
             raise ValidationError(f"trivial_dim must be a nonnegative integer, got {self.trivial_dim!r}")
-        mults = _pruned(self.rotation_mults, "rotation multiplicities")
-        for k, m in mults.items():
+        irr = _pruned(self.irreducibles, "irreducible multiplicities")
+        for k, m in irr.items():
             if m < 0:
-                raise ValidationError(f"rotation {k} has negative multiplicity {m}")
-        self.rotation_mults = mults
+                raise ValidationError(f"irreducible {k} has negative multiplicity {m}")
+        self.irreducibles = irr
 
-    @property
-    def dim(self) -> int:
-        return self.trivial_dim + 2 * sum(self.rotation_mults.values())
+    @classmethod
+    def zero(cls) -> "SO2Rep":
+        return cls(0, {})
+
+    @classmethod
+    def trivial(cls, dim: int) -> "SO2Rep":
+        return cls(dim, {})
+
+    @classmethod
+    def irr(cls, label: int, mult: int = 1) -> "SO2Rep":
+        return cls(0, {label: mult})
 
     def is_zero(self) -> bool:
-        return self.trivial_dim == 0 and not self.rotation_mults
+        return self.trivial_dim == 0 and not self.irreducibles
+
+    def has_nontrivial(self) -> bool:
+        return bool(self.irreducibles)
 
     def direct_sum(self, other: "SO2Rep") -> "SO2Rep":
-        mults = dict(self.rotation_mults)
-        for k, m in other.rotation_mults.items():
-            mults[k] = mults.get(k, 0) + m
-        return SO2Rep(self.trivial_dim + other.trivial_dim, mults)
+        irr = dict(self.irreducibles)
+        for k, m in other.irreducibles.items():
+            irr[k] = irr.get(k, 0) + m
+        return SO2Rep(self.trivial_dim + other.trivial_dim, irr)
 
     __add__ = direct_sum
 
-    def rotations(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.rotation_mults.items()))
+    def total_dim(self, irr_dims: Mapping[int, int] | None = None, default_irr_dim: int = 2) -> int:
+        """Real dimension; labels missing from ``irr_dims`` have dimension 2 (disk)."""
+        dim = self.trivial_dim
+        for k, m in self.irreducibles.items():
+            per = default_irr_dim if irr_dims is None else irr_dims.get(k, default_irr_dim)
+            dim += per * m
+        return dim
+
+    def describe(self) -> str:
+        parts = []
+        if self.trivial_dim:
+            parts.append(f"{self.trivial_dim}*triv")
+        for k in sorted(self.irreducibles):
+            parts.append(f"{self.irreducibles[k]}*irr({k})")
+        return " + ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:
-        """Stable schema: ``{"trivial": int, "rot": {"k": mult, ...}}``."""
-        return {
-            "trivial": self.trivial_dim,
-            "rot": {str(k): m for k, m in sorted(self.rotation_mults.items())},
-        }
+        """Stable schema: ``{"trivial": int, "irr": {"k": mult, ...}}``."""
+        return {"trivial": self.trivial_dim, "irr": {str(k): m for k, m in sorted(self.irreducibles.items())}}
 
     @classmethod
     def from_json(cls, doc) -> "SO2Rep":
-        if not isinstance(doc, dict) or set(doc) - {"trivial", "rot"}:
-            raise SchemaError(f"SO2Rep document must be {{trivial, rot}}, got {doc!r}")
+        """Read ``{"trivial", "irr"}``; ``"rot"`` is accepted in place of ``"irr"``, not beside it."""
+        if not isinstance(doc, dict):
+            raise SchemaError(f"representation must be an object, got {doc!r}")
+        unknown = set(doc) - {"trivial", "irr", "rot"}
+        if unknown:
+            raise SchemaError(f"unknown keys in representation: {sorted(unknown)}")
+        if "irr" in doc and "rot" in doc:
+            raise SchemaError("representation carries both 'irr' and 'rot'")
+        table = doc.get("irr", doc.get("rot", {}))
+        if not isinstance(table, dict):
+            raise SchemaError("irreducible table must be an object")
         try:
-            rot = {int(k): m for k, m in dict(doc.get("rot", {})).items()}
+            irr = {int(k): m for k, m in table.items()}
         except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad rotation multiplicity table: {exc}") from exc
-        return cls(doc.get("trivial", 0), rot)
+            raise SchemaError(f"bad irreducible label: {exc}") from exc
+        trivial = doc.get("trivial", 0)
+        if not isinstance(trivial, int) or isinstance(trivial, bool):
+            raise SchemaError(f"trivial dimension must be an integer, got {trivial!r}")
+        return cls(trivial, irr)
 
 
 def deg_minus_id(rep: SO2Rep) -> EulerSO2:
@@ -251,7 +292,7 @@ def deg_minus_id(rep: SO2Rep) -> EulerSO2:
     evaluated.
     """
     sign = -1 if rep.trivial_dim % 2 else 1
-    return EulerSO2(sign, {k: -sign * m for k, m in rep.rotation_mults.items()})
+    return EulerSO2(sign, {k: -sign * m for k, m in rep.irreducibles.items()})
 
 
 def rep_equiv_mod_even_trivial(v: SO2Rep, w: SO2Rep) -> bool:
@@ -263,6 +304,6 @@ def rep_equiv_mod_even_trivial(v: SO2Rep, w: SO2Rep) -> bool:
     modulo even-dimensional trivial summands.
     """
     return (
-        v.rotation_mults == w.rotation_mults
+        v.irreducibles == w.irreducibles
         and v.trivial_dim % 2 == w.trivial_dim % 2
     )

@@ -9,7 +9,10 @@ J_nu'(x) - (nu/x) J_nu(x) = 0 with nu = (N-2)/2, which characterises the
 eigenvalues whose eigenspace is a trivial SO(N)-representation; it is
 evaluated as -J_{nu+1}(x), the same function (DLMF 10.6.2).  Full spectra
 for N >= 3 (or for other invariant domains) are supplied by the user as
-structured documents.
+structured documents.  Every eigenspace is a :class:`symbif.euler.SO2Rep`,
+the package's one representation class (``RepDescriptor`` is its former
+name); an entry's ``rep`` document is ``{"trivial", "irr"}``, and ``"rot"``
+is accepted in place of ``"irr"`` on input only.
 
 Root finding is one scan: sign-change bracketing on a fixed pi/8 lattice,
 then safeguarded Newton inside each bracket (``_kernels._bisect_radial``).
@@ -36,7 +39,7 @@ import tempfile
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import _kernels
 from .errors import (
@@ -93,127 +96,22 @@ def close(a: float, b: float, rel: float = MERGE_REL) -> bool:
     return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
 
 
+def _check_count(n, what: str) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValidationError(f"{what} must be an integer >= 1, got {n!r}")
+
+
 def _beyond_coverage(alpha_max: float, coverage: float, rel: float) -> bool:
     # slack mirrors the matching margin so boundary-exact requests succeed
     return alpha_max > coverage * (1.0 + 20.0 * rel) + 1e-12
 
 
 # ---------------------------------------------------------------------------
-# representation descriptors and spectrum entries
+# spectrum entries
 # ---------------------------------------------------------------------------
 
-
-@dataclass(eq=True)
-class RepDescriptor:
-    """Isotypic description of an eigenspace of the domain's symmetry group.
-
-    ``irreducibles`` maps an integer label of a nontrivial irreducible to its
-    multiplicity; for the disk the label is the rotation number (so the
-    descriptor specialises losslessly to :class:`symbif.euler.SO2Rep`), for
-    the N-ball the spherical-harmonic degree.  Zero multiplicities are pruned,
-    so equality of descriptors is equality of contents.
-    """
-
-    trivial_dim: int = 0
-    irreducibles: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.trivial_dim, int) or isinstance(self.trivial_dim, bool) or self.trivial_dim < 0:
-            raise ValidationError(f"trivial_dim must be a nonnegative integer, got {self.trivial_dim!r}")
-        out: dict[int, int] = {}
-        for label, mult in self.irreducibles.items():
-            if not isinstance(label, int) or isinstance(label, bool) or label < 1:
-                raise ValidationError(f"irreducible label {label!r} must be an integer >= 1")
-            if not isinstance(mult, int) or isinstance(mult, bool):
-                raise ValidationError(f"multiplicity {mult!r} for label {label} must be an integer")
-            if mult < 0:
-                raise ValidationError(f"label {label} has negative multiplicity {mult}")
-            if mult:
-                out[label] = mult
-        self.irreducibles = out
-
-    @classmethod
-    def zero(cls) -> "RepDescriptor":
-        return cls(0, {})
-
-    @classmethod
-    def trivial(cls, dim: int) -> "RepDescriptor":
-        return cls(dim, {})
-
-    @classmethod
-    def irr(cls, label: int, mult: int = 1) -> "RepDescriptor":
-        return cls(0, {label: mult})
-
-    def is_zero(self) -> bool:
-        return self.trivial_dim == 0 and not self.irreducibles
-
-    def has_nontrivial(self) -> bool:
-        return bool(self.irreducibles)
-
-    def direct_sum(self, other: "RepDescriptor") -> "RepDescriptor":
-        irr = dict(self.irreducibles)
-        for label, mult in other.irreducibles.items():
-            irr[label] = irr.get(label, 0) + mult
-        return RepDescriptor(self.trivial_dim + other.trivial_dim, irr)
-
-    __add__ = direct_sum
-
-    def scaled(self, n: int) -> "RepDescriptor":
-        """Direct sum of ``n`` copies (n >= 0)."""
-        if n < 0:
-            raise ValidationError(f"cannot take {n} copies of a representation")
-        return RepDescriptor(n * self.trivial_dim, {k: n * m for k, m in self.irreducibles.items()})
-
-    def total_dim(self, irr_dims: Mapping[int, int] | None = None, default_irr_dim: int = 2) -> int:
-        """Real dimension; nontrivial labels default to dimension 2 (disk)."""
-        dim = self.trivial_dim
-        for label, mult in self.irreducibles.items():
-            per = default_irr_dim if irr_dims is None else irr_dims.get(label, default_irr_dim)
-            dim += per * mult
-        return dim
-
-    def equiv_mod_even_trivial(self, other: "RepDescriptor") -> bool:
-        """Equal up to adding even-dimensional trivial summands on either side."""
-        return (
-            self.irreducibles == other.irreducibles
-            and self.trivial_dim % 2 == other.trivial_dim % 2
-        )
-
-    def to_so2_rep(self) -> SO2Rep:
-        """Disk specialisation: labels become rotation numbers."""
-        return SO2Rep(self.trivial_dim, dict(self.irreducibles))
-
-    def describe(self) -> str:
-        parts = []
-        if self.trivial_dim:
-            parts.append(f"{self.trivial_dim}*triv")
-        for label in sorted(self.irreducibles):
-            parts.append(f"{self.irreducibles[label]}*irr({label})")
-        return " + ".join(parts) if parts else "0"
-
-    def to_json(self) -> dict:
-        return {"trivial": self.trivial_dim, "irr": {str(k): m for k, m in sorted(self.irreducibles.items())}}
-
-    @classmethod
-    def from_json(cls, doc) -> "RepDescriptor":
-        if not isinstance(doc, dict):
-            raise SchemaError(f"representation descriptor must be an object, got {doc!r}")
-        keys = set(doc)
-        if keys - {"trivial", "irr", "rot"}:
-            raise SchemaError(f"unknown keys in representation descriptor: {sorted(keys - {'trivial', 'irr', 'rot'})}")
-        if "irr" in keys and "rot" in keys:
-            raise SchemaError("representation descriptor carries both 'irr' and 'rot'")
-        table = doc.get("irr", doc.get("rot", {}))
-        if not isinstance(table, dict):
-            raise SchemaError("irreducible table must be an object")
-        try:
-            irr = {int(k): m for k, m in table.items()}
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad irreducible label: {exc}") from exc
-        trivial = doc.get("trivial", 0)
-        if not isinstance(trivial, int) or isinstance(trivial, bool):
-            raise SchemaError(f"trivial dimension must be an integer, got {trivial!r}")
-        return cls(trivial, irr)
+#: former name of :class:`symbif.euler.SO2Rep`, kept for callers that import it
+RepDescriptor = SO2Rep
 
 
 @dataclass(eq=True)
@@ -225,7 +123,7 @@ class SpectrumEntry:
     """
 
     eigenvalue: float
-    rep: RepDescriptor
+    rep: SO2Rep
     angular_index: int | None = None
     root_index: int | None = None
 
@@ -260,7 +158,7 @@ class SpectrumEntry:
             v = doc.get(key)
             if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 0):
                 raise SchemaError(f"{key} must be a nonnegative integer or null, got {v!r}")
-        return cls(float(ev), RepDescriptor.from_json(doc["rep"]), doc.get("angular_index"), doc.get("root_index"))
+        return cls(float(ev), SO2Rep.from_json(doc["rep"]), doc.get("angular_index"), doc.get("root_index"))
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +377,7 @@ def neumann_radial_roots(
     ``count`` roots below ``MAX_ROOT_X`` raise InsufficientSpectrum.
     """
     _check_radial_family(angular_index, dim)
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count!r}")
+    _check_count(count, "count")
     if cache is not None:
         cached = cache.get(dim, angular_index)
         if len(cached) >= count:
@@ -623,13 +520,13 @@ def disk_spectrum(
             f"(Weyl estimate), more than the budget of {MAX_DISK_ENTRIES}"
         )
     x_max = math.sqrt(max_eigenvalue)
-    entries = [SpectrumEntry(0.0, RepDescriptor.trivial(1), angular_index=0, root_index=None)]
+    entries = [SpectrumEntry(0.0, SO2Rep.trivial(1), angular_index=0, root_index=None)]
     l = 0
     while l <= x_max + 1.0:
         roots = radial_roots_up_to(l, 2, x_max, xtol=xtol, step=step, cache=cache)
         if not roots and l >= 1:
             break  # first roots increase with l, so higher l find nothing
-        rep = RepDescriptor.trivial(1) if l == 0 else RepDescriptor.irr(l)
+        rep = SO2Rep.trivial(1) if l == 0 else SO2Rep.irr(l)
         for i, x in enumerate(roots, start=1):
             alpha = x * x
             if alpha <= max_eigenvalue:
@@ -837,8 +734,7 @@ class DiskDomain:
         return index.entries[:n]
 
     def first_entries(self, k: int) -> list[SpectrumEntry]:
-        if k < 1:
-            raise ValidationError(f"need k >= 1, got {k!r}")
+        _check_count(k, "k")
         target = max(self._memo_bound, 25.0)
         for _ in range(64):
             if self.bound is not None:
@@ -894,8 +790,7 @@ class _SuppliedDomain:
         return index.entries[:n]
 
     def first_entries(self, k: int) -> list[SpectrumEntry]:
-        if k < 1:
-            raise ValidationError(f"need k >= 1, got {k!r}")
+        _check_count(k, "k")
         if k > len(self.entries):
             raise InsufficientSpectrum(f"supplied spectrum has {len(self.entries)} entries, need {k}")
         return self.entries[:k]
@@ -967,6 +862,8 @@ def domain_from_json(
         if unknown:
             raise SchemaError(f"unknown keys in disk domain: {sorted(unknown)}")
         bound = doc.get("max_eigenvalue", spectrum_bound)
+        if "max_eigenvalue" in doc and (isinstance(bound, bool) or not isinstance(bound, (int, float))):
+            raise SchemaError(f"disk max_eigenvalue must be a real number, got {bound!r}")
         return DiskDomain(bound=bound, xtol=xtol, step=step, merge_rel=merge_rel, cache=cache)
     if kind == "ball":
         unknown = set(doc) - {"type", "dim", "entries"}

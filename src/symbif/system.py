@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import NotAMember, SchemaError, ValidationError
+from .euler import SO2Rep
 from .spectral import (
     BallDomain,
     CustomDomain,
     DiskDomain,
-    RepDescriptor,
     SpectrumEntry,
     close,
     domain_from_json,
@@ -293,8 +293,8 @@ class KernelReps:
     does not rule a match out.
     """
 
-    v1: RepDescriptor
-    v2: RepDescriptor
+    v1: SO2Rep
+    v2: SO2Rep
     matched: bool = field(default=False, init=False, repr=False, compare=False)
 
     def is_zero(self) -> bool:
@@ -323,7 +323,7 @@ def kernel_reps(spec: SystemSpec, lambda0: float) -> KernelReps:
                 trivial += mult * rep.trivial_dim
                 for label, m in rep.irreducibles.items():
                     irr[label] = irr.get(label, 0) + mult * m
-        pieces.append(RepDescriptor(trivial, irr))
+        pieces.append(SO2Rep(trivial, irr))
     kr = KernelReps(*pieces)
     kr.matched = any(hits for block in blocks for _, hits in block)
     return kr

@@ -3,12 +3,6 @@ import pytest
 from symbif import _kernels
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the JIT kernels once so timed tests measure computation, not compilation
-    _kernels.warmup()
-
-
 class KernelCalls:
     """Calls of the radial kernel, split into lattice points and refinement steps.
 

@@ -330,6 +330,8 @@ class TestCacheAndConfig:
             {"tolerances": {"root": "x"}},
             {"tolerances": {"merge": False}},
             {"spectrum_bound": "20"},
+            {"system": {**A9_SYSTEM, "domain": {"type": "disk", "max_eigenvalue": "x"}}},
+            {"system": {**A9_SYSTEM, "domain": {"type": "disk", "max_eigenvalue": [1]}}},
         ],
     )
     def test_non_numeric_config_value_is_exit_1(self, capsys, tmp_path, field):

@@ -157,7 +157,7 @@ class TestDegMinusId:
     @given(reps)
     def test_product_of_base_cases(self, v):
         expected = -I if v.trivial_dim % 2 else I
-        for k, m in v.rotation_mults.items():
+        for k, m in v.irreducibles.items():
             for _ in range(m):
                 expected = expected * (I - chi(k))
         assert deg_minus_id(v) == expected
@@ -204,7 +204,17 @@ class TestSerialization:
 
     def test_schema(self):
         assert EulerSO2(1, {3: -2}).to_json() == {"unit": 1, "cyclic": {"3": -2}}
-        assert SO2Rep(2, {1: 4}).to_json() == {"trivial": 2, "rot": {"1": 4}}
+        assert SO2Rep(2, {1: 4}).to_json() == {"trivial": 2, "irr": {"1": 4}}
+
+    @pytest.mark.parametrize("key", ["irr", "rot"])
+    def test_reads_irr_or_rot(self, key):
+        assert SO2Rep.from_json({"trivial": 1, key: {"2": 3}}) == SO2Rep(1, {2: 3})
+
+    def test_rejects_irr_and_rot_together(self):
+        from symbif import SchemaError
+
+        with pytest.raises(SchemaError):
+            SO2Rep.from_json({"trivial": 1, "irr": {"2": 3}, "rot": {"2": 3}})
 
     def test_rejects_unknown_keys(self):
         from symbif import SchemaError
@@ -214,8 +224,20 @@ class TestSerialization:
 
 
 def test_rep_dim():
-    assert SO2Rep(3, {1: 2, 5: 1}).dim == 3 + 2 * 3
+    assert SO2Rep(3, {1: 2, 5: 1}).total_dim() == 3 + 2 * 3
     assert SO2Rep(0, {}).is_zero()
+
+
+@pytest.mark.parametrize("trivial", [True, False, -1, 1.0])
+def test_rep_rejects_bad_trivial_dim(trivial):
+    with pytest.raises(ValidationError):
+        SO2Rep(trivial)
+
+
+def test_rep_descriptor_is_so2rep():
+    from symbif import spectral
+
+    assert spectral.RepDescriptor is SO2Rep
 
 
 def test_exhaustive_family_product_law_small():

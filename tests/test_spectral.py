@@ -7,6 +7,7 @@ import pytest
 
 from symbif import (
     ConvergenceError,
+    CustomDomain,
     DiskDomain,
     DomainError,
     InsufficientSpectrum,
@@ -150,8 +151,19 @@ class TestRadialRoots:
         assert capped == pytest.approx(roots, abs=1e-12)
 
     def test_count_validation(self):
-        with pytest.raises(ValidationError):
-            neumann_radial_roots(0, 2, 0)
+        supplied = CustomDomain([SpectrumEntry(0.0, RepDescriptor.trivial(1))])
+        calls = [
+            lambda: neumann_radial_roots(0, 2, 0),
+            lambda: neumann_radial_roots(0, 2, 2.5),
+            lambda: neumann_radial_roots(0, 2, "3"),
+            lambda: neumann_radial_roots(0, 2, True),
+            lambda: DiskDomain().first_entries(2.5),
+            lambda: DiskDomain().first_entries(True),
+            lambda: supplied.first_entries(1.0),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError):
+                call()
 
     def test_general_l_on_ball_unsupported(self):
         with pytest.raises(UnsupportedDomain):
