@@ -32,7 +32,7 @@ from .errors import (
 )
 from .euler import EulerSO2
 from .morse import class_table_from_json, degree_from_orbits, lift_degree, orbit_data_from_json
-from .spectral import GRID_STEP, MERGE_REL, ROOT_XTOL, DiskDomain, RootCache
+from .spectral import MERGE_REL, ROOT_XTOL, DiskDomain, RootCache
 from .system import SystemSpec, lambda_set, system_spec_from_json
 
 __all__ = ["AnalysisConfig", "main", "parse_report"]
@@ -99,14 +99,13 @@ class AnalysisConfig:
             spectrum_bound=doc.get("spectrum_bound"),
         )
 
-    def build_spec(self, cache: RootCache | None = None) -> SystemSpec:
+    def build_spec(self, cache: RootCache) -> SystemSpec:
         if self.system is None:
             raise ValidationError("this subcommand needs a 'system' document in the config")
         return system_spec_from_json(
             self.system,
             spectrum_bound=self.spectrum_bound,
             cache=cache,
-            xtol=self.root_tol,
             merge_rel=self.merge_tol,
         )
 
@@ -150,7 +149,7 @@ def _cmd_spectrum(config: AnalysisConfig, args, cache) -> str:
     if config.system is not None:
         domain = config.build_spec(cache).domain
     else:
-        domain = DiskDomain(xtol=config.root_tol, merge_rel=config.merge_tol, cache=cache)
+        domain = DiskDomain(merge_rel=config.merge_tol, cache=cache)
     entries = domain.entries_up_to(bound)
     if config.output_format == "structured":
         return _emit({"schema_version": SCHEMA_VERSION, "entries": [e.to_json() for e in entries]})
@@ -340,17 +339,18 @@ def run(args: argparse.Namespace) -> int:
         config = replace(config, root_tol=args.tol)
     if args.max_eigenvalue is not None:
         config = replace(config, spectrum_bound=args.max_eigenvalue)
-    cache = None
     if args.cache:
-        cache, stale = RootCache.load(args.cache, xtol=config.root_tol, step=GRID_STEP)
+        cache, stale = RootCache.load(args.cache, xtol=config.root_tol)
         if stale:
             print(
                 f"symbif: note: root cache {args.cache} has mismatched tolerance metadata or malformed "
                 "root lists; regenerating",
                 file=sys.stderr,
             )
+    else:
+        cache = RootCache(xtol=config.root_tol)
     payload = _HANDLERS[args.subcommand](config, args, cache)
-    if cache is not None:
+    if args.cache:
         cache.save(args.cache)
     print(payload)
     return 0

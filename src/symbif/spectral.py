@@ -15,7 +15,8 @@ name); an entry's ``rep`` document is ``{"trivial", "irr"}``, and ``"rot"``
 is accepted in place of ``"irr"`` on input only.
 
 Root finding is one scan: sign-change bracketing on a fixed pi/8 lattice,
-then safeguarded Newton inside each bracket (``_kernels._bisect_radial``).
+then safeguarded Newton inside each bracket (``_kernels._bisect_radial``) to
+the ``xtol`` of the :class:`RootCache` the scan runs through.
 Each kernel call also gives a partner whose zeros interlace with the
 condition's (J_l for J_l', J_nu for -J_{nu+1}; DLMF 10.21(i)); the scan
 checks after every cell that the two still alternate, so a root list is
@@ -326,8 +327,6 @@ def radial_roots_up_to(
     dim: int,
     x_max: float,
     *,
-    xtol: float = ROOT_XTOL,
-    step: float = GRID_STEP,
     cache: "RootCache | None" = None,
 ) -> list[float]:
     """All positive roots of the radial condition not exceeding ``x_max``.
@@ -336,11 +335,12 @@ def radial_roots_up_to(
     zeros of the condition f and its partner g together (see
     ``_lattice_scan``).  Consecutive zeros lie at least 1.2 apart, and four
     of them span at least 4.5 (disk l < 200 and balls N <= 7, x <= 200), so
-    the default pi/8 step holds at most one and steps up to 4 at most three.
-    A request beyond ``MAX_ROOT_X`` raises InsufficientSpectrum before any
-    evaluation.  A ``cache`` also keeps the first root beyond ``x_max``, so
-    it serves the same request again, and a longer request resumes the scan
-    after the last cached root.
+    the fixed pi/8 step (``GRID_STEP``) holds at most one.  A request beyond
+    ``MAX_ROOT_X`` raises InsufficientSpectrum before any evaluation.  Roots
+    are refined to ``cache.xtol`` and kept in ``cache`` (a new in-memory
+    :class:`RootCache` when None) through the first root beyond ``x_max``,
+    so the cache serves the same request again, and a longer request
+    resumes the scan after the last cached root.
     """
     _check_radial_family(angular_index, dim)
     if math.isnan(x_max):
@@ -352,12 +352,13 @@ def radial_roots_up_to(
             f"radial roots up to x = {x_max!r} lie beyond the supported range x <= {MAX_ROOT_X!r} "
             f"(l={angular_index}, dim={dim})"
         )
-    cached = cache.get(dim, angular_index) if cache is not None else []
+    if cache is None:
+        cache = RootCache()
+    cached = cache.get(dim, angular_index)
     if not cached or x_max > cached[-1]:
         after = cached[-1] if cached else 0.0
-        cached = cached + _lattice_scan(angular_index, dim, x_max, step, xtol, after)
-        if cache is not None:
-            cache.put(dim, angular_index, cached)
+        cached = cached + _lattice_scan(angular_index, dim, x_max, GRID_STEP, cache.xtol, after)
+        cache.put(dim, angular_index, cached)
     return [r for r in cached if r <= x_max]
 
 
@@ -366,8 +367,6 @@ def neumann_radial_roots(
     dim: int = 2,
     count: int = 1,
     *,
-    xtol: float = ROOT_XTOL,
-    step: float = GRID_STEP,
     cache: "RootCache | None" = None,
 ) -> list[float]:
     """First ``count`` positive roots of the radial Neumann condition.
@@ -378,14 +377,15 @@ def neumann_radial_roots(
     """
     _check_radial_family(angular_index, dim)
     _check_count(count, "count")
-    if cache is not None:
-        cached = cache.get(dim, angular_index)
-        if len(cached) >= count:
-            return cached[:count]
+    if cache is None:
+        cache = RootCache()
+    cached = cache.get(dim, angular_index)
+    if len(cached) >= count:
+        return cached[:count]
     # roots sit near l + (k + dim/2) * pi; scan a window and extend if short
     x_max = min(angular_index + dim + (count + 2) * math.pi, MAX_ROOT_X)
     while True:
-        roots = radial_roots_up_to(angular_index, dim, x_max, xtol=xtol, step=step, cache=cache)
+        roots = radial_roots_up_to(angular_index, dim, x_max, cache=cache)
         if len(roots) >= count:
             return roots[:count]
         if x_max == MAX_ROOT_X:
@@ -403,19 +403,20 @@ def neumann_radial_roots(
 
 @dataclass
 class RootCache:
-    """On-disk memo of radial roots, keyed by the tolerances that built it.
+    """Memo of radial roots, and the one owner of the tolerance they are refined to.
 
-    The record list for each (dim, l) pair is always a complete prefix of the
-    true root sequence, so cached data can serve any request whose range it
-    covers.  A file whose tolerance metadata disagrees with the requested
-    tolerances, or that holds a list that is not finite, strictly increasing
-    and indexed 1..n, is discarded and regenerated.  Saving writes a
-    temporary file beside the target and renames it over the target, so a
+    Every root scan runs through a cache and refines to its ``xtol``, so a
+    cache holds only roots refined at its own tolerance.  The record list for
+    each (dim, l) pair is always a complete prefix of the true root sequence,
+    so cached data can serve any request whose range it covers.  A file whose
+    ``xtol`` differs from the requested one or whose step is not
+    ``GRID_STEP``, or that holds a list that is not finite, strictly
+    increasing and indexed 1..n, is discarded and regenerated.  Saving writes
+    a temporary file beside the target and renames it over the target, so a
     reader sees the old file or the new one, never a partial write.
     """
 
     xtol: float = ROOT_XTOL
-    step: float = GRID_STEP
     records: dict[tuple[int, int], list[float]] = field(default_factory=dict)
 
     def get(self, dim: int, l: int) -> list[float]:
@@ -431,7 +432,7 @@ class RootCache:
                 recs.append([dim, l, i, x])
         return {
             "schema_version": 1,
-            "tolerances": {"xtol": self.xtol, "step": self.step},
+            "tolerances": {"xtol": self.xtol, "step": GRID_STEP},
             "records": recs,
         }
 
@@ -448,28 +449,28 @@ class RootCache:
 
     @classmethod
     def load(
-        cls, path: str | Path, *, xtol: float = ROOT_XTOL, step: float = GRID_STEP
+        cls, path: str | Path, *, xtol: float = ROOT_XTOL
     ) -> tuple["RootCache", bool]:
         """Load a cache; returns (cache, stale) where stale means regenerated."""
-        fresh = cls(xtol=xtol, step=step)
+        fresh = cls(xtol=xtol)
         p = Path(path)
         if not p.exists():
             return fresh, False
         try:
             doc = json.loads(p.read_text(encoding="utf-8"))
             tol = doc["tolerances"]
-            if tol["xtol"] != xtol or tol["step"] != step:
+            if tol["xtol"] != xtol or tol["step"] != GRID_STEP:
                 return fresh, True
             for dim, l, idx, x in doc["records"]:
                 roots = fresh.records.setdefault((int(dim), int(l)), [])
                 x = float(x)
                 # indexed 1..n in order, finite and strictly increasing
                 if idx != len(roots) + 1 or not math.isfinite(x) or (roots and x <= roots[-1]):
-                    return cls(xtol=xtol, step=step), True
+                    return cls(xtol=xtol), True
                 roots.append(x)
             return fresh, False
         except (KeyError, TypeError, ValueError, json.JSONDecodeError):
-            return cls(xtol=xtol, step=step), True
+            return cls(xtol=xtol), True
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +499,6 @@ def _merge_entries(entries: Iterable[SpectrumEntry], merge_rel: float) -> list[S
 def disk_spectrum(
     max_eigenvalue: float,
     *,
-    xtol: float = ROOT_XTOL,
-    step: float = GRID_STEP,
     merge_rel: float = MERGE_REL,
     cache: RootCache | None = None,
 ) -> list[SpectrumEntry]:
@@ -519,11 +518,13 @@ def disk_spectrum(
             f"the disk spectrum up to {max_eigenvalue!r} has about {estimate:.4g} distinct eigenvalues "
             f"(Weyl estimate), more than the budget of {MAX_DISK_ENTRIES}"
         )
+    if cache is None:
+        cache = RootCache()
     x_max = math.sqrt(max_eigenvalue)
     entries = [SpectrumEntry(0.0, SO2Rep.trivial(1), angular_index=0, root_index=None)]
     l = 0
     while l <= x_max + 1.0:
-        roots = radial_roots_up_to(l, 2, x_max, xtol=xtol, step=step, cache=cache)
+        roots = radial_roots_up_to(l, 2, x_max, cache=cache)
         if not roots and l >= 1:
             break  # first roots increase with l, so higher l find nothing
         rep = SO2Rep.trivial(1) if l == 0 else SO2Rep.irr(l)
@@ -539,8 +540,6 @@ def ball_rep_nontrivial(
     entry: SpectrumEntry,
     dim: int,
     *,
-    xtol: float = ROOT_XTOL,
-    step: float = GRID_STEP,
     match_rel: float = MERGE_REL,
     cache: RootCache | None = None,
 ) -> bool:
@@ -557,7 +556,7 @@ def ball_rep_nontrivial(
     if entry.angular_index is not None:
         return entry.angular_index >= 1
     x = math.sqrt(entry.eigenvalue)
-    roots = radial_roots_up_to(0, dim, x + math.pi, xtol=xtol, step=step, cache=cache)
+    roots = radial_roots_up_to(0, dim, x + math.pi, cache=cache)
     return not any(close(entry.eigenvalue, r * r, match_rel) for r in roots)
 
 
@@ -691,17 +690,18 @@ class DiskDomain:
     """
 
     bound: float | None = None
-    xtol: float = ROOT_XTOL
-    step: float = GRID_STEP
     merge_rel: float = MERGE_REL
-    cache: RootCache | None = field(default=None, repr=False, compare=False)
+    cache: RootCache = field(default_factory=RootCache, repr=False, compare=False)
     _memo: list[SpectrumEntry] = field(default_factory=list, init=False, repr=False, compare=False)
     _memo_bound: float = field(default=-1.0, init=False, repr=False, compare=False)
     _index: SpectrumIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     kind = "disk"
     dim = 2
-    is_disk = True
+
+    def __post_init__(self) -> None:
+        if self.bound is not None and not self.bound > 0.0:
+            raise ValidationError(f"the disk spectrum bound must be positive, got {self.bound!r}")
 
     def irr_dims(self) -> None:
         return None  # rotation irreducibles all have real dimension 2
@@ -720,9 +720,7 @@ class DiskDomain:
             )
         if alpha_max > self._memo_bound:
             target = max(alpha_max, 1.0)
-            self._memo = disk_spectrum(
-                target, xtol=self.xtol, step=self.step, merge_rel=self.merge_rel, cache=self.cache
-            )
+            self._memo = disk_spectrum(target, merge_rel=self.merge_rel, cache=self.cache)
             self._memo_bound = target
             self._index = None
         if self._index is None:
@@ -777,7 +775,7 @@ class _SuppliedDomain:
         spectrum; the index is built on first use.
         """
         alpha_max = max(0.0, float(alpha_max))
-        if _beyond_coverage(alpha_max, self.coverage, getattr(self, "merge_rel", MERGE_REL)):
+        if _beyond_coverage(alpha_max, self.coverage, self.merge_rel):
             raise InsufficientSpectrum(
                 f"need eigenvalues up to {alpha_max!r} but the supplied spectrum stops at {self.coverage!r}"
             )
@@ -801,28 +799,21 @@ class BallDomain(_SuppliedDomain):
     """Unit ball of dimension >= 3 with a user-supplied spectrum."""
 
     dim: int = 3
-    xtol: float = ROOT_XTOL
-    step: float = GRID_STEP
     merge_rel: float = MERGE_REL
-    cache: RootCache | None = field(default=None, repr=False, compare=False)
+    cache: RootCache = field(default_factory=RootCache, repr=False, compare=False)
 
     kind = "ball"
-    is_disk = False
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if not isinstance(self.dim, int) or self.dim < 3:
             raise ValidationError(f"ball dimension must be an integer >= 3, got {self.dim!r}")
-        if self.cache is None:
-            self.cache = RootCache(xtol=self.xtol, step=self.step)
 
     def irr_dims(self) -> None:
         return None  # harmonic dimension tables are out of scope; callers may override
 
     def rep_nontrivial(self, entry: SpectrumEntry) -> bool:
-        return ball_rep_nontrivial(
-            entry, self.dim, xtol=self.xtol, step=self.step, match_rel=self.merge_rel, cache=self.cache
-        )
+        return ball_rep_nontrivial(entry, self.dim, match_rel=self.merge_rel, cache=self.cache)
 
 
 @dataclass
@@ -838,7 +829,13 @@ class CustomDomain(_SuppliedDomain):
 
     kind = "custom"
     dim = None
-    is_disk = False
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.irr_dim_table is not None:
+            bad = {k: d for k, d in self.irr_dim_table.items() if not d >= 1}
+            if bad:
+                raise ValidationError(f"irreducible dimensions must be >= 1, got {bad}")
 
     def irr_dims(self) -> dict[int, int] | None:
         return self.irr_dim_table
@@ -848,12 +845,12 @@ def domain_from_json(
     doc,
     *,
     spectrum_bound: float | None = None,
-    xtol: float = ROOT_XTOL,
-    step: float = GRID_STEP,
     merge_rel: float = MERGE_REL,
     cache: RootCache | None = None,
 ):
     """Build a domain from its document form ``{"type": "disk"|"ball"|"custom", ...}``."""
+    if cache is None:
+        cache = RootCache()
     if not isinstance(doc, dict) or "type" not in doc:
         raise SchemaError(f"domain document must be an object with a 'type', got {doc!r}")
     kind = doc["type"]
@@ -864,7 +861,7 @@ def domain_from_json(
         bound = doc.get("max_eigenvalue", spectrum_bound)
         if "max_eigenvalue" in doc and (isinstance(bound, bool) or not isinstance(bound, (int, float))):
             raise SchemaError(f"disk max_eigenvalue must be a real number, got {bound!r}")
-        return DiskDomain(bound=bound, xtol=xtol, step=step, merge_rel=merge_rel, cache=cache)
+        return DiskDomain(bound=bound, merge_rel=merge_rel, cache=cache)
     if kind == "ball":
         unknown = set(doc) - {"type", "dim", "entries"}
         if unknown:
@@ -872,7 +869,7 @@ def domain_from_json(
         if "dim" not in doc:
             raise SchemaError("ball domain needs 'dim'")
         entries = _entries_from_docs(doc.get("entries"), merge_rel)
-        return BallDomain(entries, dim=doc["dim"], xtol=xtol, step=step, merge_rel=merge_rel, cache=cache)
+        return BallDomain(entries, dim=doc["dim"], merge_rel=merge_rel, cache=cache)
     if kind == "custom":
         unknown = set(doc) - {"type", "entries", "irr_dims"}
         if unknown:
@@ -880,9 +877,13 @@ def domain_from_json(
         entries = _entries_from_docs(doc.get("entries"), merge_rel)
         table = doc.get("irr_dims")
         if table is not None:
-            try:
-                table = {int(k): int(v) for k, v in dict(table).items()}
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"bad irr_dims table: {exc}") from exc
+            if not isinstance(table, dict):
+                raise SchemaError(f"irr_dims must be an object, got {table!r}")
+            # JSON labels are strings; each label and dimension must be an integer
+            table = {
+                int(k) if isinstance(k, str) and k.removeprefix("-").isdecimal() else k: v for k, v in table.items()
+            }
+            if any(isinstance(x, bool) or not isinstance(x, int) for item in table.items() for x in item):
+                raise SchemaError(f"irr_dims must map integer labels to integer dimensions, got {doc['irr_dims']!r}")
         return CustomDomain(entries, irr_dim_table=table, merge_rel=merge_rel)
     raise SchemaError(f"unknown domain type {kind!r}")

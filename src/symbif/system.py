@@ -30,6 +30,7 @@ from typing import Sequence
 from .errors import NotAMember, SchemaError, ValidationError
 from .euler import SO2Rep
 from .spectral import (
+    MERGE_REL,
     BallDomain,
     CustomDomain,
     DiskDomain,
@@ -165,12 +166,13 @@ class SystemSpec:
         }
 
 
-def system_spec_from_json(doc, *, spectrum_bound=None, cache=None, xtol=None, merge_rel=None) -> SystemSpec:
+def system_spec_from_json(doc, *, spectrum_bound=None, cache=None, merge_rel=MERGE_REL) -> SystemSpec:
     """Parse the system document schema.
 
     ``{"p1": int, "p2": int, "b1": [{"value": num, "mult": int}], "b2": [...],
-    "mu_b0": int, "domain": {...}, "a9": bool}``.  Tolerances and the optional
-    root cache are threaded into the constructed domain.
+    "mu_b0": int, "domain": {...}, "a9": bool}``.  ``merge_rel`` and the
+    optional root cache, which carries the root tolerance, are threaded into
+    the constructed domain.
     """
     if not isinstance(doc, dict):
         raise SchemaError(f"system document must be an object, got {type(doc).__name__}")
@@ -192,12 +194,7 @@ def system_spec_from_json(doc, *, spectrum_bound=None, cache=None, xtol=None, me
             pairs.append((item["value"], item.get("mult", 1)))
         return pairs
 
-    kwargs = {}
-    if xtol is not None:
-        kwargs["xtol"] = xtol
-    if merge_rel is not None:
-        kwargs["merge_rel"] = merge_rel
-    domain = domain_from_json(doc["domain"], spectrum_bound=spectrum_bound, cache=cache, **kwargs)
+    domain = domain_from_json(doc["domain"], spectrum_bound=spectrum_bound, merge_rel=merge_rel, cache=cache)
     a9 = doc.get("a9", False)
     if not isinstance(a9, bool):
         raise SchemaError(f"'a9' must be a boolean, got {a9!r}")

@@ -339,3 +339,12 @@ class TestCacheAndConfig:
         cfg.write_text(json.dumps({"system": A9_SYSTEM, "window": [0.0, 1.0], **field}))
         code, _, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 1 and "SchemaError" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bound", [-5, 0, float("nan")], ids=["negative", "zero", "nan"])
+    def test_disk_bound_must_be_positive(self, capsys, tmp_path, bound):
+        # json writes nan as NaN, which Python's json reads back
+        system = {**A9_SYSTEM, "domain": {"type": "disk", "max_eigenvalue": bound}}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"system": system, "window": [0.0, 1.0]}))
+        code, _, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert code == 1 and "ValidationError" in err and "Traceback" not in err

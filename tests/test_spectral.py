@@ -219,7 +219,7 @@ class TestInterlacingCheck:
     def test_first_cell_is_checked(self, monkeypatch):
         # with step 4 the first cell (0, 4] holds J_1' = 0 at 1.84 and J_1 = 0
         # at 3.83; scanned from the signs at 0+ it yields its root ...
-        assert abs(radial_roots_up_to(1, 2, 16.0, step=4.0)[0] - 1.8411837813406593) < 1e-8
+        assert abs(_lattice_scan(1, 2, 16.0, 4.0, 1e-10)[0] - 1.8411837813406593) < 1e-8
         # ... and with that root hidden, J_1 alone changes sign there, so the
         # check fails instead of returning the list without it
         from symbif import ConvergenceError, _kernels
@@ -232,7 +232,7 @@ class TestInterlacingCheck:
 
         monkeypatch.setattr(_kernels, "_radial_condition", hidden_first)
         with pytest.raises(ConvergenceError, match="interlace"):
-            radial_roots_up_to(1, 2, 16.0, step=4.0)
+            _lattice_scan(1, 2, 16.0, 4.0, 1e-10)
 
     def test_underflow_near_origin_is_not_a_root(self):
         # J_140 and J_140' underflow to 0.0 at the first lattice points; those
@@ -268,6 +268,13 @@ class TestInterlacingCheck:
             longer = radial_roots_up_to(0, dim, 150.5, cache=cache)
             assert longer[: len(short)] == short
             assert longer == radial_roots_up_to(0, dim, 150.5)
+
+    def test_growing_domain_resumes_its_scans(self, kernel_calls):
+        # first_entries doubles its target from 25; each doubling resumes the
+        # cached scans instead of starting them again from 0
+        entries = DiskDomain().first_entries(400)
+        assert kernel_calls.total <= 6_500
+        assert len(entries) == 400 and entries == disk_spectrum(entries[-1].eigenvalue)
 
 
 class TestKnownSignPrefix:
@@ -658,6 +665,20 @@ class TestRootCache:
         loaded, stale = RootCache.load(path, xtol=1e-8)
         assert stale
         assert loaded.get(2, 0) == []
+
+    def test_cache_holds_only_roots_refined_at_its_own_xtol(self, tmp_path):
+        cache = RootCache(xtol=1e-3)
+        DiskDomain(cache=cache).entries_up_to(50.0)
+        x_max = math.sqrt(50.0)
+        assert cache.records == {
+            (2, l): _lattice_scan(l, 2, x_max, GRID_STEP, 1e-3) for l in range(len(cache.records))
+        }
+        assert cache.get(2, 1) != _lattice_scan(1, 2, x_max, GRID_STEP, ROOT_XTOL)
+        path = tmp_path / "roots.json"
+        cache.save(path)
+        assert json.loads(path.read_text())["tolerances"] == {"step": GRID_STEP, "xtol": 1e-3}
+        loaded, stale = RootCache.load(path)
+        assert stale and loaded.records == {} and loaded.xtol == ROOT_XTOL
 
     def test_cache_serves_covered_requests(self):
         cache = RootCache()

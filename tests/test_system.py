@@ -134,6 +134,29 @@ class TestSystemSpecJson:
         with pytest.raises(InsufficientSpectrum):
             lambda_set(spec, (0.0, 4.0))  # needs alpha up to 8, spectrum stops at 4
 
+    @pytest.mark.parametrize(
+        "table, error",
+        [
+            ({"1": 2.7}, SchemaError),
+            ({"1": True}, SchemaError),
+            ({"x": 2}, SchemaError),
+            ({"1": -2}, ValidationError),
+            ({"1": 0}, ValidationError),
+        ],
+        ids=["fraction", "bool", "label-x", "negative", "zero"],
+    )
+    def test_bad_irr_dims_are_refused(self, table, error):
+        entries = [
+            {"eigenvalue": 0.0, "rep": {"trivial": 1, "irr": {}}},
+            {"eigenvalue": 4.0, "rep": {"trivial": 0, "irr": {"1": 1}}},
+        ]
+        domain = {"type": "custom", "entries": entries, "irr_dims": table}
+        with pytest.raises(error):
+            system_spec_from_json({"p1": 1, "p2": 0, "domain": domain})
+        if error is ValidationError:
+            with pytest.raises(ValidationError, match="dimensions must be >= 1"):
+                CustomDomain([SpectrumEntry.from_json(e) for e in entries], irr_dim_table={1: table["1"]})
+
 
 class TestLambdaSet:
     def test_a9_positive_regime(self):
