@@ -43,6 +43,8 @@ from .spectral import BallDomain, DiskDomain, SpectrumEntry, SpectrumIndex, clos
 from .system import (
     KernelReps,
     SystemSpec,
+    _finite_parameter,
+    _with_margin,
     kernel_reps,
     lambda_set,
 )
@@ -75,6 +77,9 @@ J_EQUIV_MOD_EVEN = "EquivalentModEvenTrivial"
 
 UNBOUNDED = "Unbounded"
 NO_VERDICT = "NoVerdict"
+
+#: most members :func:`enumerate_zero_sum_subsets` walks (it visits 2^n - 1 subsets)
+MAX_SUBSET_MEMBERS = 20
 
 
 @dataclass(eq=True)
@@ -135,9 +140,8 @@ def bif_difference(spec: SystemSpec, lambda0: float) -> EulerSO2:
 
 def _a9_entry_index(spec: SystemSpec, alpha: float) -> tuple[int, SpectrumIndex]:
     """1-based position of alpha in the spectrum, with the domain's spectrum index."""
-    rel = spec.domain.merge_rel
-    index, n = spec.domain.spectrum_index(alpha * (1.0 + 10.0 * rel) + rel)
-    hits = index.matches(alpha, rel, n)
+    index, n = spec.domain.spectrum_index(_with_margin(alpha))
+    hits = index.matches(alpha, n)
     if not hits:
         raise PreconditionError(f"{alpha!r} is not an eigenvalue of the loaded spectrum")
     return hits[0] + 1, index
@@ -152,9 +156,9 @@ def bif_a9(spec: SystemSpec, lambda0: float) -> EulerSO2:
     if not spec.a9:
         raise PreconditionError("bif_a9 needs the normalized block form (a9 flag)")
     _require_disk(spec, "bif_a9")
-    lam = float(lambda0)
+    lam = _finite_parameter(lambda0)
     q1, p2 = spec.q1, spec.p2
-    if close(lam, 0.0, spec.domain.merge_rel):
+    if close(lam, 0.0):
         return ((-1) ** q1 - (-1) ** p2) * EulerSO2.one()
     if lam > 0 and q1 <= 0:
         raise PreconditionError(f"positive parameters need p1 - mu_b0 > 0; {lambda0!r} is not in Lambda")
@@ -266,15 +270,14 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
     candidate costs one bisection of the spectrum index, O(log n).
     """
     lo, hi = float(window[0]), float(window[1])
-    rel = spec.domain.merge_rel
     candidates = list(lambda_set(spec, (lo, hi)))
-    if lo <= 0.0 <= hi and not any(close(c, 0.0, rel) for c in candidates):
+    if lo <= 0.0 <= hi and not any(close(c, 0.0) for c in candidates):
         candidates.append(0.0)
     candidates.sort()
     exact = spec.a9 and isinstance(spec.domain, DiskDomain)
     verdicts = []
     for lam in candidates:
-        at_zero = close(lam, 0.0, rel)
+        at_zero = close(lam, 0.0)
         kr = kernel_reps(spec, lam)
         gc = check_glob_zero(spec) if at_zero else _glob_from_kernel(kr)
         bif = bif_a9(spec, lam) if exact else None
@@ -296,15 +299,13 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
     return verdicts
 
 
-def enumerate_zero_sum_subsets(
-    indices: Sequence[tuple[float, EulerSO2]], *, max_members: int = 20
-) -> list[tuple[float, ...]]:
+def enumerate_zero_sum_subsets(indices: Sequence[tuple[float, EulerSO2]]) -> list[tuple[float, ...]]:
     """Nonempty parameter subsets whose indices sum to zero.
 
     These are the only families at which a bounded continuum could return to
     the trivial solutions; every other subset is excluded.  Subsets come in
     the order of ``itertools.combinations`` by size.  Exponential in the
-    number of members, so refuses more than ``max_members``.
+    number of members, so refuses more than ``MAX_SUBSET_MEMBERS``.
 
     Each index becomes one integer: its coefficient vector read as balanced
     digits in a base above twice the largest possible partial sum of any
@@ -313,9 +314,9 @@ def enumerate_zero_sum_subsets(
     one integer per step, in lexicographic order of positions; sorting the
     hits by size (stably) gives the combinations order.  Memory is O(n + hits).
     """
-    if len(indices) > max_members:
+    if len(indices) > MAX_SUBSET_MEMBERS:
         raise ValidationError(
-            f"subset enumeration is exponential; refusing {len(indices)} > {max_members} members"
+            f"subset enumeration is exponential; refusing {len(indices)} > {MAX_SUBSET_MEMBERS} members"
         )
     lams = [lam for lam, _ in indices]
     keys = sorted({k for _, ix in indices for k in ix.cyclic})

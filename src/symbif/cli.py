@@ -56,14 +56,15 @@ class AnalysisConfig:
     window: tuple[float, float] | None = None
     output_format: str = "table"
     root_tol: float = ROOT_XTOL
-    merge_tol: float = MERGE_REL
     spectrum_bound: float | None = None
 
     def __post_init__(self) -> None:
         if self.output_format not in ("table", "structured"):
             raise ValidationError(f"output_format must be 'table' or 'structured', got {self.output_format!r}")
-        if not (self.root_tol > 0.0) or not (self.merge_tol > 0.0):
+        if not (self.root_tol > 0.0):
             raise ValidationError("tolerances must be positive")
+        if self.root_tol > MERGE_REL:  # root errors must stay well inside the matching tolerance
+            raise ValidationError(f"the root tolerance must not exceed {MERGE_REL:g}, got {self.root_tol!r}")
         if self.window is not None:
             lo, hi = self.window
             if not lo < hi:
@@ -84,30 +85,23 @@ class AnalysisConfig:
                 raise SchemaError(f"window must be [lo, hi], got {window!r}")
             window = tuple(float(_real(w, "window entry")) for w in window)
         tol = doc.get("tolerances", {})
-        if not isinstance(tol, dict) or set(tol) - {"root", "merge"}:
-            raise SchemaError(f"tolerances must be {{root?, merge?}}, got {tol!r}")
-        for key, value in tol.items():
-            _real(value, f"tolerance {key!r}")
+        if not isinstance(tol, dict) or set(tol) - {"root"}:
+            raise SchemaError(f"tolerances must be {{root?}}, got {tol!r}")
+        root_tol = _real(tol.get("root", ROOT_XTOL), "tolerance 'root'")
         if doc.get("spectrum_bound") is not None:
             _real(doc["spectrum_bound"], "spectrum_bound")
         return cls(
             system=doc.get("system"),
             window=window,
             output_format=doc.get("output_format", "table"),
-            root_tol=tol.get("root", ROOT_XTOL),
-            merge_tol=tol.get("merge", MERGE_REL),
+            root_tol=root_tol,
             spectrum_bound=doc.get("spectrum_bound"),
         )
 
     def build_spec(self, cache: RootCache) -> SystemSpec:
         if self.system is None:
             raise ValidationError("this subcommand needs a 'system' document in the config")
-        return system_spec_from_json(
-            self.system,
-            spectrum_bound=self.spectrum_bound,
-            cache=cache,
-            merge_rel=self.merge_tol,
-        )
+        return system_spec_from_json(self.system, spectrum_bound=self.spectrum_bound, cache=cache)
 
 
 def _load_json(path: str):
@@ -149,7 +143,7 @@ def _cmd_spectrum(config: AnalysisConfig, args, cache) -> str:
     if config.system is not None:
         domain = config.build_spec(cache).domain
     else:
-        domain = DiskDomain(merge_rel=config.merge_tol, cache=cache)
+        domain = DiskDomain(cache=cache)
     entries = domain.entries_up_to(bound)
     if config.output_format == "structured":
         return _emit({"schema_version": SCHEMA_VERSION, "entries": [e.to_json() for e in entries]})
@@ -231,7 +225,10 @@ def _cmd_rabinowitz(config: AnalysisConfig, args, cache) -> str:
     else:
         spec = config.build_spec(cache)
         if args.lambdas:
-            lams = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
+            try:
+                lams = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
+            except ValueError as exc:
+                raise ValidationError(f"--lambdas: {exc}") from None
         else:
             lams = lambda_set(spec, _require_window(config))
         labelled = [(lam, bif_a9(spec, lam)) for lam in lams]

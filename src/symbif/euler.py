@@ -240,11 +240,11 @@ class SO2Rep:
 
     __add__ = direct_sum
 
-    def total_dim(self, irr_dims: Mapping[int, int] | None = None, default_irr_dim: int = 2) -> int:
+    def total_dim(self, irr_dims: Mapping[int, int] | None = None) -> int:
         """Real dimension; labels missing from ``irr_dims`` have dimension 2 (disk)."""
         dim = self.trivial_dim
         for k, m in self.irreducibles.items():
-            per = default_irr_dim if irr_dims is None else irr_dims.get(k, default_irr_dim)
+            per = 2 if irr_dims is None else irr_dims.get(k, 2)
             dim += per * m
         return dim
 

@@ -119,19 +119,19 @@ def class_table_from_json(doc) -> dict[str, str]:
     return dict(doc)
 
 
-def so2_class_map_to_euler(deg: Mapping[str, int], *, full_label: str = "SO2", cyclic_prefix: str = "Z") -> EulerSO2:
+def so2_class_map_to_euler(deg: Mapping[str, int]) -> EulerSO2:
     """Re-express a class map over SO(2) labels as an Euler-ring element.
 
-    Labels: ``full_label`` for the class of the full group, ``Z<k>`` for the
+    Labels: ``SO2`` for the class of the full group, ``Z<k>`` for the
     finite cyclic classes.
     """
     unit = 0
     cyclic: dict[int, int] = {}
     for label, coeff in deg.items():
-        if label == full_label:
+        if label == "SO2":
             unit = coeff
-        elif label.startswith(cyclic_prefix) and label[len(cyclic_prefix):].isdigit():
-            cyclic[int(label[len(cyclic_prefix):])] = coeff
+        elif label.startswith("Z") and label[1:].isdigit():
+            cyclic[int(label[1:])] = coeff
         else:
             raise ValidationError(f"label {label!r} is not an SO(2) class label")
     return EulerSO2(unit, cyclic)

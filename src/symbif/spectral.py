@@ -92,9 +92,9 @@ MAX_DISK_ENTRIES = 10_000
 MAX_ROOT_X = 200.0
 
 
-def close(a: float, b: float, rel: float = MERGE_REL) -> bool:
-    """Tolerant equality used for eigenvalue merging and spectral matching."""
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+def close(a: float, b: float) -> bool:
+    """Tolerant equality at ``MERGE_REL``, used for eigenvalue merging and spectral matching."""
+    return abs(a - b) <= MERGE_REL * max(1.0, abs(a), abs(b))
 
 
 def _check_count(n, what: str) -> None:
@@ -102,9 +102,9 @@ def _check_count(n, what: str) -> None:
         raise ValidationError(f"{what} must be an integer >= 1, got {n!r}")
 
 
-def _beyond_coverage(alpha_max: float, coverage: float, rel: float) -> bool:
+def _beyond_coverage(alpha_max: float, coverage: float) -> bool:
     # slack mirrors the matching margin so boundary-exact requests succeed
-    return alpha_max > coverage * (1.0 + 20.0 * rel) + 1e-12
+    return alpha_max > coverage * (1.0 + 20.0 * MERGE_REL) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +130,8 @@ class SpectrumEntry:
 
     def __post_init__(self) -> None:
         self.eigenvalue = float(self.eigenvalue)
-        if not (self.eigenvalue >= 0.0):
-            raise ValidationError(f"eigenvalue must be nonnegative, got {self.eigenvalue!r}")
+        if not (0.0 <= self.eigenvalue < math.inf):
+            raise ValidationError(f"eigenvalue must be finite and nonnegative, got {self.eigenvalue!r}")
 
     def to_json(self) -> dict:
         return {
@@ -478,12 +478,12 @@ class RootCache:
 # ---------------------------------------------------------------------------
 
 
-def _merge_entries(entries: Iterable[SpectrumEntry], merge_rel: float) -> list[SpectrumEntry]:
+def _merge_entries(entries: Iterable[SpectrumEntry]) -> list[SpectrumEntry]:
     """Sort ascending and fuse near-coincident eigenvalues, summing their reps."""
     ordered = sorted(entries, key=lambda e: e.eigenvalue)
     merged: list[SpectrumEntry] = []
     for e in ordered:
-        if merged and close(merged[-1].eigenvalue, e.eigenvalue, merge_rel):
+        if merged and close(merged[-1].eigenvalue, e.eigenvalue):
             prev = merged[-1]
             merged[-1] = SpectrumEntry(
                 prev.eigenvalue,
@@ -499,7 +499,6 @@ def _merge_entries(entries: Iterable[SpectrumEntry], merge_rel: float) -> list[S
 def disk_spectrum(
     max_eigenvalue: float,
     *,
-    merge_rel: float = MERGE_REL,
     cache: RootCache | None = None,
 ) -> list[SpectrumEntry]:
     """Distinct Neumann eigenvalues of the unit disk up to ``max_eigenvalue``.
@@ -533,14 +532,13 @@ def disk_spectrum(
             if alpha <= max_eigenvalue:
                 entries.append(SpectrumEntry(alpha, rep, angular_index=l, root_index=i))
         l += 1
-    return _merge_entries(entries, merge_rel)
+    return _merge_entries(entries)
 
 
 def ball_rep_nontrivial(
     entry: SpectrumEntry,
     dim: int,
     *,
-    match_rel: float = MERGE_REL,
     cache: RootCache | None = None,
 ) -> bool:
     """Whether the eigenspace is a nontrivial SO(dim)-representation, dim >= 3.
@@ -551,26 +549,26 @@ def ball_rep_nontrivial(
     """
     if not isinstance(dim, int) or dim < 3:
         raise DomainError(f"ball_rep_nontrivial needs dim >= 3, got {dim!r}")
-    if close(entry.eigenvalue, 0.0, match_rel):
+    if close(entry.eigenvalue, 0.0):
         return False
     if entry.angular_index is not None:
         return entry.angular_index >= 1
     x = math.sqrt(entry.eigenvalue)
     roots = radial_roots_up_to(0, dim, x + math.pi, cache=cache)
-    return not any(close(entry.eigenvalue, r * r, match_rel) for r in roots)
+    return not any(close(entry.eigenvalue, r * r) for r in roots)
 
 
-def _entries_from_docs(raw, merge_rel: float) -> list[SpectrumEntry]:
+def _entries_from_docs(raw) -> list[SpectrumEntry]:
     if not isinstance(raw, list) or not raw:
         raise SchemaError("'entries' must be a nonempty array of spectrum entries")
     entries = [SpectrumEntry.from_json(item) for item in raw]
     for prev, nxt in zip(entries, entries[1:]):
-        if nxt.eigenvalue < prev.eigenvalue and not close(prev.eigenvalue, nxt.eigenvalue, merge_rel):
+        if nxt.eigenvalue < prev.eigenvalue and not close(prev.eigenvalue, nxt.eigenvalue):
             raise ValidationError(
                 f"entries must be listed in ascending eigenvalue order "
                 f"({nxt.eigenvalue!r} after {prev.eigenvalue!r})"
             )
-    merged = _merge_entries(entries, merge_rel)
+    merged = _merge_entries(entries)
     zero = [e for e in merged if e.eigenvalue == 0.0]
     if not zero:
         raise ValidationError("a Neumann spectrum must contain the eigenvalue 0 (constants)")
@@ -584,7 +582,7 @@ def _entries_from_docs(raw, merge_rel: float) -> list[SpectrumEntry]:
     return merged
 
 
-def load_custom_spectrum(source, *, merge_rel: float = MERGE_REL) -> list[SpectrumEntry]:
+def load_custom_spectrum(source) -> list[SpectrumEntry]:
     """Validate a custom-spectrum document: ``{"domain": "custom", "entries": [...]}``.
 
     Accepts a parsed document, a JSON string, or a path to a JSON file.
@@ -613,7 +611,7 @@ def load_custom_spectrum(source, *, merge_rel: float = MERGE_REL) -> list[Spectr
         raise SchemaError(f"unknown keys in custom spectrum document: {sorted(unknown)}")
     if doc.get("domain") != "custom":
         raise SchemaError("custom spectrum document needs \"domain\": \"custom\"")
-    return _entries_from_docs(doc.get("entries"), merge_rel)
+    return _entries_from_docs(doc.get("entries"))
 
 
 # ---------------------------------------------------------------------------
@@ -656,20 +654,19 @@ class SpectrumIndex:
         """Number of entries with eigenvalue <= alpha_max."""
         return bisect_right(self.eigenvalues, alpha_max)
 
-    def matches(self, target: float, rel: float, n: int) -> list[int]:
-        """Ascending positions i < n with ``close(target, eigenvalues[i], rel)``.
+    def matches(self, target: float, n: int) -> list[int]:
+        """Ascending positions i < n with ``close(target, eigenvalues[i])``.
 
-        A match lies at most rel * max(1, |target|) / (1 - rel) from the
-        target; bisection narrows the search to twice that distance (slack
-        for rounding), and ``close`` decides on each eigenvalue found.
+        A match under the one tolerance ``MERGE_REL`` lies at most
+        MERGE_REL * max(1, |target|) / (1 - MERGE_REL) from the target;
+        bisection narrows the search to twice that (slack for rounding), and
+        ``close`` decides on each eigenvalue found.
         """
-        lo, hi = 0, n
-        if rel < 1.0:
-            reach = 2.0 * rel * max(1.0, abs(target)) / (1.0 - rel) + 4.0 * math.ulp(max(1.0, abs(target)))
-            lo = bisect_left(self.eigenvalues, target - reach, 0, n)
-            hi = bisect_right(self.eigenvalues, target + reach, lo, n)
+        reach = 2.0 * MERGE_REL * max(1.0, abs(target)) / (1.0 - MERGE_REL) + 4.0 * math.ulp(max(1.0, abs(target)))
+        lo = bisect_left(self.eigenvalues, target - reach, 0, n)
+        hi = bisect_right(self.eigenvalues, target + reach, lo, n)
         eigs = self.eigenvalues
-        return [i for i in range(lo, hi) if close(target, eigs[i], rel)]
+        return [i for i in range(lo, hi) if close(target, eigs[i])]
 
     def prefix_rep(self, n: int) -> SO2Rep:
         """V(n), the first n eigenspaces, with labels read as rotation numbers (disk)."""
@@ -690,7 +687,6 @@ class DiskDomain:
     """
 
     bound: float | None = None
-    merge_rel: float = MERGE_REL
     cache: RootCache = field(default_factory=RootCache, repr=False, compare=False)
     _memo: list[SpectrumEntry] = field(default_factory=list, init=False, repr=False, compare=False)
     _memo_bound: float = field(default=-1.0, init=False, repr=False, compare=False)
@@ -714,13 +710,13 @@ class DiskDomain:
         when the spectrum grows.
         """
         alpha_max = max(0.0, float(alpha_max))
-        if self.bound is not None and _beyond_coverage(alpha_max, self.bound, self.merge_rel):
+        if self.bound is not None and _beyond_coverage(alpha_max, self.bound):
             raise InsufficientSpectrum(
                 f"need eigenvalues up to {alpha_max!r} but the spectrum bound is {self.bound!r}"
             )
         if alpha_max > self._memo_bound:
             target = max(alpha_max, 1.0)
-            self._memo = disk_spectrum(target, merge_rel=self.merge_rel, cache=self.cache)
+            self._memo = disk_spectrum(target, cache=self.cache)
             self._memo_bound = target
             self._index = None
         if self._index is None:
@@ -775,7 +771,7 @@ class _SuppliedDomain:
         spectrum; the index is built on first use.
         """
         alpha_max = max(0.0, float(alpha_max))
-        if _beyond_coverage(alpha_max, self.coverage, self.merge_rel):
+        if _beyond_coverage(alpha_max, self.coverage):
             raise InsufficientSpectrum(
                 f"need eigenvalues up to {alpha_max!r} but the supplied spectrum stops at {self.coverage!r}"
             )
@@ -799,7 +795,6 @@ class BallDomain(_SuppliedDomain):
     """Unit ball of dimension >= 3 with a user-supplied spectrum."""
 
     dim: int = 3
-    merge_rel: float = MERGE_REL
     cache: RootCache = field(default_factory=RootCache, repr=False, compare=False)
 
     kind = "ball"
@@ -813,7 +808,7 @@ class BallDomain(_SuppliedDomain):
         return None  # harmonic dimension tables are out of scope; callers may override
 
     def rep_nontrivial(self, entry: SpectrumEntry) -> bool:
-        return ball_rep_nontrivial(entry, self.dim, match_rel=self.merge_rel, cache=self.cache)
+        return ball_rep_nontrivial(entry, self.dim, cache=self.cache)
 
 
 @dataclass
@@ -825,7 +820,6 @@ class CustomDomain(_SuppliedDomain):
     """
 
     irr_dim_table: dict[int, int] | None = None
-    merge_rel: float = MERGE_REL
 
     kind = "custom"
     dim = None
@@ -845,7 +839,6 @@ def domain_from_json(
     doc,
     *,
     spectrum_bound: float | None = None,
-    merge_rel: float = MERGE_REL,
     cache: RootCache | None = None,
 ):
     """Build a domain from its document form ``{"type": "disk"|"ball"|"custom", ...}``."""
@@ -861,20 +854,20 @@ def domain_from_json(
         bound = doc.get("max_eigenvalue", spectrum_bound)
         if "max_eigenvalue" in doc and (isinstance(bound, bool) or not isinstance(bound, (int, float))):
             raise SchemaError(f"disk max_eigenvalue must be a real number, got {bound!r}")
-        return DiskDomain(bound=bound, merge_rel=merge_rel, cache=cache)
+        return DiskDomain(bound=bound, cache=cache)
     if kind == "ball":
         unknown = set(doc) - {"type", "dim", "entries"}
         if unknown:
             raise SchemaError(f"unknown keys in ball domain: {sorted(unknown)}")
         if "dim" not in doc:
             raise SchemaError("ball domain needs 'dim'")
-        entries = _entries_from_docs(doc.get("entries"), merge_rel)
-        return BallDomain(entries, dim=doc["dim"], merge_rel=merge_rel, cache=cache)
+        entries = _entries_from_docs(doc.get("entries"))
+        return BallDomain(entries, dim=doc["dim"], cache=cache)
     if kind == "custom":
         unknown = set(doc) - {"type", "entries", "irr_dims"}
         if unknown:
             raise SchemaError(f"unknown keys in custom domain: {sorted(unknown)}")
-        entries = _entries_from_docs(doc.get("entries"), merge_rel)
+        entries = _entries_from_docs(doc.get("entries"))
         table = doc.get("irr_dims")
         if table is not None:
             if not isinstance(table, dict):
@@ -885,5 +878,5 @@ def domain_from_json(
             }
             if any(isinstance(x, bool) or not isinstance(x, int) for item in table.items() for x in item):
                 raise SchemaError(f"irr_dims must map integer labels to integer dimensions, got {doc['irr_dims']!r}")
-        return CustomDomain(entries, irr_dim_table=table, merge_rel=merge_rel)
+        return CustomDomain(entries, irr_dim_table=table)
     raise SchemaError(f"unknown domain type {kind!r}")

@@ -14,11 +14,12 @@ domain's Neumann spectrum.  From these the module derives
   with values ``(alpha - lambda*b)/(1 + alpha)`` on the B1 block and
   ``(-alpha - lambda*b)/(1 + alpha)`` on the B2 block.
 
-The same relative tolerance drives eigenvalue merging, Lambda membership and
-kernel matching, so the three stay consistent by construction.  Membership
-and kernel lookups search the domain's :class:`~symbif.spectral.SpectrumIndex`
-by bisection and apply that tolerance to the few neighbours found, so each
-costs O(log n) in the number of eigenvalues.
+One relative tolerance, the constant ``MERGE_REL``, drives eigenvalue
+merging, Lambda membership and kernel matching, so the three stay consistent
+by construction.  Membership and kernel lookups search the domain's
+:class:`~symbif.spectral.SpectrumIndex` by bisection and apply that
+tolerance to the few neighbours found, so each costs O(log n) in the number
+of eigenvalues; a NaN or infinite parameter raises ValidationError.
 """
 
 from __future__ import annotations
@@ -166,13 +167,14 @@ class SystemSpec:
         }
 
 
-def system_spec_from_json(doc, *, spectrum_bound=None, cache=None, merge_rel=MERGE_REL) -> SystemSpec:
+def system_spec_from_json(doc, *, spectrum_bound=None, cache=None) -> SystemSpec:
     """Parse the system document schema.
 
     ``{"p1": int, "p2": int, "b1": [{"value": num, "mult": int}], "b2": [...],
-    "mu_b0": int, "domain": {...}, "a9": bool}``.  ``merge_rel`` and the
-    optional root cache, which carries the root tolerance, are threaded into
-    the constructed domain.
+    "mu_b0": int, "domain": {...}, "a9": bool}``.  The optional root cache,
+    which carries the root tolerance, is threaded into the constructed
+    domain, whose eigenvalues are merged and matched at the one tolerance
+    ``MERGE_REL``.
     """
     if not isinstance(doc, dict):
         raise SchemaError(f"system document must be an object, got {type(doc).__name__}")
@@ -194,7 +196,7 @@ def system_spec_from_json(doc, *, spectrum_bound=None, cache=None, merge_rel=MER
             pairs.append((item["value"], item.get("mult", 1)))
         return pairs
 
-    domain = domain_from_json(doc["domain"], spectrum_bound=spectrum_bound, merge_rel=merge_rel, cache=cache)
+    domain = domain_from_json(doc["domain"], spectrum_bound=spectrum_bound, cache=cache)
     a9 = doc.get("a9", False)
     if not isinstance(a9, bool):
         raise SchemaError(f"'a9' must be a boolean, got {a9!r}")
@@ -224,8 +226,16 @@ def _coverage_needed(spec: SystemSpec, lo: float, hi: float) -> float:
     return need
 
 
-def _with_margin(alpha: float, rel: float) -> float:
-    return alpha * (1.0 + 10.0 * rel) + rel
+def _finite_parameter(lam: float) -> float:
+    """``lam`` as a float; ValidationError for NaN or an infinity."""
+    lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValidationError(f"lambda0 must be finite, got {lam!r}")
+    return lam
+
+
+def _with_margin(alpha: float) -> float:
+    return alpha * (1.0 + 10.0 * MERGE_REL) + MERGE_REL
 
 
 def lambda_set(spec: SystemSpec, window: tuple[float, float]) -> list[float]:
@@ -239,11 +249,10 @@ def lambda_set(spec: SystemSpec, window: tuple[float, float]) -> list[float]:
     lo, hi = float(window[0]), float(window[1])
     if math.isnan(lo) or math.isnan(hi) or lo > hi:
         raise ValidationError(f"window must satisfy lo <= hi, got {window!r}")
-    rel = spec.domain.merge_rel
     bs1, bs2 = spec.nonzero_b1(), spec.nonzero_b2()
     if not bs1 and not bs2:
         return []
-    entries = spec.domain.entries_up_to(_with_margin(_coverage_needed(spec, lo, hi), rel))
+    entries = spec.domain.entries_up_to(_with_margin(_coverage_needed(spec, lo, hi)))
     members: list[float] = []
     for b, _ in bs1:
         members.extend(e.eigenvalue / b + 0.0 for e in entries)  # +0.0 drops -0.0
@@ -252,7 +261,7 @@ def lambda_set(spec: SystemSpec, window: tuple[float, float]) -> list[float]:
     members = sorted(m for m in members if lo <= m <= hi)
     out: list[float] = []
     for m in members:
-        if not out or not close(out[-1], m, rel):
+        if not out or not close(out[-1], m):
             out.append(m)
     return out
 
@@ -264,13 +273,13 @@ def _matched_entries(spec: SystemSpec, lam: float):
     the matching margin, so InsufficientSpectrum is raised exactly where the
     matching needs more of the spectrum than is available.
     """
-    rel = spec.domain.merge_rel
+    lam = _finite_parameter(lam)
     bs1, bs2 = spec.nonzero_b1(), spec.nonzero_b2()
     cap = max((abs(lam * b) for b, _ in bs1 + bs2), default=0.0)
-    index, n = spec.domain.spectrum_index(_with_margin(cap, rel))
+    index, n = spec.domain.spectrum_index(_with_margin(cap))
     # close(lam*b, -alpha) and close(-(lam*b), alpha) agree bit for bit
-    v1 = [(mult, index.matches(lam * b, rel, n)) for b, mult in bs1]
-    v2 = [(mult, index.matches(-(lam * b), rel, n)) for b, mult in bs2]
+    v1 = [(mult, index.matches(lam * b, n)) for b, mult in bs1]
+    v2 = [(mult, index.matches(-(lam * b), n)) for b, mult in bs2]
     return index, v1, v2
 
 
@@ -310,7 +319,7 @@ def kernel_reps(spec: SystemSpec, lambda0: float) -> KernelReps:
     Each match contributes the eigenspace repeated mu_B(b) times; b = 0 never
     matches (those directions belong to the orbit, not the normal slice).
     """
-    index, *blocks = _matched_entries(spec, float(lambda0))
+    index, *blocks = _matched_entries(spec, lambda0)
     pieces = []
     for block in blocks:
         trivial, irr = 0, {}
@@ -356,8 +365,7 @@ def linearization_eigenvalues(
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise ValidationError(f"k_max must be an integer >= 1, got {k_max!r}")
-    lam = float(lam)
-    rel = spec.domain.merge_rel
+    lam = _finite_parameter(lam)
     entries = spec.domain.first_entries(k_max)
     irr_dims = spec.domain.irr_dims()
     out: list[LinearizationEigenvalue] = []
@@ -372,7 +380,7 @@ def linearization_eigenvalues(
                     entry=e,
                     block="B1",
                     b=b,
-                    vanishes=b != 0 and close(lam * b, alpha, rel),
+                    vanishes=b != 0 and close(lam * b, alpha),
                     structural=b == 0 and alpha == 0.0,
                 )
             )
@@ -384,21 +392,21 @@ def linearization_eigenvalues(
                     entry=e,
                     block="B2",
                     b=b,
-                    vanishes=b != 0 and close(lam * b, -alpha, rel),
+                    vanishes=b != 0 and close(lam * b, -alpha),
                     structural=b == 0 and alpha == 0.0,
                 )
             )
     return out
 
 
-def epsilon_gap(lambda0: float, members: Sequence[float], *, rel: float = 1e-8) -> float:
+def epsilon_gap(lambda0: float, members: Sequence[float]) -> float:
     """Half the distance from lambda0 to the nearest other member (1 if alone).
 
-    ``lambda0`` must itself be a member (within the matching tolerance);
-    otherwise NotAMember is raised.
+    ``lambda0`` must be finite and itself a member (within ``MERGE_REL``);
+    otherwise ValidationError resp. NotAMember is raised.
     """
-    lam = float(lambda0)
-    idx = [i for i, m in enumerate(members) if close(lam, m, rel)]
+    lam = _finite_parameter(lambda0)
+    idx = [i for i, m in enumerate(members) if close(lam, m)]
     if not idx:
         raise NotAMember(f"{lambda0!r} is not a member of the supplied parameter list")
     others = [m for i, m in enumerate(members) if i not in idx]

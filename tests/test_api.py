@@ -1,21 +1,24 @@
-"""Guard on the public signatures: the root cache alone owns the root tolerance.
+"""Guard on the public signatures: each tolerance and limit has one owner.
 
 Only ``RootCache`` and ``RootCache.load`` take ``xtol``, and no public callable
 takes a lattice ``step`` (the step is the constant ``GRID_STEP``).  A knob
 threaded back through a domain or a spectrum builder could again disagree
-with the cache that stores its roots.
+with the cache that stores its roots.  Likewise no public callable takes a
+merge or matching tolerance (the constant ``MERGE_REL``) or one of the
+single-value knobs that became constants.
 """
 
+import dataclasses
 import inspect
 
 import symbif
-from symbif import spectral, system
+from symbif import bifurcation, cli, euler, morse, spectral, system
 
 
 def public_signatures():
-    """(qualified name, parameter names) of every public callable of the three namespaces."""
+    """(qualified name, parameter names) of every public callable of the package's namespaces."""
     seen = {}
-    for module in (symbif, spectral, system):
+    for module in (symbif, spectral, system, bifurcation, euler, morse, cli):
         for name in dir(module):
             obj = getattr(module, name)
             if name.startswith("_") or not callable(obj) or not getattr(obj, "__module__", "").startswith("symbif"):
@@ -40,3 +43,13 @@ def test_only_the_root_cache_takes_xtol_and_nothing_takes_step():
     assert {"disk_spectrum", "DiskDomain", "RootCache.load", "domain_from_json"} <= set(signatures)
     assert sorted(n for n, params in signatures.items() if "xtol" in params) == ["RootCache", "RootCache.load"]
     assert sorted(n for n, params in signatures.items() if "step" in params) == []
+
+
+def test_nothing_takes_a_merge_tolerance_or_a_constant_knob():
+    signatures = public_signatures()
+    assert {"close", "SpectrumIndex.matches", "enumerate_zero_sum_subsets", "AnalysisConfig"} <= set(signatures)
+    knobs = {
+        "merge_rel", "match_rel", "rel", "merge_tol", "max_members", "full_label", "cyclic_prefix", "default_irr_dim"
+    }
+    assert sorted(n for n, params in signatures.items() if params & knobs) == []
+    assert "merge_tol" not in {f.name for f in dataclasses.fields(cli.AnalysisConfig)}

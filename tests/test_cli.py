@@ -248,6 +248,10 @@ class TestRabinowitz:
         code, _, err = run_cli(capsys, "rabinowitz", "--config", a9_config)
         assert code == 1 and "ValidationError" in err
 
+    def test_non_numeric_lambda_is_exit_1(self, capsys, a9_config):
+        code, _, err = run_cli(capsys, "rabinowitz", "--config", a9_config, "--lambdas", "3.39,abc")
+        assert code == 1 and "ValidationError" in err and "'abc'" in err and "Traceback" not in err
+
 
 class TestMorseDegree:
     def test_degree_and_lift(self, capsys, tmp_path):
@@ -310,11 +314,24 @@ class TestCacheAndConfig:
         code, _, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 1 and "SchemaError" in err
 
-    def test_unknown_config_key_is_exit_1(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "field",
+        [{"windows": [0, 1]}, {"tolerances": {"merge": 1e-8}}],
+        ids=["windows", "merge-tolerance"],
+    )
+    def test_unknown_config_key_is_exit_1(self, capsys, tmp_path, field):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"system": A9_SYSTEM, "windows": [0, 1]}))
+        cfg.write_text(json.dumps({"system": A9_SYSTEM, **field}))
         code, _, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 1 and "SchemaError" in err
+
+    @pytest.mark.parametrize("tol, code", [("1", 1), ("1e9", 1), ("inf", 1), ("1e-8", 0)])
+    def test_root_tolerance_at_most_merge_tolerance(self, capsys, tol, code):
+        got, out, err = run_cli(capsys, "spectrum", "--max-eigenvalue", "20", "--tol", tol)
+        assert got == code
+        assert ("ValidationError" in err) == (code == 1) and "Traceback" not in err
+        if code == 0:
+            assert "3.38995772" in out
 
     def test_config_window_validation(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -13,11 +13,15 @@ from symbif import (
     SpectrumEntry,
     SystemSpec,
     ValidationError,
+    bif_a9,
+    bif_difference,
+    check_glob,
     epsilon_gap,
     kernel_reps,
     lambda_membership,
     lambda_set,
     linearization_eigenvalues,
+    load_custom_spectrum,
     system_spec_from_json,
 )
 
@@ -383,3 +387,53 @@ class TestEpsilonGap:
     def test_tolerant_membership(self):
         members = [0.0, 2.0]
         assert epsilon_gap(2.0 + 1e-12, members) == pytest.approx(1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+NONFINITE_CUSTOM = {
+    "domain": "custom",
+    "entries": [
+        {"eigenvalue": 0.0, "rep": {"trivial": 1, "irr": {}}},
+        {"eigenvalue": 1.0, "rep": {"trivial": 1, "irr": {}}},
+        {"eigenvalue": INF, "rep": {"trivial": 0, "irr": {"1": 1}}},
+    ],
+}
+
+
+class TestNonFiniteInputs:
+    """A NaN or an infinity is refused: ``close`` would match inf to every number and NaN to none."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: kernel_reps(a9_spec(2, 0), NAN),
+            lambda: kernel_reps(a9_spec(2, 0), INF),
+            lambda: kernel_reps(a9_spec(0, 2), -INF),
+            lambda: lambda_membership(a9_spec(2, 0), INF),
+            lambda: check_glob(a9_spec(2, 0), NAN),
+            lambda: bif_a9(a9_spec(2, 0), INF),
+            lambda: bif_a9(a9_spec(2, 0), NAN),
+            lambda: bif_difference(a9_spec(2, 0), NAN),
+            lambda: linearization_eigenvalues(a9_spec(2, 0), INF, 3),
+            lambda: epsilon_gap(INF, [0.0, 3.38996]),
+            lambda: SpectrumEntry(INF, RepDescriptor.trivial(1)),
+            lambda: load_custom_spectrum(NONFINITE_CUSTOM),
+        ],
+        ids=[
+            "kernel_reps-nan",
+            "kernel_reps-inf",
+            "kernel_reps-neg-inf",
+            "lambda_membership-inf",
+            "check_glob-nan",
+            "bif_a9-inf",
+            "bif_a9-nan",
+            "bif_difference-nan",
+            "linearization-inf",
+            "epsilon_gap-inf",
+            "entry-inf",
+            "custom-spectrum-inf",
+        ],
+    )
+    def test_refused(self, call):
+        with pytest.raises(ValidationError, match="finite"):
+            call()
