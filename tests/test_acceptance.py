@@ -227,24 +227,28 @@ def test_criterion_8_unbounded_truth_table():
     with criterion(8, "32-case parity truth table for the unboundedness certificate"):
         rot_entry = disk_spectrum(5.0)[1]
         assert rot_entry.rep == RepDescriptor.irr(1)
+        triv_entry = disk_spectrum(15.0)[3]
+        assert triv_entry.rep == RepDescriptor.trivial(1)
+        facts = {
+            1: ("p2 > 0", "p2 odd", "continuum returns to trivial solutions at negative parameters"),
+            -1: ("p1 - mu_b0 > 0", "p1 - mu_b0 odd", "continuum returns to trivial solutions at positive parameters"),
+        }
         checked = 0
         for q1 in range(4):
             for q2 in range(4):
                 spec = a9_spec(q1=q1, p2=q2, mu=1)
                 for sign in (1, -1):
-                    if sign == 1:
-                        licensed = q1 > 0 and q1 % 2 == 0 and q2 % 2 == 0
-                    else:
-                        licensed = q2 > 0 and q2 % 2 == 0 and q1 % 2 == 0
-                    got = unbounded_verdict(spec, rot_entry, sign).verdict
-                    assert got == (UNBOUNDED if licensed else NO_VERDICT), (q1, q2, sign)
+                    own, other = (q1, q2) if sign == 1 else (q2, q1)
+                    one_sided = own > 0 and own % 2 == 0
+                    licensed = one_sided and other % 2 == 0
+                    rep = unbounded_verdict(spec, rot_entry, sign)
+                    assert rep.verdict == (UNBOUNDED if licensed else NO_VERDICT), (q1, q2, sign)
+                    assert rep.bounded_would_imply == (facts[sign] if one_sided else ()), (q1, q2, sign)
+                    # a trivial eigenspace never certifies unboundedness and implies nothing
+                    rep = unbounded_verdict(spec, triv_entry, sign)
+                    assert (rep.verdict, rep.bounded_would_imply) == (NO_VERDICT, ()), (q1, q2, sign)
                     checked += 1
         assert checked == 32
-        # a trivial eigenspace never certifies unboundedness
-        triv_entry = disk_spectrum(15.0)[3]
-        assert triv_entry.rep == RepDescriptor.trivial(1)
-        for sign in (1, -1):
-            assert unbounded_verdict(a9_spec(q1=2, p2=2, mu=1), triv_entry, sign).verdict == NO_VERDICT
 
 
 def test_criterion_9_morse_degree_suite():

@@ -330,6 +330,84 @@ class TestThreeWayEquivalence:
                     assert r.value == 0.0
 
 
+class TestDocstringFormulas:
+    """lambda_set, kernel_reps and linearization_eigenvalues bit for bit against the module-docstring formulas.
+
+    Both blocks carry a positive, a negative and a zero eigenvalue, so each
+    sign of b meets each sign of the Laplacian term.
+    """
+
+    B1 = {0.7: 1, -1.3: 1, 0: 1}
+    B2 = {2: 1, -0.4: 2, 0: 1}
+    WINDOW = (-30.0, 30.0)
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return SystemSpec(p1=3, p2=4, sigma_b1=dict(self.B1), sigma_b2=dict(self.B2), mu_b0=2, domain=DiskDomain())
+
+    def entries(self, spec):
+        reach = max(abs(w) for w in self.WINDOW) * max(abs(b) for b in (*self.B1, *self.B2))
+        return spec.domain.entries_up_to(2.0 * reach)
+
+    def test_lambda_set(self, spec):
+        lo, hi = self.WINDOW
+        alphas = [e.eigenvalue for e in self.entries(spec)]
+        raw = [a / b + 0.0 for b in self.B1 if b != 0 for a in alphas]
+        raw += [-a / b + 0.0 for b in self.B2 if b != 0 for a in alphas]
+        expected: list[float] = []
+        for m in sorted(m for m in raw if lo <= m <= hi):
+            if not expected or abs(expected[-1] - m) > 1e-8 * max(1.0, abs(expected[-1]), abs(m)):
+                expected.append(m)
+        got = lambda_set(spec, self.WINDOW)
+        assert [m.hex() for m in got] == [m.hex() for m in expected]
+        assert any(m < 0 for m in got) and any(m > 0 for m in got)
+
+    def test_kernel_reps(self, spec):
+        def close(a, b):
+            return abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
+
+        entries = self.entries(spec)
+        lams = lambda_set(spec, self.WINDOW) + [0.0, 1.2345, -7.5]
+        for lam in lams:
+            pieces = []
+            for sign, sigma in ((1, self.B1), (-1, self.B2)):
+                trivial, irr = 0, {}
+                for b, mult in sorted(sigma.items()):
+                    for e in entries:
+                        if b != 0 and close(lam * b, sign * e.eigenvalue):
+                            trivial += mult * e.rep.trivial_dim
+                            for label, m in e.rep.irreducibles.items():
+                                irr[label] = irr.get(label, 0) + mult * m
+                pieces.append(RepDescriptor(trivial, irr))
+            kr = kernel_reps(spec, lam)
+            assert (kr.v1, kr.v2) == tuple(pieces), lam
+        assert not kernel_reps(spec, lams[0]).v2.is_zero()
+
+    def test_linearization_rows(self, spec):
+        def close(a, b):
+            return abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
+
+        k_max = 12
+        entries = spec.domain.first_entries(k_max)
+        for lam in lambda_set(spec, (-8.0, 8.0)) + [0.0, 2.5, -3.75]:
+            expected = []
+            for e in entries:
+                alpha, dim = e.eigenvalue, e.rep.total_dim()
+                for b, mult in sorted(self.B1.items()):
+                    value = (alpha - lam * b) / (1.0 + alpha)
+                    vanishes = b != 0 and close(lam * b, alpha)
+                    expected.append((value.hex(), dim * mult, alpha, "B1", b, vanishes, b == 0 and alpha == 0.0))
+                for b, mult in sorted(self.B2.items()):
+                    value = (-alpha - lam * b) / (1.0 + alpha)
+                    vanishes = b != 0 and close(lam * b, -alpha)
+                    expected.append((value.hex(), dim * mult, alpha, "B2", b, vanishes, b == 0 and alpha == 0.0))
+            got = [
+                (r.value.hex(), r.multiplicity, r.entry.eigenvalue, r.block, r.b, r.vanishes, r.structural)
+                for r in linearization_eigenvalues(spec, lam, k_max)
+            ]
+            assert got == expected, lam
+
+
 class TestWindowMonotonicity:
     @given(
         st.floats(-15.0, 15.0),
