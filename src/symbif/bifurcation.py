@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 from .errors import PreconditionError, UnsupportedDomain, ValidationError
 from .euler import EulerSO2, deg_minus_id, rep_equiv_mod_even_trivial
-from .spectral import BallDomain, DiskDomain, SpectrumEntry, SpectrumIndex, close
+from .spectral import BallDomain, DiskDomain, SpectrumEntry, close
 from .system import (
     KernelReps,
     SystemSpec,
@@ -133,18 +133,8 @@ def bif_difference(spec: SystemSpec, lambda0: float) -> EulerSO2:
     if lam == 0.0:
         raise PreconditionError("bif_difference needs lambda0 != 0")
     kr = kernel_reps(spec, lam)
-    d1 = deg_minus_id(kr.v1)
-    d2 = deg_minus_id(kr.v2)
-    return d1 - d2 if lam > 0 else d2 - d1
-
-
-def _a9_entry_index(spec: SystemSpec, alpha: float) -> tuple[int, SpectrumIndex]:
-    """1-based position of alpha in the spectrum, with the domain's spectrum index."""
-    index, n = spec.domain.spectrum_index(_with_margin(alpha))
-    hits = index.matches(alpha, n)
-    if not hits:
-        raise PreconditionError(f"{alpha!r} is not an eigenvalue of the loaded spectrum")
-    return hits[0] + 1, index
+    own, other = (kr.v1, kr.v2) if lam > 0 else (kr.v2, kr.v1)
+    return deg_minus_id(own) - deg_minus_id(other)
 
 
 def bif_a9(spec: SystemSpec, lambda0: float) -> EulerSO2:
@@ -160,17 +150,19 @@ def bif_a9(spec: SystemSpec, lambda0: float) -> EulerSO2:
     q1, p2 = spec.q1, spec.p2
     if close(lam, 0.0):
         return ((-1) ** q1 - (-1) ** p2) * EulerSO2.one()
-    if lam > 0 and q1 <= 0:
-        raise PreconditionError(f"positive parameters need p1 - mu_b0 > 0; {lambda0!r} is not in Lambda")
-    if lam < 0 and p2 <= 0:
-        raise PreconditionError(f"negative parameters need p2 > 0; {lambda0!r} is not in Lambda")
-    k0, index = _a9_entry_index(spec, abs(lam))
+    # D(V(m))^power * (D(E_k0)^|power| - I), (m, power) = (k0 - 1, q1) above 0 and (k0, -p2) below
+    power, side, needs = (q1, "positive", "p1 - mu_b0") if lam > 0 else (-p2, "negative", "p2")
+    if power == 0:
+        raise PreconditionError(f"{side} parameters need {needs} > 0; {lambda0!r} is not in Lambda")
+    alpha = abs(lam)
+    index, n = spec.domain.spectrum_index(_with_margin(alpha))
+    hits = index.matches(alpha, n)
+    if not hits:
+        raise PreconditionError(f"{alpha!r} is not an eigenvalue of the loaded spectrum")
+    k0 = hits[0] + 1  # 1-based, as in the closed forms
     eig_deg = deg_minus_id(index.entries[k0 - 1].rep)
-    if lam > 0:
-        prefix = deg_minus_id(index.prefix_rep(k0 - 1))
-        return prefix**q1 * (eig_deg**q1 - EulerSO2.one())
-    prefix = deg_minus_id(index.prefix_rep(k0))
-    return prefix ** (-p2) * (eig_deg**p2 - EulerSO2.one())
+    prefix = deg_minus_id(index.prefix_rep(k0 - 1 if lam > 0 else k0))
+    return prefix**power * (eig_deg ** abs(power) - EulerSO2.one())
 
 
 def rabinowitz_excludes_bounded(indices: Iterable[EulerSO2]) -> bool:
@@ -185,6 +177,13 @@ def rabinowitz_excludes_bounded(indices: Iterable[EulerSO2]) -> bool:
     for ix in indices:
         total = total + ix
     return not total.is_zero()
+
+
+#: what boundedness of the continuum at sign * alpha would force, by sign
+_BOUNDED_WOULD_IMPLY = {
+    1: ("p2 > 0", "p2 odd", "continuum returns to trivial solutions at negative parameters"),
+    -1: ("p1 - mu_b0 > 0", "p1 - mu_b0 odd", "continuum returns to trivial solutions at positive parameters"),
+}
 
 
 @dataclass(eq=True)
@@ -215,26 +214,11 @@ def unbounded_verdict(spec: SystemSpec, entry: SpectrumEntry, sign: int) -> Unbo
         raise PreconditionError("unbounded_verdict needs the normalized block form (a9 flag)")
     if sign not in (1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {sign!r}")
-    q1, q2 = spec.q1, spec.p2
+    own, other = (spec.q1, spec.p2) if sign == 1 else (spec.p2, spec.q1)
     nontrivial = _eigenspace_nontrivial(spec, entry)
-    if sign == 1:
-        hypothesis = q1 > 0 and q1 % 2 == 0 and q2 % 2 == 0
-        one_sided = q1 > 0 and q1 % 2 == 0 and nontrivial
-        implications = (
-            "p2 > 0",
-            "p2 odd",
-            "continuum returns to trivial solutions at negative parameters",
-        )
-    else:
-        hypothesis = q2 > 0 and q2 % 2 == 0 and q1 % 2 == 0
-        one_sided = q2 > 0 and q2 % 2 == 0 and nontrivial
-        implications = (
-            "p1 - mu_b0 > 0",
-            "p1 - mu_b0 odd",
-            "continuum returns to trivial solutions at positive parameters",
-        )
-    verdict = UNBOUNDED if hypothesis and nontrivial else NO_VERDICT
-    return UnboundedReport(verdict, implications if one_sided else ())
+    one_sided = own > 0 and own % 2 == 0 and nontrivial
+    verdict = UNBOUNDED if one_sided and other % 2 == 0 else NO_VERDICT
+    return UnboundedReport(verdict, _BOUNDED_WOULD_IMPLY[sign] if one_sided else ())
 
 
 @dataclass(eq=True)
@@ -283,12 +267,12 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
         bif = bif_a9(spec, lam) if exact else None
         unb = NO_VERDICT
         if spec.a9 and not at_zero:
-            k0, index = _a9_entry_index(spec, abs(lam))
-            unb = unbounded_verdict(spec, index.entries[k0 - 1], 1 if lam > 0 else -1).verdict
+            # a9 pairs only b = 1, so the one matched entry is the eigenspace of |lam|
+            unb = unbounded_verdict(spec, kr.matched[0], 1 if lam > 0 else -1).verdict
         verdicts.append(
             BifurcationVerdict(
                 lambda0=0.0 if at_zero else lam,
-                in_lambda=kr.matched,
+                in_lambda=bool(kr.matched),
                 kernel=kr,
                 glob=gc.glob,
                 justification=gc.justification,

@@ -6,13 +6,16 @@ coefficient, the eigenvalue multisets of the two symmetric blocks B1 and B2,
 the nullity absorbed by the group orbit (``mu_b0``), and a reference to the
 domain's Neumann spectrum.  From these the module derives
 
-* the candidate parameter set ``Lambda = {alpha/b : b in sigma(B1)\\{0}}
-  union {-alpha/b : b in sigma(B2)\\{0}}`` over Laplacian eigenvalues alpha,
+* the candidate parameter set ``Lambda = {s*alpha/b : b in sigma(B_s)\\{0}}``
+  over Laplacian eigenvalues alpha, with block sign s = +1 for B1 and -1 for
+  B2 (the blocks carry opposite signs of the Laplacian),
 * the isotypic decomposition ``V1(lambda0), V2(lambda0)`` of the kernel on the
   slice normal to the orbit, and
 * the full eigenvalue list of the linearized operator on a spectral cutoff,
-  with values ``(alpha - lambda*b)/(1 + alpha)`` on the B1 block and
-  ``(-alpha - lambda*b)/(1 + alpha)`` on the B2 block.
+  with value ``(s*alpha - lambda*b)/(1 + alpha)`` on block B_s.
+
+Each formula is written once over the signed blocks; IEEE negation is exact,
+so ``-(alpha/b) == alpha/(-b)`` and the sign costs no rounding.
 
 One relative tolerance, the constant ``MERGE_REL``, drives eigenvalue
 merging, Lambda membership and kernel matching, so the three stay consistent
@@ -25,6 +28,8 @@ of eigenvalues; a NaN or infinite parameter raises ValidationError.
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -60,8 +65,10 @@ def _as_multiset(pairs, what: str) -> dict[float, int]:
     for value, mult in pairs:
         if not isinstance(mult, int) or isinstance(mult, bool) or mult <= 0:
             raise ValidationError(f"{what}: multiplicity {mult!r} must be a positive integer")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:  # NaN
             raise ValidationError(f"{what}: eigenvalue {value!r} must be a real number")
+        if not abs(value) <= sys.float_info.max:  # an infinity, or an int no float can hold
+            raise ValidationError(f"{what}: eigenvalue {value!r} must be finite")
         out[value] = out.get(value, 0) + mult
     return out
 
@@ -93,16 +100,15 @@ class SystemSpec:
                 raise ValidationError(f"{name} must be a nonnegative integer, got {v!r}")
         if self.p1 + self.p2 < 1:
             raise ValidationError("the system needs at least one component (p1 + p2 >= 1)")
-        self.sigma_b1 = _as_multiset(self.sigma_b1.items(), "sigma_b1")
-        self.sigma_b2 = _as_multiset(self.sigma_b2.items(), "sigma_b2")
-        if sum(self.sigma_b1.values()) != self.p1:
-            raise ValidationError(
-                f"sigma_b1 multiplicities sum to {sum(self.sigma_b1.values())}, expected p1 = {self.p1}"
-            )
-        if sum(self.sigma_b2.values()) != self.p2:
-            raise ValidationError(
-                f"sigma_b2 multiplicities sum to {sum(self.sigma_b2.values())}, expected p2 = {self.p2}"
-            )
+        for name, p in (("sigma_b1", "p1"), ("sigma_b2", "p2")):
+            sigma = getattr(self, name)
+            if not isinstance(sigma, Mapping):
+                raise ValidationError(f"{name} must be a mapping of eigenvalue to multiplicity, got {sigma!r}")
+            sigma = _as_multiset(sigma.items(), name)
+            setattr(self, name, sigma)
+            total, expected = sum(sigma.values()), getattr(self, p)
+            if total != expected:
+                raise ValidationError(f"{name} multiplicities sum to {total}, expected {p} = {expected}")
         zero_mult = self.sigma_b1.get(0, 0) + self.sigma_b2.get(0, 0)
         if self.mu_b0 > zero_mult:
             raise ValidationError(
@@ -119,23 +125,18 @@ class SystemSpec:
 
     # -- views ---------------------------------------------------------------
 
-    def nonzero_b1(self) -> list[tuple[float, int]]:
-        return sorted((b, m) for b, m in self.sigma_b1.items() if b != 0)
-
-    def nonzero_b2(self) -> list[tuple[float, int]]:
-        return sorted((b, m) for b, m in self.sigma_b2.items() if b != 0)
+    def _blocks(self) -> tuple[tuple[int, list[tuple[float, int]]], ...]:
+        """``(s, nonzero (b, mult) ascending)`` per block: s = +1 for B1, -1 for B2."""
+        signed = ((1, self.sigma_b1), (-1, self.sigma_b2))
+        return tuple((s, sorted((b, m) for b, m in sigma.items() if b != 0)) for s, sigma in signed)
 
     def morse_plus(self) -> int:
         """Total multiplicity of positive eigenvalues over both blocks."""
-        return sum(m for b, m in self.sigma_b1.items() if b > 0) + sum(
-            m for b, m in self.sigma_b2.items() if b > 0
-        )
+        return sum(m for _, bs in self._blocks() for b, m in bs if b > 0)
 
     def morse_minus(self) -> int:
         """Total multiplicity of negative eigenvalues over both blocks."""
-        return sum(m for b, m in self.sigma_b1.items() if b < 0) + sum(
-            m for b, m in self.sigma_b2.items() if b < 0
-        )
+        return sum(m for _, bs in self._blocks() for b, m in bs if b < 0)
 
     @property
     def q1(self) -> int:
@@ -218,12 +219,8 @@ def system_spec_from_json(doc, *, spectrum_bound=None, cache=None) -> SystemSpec
 
 def _coverage_needed(spec: SystemSpec, lo: float, hi: float) -> float:
     """Largest Laplacian eigenvalue that could pair into the window [lo, hi]."""
-    need = 0.0
-    for b, _ in spec.nonzero_b1():
-        need = max(need, hi * b if b > 0 else lo * b)
-    for b, _ in spec.nonzero_b2():
-        need = max(need, -lo * b if b > 0 else -hi * b)
-    return need
+    reach = [s * (hi if s * b > 0 else lo) * b for s, bs in spec._blocks() for b, _ in bs]
+    return max([0.0, *reach])
 
 
 def _finite_parameter(lam: float) -> float:
@@ -241,23 +238,19 @@ def _with_margin(alpha: float) -> float:
 def lambda_set(spec: SystemSpec, window: tuple[float, float]) -> list[float]:
     """Candidate bifurcation parameters in the closed window, ascending.
 
-    Members are alpha/b for b in sigma(B1) without 0 and -alpha/b for b in
-    sigma(B2) without 0; values agreeing within the merge tolerance are
-    reported once.  Raises InsufficientSpectrum when the window demands
-    eigenvalues beyond the loaded spectrum.
+    Members are s*alpha/b for b in sigma(B_s) without 0, s = +1 for B1 and
+    -1 for B2; values agreeing within the merge tolerance are reported once.
+    Raises InsufficientSpectrum when the window demands eigenvalues beyond
+    the loaded spectrum.
     """
     lo, hi = float(window[0]), float(window[1])
     if math.isnan(lo) or math.isnan(hi) or lo > hi:
         raise ValidationError(f"window must satisfy lo <= hi, got {window!r}")
-    bs1, bs2 = spec.nonzero_b1(), spec.nonzero_b2()
-    if not bs1 and not bs2:
+    blocks = spec._blocks()
+    if not any(bs for _, bs in blocks):
         return []
     entries = spec.domain.entries_up_to(_with_margin(_coverage_needed(spec, lo, hi)))
-    members: list[float] = []
-    for b, _ in bs1:
-        members.extend(e.eigenvalue / b + 0.0 for e in entries)  # +0.0 drops -0.0
-    for b, _ in bs2:
-        members.extend(-e.eigenvalue / b + 0.0 for e in entries)
+    members = [e.eigenvalue / (s * b) + 0.0 for s, bs in blocks for b, _ in bs for e in entries]  # +0.0 drops -0.0
     members = sorted(m for m in members if lo <= m <= hi)
     out: list[float] = []
     for m in members:
@@ -267,41 +260,40 @@ def lambda_set(spec: SystemSpec, window: tuple[float, float]) -> list[float]:
 
 
 def _matched_entries(spec: SystemSpec, lam: float):
-    """The spectrum index and, for B1 and for B2, (mult, matched positions) per nonzero b.
+    """The spectrum index and, per signed block, (mult, matched positions) per nonzero b.
 
-    The spectrum is asked for the entries up to the largest |lam * b| plus
-    the matching margin, so InsufficientSpectrum is raised exactly where the
-    matching needs more of the spectrum than is available.
+    Block s matches lam*b against s*alpha.  The spectrum is asked for the
+    entries up to the largest |lam * b| plus the matching margin, so
+    InsufficientSpectrum is raised exactly where the matching needs more of
+    the spectrum than is available.
     """
     lam = _finite_parameter(lam)
-    bs1, bs2 = spec.nonzero_b1(), spec.nonzero_b2()
-    cap = max((abs(lam * b) for b, _ in bs1 + bs2), default=0.0)
+    blocks = spec._blocks()
+    cap = max((abs(lam * b) for _, bs in blocks for b, _ in bs), default=0.0)
     index, n = spec.domain.spectrum_index(_with_margin(cap))
     # close(lam*b, -alpha) and close(-(lam*b), alpha) agree bit for bit
-    v1 = [(mult, index.matches(lam * b, n)) for b, mult in bs1]
-    v2 = [(mult, index.matches(-(lam * b), n)) for b, mult in bs2]
-    return index, v1, v2
+    return index, [[(mult, index.matches(s * (lam * b), n)) for b, mult in bs] for s, bs in blocks]
 
 
 def lambda_membership(spec: SystemSpec, lam: float) -> bool:
     """Whether some spectral pair matches lam within the merge tolerance."""
-    _, v1, v2 = _matched_entries(spec, lam)
-    return any(hits for _, hits in v1 + v2)
+    _, blocks = _matched_entries(spec, lam)
+    return any(hits for block in blocks for _, hits in block)
 
 
 @dataclass(eq=True)
 class KernelReps:
     """Isotypic pieces V1, V2 of the Hessian kernel on the normal slice.
 
-    ``matched`` (set by :func:`kernel_reps`, not compared) records whether
-    some spectral pair matched the parameter, which is Lambda membership:
-    a supplied eigenspace may be the zero representation, so a zero kernel
-    does not rule a match out.
+    ``matched`` (not compared) holds the spectrum entries that some nonzero
+    b paired with the parameter, B1 pairs first.  It is nonempty exactly on
+    Lambda: a supplied eigenspace may be the zero representation, so a zero
+    kernel does not rule a match out.
     """
 
     v1: SO2Rep
     v2: SO2Rep
-    matched: bool = field(default=False, init=False, repr=False, compare=False)
+    matched: tuple[SpectrumEntry, ...] = field(default=(), repr=False, compare=False)
 
     def is_zero(self) -> bool:
         return self.v1.is_zero() and self.v2.is_zero()
@@ -318,21 +310,21 @@ def kernel_reps(spec: SystemSpec, lambda0: float) -> KernelReps:
 
     Each match contributes the eigenspace repeated mu_B(b) times; b = 0 never
     matches (those directions belong to the orbit, not the normal slice).
+    The matched spectrum entries come along as ``matched``.
     """
-    index, *blocks = _matched_entries(spec, lambda0)
-    pieces = []
+    index, blocks = _matched_entries(spec, lambda0)
+    pieces, matched = [], []
     for block in blocks:
         trivial, irr = 0, {}
         for mult, hits in block:
             for i in hits:
-                rep = index.entries[i].rep
-                trivial += mult * rep.trivial_dim
-                for label, m in rep.irreducibles.items():
+                e = index.entries[i]
+                matched.append(e)
+                trivial += mult * e.rep.trivial_dim
+                for label, m in e.rep.irreducibles.items():
                     irr[label] = irr.get(label, 0) + mult * m
         pieces.append(SO2Rep(trivial, irr))
-    kr = KernelReps(*pieces)
-    kr.matched = any(hits for block in blocks for _, hits in block)
-    return kr
+    return KernelReps(*pieces, matched=tuple(matched))
 
 
 @dataclass(eq=True)
@@ -359,9 +351,9 @@ def linearization_eigenvalues(
 ) -> list[LinearizationEigenvalue]:
     """All eigenvalues of the linearization on the first ``k_max`` eigenspaces.
 
-    B1 block: (alpha - lambda*b)/(1 + alpha); B2 block:
-    (-alpha - lambda*b)/(1 + alpha); multiplicity is the eigenspace dimension
-    times the block multiplicity of b.
+    Block B_s (s = +1 for B1, -1 for B2): (s*alpha - lambda*b)/(1 + alpha);
+    multiplicity is the eigenspace dimension times the block multiplicity of
+    b.  Per eigenspace, the B1 rows come first, each block by ascending b.
     """
     if not isinstance(k_max, int) or k_max < 1:
         raise ValidationError(f"k_max must be an integer >= 1, got {k_max!r}")
@@ -372,40 +364,33 @@ def linearization_eigenvalues(
     for e in entries:
         dim = e.rep.total_dim(irr_dims)
         alpha = e.eigenvalue
-        for b, mult in sorted(spec.sigma_b1.items()):
-            out.append(
-                LinearizationEigenvalue(
-                    value=(alpha - lam * b) / (1.0 + alpha),
-                    multiplicity=dim * mult,
-                    entry=e,
-                    block="B1",
-                    b=b,
-                    vanishes=b != 0 and close(lam * b, alpha),
-                    structural=b == 0 and alpha == 0.0,
+        for s, block, sigma in ((1, "B1", spec.sigma_b1), (-1, "B2", spec.sigma_b2)):
+            for b, mult in sorted(sigma.items()):
+                out.append(
+                    LinearizationEigenvalue(
+                        value=(s * alpha - lam * b) / (1.0 + alpha),
+                        multiplicity=dim * mult,
+                        entry=e,
+                        block=block,
+                        b=b,
+                        vanishes=b != 0 and close(lam * b, s * alpha),
+                        structural=b == 0 and alpha == 0.0,
+                    )
                 )
-            )
-        for b, mult in sorted(spec.sigma_b2.items()):
-            out.append(
-                LinearizationEigenvalue(
-                    value=(-alpha - lam * b) / (1.0 + alpha),
-                    multiplicity=dim * mult,
-                    entry=e,
-                    block="B2",
-                    b=b,
-                    vanishes=b != 0 and close(lam * b, -alpha),
-                    structural=b == 0 and alpha == 0.0,
-                )
-            )
     return out
 
 
 def epsilon_gap(lambda0: float, members: Sequence[float]) -> float:
     """Half the distance from lambda0 to the nearest other member (1 if alone).
 
-    ``lambda0`` must be finite and itself a member (within ``MERGE_REL``);
-    otherwise ValidationError resp. NotAMember is raised.
+    ``lambda0`` and every member must be finite, and ``lambda0`` itself a
+    member (within ``MERGE_REL``); otherwise ValidationError resp. NotAMember
+    is raised.
     """
     lam = _finite_parameter(lambda0)
+    bad = [m for m in members if not math.isfinite(m)]
+    if bad:
+        raise ValidationError(f"members of the parameter list must be finite, got {bad[0]!r}")
     idx = [i for i, m in enumerate(members) if close(lam, m)]
     if not idx:
         raise NotAMember(f"{lambda0!r} is not a member of the supplied parameter list")

@@ -513,6 +513,24 @@ class TestVerdictCost:
         verdicts = analyze(a9_spec(q1=2, p2=2, domain=domain), (-300.0, 300.0))
         assert 0 < calls[0] <= len(verdicts)
 
+    def test_unbounded_verdict_reads_the_kernel_lookup(self, domain, call_counts):
+        # per candidate: kernel_reps looks the spectrum up once, and its matched
+        # entry is the eigenspace unbounded_verdict certifies; only bif_a9 (disk)
+        # looks up again, and lambda_set adds one lookup in all
+        lookups = call_counts(DiskDomain, "spectrum_index")
+        verdicts = analyze(a9_spec(q1=2, p2=2, domain=domain), (-100.0, 100.0))
+        assert len(verdicts) == 33
+        assert lookups[0] == 1 + len(verdicts) + (len(verdicts) - 1)
+        trivial = [r * r for r in neumann_radial_roots(0, 3, 4)]
+        alphas = sorted(trivial + [1.0 + 2.5 * k for k in range(20)])
+        entries = [SpectrumEntry(0.0, RepDescriptor.trivial(1))] + [
+            SpectrumEntry(a, RepDescriptor.trivial(1) if a in trivial else RepDescriptor.irr(1)) for a in alphas
+        ]
+        lookups = call_counts(BallDomain, "spectrum_index")
+        verdicts = analyze(a9_spec(q1=2, p2=2, domain=BallDomain(entries, dim=3)), (-60.0, 60.0))
+        assert len(verdicts) > 40 and any(v.unbounded == UNBOUNDED for v in verdicts)
+        assert lookups[0] == 1 + len(verdicts)
+
     def test_entries_copied_a_constant_number_of_times(self, domain, call_counts):
         copies = call_counts(DiskDomain, "entries_up_to")
         sizes = []

@@ -71,6 +71,17 @@ class TestAnalyze:
         assert code == 2
         assert "InsufficientSpectrum" in err
 
+    @pytest.mark.parametrize("value", ["1e999", "-1e999", "1" + "0" * 400], ids=["inf", "neg-inf", "int-beyond-float"])
+    def test_non_finite_block_eigenvalue_is_exit_1(self, capsys, tmp_path, value):
+        # refused as input, not carried into a spectrum request up to inf
+        # (exit 2) or into float arithmetic that overflows (a traceback)
+        doc = json.dumps({"system": {**A9_SYSTEM, "a9": False}, "window": [-1.0, 15.0]})
+        cfg = tmp_path / "c.json"
+        cfg.write_text(doc.replace('"value": 1,', f'"value": {value},'))
+        code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == f"symbif: ValidationError: b1: eigenvalue {json.loads(value)!r} must be finite\n"
+
     @staticmethod
     def analyze_process(cfg):
         """``symbif analyze --config cfg`` in a fresh process that must end within 5 s."""

@@ -58,6 +58,11 @@ class TestSystemSpecValidation:
         spec = a9_spec(q1=2, p2=1, mu=1)
         assert spec.q1 == 2
 
+    @pytest.mark.parametrize("field", ["sigma_b1", "sigma_b2"])
+    def test_block_must_be_a_mapping(self, field):
+        with pytest.raises(ValidationError, match=f"{field} must be a mapping"):
+            SystemSpec(p1=1, p2=1, **{"sigma_b1": {1: 1}, "sigma_b2": {1: 1}, field: [(1, 1)]})
+
     def test_negative_multiplicity(self):
         with pytest.raises(ValidationError):
             SystemSpec(p1=1, p2=0, sigma_b1={1: -1}, sigma_b2={}, domain=DiskDomain())
@@ -356,16 +361,17 @@ class TestDocstringFormulas:
         raw += [-a / b + 0.0 for b in self.B2 if b != 0 for a in alphas]
         expected: list[float] = []
         for m in sorted(m for m in raw if lo <= m <= hi):
-            if not expected or abs(expected[-1] - m) > 1e-8 * max(1.0, abs(expected[-1]), abs(m)):
+            if not expected or not self.close(expected[-1], m):
                 expected.append(m)
         got = lambda_set(spec, self.WINDOW)
         assert [m.hex() for m in got] == [m.hex() for m in expected]
         assert any(m < 0 for m in got) and any(m > 0 for m in got)
 
-    def test_kernel_reps(self, spec):
-        def close(a, b):
-            return abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
+    @staticmethod
+    def close(a, b):
+        return abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
 
+    def test_kernel_reps(self, spec):
         entries = self.entries(spec)
         lams = lambda_set(spec, self.WINDOW) + [0.0, 1.2345, -7.5]
         for lam in lams:
@@ -374,7 +380,7 @@ class TestDocstringFormulas:
                 trivial, irr = 0, {}
                 for b, mult in sorted(sigma.items()):
                     for e in entries:
-                        if b != 0 and close(lam * b, sign * e.eigenvalue):
+                        if b != 0 and self.close(lam * b, sign * e.eigenvalue):
                             trivial += mult * e.rep.trivial_dim
                             for label, m in e.rep.irreducibles.items():
                                 irr[label] = irr.get(label, 0) + mult * m
@@ -384,9 +390,7 @@ class TestDocstringFormulas:
         assert not kernel_reps(spec, lams[0]).v2.is_zero()
 
     def test_linearization_rows(self, spec):
-        def close(a, b):
-            return abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
-
+        close = self.close
         k_max = 12
         entries = spec.domain.first_entries(k_max)
         for lam in lambda_set(spec, (-8.0, 8.0)) + [0.0, 2.5, -3.75]:
@@ -494,6 +498,12 @@ class TestNonFiniteInputs:
             lambda: bif_difference(a9_spec(2, 0), NAN),
             lambda: linearization_eigenvalues(a9_spec(2, 0), INF, 3),
             lambda: epsilon_gap(INF, [0.0, 3.38996]),
+            lambda: epsilon_gap(2.0, [0.0, INF]),
+            lambda: epsilon_gap(2.0, [2.0, NAN]),
+            lambda: SystemSpec(p1=1, p2=0, sigma_b1={INF: 1}),
+            lambda: SystemSpec(p1=0, p2=1, sigma_b2={-INF: 1}),
+            lambda: SystemSpec(p1=1, p2=0, sigma_b1={10**400: 1}),
+            lambda: system_spec_from_json({"p1": 1, "p2": 0, "b1": [{"value": INF}], "domain": {"type": "disk"}}),
             lambda: SpectrumEntry(INF, RepDescriptor.trivial(1)),
             lambda: load_custom_spectrum(NONFINITE_CUSTOM),
         ],
@@ -508,6 +518,12 @@ class TestNonFiniteInputs:
             "bif_difference-nan",
             "linearization-inf",
             "epsilon_gap-inf",
+            "epsilon_gap-inf-member",
+            "epsilon_gap-nan-member",
+            "b1-inf",
+            "b2-neg-inf",
+            "b1-int-beyond-float",
+            "json-b1-inf",
             "entry-inf",
             "custom-spectrum-inf",
         ],
