@@ -37,13 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError, UnsupportedDomain, ValidationError
+from .errors import PreconditionError, UnsupportedDomain, ValidationError, _real
 from .euler import EulerSO2, deg_minus_id, rep_equiv_mod_even_trivial
 from .spectral import BallDomain, DiskDomain, SpectrumEntry, close
 from .system import (
     KernelReps,
     SystemSpec,
-    _finite_parameter,
     _with_margin,
     kernel_reps,
     lambda_set,
@@ -92,10 +91,9 @@ class GlobCheck:
 
 def check_glob(spec: SystemSpec, lambda0: float) -> GlobCheck:
     """Criterion at lambda0 != 0: kernel pieces inequivalent mod even trivial."""
-    lam = float(lambda0)
-    if lam == 0.0:
+    if lambda0 == 0.0:
         raise PreconditionError("check_glob needs lambda0 != 0; use check_glob_zero at 0")
-    return _glob_from_kernel(kernel_reps(spec, lam))
+    return _glob_from_kernel(kernel_reps(spec, lambda0))  # kernel_reps checks lambda0
 
 
 def _glob_from_kernel(kr: KernelReps) -> GlobCheck:
@@ -129,11 +127,10 @@ def bif_difference(spec: SystemSpec, lambda0: float) -> EulerSO2:
     invertible factor, so it is nonzero exactly when the index is.
     """
     _require_disk(spec, "bif_difference")
-    lam = float(lambda0)
-    if lam == 0.0:
+    if lambda0 == 0.0:
         raise PreconditionError("bif_difference needs lambda0 != 0")
-    kr = kernel_reps(spec, lam)
-    own, other = (kr.v1, kr.v2) if lam > 0 else (kr.v2, kr.v1)
+    kr = kernel_reps(spec, lambda0)  # checks lambda0
+    own, other = (kr.v1, kr.v2) if lambda0 > 0 else (kr.v2, kr.v1)
     return deg_minus_id(own) - deg_minus_id(other)
 
 
@@ -146,7 +143,7 @@ def bif_a9(spec: SystemSpec, lambda0: float) -> EulerSO2:
     if not spec.a9:
         raise PreconditionError("bif_a9 needs the normalized block form (a9 flag)")
     _require_disk(spec, "bif_a9")
-    lam = _finite_parameter(lambda0)
+    lam = _real(lambda0, "lambda0")
     q1, p2 = spec.q1, spec.p2
     if close(lam, 0.0):
         return ((-1) ** q1 - (-1) ** p2) * EulerSO2.one()
@@ -253,9 +250,8 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
     normalized block form on the disk, where the closed forms apply.  Each
     candidate costs one bisection of the spectrum index, O(log n).
     """
-    lo, hi = float(window[0]), float(window[1])
-    candidates = list(lambda_set(spec, (lo, hi)))
-    if lo <= 0.0 <= hi and not any(close(c, 0.0) for c in candidates):
+    candidates = lambda_set(spec, window)  # checks the window
+    if window[0] <= 0.0 <= window[1] and not any(close(c, 0.0) for c in candidates):
         candidates.append(0.0)
     candidates.sort()
     exact = spec.a9 and isinstance(spec.domain, DiskDomain)

@@ -29,6 +29,8 @@ from .errors import (
     PreconditionError,
     SchemaError,
     ValidationError,
+    _parse_json,
+    _real,
 )
 from .euler import EulerSO2
 from .morse import class_table_from_json, degree_from_orbits, lift_degree, orbit_data_from_json
@@ -39,13 +41,6 @@ __all__ = ["AnalysisConfig", "main", "parse_report"]
 
 SCHEMA_VERSION = 1
 SUBCOMMANDS = ("spectrum", "lambda-set", "analyze", "bif", "rabinowitz", "morse-degree")
-
-
-def _real(value, what: str):
-    """``value`` itself if it is a JSON number (bools excluded); SchemaError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{what} must be a real number, got {value!r}")
-    return value
 
 
 @dataclass
@@ -59,18 +54,20 @@ class AnalysisConfig:
     spectrum_bound: float | None = None
 
     def __post_init__(self) -> None:
-        if self.output_format not in ("table", "structured"):
-            raise ValidationError(f"output_format must be 'table' or 'structured', got {self.output_format!r}")
-        if not (self.root_tol > 0.0):
-            raise ValidationError("tolerances must be positive")
-        if self.root_tol > MERGE_REL:  # root errors must stay well inside the matching tolerance
-            raise ValidationError(f"the root tolerance must not exceed {MERGE_REL:g}, got {self.root_tol!r}")
+        def real(value, what):
+            return _real(value, what, finite=False, error=SchemaError, invalid=ValidationError)
+
         if self.window is not None:
-            lo, hi = self.window
+            lo, hi = self.window = tuple(real(w, "window entry") for w in self.window)
             if not lo < hi:
                 raise ValidationError(f"window must satisfy lo < hi, got {self.window!r}")
-        if self.spectrum_bound is not None and not self.spectrum_bound > 0.0:
+        # root errors must stay well inside the matching tolerance
+        if not 0.0 < real(self.root_tol, "tolerance 'root'") <= MERGE_REL:
+            raise ValidationError(f"the root tolerance must lie in (0, {MERGE_REL:g}], got {self.root_tol!r}")
+        if self.spectrum_bound is not None and not real(self.spectrum_bound, "spectrum_bound") > 0.0:
             raise ValidationError(f"spectrum_bound must be positive, got {self.spectrum_bound!r}")
+        if self.output_format not in ("table", "structured"):
+            raise ValidationError(f"output_format must be 'table' or 'structured', got {self.output_format!r}")
 
     @classmethod
     def from_doc(cls, doc) -> "AnalysisConfig":
@@ -80,21 +77,16 @@ class AnalysisConfig:
         if unknown:
             raise SchemaError(f"unknown keys in config: {sorted(unknown)}")
         window = doc.get("window")
-        if window is not None:
-            if not isinstance(window, list) or len(window) != 2:
-                raise SchemaError(f"window must be [lo, hi], got {window!r}")
-            window = tuple(float(_real(w, "window entry")) for w in window)
+        if window is not None and (not isinstance(window, list) or len(window) != 2):
+            raise SchemaError(f"window must be [lo, hi], got {window!r}")
         tol = doc.get("tolerances", {})
         if not isinstance(tol, dict) or set(tol) - {"root"}:
             raise SchemaError(f"tolerances must be {{root?}}, got {tol!r}")
-        root_tol = _real(tol.get("root", ROOT_XTOL), "tolerance 'root'")
-        if doc.get("spectrum_bound") is not None:
-            _real(doc["spectrum_bound"], "spectrum_bound")
         return cls(
             system=doc.get("system"),
             window=window,
             output_format=doc.get("output_format", "table"),
-            root_tol=root_tol,
+            root_tol=tol.get("root", ROOT_XTOL),
             spectrum_bound=doc.get("spectrum_bound"),
         )
 
@@ -106,11 +98,10 @@ class AnalysisConfig:
 
 def _load_json(path: str):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    return _parse_json(data, path)
 
 
 def _emit(doc: dict) -> str:
@@ -119,7 +110,7 @@ def _emit(doc: dict) -> str:
 
 def parse_report(text: str) -> dict:
     """Parse a structured report back into its document form."""
-    doc = json.loads(text)
+    doc = _parse_json(text, "report")
     if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError("not a structured report (missing or wrong schema_version)")
     return doc

@@ -3,7 +3,16 @@
 Validation-style errors (bad input, violated precondition) are distinct from
 computational errors (a numeric procedure could not deliver its result); the
 CLI maps the former to exit code 1 and the latter to exit code 2.
+
+The input checkers below are the only ones; input is checked once, where it
+enters.  Each raises ``error`` for a wrong type and ``invalid`` (default:
+``error``) for a bad value, so a reader can report a wrong JSON type as
+SchemaError and a bad value as ValidationError.  Bools are not numbers.
 """
+
+import json
+import math
+import sys
 
 
 class Error(Exception):
@@ -56,3 +65,41 @@ class InsufficientSpectrum(Error):
 
 #: errors that indicate a failed computation rather than bad input
 COMPUTATIONAL_ERRORS = (ConvergenceError, InsufficientSpectrum)
+
+
+def _is_int(v) -> bool:
+    """Whether ``v`` is an integer; bools are not."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int(v, what: str, least: int | None = None, error: type[Error] = ValidationError, invalid=None) -> int:
+    """``v`` if it is an integer, and at least ``least`` when that is given."""
+    if not _is_int(v):
+        raise error(f"{what} must be an integer, got {v!r}")
+    if least is not None and v < least:
+        raise (invalid or error)(f"{what} must be >= {least}, got {v!r}")
+    return v
+
+
+def _real(v, what: str, *, finite: bool = True, error: type[Error] = ValidationError, invalid=None) -> float:
+    """``v`` as a float if it is a number a float holds: never NaN, and an infinity only when not ``finite``."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise error(f"{what} {v!r} must be a real number")
+    if abs(v) <= sys.float_info.max or (not finite and v in (math.inf, -math.inf)):
+        return float(v)
+    raise (invalid or error)(f"{what} {v!r} must be {'finite' if finite else 'a float value other than NaN'}")
+
+
+def _bool(v, what: str, error: type[Error] = ValidationError) -> bool:
+    if not isinstance(v, bool):
+        raise error(f"{what} must be a boolean, got {v!r}")
+    return v
+
+
+def _parse_json(data: str | bytes, what: str):
+    """The JSON document in ``data`` (bytes are UTF-8); SchemaError for anything Python's json cannot read."""
+    try:
+        return json.loads(data if isinstance(data, str) else data.decode("utf-8"))
+    # bad text, bad UTF-8 and integer literals over 4,300 digits raise ValueError, deep nesting RecursionError
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from exc

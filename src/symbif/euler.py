@@ -33,6 +33,10 @@ evaluated from the right-hand side, one element per call.
 entries, kernel pieces, prefix sums of eigenspaces and degrees all use it.
 Its document is ``{"trivial": t, "irr": {"k": m, ...}}``; ``"rot"`` is read
 in place of ``"irr"`` but never written.
+
+Public construction (constructors, ``one``, ``zero``, ``chi``, ``trivial``,
+``irr``, ``from_json``) checks its input; ring and representation operations
+build results from checked values through ``_make``, which only drops zeros.
 """
 
 from __future__ import annotations
@@ -40,19 +44,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import NotInvertible, SchemaError, ValidationError
+from .errors import NotInvertible, SchemaError, ValidationError, _int, _is_int
 
 __all__ = ["EulerSO2", "SO2Rep", "deg_minus_id", "rep_equiv_mod_even_trivial"]
 
 
-def _pruned(coeffs: Mapping[int, int], what: str) -> dict[int, int]:
+def _pruned(coeffs: Mapping[int, int], label: str, value: str, least: int | None = None) -> dict[int, int]:
+    """Checked copy without zeros: integer labels >= 1 and integer values >= ``least``."""
     out: dict[int, int] = {}
     for k, v in coeffs.items():
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValidationError(f"{what}: key {k!r} must be an integer >= 1")
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValidationError(f"{what}: value {v!r} for key {k} must be an integer")
-        if v != 0:
+        _int(k, label, 1)
+        if _int(v, value, least) != 0:
             out[k] = v
     return out
 
@@ -71,11 +73,17 @@ class EulerSO2:
     cyclic: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.unit, int) or isinstance(self.unit, bool):
-            raise ValidationError(f"unit coefficient must be an integer, got {self.unit!r}")
-        self.cyclic = _pruned(self.cyclic, "cyclic coefficients")
+        _int(self.unit, "unit coefficient")
+        self.cyclic = _pruned(self.cyclic, "cyclic class label", "cyclic coefficient")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _make(cls, unit: int, cyclic: Mapping[int, int]) -> "EulerSO2":
+        """Element from coefficients already checked; drops the zeros and checks nothing."""
+        x = object.__new__(cls)
+        x.unit, x.cyclic = unit, {k: v for k, v in cyclic.items() if v}
+        return x
 
     @classmethod
     def one(cls) -> "EulerSO2":
@@ -100,10 +108,10 @@ class EulerSO2:
         coeffs = dict(self.cyclic)
         for k, v in other.cyclic.items():
             coeffs[k] = coeffs.get(k, 0) + v
-        return EulerSO2(self.unit + other.unit, coeffs)
+        return EulerSO2._make(self.unit + other.unit, coeffs)
 
     def __neg__(self) -> "EulerSO2":
-        return EulerSO2(-self.unit, {k: -v for k, v in self.cyclic.items()})
+        return EulerSO2._make(-self.unit, {k: -v for k, v in self.cyclic.items()})
 
     def __sub__(self, other: "EulerSO2") -> "EulerSO2":
         if not isinstance(other, EulerSO2):
@@ -117,10 +125,10 @@ class EulerSO2:
                 coeffs[k] = coeffs.get(k, 0) + self.unit * v
             for k, v in self.cyclic.items():
                 coeffs[k] = coeffs.get(k, 0) + other.unit * v
-            return EulerSO2(self.unit * other.unit, coeffs)
-        if isinstance(other, int) and not isinstance(other, bool):
+            return EulerSO2._make(self.unit * other.unit, coeffs)
+        if _is_int(other):
             # Z-module scaling
-            return EulerSO2(other * self.unit, {k: other * v for k, v in self.cyclic.items()})
+            return EulerSO2._make(other * self.unit, {k: other * v for k, v in self.cyclic.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -131,19 +139,17 @@ class EulerSO2:
             raise NotInvertible(
                 f"unit coefficient {self.unit} is not +-1; element has no inverse"
             )
-        return EulerSO2(self.unit, {k: -v for k, v in self.cyclic.items()})
+        return EulerSO2._make(self.unit, {k: -v for k, v in self.cyclic.items()})
 
     def __pow__(self, n: int) -> "EulerSO2":
         """Closed form ``(u; c)^n = (u^n; n u^(n-1) c)``; n < 0 inverts first."""
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValidationError(f"exponent must be an integer, got {n!r}")
-        if n < 0:
+        if _int(n, "exponent") < 0:
             return self.invert() ** -n
         if n == 0:
             return EulerSO2.one()
         u = self.unit
         factor = n * u ** (n - 1)
-        return EulerSO2(u**n, {k: factor * v for k, v in self.cyclic.items()})
+        return EulerSO2._make(u**n, {k: factor * v for k, v in self.cyclic.items()})
 
     # -- predicates and views ----------------------------------------------
 
@@ -206,13 +212,15 @@ class SO2Rep:
     irreducibles: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trivial_dim, int) or isinstance(self.trivial_dim, bool) or self.trivial_dim < 0:
-            raise ValidationError(f"trivial_dim must be a nonnegative integer, got {self.trivial_dim!r}")
-        irr = _pruned(self.irreducibles, "irreducible multiplicities")
-        for k, m in irr.items():
-            if m < 0:
-                raise ValidationError(f"irreducible {k} has negative multiplicity {m}")
-        self.irreducibles = irr
+        _int(self.trivial_dim, "trivial_dim", 0)
+        self.irreducibles = _pruned(self.irreducibles, "irreducible label", "irreducible multiplicity", 0)
+
+    @classmethod
+    def _make(cls, trivial_dim: int, irreducibles: Mapping[int, int]) -> "SO2Rep":
+        """Representation from parts already checked; drops zero multiplicities and checks nothing."""
+        rep = object.__new__(cls)
+        rep.trivial_dim, rep.irreducibles = trivial_dim, {k: m for k, m in irreducibles.items() if m}
+        return rep
 
     @classmethod
     def zero(cls) -> "SO2Rep":
@@ -236,7 +244,7 @@ class SO2Rep:
         irr = dict(self.irreducibles)
         for k, m in other.irreducibles.items():
             irr[k] = irr.get(k, 0) + m
-        return SO2Rep(self.trivial_dim + other.trivial_dim, irr)
+        return SO2Rep._make(self.trivial_dim + other.trivial_dim, irr)
 
     __add__ = direct_sum
 
@@ -277,10 +285,8 @@ class SO2Rep:
             irr = {int(k): m for k, m in table.items()}
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad irreducible label: {exc}") from exc
-        trivial = doc.get("trivial", 0)
-        if not isinstance(trivial, int) or isinstance(trivial, bool):
-            raise SchemaError(f"trivial dimension must be an integer, got {trivial!r}")
-        return cls(trivial, irr)
+        trivial = _int(doc.get("trivial", 0), "trivial dimension", 0, SchemaError, ValidationError)
+        return cls._make(trivial, _pruned(irr, "irreducible label", "irreducible multiplicity", 0))
 
 
 def deg_minus_id(rep: SO2Rep) -> EulerSO2:
@@ -292,7 +298,7 @@ def deg_minus_id(rep: SO2Rep) -> EulerSO2:
     evaluated.
     """
     sign = -1 if rep.trivial_dim % 2 else 1
-    return EulerSO2(sign, {k: -sign * m for k, m in rep.irreducibles.items()})
+    return EulerSO2._make(sign, {k: -sign * m for k, m in rep.irreducibles.items()})
 
 
 def rep_equiv_mod_even_trivial(v: SO2Rep, w: SO2Rep) -> bool:

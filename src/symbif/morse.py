@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import MissingClass, NonInjectiveTable, SchemaError, ValidationError
+from .errors import MissingClass, NonInjectiveTable, SchemaError, ValidationError, _int
 from .euler import EulerSO2
 
 __all__ = [
@@ -44,8 +44,7 @@ class OrbitDatum:
     def __post_init__(self) -> None:
         if not isinstance(self.isotropy_class, str) or not self.isotropy_class:
             raise ValidationError(f"isotropy class must be a nonempty string, got {self.isotropy_class!r}")
-        if not isinstance(self.morse_index, int) or isinstance(self.morse_index, bool) or self.morse_index < 0:
-            raise ValidationError(f"morse_index must be a nonnegative integer, got {self.morse_index!r}")
+        _int(self.morse_index, "morse_index", 0)
 
 
 def degree_from_orbits(data: Iterable[OrbitDatum]) -> dict[str, int]:

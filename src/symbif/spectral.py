@@ -46,10 +46,14 @@ from . import _kernels
 from .errors import (
     ConvergenceError,
     DomainError,
+    Error,
     InsufficientSpectrum,
     SchemaError,
     UnsupportedDomain,
     ValidationError,
+    _int,
+    _parse_json,
+    _real,
 )
 from .euler import SO2Rep
 
@@ -97,11 +101,6 @@ def close(a: float, b: float) -> bool:
     return abs(a - b) <= MERGE_REL * max(1.0, abs(a), abs(b))
 
 
-def _check_count(n, what: str) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValidationError(f"{what} must be an integer >= 1, got {n!r}")
-
-
 def _beyond_coverage(alpha_max: float, coverage: float) -> bool:
     # slack mirrors the matching margin so boundary-exact requests succeed
     return alpha_max > coverage * (1.0 + 20.0 * MERGE_REL) + 1e-12
@@ -129,9 +128,10 @@ class SpectrumEntry:
     root_index: int | None = None
 
     def __post_init__(self) -> None:
-        self.eigenvalue = float(self.eigenvalue)
-        if not (0.0 <= self.eigenvalue < math.inf):
-            raise ValidationError(f"eigenvalue must be finite and nonnegative, got {self.eigenvalue!r}")
+        # the one check of an eigenvalue, so a wrong type is a SchemaError as in a document
+        self.eigenvalue = _real(self.eigenvalue, "eigenvalue", error=SchemaError, invalid=ValidationError)
+        if self.eigenvalue < 0.0:
+            raise ValidationError(f"eigenvalue must be nonnegative, got {self.eigenvalue!r}")
 
     def to_json(self) -> dict:
         return {
@@ -150,16 +150,10 @@ class SpectrumEntry:
             raise SchemaError(f"unknown keys in spectrum entry: {sorted(unknown)}")
         if "eigenvalue" not in doc or "rep" not in doc:
             raise SchemaError("spectrum entry needs 'eigenvalue' and 'rep'")
-        ev = doc["eigenvalue"]
-        if not isinstance(ev, (int, float)) or isinstance(ev, bool):
-            raise SchemaError(f"eigenvalue must be a number, got {ev!r}")
-        if ev < 0:
-            raise ValidationError(f"eigenvalue must be nonnegative, got {ev!r}")
         for key in ("angular_index", "root_index"):
-            v = doc.get(key)
-            if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 0):
-                raise SchemaError(f"{key} must be a nonnegative integer or null, got {v!r}")
-        return cls(float(ev), SO2Rep.from_json(doc["rep"]), doc.get("angular_index"), doc.get("root_index"))
+            if doc.get(key) is not None:
+                _int(doc[key], key, 0, SchemaError)
+        return cls(doc["eigenvalue"], SO2Rep.from_json(doc["rep"]), doc.get("angular_index"), doc.get("root_index"))
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +161,14 @@ class SpectrumEntry:
 # ---------------------------------------------------------------------------
 
 
-def _check_order(order: float) -> float:
-    nu = float(order)
+def _check_arguments(op: str, order: float, x: float) -> tuple[float, float]:
+    nu = _real(order, "order", error=DomainError)
     if nu < 0.0 or 2.0 * nu != math.floor(2.0 * nu):
         raise DomainError(f"order must be a nonnegative integer or half-integer, got {order!r}")
-    return nu
+    x = _real(x, f"{op} argument x", error=DomainError)
+    if x < 0.0:
+        raise DomainError(f"{op} needs x >= 0, got {x!r}")
+    return nu, x
 
 
 def bessel_j(order: float, x: float) -> float:
@@ -181,19 +178,13 @@ def bessel_j(order: float, x: float) -> float:
     3e-13 * max(1, |J|) for orders up to 8 and 5e-12 for integer orders up
     to 199, for x <= 200 (see ``symbif._kernels``).
     """
-    nu = _check_order(order)
-    x = float(x)
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"bessel_j needs x >= 0, got {x!r}")
+    nu, x = _check_arguments("bessel_j", order, x)
     return _kernels._bessel_j(nu, x)
 
 
 def bessel_j_prime(order: float, x: float) -> float:
     """Derivative J_order'(x) via (J_{order-1} - J_{order+1})/2, J_0' = -J_1."""
-    nu = _check_order(order)
-    x = float(x)
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"bessel_j_prime needs x >= 0, got {x!r}")
+    nu, x = _check_arguments("bessel_j_prime", order, x)
     if x == 0.0 and nu != math.floor(nu):
         raise DomainError("derivative of a half-integer order is singular at x = 0")
     return _kernels._bessel_j_prime(nu, x)
@@ -206,17 +197,15 @@ def radial_condition(angular_index: int, dim: int, x: float) -> float:
     radial test J_nu'(x) - (nu/x) J_nu(x) = -J_{nu+1}(x), nu = (dim-2)/2.
     """
     _check_radial_family(angular_index, dim)
-    x = float(x)
-    if x <= 0.0 or math.isnan(x):
+    x = _real(x, "radial condition argument x", error=DomainError)
+    if x <= 0.0:
         raise DomainError(f"radial condition needs x > 0, got {x!r}")
     return _kernels._radial_condition(angular_index, dim, x)[0]
 
 
 def _check_radial_family(angular_index: int, dim: int) -> None:
-    if not isinstance(dim, int) or dim < 2:
-        raise DomainError(f"dimension must be an integer >= 2, got {dim!r}")
-    if not isinstance(angular_index, int) or angular_index < 0:
-        raise DomainError(f"angular index must be a nonnegative integer, got {angular_index!r}")
+    _int(dim, "dimension", 2, DomainError)
+    _int(angular_index, "angular index", 0, DomainError)
     if dim >= 3 and angular_index != 0:
         raise UnsupportedDomain(
             "for dim >= 3 only the angular_index == 0 radial test is available; "
@@ -343,9 +332,8 @@ def radial_roots_up_to(
     resumes the scan after the last cached root.
     """
     _check_radial_family(angular_index, dim)
-    if math.isnan(x_max):
-        raise DomainError("radial roots need a bound x_max, got nan")
-    if x_max <= 0.0:
+    _real(x_max, "radial roots bound x_max", finite=False, error=DomainError)
+    if x_max <= 0.0 or 2.0 * x_max < dim:  # every root lies above dim/2 (DLMF 10.21(i)); no scan for huge dims
         return []
     if x_max > MAX_ROOT_X:
         raise InsufficientSpectrum(
@@ -376,7 +364,7 @@ def neumann_radial_roots(
     ``count`` roots below ``MAX_ROOT_X`` raise InsufficientSpectrum.
     """
     _check_radial_family(angular_index, dim)
-    _check_count(count, "count")
+    _int(count, "count", 1)
     if cache is None:
         cache = RootCache()
     cached = cache.get(dim, angular_index)
@@ -457,19 +445,19 @@ class RootCache:
         if not p.exists():
             return fresh, False
         try:
-            doc = json.loads(p.read_text(encoding="utf-8"))
+            doc = _parse_json(p.read_bytes(), str(p))
             tol = doc["tolerances"]
             if tol["xtol"] != xtol or tol["step"] != GRID_STEP:
                 return fresh, True
             for dim, l, idx, x in doc["records"]:
                 roots = fresh.records.setdefault((int(dim), int(l)), [])
-                x = float(x)
-                # indexed 1..n in order, finite and strictly increasing
-                if idx != len(roots) + 1 or not math.isfinite(x) or (roots and x <= roots[-1]):
+                x = _real(x, "cached root")
+                # indexed 1..n in order and strictly increasing
+                if idx != len(roots) + 1 or (roots and x <= roots[-1]):
                     return cls(xtol=xtol), True
                 roots.append(x)
             return fresh, False
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError):
+        except (Error, KeyError, TypeError, ValueError):
             return cls(xtol=xtol), True
 
 
@@ -509,7 +497,7 @@ def disk_spectrum(
     A request whose Weyl estimate exceeds ``MAX_DISK_ENTRIES`` raises
     InsufficientSpectrum before any evaluation.
     """
-    if not max_eigenvalue > 0.0:
+    if not _real(max_eigenvalue, "max_eigenvalue", finite=False) > 0.0:
         raise ValidationError(f"max_eigenvalue must be positive, got {max_eigenvalue!r}")
     estimate = max_eigenvalue / 4.0 + math.sqrt(max_eigenvalue) / 2.0
     if estimate > MAX_DISK_ENTRIES:
@@ -547,8 +535,7 @@ def ball_rep_nontrivial(
     The constants (eigenvalue 0) are trivial; a declared angular index >= 1
     short-circuits the numeric test.
     """
-    if not isinstance(dim, int) or dim < 3:
-        raise DomainError(f"ball_rep_nontrivial needs dim >= 3, got {dim!r}")
+    _int(dim, "ball_rep_nontrivial dim", 3, DomainError)
     if close(entry.eigenvalue, 0.0):
         return False
     if entry.angular_index is not None:
@@ -568,18 +555,7 @@ def _entries_from_docs(raw) -> list[SpectrumEntry]:
                 f"entries must be listed in ascending eigenvalue order "
                 f"({nxt.eigenvalue!r} after {prev.eigenvalue!r})"
             )
-    merged = _merge_entries(entries)
-    zero = [e for e in merged if e.eigenvalue == 0.0]
-    if not zero:
-        raise ValidationError("a Neumann spectrum must contain the eigenvalue 0 (constants)")
-    z = zero[0]
-    if z.rep.has_nontrivial() or z.rep.trivial_dim != 1:
-        raise ValidationError(
-            f"the zero eigenspace consists of the constants: trivial of dimension 1, got {z.rep.describe()}"
-        )
-    if z.angular_index not in (None, 0):
-        raise ValidationError("the zero eigenvalue has angular index 0")
-    return merged
+    return _merge_entries(entries)
 
 
 def load_custom_spectrum(source) -> list[SpectrumEntry]:
@@ -587,23 +563,18 @@ def load_custom_spectrum(source) -> list[SpectrumEntry]:
 
     Accepts a parsed document, a JSON string, or a path to a JSON file.
     Entries must be ascending; near-coincident eigenvalues are merged with
-    their representations summed.
+    their representations summed, and the result is checked as the
+    spectrum of a :class:`CustomDomain`.
     """
     doc = source
     if isinstance(source, (str, Path)):
-        text = str(source)
-        if isinstance(source, Path):
-            text = source.read_text(encoding="utf-8")
-        else:
-            try:
-                if Path(source).exists():
-                    text = Path(source).read_text(encoding="utf-8")
-            except (OSError, ValueError):
-                pass  # not a usable path; treat as inline JSON
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from exc
+            text = Path(source).read_bytes()
+        except (OSError, ValueError):
+            if isinstance(source, Path):
+                raise
+            text = source  # not a readable file; treat as inline JSON
+        doc = _parse_json(text, "custom spectrum")
     if not isinstance(doc, dict):
         raise SchemaError(f"custom spectrum document must be an object, got {type(doc).__name__}")
     unknown = set(doc) - {"domain", "entries"}
@@ -611,7 +582,7 @@ def load_custom_spectrum(source) -> list[SpectrumEntry]:
         raise SchemaError(f"unknown keys in custom spectrum document: {sorted(unknown)}")
     if doc.get("domain") != "custom":
         raise SchemaError("custom spectrum document needs \"domain\": \"custom\"")
-    return _entries_from_docs(doc.get("entries"))
+    return CustomDomain(_entries_from_docs(doc.get("entries"))).entries
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +646,7 @@ class SpectrumIndex:
         for e in self.entries[start:n]:
             for k, m in e.rep.irreducibles.items():
                 mults[k] = mults.get(k, 0) + m
-        return SO2Rep(self.trivial[n], mults)
+        return SO2Rep._make(self.trivial[n], mults)
 
 
 @dataclass
@@ -696,7 +667,9 @@ class DiskDomain:
     dim = 2
 
     def __post_init__(self) -> None:
-        if self.bound is not None and not self.bound > 0.0:
+        if self.bound is None:
+            return
+        if not _real(self.bound, "disk max_eigenvalue", finite=False, error=SchemaError, invalid=ValidationError) > 0:
             raise ValidationError(f"the disk spectrum bound must be positive, got {self.bound!r}")
 
     def irr_dims(self) -> None:
@@ -728,7 +701,7 @@ class DiskDomain:
         return index.entries[:n]
 
     def first_entries(self, k: int) -> list[SpectrumEntry]:
-        _check_count(k, "k")
+        _int(k, "k", 1)
         target = max(self._memo_bound, 25.0)
         for _ in range(64):
             if self.bound is not None:
@@ -753,7 +726,14 @@ class _SuppliedDomain:
 
     def __post_init__(self) -> None:
         if not self.entries or self.entries[0].eigenvalue != 0.0:
-            raise ValidationError("supplied spectra must start at the zero eigenvalue")
+            raise ValidationError("a Neumann spectrum must start at the eigenvalue 0 (constants)")
+        zero = self.entries[0]
+        if zero.rep.has_nontrivial() or zero.rep.trivial_dim != 1:
+            raise ValidationError(
+                f"the zero eigenspace consists of the constants: trivial of dimension 1, got {zero.rep.describe()}"
+            )
+        if zero.angular_index not in (None, 0):
+            raise ValidationError("the zero eigenvalue has angular index 0")
         for prev, nxt in zip(self.entries, self.entries[1:]):
             if nxt.eigenvalue < prev.eigenvalue:
                 raise ValidationError(
@@ -784,7 +764,7 @@ class _SuppliedDomain:
         return index.entries[:n]
 
     def first_entries(self, k: int) -> list[SpectrumEntry]:
-        _check_count(k, "k")
+        _int(k, "k", 1)
         if k > len(self.entries):
             raise InsufficientSpectrum(f"supplied spectrum has {len(self.entries)} entries, need {k}")
         return self.entries[:k]
@@ -801,8 +781,7 @@ class BallDomain(_SuppliedDomain):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not isinstance(self.dim, int) or self.dim < 3:
-            raise ValidationError(f"ball dimension must be an integer >= 3, got {self.dim!r}")
+        _int(self.dim, "ball dimension", 3)
 
     def irr_dims(self) -> None:
         return None  # harmonic dimension tables are out of scope; callers may override
@@ -816,7 +795,8 @@ class CustomDomain(_SuppliedDomain):
     """Arbitrary invariant domain with a user-supplied spectrum.
 
     ``irr_dim_table`` optionally gives the real dimension of each labelled
-    irreducible (default 2), used for linearization multiplicities.
+    irreducible (default 2), used for linearization multiplicities.  A label
+    may be a decimal string, as JSON writes it.
     """
 
     irr_dim_table: dict[int, int] | None = None
@@ -826,10 +806,17 @@ class CustomDomain(_SuppliedDomain):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.irr_dim_table is not None:
-            bad = {k: d for k, d in self.irr_dim_table.items() if not d >= 1}
-            if bad:
-                raise ValidationError(f"irreducible dimensions must be >= 1, got {bad}")
+        table = self.irr_dim_table
+        if table is None:
+            return
+        if not isinstance(table, dict):
+            raise SchemaError(f"irr_dims must be an object, got {table!r}")
+        labels = [int(k) if isinstance(k, str) and k.removeprefix("-").isdecimal() else k for k in table]
+        self.irr_dim_table = {
+            _int(k, "irr_dims label", error=SchemaError):
+                _int(d, "irreducible dimensions", 1, SchemaError, ValidationError)
+            for k, d in zip(labels, table.values())
+        }
 
     def irr_dims(self) -> dict[int, int] | None:
         return self.irr_dim_table
@@ -852,8 +839,8 @@ def domain_from_json(
         if unknown:
             raise SchemaError(f"unknown keys in disk domain: {sorted(unknown)}")
         bound = doc.get("max_eigenvalue", spectrum_bound)
-        if "max_eigenvalue" in doc and (isinstance(bound, bool) or not isinstance(bound, (int, float))):
-            raise SchemaError(f"disk max_eigenvalue must be a real number, got {bound!r}")
+        if bound is None and "max_eigenvalue" in doc:  # null would read as "no bound"
+            raise SchemaError("disk max_eigenvalue None must be a real number")
         return DiskDomain(bound=bound, cache=cache)
     if kind == "ball":
         unknown = set(doc) - {"type", "dim", "entries"}
@@ -867,16 +854,5 @@ def domain_from_json(
         unknown = set(doc) - {"type", "entries", "irr_dims"}
         if unknown:
             raise SchemaError(f"unknown keys in custom domain: {sorted(unknown)}")
-        entries = _entries_from_docs(doc.get("entries"))
-        table = doc.get("irr_dims")
-        if table is not None:
-            if not isinstance(table, dict):
-                raise SchemaError(f"irr_dims must be an object, got {table!r}")
-            # JSON labels are strings; each label and dimension must be an integer
-            table = {
-                int(k) if isinstance(k, str) and k.removeprefix("-").isdecimal() else k: v for k, v in table.items()
-            }
-            if any(isinstance(x, bool) or not isinstance(x, int) for item in table.items() for x in item):
-                raise SchemaError(f"irr_dims must map integer labels to integer dimensions, got {doc['irr_dims']!r}")
-        return CustomDomain(entries, irr_dim_table=table)
+        return CustomDomain(_entries_from_docs(doc.get("entries")), irr_dim_table=doc.get("irr_dims"))
     raise SchemaError(f"unknown domain type {kind!r}")

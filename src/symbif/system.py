@@ -22,18 +22,16 @@ merging, Lambda membership and kernel matching, so the three stay consistent
 by construction.  Membership and kernel lookups search the domain's
 :class:`~symbif.spectral.SpectrumIndex` by bisection and apply that
 tolerance to the few neighbours found, so each costs O(log n) in the number
-of eigenvalues; a NaN or infinite parameter raises ValidationError.
+of eigenvalues; a parameter that is not a finite number raises ValidationError.
 """
 
 from __future__ import annotations
 
-import math
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import NotAMember, SchemaError, ValidationError
+from .errors import NotAMember, SchemaError, ValidationError, _bool, _int, _real
 from .euler import SO2Rep
 from .spectral import (
     MERGE_REL,
@@ -60,15 +58,15 @@ __all__ = [
 Domain = DiskDomain | BallDomain | CustomDomain
 
 
-def _as_multiset(pairs, what: str) -> dict[float, int]:
-    out: dict[float, int] = {}
+class _Multiset(dict):
+    """Eigenvalue -> multiplicity table built by :func:`_as_multiset`, so already checked."""
+
+
+def _as_multiset(pairs, what: str) -> _Multiset:
+    out = _Multiset()
     for value, mult in pairs:
-        if not isinstance(mult, int) or isinstance(mult, bool) or mult <= 0:
-            raise ValidationError(f"{what}: multiplicity {mult!r} must be a positive integer")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:  # NaN
-            raise ValidationError(f"{what}: eigenvalue {value!r} must be a real number")
-        if not abs(value) <= sys.float_info.max:  # an infinity, or an int no float can hold
-            raise ValidationError(f"{what}: eigenvalue {value!r} must be finite")
+        _int(mult, f"{what}: multiplicity", 1)
+        _real(value, f"{what}: eigenvalue")  # the value itself is kept, so an integer stays one
         out[value] = out.get(value, 0) + mult
     return out
 
@@ -95,17 +93,16 @@ class SystemSpec:
 
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "mu_b0"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValidationError(f"{name} must be a nonnegative integer, got {v!r}")
+            _int(getattr(self, name), name, 0)
         if self.p1 + self.p2 < 1:
             raise ValidationError("the system needs at least one component (p1 + p2 >= 1)")
         for name, p in (("sigma_b1", "p1"), ("sigma_b2", "p2")):
             sigma = getattr(self, name)
-            if not isinstance(sigma, Mapping):
-                raise ValidationError(f"{name} must be a mapping of eigenvalue to multiplicity, got {sigma!r}")
-            sigma = _as_multiset(sigma.items(), name)
-            setattr(self, name, sigma)
+            if not isinstance(sigma, _Multiset):  # system_spec_from_json passes the tables it checked
+                if not isinstance(sigma, Mapping):
+                    raise ValidationError(f"{name} must be a mapping of eigenvalue to multiplicity, got {sigma!r}")
+                sigma = _as_multiset(sigma.items(), name)
+                setattr(self, name, sigma)
             total, expected = sum(sigma.values()), getattr(self, p)
             if total != expected:
                 raise ValidationError(f"{name} multiplicities sum to {total}, expected {p} = {expected}")
@@ -186,7 +183,7 @@ def system_spec_from_json(doc, *, spectrum_bound=None, cache=None) -> SystemSpec
         if key not in doc:
             raise SchemaError(f"system document needs '{key}'")
 
-    def unpack(key: str) -> list[tuple[float, int]]:
+    def unpack(key: str) -> _Multiset:
         raw = doc.get(key, [])
         if not isinstance(raw, list):
             raise SchemaError(f"'{key}' must be an array of {{value, mult}} objects")
@@ -195,17 +192,15 @@ def system_spec_from_json(doc, *, spectrum_bound=None, cache=None) -> SystemSpec
             if not isinstance(item, dict) or set(item) - {"value", "mult"} or "value" not in item:
                 raise SchemaError(f"bad entry in '{key}': {item!r}")
             pairs.append((item["value"], item.get("mult", 1)))
-        return pairs
+        return _as_multiset(pairs, key)
 
     domain = domain_from_json(doc["domain"], spectrum_bound=spectrum_bound, cache=cache)
-    a9 = doc.get("a9", False)
-    if not isinstance(a9, bool):
-        raise SchemaError(f"'a9' must be a boolean, got {a9!r}")
+    a9 = _bool(doc.get("a9", False), "'a9'", SchemaError)
     return SystemSpec(
         p1=doc["p1"],
         p2=doc["p2"],
-        sigma_b1=_as_multiset(unpack("b1"), "b1"),
-        sigma_b2=_as_multiset(unpack("b2"), "b2"),
+        sigma_b1=unpack("b1"),
+        sigma_b2=unpack("b2"),
         mu_b0=doc.get("mu_b0", 0),
         domain=domain,
         a9=a9,
@@ -223,14 +218,6 @@ def _coverage_needed(spec: SystemSpec, lo: float, hi: float) -> float:
     return max([0.0, *reach])
 
 
-def _finite_parameter(lam: float) -> float:
-    """``lam`` as a float; ValidationError for NaN or an infinity."""
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise ValidationError(f"lambda0 must be finite, got {lam!r}")
-    return lam
-
-
 def _with_margin(alpha: float) -> float:
     return alpha * (1.0 + 10.0 * MERGE_REL) + MERGE_REL
 
@@ -243,8 +230,8 @@ def lambda_set(spec: SystemSpec, window: tuple[float, float]) -> list[float]:
     Raises InsufficientSpectrum when the window demands eigenvalues beyond
     the loaded spectrum.
     """
-    lo, hi = float(window[0]), float(window[1])
-    if math.isnan(lo) or math.isnan(hi) or lo > hi:
+    lo, hi = (_real(w, "window entry", finite=False) for w in (window[0], window[1]))
+    if lo > hi:
         raise ValidationError(f"window must satisfy lo <= hi, got {window!r}")
     blocks = spec._blocks()
     if not any(bs for _, bs in blocks):
@@ -267,7 +254,7 @@ def _matched_entries(spec: SystemSpec, lam: float):
     InsufficientSpectrum is raised exactly where the matching needs more of
     the spectrum than is available.
     """
-    lam = _finite_parameter(lam)
+    lam = _real(lam, "lambda0")
     blocks = spec._blocks()
     cap = max((abs(lam * b) for _, bs in blocks for b, _ in bs), default=0.0)
     index, n = spec.domain.spectrum_index(_with_margin(cap))
@@ -323,7 +310,7 @@ def kernel_reps(spec: SystemSpec, lambda0: float) -> KernelReps:
                 trivial += mult * e.rep.trivial_dim
                 for label, m in e.rep.irreducibles.items():
                     irr[label] = irr.get(label, 0) + mult * m
-        pieces.append(SO2Rep(trivial, irr))
+        pieces.append(SO2Rep._make(trivial, irr))
     return KernelReps(*pieces, matched=tuple(matched))
 
 
@@ -355,10 +342,8 @@ def linearization_eigenvalues(
     multiplicity is the eigenspace dimension times the block multiplicity of
     b.  Per eigenspace, the B1 rows come first, each block by ascending b.
     """
-    if not isinstance(k_max, int) or k_max < 1:
-        raise ValidationError(f"k_max must be an integer >= 1, got {k_max!r}")
-    lam = _finite_parameter(lam)
-    entries = spec.domain.first_entries(k_max)
+    lam = _real(lam, "lambda0")
+    entries = spec.domain.first_entries(k_max)  # checks k_max
     irr_dims = spec.domain.irr_dims()
     out: list[LinearizationEigenvalue] = []
     for e in entries:
@@ -387,10 +372,8 @@ def epsilon_gap(lambda0: float, members: Sequence[float]) -> float:
     member (within ``MERGE_REL``); otherwise ValidationError resp. NotAMember
     is raised.
     """
-    lam = _finite_parameter(lambda0)
-    bad = [m for m in members if not math.isfinite(m)]
-    if bad:
-        raise ValidationError(f"members of the parameter list must be finite, got {bad[0]!r}")
+    lam = _real(lambda0, "lambda0")
+    members = [_real(m, "parameter list member") for m in members]
     idx = [i for i, m in enumerate(members) if close(lam, m)]
     if not idx:
         raise NotAMember(f"{lambda0!r} is not a member of the supplied parameter list")

@@ -5,11 +5,14 @@ takes a lattice ``step`` (the step is the constant ``GRID_STEP``).  A knob
 threaded back through a domain or a spectrum builder could again disagree
 with the cache that stores its roots.  Likewise no public callable takes a
 merge or matching tolerance (the constant ``MERGE_REL``) or one of the
-single-value knobs that became constants.
+single-value knobs that became constants.  Input checks live in one module:
+no other module tests for bools by hand.
 """
 
 import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import symbif
 from symbif import bifurcation, cli, euler, morse, spectral, system
@@ -53,3 +56,10 @@ def test_nothing_takes_a_merge_tolerance_or_a_constant_knob():
     }
     assert sorted(n for n, params in signatures.items() if params & knobs) == []
     assert "merge_tol" not in {f.name for f in dataclasses.fields(cli.AnalysisConfig)}
+
+
+def test_only_the_checker_module_tests_for_bool():
+    package = Path(symbif.__file__).parent
+    hand_written = re.compile(r"isinstance\([^)]*\bbool\b")
+    found = sorted(f.name for f in package.glob("*.py") if hand_written.search(f.read_text(encoding="utf-8")))
+    assert found == ["errors.py"]

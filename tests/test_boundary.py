@@ -17,6 +17,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import symbif
 from symbif.cli import main
 
 #: 5,001 digits: past the 4,300-digit limit of Python's int parsing, so no
@@ -128,10 +129,11 @@ def test_every_base_run_succeeds(config_path):
             assert main([*argv, "--config", str(config_path)]) == 0, err.getvalue()
 
 
+# one strategy over every (case, value) pair, so the examples can cover all of them
 @settings(max_examples=len(CASES) * len(HOSTILE), deadline=timedelta(seconds=5), derandomize=True)
-@given(case=st.sampled_from(CASES), value=st.sampled_from(HOSTILE))
-def test_hostile_number_is_a_package_error(config_path, case, value):
-    argv, base, path = case
+@given(example=st.sampled_from([(case, value) for case in CASES for value in HOSTILE]))
+def test_hostile_number_is_a_package_error(config_path, example):
+    (argv, base, path), value = example
     config_path.write_text(config_text(base, path, value))
     previous = signal.signal(signal.SIGALRM, _hang)
     signal.alarm(30)
@@ -142,3 +144,24 @@ def test_hostile_number_is_a_package_error(config_path, case, value):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2)
+
+
+A9_SPEC = symbif.system_spec_from_json(A9_DISK)
+PLAIN_SPEC = symbif.system_spec_from_json({**A9_DISK, "a9": False})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: symbif.radial_condition(True, 2, 3.0),
+        lambda: symbif.neumann_radial_roots(True),
+        lambda: symbif.check_glob(A9_SPEC, "abc"),
+        lambda: symbif.bif_difference(PLAIN_SPEC, "abc"),
+        lambda: symbif.bif_a9(A9_SPEC, "11.49"),
+        lambda: symbif.epsilon_gap(1.0, ["a"]),
+    ],
+    ids=["radial-condition-bool", "neumann-bool", "check-glob-str", "bif-difference-str", "bif-a9-str", "epsilon-gap-str"],
+)
+def test_library_refuses_bools_and_strings_as_numbers(call):
+    with pytest.raises((symbif.DomainError, symbif.ValidationError)):
+        call()

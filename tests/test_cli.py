@@ -82,6 +82,23 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert err == f"symbif: ValidationError: b1: eigenvalue {json.loads(value)!r} must be finite\n"
 
+    @pytest.mark.parametrize("field", ["window", "spectrum_bound", "max_eigenvalue", "entry_eigenvalue"])
+    def test_integer_beyond_float_is_exit_1(self, capsys, tmp_path, field):
+        # 1 followed by 400 zeros: a JSON number no float can hold
+        big = 10**400
+        entries = [{"eigenvalue": 0, "rep": {"trivial": 1}}, {"eigenvalue": big, "rep": {"trivial": 1}}]
+        doc = {
+            "window": {"system": A9_SYSTEM, "window": [0, big]},
+            "spectrum_bound": {"system": A9_SYSTEM, "window": [0, 10], "spectrum_bound": big},
+            "max_eigenvalue": {"system": {**A9_SYSTEM, "domain": {"type": "disk", "max_eigenvalue": big}}, "window": [0, 10]},
+            "entry_eigenvalue": {"system": {**A9_SYSTEM, "domain": {"type": "custom", "entries": entries}}, "window": [0, 10]},
+        }[field]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.startswith("symbif: ValidationError: ") and "Traceback" not in err
+
     @staticmethod
     def analyze_process(cfg):
         """``symbif analyze --config cfg`` in a fresh process that must end within 5 s."""
@@ -324,6 +341,28 @@ class TestCacheAndConfig:
         cfg.write_text("{not json")
         code, _, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 1 and "SchemaError" in err
+
+    @pytest.mark.parametrize(
+        "reader, text",
+        [
+            ("config", '{"window": [0, ' + "1" * 5001 + "]}"),
+            ("report", '{"schema_version": ' + "1" * 5001 + "}"),
+            ("report", "{not json"),
+            ("custom-spectrum", '{"domain": "custom", "entries": [' + "1" * 5001 + "]}"),
+        ],
+        ids=["config-5001-digits", "report-5001-digits", "report-syntax", "custom-spectrum-5001-digits"],
+    )
+    def test_json_python_cannot_read_is_a_schema_error(self, capsys, tmp_path, reader, text):
+        # Python refuses integer literals of more than 4,300 digits with a plain ValueError
+        if reader == "config":
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(text)
+            code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
+            assert (code, out) == (1, "") and err.startswith("symbif: SchemaError: ")
+        else:
+            read = parse_report if reader == "report" else symbif.load_custom_spectrum
+            with pytest.raises(symbif.SchemaError, match="not valid JSON"):
+                read(text)
 
     @pytest.mark.parametrize(
         "field",
