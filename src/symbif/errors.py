@@ -4,10 +4,9 @@ Validation-style errors (bad input, violated precondition) are distinct from
 computational errors (a numeric procedure could not deliver its result); the
 CLI maps the former to exit code 1 and the latter to exit code 2.
 
-The input checkers below are the only ones; input is checked once, where it
-enters.  Each raises ``error`` for a wrong type and ``invalid`` (default:
-``error``) for a bad value, so a reader can report a wrong JSON type as
-SchemaError and a bad value as ValidationError.  Bools are not numbers.
+Below are the package's only input checkers.  Each raises ``error`` for a
+wrong type and ``invalid`` (default ``error``) for a bad value: a reader
+reports a wrong JSON type as SchemaError, a bad value as ValidationError.
 """
 
 import json

@@ -563,8 +563,7 @@ def load_custom_spectrum(source) -> list[SpectrumEntry]:
 
     Accepts a parsed document, a JSON string, or a path to a JSON file.
     Entries must be ascending; near-coincident eigenvalues are merged with
-    their representations summed, and the result is checked as the
-    spectrum of a :class:`CustomDomain`.
+    their representations summed.
     """
     doc = source
     if isinstance(source, (str, Path)):
@@ -811,7 +810,10 @@ class CustomDomain(_SuppliedDomain):
             return
         if not isinstance(table, dict):
             raise SchemaError(f"irr_dims must be an object, got {table!r}")
-        labels = [int(k) if isinstance(k, str) and k.removeprefix("-").isdecimal() else k for k in table]
+        try:
+            labels = [int(k) if isinstance(k, str) and k.removeprefix("-").isdecimal() else k for k in table]
+        except ValueError as exc:  # a label past the 4,300-digit limit of int()
+            raise SchemaError(f"bad irr_dims label: {exc}") from exc
         self.irr_dim_table = {
             _int(k, "irr_dims label", error=SchemaError):
                 _int(d, "irreducible dimensions", 1, SchemaError, ValidationError)

@@ -151,8 +151,9 @@ class TestSystemSpecJson:
             ({"x": 2}, SchemaError),
             ({"1": -2}, ValidationError),
             ({"1": 0}, ValidationError),
+            ({"1" * 5000: 2}, SchemaError),
         ],
-        ids=["fraction", "bool", "label-x", "negative", "zero"],
+        ids=["fraction", "bool", "label-x", "negative", "zero", "label-beyond-int-parsing"],
     )
     def test_bad_irr_dims_are_refused(self, table, error):
         entries = [
