@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from functools import lru_cache
@@ -420,6 +421,54 @@ class TestDiskSpectrum:
         entries = disk_spectrum(80.0)
         evs = [e.eigenvalue for e in entries]
         assert all(b > a for a, b in zip(evs, evs[1:]))
+
+
+#: sha256 of the ``float.hex`` of every disk eigenvalue (one a line) and of the
+#: saved root cache file; 777 and 4000 reach lattice points of the asymptotic
+#: band whose high orders fall back to the recurrence, 12,000 reaches x ~ 110
+DISK_GOLDEN = {
+    777.0: (
+        "675812e173cdfee39eb32ea609e34f5cea579902303a2f1b399eaa3fbdd93a17",
+        "925d33d78f873cf5a9cbb1a40073a8b01b4687ffc7f22b972d856a56638a6579",
+    ),
+    4000.0: (
+        "736f4ce644718f9483bffa2b2a887e181ecaae6168882afb92f25103b3f5e845",
+        "1d84b92849ae54ddac831a546091866a810e10862d28e533de6ee8979cc42dea",
+    ),
+    12000.0: (
+        "840f8d87cf4e8383f654497a28bda713f017f1e995b9ad338f20ca307ed004da",
+        "56d1db273d8eec0b1fae4c59e3bebbf770e4b626c7ab0859756a47a0278cf2fc",
+    ),
+}
+
+
+class TestDiskSpectrumBytes:
+    @pytest.mark.parametrize("alpha", sorted(DISK_GOLDEN))
+    def test_eigenvalues_and_cache_file_are_pinned(self, alpha, tmp_path):
+        cache = RootCache()
+        entries = disk_spectrum(alpha, cache=cache)
+        cache.save(tmp_path / "roots.json")
+        eigenvalues = "\n".join(e.eigenvalue.hex() for e in entries).encode()
+        assert (
+            hashlib.sha256(eigenvalues).hexdigest(),
+            hashlib.sha256((tmp_path / "roots.json").read_bytes()).hexdigest(),
+        ) == DISK_GOLDEN[alpha]
+
+    def test_every_order_matches_a_scan_of_its_own(self):
+        # each order scanned alone, outside the spectrum build, finds the same
+        # roots bit for bit, the first one beyond x_max included
+        alpha = 4000.0
+        cache = RootCache()
+        entries = disk_spectrum(alpha, cache=cache)
+        x_max = math.sqrt(alpha)
+        assert len(cache.records) > 60
+        for (dim, l), roots in cache.records.items():
+            alone = RootCache()
+            assert radial_roots_up_to(l, dim, x_max, cache=alone) == [r for r in roots if r <= x_max]
+            assert alone.records == {(dim, l): roots}, l
+            assert [e.eigenvalue for e in entries if e.angular_index == l and e.root_index] == [
+                r * r for r in roots if r * r <= alpha
+            ]
 
 
 class TestBallNontrivial:
