@@ -10,12 +10,20 @@ Evaluation strategy for J_nu(x), nu a nonnegative integer or half-integer:
 
 * ``x <= 8``: ascending power series (termwise recurrence, also exact at 0).
 * ``8 < x < 60``: backward three-term recurrence.  Integer orders are
-  normalized by the even-order sum identity ``J_0 + 2*sum J_{2k} = 1``;
-  half-integer orders go through the spherical functions anchored at
-  ``sin(x)/x`` and ``sin(x)/x^2 - cos(x)/x``.
+  normalized by the even-order sum identity ``J_0 + 2*sum J_{2k} = 1``
+  (DLMF 3.6(vi), 10.12); half-integer orders go through the spherical
+  functions anchored at ``sin(x)/x`` and ``sin(x)/x^2 - cos(x)/x``.
 * ``x >= 60``: large-argument asymptotic expansion in the phase
   ``x - (nu/2 + 1/4)*pi``; if its terms do not fall below 1e-17 of the sum
   within 50 terms (very large order), fall back to the recurrence.
+
+The integer-order recurrence at x starts above max(n + 1, int(x) + 1), so
+one pass (``_miller_row``) serves every order n <= int(x) at that x.  Inside
+``shared_rows``, which ``symbif.spectral.disk_spectrum`` opens, the row of
+each scan lattice point is kept and read by every disk order scanned there
+(each of them has l <= int(x)); the values are bit-identical to a pass per
+order.  Other points, and every call outside the block, get a pass of their
+own that keeps only the three values asked for.
 
 Sampled against mpmath on a grid of x in (0, 200], the composite
 evaluator stays within 3e-13 * max(1, |J_nu(x)|) for integer orders up to
@@ -32,6 +40,9 @@ package errors.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator
 
 SERIES_X_MAX = 8.0
 ASYMPTOTIC_X_MIN = 60.0
@@ -55,46 +66,82 @@ def _series_j(nu: float, x: float) -> float:
     return s
 
 
-def _miller3(n: int, x: float) -> tuple[float, float, float]:
-    """(J_{n-1}, J_n, J_{n+1}) for integer n >= 0, x > 0, by downward recurrence.
+def _miller_row(x: float, m0: int, lo: int, hi: int) -> tuple[list[float], float]:
+    """Unnormalized J_lo .. J_hi at x > 0 (0 <= lo <= hi <= m0) and their normalizing sum.
 
-    Seeds a decaying solution far above max(n, x) and rescales by the
-    even-order sum identity.  J_{-1} is served as -J_1.
+    One downward recurrence seeded with a decaying solution far above m0;
+    J_k is ``row[k - lo] / s`` by the even-order sum identity.  Every stored
+    value is rescaled with the recurrence, so each quotient depends on x and
+    m0 only, not on ``lo`` or ``hi``.
     """
-    m0 = max(n + 1, int(x) + 1)
     top = m0 + 20 + int(2.0 * math.sqrt(m0))
     if top % 2 == 1:
         top += 1
     fp = 0.0
     fc = 1e-30
     s = 0.0
-    jm = 0.0
-    jn = 0.0
-    jp = 0.0
+    row: list[float] = []
     for k in range(top, 0, -1):
         fm = (2.0 * k / x) * fc - fp
         fp = fc
         fc = fm
         kk = k - 1
-        if kk == n - 1:
-            jm = fc
-        elif kk == n:
-            jn = fc
-        elif kk == n + 1:
-            jp = fc
+        if lo <= kk <= hi:
+            row.append(fc)
         if kk > 0 and kk % 2 == 0:
             s += 2.0 * fc
         if abs(fc) > 1e250:
             fc *= 1e-250
             fp *= 1e-250
             s *= 1e-250
-            jm *= 1e-250
-            jn *= 1e-250
-            jp *= 1e-250
+            row = [v * 1e-250 for v in row]
     s += fc
-    if n == 0:
-        jm = -jp
-    return jm / s, jn / s, jp / s
+    row.reverse()
+    return row, s
+
+
+#: recurrence rows of the disk spectrum being built: (lattice step, rows by lattice point)
+_shared_rows: ContextVar[tuple[float, dict[float, tuple[list[float], float]]] | None] = ContextVar(
+    "symbif_shared_rows", default=None
+)
+
+
+@contextmanager
+def shared_rows(step: float) -> Iterator[None]:
+    """Let every order read one recurrence row per lattice point ``i * step`` inside the block.
+
+    The rows live in the current context only and are dropped when the block
+    exits, by return or by an exception.
+    """
+    token = _shared_rows.set((step, {}))
+    try:
+        yield
+    finally:
+        _shared_rows.reset(token)
+
+
+def _miller3(n: int, x: float) -> tuple[float, float, float]:
+    """(J_{n-1}, J_n, J_{n+1}) for integer n >= 0, x > 0, by downward recurrence.
+
+    The pass starts above m0 = max(n + 1, int(x) + 1), so every n <= int(x)
+    gets the same pass at x: inside ``shared_rows`` the row J_0 .. J_m0 of a
+    lattice point is kept and serves all those orders, bit-identical to a
+    pass of their own.  J_{-1} is served as -J_1.
+    """
+    m0 = int(x) + 1
+    shared = _shared_rows.get()
+    if shared is not None and n < m0 and round(x / shared[0]) * shared[0] == x:
+        rows = shared[1]
+        if x not in rows:
+            rows[x] = _miller_row(x, m0, 0, m0)
+        row, s = rows[x]
+        lo = 0
+    else:
+        lo = max(n - 1, 0)
+        row, s = _miller_row(x, max(n + 1, m0), lo, n + 1)
+    jp = row[n + 1 - lo]
+    jm = -jp if n == 0 else row[n - 1 - lo]
+    return jm / s, row[n - lo] / s, jp / s
 
 
 def _sph3(n: int, x: float) -> tuple[float, float, float]:

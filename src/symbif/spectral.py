@@ -92,7 +92,10 @@ GRID_STEP = math.pi / 8.0
 #: inside the x <= 200 range the kernels' accuracy is stated for)
 MAX_DISK_ENTRIES = 10_000
 #: largest x a root scan may be asked to reach: the kernels' accuracy is stated
-#: for x <= 200, and every disk request inside MAX_DISK_ENTRIES stays below 199
+#: for x <= 200, and every disk request inside MAX_DISK_ENTRIES stays below 199.
+#: It bounds orders too: the pointwise evaluators refuse an order above it, and
+#: an angular index above it has no root in range, as every root of J_l' lies
+#: above l (DLMF 10.21(i)); a disk request scans l <= x_max + 1 < 201
 MAX_ROOT_X = 200.0
 
 
@@ -165,6 +168,8 @@ def _check_arguments(op: str, order: float, x: float) -> tuple[float, float]:
     nu = _real(order, "order", error=DomainError)
     if nu < 0.0 or 2.0 * nu != math.floor(2.0 * nu):
         raise DomainError(f"order must be a nonnegative integer or half-integer, got {order!r}")
+    if nu > MAX_ROOT_X:
+        raise DomainError(f"order {order!r} lies above the supported orders <= {MAX_ROOT_X}")
     x = _real(x, f"{op} argument x", error=DomainError)
     if x < 0.0:
         raise DomainError(f"{op} needs x >= 0, got {x!r}")
@@ -174,7 +179,8 @@ def _check_arguments(op: str, order: float, x: float) -> tuple[float, float]:
 def bessel_j(order: float, x: float) -> float:
     """Bessel function of the first kind, J_order(x), for x >= 0.
 
-    Orders are nonnegative integers or half-integers.  Accuracy is within
+    Orders are nonnegative integers or half-integers up to ``MAX_ROOT_X``;
+    a higher order raises DomainError.  Accuracy is within
     3e-13 * max(1, |J|) for orders up to 8 and 5e-12 for integer orders up
     to 199, for x <= 200 (see ``symbif._kernels``).
     """
@@ -195,8 +201,11 @@ def radial_condition(angular_index: int, dim: int, x: float) -> float:
 
     Disk (dim == 2): J_l'(x).  Ball (dim >= 3, l == 0 only): the trivial-type
     radial test J_nu'(x) - (nu/x) J_nu(x) = -J_{nu+1}(x), nu = (dim-2)/2.
+    An order l or nu above ``MAX_ROOT_X`` raises DomainError.
     """
     _check_radial_family(angular_index, dim)
+    if angular_index > MAX_ROOT_X or dim - 2 > 2 * MAX_ROOT_X:  # integer tests: no float overflow
+        raise DomainError(f"the radial condition's order (l, or (dim - 2)/2 for balls) must be <= {MAX_ROOT_X}")
     x = _real(x, "radial condition argument x", error=DomainError)
     if x <= 0.0:
         raise DomainError(f"radial condition needs x > 0, got {x!r}")
@@ -340,6 +349,8 @@ def radial_roots_up_to(
             f"radial roots up to x = {x_max!r} lie beyond the supported range x <= {MAX_ROOT_X!r} "
             f"(l={angular_index}, dim={dim})"
         )
+    if angular_index > MAX_ROOT_X:  # every root of J_l' lies above l >= x_max (DLMF 10.21(i))
+        return []
     if cache is None:
         cache = RootCache()
     cached = cache.get(dim, angular_index)
@@ -370,8 +381,12 @@ def neumann_radial_roots(
     cached = cache.get(dim, angular_index)
     if len(cached) >= count:
         return cached[:count]
-    # roots sit near l + (k + dim/2) * pi; scan a window and extend if short
-    x_max = min(angular_index + dim + (count + 2) * math.pi, MAX_ROOT_X)
+    # roots sit near l + (k + dim/2) * pi; scan a window and extend if short (an
+    # integer test first, so no huge argument reaches float arithmetic)
+    if angular_index + dim + count > MAX_ROOT_X:
+        x_max = MAX_ROOT_X
+    else:
+        x_max = min(angular_index + dim + (count + 2) * math.pi, MAX_ROOT_X)
     while True:
         roots = radial_roots_up_to(angular_index, dim, x_max, cache=cache)
         if len(roots) >= count:
@@ -495,7 +510,10 @@ def disk_spectrum(
     each positive eigenvalue is the square of a root of J_l' and carries one
     copy of the rotation-l irreducible (trivial of dimension 1 when l = 0).
     A request whose Weyl estimate exceeds ``MAX_DISK_ENTRIES`` raises
-    InsufficientSpectrum before any evaluation.
+    InsufficientSpectrum before any evaluation.  The orders are scanned
+    inside ``_kernels.shared_rows``, so the orders scanned at one lattice
+    point read one recurrence row instead of a pass each; the rows are
+    dropped when the spectrum is built or the build raises.
     """
     if not _real(max_eigenvalue, "max_eigenvalue", finite=False) > 0.0:
         raise ValidationError(f"max_eigenvalue must be positive, got {max_eigenvalue!r}")
@@ -510,16 +528,17 @@ def disk_spectrum(
     x_max = math.sqrt(max_eigenvalue)
     entries = [SpectrumEntry(0.0, SO2Rep.trivial(1), angular_index=0, root_index=None)]
     l = 0
-    while l <= x_max + 1.0:
-        roots = radial_roots_up_to(l, 2, x_max, cache=cache)
-        if not roots and l >= 1:
-            break  # first roots increase with l, so higher l find nothing
-        rep = SO2Rep.trivial(1) if l == 0 else SO2Rep.irr(l)
-        for i, x in enumerate(roots, start=1):
-            alpha = x * x
-            if alpha <= max_eigenvalue:
-                entries.append(SpectrumEntry(alpha, rep, angular_index=l, root_index=i))
-        l += 1
+    with _kernels.shared_rows(GRID_STEP):
+        while l <= x_max + 1.0:
+            roots = radial_roots_up_to(l, 2, x_max, cache=cache)
+            if not roots and l >= 1:
+                break  # first roots increase with l, so higher l find nothing
+            rep = SO2Rep.trivial(1) if l == 0 else SO2Rep.irr(l)
+            for i, x in enumerate(roots, start=1):
+                alpha = x * x
+                if alpha <= max_eigenvalue:
+                    entries.append(SpectrumEntry(alpha, rep, angular_index=l, root_index=i))
+            l += 1
     return _merge_entries(entries)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import signal
 from functools import lru_cache
 
 import mpmath
@@ -244,6 +245,44 @@ class TestInterlacingCheck:
         roots = radial_roots_up_to(140, 2, 145.0)
         assert len(roots) == 1
         assert abs(roots[0] - float(mpmath.besseljzero(140, 1, derivative=1))) < 1e-8
+
+    def test_orders_share_one_recurrence_pass_per_lattice_point(self, kernel_calls, call_counts):
+        passes = call_counts(_kernels, "_miller_row")
+        disk_spectrum(3200.0)
+        assert kernel_calls.total == 5_818
+        assert passes[0] <= 1_600  # 5,705 with a pass per order and point
+
+    def test_rows_live_only_while_the_spectrum_is_built(self, monkeypatch):
+        real = _kernels._radial_condition
+        tables = []
+
+        def spy(l, dim, x):
+            tables.append(_kernels._shared_rows.get())
+            return real(l, dim, x)
+
+        monkeypatch.setattr(_kernels, "_radial_condition", spy)
+        disk_spectrum(777.0)
+        step, rows = tables[-1]
+        assert step == GRID_STEP and len(rows) > 40
+        assert all(x == round(x / GRID_STEP) * GRID_STEP and x > 8.0 for x in rows)
+        assert _kernels._shared_rows.get() is None
+
+    def test_rows_are_dropped_when_the_build_raises(self, monkeypatch):
+        # the planted fault of test_hidden_pair_raises_instead_of_dropping_roots,
+        # for l = 1 only, so l = 0 has filled rows up to x ~ 29 before it
+        real = _kernels._radial_condition
+        tables = []
+
+        def hidden_pair(l, dim, x):
+            tables.append(_kernels._shared_rows.get())
+            f, g = real(l, dim, x)
+            return (-abs(f) if l == 1 and 5.0 < x < 9.0 else f), g
+
+        monkeypatch.setattr(_kernels, "_radial_condition", hidden_pair)
+        with pytest.raises(ConvergenceError, match="interlace"):
+            disk_spectrum(800.0)
+        assert tables[-1][1]
+        assert _kernels._shared_rows.get() is None
 
     def test_disk_spectrum_evaluation_budget(self, kernel_calls):
         disk_spectrum(3200.0)
@@ -602,6 +641,69 @@ class TestRootRange:
     def test_count_beyond_the_range_is_insufficient(self):
         with pytest.raises(InsufficientSpectrum, match="need 100"):
             neumann_radial_roots(0, 2, 100)
+
+    @pytest.mark.parametrize(
+        "call, expected, evaluates",
+        [
+            (lambda: radial_condition(10**400, 2, 3.0), DomainError, False),
+            (lambda: radial_roots_up_to(10**400, 2, 3.0), [], False),
+            (lambda: neumann_radial_roots(10**400, 2, 1), InsufficientSpectrum, False),
+            (lambda: neumann_radial_roots(0, 2, 10**400), InsufficientSpectrum, True),
+            (lambda: bessel_j(2**60, 30.0), DomainError, False),
+            (lambda: radial_condition(2**60, 2, 30.0), DomainError, False),
+            (lambda: neumann_radial_roots(2**60, 2, 1), InsufficientSpectrum, False),
+            (lambda: radial_roots_up_to(2**60, 2, 150.0), [], False),
+            (lambda: radial_roots_up_to(10**6, 2, 150.0), [], False),
+        ],
+        ids=[
+            "condition-l-10e400",
+            "roots-up-to-l-10e400",
+            "neumann-l-10e400",
+            "neumann-count-10e400",
+            "bessel-order-2e60",
+            "condition-l-2e60",
+            "neumann-l-2e60",
+            "roots-up-to-l-2e60",
+            "roots-up-to-l-10e6",
+        ],
+    )
+    def test_extreme_order_or_count_answers_at_once(self, call, expected, evaluates, kernel_calls):
+        # a recurrence started above the order would run for ages: every root
+        # of J_l' lies above l, and no evaluator accepts an order above MAX_ROOT_X
+        def overdue(signum, frame):
+            raise AssertionError("the call did not finish within 10 s")
+
+        previous = signal.signal(signal.SIGALRM, overdue)
+        signal.alarm(10)
+        try:
+            if isinstance(expected, list):
+                assert call() == expected
+            else:
+                with pytest.raises(expected):
+                    call()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (kernel_calls.total > 0) == evaluates
+
+    def test_huge_count_is_refused_like_any_count_beyond_the_range(self):
+        with pytest.raises(InsufficientSpectrum) as huge:
+            neumann_radial_roots(0, 2, 10**400)
+        with pytest.raises(InsufficientSpectrum) as large:
+            neumann_radial_roots(0, 2, 2**60)
+        assert str(huge.value).replace(str(10**400), "N") == str(large.value).replace(str(2**60), "N")
+
+    def test_orders_up_to_the_cut_answer(self):
+        assert bessel_j(MAX_ROOT_X, 150.0) == _kernels._bessel_j(200.0, 150.0)
+        assert radial_condition(int(MAX_ROOT_X), 2, 150.0) == _kernels._radial_condition(200, 2, 150.0)[0]
+        assert radial_condition(0, 402, 150.0) == _kernels._radial_condition(0, 402, 150.0)[0]
+        for call in (
+            lambda: bessel_j(MAX_ROOT_X + 0.5, 150.0),
+            lambda: bessel_j_prime(MAX_ROOT_X + 1, 150.0),
+            lambda: radial_condition(0, 403, 150.0),
+        ):
+            with pytest.raises(DomainError, match="200"):
+                call()
 
 
 #: a cache file written by the bisection refiner (before Newton refinement)
