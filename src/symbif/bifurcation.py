@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError, UnsupportedDomain, ValidationError, _real
+from .errors import PreconditionError, UnsupportedDomain, ValidationError, _real, _show
 from .euler import EulerSO2, deg_minus_id, rep_equiv_mod_even_trivial
 from .spectral import BallDomain, DiskDomain, SpectrumEntry, close
 from .system import (
@@ -210,7 +210,7 @@ def unbounded_verdict(spec: SystemSpec, entry: SpectrumEntry, sign: int) -> Unbo
     if not spec.a9:
         raise PreconditionError("unbounded_verdict needs the normalized block form (a9 flag)")
     if sign not in (1, -1):
-        raise ValidationError(f"sign must be +1 or -1, got {sign!r}")
+        raise ValidationError(f"sign must be +1 or -1, got {_show(sign)}")
     own, other = (spec.q1, spec.p2) if sign == 1 else (spec.p2, spec.q1)
     nontrivial = _eigenspace_nontrivial(spec, entry)
     one_sided = own > 0 and own % 2 == 0 and nontrivial

@@ -3,9 +3,9 @@
 One JSON configuration document drives every subcommand; flags override the
 corresponding document fields so a run can be archived as a single file.
 Structured output is deterministic JSON (sorted keys) versioned with a
-top-level ``schema_version``; exit status is 0 on success, 1 on validation
-errors and 2 on computational errors (failed root refinement, spectrum too
-short for the request).
+top-level ``schema_version``; exit status is 0 on success, 1 on usage and
+validation errors and 2 on computational errors (failed root refinement,
+spectrum too short for the request).
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from .errors import (
     ValidationError,
     _parse_json,
     _real,
+    _show,
 )
 from .euler import EulerSO2
 from .morse import class_table_from_json, degree_from_orbits, lift_degree, orbit_data_from_json
-from .spectral import MERGE_REL, ROOT_XTOL, DiskDomain, RootCache
+from .spectral import DiskDomain, RootCache
 from .system import SystemSpec, lambda_set, system_spec_from_json
 
 __all__ = ["AnalysisConfig", "main", "parse_report"]
@@ -50,7 +51,6 @@ class AnalysisConfig:
     system: dict | None = None
     window: tuple[float, float] | None = None
     output_format: str = "table"
-    root_tol: float = ROOT_XTOL
     spectrum_bound: float | None = None
 
     def __post_init__(self) -> None:
@@ -61,32 +61,25 @@ class AnalysisConfig:
             lo, hi = self.window = tuple(real(w, "window entry") for w in self.window)
             if not lo < hi:
                 raise ValidationError(f"window must satisfy lo < hi, got {self.window!r}")
-        # root errors must stay well inside the matching tolerance
-        if not 0.0 < real(self.root_tol, "tolerance 'root'") <= MERGE_REL:
-            raise ValidationError(f"the root tolerance must lie in (0, {MERGE_REL:g}], got {self.root_tol!r}")
         if self.spectrum_bound is not None and not real(self.spectrum_bound, "spectrum_bound") > 0.0:
             raise ValidationError(f"spectrum_bound must be positive, got {self.spectrum_bound!r}")
         if self.output_format not in ("table", "structured"):
-            raise ValidationError(f"output_format must be 'table' or 'structured', got {self.output_format!r}")
+            raise ValidationError(f"output_format must be 'table' or 'structured', got {_show(self.output_format)}")
 
     @classmethod
     def from_doc(cls, doc) -> "AnalysisConfig":
         if not isinstance(doc, dict):
             raise SchemaError(f"config must be an object, got {type(doc).__name__}")
-        unknown = set(doc) - {"system", "window", "output_format", "tolerances", "spectrum_bound"}
+        unknown = set(doc) - {"system", "window", "output_format", "spectrum_bound"}
         if unknown:
             raise SchemaError(f"unknown keys in config: {sorted(unknown)}")
         window = doc.get("window")
         if window is not None and (not isinstance(window, list) or len(window) != 2):
-            raise SchemaError(f"window must be [lo, hi], got {window!r}")
-        tol = doc.get("tolerances", {})
-        if not isinstance(tol, dict) or set(tol) - {"root"}:
-            raise SchemaError(f"tolerances must be {{root?}}, got {tol!r}")
+            raise SchemaError(f"window must be [lo, hi], got {_show(window)}")
         return cls(
             system=doc.get("system"),
             window=window,
             output_format=doc.get("output_format", "table"),
-            root_tol=tol.get("root", ROOT_XTOL),
             spectrum_bound=doc.get("spectrum_bound"),
         )
 
@@ -287,16 +280,23 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any other bad input; exit 2 is kept for failed computations."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON configuration document")
     common.add_argument("--window", nargs=2, type=float, metavar=("LO", "HI"))
     common.add_argument("--format", choices=("table", "structured"), dest="format")
     common.add_argument("--max-eigenvalue", type=float, dest="max_eigenvalue")
-    common.add_argument("--tol", type=float, help="root tolerance override")
     common.add_argument("--cache", metavar="PATH", help="root cache file")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="symbif",
         description="Bifurcation certificates for symmetric elliptic systems",
     )
@@ -323,12 +323,10 @@ def run(args: argparse.Namespace) -> int:
         config = replace(config, window=(args.window[0], args.window[1]))
     if args.format is not None:
         config = replace(config, output_format=args.format)
-    if args.tol is not None:
-        config = replace(config, root_tol=args.tol)
     if args.max_eigenvalue is not None:
         config = replace(config, spectrum_bound=args.max_eigenvalue)
     if args.cache:
-        cache, stale = RootCache.load(args.cache, xtol=config.root_tol)
+        cache, stale = RootCache.load(args.cache)
         if stale:
             print(
                 f"symbif: note: root cache {args.cache} has mismatched tolerance metadata or malformed "
@@ -336,7 +334,7 @@ def run(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     else:
-        cache = RootCache(xtol=config.root_tol)
+        cache = RootCache()
     payload = _HANDLERS[args.subcommand](config, args, cache)
     if args.cache:
         cache.save(args.cache)

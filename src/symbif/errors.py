@@ -7,6 +7,8 @@ CLI maps the former to exit code 1 and the latter to exit code 2.
 Below are the package's only input checkers.  Each raises ``error`` for a
 wrong type and ``invalid`` (default ``error``) for a bad value: a reader
 reports a wrong JSON type as SchemaError, a bad value as ValidationError.
+A message shows a caller's value through :func:`_show`, which never fails,
+and every table keyed by integer labels is read by :func:`_label_table`.
 """
 
 import json
@@ -71,28 +73,65 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _show(v) -> str:
+    """``repr(v)``; an integer past the 4,300-digit limit of ``str`` is shown by its digit count."""
+    try:
+        return repr(v)
+    except ValueError:  # the limit stops repr of a container holding such an integer too
+        if not _is_int(v):
+            return f"a {type(v).__name__} holding an integer too long to print"
+        n = abs(v)
+        digits = int(math.log10(n)) + 1  # a float estimate, corrected by one either way
+        digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
+        return f"{'a negative' if v < 0 else 'an'} integer of {digits} digits"
+
+
 def _int(v, what: str, least: int | None = None, error: type[Error] = ValidationError, invalid=None) -> int:
     """``v`` if it is an integer, and at least ``least`` when that is given."""
     if not _is_int(v):
-        raise error(f"{what} must be an integer, got {v!r}")
+        raise error(f"{what} must be an integer, got {_show(v)}")
     if least is not None and v < least:
-        raise (invalid or error)(f"{what} must be >= {least}, got {v!r}")
+        raise (invalid or error)(f"{what} must be >= {least}, got {_show(v)}")
     return v
 
 
 def _real(v, what: str, *, finite: bool = True, error: type[Error] = ValidationError, invalid=None) -> float:
     """``v`` as a float if it is a number a float holds: never NaN, and an infinity only when not ``finite``."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise error(f"{what} {v!r} must be a real number")
+        raise error(f"{what} {_show(v)} must be a real number")
     if abs(v) <= sys.float_info.max or (not finite and v in (math.inf, -math.inf)):
         return float(v)
-    raise (invalid or error)(f"{what} {v!r} must be {'finite' if finite else 'a float value other than NaN'}")
+    raise (invalid or error)(f"{what} {_show(v)} must be {'finite' if finite else 'a float value other than NaN'}")
 
 
 def _bool(v, what: str, error: type[Error] = ValidationError) -> bool:
     if not isinstance(v, bool):
-        raise error(f"{what} must be a boolean, got {v!r}")
+        raise error(f"{what} must be a boolean, got {_show(v)}")
     return v
+
+
+def _label_table(table, what: str) -> dict:
+    """``table`` with each key read as an integer label: an int, or decimal digits after an optional ``-``.
+
+    SchemaError for a table that is not an object, for any other key, for a
+    label past the 4,300-digit limit of ``int()``, and for two keys that give
+    one label (``"1"`` and ``"01"``), which would otherwise overwrite each other.
+    """
+    if not isinstance(table, dict):
+        raise SchemaError(f"{what} must be an object, got {_show(table)}")
+    out, keys = {}, {}
+    for key, value in table.items():
+        if isinstance(key, str) and key.removeprefix("-").isdecimal():
+            try:
+                label = int(key)
+            except ValueError as exc:
+                raise SchemaError(f"bad {what} label: {exc}") from exc
+        else:
+            label = _int(key, f"{what} label", error=SchemaError)
+        if label in out:
+            raise SchemaError(f"{what} labels {_show(keys[label])} and {_show(key)} name the same label")
+        out[label], keys[label] = value, key
+    return out
 
 
 def _parse_json(data: str | bytes, what: str):

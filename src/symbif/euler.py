@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import NotInvertible, SchemaError, ValidationError, _int, _is_int
+from .errors import NotInvertible, SchemaError, ValidationError, _int, _is_int, _label_table, _show
 
 __all__ = ["EulerSO2", "SO2Rep", "deg_minus_id", "rep_equiv_mod_even_trivial"]
 
@@ -137,7 +137,7 @@ class EulerSO2:
         """Multiplicative inverse; exists iff the unit coefficient is +-1."""
         if self.unit not in (1, -1):
             raise NotInvertible(
-                f"unit coefficient {self.unit} is not +-1; element has no inverse"
+                f"unit coefficient {_show(self.unit)} is not +-1; element has no inverse"
             )
         return EulerSO2._make(self.unit, {k: -v for k, v in self.cyclic.items()})
 
@@ -188,12 +188,8 @@ class EulerSO2:
     @classmethod
     def from_json(cls, doc) -> "EulerSO2":
         if not isinstance(doc, dict) or set(doc) - {"unit", "cyclic"}:
-            raise SchemaError(f"EulerSO2 document must be {{unit, cyclic}}, got {doc!r}")
-        try:
-            cyclic = {int(k): v for k, v in dict(doc.get("cyclic", {})).items()}
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad cyclic coefficient table: {exc}") from exc
-        return cls(doc.get("unit", 0), cyclic)
+            raise SchemaError(f"EulerSO2 document must be {{unit, cyclic}}, got {_show(doc)}")
+        return cls(doc.get("unit", 0), _label_table(doc.get("cyclic", {}), "cyclic coefficient table"))
 
 
 @dataclass(eq=True)
@@ -272,19 +268,13 @@ class SO2Rep:
     def from_json(cls, doc) -> "SO2Rep":
         """Read ``{"trivial", "irr"}``; ``"rot"`` is accepted in place of ``"irr"``, not beside it."""
         if not isinstance(doc, dict):
-            raise SchemaError(f"representation must be an object, got {doc!r}")
+            raise SchemaError(f"representation must be an object, got {_show(doc)}")
         unknown = set(doc) - {"trivial", "irr", "rot"}
         if unknown:
             raise SchemaError(f"unknown keys in representation: {sorted(unknown)}")
         if "irr" in doc and "rot" in doc:
             raise SchemaError("representation carries both 'irr' and 'rot'")
-        table = doc.get("irr", doc.get("rot", {}))
-        if not isinstance(table, dict):
-            raise SchemaError("irreducible table must be an object")
-        try:
-            irr = {int(k): m for k, m in table.items()}
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad irreducible label: {exc}") from exc
+        irr = _label_table(doc.get("irr", doc.get("rot", {})), "irreducible table")
         trivial = _int(doc.get("trivial", 0), "trivial dimension", 0, SchemaError, ValidationError)
         return cls._make(trivial, _pruned(irr, "irreducible label", "irreducible multiplicity", 0))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import MissingClass, NonInjectiveTable, SchemaError, ValidationError, _int
+from .errors import MissingClass, NonInjectiveTable, SchemaError, ValidationError, _int, _show
 from .euler import EulerSO2
 
 __all__ = [
@@ -43,7 +43,7 @@ class OrbitDatum:
 
     def __post_init__(self) -> None:
         if not isinstance(self.isotropy_class, str) or not self.isotropy_class:
-            raise ValidationError(f"isotropy class must be a nonempty string, got {self.isotropy_class!r}")
+            raise ValidationError(f"isotropy class must be a nonempty string, got {_show(self.isotropy_class)}")
         _int(self.morse_index, "morse_index", 0)
 
 
@@ -60,14 +60,14 @@ def degree_from_orbits(data: Iterable[OrbitDatum]) -> dict[str, int]:
 
 
 def _check_table(table: Mapping[str, str]) -> None:
-    seen: dict[str, str] = {}
-    for h_class, g_class in table.items():
-        if g_class in seen.values():
+    seen: set[str] = set()
+    for g_class in table.values():
+        if g_class in seen:
             clashing = sorted(h for h, g in table.items() if g == g_class)
             raise NonInjectiveTable(
-                f"classes {clashing} share the target {g_class!r}; the pair is not admissible"
+                f"classes {clashing} share the target {_show(g_class)}; the pair is not admissible"
             )
-        seen[h_class] = g_class
+        seen.add(g_class)
 
 
 def lift_degree(deg: Mapping[str, int], table: Mapping[str, str]) -> dict[str, int]:
@@ -83,7 +83,7 @@ def lift_degree(deg: Mapping[str, int], table: Mapping[str, str]) -> dict[str, i
         if coeff == 0:
             continue
         if h_class not in table:
-            raise MissingClass(f"class {h_class!r} is absent from the class table")
+            raise MissingClass(f"class {_show(h_class)} is absent from the class table")
         out[table[h_class]] = coeff
     return out
 
@@ -104,7 +104,7 @@ def orbit_data_from_json(doc) -> list[OrbitDatum]:
     out = []
     for item in doc:
         if not isinstance(item, dict) or set(item) != {"class", "morse_index"}:
-            raise SchemaError(f"orbit entry must be {{class, morse_index}}, got {item!r}")
+            raise SchemaError(f"orbit entry must be {{class, morse_index}}, got {_show(item)}")
         out.append(OrbitDatum(item["class"], item["morse_index"]))
     return out
 
@@ -129,8 +129,11 @@ def so2_class_map_to_euler(deg: Mapping[str, int]) -> EulerSO2:
     for label, coeff in deg.items():
         if label == "SO2":
             unit = coeff
-        elif label.startswith("Z") and label[1:].isdigit():
-            cyclic[int(label[1:])] = coeff
+        elif isinstance(label, str) and label.startswith("Z") and label[1:].isdecimal():
+            try:
+                cyclic[int(label[1:])] = coeff
+            except ValueError:  # past the 4,300-digit limit of int()
+                raise ValidationError(f"label Z<k> has a k of {len(label) - 1} digits, too long to read") from None
         else:
-            raise ValidationError(f"label {label!r} is not an SO(2) class label")
+            raise ValidationError(f"label {_show(label)} is not an SO(2) class label")
     return EulerSO2(unit, cyclic)

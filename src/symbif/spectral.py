@@ -16,7 +16,7 @@ is accepted in place of ``"irr"`` on input only.
 
 Root finding is one scan: sign-change bracketing on a fixed pi/8 lattice,
 then safeguarded Newton inside each bracket (``_kernels._bisect_radial``) to
-the ``xtol`` of the :class:`RootCache` the scan runs through.
+the fixed ``ROOT_XTOL``.
 Each kernel call also gives a partner whose zeros interlace with the
 condition's (J_l for J_l', J_nu for -J_{nu+1}; DLMF 10.21(i)); the scan
 checks after every cell that the two still alternate, so a root list is
@@ -52,8 +52,10 @@ from .errors import (
     UnsupportedDomain,
     ValidationError,
     _int,
+    _label_table,
     _parse_json,
     _real,
+    _show,
 )
 from .euler import SO2Rep
 
@@ -83,7 +85,8 @@ __all__ = [
 
 #: relative tolerance at which two nearby eigenvalues are one logical eigenvalue
 MERGE_REL = 1e-8
-#: absolute width to which root brackets are refined
+#: absolute width to which root brackets are refined; fixed, as Newton converges
+#: quadratically and any width in (0, 1e-8] moves an eigenvalue by ~1 ulp
 ROOT_XTOL = 1e-10
 #: grid step for sign-change bracketing
 GRID_STEP = math.pi / 8.0
@@ -147,7 +150,7 @@ class SpectrumEntry:
     @classmethod
     def from_json(cls, doc) -> "SpectrumEntry":
         if not isinstance(doc, dict):
-            raise SchemaError(f"spectrum entry must be an object, got {doc!r}")
+            raise SchemaError(f"spectrum entry must be an object, got {_show(doc)}")
         unknown = set(doc) - {"eigenvalue", "angular_index", "root_index", "rep"}
         if unknown:
             raise SchemaError(f"unknown keys in spectrum entry: {sorted(unknown)}")
@@ -232,8 +235,8 @@ _MAX_HALVINGS = 3
 _UNDERFLOW = math.ulp(0.0)
 
 
-def _refine(l: int, dim: int, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
-    x = _kernels._bisect_radial(l, dim, a, fa, b, fb, xtol)
+def _refine(l: int, dim: int, a: float, fa: float, b: float, fb: float) -> float:
+    x = _kernels._bisect_radial(l, dim, a, fa, b, fb, ROOT_XTOL)
     if math.isnan(x):
         raise ConvergenceError(
             f"root refinement failed in bracket [{a!r}, {b!r}] for (l={l}, dim={dim})"
@@ -241,9 +244,7 @@ def _refine(l: int, dim: int, a: float, fa: float, b: float, fb: float, xtol: fl
     return x
 
 
-def _lattice_scan(
-    l: int, dim: int, x_max: float, step: float, xtol: float, after: float = 0.0
-) -> list[float]:
+def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.0) -> list[float]:
     """Roots of f above ``after`` through the first beyond ``x_max``, on the lattice step, 2*step, ...
 
     The zeros of f and of its partner g (both from ``_kernels._radial_condition``)
@@ -282,7 +283,7 @@ def _lattice_scan(
         g_turns = (ga > 0.0) != (gb > 0.0)
         ahead_b = ahead + ((f_turns - g_turns) if f_leads else (g_turns - f_turns))
         if ahead_b in (0, 1):
-            return ([_refine(l, dim, xa, fa, xb, fb, xtol)] if f_turns else []), ahead_b
+            return ([_refine(l, dim, xa, fa, xb, fb)] if f_turns else []), ahead_b
         if halvings == _MAX_HALVINGS:
             raise ConvergenceError(
                 f"zeros of the radial condition and its partner fail to interlace in "
@@ -335,7 +336,7 @@ def radial_roots_up_to(
     of them span at least 4.5 (disk l < 200 and balls N <= 7, x <= 200), so
     the fixed pi/8 step (``GRID_STEP``) holds at most one.  A request beyond
     ``MAX_ROOT_X`` raises InsufficientSpectrum before any evaluation.  Roots
-    are refined to ``cache.xtol`` and kept in ``cache`` (a new in-memory
+    are refined to ``ROOT_XTOL`` and kept in ``cache`` (a new in-memory
     :class:`RootCache` when None) through the first root beyond ``x_max``,
     so the cache serves the same request again, and a longer request
     resumes the scan after the last cached root.
@@ -347,7 +348,7 @@ def radial_roots_up_to(
     if x_max > MAX_ROOT_X:
         raise InsufficientSpectrum(
             f"radial roots up to x = {x_max!r} lie beyond the supported range x <= {MAX_ROOT_X!r} "
-            f"(l={angular_index}, dim={dim})"
+            f"(l={_show(angular_index)}, dim={dim})"
         )
     if angular_index > MAX_ROOT_X:  # every root of J_l' lies above l >= x_max (DLMF 10.21(i))
         return []
@@ -356,7 +357,7 @@ def radial_roots_up_to(
     cached = cache.get(dim, angular_index)
     if not cached or x_max > cached[-1]:
         after = cached[-1] if cached else 0.0
-        cached = cached + _lattice_scan(angular_index, dim, x_max, GRID_STEP, cache.xtol, after)
+        cached = cached + _lattice_scan(angular_index, dim, x_max, GRID_STEP, after)
         cache.put(dim, angular_index, cached)
     return [r for r in cached if r <= x_max]
 
@@ -393,8 +394,8 @@ def neumann_radial_roots(
             return roots[:count]
         if x_max == MAX_ROOT_X:
             raise InsufficientSpectrum(
-                f"only {len(roots)} roots for (l={angular_index}, dim={dim}) lie in the supported "
-                f"range x <= {MAX_ROOT_X!r}, need {count}"
+                f"only {len(roots)} roots for (l={_show(angular_index)}, dim={_show(dim)}) lie in the supported "
+                f"range x <= {MAX_ROOT_X!r}, need {_show(count)}"
             )
         x_max = min(1.5 * x_max, MAX_ROOT_X)
 
@@ -406,20 +407,18 @@ def neumann_radial_roots(
 
 @dataclass
 class RootCache:
-    """Memo of radial roots, and the one owner of the tolerance they are refined to.
+    """Memo of radial roots, each refined to ``ROOT_XTOL``.
 
-    Every root scan runs through a cache and refines to its ``xtol``, so a
-    cache holds only roots refined at its own tolerance.  The record list for
-    each (dim, l) pair is always a complete prefix of the true root sequence,
-    so cached data can serve any request whose range it covers.  A file whose
-    ``xtol`` differs from the requested one or whose step is not
-    ``GRID_STEP``, or that holds a list that is not finite, strictly
-    increasing and indexed 1..n, is discarded and regenerated.  Saving writes
-    a temporary file beside the target and renames it over the target, so a
+    The record list for each (dim, l) pair is always a complete prefix of
+    the true root sequence, so cached data can serve any request whose range
+    it covers.  A file is written with the tolerances ``ROOT_XTOL`` and
+    ``GRID_STEP``; one that stores other tolerances (say from an older
+    release), or that holds a list that is not finite, strictly increasing
+    and indexed 1..n, is discarded and regenerated.  Saving writes a
+    temporary file beside the target and renames it over the target, so a
     reader sees the old file or the new one, never a partial write.
     """
 
-    xtol: float = ROOT_XTOL
     records: dict[tuple[int, int], list[float]] = field(default_factory=dict)
 
     def get(self, dim: int, l: int) -> list[float]:
@@ -435,7 +434,7 @@ class RootCache:
                 recs.append([dim, l, i, x])
         return {
             "schema_version": 1,
-            "tolerances": {"xtol": self.xtol, "step": GRID_STEP},
+            "tolerances": {"xtol": ROOT_XTOL, "step": GRID_STEP},
             "records": recs,
         }
 
@@ -451,29 +450,27 @@ class RootCache:
             raise
 
     @classmethod
-    def load(
-        cls, path: str | Path, *, xtol: float = ROOT_XTOL
-    ) -> tuple["RootCache", bool]:
+    def load(cls, path: str | Path) -> tuple["RootCache", bool]:
         """Load a cache; returns (cache, stale) where stale means regenerated."""
-        fresh = cls(xtol=xtol)
+        fresh = cls()
         p = Path(path)
         if not p.exists():
             return fresh, False
         try:
             doc = _parse_json(p.read_bytes(), str(p))
             tol = doc["tolerances"]
-            if tol["xtol"] != xtol or tol["step"] != GRID_STEP:
+            if tol["xtol"] != ROOT_XTOL or tol["step"] != GRID_STEP:
                 return fresh, True
             for dim, l, idx, x in doc["records"]:
                 roots = fresh.records.setdefault((int(dim), int(l)), [])
                 x = _real(x, "cached root")
                 # indexed 1..n in order and strictly increasing
                 if idx != len(roots) + 1 or (roots and x <= roots[-1]):
-                    return cls(xtol=xtol), True
+                    return cls(), True
                 roots.append(x)
             return fresh, False
         except (Error, KeyError, TypeError, ValueError):
-            return cls(xtol=xtol), True
+            return cls(), True
 
 
 # ---------------------------------------------------------------------------
@@ -729,10 +726,10 @@ class DiskDomain:
                 return entries[:k]
             if self.bound is not None and target >= self.bound:
                 raise InsufficientSpectrum(
-                    f"only {len(entries)} distinct eigenvalues below the bound {self.bound!r}, need {k}"
+                    f"only {len(entries)} distinct eigenvalues below the bound {self.bound!r}, need {_show(k)}"
                 )
             target *= 2.0
-        raise InsufficientSpectrum(f"could not collect {k} eigenvalues")  # pragma: no cover
+        raise InsufficientSpectrum(f"could not collect {_show(k)} eigenvalues")  # pragma: no cover
 
 
 @dataclass
@@ -784,7 +781,7 @@ class _SuppliedDomain:
     def first_entries(self, k: int) -> list[SpectrumEntry]:
         _int(k, "k", 1)
         if k > len(self.entries):
-            raise InsufficientSpectrum(f"supplied spectrum has {len(self.entries)} entries, need {k}")
+            raise InsufficientSpectrum(f"supplied spectrum has {len(self.entries)} entries, need {_show(k)}")
         return self.entries[:k]
 
 
@@ -824,19 +821,11 @@ class CustomDomain(_SuppliedDomain):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        table = self.irr_dim_table
-        if table is None:
+        if self.irr_dim_table is None:
             return
-        if not isinstance(table, dict):
-            raise SchemaError(f"irr_dims must be an object, got {table!r}")
-        try:
-            labels = [int(k) if isinstance(k, str) and k.removeprefix("-").isdecimal() else k for k in table]
-        except ValueError as exc:  # a label past the 4,300-digit limit of int()
-            raise SchemaError(f"bad irr_dims label: {exc}") from exc
         self.irr_dim_table = {
-            _int(k, "irr_dims label", error=SchemaError):
-                _int(d, "irreducible dimensions", 1, SchemaError, ValidationError)
-            for k, d in zip(labels, table.values())
+            k: _int(d, "irreducible dimensions", 1, SchemaError, ValidationError)
+            for k, d in _label_table(self.irr_dim_table, "irr_dims").items()
         }
 
     def irr_dims(self) -> dict[int, int] | None:
@@ -853,7 +842,7 @@ def domain_from_json(
     if cache is None:
         cache = RootCache()
     if not isinstance(doc, dict) or "type" not in doc:
-        raise SchemaError(f"domain document must be an object with a 'type', got {doc!r}")
+        raise SchemaError(f"domain document must be an object with a 'type', got {_show(doc)}")
     kind = doc["type"]
     if kind == "disk":
         unknown = set(doc) - {"type", "max_eigenvalue"}
@@ -876,4 +865,4 @@ def domain_from_json(
         if unknown:
             raise SchemaError(f"unknown keys in custom domain: {sorted(unknown)}")
         return CustomDomain(_entries_from_docs(doc.get("entries")), irr_dim_table=doc.get("irr_dims"))
-    raise SchemaError(f"unknown domain type {kind!r}")
+    raise SchemaError(f"unknown domain type {_show(kind)}")

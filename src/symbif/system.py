@@ -31,7 +31,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import NotAMember, SchemaError, ValidationError, _bool, _int, _real
+from .errors import NotAMember, SchemaError, ValidationError, _bool, _int, _real, _show
 from .euler import SO2Rep
 from .spectral import (
     MERGE_REL,
@@ -100,16 +100,16 @@ class SystemSpec:
             sigma = getattr(self, name)
             if not isinstance(sigma, _Multiset):  # system_spec_from_json passes the tables it checked
                 if not isinstance(sigma, Mapping):
-                    raise ValidationError(f"{name} must be a mapping of eigenvalue to multiplicity, got {sigma!r}")
+                    raise ValidationError(f"{name} must be a mapping of eigenvalue to multiplicity, got {_show(sigma)}")
                 sigma = _as_multiset(sigma.items(), name)
                 setattr(self, name, sigma)
             total, expected = sum(sigma.values()), getattr(self, p)
             if total != expected:
-                raise ValidationError(f"{name} multiplicities sum to {total}, expected {p} = {expected}")
+                raise ValidationError(f"{name} multiplicities sum to {_show(total)}, expected {p} = {_show(expected)}")
         zero_mult = self.sigma_b1.get(0, 0) + self.sigma_b2.get(0, 0)
         if self.mu_b0 > zero_mult:
             raise ValidationError(
-                f"mu_b0 = {self.mu_b0} exceeds the multiplicity {zero_mult} of 0 in the blocks"
+                f"mu_b0 = {_show(self.mu_b0)} exceeds the multiplicity {_show(zero_mult)} of 0 in the blocks"
             )
         if self.a9:
             expected_b1 = {v: m for v, m in ((0, self.mu_b0), (1, self.p1 - self.mu_b0)) if m > 0}
@@ -117,7 +117,7 @@ class SystemSpec:
             if self.sigma_b1 != expected_b1 or self.sigma_b2 != expected_b2:
                 raise ValidationError(
                     "a9 requires B1 = diag(0^mu, 1^(p1-mu)) and B2 = Id; "
-                    f"got sigma_b1={self.sigma_b1!r}, sigma_b2={self.sigma_b2!r}"
+                    f"got sigma_b1={_show(self.sigma_b1)}, sigma_b2={_show(self.sigma_b2)}"
                 )
 
     # -- views ---------------------------------------------------------------
@@ -190,7 +190,7 @@ def system_spec_from_json(doc, *, spectrum_bound=None, cache=None) -> SystemSpec
         pairs = []
         for item in raw:
             if not isinstance(item, dict) or set(item) - {"value", "mult"} or "value" not in item:
-                raise SchemaError(f"bad entry in '{key}': {item!r}")
+                raise SchemaError(f"bad entry in '{key}': {_show(item)}")
             pairs.append((item["value"], item.get("mult", 1)))
         return _as_multiset(pairs, key)
 

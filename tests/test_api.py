@@ -1,11 +1,11 @@
 """Guard on the public signatures: each tolerance and limit has one owner.
 
-Only ``RootCache`` and ``RootCache.load`` take ``xtol``, and no public callable
-takes a lattice ``step`` (the step is the constant ``GRID_STEP``).  A knob
-threaded back through a domain or a spectrum builder could again disagree
-with the cache that stores its roots.  Likewise no public callable takes a
-merge or matching tolerance (the constant ``MERGE_REL``) or one of the
-single-value knobs that became constants.  Input checks live in one module:
+No public callable takes a root tolerance ``xtol`` (the constant
+``ROOT_XTOL``) or a lattice ``step`` (the constant ``GRID_STEP``): a knob
+threaded through a domain or a spectrum builder could disagree with the cache
+that stores its roots, and no setting of it changes a result.  Likewise no
+public callable takes a merge or matching tolerance (the constant
+``MERGE_REL``) or one of the single-value knobs that became constants.  Input checks live in one module:
 no other module tests for bools by hand.
 """
 
@@ -41,11 +41,10 @@ def public_signatures():
     return seen
 
 
-def test_only_the_root_cache_takes_xtol_and_nothing_takes_step():
+def test_nothing_takes_xtol_or_step():
     signatures = public_signatures()
-    assert {"disk_spectrum", "DiskDomain", "RootCache.load", "domain_from_json"} <= set(signatures)
-    assert sorted(n for n, params in signatures.items() if "xtol" in params) == ["RootCache", "RootCache.load"]
-    assert sorted(n for n, params in signatures.items() if "step" in params) == []
+    assert {"disk_spectrum", "DiskDomain", "RootCache", "RootCache.load", "domain_from_json"} <= set(signatures)
+    assert sorted(n for n, params in signatures.items() if params & {"xtol", "step"}) == []
 
 
 def test_nothing_takes_a_merge_tolerance_or_a_constant_knob():
@@ -55,7 +54,7 @@ def test_nothing_takes_a_merge_tolerance_or_a_constant_knob():
         "merge_rel", "match_rel", "rel", "merge_tol", "max_members", "full_label", "cyclic_prefix", "default_irr_dim"
     }
     assert sorted(n for n, params in signatures.items() if params & knobs) == []
-    assert "merge_tol" not in {f.name for f in dataclasses.fields(cli.AnalysisConfig)}
+    assert {"merge_tol", "root_tol"}.isdisjoint(f.name for f in dataclasses.fields(cli.AnalysisConfig))
 
 
 def test_only_the_checker_module_tests_for_bool():

@@ -34,7 +34,7 @@ A9_DISK = {
     "domain": {"type": "disk", "max_eigenvalue": 60},
     "a9": True,
 }
-DISK = {"system": A9_DISK, "window": [-12, 12], "spectrum_bound": 40, "tolerances": {"root": 1e-10}}
+DISK = {"system": A9_DISK, "window": [-12, 12], "spectrum_bound": 40}
 # no angular indices, so the a9 unboundedness check runs the ball's radial test
 BALL = {
     "system": {
@@ -76,7 +76,6 @@ CASES = [
             ("window", 0),
             ("window", 1),
             ("spectrum_bound",),
-            ("tolerances", "root"),
             SYS + ("p1",),
             SYS + ("p2",),
             SYS + ("mu_b0",),
@@ -87,7 +86,7 @@ CASES = [
             DOM + ("max_eigenvalue",),
         ]
     ],
-    *[(["spectrum"], DISK, path) for path in [("spectrum_bound",), ("tolerances", "root"), DOM + ("max_eigenvalue",)]],
+    *[(["spectrum"], DISK, path) for path in [("spectrum_bound",), DOM + ("max_eigenvalue",)]],
     *[
         (["bif", "--lambda", "3.3899577166932745"], DISK, path)
         for path in [SYS + ("p1",), SYS + ("mu_b0",), B1 + ("value",), DOM + ("max_eigenvalue",)]
@@ -165,3 +164,58 @@ PLAIN_SPEC = symbif.system_spec_from_json({**A9_DISK, "a9": False})
 def test_library_refuses_bools_and_strings_as_numbers(call):
     with pytest.raises((symbif.DomainError, symbif.ValidationError)):
         call()
+
+
+BIG = 10**5000  # 5,001 digits: str() and repr() of it raise ValueError
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: symbif.radial_roots_up_to(-BIG, 2, 3.0),
+        lambda: symbif.neumann_radial_roots(0, 2, -BIG),
+        lambda: symbif.neumann_radial_roots(BIG, 2, 1),
+        lambda: symbif.SO2Rep(-BIG),
+        lambda: symbif.EulerSO2(0, {-BIG: 1}),
+        lambda: symbif.EulerSO2(BIG).invert(),
+        lambda: symbif.SystemSpec(p1=BIG, p2=0),
+        lambda: symbif.SystemSpec(p1=1, p2=0, sigma_b1={0: 1}, mu_b0=BIG),
+        lambda: symbif.OrbitDatum("Z1", -BIG),
+        lambda: symbif.DiskDomain().first_entries(-BIG),
+        lambda: symbif.epsilon_gap(BIG, [1.0]),
+    ],
+    ids=[
+        "radial-roots-index", "neumann-count", "neumann-index", "so2rep-trivial", "euler-label", "euler-invert",
+        "spec-p1", "spec-mu-b0", "orbit-morse-index", "first-entries", "epsilon-gap",
+    ],
+)
+def test_integer_too_long_to_print_is_a_package_error(call):
+    # the message shows the integer by its digit count, as it cannot print it
+    with pytest.raises(symbif.Error, match="integer of 5001 digits"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda: symbif.SO2Rep.from_json({"irr": {"1": 1, "01": 2}}),
+        lambda: symbif.EulerSO2.from_json({"unit": 1, "cyclic": {"10": 1, "010": 4}}),
+        lambda: symbif.EulerSO2.from_json({"unit": 1, "cyclic": {"10": 1, "1_0": 4}}),
+        lambda: symbif.CustomDomain([symbif.SpectrumEntry(0.0, symbif.SO2Rep.trivial(1))], {"1": 2, "01": 4}),
+    ],
+    ids=["so2rep-irr", "euler-cyclic", "euler-cyclic-underscore", "custom-irr-dims"],
+)
+def test_keys_that_overwrite_a_label_are_a_schema_error(read):
+    # "01" reads as the label 1; "1_0" is not decimal digits, though int() reads it as 10
+    with pytest.raises(symbif.SchemaError):
+        read()
+
+
+def test_colliding_rep_labels_in_a_config_are_exit_1(config_path):
+    doc = copy.deepcopy(BALL)
+    doc["system"]["domain"]["entries"][2]["rep"] = {"trivial": 0, "irr": {"1": 1, "01": 2}}
+    config_path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["analyze", "--config", str(config_path)])
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue().startswith("symbif: SchemaError: ") and "name the same label" in err.getvalue()

@@ -328,13 +328,16 @@ class TestCacheAndConfig:
         assert code == 0 and out1 == out2 and "regenerating" not in err
 
     def test_stale_cache_notice(self, capsys, a9_config, tmp_path):
+        # a file written at another root tolerance (say by an older release) is regenerated
         cache = tmp_path / "roots.json"
         run_cli(capsys, "analyze", "--config", a9_config, "--cache", str(cache))
-        code, _, err = run_cli(
-            capsys, "analyze", "--config", a9_config, "--cache", str(cache), "--tol", "1e-9"
-        )
+        doc = json.loads(cache.read_text())
+        doc["tolerances"]["xtol"] = 1e-9
+        cache.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "analyze", "--config", a9_config, "--cache", str(cache))
         assert code == 0
         assert "regenerating" in err
+        assert json.loads(cache.read_text())["tolerances"]["xtol"] == 1e-10
 
     def test_malformed_config_is_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -366,22 +369,14 @@ class TestCacheAndConfig:
 
     @pytest.mark.parametrize(
         "field",
-        [{"windows": [0, 1]}, {"tolerances": {"merge": 1e-8}}],
-        ids=["windows", "merge-tolerance"],
+        [{"windows": [0, 1]}, {"tolerances": {"merge": 1e-8}}, {"tolerances": {"root": 1e-10}}],
+        ids=["windows", "merge-tolerance", "root-tolerance"],
     )
     def test_unknown_config_key_is_exit_1(self, capsys, tmp_path, field):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"system": A9_SYSTEM, **field}))
         code, _, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 1 and "SchemaError" in err
-
-    @pytest.mark.parametrize("tol, code", [("1", 1), ("1e9", 1), ("inf", 1), ("1e-8", 0)])
-    def test_root_tolerance_at_most_merge_tolerance(self, capsys, tol, code):
-        got, out, err = run_cli(capsys, "spectrum", "--max-eigenvalue", "20", "--tol", tol)
-        assert got == code
-        assert ("ValidationError" in err) == (code == 1) and "Traceback" not in err
-        if code == 0:
-            assert "3.38995772" in out
 
     def test_config_window_validation(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -415,3 +410,29 @@ class TestCacheAndConfig:
         cfg.write_text(json.dumps({"system": system, "window": [0.0, 1.0]}))
         code, _, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 1 and "ValidationError" in err and "Traceback" not in err
+
+
+class TestUsageErrors:
+    """A bad command line exits 1 like any other bad input; exit 2 means a failed computation."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--max-eigenvalue", "20", "--tol", "1e-9"],
+            ["spectrum", "--max-eigenvalue", "abc"],
+            ["bif", "--lambda", "x"],
+            ["analyze", "--no-such-flag"],
+        ],
+        ids=["tol", "max-eigenvalue-abc", "lambda-x", "unknown-flag"],
+    )
+    def test_usage_error_is_exit_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith("usage: symbif") and "error: " in err and "Traceback" not in err
+
+    def test_help_is_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--help"])
+        assert exc.value.code == 0 and "--max-eigenvalue" in capsys.readouterr().out

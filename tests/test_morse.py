@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -69,6 +70,25 @@ class TestLiftDegree:
     def test_missing_class(self):
         with pytest.raises(MissingClass):
             lift_degree({"a": 1, "c": 2}, {"a": "ga", "b": "gb"})
+
+    def test_large_table_lifts_in_linear_time(self):
+        # the injectivity check is one pass over a set; scanning the targets
+        # seen so far for each entry is quadratic, about 30 s at this size
+        n = 50_000
+        table = {f"h{i}": f"g{i}" for i in range(n)}
+        deg = {f"h{i}": 1 for i in range(0, n, 7)}
+
+        def hang(signum, frame):
+            raise AssertionError("lifting a 50,000-entry table took over 5 s")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            lifted = lift_degree(deg, table)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert lifted == {f"g{i}": 1 for i in range(0, n, 7)}
 
     def test_explicit_zero_does_not_need_entry(self):
         assert lift_degree({"a": 1, "zz": 0}, {"a": "ga"}) == {"ga": 1}
@@ -146,3 +166,9 @@ class TestEulerBridge:
     def test_rejects_foreign_labels(self):
         with pytest.raises(ValidationError):
             so2_class_map_to_euler({"D4": 1})
+
+    @pytest.mark.parametrize("label", ["Z\u00b2", "Z" + "1" * 5000], ids=["superscript-two", "5000-digits"])
+    def test_rejects_labels_int_cannot_read(self, label):
+        # str.isdigit accepts a superscript two, and int() refuses 5,000 digits
+        with pytest.raises(ValidationError):
+            so2_class_map_to_euler({label: 1})

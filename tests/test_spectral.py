@@ -180,7 +180,7 @@ class TestRadialRoots:
         from symbif.spectral import _lattice_scan
 
         reference = neumann_radial_roots(1, 2, 5)
-        coarse = [r for r in _lattice_scan(1, 2, 16.0, step=4.0, xtol=1e-10) if r <= 16.0]
+        coarse = [r for r in _lattice_scan(1, 2, 16.0, step=4.0) if r <= 16.0]
         assert len(coarse) == len(reference) == 5
         for got, want in zip(coarse, reference):
             assert abs(got - want) < 1e-8
@@ -221,7 +221,7 @@ class TestInterlacingCheck:
     def test_first_cell_is_checked(self, monkeypatch):
         # with step 4 the first cell (0, 4] holds J_1' = 0 at 1.84 and J_1 = 0
         # at 3.83; scanned from the signs at 0+ it yields its root ...
-        assert abs(_lattice_scan(1, 2, 16.0, 4.0, 1e-10)[0] - 1.8411837813406593) < 1e-8
+        assert abs(_lattice_scan(1, 2, 16.0, 4.0)[0] - 1.8411837813406593) < 1e-8
         # ... and with that root hidden, J_1 alone changes sign there, so the
         # check fails instead of returning the list without it
         from symbif import ConvergenceError, _kernels
@@ -234,7 +234,7 @@ class TestInterlacingCheck:
 
         monkeypatch.setattr(_kernels, "_radial_condition", hidden_first)
         with pytest.raises(ConvergenceError, match="interlace"):
-            _lattice_scan(1, 2, 16.0, 4.0, 1e-10)
+            _lattice_scan(1, 2, 16.0, 4.0)
 
     def test_underflow_near_origin_is_not_a_root(self):
         # J_140 and J_140' underflow to 0.0 at the first lattice points; those
@@ -327,10 +327,10 @@ class TestKnownSignPrefix:
     def test_skip_keeps_the_brackets(self, l, kernel_calls):
         # a scan resumed just above 0 walks the whole lattice; the skipping
         # scan refines the same brackets, so the roots agree bit for bit
-        skipped = _lattice_scan(l, 2, 70.0, GRID_STEP, ROOT_XTOL)
+        skipped = _lattice_scan(l, 2, 70.0, GRID_STEP)
         lattice = kernel_calls.lattice
         kernel_calls.reset()
-        assert skipped == _lattice_scan(l, 2, 70.0, GRID_STEP, ROOT_XTOL, after=5e-324)
+        assert skipped == _lattice_scan(l, 2, 70.0, GRID_STEP, after=5e-324)
         # the full walk evaluates lattice points 1, 2, ...; the skipping scan
         # starts at the last one at or below sqrt(l(l+2))
         start = math.floor(math.sqrt(l * (l + 2)) / GRID_STEP)
@@ -804,27 +804,17 @@ class TestRootCache:
         assert loaded.get(2, 1) == [1.5, 4.5]
 
     def test_stale_on_tolerance_mismatch(self, tmp_path):
-        cache = RootCache(xtol=1e-10)
+        cache = RootCache()
         cache.put(2, 0, [3.8])
         path = tmp_path / "roots.json"
         cache.save(path)
-        loaded, stale = RootCache.load(path, xtol=1e-8)
+        doc = json.loads(path.read_text())
+        assert doc["tolerances"] == {"step": GRID_STEP, "xtol": ROOT_XTOL}
+        doc["tolerances"]["xtol"] = 1e-8
+        path.write_text(json.dumps(doc))
+        loaded, stale = RootCache.load(path)
         assert stale
         assert loaded.get(2, 0) == []
-
-    def test_cache_holds_only_roots_refined_at_its_own_xtol(self, tmp_path):
-        cache = RootCache(xtol=1e-3)
-        DiskDomain(cache=cache).entries_up_to(50.0)
-        x_max = math.sqrt(50.0)
-        assert cache.records == {
-            (2, l): _lattice_scan(l, 2, x_max, GRID_STEP, 1e-3) for l in range(len(cache.records))
-        }
-        assert cache.get(2, 1) != _lattice_scan(1, 2, x_max, GRID_STEP, ROOT_XTOL)
-        path = tmp_path / "roots.json"
-        cache.save(path)
-        assert json.loads(path.read_text())["tolerances"] == {"step": GRID_STEP, "xtol": 1e-3}
-        loaded, stale = RootCache.load(path)
-        assert stale and loaded.records == {} and loaded.xtol == ROOT_XTOL
 
     def test_cache_serves_covered_requests(self):
         cache = RootCache()
