@@ -170,6 +170,8 @@ class TestSpectrum:
         code, out, _ = run_cli(capsys, "spectrum", "--max-eigenvalue", "10")
         assert code == 0
         assert "eigenvalue" in out and "1*triv" in out
+        # the first rotation eigenvalue j'_{1,1}^2 at the fixed root tolerance
+        assert "3.38995772" in out
 
     def test_needs_bound(self, capsys):
         code, _, err = run_cli(capsys, "spectrum")
@@ -418,12 +420,13 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["spectrum", "--max-eigenvalue", "20", "--tol", "1e-9"],
+            # --tol is gone: the root tolerance is the constant ROOT_XTOL at every value
+            *(["spectrum", "--max-eigenvalue", "20", "--tol", tol] for tol in ("1", "1e-8", "1e9", "inf")),
             ["spectrum", "--max-eigenvalue", "abc"],
             ["bif", "--lambda", "x"],
             ["analyze", "--no-such-flag"],
         ],
-        ids=["tol", "max-eigenvalue-abc", "lambda-x", "unknown-flag"],
+        ids=["tol-1", "tol-1e-8", "tol-1e9", "tol-inf", "max-eigenvalue-abc", "lambda-x", "unknown-flag"],
     )
     def test_usage_error_is_exit_1(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
