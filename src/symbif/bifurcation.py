@@ -34,10 +34,9 @@ candidate and takes Lambda membership from the same lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError, UnsupportedDomain, ValidationError, _real, _show
+from .errors import PreconditionError, UnsupportedDomain, ValidationError, _real, _repr, _show
 from .euler import EulerSO2, deg_minus_id, rep_equiv_mod_even_trivial
 from .spectral import BallDomain, DiskDomain, SpectrumEntry, close
 from .system import (
@@ -81,12 +80,20 @@ NO_VERDICT = "NoVerdict"
 MAX_SUBSET_MEMBERS = 20
 
 
-@dataclass(eq=True)
 class GlobCheck:
     """Outcome of the sufficient global-bifurcation criterion at one parameter."""
 
-    glob: str
-    justification: str
+    def __init__(self, glob: str, justification: str) -> None:
+        self.glob = glob
+        self.justification = justification
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.glob, self.justification) == (other.glob, other.justification)
+
+    def __repr__(self) -> str:
+        return _repr(self, "glob", "justification")
 
 
 def check_glob(spec: SystemSpec, lambda0: float) -> GlobCheck:
@@ -183,12 +190,20 @@ _BOUNDED_WOULD_IMPLY = {
 }
 
 
-@dataclass(eq=True)
 class UnboundedReport:
     """Unboundedness certificate plus the structural facts boundedness would force."""
 
-    verdict: str
-    bounded_would_imply: tuple[str, ...] = ()
+    def __init__(self, verdict: str, bounded_would_imply: tuple[str, ...] = ()) -> None:
+        self.verdict = verdict
+        self.bounded_would_imply = bounded_would_imply
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.verdict, self.bounded_would_imply) == (other.verdict, other.bounded_would_imply)
+
+    def __repr__(self) -> str:
+        return _repr(self, "verdict", "bounded_would_imply")
 
 
 def _eigenspace_nontrivial(spec: SystemSpec, entry: SpectrumEntry) -> bool:
@@ -218,17 +233,39 @@ def unbounded_verdict(spec: SystemSpec, entry: SpectrumEntry, sign: int) -> Unbo
     return UnboundedReport(verdict, _BOUNDED_WOULD_IMPLY[sign] if one_sided else ())
 
 
-@dataclass(eq=True)
 class BifurcationVerdict:
     """Per-parameter report assembled by :func:`analyze`."""
 
-    lambda0: float
-    in_lambda: bool
-    kernel: KernelReps
-    glob: str
-    justification: str
-    bif_element: EulerSO2 | None
-    unbounded: str
+    def __init__(
+        self,
+        lambda0: float,
+        in_lambda: bool,
+        kernel: KernelReps,
+        glob: str,
+        justification: str,
+        bif_element: EulerSO2 | None,
+        unbounded: str,
+    ) -> None:
+        self.lambda0 = lambda0
+        self.in_lambda = in_lambda
+        self.kernel = kernel
+        self.glob = glob
+        self.justification = justification
+        self.bif_element = bif_element
+        self.unbounded = unbounded
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.lambda0, self.in_lambda, self.kernel, self.glob, self.justification, self.bif_element, self.unbounded
+        ) == (
+            other.lambda0, other.in_lambda, other.kernel, other.glob, other.justification, other.bif_element,
+            other.unbounded,
+        )
+
+    def __repr__(self) -> str:
+        return _repr(self, "lambda0", "in_lambda", "kernel", "glob", "justification", "bif_element", "unbounded")
 
     def to_json(self) -> dict:
         return {

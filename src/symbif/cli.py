@@ -6,6 +6,10 @@ Structured output is deterministic JSON (sorted keys) versioned with a
 top-level ``schema_version``; exit status is 0 on success, 1 on usage and
 validation errors and 2 on computational errors (failed root refinement,
 spectrum too short for the request).
+
+Each subcommand imports the modules it calls when it runs, so a process
+loads only those: ``spectrum`` on a warm cache needs neither the system
+model nor the kernels.
 """
 
 from __future__ import annotations
@@ -13,16 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .bifurcation import (
-    analyze,
-    bif_a9,
-    bif_difference,
-    enumerate_zero_sum_subsets,
-    rabinowitz_excludes_bounded,
-)
 from .errors import (
     COMPUTATIONAL_ERRORS,
     Error,
@@ -31,12 +27,10 @@ from .errors import (
     ValidationError,
     _parse_json,
     _real,
+    _repr,
     _show,
 )
-from .euler import EulerSO2
-from .morse import class_table_from_json, degree_from_orbits, lift_degree, orbit_data_from_json
 from .spectral import DiskDomain, RootCache
-from .system import SystemSpec, lambda_set, system_spec_from_json
 
 __all__ = ["AnalysisConfig", "main", "parse_report"]
 
@@ -44,14 +38,21 @@ SCHEMA_VERSION = 1
 SUBCOMMANDS = ("spectrum", "lambda-set", "analyze", "bif", "rabinowitz", "morse-degree")
 
 
-@dataclass
 class AnalysisConfig:
     """Validated configuration: the system document plus run parameters."""
 
-    system: dict | None = None
-    window: tuple[float, float] | None = None
-    output_format: str = "table"
-    spectrum_bound: float | None = None
+    def __init__(
+        self,
+        system: dict | None = None,
+        window: tuple[float, float] | None = None,
+        output_format: str = "table",
+        spectrum_bound: float | None = None,
+    ) -> None:
+        self.system = system
+        self.window = window
+        self.output_format = output_format
+        self.spectrum_bound = spectrum_bound
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         def real(value, what):
@@ -65,6 +66,16 @@ class AnalysisConfig:
             raise ValidationError(f"spectrum_bound must be positive, got {self.spectrum_bound!r}")
         if self.output_format not in ("table", "structured"):
             raise ValidationError(f"output_format must be 'table' or 'structured', got {_show(self.output_format)}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.system, self.window, self.output_format, self.spectrum_bound) == (
+            other.system, other.window, other.output_format, other.spectrum_bound
+        )
+
+    def __repr__(self) -> str:
+        return _repr(self, "system", "window", "output_format", "spectrum_bound")
 
     @classmethod
     def from_doc(cls, doc) -> "AnalysisConfig":
@@ -83,9 +94,12 @@ class AnalysisConfig:
             spectrum_bound=doc.get("spectrum_bound"),
         )
 
-    def build_spec(self, cache: RootCache) -> SystemSpec:
+    def build_spec(self, cache: RootCache):
+        """The :class:`~symbif.system.SystemSpec` of the ``system`` document, its domain on ``cache``."""
         if self.system is None:
             raise ValidationError("this subcommand needs a 'system' document in the config")
+        from .system import system_spec_from_json
+
         return system_spec_from_json(self.system, spectrum_bound=self.spectrum_bound, cache=cache)
 
 
@@ -140,6 +154,8 @@ def _cmd_spectrum(config: AnalysisConfig, args, cache) -> str:
 
 
 def _cmd_lambda_set(config: AnalysisConfig, args, cache) -> str:
+    from .system import lambda_set
+
     spec = config.build_spec(cache)
     window = _require_window(config)
     members = lambda_set(spec, window)
@@ -153,6 +169,8 @@ def _cmd_lambda_set(config: AnalysisConfig, args, cache) -> str:
 
 
 def _cmd_analyze(config: AnalysisConfig, args, cache) -> str:
+    from .bifurcation import analyze
+
     spec = config.build_spec(cache)
     window = _require_window(config)
     verdicts = analyze(spec, window)
@@ -173,6 +191,8 @@ def _cmd_analyze(config: AnalysisConfig, args, cache) -> str:
 
 
 def _cmd_bif(config: AnalysisConfig, args, cache) -> str:
+    from .bifurcation import bif_a9, bif_difference
+
     if args.lambda0 is None:
         raise ValidationError("bif needs --lambda")
     spec = config.build_spec(cache)
@@ -197,6 +217,10 @@ def _cmd_bif(config: AnalysisConfig, args, cache) -> str:
 
 
 def _cmd_rabinowitz(config: AnalysisConfig, args, cache) -> str:
+    from .bifurcation import bif_a9, enumerate_zero_sum_subsets, rabinowitz_excludes_bounded
+    from .euler import EulerSO2
+    from .system import lambda_set
+
     modes = sum(1 for flag in (args.indices, args.lambdas, args.enumerate) if flag)
     if modes != 1:
         raise ValidationError("rabinowitz needs exactly one of --indices, --lambdas, --enumerate")
@@ -245,6 +269,8 @@ def _cmd_rabinowitz(config: AnalysisConfig, args, cache) -> str:
 
 
 def _cmd_morse_degree(config: AnalysisConfig, args, cache) -> str:
+    from .morse import class_table_from_json, degree_from_orbits, lift_degree, orbit_data_from_json
+
     if not args.orbits:
         raise ValidationError("morse-degree needs --orbits FILE")
     data = orbit_data_from_json(_load_json(args.orbits))
@@ -316,16 +342,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_cache_path(path: str) -> None:
+    """ValidationError unless a cache file can be kept at ``path``, before any root is computed."""
+    target = Path(path)
+    if target.is_dir():
+        raise ValidationError(f"--cache {path} is a directory, not a file")
+    if not target.parent.is_dir():
+        raise ValidationError(f"--cache {path}: the directory {target.parent} does not exist")
+
+
 def run(args: argparse.Namespace) -> int:
     """Dispatch a parsed invocation; returns the process exit status."""
     config = AnalysisConfig.from_doc(_load_json(args.config)) if args.config else AnalysisConfig()
-    if args.window is not None:
-        config = replace(config, window=(args.window[0], args.window[1]))
-    if args.format is not None:
-        config = replace(config, output_format=args.format)
-    if args.max_eigenvalue is not None:
-        config = replace(config, spectrum_bound=args.max_eigenvalue)
+    if args.window is not None or args.format is not None or args.max_eigenvalue is not None:
+        config = AnalysisConfig(  # flags override the document
+            config.system,
+            config.window if args.window is None else (args.window[0], args.window[1]),
+            config.output_format if args.format is None else args.format,
+            config.spectrum_bound if args.max_eigenvalue is None else args.max_eigenvalue,
+        )
     if args.cache:
+        _check_cache_path(args.cache)
         cache, stale = RootCache.load(args.cache)
         if stale:
             print(

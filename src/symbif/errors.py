@@ -9,6 +9,10 @@ wrong type and ``invalid`` (default ``error``) for a bad value: a reader
 reports a wrong JSON type as SchemaError, a bad value as ValidationError.
 A message shows a caller's value through :func:`_show`, which never fails,
 and every table keyed by integer labels is read by :func:`_label_table`.
+
+The package's record classes are plain classes; they share :func:`_repr`
+and the ``_FACTORY`` default of a parameter that gets a new value per
+instance.
 """
 
 import json
@@ -141,3 +145,18 @@ def _parse_json(data: str | bytes, what: str):
     # bad text, bad UTF-8 and integer literals over 4,300 digits raise ValueError, deep nesting RecursionError
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
+
+
+class _Factory:
+    """Default of a parameter whose value is made per instance; shown as ``<factory>`` in signatures."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+def _repr(record, *fields: str) -> str:
+    """``Name(field=value, ...)`` over the named fields of a record."""
+    return f"{type(record).__qualname__}({', '.join(f'{f}={getattr(record, f)!r}' for f in fields)})"

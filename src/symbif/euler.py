@@ -41,10 +41,9 @@ build results from checked values through ``_make``, which only drops zeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import NotInvertible, SchemaError, ValidationError, _int, _is_int, _label_table, _show
+from .errors import _FACTORY, NotInvertible, SchemaError, ValidationError, _int, _is_int, _label_table, _repr, _show
 
 __all__ = ["EulerSO2", "SO2Rep", "deg_minus_id", "rep_equiv_mod_even_trivial"]
 
@@ -59,7 +58,6 @@ def _pruned(coeffs: Mapping[int, int], label: str, value: str, least: int | None
     return out
 
 
-@dataclass(eq=False)
 class EulerSO2:
     """Element of the Euler ring of SO(2), in zero-pruned canonical form.
 
@@ -69,8 +67,10 @@ class EulerSO2:
     are arbitrary-size integers.  Instances are treated as immutable values.
     """
 
-    unit: int = 0
-    cyclic: dict[int, int] = field(default_factory=dict)
+    def __init__(self, unit: int = 0, cyclic: dict[int, int] = _FACTORY) -> None:
+        self.unit = unit
+        self.cyclic = {} if cyclic is _FACTORY else cyclic
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _int(self.unit, "unit coefficient")
@@ -170,6 +170,9 @@ class EulerSO2:
     def __hash__(self) -> int:
         return hash((self.unit, tuple(sorted(self.cyclic.items()))))
 
+    def __repr__(self) -> str:
+        return _repr(self, "unit", "cyclic")
+
     def __str__(self) -> str:
         parts = []
         if self.unit:
@@ -192,7 +195,6 @@ class EulerSO2:
         return cls(doc.get("unit", 0), _label_table(doc.get("cyclic", {}), "cyclic coefficient table"))
 
 
-@dataclass(eq=True)
 class SO2Rep:
     """Orthogonal representation: a trivial summand plus nontrivial irreducibles.
 
@@ -204,12 +206,22 @@ class SO2Rep:
     Zero multiplicities are pruned, so equality is equality of contents.
     """
 
-    trivial_dim: int = 0
-    irreducibles: dict[int, int] = field(default_factory=dict)
+    def __init__(self, trivial_dim: int = 0, irreducibles: dict[int, int] = _FACTORY) -> None:
+        self.trivial_dim = trivial_dim
+        self.irreducibles = {} if irreducibles is _FACTORY else irreducibles
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _int(self.trivial_dim, "trivial_dim", 0)
         self.irreducibles = _pruned(self.irreducibles, "irreducible label", "irreducible multiplicity", 0)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.trivial_dim, self.irreducibles) == (other.trivial_dim, other.irreducibles)
+
+    def __repr__(self) -> str:
+        return _repr(self, "trivial_dim", "irreducibles")
 
     @classmethod
     def _make(cls, trivial_dim: int, irreducibles: Mapping[int, int]) -> "SO2Rep":

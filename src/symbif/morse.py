@@ -15,10 +15,9 @@ Class labels are opaque strings; conjugacy itself is the caller's business.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import MissingClass, NonInjectiveTable, SchemaError, ValidationError, _int, _show
+from .errors import MissingClass, NonInjectiveTable, SchemaError, ValidationError, _int, _repr, _show
 from .euler import EulerSO2
 
 __all__ = [
@@ -32,19 +31,38 @@ __all__ = [
 ]
 
 
-@dataclass(eq=True, frozen=True)
 class OrbitDatum:
     """One special non-degenerate critical orbit: isotropy class and the
     Morse index of its normal block (the tangential block carries none by
-    the specialness assumption, which is trusted, not checked)."""
+    the specialness assumption, which is trusted, not checked).  Frozen and
+    hashable."""
 
-    isotropy_class: str
-    morse_index: int
+    def __init__(self, isotropy_class: str, morse_index: int) -> None:
+        object.__setattr__(self, "isotropy_class", isotropy_class)
+        object.__setattr__(self, "morse_index", morse_index)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not isinstance(self.isotropy_class, str) or not self.isotropy_class:
             raise ValidationError(f"isotropy class must be a nonempty string, got {_show(self.isotropy_class)}")
         _int(self.morse_index, "morse_index", 0)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.isotropy_class, self.morse_index) == (other.isotropy_class, other.morse_index)
+
+    def __hash__(self) -> int:
+        return hash((self.isotropy_class, self.morse_index))
+
+    def __repr__(self) -> str:
+        return _repr(self, "isotropy_class", "morse_index")
 
 
 def degree_from_orbits(data: Iterable[OrbitDatum]) -> dict[str, int]:
@@ -122,18 +140,23 @@ def so2_class_map_to_euler(deg: Mapping[str, int]) -> EulerSO2:
     """Re-express a class map over SO(2) labels as an Euler-ring element.
 
     Labels: ``SO2`` for the class of the full group, ``Z<k>`` for the
-    finite cyclic classes.
+    finite cyclic classes.  Two labels of one class (``Z1`` and ``Z01``)
+    raise ValidationError, as either coefficient would otherwise be lost.
     """
     unit = 0
     cyclic: dict[int, int] = {}
+    labels: dict[int, str] = {}
     for label, coeff in deg.items():
         if label == "SO2":
             unit = coeff
         elif isinstance(label, str) and label.startswith("Z") and label[1:].isdecimal():
             try:
-                cyclic[int(label[1:])] = coeff
+                k = int(label[1:])
             except ValueError:  # past the 4,300-digit limit of int()
                 raise ValidationError(f"label Z<k> has a k of {len(label) - 1} digits, too long to read") from None
+            if k in labels:
+                raise ValidationError(f"labels {_show(labels[k])} and {_show(label)} name the same class Z{k}")
+            cyclic[k], labels[k] = coeff, label
         else:
             raise ValidationError(f"label {_show(label)} is not an SO(2) class label")
     return EulerSO2(unit, cyclic)

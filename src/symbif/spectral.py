@@ -38,12 +38,12 @@ import math
 import os
 import tempfile
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import _kernels
 from .errors import (
+    _FACTORY,
     ConvergenceError,
     DomainError,
     Error,
@@ -55,6 +55,7 @@ from .errors import (
     _label_table,
     _parse_json,
     _real,
+    _repr,
     _show,
 )
 from .euler import SO2Rep
@@ -120,7 +121,6 @@ def _beyond_coverage(alpha_max: float, coverage: float) -> bool:
 RepDescriptor = SO2Rep
 
 
-@dataclass(eq=True)
 class SpectrumEntry:
     """One distinct Neumann eigenvalue with the isotypic type of its eigenspace.
 
@@ -128,16 +128,30 @@ class SpectrumEntry:
     eigenvalue; the injected zero eigenvalue (constants) carries None there.
     """
 
-    eigenvalue: float
-    rep: SO2Rep
-    angular_index: int | None = None
-    root_index: int | None = None
+    def __init__(
+        self, eigenvalue: float, rep: SO2Rep, angular_index: int | None = None, root_index: int | None = None
+    ) -> None:
+        self.eigenvalue = eigenvalue
+        self.rep = rep
+        self.angular_index = angular_index
+        self.root_index = root_index
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # the one check of an eigenvalue, so a wrong type is a SchemaError as in a document
         self.eigenvalue = _real(self.eigenvalue, "eigenvalue", error=SchemaError, invalid=ValidationError)
         if self.eigenvalue < 0.0:
             raise ValidationError(f"eigenvalue must be nonnegative, got {self.eigenvalue!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.eigenvalue, self.rep, self.angular_index, self.root_index) == (
+            other.eigenvalue, other.rep, other.angular_index, other.root_index
+        )
+
+    def __repr__(self) -> str:
+        return _repr(self, "eigenvalue", "rep", "angular_index", "root_index")
 
     def to_json(self) -> dict:
         return {
@@ -188,6 +202,8 @@ def bessel_j(order: float, x: float) -> float:
     to 199, for x <= 200 (see ``symbif._kernels``).
     """
     nu, x = _check_arguments("bessel_j", order, x)
+    from . import _kernels
+
     return _kernels._bessel_j(nu, x)
 
 
@@ -196,6 +212,8 @@ def bessel_j_prime(order: float, x: float) -> float:
     nu, x = _check_arguments("bessel_j_prime", order, x)
     if x == 0.0 and nu != math.floor(nu):
         raise DomainError("derivative of a half-integer order is singular at x = 0")
+    from . import _kernels
+
     return _kernels._bessel_j_prime(nu, x)
 
 
@@ -212,6 +230,8 @@ def radial_condition(angular_index: int, dim: int, x: float) -> float:
     x = _real(x, "radial condition argument x", error=DomainError)
     if x <= 0.0:
         raise DomainError(f"radial condition needs x > 0, got {x!r}")
+    from . import _kernels
+
     return _kernels._radial_condition(angular_index, dim, x)[0]
 
 
@@ -235,15 +255,6 @@ _MAX_HALVINGS = 3
 _UNDERFLOW = math.ulp(0.0)
 
 
-def _refine(l: int, dim: int, a: float, fa: float, b: float, fb: float) -> float:
-    x = _kernels._bisect_radial(l, dim, a, fa, b, fb, ROOT_XTOL)
-    if math.isnan(x):
-        raise ConvergenceError(
-            f"root refinement failed in bracket [{a!r}, {b!r}] for (l={l}, dim={dim})"
-        )
-    return x
-
-
 def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.0) -> list[float]:
     """Roots of f above ``after`` through the first beyond ``x_max``, on the lattice step, 2*step, ...
 
@@ -263,8 +274,16 @@ def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.
     the cell holding ``after``.  A value that underflowed to 0.0 (high
     orders near the origin) keeps the sign of the point before it.
     """
+    from . import _kernels  # once per scan: the kernels load with the first scan of a process
+
     f_leads = dim == 2 and l >= 1
     origin = (0.0, 1.0 if f_leads else -1.0, 1.0)
+
+    def refine(a: float, fa: float, b: float, fb: float) -> float:
+        x = _kernels._bisect_radial(l, dim, a, fa, b, fb, ROOT_XTOL)
+        if math.isnan(x):
+            raise ConvergenceError(f"root refinement failed in bracket [{a!r}, {b!r}] for (l={l}, dim={dim})")
+        return x
 
     def point(x: float, before: tuple[float, float, float]) -> tuple[float, float, float]:
         f, g = _kernels._radial_condition(l, dim, x)
@@ -283,7 +302,7 @@ def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.
         g_turns = (ga > 0.0) != (gb > 0.0)
         ahead_b = ahead + ((f_turns - g_turns) if f_leads else (g_turns - f_turns))
         if ahead_b in (0, 1):
-            return ([_refine(l, dim, xa, fa, xb, fb)] if f_turns else []), ahead_b
+            return ([refine(xa, fa, xb, fb)] if f_turns else []), ahead_b
         if halvings == _MAX_HALVINGS:
             raise ConvergenceError(
                 f"zeros of the radial condition and its partner fail to interlace in "
@@ -355,7 +374,7 @@ def radial_roots_up_to(
     if cache is None:
         cache = RootCache()
     cached = cache.get(dim, angular_index)
-    if not cached or x_max > cached[-1]:
+    if not cache.covers(dim, angular_index, x_max):
         after = cached[-1] if cached else 0.0
         cached = cached + _lattice_scan(angular_index, dim, x_max, GRID_STEP, after)
         cache.put(dim, angular_index, cached)
@@ -405,7 +424,6 @@ def neumann_radial_roots(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RootCache:
     """Memo of radial roots, each refined to ``ROOT_XTOL``.
 
@@ -413,16 +431,33 @@ class RootCache:
     the true root sequence, so cached data can serve any request whose range
     it covers.  A file is written with the tolerances ``ROOT_XTOL`` and
     ``GRID_STEP``; one that stores other tolerances (say from an older
-    release), or that holds a list that is not finite, strictly increasing
-    and indexed 1..n, is discarded and regenerated.  Saving writes a
+    release), or that holds a record whose dim is not an integer >= 2, whose
+    l is not an integer >= 0, or whose roots are not finite, positive,
+    strictly increasing and indexed 1..n, is discarded and regenerated.
+    Roots of the right type but the wrong value are not detected: checking
+    them would cost a kernel evaluation per cached root.  Saving writes a
     temporary file beside the target and renames it over the target, so a
     reader sees the old file or the new one, never a partial write.
     """
 
-    records: dict[tuple[int, int], list[float]] = field(default_factory=dict)
+    def __init__(self, records: dict[tuple[int, int], list[float]] = _FACTORY) -> None:
+        self.records = {} if records is _FACTORY else records
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.records == other.records
+
+    def __repr__(self) -> str:
+        return _repr(self, "records")
 
     def get(self, dim: int, l: int) -> list[float]:
         return self.records.get((dim, l), [])
+
+    def covers(self, dim: int, l: int, x_max: float) -> bool:
+        """Whether the roots kept for (dim, l) reach past ``x_max``, so a scan to it needs no evaluation."""
+        cached = self.records.get((dim, l))
+        return bool(cached) and x_max <= cached[-1]
 
     def put(self, dim: int, l: int, roots: Sequence[float]) -> None:
         self.records[(dim, l)] = list(roots)
@@ -462,10 +497,10 @@ class RootCache:
             if tol["xtol"] != ROOT_XTOL or tol["step"] != GRID_STEP:
                 return fresh, True
             for dim, l, idx, x in doc["records"]:
-                roots = fresh.records.setdefault((int(dim), int(l)), [])
+                roots = fresh.records.setdefault((_int(dim, "cached dim", 2), _int(l, "cached l", 0)), [])
                 x = _real(x, "cached root")
-                # indexed 1..n in order and strictly increasing
-                if idx != len(roots) + 1 or (roots and x <= roots[-1]):
+                # positive, indexed 1..n in order and strictly increasing
+                if _int(idx, "cached root index") != len(roots) + 1 or x <= (roots[-1] if roots else 0.0):
                     return cls(), True
                 roots.append(x)
             return fresh, False
@@ -507,10 +542,11 @@ def disk_spectrum(
     each positive eigenvalue is the square of a root of J_l' and carries one
     copy of the rotation-l irreducible (trivial of dimension 1 when l = 0).
     A request whose Weyl estimate exceeds ``MAX_DISK_ENTRIES`` raises
-    InsufficientSpectrum before any evaluation.  The orders are scanned
-    inside ``_kernels.shared_rows``, so the orders scanned at one lattice
-    point read one recurrence row instead of a pass each; the rows are
-    dropped when the spectrum is built or the build raises.
+    InsufficientSpectrum before any evaluation.  From the first order the
+    cache does not cover, the orders are scanned inside
+    ``_kernels.shared_rows``, so the orders scanned at one lattice point read
+    one recurrence row instead of a pass each; the rows are dropped when the
+    spectrum is built or the build raises.
     """
     if not _real(max_eigenvalue, "max_eigenvalue", finite=False) > 0.0:
         raise ValidationError(f"max_eigenvalue must be positive, got {max_eigenvalue!r}")
@@ -525,8 +561,14 @@ def disk_spectrum(
     x_max = math.sqrt(max_eigenvalue)
     entries = [SpectrumEntry(0.0, SO2Rep.trivial(1), angular_index=0, root_index=None)]
     l = 0
-    with _kernels.shared_rows(GRID_STEP):
+    with ExitStack() as rows:
+        kernels = None
         while l <= x_max + 1.0:
+            if kernels is None and not cache.covers(2, l, x_max):
+                # the first order to scan opens the rows, so a spectrum served from the cache loads no kernel
+                from . import _kernels as kernels
+
+                rows.enter_context(kernels.shared_rows(GRID_STEP))
             roots = radial_roots_up_to(l, 2, x_max, cache=cache)
             if not roots and l >= 1:
                 break  # first roots increase with l, so higher l find nothing
@@ -664,28 +706,38 @@ class SpectrumIndex:
         return SO2Rep._make(self.trivial[n], mults)
 
 
-@dataclass
 class DiskDomain:
     """Unit disk; the spectrum is computed on demand (and memoised).
 
     ``bound``, when set, caps how far the spectrum may be extended; requests
-    beyond it raise :class:`InsufficientSpectrum`.
+    beyond it raise :class:`InsufficientSpectrum`.  Two disks are equal when
+    their bounds are; the cache and the memo are neither compared nor shown.
     """
-
-    bound: float | None = None
-    cache: RootCache = field(default_factory=RootCache, repr=False, compare=False)
-    _memo: list[SpectrumEntry] = field(default_factory=list, init=False, repr=False, compare=False)
-    _memo_bound: float = field(default=-1.0, init=False, repr=False, compare=False)
-    _index: SpectrumIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     kind = "disk"
     dim = 2
+
+    def __init__(self, bound: float | None = None, cache: RootCache = _FACTORY) -> None:
+        self.bound = bound
+        self.cache = RootCache() if cache is _FACTORY else cache
+        self._memo: list[SpectrumEntry] = []
+        self._memo_bound = -1.0
+        self._index: SpectrumIndex | None = None
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.bound is None:
             return
         if not _real(self.bound, "disk max_eigenvalue", finite=False, error=SchemaError, invalid=ValidationError) > 0:
             raise ValidationError(f"the disk spectrum bound must be positive, got {self.bound!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bound == other.bound
+
+    def __repr__(self) -> str:
+        return _repr(self, "bound")
 
     def irr_dims(self) -> None:
         return None  # rotation irreducibles all have real dimension 2
@@ -732,12 +784,13 @@ class DiskDomain:
         raise InsufficientSpectrum(f"could not collect {_show(k)} eigenvalues")  # pragma: no cover
 
 
-@dataclass
 class _SuppliedDomain:
-    """Base for domains whose spectrum is user-supplied and finite."""
+    """Base for domains whose spectrum is user-supplied and finite; equal when the entries are."""
 
-    entries: list[SpectrumEntry]
-    _index: SpectrumIndex | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, entries: list[SpectrumEntry]) -> None:
+        self.entries = entries
+        self._index: SpectrumIndex | None = None
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.entries or self.entries[0].eigenvalue != 0.0:
@@ -754,6 +807,14 @@ class _SuppliedDomain:
                 raise ValidationError(
                     f"supplied entries must be in ascending eigenvalue order ({nxt.eigenvalue!r} after {prev.eigenvalue!r})"
                 )
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self) -> str:
+        return _repr(self, "entries")
 
     @property
     def coverage(self) -> float:
@@ -785,18 +846,29 @@ class _SuppliedDomain:
         return self.entries[:k]
 
 
-@dataclass
 class BallDomain(_SuppliedDomain):
-    """Unit ball of dimension >= 3 with a user-supplied spectrum."""
-
-    dim: int = 3
-    cache: RootCache = field(default_factory=RootCache, repr=False, compare=False)
+    """Unit ball of dimension >= 3 with a user-supplied spectrum; the cache is neither compared nor shown."""
 
     kind = "ball"
+
+    def __init__(self, entries: list[SpectrumEntry], dim: int = 3, cache: RootCache = _FACTORY) -> None:
+        self.entries = entries
+        self._index: SpectrumIndex | None = None
+        self.dim = dim
+        self.cache = RootCache() if cache is _FACTORY else cache
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         super().__post_init__()
         _int(self.dim, "ball dimension", 3)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.dim) == (other.entries, other.dim)
+
+    def __repr__(self) -> str:
+        return _repr(self, "entries", "dim")
 
     def irr_dims(self) -> None:
         return None  # harmonic dimension tables are out of scope; callers may override
@@ -805,7 +877,6 @@ class BallDomain(_SuppliedDomain):
         return ball_rep_nontrivial(entry, self.dim, cache=self.cache)
 
 
-@dataclass
 class CustomDomain(_SuppliedDomain):
     """Arbitrary invariant domain with a user-supplied spectrum.
 
@@ -814,10 +885,14 @@ class CustomDomain(_SuppliedDomain):
     may be a decimal string, as JSON writes it.
     """
 
-    irr_dim_table: dict[int, int] | None = None
-
     kind = "custom"
     dim = None
+
+    def __init__(self, entries: list[SpectrumEntry], irr_dim_table: dict[int, int] | None = None) -> None:
+        self.entries = entries
+        self._index: SpectrumIndex | None = None
+        self.irr_dim_table = irr_dim_table
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -827,6 +902,14 @@ class CustomDomain(_SuppliedDomain):
             k: _int(d, "irreducible dimensions", 1, SchemaError, ValidationError)
             for k, d in _label_table(self.irr_dim_table, "irr_dims").items()
         }
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.irr_dim_table) == (other.entries, other.irr_dim_table)
+
+    def __repr__(self) -> str:
+        return _repr(self, "entries", "irr_dim_table")
 
     def irr_dims(self) -> dict[int, int] | None:
         return self.irr_dim_table

@@ -28,10 +28,9 @@ of eigenvalues; a parameter that is not a finite number raises ValidationError.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import NotAMember, SchemaError, ValidationError, _bool, _int, _real, _show
+from .errors import _FACTORY, NotAMember, SchemaError, ValidationError, _bool, _int, _real, _repr, _show
 from .euler import SO2Rep
 from .spectral import (
     MERGE_REL,
@@ -71,7 +70,6 @@ def _as_multiset(pairs, what: str) -> _Multiset:
     return out
 
 
-@dataclass
 class SystemSpec:
     """Block data of the linearization plus the spectral domain.
 
@@ -83,13 +81,24 @@ class SystemSpec:
     indices and the unboundedness certificates.
     """
 
-    p1: int
-    p2: int
-    sigma_b1: dict[float, int] = field(default_factory=dict)
-    sigma_b2: dict[float, int] = field(default_factory=dict)
-    mu_b0: int = 0
-    domain: Domain = field(default_factory=DiskDomain)
-    a9: bool = False
+    def __init__(
+        self,
+        p1: int,
+        p2: int,
+        sigma_b1: dict[float, int] = _FACTORY,
+        sigma_b2: dict[float, int] = _FACTORY,
+        mu_b0: int = 0,
+        domain: Domain = _FACTORY,
+        a9: bool = False,
+    ) -> None:
+        self.p1 = p1
+        self.p2 = p2
+        self.sigma_b1 = {} if sigma_b1 is _FACTORY else sigma_b1
+        self.sigma_b2 = {} if sigma_b2 is _FACTORY else sigma_b2
+        self.mu_b0 = mu_b0
+        self.domain = DiskDomain() if domain is _FACTORY else domain
+        self.a9 = a9
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "mu_b0"):
@@ -119,6 +128,16 @@ class SystemSpec:
                     "a9 requires B1 = diag(0^mu, 1^(p1-mu)) and B2 = Id; "
                     f"got sigma_b1={_show(self.sigma_b1)}, sigma_b2={_show(self.sigma_b2)}"
                 )
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p1, self.p2, self.sigma_b1, self.sigma_b2, self.mu_b0, self.domain, self.a9) == (
+            other.p1, other.p2, other.sigma_b1, other.sigma_b2, other.mu_b0, other.domain, other.a9
+        )
+
+    def __repr__(self) -> str:
+        return _repr(self, "p1", "p2", "sigma_b1", "sigma_b2", "mu_b0", "domain", "a9")
 
     # -- views ---------------------------------------------------------------
 
@@ -268,19 +287,27 @@ def lambda_membership(spec: SystemSpec, lam: float) -> bool:
     return any(hits for block in blocks for _, hits in block)
 
 
-@dataclass(eq=True)
 class KernelReps:
     """Isotypic pieces V1, V2 of the Hessian kernel on the normal slice.
 
-    ``matched`` (not compared) holds the spectrum entries that some nonzero
-    b paired with the parameter, B1 pairs first.  It is nonempty exactly on
-    Lambda: a supplied eigenspace may be the zero representation, so a zero
-    kernel does not rule a match out.
+    ``matched`` (not compared, not shown) holds the spectrum entries that some
+    nonzero b paired with the parameter, B1 pairs first.  It is nonempty
+    exactly on Lambda: a supplied eigenspace may be the zero representation,
+    so a zero kernel does not rule a match out.
     """
 
-    v1: SO2Rep
-    v2: SO2Rep
-    matched: tuple[SpectrumEntry, ...] = field(default=(), repr=False, compare=False)
+    def __init__(self, v1: SO2Rep, v2: SO2Rep, matched: tuple[SpectrumEntry, ...] = ()) -> None:
+        self.v1 = v1
+        self.v2 = v2
+        self.matched = matched
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.v1, self.v2) == (other.v1, other.v2)
+
+    def __repr__(self) -> str:
+        return _repr(self, "v1", "v2")
 
     def is_zero(self) -> bool:
         return self.v1.is_zero() and self.v2.is_zero()
@@ -314,7 +341,6 @@ def kernel_reps(spec: SystemSpec, lambda0: float) -> KernelReps:
     return KernelReps(*pieces, matched=tuple(matched))
 
 
-@dataclass(eq=True)
 class LinearizationEigenvalue:
     """One eigenvalue of the linearized operator on a spectral cutoff.
 
@@ -324,13 +350,33 @@ class LinearizationEigenvalue:
     the orbit of trivial solutions.
     """
 
-    value: float
-    multiplicity: int
-    entry: SpectrumEntry
-    block: str  # "B1" | "B2"
-    b: float
-    vanishes: bool
-    structural: bool
+    def __init__(
+        self,
+        value: float,
+        multiplicity: int,
+        entry: SpectrumEntry,
+        block: str,  # "B1" | "B2"
+        b: float,
+        vanishes: bool,
+        structural: bool,
+    ) -> None:
+        self.value = value
+        self.multiplicity = multiplicity
+        self.entry = entry
+        self.block = block
+        self.b = b
+        self.vanishes = vanishes
+        self.structural = structural
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.value, self.multiplicity, self.entry, self.block, self.b, self.vanishes, self.structural) == (
+            other.value, other.multiplicity, other.entry, other.block, other.b, other.vanishes, other.structural
+        )
+
+    def __repr__(self) -> str:
+        return _repr(self, "value", "multiplicity", "entry", "block", "b", "vanishes", "structural")
 
 
 def linearization_eigenvalues(

@@ -341,6 +341,16 @@ class TestCacheAndConfig:
         assert "regenerating" in err
         assert json.loads(cache.read_text())["tolerances"]["xtol"] == 1e-10
 
+    @pytest.mark.parametrize(
+        "where", [lambda tmp: tmp, lambda tmp: tmp / "missing" / "roots.json"], ids=["directory", "no-parent"]
+    )
+    def test_unusable_cache_path_is_exit_1_before_any_root(self, capsys, a9_config, tmp_path, kernel_calls, where):
+        cache = where(tmp_path)
+        code, out, err = run_cli(capsys, "analyze", "--config", a9_config, "--cache", str(cache))
+        assert code == 1 and out == ""
+        assert err.startswith("symbif: ValidationError: --cache ") and "Traceback" not in err
+        assert kernel_calls.total == 0
+
     def test_malformed_config_is_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")

@@ -167,6 +167,16 @@ class TestEulerBridge:
         with pytest.raises(ValidationError):
             so2_class_map_to_euler({"D4": 1})
 
+    @pytest.mark.parametrize(
+        "deg, first, second",
+        [({"Z1": 1, "Z01": 4}, "Z1", "Z01"), ({"Z3": 1, "Z\u0663": 2}, "Z3", "Z\u0663")],
+        ids=["leading-zero", "arabic-indic-three"],
+    )
+    def test_rejects_two_labels_of_one_class(self, deg, first, second):
+        # each pair reads as one k, so one coefficient would overwrite the other
+        with pytest.raises(ValidationError, match=f"labels '{first}' and '{second}' name the same class"):
+            so2_class_map_to_euler(deg)
+
     @pytest.mark.parametrize("label", ["Z\u00b2", "Z" + "1" * 5000], ids=["superscript-two", "5000-digits"])
     def test_rejects_labels_int_cannot_read(self, label):
         # str.isdigit accepts a superscript two, and int() refuses 5,000 digits

@@ -794,6 +794,29 @@ class TestRootCache:
         loaded, stale = RootCache.load(path)
         assert stale and loaded.records == {}
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            [2.5, 1, 1, 3.0],  # fractional dim, which int() truncates to 2
+            ["2", 1, 1, 3.0],  # dim as a string, which int() reads
+            [True, True, 1, 3.0],  # bools, which int() reads as 1
+            [1, 0, 1, 3.0],  # dim below 2
+            [2, 1.5, 1, 3.0],  # fractional l
+            [2, -1, 1, 3.0],  # negative l
+            [2, 1, 1.0, 3.0],  # index as a float
+            [2, 1, True, 3.0],  # index as a bool
+            [2, 1, 1, 0.0],  # zero root
+            [2, 1, 1, -3.0],  # negative root
+        ],
+        ids=["dim-2.5", "dim-str", "bools", "dim-1", "l-1.5", "l-neg", "idx-float", "idx-bool", "root-0", "root-neg"],
+    )
+    def test_malformed_record_is_stale(self, tmp_path, record):
+        # each of these once loaded as a root list, e.g. [2.5, 1, 1, 3.0] as (2, 1): [3.0]
+        path = tmp_path / "roots.json"
+        path.write_text(json.dumps({**RootCache().to_json(), "records": [record]}))
+        loaded, stale = RootCache.load(path)
+        assert stale and loaded.records == {}
+
     def test_round_trip(self, tmp_path):
         cache = RootCache()
         cache.put(2, 1, [1.5, 4.5])
