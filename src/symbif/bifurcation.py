@@ -23,13 +23,15 @@ at those parameters; the parity conditions of the unboundedness certificates
 are checked exactly.
 
 A verdict costs one bisection, O(log n) in the number n of eigenvalues,
-plus work proportional to the ring elements it returns, so :func:`analyze`
-is linear in the number of candidates.  The domain's spectrum index finds
-k0 by bisection and holds V(n) as a prefix table, so
-D(V(n)) = (-1)^t (I - sum_k m_k chi[k]) is read off without summing
-eigenspaces; the powers use the closed form (u; c)^n = (u^n; n u^(n-1) c)
-of :mod:`symbif.euler`.  :func:`analyze` looks the kernel up once per
-candidate and takes Lambda membership from the same lookup.
+to find its kernel and k0; :func:`analyze` looks the kernel up once per
+candidate and takes Lambda membership from the same lookup.  The exact
+indices of all candidates come from one ascending sweep over the spectrum
+that keeps the trivial dimension t and the multiplicities m_k of V(n), so
+D(V(n)) = (-1)^t (I - sum_k m_k chi[k]) is never summed twice; with the
+closed form (u; c)^n = (u^n; n u^(n-1) c) of :mod:`symbif.euler` each
+element is one pass over its labels.  :func:`analyze` is thus linear in
+the number of candidates plus the length of the spectrum it covers, and a
+lone :func:`bif_a9` sweeps the k0 entries below its parameter.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, UnsupportedDomain, ValidationError, _real, _repr, _show
-from .euler import EulerSO2, deg_minus_id, rep_equiv_mod_even_trivial
+from .euler import EulerSO2, SO2Rep, deg_minus_id, rep_equiv_mod_even_trivial
 from .spectral import BallDomain, DiskDomain, SpectrumEntry, close
 from .system import (
     KernelReps,
@@ -147,26 +149,75 @@ def bif_a9(spec: SystemSpec, lambda0: float) -> EulerSO2:
     Requires ``spec.a9`` and lambda0 in Lambda union {0}; see the module
     docstring for the three closed forms.
     """
+    return _a9_indices(spec, [lambda0])[0]
+
+
+def _a9_indices(spec: SystemSpec, lams: Sequence[float]) -> list[EulerSO2]:
+    """:func:`bif_a9` at each of ``lams``, in order, from one ascending sweep of the spectrum.
+
+    Every lambda is checked and looked up first, in input order, so errors
+    and spectrum extensions come as they would one call at a time.  The
+    sweep then keeps the trivial dimension and multiplicities of V(n) and
+    reads each element off :func:`_a9_element`.
+    """
+    if not lams:
+        return []
     if not spec.a9:
         raise PreconditionError("bif_a9 needs the normalized block form (a9 flag)")
     _require_disk(spec, "bif_a9")
-    lam = _real(lambda0, "lambda0")
     q1, p2 = spec.q1, spec.p2
-    if close(lam, 0.0):
-        return ((-1) ** q1 - (-1) ** p2) * EulerSO2.one()
-    # D(V(m))^power * (D(E_k0)^|power| - I), (m, power) = (k0 - 1, q1) above 0 and (k0, -p2) below
-    power, side, needs = (q1, "positive", "p1 - mu_b0") if lam > 0 else (-p2, "negative", "p2")
-    if power == 0:
-        raise PreconditionError(f"{side} parameters need {needs} > 0; {lambda0!r} is not in Lambda")
-    alpha = abs(lam)
-    index, n = spec.domain.spectrum_index(_with_margin(alpha))
-    hits = index.matches(alpha, n)
-    if not hits:
-        raise PreconditionError(f"{alpha!r} is not an eigenvalue of the loaded spectrum")
-    k0 = hits[0] + 1  # 1-based, as in the closed forms
-    eig_deg = deg_minus_id(index.entries[k0 - 1].rep)
-    prefix = deg_minus_id(index.prefix_rep(k0 - 1 if lam > 0 else k0))
-    return prefix**power * (eig_deg ** abs(power) - EulerSO2.one())
+    out: list = [None] * len(lams)
+    wanted: dict[int, list[tuple[int, int, SO2Rep]]] = {}  # m -> (slot, power, E_k0) per lambda
+    for slot, lambda0 in enumerate(lams):
+        lam = _real(lambda0, "lambda0")
+        if close(lam, 0.0):
+            out[slot] = ((-1) ** q1 - (-1) ** p2) * EulerSO2.one()
+            continue
+        # D(V(m))^power * (D(E_k0)^|power| - I), (m, power) = (k0 - 1, q1) above 0 and (k0, -p2) below
+        power, side, needs = (q1, "positive", "p1 - mu_b0") if lam > 0 else (-p2, "negative", "p2")
+        if power == 0:
+            raise PreconditionError(f"{side} parameters need {needs} > 0; {lambda0!r} is not in Lambda")
+        alpha = abs(lam)
+        index, n = spec.domain.spectrum_index(_with_margin(alpha))
+        hits = index.matches(alpha, n)
+        if not hits:
+            raise PreconditionError(f"{alpha!r} is not an eigenvalue of the loaded spectrum")
+        k0 = hits[0] + 1
+        wanted.setdefault(k0 - 1 if lam > 0 else k0, []).append((slot, power, index.entries[k0 - 1].rep))
+    # the spectrum only grows and keeps its entries below an earlier bound in place,
+    # so the last index holds every V(m)
+    t, mults, done = 0, {}, 0
+    for m in sorted(wanted):
+        for e in index.entries[done:m]:
+            t += e.rep.trivial_dim
+            for k, mult in e.rep.irreducibles.items():
+                mults[k] = mults.get(k, 0) + mult
+        done = m
+        for slot, power, eig in wanted[m]:
+            out[slot] = _a9_element(t, mults, eig, power)
+    return out
+
+
+def _a9_element(t: int, mults: dict[int, int], eig: SO2Rep, power: int) -> EulerSO2:
+    """D(V)^n * (D(E)^a - I), n = ``power`` and a = |n|, for V of trivial dimension t and multiplicities ``mults``.
+
+    With D(V) = (s; -s m), s = (-1)^t, e = (-1)^(trivial dimension of E),
+    and the rules (u; c)^n = (u^n; n u^(n-1) c) and (u_a; c_a)(u_b; c_b) =
+    (u_a u_b; u_a c_b + u_b c_a), the element is
+
+        (s^n (e^a - 1); -s^n (a e^a m_E + n (e^a - 1) m)),
+
+    so V enters only when e^a = -1.  The labels of E come first, as in the
+    product of the generic ring operations.
+    """
+    a = abs(power)
+    sn = -1 if t % 2 and a % 2 else 1
+    if eig.trivial_dim % 2 and a % 2:  # e^a = -1
+        cyclic = {k: sn * a * m for k, m in eig.irreducibles.items()}
+        for k, m in mults.items():
+            cyclic[k] = cyclic.get(k, 0) + 2 * sn * power * m
+        return EulerSO2._make(-2 * sn, cyclic)
+    return EulerSO2._make(0, {k: -sn * a * m for k, m in eig.irreducibles.items()})
 
 
 def rabinowitz_excludes_bounded(indices: Iterable[EulerSO2]) -> bool:
@@ -285,19 +336,20 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
     Candidates are the members of Lambda in the window together with 0 when
     the window contains it.  Exact index elements are attached only in the
     normalized block form on the disk, where the closed forms apply.  Each
-    candidate costs one bisection of the spectrum index, O(log n).
+    candidate costs one bisection of the spectrum index, O(log n), and the
+    exact elements of all candidates one sweep of the spectrum.
     """
     candidates = lambda_set(spec, window)  # checks the window
     if window[0] <= 0.0 <= window[1] and not any(close(c, 0.0) for c in candidates):
         candidates.append(0.0)
     candidates.sort()
     exact = spec.a9 and isinstance(spec.domain, DiskDomain)
+    bifs = _a9_indices(spec, candidates) if exact else [None] * len(candidates)
     verdicts = []
-    for lam in candidates:
+    for lam, bif in zip(candidates, bifs):
         at_zero = close(lam, 0.0)
         kr = kernel_reps(spec, lam)
         gc = check_glob_zero(spec) if at_zero else _glob_from_kernel(kr)
-        bif = bif_a9(spec, lam) if exact else None
         unb = NO_VERDICT
         if spec.a9 and not at_zero:
             # a9 pairs only b = 1, so the one matched entry is the eigenspace of |lam|
@@ -327,9 +379,11 @@ def enumerate_zero_sum_subsets(indices: Sequence[tuple[float, EulerSO2]]) -> lis
     Each index becomes one integer: its coefficient vector read as balanced
     digits in a base above twice the largest possible partial sum of any
     coordinate, so a subset sums to the zero element exactly when its
-    integers sum to 0.  A depth-first walk visits every subset once, adding
-    one integer per step, in lexicographic order of positions; sorting the
-    hits by size (stably) gives the combinations order.  Memory is O(n + hits).
+    integers sum to 0.  The subsets are then met in the middle (Horowitz and
+    Sahni, 1974): the sums of the 2^ceil(n/2) subsets of the second half are
+    hashed, and each of the 2^floor(n/2) subsets of the first half looks up
+    the negative of its sum.  Sorting the hits by (size, positions) gives
+    the combinations order.  Time and memory are O(2^(n/2) + hits).
     """
     if len(indices) > MAX_SUBSET_MEMBERS:
         raise ValidationError(
@@ -340,18 +394,22 @@ def enumerate_zero_sum_subsets(indices: Sequence[tuple[float, EulerSO2]]) -> lis
     coords = [[ix.unit, *(ix.coefficient(k) for k in keys)] for _, ix in indices]
     base = 2 * max((sum(abs(c[j]) for c in coords) for j in range(len(keys) + 1)), default=0) + 1
     weights = [sum(v * base**j for j, v in enumerate(c)) for c in coords]
-    hits: list[tuple[int, ...]] = []
-    chosen: list[int] = []
 
-    def walk(start: int, total: int) -> None:
-        for i in range(start, len(weights)):
-            chosen.append(i)
-            s = total + weights[i]
-            if s == 0:
-                hits.append(tuple(chosen))
-            walk(i + 1, s)
-            chosen.pop()
+    def subset_sums(start: int, stop: int) -> list[tuple[int, tuple[int, ...]]]:
+        sums: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+        for i in range(start, stop):
+            sums += [(s + weights[i], chosen + (i,)) for s, chosen in sums]
+        return sums
 
-    walk(0, 0)
-    hits.sort(key=len)
+    half = len(weights) // 2
+    by_sum: dict[int, list[tuple[int, ...]]] = {}
+    for s, chosen in subset_sums(half, len(weights)):
+        by_sum.setdefault(s, []).append(chosen)
+    hits = [
+        first + second
+        for s, first in subset_sums(0, half)
+        for second in by_sum.get(-s, ())
+        if first or second
+    ]
+    hits.sort(key=lambda hit: (len(hit), hit))
     return [tuple(lams[i] for i in hit) for hit in hits]

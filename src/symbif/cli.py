@@ -217,7 +217,7 @@ def _cmd_bif(config: AnalysisConfig, args, cache) -> str:
 
 
 def _cmd_rabinowitz(config: AnalysisConfig, args, cache) -> str:
-    from .bifurcation import bif_a9, enumerate_zero_sum_subsets, rabinowitz_excludes_bounded
+    from .bifurcation import _a9_indices, enumerate_zero_sum_subsets, rabinowitz_excludes_bounded
     from .euler import EulerSO2
     from .system import lambda_set
 
@@ -239,7 +239,7 @@ def _cmd_rabinowitz(config: AnalysisConfig, args, cache) -> str:
                 raise ValidationError(f"--lambdas: {exc}") from None
         else:
             lams = lambda_set(spec, _require_window(config))
-        labelled = [(lam, bif_a9(spec, lam)) for lam in lams]
+        labelled = list(zip(lams, _a9_indices(spec, lams)))
         if args.enumerate:
             subsets = enumerate_zero_sum_subsets(labelled)
     total = EulerSO2.zero()

@@ -30,7 +30,7 @@ two-dimensional rotation representation with rotation number ``k``; it is
 evaluated from the right-hand side, one element per call.
 
 :class:`SO2Rep` is the package's one representation class: spectral
-entries, kernel pieces, prefix sums of eigenspaces and degrees all use it.
+entries, kernel pieces and degrees all use it.
 Its document is ``{"trivial": t, "irr": {"k": m, ...}}``; ``"rot"`` is read
 in place of ``"irr"`` but never written.
 

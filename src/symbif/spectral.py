@@ -651,32 +651,17 @@ class SpectrumIndex:
     """Lookup structure over a domain's ascending spectrum entries.
 
     ``eigenvalues`` is the sorted eigenvalue list, searched by bisection.
-    The prefix table describes V(n), the sum of the first n eigenspaces:
-    ``trivial[n]`` is its trivial dimension, and its irreducible
-    multiplicities are kept at every ``_STRIDE``-th n, so
-    :meth:`prefix_rep` adds at most ``_STRIDE - 1`` eigenspaces to a stored
-    table and deg(-Id, B(V(n))) = (-1)^t (I - sum_k m_k chi[k]) needs no
-    sum over the spectrum.  A domain builds one index and rebuilds it only
-    when its spectrum grows.
+    It keeps no sums over the spectrum: a caller that needs V(n), the sum
+    of the first n eigenspaces, sweeps ``entries`` in order, as
+    :func:`symbif.bifurcation.analyze` does for all its candidates at once.
+    A domain builds one index and rebuilds it only when its spectrum grows.
     """
 
-    __slots__ = ("entries", "eigenvalues", "trivial", "checkpoints")
-
-    #: entries between stored multiplicity tables (memory n/_STRIDE tables, lookup O(labels + _STRIDE))
-    _STRIDE = 32
+    __slots__ = ("entries", "eigenvalues")
 
     def __init__(self, entries: Sequence[SpectrumEntry]) -> None:
         self.entries = entries
         self.eigenvalues = [e.eigenvalue for e in entries]
-        self.trivial = [0]
-        self.checkpoints: list[dict[int, int]] = [{}]
-        mults: dict[int, int] = {}
-        for n, e in enumerate(entries, start=1):
-            self.trivial.append(self.trivial[-1] + e.rep.trivial_dim)
-            for k, m in e.rep.irreducibles.items():
-                mults[k] = mults.get(k, 0) + m
-            if n % self._STRIDE == 0:
-                self.checkpoints.append(dict(mults))
 
     def count_up_to(self, alpha_max: float) -> int:
         """Number of entries with eigenvalue <= alpha_max."""
@@ -695,15 +680,6 @@ class SpectrumIndex:
         hi = bisect_right(self.eigenvalues, target + reach, lo, n)
         eigs = self.eigenvalues
         return [i for i in range(lo, hi) if close(target, eigs[i])]
-
-    def prefix_rep(self, n: int) -> SO2Rep:
-        """V(n), the first n eigenspaces, with labels read as rotation numbers (disk)."""
-        start = n - n % self._STRIDE
-        mults = dict(self.checkpoints[start // self._STRIDE])
-        for e in self.entries[start:n]:
-            for k, m in e.rep.irreducibles.items():
-                mults[k] = mults.get(k, 0) + m
-        return SO2Rep._make(self.trivial[n], mults)
 
 
 class DiskDomain:
