@@ -363,6 +363,7 @@ def run(args: argparse.Namespace) -> int:
         )
     if args.cache:
         _check_cache_path(args.cache)
+        missing = not Path(args.cache).exists()
         cache, stale = RootCache.load(args.cache)
         if stale:
             print(
@@ -373,7 +374,7 @@ def run(args: argparse.Namespace) -> int:
     else:
         cache = RootCache()
     payload = _HANDLERS[args.subcommand](config, args, cache)
-    if args.cache:
+    if args.cache and (missing or stale or cache.grown):  # a warm run leaves the file alone
         cache.save(args.cache)
     print(payload)
     return 0

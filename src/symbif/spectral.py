@@ -437,11 +437,13 @@ class RootCache:
     Roots of the right type but the wrong value are not detected: checking
     them would cost a kernel evaluation per cached root.  Saving writes a
     temporary file beside the target and renames it over the target, so a
-    reader sees the old file or the new one, never a partial write.
+    reader sees the old file or the new one, never a partial write;
+    ``grown`` tells a caller whether a loaded cache needs saving at all.
     """
 
     def __init__(self, records: dict[tuple[int, int], list[float]] = _FACTORY) -> None:
         self.records = {} if records is _FACTORY else records
+        self.grown = False  # whether put() added roots since construction
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -460,7 +462,10 @@ class RootCache:
         return bool(cached) and x_max <= cached[-1]
 
     def put(self, dim: int, l: int, roots: Sequence[float]) -> None:
-        self.records[(dim, l)] = list(roots)
+        roots = list(roots)
+        if roots != self.records.get((dim, l)):
+            self.records[(dim, l)] = roots
+            self.grown = True
 
     def to_json(self) -> dict:
         recs = []

@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import random
 import re
+import signal
 
 import mpmath
 import pytest
@@ -296,6 +298,80 @@ class TestRabinowitz:
         assert enumerate_zero_sum_subsets(labelled) == brute
 
 
+def _brute_zero_sums(labelled):
+    return [
+        tuple(lam for lam, _ in combo)
+        for r in range(1, len(labelled) + 1)
+        for combo in itertools.combinations(labelled, r)
+        if not rabinowitz_excludes_bounded(ix for _, ix in combo)
+    ]
+
+
+class _Deadline:
+    """Turns a call that outlives ``seconds`` into a test failure (SIGALRM)."""
+
+    def __init__(self, seconds: int) -> None:
+        self.seconds = seconds
+
+    def _expired(self, signum, frame):
+        raise AssertionError(f"no answer within {self.seconds} s")
+
+    def __enter__(self):
+        self.previous = signal.signal(signal.SIGALRM, self._expired)
+        signal.alarm(self.seconds)
+
+    def __exit__(self, *exc):
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, self.previous)
+
+
+class TestZeroSumSubsets:
+    """Meet-in-the-middle enumeration against itertools.combinations, hit for hit and in order."""
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            [],
+            [O],
+            [O] * 12,
+            [chi(1), -chi(1), chi(1), -chi(1), 2 * I, -2 * I],
+            [-2 * chi(1), -2 * chi(1), 2 * chi(1), 2 * chi(1), O, chi(2)],
+        ],
+        ids=["empty", "one-zero", "twelve-zeros", "duplicates", "duplicates-and-zero"],
+    )
+    def test_worked_families(self, family):
+        labelled = [(float(i), ix) for i, ix in enumerate(family)]
+        brute = _brute_zero_sums(labelled)
+        assert enumerate_zero_sum_subsets(labelled) == brute
+        if len(family) == 12:
+            assert len(brute) == 4095
+
+    def test_random_families(self):
+        rng = random.Random(15)
+        for _ in range(100):
+            family = [
+                EulerSO2(rng.randrange(-2, 3), {k: rng.randrange(-2, 3) for k in rng.sample(range(1, 5), rng.randrange(3))})
+                for _ in range(rng.randrange(13))
+            ]
+            labelled = [(float(i), ix) for i, ix in enumerate(family)]
+            assert enumerate_zero_sum_subsets(labelled) == _brute_zero_sums(labelled)
+
+    def test_twenty_members_answer_in_time(self):
+        # 2^20 - 1 subsets, the halves 2^10 each; every label k carries +1, -1, +2
+        # and -2, which cancel in 3 ways, so 4^5 - 1 families sum to zero
+        labelled = [(float(i), chi(i % 5 + 1, (-1) ** (i // 5) * (i // 10 + 1))) for i in range(20)]
+        with _Deadline(2):
+            subsets = enumerate_zero_sum_subsets(labelled)
+        assert len(subsets) == 4**5 - 1
+        assert all(not rabinowitz_excludes_bounded(labelled[int(lam)][1] for lam in s) for s in subsets)
+
+    def test_twenty_one_members_are_refused(self):
+        labelled = [(float(i), chi(1)) for i in range(21)]
+        with pytest.raises(ValidationError) as exc:
+            enumerate_zero_sum_subsets(labelled)
+        assert str(exc.value) == "subset enumeration is exponential; refusing 21 > 20 members"
+
+
 class TestUnboundedVerdict:
     def test_positive_even_pattern(self):
         rep = unbounded_verdict(a9_spec(q1=2, p2=0), ROT1, 1)
@@ -497,6 +573,56 @@ class TestVerdictsAgainstReference:
         assert _dumps(verdicts) == json.dumps(reference, sort_keys=True)
         (at_two,) = [v for v in verdicts if v.lambda0 == 2.0]
         assert at_two.in_lambda and at_two.kernel.is_zero() and at_two.justification == J_KERNEL_EMPTY
+
+
+#: the first positive disk eigenvalue, j'_{1,1}^2; no window inside (0, FIRST) holds a candidate
+FIRST = ALPHA2
+SWEEP_REACH = 160.0
+
+_sweep_windows = st.one_of(
+    st.floats(1.0, SWEEP_REACH).map(lambda w: (-w, w)),
+    st.tuples(st.floats(0.0, SWEEP_REACH), st.floats(0.0, SWEEP_REACH)).map(lambda t: (min(t), max(t))),
+    st.tuples(st.floats(0.0, SWEEP_REACH), st.floats(0.0, SWEEP_REACH)).map(lambda t: (-max(t), -min(t))),
+    st.tuples(st.floats(0.01, FIRST - 0.01), st.sampled_from([1, -1])).map(
+        lambda t: (t[0] / 2, t[0]) if t[1] > 0 else (-t[0], -t[0] / 2)
+    ),
+)
+
+
+class TestA9Sweep:
+    """analyze's one-sweep indices against bif_a9 one parameter at a time, and against the reference."""
+
+    @pytest.fixture(scope="class")
+    def domain(self):
+        domain = DiskDomain()
+        domain.entries_up_to(SWEEP_REACH * 1.01)
+        return domain
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(q1=st.integers(0, 4), p2=st.integers(0, 4), mu=st.integers(0, 2), window=_sweep_windows)
+    def test_sweep_matches_single_calls_and_reference(self, domain, q1, p2, mu, window):
+        if q1 + mu + p2 == 0:
+            return
+        spec = a9_spec(q1=q1, p2=p2, mu=mu, domain=domain)
+        verdicts = analyze(spec, window)
+        for v in verdicts:
+            assert v.bif_element == bif_a9(spec, v.lambda0), v.lambda0
+        entries = [e.to_json() for e in domain.entries_up_to(SWEEP_REACH * 1.01)]
+        b1 = {v: m for v, m in ((0, mu), (1, q1)) if m}
+        reference = reference_verdicts(entries, b1, {1: p2} if p2 else {}, mu, True, window)
+        assert _dumps(verdicts) == json.dumps(reference, sort_keys=True)
+        if window[0] > 0.0 and window[1] < FIRST or window[1] < 0.0 and window[0] > -FIRST:
+            assert verdicts == []
+
+    def test_first_error_in_input_order(self, domain):
+        # a lambda that is not an eigenvalue, then one beyond the spectrum bound:
+        # the first raises, as it would one call at a time
+        spec = a9_spec(q1=2, p2=1, domain=DiskDomain(bound=50.0))
+        with pytest.raises(PreconditionError, match="^5.0 is not an eigenvalue of the loaded spectrum$"):
+            symbif.bifurcation._a9_indices(spec, [ALPHA2, 5.0, 1000.0])
+        with pytest.raises(InsufficientSpectrum):
+            symbif.bifurcation._a9_indices(spec, [1000.0, 5.0])
+        assert symbif.bifurcation._a9_indices(SystemSpec(p1=1, p2=0, sigma_b1={1: 1}), []) == []
 
 
 class TestVerdictCost:

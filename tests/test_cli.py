@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import symbif
 from symbif.cli import main, parse_report
 
 ALPHA2 = 3.3899577166932745  # close enough for --lambda matching (1e-8 relative)
+#: sha256 of the cache file a cold ``spectrum --max-eigenvalue 100 --cache FILE`` writes
+SPECTRUM_100_CACHE_SHA256 = "66f03a0d34391324cd57b9473e17ad506c10f7fb2f3a9c4fa94169899daececa"
 
 A9_SYSTEM = {
     "p1": 2,
@@ -278,6 +281,21 @@ class TestRabinowitz:
         code, _, err = run_cli(capsys, "rabinowitz", "--config", a9_config)
         assert code == 1 and "ValidationError" in err
 
+    @pytest.mark.parametrize(
+        "lambdas, code, err",
+        [
+            ("3.3899577166932745,5.0,1000.0", 1, "PreconditionError: 5.0 is not an eigenvalue of the loaded spectrum"),
+            ("1000.0,5.0", 2, "InsufficientSpectrum: need eigenvalues up to 1000.0001000100001 but the spectrum bound is 50.0"),
+        ],
+        ids=["non-member-first", "beyond-bound-first"],
+    )
+    def test_first_bad_lambda_decides(self, capsys, tmp_path, lambdas, code, err):
+        # every lambda is looked up in input order before any index is built
+        system = {**A9_SYSTEM, "p2": 1, "b2": [{"value": 1, "mult": 1}]}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": system, "spectrum_bound": 50.0}))
+        assert run_cli(capsys, "rabinowitz", "--config", str(cfg), "--lambdas", lambdas) == (code, "", f"symbif: {err}\n")
+
     def test_non_numeric_lambda_is_exit_1(self, capsys, a9_config):
         code, _, err = run_cli(capsys, "rabinowitz", "--config", a9_config, "--lambdas", "3.39,abc")
         assert code == 1 and "ValidationError" in err and "'abc'" in err and "Traceback" not in err
@@ -340,6 +358,29 @@ class TestCacheAndConfig:
         assert code == 0
         assert "regenerating" in err
         assert json.loads(cache.read_text())["tolerances"]["xtol"] == 1e-10
+
+    def test_cache_file_is_written_only_when_it_changes(self, capsys, a9_config, tmp_path):
+        cache = tmp_path / "roots.json"
+        argv = ("spectrum", "--max-eigenvalue", "100", "--cache", str(cache))
+        assert run_cli(capsys, *argv)[0] == 0
+        cold = cache.read_bytes()
+        assert hashlib.sha256(cold).hexdigest() == SPECTRUM_100_CACHE_SHA256
+        before = os.stat(cache)
+        code, _, err = run_cli(capsys, *argv)  # warm: computes nothing, so writes nothing
+        after = os.stat(cache)
+        assert code == 0 and err == ""
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        doc = json.loads(cold)
+        doc["tolerances"]["xtol"] = 1e-9
+        cache.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, *argv)  # stale: regenerated to the same bytes
+        assert code == 0 and "regenerating" in err and cache.read_bytes() == cold
+        assert run_cli(capsys, "spectrum", "--max-eigenvalue", "200", "--cache", str(cache))[0] == 0
+        grown = json.loads(cache.read_bytes())["records"]
+        assert len(grown) > len(doc["records"]) and all(r in grown for r in doc["records"])
+        empty = tmp_path / "empty.json"  # a missing file is written even when no root was needed
+        assert run_cli(capsys, "bif", "--config", a9_config, "--lambda", "0", "--cache", str(empty))[0] == 0
+        assert json.loads(empty.read_bytes())["records"] == []
 
     @pytest.mark.parametrize(
         "where", [lambda tmp: tmp, lambda tmp: tmp / "missing" / "roots.json"], ids=["directory", "no-parent"]

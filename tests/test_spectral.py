@@ -2,10 +2,12 @@ import hashlib
 import json
 import math
 import signal
+from datetime import timedelta
 from functools import lru_cache
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symbif import (
     ConvergenceError,
@@ -718,6 +720,114 @@ BISECTION_CACHE = {
 }
 
 
+def _valid_cache_doc() -> dict:
+    cache = RootCache()
+    cache.put(2, 0, [3.8, 7.0])
+    cache.put(2, 1, [1.5, 4.5, 7.5])
+    cache.put(3, 0, [4.4])
+    return cache.to_json()
+
+
+#: values a damaged cache may hold where a number, a record or a table belongs
+_HOSTILE = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.integers(-3, 6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.just(10**400),
+    st.lists(st.one_of(st.integers(-1, 3), st.floats(0.5, 9.0)), max_size=5),
+    st.dictionaries(st.sampled_from(["xtol", "step", "records"]), st.floats(), max_size=2),
+)
+
+
+#: values that look like a dim, an l, an index or a root, and are not one
+_NEAR_MISSES = st.sampled_from(
+    [2.5, 2.0, 1.0, 0.0, -3.0, 1e300, float("inf"), float("nan"), "2", True, False, 0, 1, -1, 10**400, None, [2]]
+)
+
+
+#: ways to write a number that a reader taking anything int() accepts would still read
+_GUISES = [float, str, lambda v: v + 0.5, lambda v: v == 1, lambda v: [v]]
+
+
+@st.composite
+def _mutated_cache_docs(draw):
+    """A valid cache document with one to three record values disguised or replaced, then up
+    to two values set, deleted or added anywhere; one in ten is a bare value instead."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_HOSTILE)  # no document at all
+    doc = _valid_cache_doc()
+    for _ in range(draw(st.integers(1, 3))):
+        record, i = draw(st.sampled_from(doc["records"])), draw(st.integers(0, 3))
+        if type(record[i]) in (int, float) and draw(st.booleans()):  # the same number in another guise
+            record[i] = draw(st.sampled_from(_GUISES))(record[i])
+        else:
+            record[i] = draw(st.one_of(_NEAR_MISSES, _HOSTILE))
+    for _ in range(draw(st.integers(0, 2))):
+        nodes = [doc] + [v for v in doc.values() if isinstance(v, (dict, list))]
+        if isinstance(doc.get("records"), list):
+            nodes += [r for r in doc["records"] if isinstance(r, list)]
+        node = draw(st.sampled_from(nodes))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = draw(st.sampled_from(["set", "delete", "add"])) if keys else "add"
+        if action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(["records", "tolerances", "xtol", "step", "other"]))] = draw(_HOSTILE)
+        elif action == "add":
+            node.insert(draw(st.integers(0, len(node))), draw(_HOSTILE))
+        elif action == "delete":
+            del node[draw(st.sampled_from(keys))]
+        else:
+            node[draw(st.sampled_from(keys))] = draw(_HOSTILE)
+    return doc
+
+
+@st.composite
+def _damaged_cache_bytes(draw):
+    """The bytes of a valid cache file with one to four bytes cut, changed or inserted."""
+    raw = bytearray((json.dumps(_valid_cache_doc(), sort_keys=True) + "\n").encode())
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(raw) - 1))
+        action = draw(st.sampled_from(["cut", "set", "insert"]))
+        if action == "cut":
+            del raw[i]
+        elif action == "set":
+            raw[i] = draw(st.integers(0, 255))
+        else:
+            raw.insert(i, draw(st.sampled_from(b'0123456789.-,[]{}"eE \xff')))
+    return bytes(raw)
+
+
+def _check_load(path) -> None:
+    """RootCache.load answers (cache, stale), and a cache it keeps holds exactly the records of the file."""
+    previous = signal.signal(signal.SIGALRM, _load_hung)
+    signal.alarm(10)
+    try:
+        result = RootCache.load(path)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert isinstance(result, tuple) and len(result) == 2
+    cache, stale = result
+    assert isinstance(cache, RootCache) and stale in (True, False)
+    if stale:
+        assert cache.records == {}
+        return
+    for (dim, l), roots in cache.records.items():
+        assert type(dim) is int and dim >= 2 and type(l) is int and l >= 0
+        assert roots and all(type(x) is float and math.isfinite(x) for x in roots)
+        assert all(a < b for a, b in zip([0.0] + roots, roots))  # positive and strictly increasing
+    # every record kept is a record of the file, with the same types (a root may be an integer there)
+    records = json.loads(path.read_bytes())["records"]
+    kept = [[dim, l, i, x] for (dim, l), roots in cache.records.items() for i, x in enumerate(roots, start=1)]
+    normal = [[dim, l, i, float(x) if type(x) is int else x] for dim, l, i, x in records]
+    assert json.dumps(sorted(kept)) == json.dumps(sorted(normal))
+
+
+def _load_hung(signum, frame):
+    raise AssertionError("RootCache.load did not answer within 10 s")
+
+
 class TestRootCache:
     def test_cache_from_the_bisection_refiner_is_served(self, tmp_path, kernel_calls):
         path = tmp_path / "roots.json"
@@ -816,6 +926,22 @@ class TestRootCache:
         path.write_text(json.dumps({**RootCache().to_json(), "records": [record]}))
         loaded, stale = RootCache.load(path)
         assert stale and loaded.records == {}
+
+    @pytest.fixture(scope="class")
+    def fuzz_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("cache-fuzz") / "roots.json"
+
+    @settings(max_examples=300, deadline=timedelta(seconds=2), derandomize=True)
+    @given(doc=_mutated_cache_docs())
+    def test_mutated_document_loads_or_is_stale(self, fuzz_path, doc):
+        fuzz_path.write_text(json.dumps(doc))
+        _check_load(fuzz_path)
+
+    @settings(max_examples=300, deadline=timedelta(seconds=2), derandomize=True)
+    @given(raw=st.one_of(_damaged_cache_bytes(), st.binary(max_size=64)))
+    def test_damaged_bytes_load_or_are_stale(self, fuzz_path, raw):
+        fuzz_path.write_bytes(raw)
+        _check_load(fuzz_path)
 
     def test_round_trip(self, tmp_path):
         cache = RootCache()
