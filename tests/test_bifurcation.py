@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import random
 import re
 import signal
 
@@ -270,10 +269,44 @@ class TestRabinowitz:
         subsets = enumerate_zero_sum_subsets(labelled)
         assert subsets == [(1.0, 2.0)]
 
-    def test_enumeration_bound(self):
-        labelled = [(float(i), chi(1)) for i in range(25)]
-        with pytest.raises(ValidationError):
+    @pytest.mark.parametrize("n", [21, 25])
+    def test_enumeration_bound(self, n):
+        labelled = [(float(i), chi(1)) for i in range(n)]
+        with pytest.raises(ValidationError) as exc:
             enumerate_zero_sum_subsets(labelled)
+        assert str(exc.value) == f"subset enumeration is exponential; refusing {n} > 20 members"
+
+    def test_twenty_members_answer_in_time(self):
+        # 2^20 - 1 subsets, the halves 2^10 each; every label k carries +1, -1, +2
+        # and -2, which cancel in 3 ways, so 4^5 - 1 families sum to zero
+        labelled = [(float(i), chi(i % 5 + 1, (-1) ** (i // 5) * (i // 10 + 1))) for i in range(20)]
+        previous = signal.signal(signal.SIGALRM, _no_answer)
+        signal.alarm(2)
+        try:
+            subsets = enumerate_zero_sum_subsets(labelled)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(subsets) == 4**5 - 1
+        assert all(not rabinowitz_excludes_bounded(labelled[int(lam)][1] for lam in s) for s in subsets)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            [],
+            [O],
+            [O] * 12,
+            [chi(1), -chi(1), chi(1), -chi(1), 2 * I, -2 * I],
+            [-2 * chi(1), -2 * chi(1), 2 * chi(1), 2 * chi(1), O, chi(2)],
+        ],
+        ids=["empty", "one-zero", "twelve-zeros", "duplicates", "duplicates-and-zero"],
+    )
+    def test_enumeration_of_worked_families(self, family):
+        labelled = [(float(i), ix) for i, ix in enumerate(family)]
+        brute = _zero_sum_combinations(labelled)
+        assert enumerate_zero_sum_subsets(labelled) == brute
+        if family == [O] * 12:
+            assert len(brute) == 4095  # every nonempty subset
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -289,16 +322,11 @@ class TestRabinowitz:
     def test_enumeration_matches_combinations(self, family):
         # small coefficients on few keys, so many subsets cancel
         labelled = [(float(i), ix) for i, ix in enumerate(family)]
-        brute = [
-            tuple(lam for lam, _ in combo)
-            for r in range(1, len(labelled) + 1)
-            for combo in itertools.combinations(labelled, r)
-            if not rabinowitz_excludes_bounded(ix for _, ix in combo)
-        ]
-        assert enumerate_zero_sum_subsets(labelled) == brute
+        assert enumerate_zero_sum_subsets(labelled) == _zero_sum_combinations(labelled)
 
 
-def _brute_zero_sums(labelled):
+def _zero_sum_combinations(labelled):
+    """The zero-sum families by brute force, in itertools.combinations order."""
     return [
         tuple(lam for lam, _ in combo)
         for r in range(1, len(labelled) + 1)
@@ -307,69 +335,8 @@ def _brute_zero_sums(labelled):
     ]
 
 
-class _Deadline:
-    """Turns a call that outlives ``seconds`` into a test failure (SIGALRM)."""
-
-    def __init__(self, seconds: int) -> None:
-        self.seconds = seconds
-
-    def _expired(self, signum, frame):
-        raise AssertionError(f"no answer within {self.seconds} s")
-
-    def __enter__(self):
-        self.previous = signal.signal(signal.SIGALRM, self._expired)
-        signal.alarm(self.seconds)
-
-    def __exit__(self, *exc):
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, self.previous)
-
-
-class TestZeroSumSubsets:
-    """Meet-in-the-middle enumeration against itertools.combinations, hit for hit and in order."""
-
-    @pytest.mark.parametrize(
-        "family",
-        [
-            [],
-            [O],
-            [O] * 12,
-            [chi(1), -chi(1), chi(1), -chi(1), 2 * I, -2 * I],
-            [-2 * chi(1), -2 * chi(1), 2 * chi(1), 2 * chi(1), O, chi(2)],
-        ],
-        ids=["empty", "one-zero", "twelve-zeros", "duplicates", "duplicates-and-zero"],
-    )
-    def test_worked_families(self, family):
-        labelled = [(float(i), ix) for i, ix in enumerate(family)]
-        brute = _brute_zero_sums(labelled)
-        assert enumerate_zero_sum_subsets(labelled) == brute
-        if len(family) == 12:
-            assert len(brute) == 4095
-
-    def test_random_families(self):
-        rng = random.Random(15)
-        for _ in range(100):
-            family = [
-                EulerSO2(rng.randrange(-2, 3), {k: rng.randrange(-2, 3) for k in rng.sample(range(1, 5), rng.randrange(3))})
-                for _ in range(rng.randrange(13))
-            ]
-            labelled = [(float(i), ix) for i, ix in enumerate(family)]
-            assert enumerate_zero_sum_subsets(labelled) == _brute_zero_sums(labelled)
-
-    def test_twenty_members_answer_in_time(self):
-        # 2^20 - 1 subsets, the halves 2^10 each; every label k carries +1, -1, +2
-        # and -2, which cancel in 3 ways, so 4^5 - 1 families sum to zero
-        labelled = [(float(i), chi(i % 5 + 1, (-1) ** (i // 5) * (i // 10 + 1))) for i in range(20)]
-        with _Deadline(2):
-            subsets = enumerate_zero_sum_subsets(labelled)
-        assert len(subsets) == 4**5 - 1
-        assert all(not rabinowitz_excludes_bounded(labelled[int(lam)][1] for lam in s) for s in subsets)
-
-    def test_twenty_one_members_are_refused(self):
-        labelled = [(float(i), chi(1)) for i in range(21)]
-        with pytest.raises(ValidationError) as exc:
-            enumerate_zero_sum_subsets(labelled)
-        assert str(exc.value) == "subset enumeration is exponential; refusing 21 > 20 members"
+def _no_answer(signum, frame):
+    raise AssertionError("no answer within the deadline")
 
 
 class TestUnboundedVerdict:
