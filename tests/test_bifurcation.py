@@ -269,12 +269,12 @@ class TestRabinowitz:
         subsets = enumerate_zero_sum_subsets(labelled)
         assert subsets == [(1.0, 2.0)]
 
-    @pytest.mark.parametrize("n", [21, 25])
-    def test_enumeration_bound(self, n):
-        labelled = [(float(i), chi(1)) for i in range(n)]
-        with pytest.raises(ValidationError) as exc:
-            enumerate_zero_sum_subsets(labelled)
-        assert str(exc.value) == f"subset enumeration is exponential; refusing {n} > 20 members"
+    def test_enumeration_bound(self):
+        for n in (21, 25):
+            labelled = [(float(i), chi(1)) for i in range(n)]
+            with pytest.raises(ValidationError) as exc:
+                enumerate_zero_sum_subsets(labelled)
+            assert str(exc.value) == f"subset enumeration is exponential; refusing {n} > 20 members"
 
     def test_twenty_members_answer_in_time(self):
         # 2^20 - 1 subsets, the halves 2^10 each; every label k carries +1, -1, +2
