@@ -542,15 +542,14 @@ class TestVerdictsAgainstReference:
         assert at_two.in_lambda and at_two.kernel.is_zero() and at_two.justification == J_KERNEL_EMPTY
 
 
-#: the first positive disk eigenvalue, j'_{1,1}^2; no window inside (0, FIRST) holds a candidate
-FIRST = ALPHA2
 SWEEP_REACH = 160.0
 
+# ALPHA2 = j'_{1,1}^2 is the first positive disk eigenvalue, so no window inside (0, ALPHA2) holds a candidate
 _sweep_windows = st.one_of(
     st.floats(1.0, SWEEP_REACH).map(lambda w: (-w, w)),
     st.tuples(st.floats(0.0, SWEEP_REACH), st.floats(0.0, SWEEP_REACH)).map(lambda t: (min(t), max(t))),
     st.tuples(st.floats(0.0, SWEEP_REACH), st.floats(0.0, SWEEP_REACH)).map(lambda t: (-max(t), -min(t))),
-    st.tuples(st.floats(0.01, FIRST - 0.01), st.sampled_from([1, -1])).map(
+    st.tuples(st.floats(0.01, ALPHA2 - 0.01), st.sampled_from([1, -1])).map(
         lambda t: (t[0] / 2, t[0]) if t[1] > 0 else (-t[0], -t[0] / 2)
     ),
 )
@@ -578,10 +577,10 @@ class TestA9Sweep:
         b1 = {v: m for v, m in ((0, mu), (1, q1)) if m}
         reference = reference_verdicts(entries, b1, {1: p2} if p2 else {}, mu, True, window)
         assert _dumps(verdicts) == json.dumps(reference, sort_keys=True)
-        if window[0] > 0.0 and window[1] < FIRST or window[1] < 0.0 and window[0] > -FIRST:
+        if window[0] > 0.0 and window[1] < ALPHA2 or window[1] < 0.0 and window[0] > -ALPHA2:
             assert verdicts == []
 
-    def test_first_error_in_input_order(self, domain):
+    def test_first_error_in_input_order(self):
         # a lambda that is not an eigenvalue, then one beyond the spectrum bound:
         # the first raises, as it would one call at a time
         spec = a9_spec(q1=2, p2=1, domain=DiskDomain(bound=50.0))
