@@ -3,6 +3,7 @@ import json
 import math
 import re
 import signal
+from datetime import timedelta
 
 import mpmath
 import pytest
@@ -23,6 +24,7 @@ from symbif import (
     InsufficientSpectrum,
     PreconditionError,
     RepDescriptor,
+    SO2Rep,
     SpectrumEntry,
     SystemSpec,
     UnsupportedDomain,
@@ -41,6 +43,7 @@ from symbif import (
     radial_roots_up_to,
     unbounded_verdict,
 )
+from symbif.spectral import MERGE_REL, close
 from symbif.bifurcation import (
     J_EQUIV_MOD_EVEN,
     J_KERNEL_EMPTY,
@@ -589,6 +592,111 @@ class TestA9Sweep:
         with pytest.raises(InsufficientSpectrum):
             symbif.bifurcation._a9_indices(spec, [1000.0, 5.0])
         assert symbif.bifurcation._a9_indices(SystemSpec(p1=1, p2=0, sigma_b1={1: 1}), []) == []
+
+
+KERNEL_REACH = 120.0
+KERNEL_REACH_STEPS = 48  # 1 + 2.5 * 47 = 118.5 < KERNEL_REACH
+_BALL_TRIVIAL = [r * r for r in neumann_radial_roots(0, 3, 4)]
+
+
+def _ball_entries() -> list[SpectrumEntry]:
+    # trivial eigenspaces exactly at the roots of trivial type, so the ball's radial test agrees with the reps
+    alphas = sorted(_BALL_TRIVIAL + [1.0 + 2.5 * k for k in range(KERNEL_REACH_STEPS)])
+    return [SpectrumEntry(0.0, SO2Rep.trivial(1))] + [
+        SpectrumEntry(a, SO2Rep.trivial(1) if a in _BALL_TRIVIAL else SO2Rep.irr(1)) for a in alphas
+    ]
+
+
+def _custom_entries() -> list[SpectrumEntry]:
+    # eigenvalues 0.5-2 MERGE_REL apart, a zero eigenspace and several labels
+    out = [SpectrumEntry(0.0, SO2Rep.trivial(1))]
+    for k in range(1, 32):
+        a = 4.0 * k - 0.5 / k
+        rep = (SO2Rep.zero(), SO2Rep.trivial(2), SO2Rep.irr(k % 4 + 1), SO2Rep(1, {k % 3 + 1: 2}))[k % 4]
+        out.append(SpectrumEntry(a, rep))
+        if k % 5 == 0:
+            out.append(SpectrumEntry(a * (1.0 + (0.5 + 0.3 * (k % 3)) * MERGE_REL), SO2Rep.irr(k % 2 + 2)))
+    return out
+
+
+@st.composite
+def _near_blocks(draw):
+    """Block tables whose parameters alpha/(s*b) lie 0.5-2 MERGE_REL apart, across B1 and B2."""
+    b1, b2 = {}, {}
+    for _ in range(draw(st.integers(1, 3))):
+        b = draw(st.sampled_from([0.5, 1.0, 1.25, 2.0, 3.0])) * draw(st.sampled_from([1, -1]))
+        for _ in range(draw(st.integers(1, 3))):
+            in_b1 = draw(st.booleans())
+            block, value = (b1, b) if in_b1 else (b2, -b)  # B2's sign keeps the parameter alpha/b
+            block[value] = block.get(value, 0) + draw(st.integers(1, 2))
+            b *= 1.0 + draw(st.floats(0.5, 2.0)) * MERGE_REL
+    mu_b0 = draw(st.integers(0, 1))
+    if mu_b0 or draw(st.booleans()):
+        b1[0] = b1.get(0, 0) + 1
+    return b1, b2, mu_b0, False
+
+
+_a9_blocks = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)).filter(lambda t: sum(t) > 0).map(
+    lambda t: ({v: m for v, m in ((0, t[2]), (1, t[0])) if m}, {1: t[1]} if t[1] else {}, t[2], True)
+)
+
+
+def _kernel_window(t: tuple[int, float, int]) -> tuple[float, float]:
+    # |lambda0| <= KERNEL_REACH / 3.2 keeps every |lambda0 * b| (|b| <= 3 (1 + 6e-8)) inside the spectrum
+    step = KERNEL_REACH / 3.2 / 16
+    lo = (t[0] + t[1]) * step
+    return lo, min(lo + t[2] * step, 16 * step)
+
+
+class TestKernelSweep:
+    """analyze's kernels, candidate by candidate, against kernel_reps and the reference verdicts."""
+
+    @pytest.fixture(scope="class")
+    def domains(self):
+        disk = DiskDomain()
+        disk.entries_up_to(KERNEL_REACH)
+        return {"disk": disk, "ball": BallDomain(_ball_entries(), dim=3), "custom": CustomDomain(_custom_entries())}
+
+    def check(self, domain, b1, b2, mu_b0, a9, window):
+        spec = SystemSpec(
+            p1=sum(b1.values()), p2=sum(b2.values()), sigma_b1=b1, sigma_b2=b2, mu_b0=mu_b0, domain=domain, a9=a9
+        )
+        verdicts = analyze(spec, window)
+        lams = lambda_set(spec, window)
+        if window[0] <= 0.0 <= window[1] and not any(close(c, 0.0) for c in lams):
+            lams = sorted(lams + [0.0])
+        assert len(verdicts) == len(lams)
+        for lam, v in zip(lams, verdicts):
+            kr = kernel_reps(spec, lam)
+            assert (v.kernel.v1, v.kernel.v2) == (kr.v1, kr.v2), lam
+            assert len(v.kernel.matched) == len(kr.matched), lam
+            assert all(a is b for a, b in zip(v.kernel.matched, kr.matched)), lam
+        entries = [e.to_json() for e in domain.entries_up_to(KERNEL_REACH)]
+        reference = reference_verdicts(entries, b1, b2, mu_b0, a9, window, disk=isinstance(domain, DiskDomain))
+        assert _dumps(verdicts) == json.dumps(reference, sort_keys=True)
+        return verdicts
+
+    @settings(max_examples=80, deadline=timedelta(seconds=5), derandomize=True)
+    @given(
+        blocks=st.one_of(_near_blocks(), _a9_blocks),
+        window=st.tuples(st.integers(-16, 15), st.floats(0.0, 1.0), st.integers(1, 32)).map(_kernel_window),
+    )
+    @pytest.mark.parametrize("kind", ["disk", "ball", "custom"])
+    def test_kernels_match_single_lookups_and_reference(self, domains, kind, blocks, window):
+        self.check(domains[kind], *blocks, window)
+
+    def test_pair_matching_two_candidates(self, domains):
+        verdicts = self.check(domains["disk"], {1: 1, 1 + 6e-9: 1, 1 + 1.2e-8: 1}, {}, 0, False, (3.0, 4.0))
+        assert len(verdicts) == 2
+        assert [len(v.kernel.matched) for v in verdicts] == [2, 2]
+        assert all(v.kernel.v1 == SO2Rep.irr(1, 2) for v in verdicts)
+
+    def test_pair_outside_the_window_matches_a_candidate_inside(self, domains):
+        verdicts = self.check(domains["disk"], {1: 1, 1 - 6e-9: 1}, {}, 0, False, (3.0, ALPHA2 * (1 + 3e-9)))
+        (v,) = verdicts
+        assert close(v.lambda0, ALPHA2)
+        assert v.kernel.to_json()["v1"]["irr"] == {"1": 2}
+        assert len(v.kernel.matched) == 2
 
 
 class TestVerdictCost:
