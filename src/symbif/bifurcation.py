@@ -44,9 +44,11 @@ from .spectral import BallDomain, DiskDomain, SpectrumEntry, close
 from .system import (
     KernelReps,
     SystemSpec,
+    _merged,
+    _spectral_pairs,
+    _swept_kernels,
     _with_margin,
     kernel_reps,
-    lambda_set,
 )
 
 __all__ = [
@@ -153,28 +155,30 @@ def bif_a9(spec: SystemSpec, lambda0: float) -> EulerSO2:
 
 
 def _a9_indices(spec: SystemSpec, lams: Sequence[float]) -> list[EulerSO2]:
-    """:func:`bif_a9` at each of ``lams``, in order, from one ascending sweep of the spectrum.
-
-    Every lambda is checked and looked up first, in input order, so errors
-    and spectrum extensions come as they would one call at a time.  The
-    sweep then keeps the trivial dimension and multiplicities of V(n) and
-    reads each element off :func:`_a9_element`.
-    """
+    """:func:`bif_a9` at each of ``lams``, in order: k0 looked up per lambda, then one sweep."""
     if not lams:
         return []
+    entries, k0s = _a9_k0s(spec, lams)
+    return _a9_sweep(spec, entries, lams, k0s)
+
+
+def _a9_k0s(spec: SystemSpec, lams: Sequence[float]) -> tuple[Sequence[SpectrumEntry], list[int | None]]:
+    """The spectrum entries and, per lambda, k0 with alpha_k0 = |lambda| (None at 0).
+
+    Every lambda is checked and looked up in input order, so errors and
+    spectrum extensions come as they would one call at a time.
+    """
     if not spec.a9:
         raise PreconditionError("bif_a9 needs the normalized block form (a9 flag)")
     _require_disk(spec, "bif_a9")
-    q1, p2 = spec.q1, spec.p2
-    out: list = [None] * len(lams)
-    wanted: dict[int, list[tuple[int, int, SO2Rep]]] = {}  # m -> (slot, power, E_k0) per lambda
-    for slot, lambda0 in enumerate(lams):
+    entries: Sequence[SpectrumEntry] = ()
+    k0s: list[int | None] = []
+    for lambda0 in lams:
         lam = _real(lambda0, "lambda0")
         if close(lam, 0.0):
-            out[slot] = ((-1) ** q1 - (-1) ** p2) * EulerSO2.one()
+            k0s.append(None)
             continue
-        # D(V(m))^power * (D(E_k0)^|power| - I), (m, power) = (k0 - 1, q1) above 0 and (k0, -p2) below
-        power, side, needs = (q1, "positive", "p1 - mu_b0") if lam > 0 else (-p2, "negative", "p2")
+        power, side, needs = (spec.q1, "positive", "p1 - mu_b0") if lam > 0 else (spec.p2, "negative", "p2")
         if power == 0:
             raise PreconditionError(f"{side} parameters need {needs} > 0; {lambda0!r} is not in Lambda")
         alpha = abs(lam)
@@ -182,13 +186,34 @@ def _a9_indices(spec: SystemSpec, lams: Sequence[float]) -> list[EulerSO2]:
         hits = index.matches(alpha, n)
         if not hits:
             raise PreconditionError(f"{alpha!r} is not an eigenvalue of the loaded spectrum")
-        k0 = hits[0] + 1
-        wanted.setdefault(k0 - 1 if lam > 0 else k0, []).append((slot, power, index.entries[k0 - 1].rep))
-    # the spectrum only grows and keeps its entries below an earlier bound in place,
-    # so the last index holds every V(m)
+        k0s.append(hits[0] + 1)
+        # the spectrum only grows and keeps its entries below an earlier bound in place,
+        # so the last index holds every V(m)
+        entries = index.entries
+    return entries, k0s
+
+
+def _a9_sweep(
+    spec: SystemSpec, entries: Sequence[SpectrumEntry], lams: Sequence[float], k0s: Sequence[int | None]
+) -> list[EulerSO2]:
+    """The a9 index at each lambda with its k0 (None at 0), from one ascending sweep of ``entries``.
+
+    The sweep keeps the trivial dimension and multiplicities of V(n) and
+    reads each element off :func:`_a9_element`.
+    """
+    q1, p2 = spec.q1, spec.p2
+    out: list = [None] * len(lams)
+    wanted: dict[int, list[tuple[int, int, SO2Rep]]] = {}  # m -> (slot, power, E_k0) per lambda
+    for slot, (lam, k0) in enumerate(zip(lams, k0s)):
+        if k0 is None:
+            out[slot] = ((-1) ** q1 - (-1) ** p2) * EulerSO2.one()
+        else:
+            # D(V(m))^power * (D(E_k0)^|power| - I), (m, power) = (k0 - 1, q1) above 0 and (k0, -p2) below
+            m, power = (k0 - 1, q1) if lam > 0 else (k0, -p2)
+            wanted.setdefault(m, []).append((slot, power, entries[k0 - 1].rep))
     t, mults, done = 0, {}, 0
     for m in sorted(wanted):
-        for e in index.entries[done:m]:
+        for e in entries[done:m]:
             t += e.rep.trivial_dim
             for k, mult in e.rep.irreducibles.items():
                 mults[k] = mults.get(k, 0) + mult
@@ -335,24 +360,29 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
 
     Candidates are the members of Lambda in the window together with 0 when
     the window contains it.  Exact index elements are attached only in the
-    normalized block form on the disk, where the closed forms apply.  Each
-    candidate costs one bisection of the spectrum index, O(log n), and the
-    exact elements of all candidates one sweep of the spectrum.
+    normalized block form on the disk, where the closed forms apply.  The
+    spectral pairs are formed and sorted once; one walk up them gives every
+    candidate, its kernel and its k0, and one sweep of the spectrum the
+    exact elements, with no spectrum lookup per candidate.
     """
-    candidates = lambda_set(spec, window)  # checks the window
+    lo, hi, entries, blocks, pairs = _spectral_pairs(spec, window)  # checks the window
+    candidates = _merged(pairs, lo, hi)
     if window[0] <= 0.0 <= window[1] and not any(close(c, 0.0) for c in candidates):
         candidates.append(0.0)
-    candidates.sort()
-    exact = spec.a9 and isinstance(spec.domain, DiskDomain)
-    bifs = _a9_indices(spec, candidates) if exact else [None] * len(candidates)
+        candidates.sort()
+    kernels = _swept_kernels(entries, blocks, pairs, candidates)
+    if spec.a9 and isinstance(spec.domain, DiskDomain):
+        # a9 pairs only b = 1, so the first matched entry is the eigenspace of |lam|
+        k0s = [None if close(lam, 0.0) else first + 1 for lam, (_, first) in zip(candidates, kernels)]
+        bifs = _a9_sweep(spec, entries, candidates, k0s)
+    else:
+        bifs = [None] * len(candidates)
     verdicts = []
-    for lam, bif in zip(candidates, bifs):
+    for lam, (kr, _), bif in zip(candidates, kernels, bifs):
         at_zero = close(lam, 0.0)
-        kr = kernel_reps(spec, lam)
         gc = check_glob_zero(spec) if at_zero else _glob_from_kernel(kr)
         unb = NO_VERDICT
         if spec.a9 and not at_zero:
-            # a9 pairs only b = 1, so the one matched entry is the eigenspace of |lam|
             unb = unbounded_verdict(spec, kr.matched[0], 1 if lam > 0 else -1).verdict
         verdicts.append(
             BifurcationVerdict(

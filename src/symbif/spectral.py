@@ -91,6 +91,8 @@ MERGE_REL = 1e-8
 ROOT_XTOL = 1e-10
 #: grid step for sign-change bracketing
 GRID_STEP = math.pi / 8.0
+#: the root cache file format; a file with any other ``schema_version`` is stale
+CACHE_SCHEMA_VERSION = 1
 #: most distinct disk eigenvalues one request may ask for, by the two-term Weyl
 #: estimate alpha/4 + sqrt(alpha)/2 (10,000 reaches alpha ~ 39,600, x ~ 199,
 #: inside the x <= 200 range the kernels' accuracy is stated for)
@@ -429,9 +431,11 @@ class RootCache:
 
     The record list for each (dim, l) pair is always a complete prefix of
     the true root sequence, so cached data can serve any request whose range
-    it covers.  A file is written with the tolerances ``ROOT_XTOL`` and
-    ``GRID_STEP``; one that stores other tolerances (say from an older
-    release), or that holds a record whose dim is not an integer >= 2, whose
+    it covers.  A file is written with the integer ``schema_version``
+    ``CACHE_SCHEMA_VERSION`` and the tolerances ``ROOT_XTOL`` and
+    ``GRID_STEP``; one that stores another version (a missing one, a bool or
+    a float included) or other tolerances (say from an older release), or
+    that holds a record whose dim is not an integer >= 2, whose
     l is not an integer >= 0, or whose roots are not finite, positive,
     strictly increasing and indexed 1..n, is discarded and regenerated.
     Roots of the right type but the wrong value are not detected: checking
@@ -473,7 +477,7 @@ class RootCache:
             for i, x in enumerate(self.records[(dim, l)], start=1):
                 recs.append([dim, l, i, x])
         return {
-            "schema_version": 1,
+            "schema_version": CACHE_SCHEMA_VERSION,
             "tolerances": {"xtol": ROOT_XTOL, "step": GRID_STEP},
             "records": recs,
         }
@@ -498,7 +502,10 @@ class RootCache:
             return fresh, False
         try:
             doc = _parse_json(p.read_bytes(), str(p))
-            tol = doc["tolerances"]
+            version, tol = doc["schema_version"], doc["tolerances"]
+            # True == 1 and 1.0 == 1 in Python, so the type is checked too
+            if type(version) is not int or version != CACHE_SCHEMA_VERSION:
+                return fresh, True
             if tol["xtol"] != ROOT_XTOL or tol["step"] != GRID_STEP:
                 return fresh, True
             for dim, l, idx, x in doc["records"]:

@@ -27,6 +27,7 @@ of eigenvalues; a parameter that is not a finite number raises ValidationError.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from typing import Sequence
 
@@ -241,6 +242,40 @@ def _with_margin(alpha: float) -> float:
     return alpha * (1.0 + 10.0 * MERGE_REL) + MERGE_REL
 
 
+def _spectral_pairs(spec: SystemSpec, window: tuple[float, float]):
+    """The checked window, the covered entries, the signed blocks and every spectral pair, sorted.
+
+    ``blocks`` lists (s, b, mult) for the nonzero b of ``spec._blocks()``, in
+    that order.  Pair (m, k, i) puts entry i against blocks[k]: m =
+    alpha_i/(s*b) + 0.0 is the parameter at which the pair vanishes (+0.0
+    drops -0.0), and the pairs are sorted by (m, k, i).  The entries reach
+    every eigenvalue that could pair into the window, and the pairs are not
+    cut to the window: a pair just outside it may still match a candidate
+    inside.  Raises InsufficientSpectrum when that reach lies beyond the
+    loaded spectrum.
+    """
+    lo, hi = (_real(w, "window entry", finite=False) for w in (window[0], window[1]))
+    if lo > hi:
+        raise ValidationError(f"window must satisfy lo <= hi, got {window!r}")
+    blocks = [(s, b, mult) for s, bs in spec._blocks() for b, mult in bs]
+    if not blocks:
+        return lo, hi, [], blocks, []
+    entries = spec.domain.entries_up_to(_with_margin(_coverage_needed(spec, lo, hi)))
+    pairs = sorted(
+        (e.eigenvalue / (s * b) + 0.0, k, i) for k, (s, b, _) in enumerate(blocks) for i, e in enumerate(entries)
+    )
+    return lo, hi, entries, blocks, pairs
+
+
+def _merged(pairs, lo: float, hi: float) -> list[float]:
+    """The pair values in [lo, hi], ascending, each reported once within the merge tolerance."""
+    out: list[float] = []
+    for m, _, _ in pairs:
+        if lo <= m <= hi and (not out or not close(out[-1], m)):
+            out.append(m)
+    return out
+
+
 def lambda_set(spec: SystemSpec, window: tuple[float, float]) -> list[float]:
     """Candidate bifurcation parameters in the closed window, ascending.
 
@@ -249,42 +284,30 @@ def lambda_set(spec: SystemSpec, window: tuple[float, float]) -> list[float]:
     Raises InsufficientSpectrum when the window demands eigenvalues beyond
     the loaded spectrum.
     """
-    lo, hi = (_real(w, "window entry", finite=False) for w in (window[0], window[1]))
-    if lo > hi:
-        raise ValidationError(f"window must satisfy lo <= hi, got {window!r}")
-    blocks = spec._blocks()
-    if not any(bs for _, bs in blocks):
-        return []
-    entries = spec.domain.entries_up_to(_with_margin(_coverage_needed(spec, lo, hi)))
-    members = [e.eigenvalue / (s * b) + 0.0 for s, bs in blocks for b, _ in bs for e in entries]  # +0.0 drops -0.0
-    members = sorted(m for m in members if lo <= m <= hi)
-    out: list[float] = []
-    for m in members:
-        if not out or not close(out[-1], m):
-            out.append(m)
-    return out
+    lo, hi, _, _, pairs = _spectral_pairs(spec, window)
+    return _merged(pairs, lo, hi)
 
 
 def _matched_entries(spec: SystemSpec, lam: float):
-    """The spectrum index and, per signed block, (mult, matched positions) per nonzero b.
+    """The spectrum index and (s, mult, matched positions) per nonzero signed b, in ``_blocks()`` order.
 
-    Block s matches lam*b against s*alpha.  The spectrum is asked for the
-    entries up to the largest |lam * b| plus the matching margin, so
-    InsufficientSpectrum is raised exactly where the matching needs more of
-    the spectrum than is available.
+    Block s matches s*(lam*b) against alpha >= 0, so the spectrum is asked
+    for the entries up to the largest s*lam*b (at least 0) plus the matching
+    margin: the coverage of the window [lam, lam].  InsufficientSpectrum is
+    thus raised exactly where the matching needs more of the spectrum than
+    is available.
     """
     lam = _real(lam, "lambda0")
+    index, n = spec.domain.spectrum_index(_with_margin(_coverage_needed(spec, lam, lam)))
     blocks = spec._blocks()
-    cap = max((abs(lam * b) for _, bs in blocks for b, _ in bs), default=0.0)
-    index, n = spec.domain.spectrum_index(_with_margin(cap))
     # close(lam*b, -alpha) and close(-(lam*b), alpha) agree bit for bit
-    return index, [[(mult, index.matches(s * (lam * b), n)) for b, mult in bs] for s, bs in blocks]
+    return index, [(s, mult, index.matches(s * (lam * b), n)) for s, bs in blocks for b, mult in bs]
 
 
 def lambda_membership(spec: SystemSpec, lam: float) -> bool:
     """Whether some spectral pair matches lam within the merge tolerance."""
     _, blocks = _matched_entries(spec, lam)
-    return any(hits for block in blocks for _, hits in block)
+    return any(hits for _, _, hits in blocks)
 
 
 class KernelReps:
@@ -327,18 +350,56 @@ def kernel_reps(spec: SystemSpec, lambda0: float) -> KernelReps:
     The matched spectrum entries come along as ``matched``.
     """
     index, blocks = _matched_entries(spec, lambda0)
-    pieces, matched = [], []
-    for block in blocks:
-        trivial, irr = 0, {}
-        for mult, hits in block:
-            for i in hits:
-                e = index.entries[i]
-                matched.append(e)
-                trivial += mult * e.rep.trivial_dim
-                for label, m in e.rep.irreducibles.items():
-                    irr[label] = irr.get(label, 0) + mult * m
-        pieces.append(SO2Rep._make(trivial, irr))
-    return KernelReps(*pieces, matched=tuple(matched))
+    return _kernel((s, mult, index.entries[i]) for s, mult, hits in blocks for i in hits)
+
+
+def _kernel(hits) -> KernelReps:
+    """KernelReps from (s, mult, entry) hits in ``matched`` order: B1 first, by b, by position."""
+    trivial, irr = {1: 0, -1: 0}, {1: {}, -1: {}}
+    matched = []
+    for s, mult, e in hits:
+        matched.append(e)
+        trivial[s] += mult * e.rep.trivial_dim
+        table = irr[s]
+        for label, m in e.rep.irreducibles.items():
+            table[label] = table.get(label, 0) + mult * m
+    v1, v2 = (SO2Rep._make(trivial[s], irr[s]) for s in (1, -1))
+    return KernelReps(v1, v2, matched=tuple(matched))
+
+
+def _swept_kernels(entries, blocks, pairs, lams: Sequence[float]) -> list[tuple[KernelReps, int | None]]:
+    """:func:`kernel_reps` at each of the ascending ``lams``, with its first matched position (None if none).
+
+    ``entries``, ``blocks`` and ``pairs`` come from :func:`_spectral_pairs`
+    over a window holding every lam.  A pair (m, k, i) with b = blocks[k]
+    can match lam only if |lam - m| <= MERGE_REL * max(1/|b|, |lam|, |m|),
+    and |m| <= |lam| / (1 - MERGE_REL) then; so one window moving up the
+    sorted pairs, twice that wide at the largest 1/|b|, holds every match.
+    Each pair in it is decided by the predicate of :func:`kernel_reps`,
+    ``close(s*(lam*b), alpha_i)``, and the hits are ordered as there.  The
+    walk is linear in pairs plus candidates, with no spectrum lookup.
+    """
+    inv_b = max((1.0 / abs(b) for _, b, _ in blocks), default=0.0)
+    out: list[tuple[KernelReps, int | None]] = []
+    start, end = 0, len(pairs)
+    for lam in lams:
+        scale = max(inv_b, abs(lam))
+        reach = 2.0 * MERGE_REL * scale / (1.0 - MERGE_REL) + 4.0 * math.ulp(scale)
+        lowest, highest = lam - reach, lam + reach
+        while start < end and pairs[start][0] < lowest:
+            start += 1
+        hits = []
+        for j in range(start, end):
+            m, k, i = pairs[j]
+            if m > highest:
+                break
+            s, b, _ = blocks[k]
+            if close(s * (lam * b), entries[i].eigenvalue):
+                hits.append((k, i))
+        hits.sort()
+        kr = _kernel([(blocks[k][0], blocks[k][2], entries[i]) for k, i in hits])
+        out.append((kr, hits[0][1] if hits else None))
+    return out
 
 
 class LinearizationEigenvalue:

@@ -700,7 +700,7 @@ class TestKernelSweep:
 
 
 class TestVerdictCost:
-    """Work per candidate, counted: one kernel lookup each, and no spectrum copies per candidate."""
+    """Work per candidate, counted: no spectrum lookup or copy per candidate."""
 
     @pytest.fixture(scope="class")
     def domain(self):
@@ -708,19 +708,20 @@ class TestVerdictCost:
         domain.entries_up_to(1300.0)
         return domain
 
-    def test_kernel_lookup_once_per_candidate(self, domain, call_counts):
-        calls = call_counts(symbif.bifurcation, "kernel_reps")
-        verdicts = analyze(a9_spec(q1=2, p2=2, domain=domain), (-300.0, 300.0))
-        assert 0 < calls[0] <= len(verdicts)
-
-    def test_unbounded_verdict_reads_the_kernel_lookup(self, domain, call_counts):
-        # per candidate: kernel_reps looks the spectrum up once, and its matched
-        # entry is the eigenspace unbounded_verdict certifies; only bif_a9 (disk)
-        # looks up again, and lambda_set adds one lookup in all
+    def test_no_lookup_per_candidate(self, domain, call_counts):
+        # the spectral pairs are formed once and walked: no kernel_reps, no
+        # tolerant search of the spectrum index, and as many spectrum requests
+        # for 33 candidates as for more than 300
+        kernels = [call_counts(module, "kernel_reps") for module in (symbif.system, symbif.bifurcation)]
+        searches = call_counts(symbif.spectral.SpectrumIndex, "matches")
         lookups = call_counts(DiskDomain, "spectrum_index")
-        verdicts = analyze(a9_spec(q1=2, p2=2, domain=domain), (-100.0, 100.0))
-        assert len(verdicts) == 33
-        assert lookups[0] == 1 + len(verdicts) + (len(verdicts) - 1)
+        counts = []
+        for w in (100.0, 1200.0):
+            lookups[0] = 0
+            verdicts = analyze(a9_spec(q1=2, p2=2, domain=domain), (-w, w))
+            counts.append((len(verdicts), lookups[0]))
+        assert counts[0][0] == 33 and counts[1][0] > 300
+        assert counts[0][1] == counts[1][1] <= 2
         trivial = [r * r for r in neumann_radial_roots(0, 3, 4)]
         alphas = sorted(trivial + [1.0 + 2.5 * k for k in range(20)])
         entries = [SpectrumEntry(0.0, RepDescriptor.trivial(1))] + [
@@ -729,7 +730,8 @@ class TestVerdictCost:
         lookups = call_counts(BallDomain, "spectrum_index")
         verdicts = analyze(a9_spec(q1=2, p2=2, domain=BallDomain(entries, dim=3)), (-60.0, 60.0))
         assert len(verdicts) > 40 and any(v.unbounded == UNBOUNDED for v in verdicts)
-        assert lookups[0] == 1 + len(verdicts)
+        assert lookups[0] == counts[0][1]
+        assert [k[0] for k in kernels] == [0, 0] and searches[0] == 0
 
     def test_entries_copied_a_constant_number_of_times(self, domain, call_counts):
         copies = call_counts(DiskDomain, "entries_up_to")
@@ -751,17 +753,24 @@ class TestVerdictCost:
         assert e_large / e_small <= 1.1 * n_large / n_small
 
     def test_insufficient_spectrum_unchanged(self):
-        # raised by the candidate set, and by a kernel lookup past the bound
+        # raised by the candidate set
         spec = SystemSpec(p1=0, p2=1, sigma_b1={}, sigma_b2={2: 1}, domain=DiskDomain(bound=1.0))
         with pytest.raises(InsufficientSpectrum) as exc:
             analyze(spec, (-1.0, 100.0))
         assert str(exc.value) == "need eigenvalues up to 2.00000021 but the spectrum bound is 1.0"
-        # the lookup at the candidate alpha = j'_{4,2}^2 asks for 2 * alpha
-        # plus the matching margin; the number is a computed root, so it is
-        # compared with the bisection refiner's value and with mpmath
+        # B2's b = 2 pairs only with parameters below 0, so the window (-1, 100)
+        # needs no more spectrum than B1's b = 1 and analyze answers within the bound
         spec = SystemSpec(p1=1, p2=1, sigma_b1={1: 1}, sigma_b2={2: 1}, domain=DiskDomain(bound=150.0))
+        unbounded = SystemSpec(p1=1, p2=1, sigma_b1={1: 1}, sigma_b2={2: 1}, domain=DiskDomain())
+        assert _dumps(analyze(spec, (-1.0, 100.0))) == _dumps(analyze(unbounded, (-1.0, 100.0)))
+        # a kernel lookup past the bound on the positive side still raises: at
+        # alpha = j'_{4,2}^2 B1's b = 2 asks for 2 * alpha plus the matching
+        # margin; the number is a computed root, so it is compared with the
+        # bisection refiner's value and with mpmath
+        spec = SystemSpec(p1=1, p2=1, sigma_b1={2: 1}, sigma_b2={1: 1}, domain=DiskDomain(bound=150.0))
+        (alpha,) = [e.eigenvalue for e in DiskDomain().entries_up_to(100.0) if (e.angular_index, e.root_index) == (4, 2)]
         with pytest.raises(InsufficientSpectrum) as exc:
-            analyze(spec, (-1.0, 100.0))
+            kernel_reps(spec, alpha)
         found = re.fullmatch(r"need eigenvalues up to (\S+) but the spectrum bound is 150\.0", str(exc.value))
         assert found is not None, str(exc.value)
         need = float(found.group(1))

@@ -74,6 +74,24 @@ class TestAnalyze:
         assert code == 2
         assert "InsufficientSpectrum" in err
 
+    def test_block_pairing_only_below_zero_needs_no_spectrum_above(self, capsys, tmp_path):
+        # B2's b = 5 pairs with parameters -alpha/5 only, so the window (-1, 10)
+        # reaches the spectrum up to 10 and the bound 20 suffices for analyze
+        # as for lambda-set, and for bif at a member
+        system = {**A9_SYSTEM, "p1": 1, "p2": 1, "b1": [{"value": 1, "mult": 1}], "b2": [{"value": 5, "mult": 1}]}
+        system["a9"] = False
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": system, "window": [-1.0, 10.0]}))
+        bounded = ("--max-eigenvalue", "20", "--format", "structured")
+        code, out, err = run_cli(capsys, "lambda-set", "--config", str(cfg), *bounded)
+        assert (code, err) == (0, "") and len(parse_report(out)["lambda_set"]) == 4
+        code, out, err = run_cli(capsys, "analyze", "--config", str(cfg), *bounded)
+        assert (code, err) == (0, "")
+        _, unbounded, _ = run_cli(capsys, "analyze", "--config", str(cfg), "--format", "structured")
+        assert out == unbounded and len(parse_report(out)["verdicts"]) == 4
+        code, out, err = run_cli(capsys, "bif", "--config", str(cfg), "--lambda", "9.328363", *bounded)
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("value", ["1e999", "-1e999", "1" + "0" * 400], ids=["inf", "neg-inf", "int-beyond-float"])
     def test_non_finite_block_eigenvalue_is_exit_1(self, capsys, tmp_path, value):
         # refused as input, not carried into a spectrum request up to inf

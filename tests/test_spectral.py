@@ -943,6 +943,26 @@ class TestRootCache:
         fuzz_path.write_bytes(raw)
         _check_load(fuzz_path)
 
+    @pytest.mark.parametrize("version", [None, False, True, 1.0, 99], ids=["missing", "false", "true", "1.0", "99"])
+    def test_other_schema_version_is_stale(self, tmp_path, version):
+        path = self.saved(tmp_path)
+        doc = json.loads(path.read_text())
+        assert doc["schema_version"] == 1
+        if version is None:
+            del doc["schema_version"]
+        else:
+            doc["schema_version"] = version
+        path.write_text(json.dumps(doc))
+        loaded, stale = RootCache.load(path)
+        assert stale and loaded.records == {}
+        # regenerated: the next save writes the current version, byte for byte a clean file
+        loaded.put(2, 1, [1.5, 4.5, 7.5])
+        loaded.put(2, 0, [3.8])
+        loaded.save(path)
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        assert path.read_bytes() == self.saved(clean).read_bytes()
+
     def test_round_trip(self, tmp_path):
         cache = RootCache()
         cache.put(2, 1, [1.5, 4.5])
