@@ -22,16 +22,20 @@ nonzero excludes the bounded alternative for any continuum returning exactly
 at those parameters; the parity conditions of the unboundedness certificates
 are checked exactly.
 
-A verdict costs one bisection, O(log n) in the number n of eigenvalues,
-to find its kernel and k0; :func:`analyze` looks the kernel up once per
-candidate and takes Lambda membership from the same lookup.  The exact
-indices of all candidates come from one ascending sweep over the spectrum
-that keeps the trivial dimension t and the multiplicities m_k of V(n), so
+:func:`analyze` sorts the spectral pairs (sign, block eigenvalue, entry)
+once, by the parameter at which each vanishes; one walk up them gives
+every candidate, its kernel, its Lambda membership and its k0, with no
+spectrum lookup per candidate.  The exact indices of all candidates come
+from one ascending sweep over the spectrum that keeps the trivial
+dimension t and the multiplicities m_k of V(n), so
 D(V(n)) = (-1)^t (I - sum_k m_k chi[k]) is never summed twice; with the
 closed form (u; c)^n = (u^n; n u^(n-1) c) of :mod:`symbif.euler` each
-element is one pass over its labels.  :func:`analyze` is thus linear in
-the number of candidates plus the length of the spectrum it covers, and a
-lone :func:`bif_a9` sweeps the k0 entries below its parameter.
+element is one pass over its labels.  :func:`analyze` thus costs one sort
+of the pairs plus time linear in the pairs and candidates.  A single
+parameter (:func:`bif_a9`, :func:`check_glob`, :func:`bif_difference`)
+still costs one bisection of the spectrum index, O(log n) in the number n
+of eigenvalues, and a lone :func:`bif_a9` sweeps the k0 entries below its
+parameter.
 """
 
 from __future__ import annotations

@@ -662,11 +662,15 @@ def load_custom_spectrum(source) -> list[SpectrumEntry]:
 class SpectrumIndex:
     """Lookup structure over a domain's ascending spectrum entries.
 
-    ``eigenvalues`` is the sorted eigenvalue list, searched by bisection.
-    It keeps no sums over the spectrum: a caller that needs V(n), the sum
-    of the first n eigenspaces, sweeps ``entries`` in order, as
-    :func:`symbif.bifurcation.analyze` does for all its candidates at once.
-    A domain builds one index and rebuilds it only when its spectrum grows.
+    ``eigenvalues`` is the sorted eigenvalue list, searched by bisection
+    for one parameter at a time (:func:`symbif.system.kernel_reps`,
+    :func:`symbif.bifurcation.bif_a9`); :func:`symbif.bifurcation.analyze`
+    reads only its entries and matches all its candidates in one walk over
+    the sorted spectral pairs instead.  It keeps no sums over the spectrum:
+    a caller that needs V(n), the sum of the first n eigenspaces, sweeps
+    ``entries`` in order, as ``analyze`` does for all its candidates at
+    once.  A domain builds one index and rebuilds it only when its spectrum
+    grows.
     """
 
     __slots__ = ("entries", "eigenvalues")

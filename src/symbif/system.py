@@ -19,9 +19,13 @@ so ``-(alpha/b) == alpha/(-b)`` and the sign costs no rounding.
 
 One relative tolerance, the constant ``MERGE_REL``, drives eigenvalue
 merging, Lambda membership and kernel matching, so the three stay consistent
-by construction.  Membership and kernel lookups search the domain's
-:class:`~symbif.spectral.SpectrumIndex` by bisection and apply that
-tolerance to the few neighbours found, so each costs O(log n) in the number
+by construction.  The candidates of a window come from the spectral pairs
+sorted once by the parameter at which each vanishes; the same sorted pairs
+give :func:`symbif.bifurcation.analyze` every candidate's kernel in one
+linear walk.  A single-parameter lookup (:func:`kernel_reps`,
+:func:`lambda_membership`) searches the domain's
+:class:`~symbif.spectral.SpectrumIndex` by bisection and applies that
+tolerance to the few neighbours found, so it costs O(log n) in the number
 of eigenvalues; a parameter that is not a finite number raises ValidationError.
 """
 
