@@ -721,7 +721,7 @@ class TestVerdictCost:
             verdicts = analyze(a9_spec(q1=2, p2=2, domain=domain), (-w, w))
             counts.append((len(verdicts), lookups[0]))
         assert counts[0][0] == 33 and counts[1][0] > 300
-        assert counts[0][1] == counts[1][1] <= 2
+        assert counts[0][1] == counts[1][1] == 1
         trivial = [r * r for r in neumann_radial_roots(0, 3, 4)]
         alphas = sorted(trivial + [1.0 + 2.5 * k for k in range(20)])
         entries = [SpectrumEntry(0.0, RepDescriptor.trivial(1))] + [
