@@ -608,7 +608,7 @@ def _ball_entries() -> list[SpectrumEntry]:
 
 
 def _custom_entries() -> list[SpectrumEntry]:
-    # eigenvalues 0.5-2 MERGE_REL apart, a zero eigenspace and several labels
+    # pairs of eigenvalues 0.5-1.1 MERGE_REL apart, a zero eigenspace and several labels
     out = [SpectrumEntry(0.0, SO2Rep.trivial(1))]
     for k in range(1, 32):
         a = 4.0 * k - 0.5 / k
