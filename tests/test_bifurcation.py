@@ -708,12 +708,19 @@ class TestVerdictCost:
         domain.entries_up_to(1300.0)
         return domain
 
-    def test_no_lookup_per_candidate(self, domain, call_counts):
-        # the spectral pairs are formed once and walked: no kernel_reps, no
-        # tolerant search of the spectrum index, and as many spectrum requests
-        # for 33 candidates as for more than 300
+    def test_kernel_lookup_once_per_candidate(self, domain, call_counts):
+        # the spectral pairs are formed once and walked: no candidate calls
+        # kernel_reps or searches the spectrum index tolerantly
         kernels = [call_counts(module, "kernel_reps") for module in (symbif.system, symbif.bifurcation)]
         searches = call_counts(symbif.spectral.SpectrumIndex, "matches")
+        verdicts = analyze(a9_spec(q1=2, p2=2, domain=domain), (-300.0, 300.0))
+        assert len(verdicts) > 0
+        assert [k[0] for k in kernels] == [0, 0] and searches[0] == 0
+
+    def test_unbounded_verdict_reads_the_kernel_lookup(self, domain, call_counts):
+        # the eigenspaces unbounded_verdict certifies come from the same walk, so
+        # analyze requests the spectrum as often for 33 candidates as for more
+        # than 300, on the disk and on a custom ball spectrum
         lookups = call_counts(DiskDomain, "spectrum_index")
         counts = []
         for w in (100.0, 1200.0):
@@ -731,7 +738,6 @@ class TestVerdictCost:
         verdicts = analyze(a9_spec(q1=2, p2=2, domain=BallDomain(entries, dim=3)), (-60.0, 60.0))
         assert len(verdicts) > 40 and any(v.unbounded == UNBOUNDED for v in verdicts)
         assert lookups[0] == counts[0][1]
-        assert [k[0] for k in kernels] == [0, 0] and searches[0] == 0
 
     def test_entries_copied_a_constant_number_of_times(self, domain, call_counts):
         copies = call_counts(DiskDomain, "entries_up_to")
