@@ -23,7 +23,17 @@ one pass (``_miller_row``) serves every order n <= int(x) at that x.  Inside
 each scan lattice point is kept and read by every disk order scanned there
 (each of them has l <= int(x)); the values are bit-identical to a pass per
 order.  Other points, and every call outside the block, get a pass of their
-own that keeps only the three values asked for.
+own and read only the three values asked for.
+
+Both recurrence loops (``_miller_row``, ``_sph3``) store every value and
+pick the orders they need after the loop, and ``_miller_row`` steps in pairs
+(even order, then odd), so no step tests its order or parity.  They make the
+float operations of a step-by-step loop that tests both, in the same order, so
+every value is bit for bit the same (``tests/test_kernel_bits.py`` pins them).
+A value past 1e250 in magnitude rescales, at that step, the carried values,
+the sum and every stored value by 1e-250.  Only an order far above x does that (J_199 at x = 8.5,
+J_{180.5} at x = 9); no disk spectrum within the entry budget and no ball scan
+to x = 199 does.
 
 Sampled against mpmath on a grid of x in (0, 200], the composite
 evaluator stays within 3e-13 * max(1, |J_nu(x)|) for integer orders up to
@@ -70,34 +80,42 @@ def _miller_row(x: float, m0: int, lo: int, hi: int) -> tuple[list[float], float
     """Unnormalized J_lo .. J_hi at x > 0 (0 <= lo <= hi <= m0) and their normalizing sum.
 
     One downward recurrence seeded with a decaying solution far above m0;
-    J_k is ``row[k - lo] / s`` by the even-order sum identity.  Every stored
-    value is rescaled with the recurrence, so each quotient depends on x and
-    m0 only, not on ``lo`` or ``hi``.
+    J_k is ``row[k - lo] / s`` by the even-order sum identity.  Every value
+    is stored and rescaled with the recurrence, so each quotient depends on
+    x and m0 only, not on ``lo`` or ``hi``.
     """
     top = m0 + 20 + int(2.0 * math.sqrt(m0))
     if top % 2 == 1:
         top += 1
-    fp = 0.0
-    fc = 1e-30
+    # f_{k-1} = (2k/x) f_k - f_{k+1} from f_top = 1e-30, f_{top+1} = 0, with t
+    # the exact float 2k; the first step (odd order top - 1) cannot rescale
+    t = 2.0 * top
+    fp = 1e-30
+    fc = (t / x) * 1e-30
     s = 0.0
-    row: list[float] = []
-    for k in range(top, 0, -1):
-        fm = (2.0 * k / x) * fc - fp
-        fp = fc
-        fc = fm
-        kk = k - 1
-        if lo <= kk <= hi:
-            row.append(fc)
-        if kk > 0 and kk % 2 == 0:
-            s += 2.0 * fc
-        if abs(fc) > 1e250:
-            fc *= 1e-250
-            fp *= 1e-250
-            s *= 1e-250
-            row = [v * 1e-250 for v in row]
+    row = [fc]
+    for _ in range(top // 2 - 1):
+        t -= 2.0
+        fp, fc = fc, (t / x) * fc - fp  # even order > 0
+        row.append(fc)
+        s += 2.0 * fc
+        if fc > 1e250 or fc < -1e250:
+            fc, fp, s = fc * 1e-250, fp * 1e-250, s * 1e-250
+            row[:] = [v * 1e-250 for v in row]
+        t -= 2.0
+        fp, fc = fc, (t / x) * fc - fp  # odd order
+        row.append(fc)
+        if fc > 1e250 or fc < -1e250:
+            fc, fp, s = fc * 1e-250, fp * 1e-250, s * 1e-250
+            row[:] = [v * 1e-250 for v in row]
+    fp, fc = fc, (2.0 / x) * fc - fp  # order 0
+    row.append(fc)
+    if fc > 1e250 or fc < -1e250:
+        fc, s = fc * 1e-250, s * 1e-250
+        row[:] = [v * 1e-250 for v in row]
     s += fc
     row.reverse()
-    return row, s
+    return row[lo : hi + 1], s
 
 
 #: recurrence rows of the disk spectrum being built: (lattice step, rows by lattice point)
@@ -154,45 +172,27 @@ def _sph3(n: int, x: float) -> tuple[float, float, float]:
     s1 = s0 / x - math.cos(x) / x
     m0 = max(n + 2, int(x) + 1)
     top = m0 + 20 + int(2.0 * math.sqrt(m0))
+    # f_{k-1} = ((2k + 1)/x) f_k - f_{k+1}; t is the float 2k + 1, exact, and
+    # f_k is row[-1 - k] once the loop ends
+    t = 2.0 * top + 1.0
     fp = 0.0
     fc = 1e-30
-    jm = 0.0
-    jn = 0.0
-    jp = 0.0
-    g0 = 0.0
-    g1 = 0.0
-    for k in range(top, 0, -1):
-        fm = ((2.0 * k + 1.0) / x) * fc - fp
-        fp = fc
-        fc = fm
-        kk = k - 1
-        if kk == n - 1:
-            jm = fc
-        if kk == n:
-            jn = fc
-        if kk == n + 1:
-            jp = fc
-        if kk == 0:
-            g0 = fc
-        if kk == 1:
-            g1 = fc
-        if abs(fc) > 1e250:
-            fc *= 1e-250
-            fp *= 1e-250
-            jm *= 1e-250
-            jn *= 1e-250
-            jp *= 1e-250
-            g0 *= 1e-250
-            g1 *= 1e-250
-    scale = s0 / g0 if abs(s0) >= abs(s1) else s1 / g1
+    row: list[float] = []
+    for _ in range(top):
+        fp, fc = fc, (t / x) * fc - fp
+        t -= 2.0
+        row.append(fc)
+        if fc > 1e250 or fc < -1e250:
+            fc, fp = fc * 1e-250, fp * 1e-250
+            row[:] = [v * 1e-250 for v in row]
+    scale = s0 / row[-1] if abs(s0) >= abs(s1) else s1 / row[-2]
     c = math.sqrt(2.0 * x / math.pi)
-    out_m = c * jm * scale
-    out_n = c * jn * scale
-    out_p = c * jp * scale
+    out_n = c * row[-1 - n] * scale
+    out_p = c * row[-2 - n] * scale
     if n == 0:
         # nu - 1 = -1/2 has a closed form
-        out_m = c * math.cos(x) / x
-    return out_m, out_n, out_p
+        return c * math.cos(x) / x, out_n, out_p
+    return c * row[-n] * scale, out_n, out_p
 
 
 def _asym_j(nu: float, x: float) -> tuple[float, bool]:
