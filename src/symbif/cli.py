@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -306,8 +307,22 @@ _HANDLERS = {
 }
 
 
+#: a real number, as ``float`` spells it, or a comma-separated list of them
+_REAL = r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)"
+_NEGATIVE_REALS = re.compile(rf"(?=-){_REAL}(?:,{_REAL})*\Z", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Exits 1 on a usage error, as on any other bad input; exit 2 is kept for failed computations."""
+    """Exits 1 on a usage error, as on any other bad input; exit 2 is kept for failed computations.
+
+    A word that starts with ``-`` and reads as reals (``-1e2``, ``-inf``,
+    ``-10,5``) is a value, not an option; argparse alone takes only ``-100``
+    and ``-1.5`` for negative numbers.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_REALS
 
     def error(self, message):
         self.print_usage(sys.stderr)

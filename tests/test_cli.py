@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -481,6 +482,65 @@ class TestCacheAndConfig:
         cfg.write_text(json.dumps({"system": system, "window": [0.0, 1.0]}))
         code, _, err = run_cli(capsys, "analyze", "--config", str(cfg))
         assert code == 1 and "ValidationError" in err and "Traceback" not in err
+
+
+#: the a9 disk system with a negative block, so negative parameters are candidates
+NEGATIVE_SYSTEM = {**A9_SYSTEM, "p2": 1, "b2": [{"value": 1, "mult": 1}]}
+
+
+def run_cli_exit(capsys, *argv):
+    """(exit status, stdout, stderr) of a run, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestNegativeRealFlags:
+    """A negative flag value in exponent form, or -inf, is a value as its plain spelling is, not a flag."""
+
+    @pytest.fixture
+    def negative_config(self, tmp_path):
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({"system": NEGATIVE_SYSTEM, "spectrum_bound": 50.0}))
+        return str(path)
+
+    def test_analyze_window(self, capsys, a9_config):
+        spelled, plain = (
+            run_cli_exit(capsys, "analyze", "--config", a9_config, "--window", *w, "--format", "structured")
+            for w in (["-1e2", "1e2"], ["-100", "100"])
+        )
+        assert spelled == plain
+        assert spelled[0] == 0 and parse_report(spelled[1])["verdicts"]
+
+    @pytest.mark.parametrize(
+        "spelled, plain, code",
+        [("-1e1", "-10", 1), ("-3.3899577166932745E0", "-3.3899577166932745", 0)],
+    )
+    def test_bif_lambda(self, capsys, negative_config, spelled, plain, code):
+        runs = [run_cli_exit(capsys, "bif", "--config", negative_config, "--lambda", lam) for lam in (spelled, plain)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code and "usage:" not in runs[0][2]
+
+    @pytest.mark.parametrize(
+        "spelled, plain, code",
+        [("-1e1,5", "-10,5", 1), ("-3.3899577166932745e0,3.3899577166932745", "-3.3899577166932745,3.3899577166932745", 0)],
+    )
+    def test_rabinowitz_lambdas(self, capsys, negative_config, spelled, plain, code):
+        runs = [
+            run_cli_exit(capsys, "rabinowitz", "--config", negative_config, "--lambdas", lams) for lams in (spelled, plain)
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == code and "usage:" not in runs[0][2]
+
+    def test_infinite_window_matches_the_config_file(self, capsys, negative_config, tmp_path):
+        doc = tmp_path / "window.json"
+        doc.write_text(json.dumps({"system": NEGATIVE_SYSTEM, "spectrum_bound": 50.0, "window": [-math.inf, math.inf]}))
+        flag = run_cli_exit(capsys, "analyze", "--config", negative_config, "--window", "-inf", "inf")
+        assert flag == run_cli_exit(capsys, "analyze", "--config", str(doc))
+        assert flag[0] == 2 and "InsufficientSpectrum" in flag[2]
 
 
 class TestUsageErrors:
