@@ -31,9 +31,9 @@ pick the orders they need after the loop, and ``_miller_row`` steps in pairs
 float operations of a step-by-step loop that tests both, in the same order, so
 every value is bit for bit the same (``tests/test_kernel_bits.py`` pins them).
 A value past 1e250 in magnitude rescales, at that step, the carried values,
-the sum and every stored value by 1e-250.  Only an order far above x does that (J_199 at x = 8.5,
-J_{180.5} at x = 9); no disk spectrum within the entry budget and no ball scan
-to x = 199 does.
+the sum and every stored value by 1e-250.  Only an order far above x does
+that (J_199 at x = 8.5, J_{180.5} at x = 9); no disk spectrum within the
+entry budget and no ball scan to x = 199 does.
 
 Sampled against mpmath on a grid of x in (0, 200], the composite
 evaluator stays within 3e-13 * max(1, |J_nu(x)|) for integer orders up to

@@ -307,8 +307,9 @@ _HANDLERS = {
 }
 
 
-#: a real number, as ``float`` spells it, or a comma-separated list of them
+#: a real number as ``float`` spells it
 _REAL = r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)"
+#: a word that starts with ``-`` and spells one real or a comma-separated list of them
 _NEGATIVE_REALS = re.compile(rf"(?=-){_REAL}(?:,{_REAL})*\Z", re.IGNORECASE)
 
 
