@@ -44,6 +44,8 @@ RESCALING = ((199, 8.5), (174, 9.0), (176, 8.5), (199.5, 8.5), (180.5, 9.0), (19
 #: balls, half-integer nu for odd dim and integer nu for even dim
 DIMS = (2, 3, 4, 5, 7)
 
+#: the values of the three grids below, function values first, then the
+#: radial conditions off and on the lattice
 KERNEL_GOLDEN = "9ff71c2e67831a0d91ab58d4d9fa3a83c92a5a97590d0927a65c492c03fcad82"
 #: ``radial_roots_up_to(0, dim, 150.5)``: the integer-order scan for dim 4,
 #: the half-integer scans for odd dim, across all three bands
