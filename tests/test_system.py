@@ -374,20 +374,25 @@ class TestDocstringFormulas:
 
     def test_kernel_reps(self, spec):
         entries = self.entries(spec)
-        lams = lambda_set(spec, self.WINDOW) + [0.0, 1.2345, -7.5]
+        members = lambda_set(spec, self.WINDOW)
+        # each member moved just inside (0.9e-8) and just outside (1.1e-8) the merge band
+        shifted = [m * (1.0 + f) for f in (0.9e-8, -0.9e-8, 1.1e-8, -1.1e-8) for m in members]
+        lams = members + [0.0, 1.2345, -7.5] + shifted
         for lam in lams:
-            pieces = []
+            pieces, matched = [], False
             for sign, sigma in ((1, self.B1), (-1, self.B2)):
                 trivial, irr = 0, {}
                 for b, mult in sorted(sigma.items()):
                     for e in entries:
                         if b != 0 and self.close(lam * b, sign * e.eigenvalue):
+                            matched = True
                             trivial += mult * e.rep.trivial_dim
                             for label, m in e.rep.irreducibles.items():
                                 irr[label] = irr.get(label, 0) + mult * m
                 pieces.append(RepDescriptor(trivial, irr))
             kr = kernel_reps(spec, lam)
             assert (kr.v1, kr.v2) == tuple(pieces), lam
+            assert lambda_membership(spec, lam) is matched, lam
         assert not kernel_reps(spec, lams[0]).v2.is_zero()
 
     def test_linearization_rows(self, spec):
