@@ -33,9 +33,9 @@ closed form (u; c)^n = (u^n; n u^(n-1) c) of :mod:`symbif.euler` each
 element is one pass over its labels.  :func:`analyze` thus costs one sort
 of the pairs plus time linear in the pairs and candidates.  A single
 parameter (:func:`bif_a9`, :func:`check_glob`, :func:`bif_difference`)
-still costs one bisection of the spectrum index, O(log n) in the number n
-of eigenvalues, and a lone :func:`bif_a9` sweeps the k0 entries below its
-parameter.
+takes the same walk over the one candidate, after one sort of the pairs
+that could reach it, and a lone :func:`bif_a9` sweeps the k0 entries below
+its parameter.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .system import (
     _merged,
     _spectral_pairs,
     _swept_kernels,
-    _with_margin,
     kernel_reps,
 )
 
@@ -170,7 +169,9 @@ def _a9_k0s(spec: SystemSpec, lams: Sequence[float]) -> tuple[Sequence[SpectrumE
     """The spectrum entries and, per lambda, k0 with alpha_k0 = |lambda| (None at 0).
 
     Every lambda is checked and looked up in input order, so errors and
-    spectrum extensions come as they would one call at a time.
+    spectrum extensions come as they would one call at a time.  Each lookup
+    is the walk of :func:`analyze` over the one candidate lambda; a9 pairs
+    only b = 1, so its first matched entry is the eigenspace of |lambda|.
     """
     if not spec.a9:
         raise PreconditionError("bif_a9 needs the normalized block form (a9 flag)")
@@ -185,15 +186,16 @@ def _a9_k0s(spec: SystemSpec, lams: Sequence[float]) -> tuple[Sequence[SpectrumE
         power, side, needs = (spec.q1, "positive", "p1 - mu_b0") if lam > 0 else (spec.p2, "negative", "p2")
         if power == 0:
             raise PreconditionError(f"{side} parameters need {needs} > 0; {lambda0!r} is not in Lambda")
-        alpha = abs(lam)
-        index, n = spec.domain.spectrum_index(_with_margin(alpha))
-        hits = index.matches(alpha, n)
-        if not hits:
-            raise PreconditionError(f"{alpha!r} is not an eigenvalue of the loaded spectrum")
-        k0s.append(hits[0] + 1)
+        _, _, covered, blocks, pairs = _spectral_pairs(spec, (lam, lam))
+        ((_, first),) = _swept_kernels(covered, blocks, pairs, [lam])
+        if first is None:
+            missing = f"{abs(lam)!r} is not an eigenvalue of the loaded spectrum"
+            raise PreconditionError(missing if lam > 0 else f"{lambda0!r} is not in Lambda: {missing}")
+        k0s.append(first + 1)
         # the spectrum only grows and keeps its entries below an earlier bound in place,
-        # so the last index holds every V(m)
-        entries = index.entries
+        # so the longest list covered holds every V(m)
+        if len(covered) > len(entries):
+            entries = covered
     return entries, k0s
 
 

@@ -26,6 +26,7 @@ from .errors import (
     PreconditionError,
     SchemaError,
     ValidationError,
+    _known_keys,
     _parse_json,
     _real,
     _repr,
@@ -82,9 +83,7 @@ class AnalysisConfig:
     def from_doc(cls, doc) -> "AnalysisConfig":
         if not isinstance(doc, dict):
             raise SchemaError(f"config must be an object, got {type(doc).__name__}")
-        unknown = set(doc) - {"system", "window", "output_format", "spectrum_bound"}
-        if unknown:
-            raise SchemaError(f"unknown keys in config: {sorted(unknown)}")
+        _known_keys(doc, {"system", "window", "output_format", "spectrum_bound"}, "config")
         window = doc.get("window")
         if window is not None and (not isinstance(window, list) or len(window) != 2):
             raise SchemaError(f"window must be [lo, hi], got {_show(window)}")

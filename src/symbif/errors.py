@@ -90,6 +90,14 @@ def _show(v) -> str:
         return f"{'a negative' if v < 0 else 'an'} integer of {digits} digits"
 
 
+def _known_keys(doc: dict, allowed: set[str], what: str) -> None:
+    """SchemaError naming the keys of ``doc`` outside ``allowed``: text keys sorted, then any others by repr."""
+    unknown = set(doc) - allowed
+    if unknown:
+        ordered = sorted(unknown, key=lambda k: (False, k) if isinstance(k, str) else (True, _show(k)))
+        raise SchemaError(f"unknown keys in {what}: {_show(ordered)}")
+
+
 def _int(v, what: str, least: int | None = None, error: type[Error] = ValidationError, invalid=None) -> int:
     """``v`` if it is an integer, and at least ``least`` when that is given."""
     if not _is_int(v):

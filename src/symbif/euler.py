@@ -43,7 +43,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import _FACTORY, NotInvertible, SchemaError, ValidationError, _int, _is_int, _label_table, _repr, _show
+from .errors import (
+    _FACTORY, NotInvertible, SchemaError, ValidationError, _int, _is_int, _known_keys, _label_table, _repr, _show
+)
 
 __all__ = ["EulerSO2", "SO2Rep", "deg_minus_id", "rep_equiv_mod_even_trivial"]
 
@@ -281,9 +283,7 @@ class SO2Rep:
         """Read ``{"trivial", "irr"}``; ``"rot"`` is accepted in place of ``"irr"``, not beside it."""
         if not isinstance(doc, dict):
             raise SchemaError(f"representation must be an object, got {_show(doc)}")
-        unknown = set(doc) - {"trivial", "irr", "rot"}
-        if unknown:
-            raise SchemaError(f"unknown keys in representation: {sorted(unknown)}")
+        _known_keys(doc, {"trivial", "irr", "rot"}, "representation")
         if "irr" in doc and "rot" in doc:
             raise SchemaError("representation carries both 'irr' and 'rot'")
         irr = _label_table(doc.get("irr", doc.get("rot", {})), "irreducible table")

@@ -37,7 +37,7 @@ import json
 import math
 import os
 import tempfile
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from contextlib import ExitStack
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -52,6 +52,7 @@ from .errors import (
     UnsupportedDomain,
     ValidationError,
     _int,
+    _known_keys,
     _label_table,
     _parse_json,
     _real,
@@ -68,7 +69,6 @@ __all__ = [
     "MAX_ROOT_X",
     "RepDescriptor",
     "SpectrumEntry",
-    "SpectrumIndex",
     "RootCache",
     "bessel_j",
     "bessel_j_prime",
@@ -167,9 +167,7 @@ class SpectrumEntry:
     def from_json(cls, doc) -> "SpectrumEntry":
         if not isinstance(doc, dict):
             raise SchemaError(f"spectrum entry must be an object, got {_show(doc)}")
-        unknown = set(doc) - {"eigenvalue", "angular_index", "root_index", "rep"}
-        if unknown:
-            raise SchemaError(f"unknown keys in spectrum entry: {sorted(unknown)}")
+        _known_keys(doc, {"eigenvalue", "angular_index", "root_index", "rep"}, "spectrum entry")
         if "eigenvalue" not in doc or "rep" not in doc:
             raise SchemaError("spectrum entry needs 'eigenvalue' and 'rep'")
         for key in ("angular_index", "root_index"):
@@ -646,9 +644,7 @@ def load_custom_spectrum(source) -> list[SpectrumEntry]:
         doc = _parse_json(text, "custom spectrum")
     if not isinstance(doc, dict):
         raise SchemaError(f"custom spectrum document must be an object, got {type(doc).__name__}")
-    unknown = set(doc) - {"domain", "entries"}
-    if unknown:
-        raise SchemaError(f"unknown keys in custom spectrum document: {sorted(unknown)}")
+    _known_keys(doc, {"domain", "entries"}, "custom spectrum document")
     if doc.get("domain") != "custom":
         raise SchemaError("custom spectrum document needs \"domain\": \"custom\"")
     return CustomDomain(_entries_from_docs(doc.get("entries"))).entries
@@ -657,45 +653,6 @@ def load_custom_spectrum(source) -> list[SpectrumEntry]:
 # ---------------------------------------------------------------------------
 # domains
 # ---------------------------------------------------------------------------
-
-
-class SpectrumIndex:
-    """Lookup structure over a domain's ascending spectrum entries.
-
-    ``eigenvalues`` is the sorted eigenvalue list, searched by bisection
-    for one parameter at a time (:func:`symbif.system.kernel_reps`,
-    :func:`symbif.bifurcation.bif_a9`); :func:`symbif.bifurcation.analyze`
-    reads only its entries and matches all its candidates in one walk over
-    the sorted spectral pairs instead.  It keeps no sums over the spectrum:
-    a caller that needs V(n), the sum of the first n eigenspaces, sweeps
-    ``entries`` in order, as ``analyze`` does for all its candidates at
-    once.  A domain builds one index and rebuilds it only when its spectrum
-    grows.
-    """
-
-    __slots__ = ("entries", "eigenvalues")
-
-    def __init__(self, entries: Sequence[SpectrumEntry]) -> None:
-        self.entries = entries
-        self.eigenvalues = [e.eigenvalue for e in entries]
-
-    def count_up_to(self, alpha_max: float) -> int:
-        """Number of entries with eigenvalue <= alpha_max."""
-        return bisect_right(self.eigenvalues, alpha_max)
-
-    def matches(self, target: float, n: int) -> list[int]:
-        """Ascending positions i < n with ``close(target, eigenvalues[i])``.
-
-        A match under the one tolerance ``MERGE_REL`` lies at most
-        MERGE_REL * max(1, |target|) / (1 - MERGE_REL) from the target;
-        bisection narrows the search to twice that (slack for rounding), and
-        ``close`` decides on each eigenvalue found.
-        """
-        reach = 2.0 * MERGE_REL * max(1.0, abs(target)) / (1.0 - MERGE_REL) + 4.0 * math.ulp(max(1.0, abs(target)))
-        lo = bisect_left(self.eigenvalues, target - reach, 0, n)
-        hi = bisect_right(self.eigenvalues, target + reach, lo, n)
-        eigs = self.eigenvalues
-        return [i for i in range(lo, hi) if close(target, eigs[i])]
 
 
 class DiskDomain:
@@ -713,8 +670,8 @@ class DiskDomain:
         self.bound = bound
         self.cache = RootCache() if cache is _FACTORY else cache
         self._memo: list[SpectrumEntry] = []
+        self._eigenvalues: list[float] = []
         self._memo_bound = -1.0
-        self._index: SpectrumIndex | None = None
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -734,12 +691,12 @@ class DiskDomain:
     def irr_dims(self) -> None:
         return None  # rotation irreducibles all have real dimension 2
 
-    def spectrum_index(self, alpha_max: float) -> tuple[SpectrumIndex, int]:
-        """The index over the computed spectrum, and how many of its entries are <= alpha_max.
+    def spectrum_index(self, alpha_max: float) -> tuple[list[SpectrumEntry], int]:
+        """The computed spectrum, and how many of its entries are <= alpha_max.
 
         Extends the spectrum to ``alpha_max`` first, or raises
-        InsufficientSpectrum beyond ``bound``; the index is rebuilt only
-        when the spectrum grows.
+        InsufficientSpectrum beyond ``bound``; the eigenvalue list searched
+        by bisection is rebuilt only when the spectrum grows.
         """
         alpha_max = max(0.0, float(alpha_max))
         if self.bound is not None and _beyond_coverage(alpha_max, self.bound):
@@ -749,15 +706,13 @@ class DiskDomain:
         if alpha_max > self._memo_bound:
             target = max(alpha_max, 1.0)
             self._memo = disk_spectrum(target, cache=self.cache)
+            self._eigenvalues = [e.eigenvalue for e in self._memo]
             self._memo_bound = target
-            self._index = None
-        if self._index is None:
-            self._index = SpectrumIndex(self._memo)
-        return self._index, self._index.count_up_to(alpha_max)
+        return self._memo, bisect_right(self._eigenvalues, alpha_max)
 
     def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
-        index, n = self.spectrum_index(alpha_max)
-        return index.entries[:n]
+        entries, n = self.spectrum_index(alpha_max)
+        return entries[:n]
 
     def first_entries(self, k: int) -> list[SpectrumEntry]:
         _int(k, "k", 1)
@@ -781,7 +736,6 @@ class _SuppliedDomain:
 
     def __init__(self, entries: list[SpectrumEntry]) -> None:
         self.entries = entries
-        self._index: SpectrumIndex | None = None
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -794,10 +748,11 @@ class _SuppliedDomain:
             )
         if zero.angular_index not in (None, 0):
             raise ValidationError("the zero eigenvalue has angular index 0")
-        for prev, nxt in zip(self.entries, self.entries[1:]):
-            if nxt.eigenvalue < prev.eigenvalue:
+        self._eigenvalues = [e.eigenvalue for e in self.entries]
+        for prev, nxt in zip(self._eigenvalues, self._eigenvalues[1:]):
+            if nxt < prev:
                 raise ValidationError(
-                    f"supplied entries must be in ascending eigenvalue order ({nxt.eigenvalue!r} after {prev.eigenvalue!r})"
+                    f"supplied entries must be in ascending eigenvalue order ({nxt!r} after {prev!r})"
                 )
 
     def __eq__(self, other) -> bool:
@@ -812,24 +767,22 @@ class _SuppliedDomain:
     def coverage(self) -> float:
         return self.entries[-1].eigenvalue
 
-    def spectrum_index(self, alpha_max: float) -> tuple[SpectrumIndex, int]:
-        """The index over the supplied entries, and how many are <= alpha_max.
+    def spectrum_index(self, alpha_max: float) -> tuple[list[SpectrumEntry], int]:
+        """The supplied entries, and how many are <= alpha_max.
 
         Raises InsufficientSpectrum when alpha_max lies beyond the supplied
-        spectrum; the index is built on first use.
+        spectrum.
         """
         alpha_max = max(0.0, float(alpha_max))
         if _beyond_coverage(alpha_max, self.coverage):
             raise InsufficientSpectrum(
                 f"need eigenvalues up to {alpha_max!r} but the supplied spectrum stops at {self.coverage!r}"
             )
-        if self._index is None:
-            self._index = SpectrumIndex(self.entries)
-        return self._index, self._index.count_up_to(alpha_max)
+        return self.entries, bisect_right(self._eigenvalues, alpha_max)
 
     def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
-        index, n = self.spectrum_index(alpha_max)
-        return index.entries[:n]
+        entries, n = self.spectrum_index(alpha_max)
+        return entries[:n]
 
     def first_entries(self, k: int) -> list[SpectrumEntry]:
         _int(k, "k", 1)
@@ -844,11 +797,9 @@ class BallDomain(_SuppliedDomain):
     kind = "ball"
 
     def __init__(self, entries: list[SpectrumEntry], dim: int = 3, cache: RootCache = _FACTORY) -> None:
-        self.entries = entries
-        self._index: SpectrumIndex | None = None
         self.dim = dim
         self.cache = RootCache() if cache is _FACTORY else cache
-        self.__post_init__()
+        _SuppliedDomain.__init__(self, entries)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -881,10 +832,8 @@ class CustomDomain(_SuppliedDomain):
     dim = None
 
     def __init__(self, entries: list[SpectrumEntry], irr_dim_table: dict[int, int] | None = None) -> None:
-        self.entries = entries
-        self._index: SpectrumIndex | None = None
         self.irr_dim_table = irr_dim_table
-        self.__post_init__()
+        _SuppliedDomain.__init__(self, entries)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -920,24 +869,18 @@ def domain_from_json(
         raise SchemaError(f"domain document must be an object with a 'type', got {_show(doc)}")
     kind = doc["type"]
     if kind == "disk":
-        unknown = set(doc) - {"type", "max_eigenvalue"}
-        if unknown:
-            raise SchemaError(f"unknown keys in disk domain: {sorted(unknown)}")
+        _known_keys(doc, {"type", "max_eigenvalue"}, "disk domain")
         bound = doc.get("max_eigenvalue", spectrum_bound)
         if bound is None and "max_eigenvalue" in doc:  # null would read as "no bound"
             raise SchemaError("disk max_eigenvalue None must be a real number")
         return DiskDomain(bound=bound, cache=cache)
     if kind == "ball":
-        unknown = set(doc) - {"type", "dim", "entries"}
-        if unknown:
-            raise SchemaError(f"unknown keys in ball domain: {sorted(unknown)}")
+        _known_keys(doc, {"type", "dim", "entries"}, "ball domain")
         if "dim" not in doc:
             raise SchemaError("ball domain needs 'dim'")
         entries = _entries_from_docs(doc.get("entries"))
         return BallDomain(entries, dim=doc["dim"], cache=cache)
     if kind == "custom":
-        unknown = set(doc) - {"type", "entries", "irr_dims"}
-        if unknown:
-            raise SchemaError(f"unknown keys in custom domain: {sorted(unknown)}")
+        _known_keys(doc, {"type", "entries", "irr_dims"}, "custom domain")
         return CustomDomain(_entries_from_docs(doc.get("entries")), irr_dim_table=doc.get("irr_dims"))
     raise SchemaError(f"unknown domain type {_show(kind)}")

@@ -20,13 +20,12 @@ so ``-(alpha/b) == alpha/(-b)`` and the sign costs no rounding.
 One relative tolerance, the constant ``MERGE_REL``, drives eigenvalue
 merging, Lambda membership and kernel matching, so the three stay consistent
 by construction.  The candidates of a window come from the spectral pairs
-sorted once by the parameter at which each vanishes; the same sorted pairs
-give :func:`symbif.bifurcation.analyze` every candidate's kernel in one
-linear walk.  A single-parameter lookup (:func:`kernel_reps`,
-:func:`lambda_membership`) searches the domain's
-:class:`~symbif.spectral.SpectrumIndex` by bisection and applies that
-tolerance to the few neighbours found, so it costs O(log n) in the number
-of eigenvalues; a parameter that is not a finite number raises ValidationError.
+sorted once by the parameter at which each vanishes, and one walk up the
+same sorted pairs gives every candidate's kernel: the only place a pair is
+matched against a parameter.  A single-parameter lookup (:func:`kernel_reps`,
+:func:`lambda_membership`) is that walk over the window [lambda0, lambda0],
+so it costs one sort of the pairs that could reach lambda0; a parameter that
+is not a finite number raises ValidationError.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import math
 from collections.abc import Mapping
 from typing import Sequence
 
-from .errors import _FACTORY, NotAMember, SchemaError, ValidationError, _bool, _int, _real, _repr, _show
+from .errors import _FACTORY, NotAMember, SchemaError, ValidationError, _bool, _int, _known_keys, _real, _repr, _show
 from .euler import SO2Rep
 from .spectral import (
     MERGE_REL,
@@ -200,9 +199,7 @@ def system_spec_from_json(doc, *, spectrum_bound=None, cache=None) -> SystemSpec
     """
     if not isinstance(doc, dict):
         raise SchemaError(f"system document must be an object, got {type(doc).__name__}")
-    unknown = set(doc) - {"p1", "p2", "b1", "b2", "mu_b0", "domain", "a9"}
-    if unknown:
-        raise SchemaError(f"unknown keys in system document: {sorted(unknown)}")
+    _known_keys(doc, {"p1", "p2", "b1", "b2", "mu_b0", "domain", "a9"}, "system document")
     for key in ("p1", "p2", "domain"):
         if key not in doc:
             raise SchemaError(f"system document needs '{key}'")
@@ -292,26 +289,9 @@ def lambda_set(spec: SystemSpec, window: tuple[float, float]) -> list[float]:
     return _merged(pairs, lo, hi)
 
 
-def _matched_entries(spec: SystemSpec, lam: float):
-    """The spectrum index and (s, mult, matched positions) per nonzero signed b, in ``_blocks()`` order.
-
-    Block s matches s*(lam*b) against alpha >= 0, so the spectrum is asked
-    for the entries up to the largest s*lam*b (at least 0) plus the matching
-    margin: the coverage of the window [lam, lam].  InsufficientSpectrum is
-    thus raised exactly where the matching needs more of the spectrum than
-    is available.
-    """
-    lam = _real(lam, "lambda0")
-    index, n = spec.domain.spectrum_index(_with_margin(_coverage_needed(spec, lam, lam)))
-    blocks = spec._blocks()
-    # close(lam*b, -alpha) and close(-(lam*b), alpha) agree bit for bit
-    return index, [(s, mult, index.matches(s * (lam * b), n)) for s, bs in blocks for b, mult in bs]
-
-
 def lambda_membership(spec: SystemSpec, lam: float) -> bool:
     """Whether some spectral pair matches lam within the merge tolerance."""
-    _, blocks = _matched_entries(spec, lam)
-    return any(hits for _, _, hits in blocks)
+    return bool(kernel_reps(spec, lam).matched)
 
 
 class KernelReps:
@@ -353,8 +333,9 @@ def kernel_reps(spec: SystemSpec, lambda0: float) -> KernelReps:
     matches (those directions belong to the orbit, not the normal slice).
     The matched spectrum entries come along as ``matched``.
     """
-    index, blocks = _matched_entries(spec, lambda0)
-    return _kernel((s, mult, index.entries[i]) for s, mult, hits in blocks for i in hits)
+    lam = _real(lambda0, "lambda0")
+    _, _, entries, blocks, pairs = _spectral_pairs(spec, (lam, lam))
+    return _swept_kernels(entries, blocks, pairs, [lam])[0][0]
 
 
 def _kernel(hits) -> KernelReps:
@@ -372,16 +353,17 @@ def _kernel(hits) -> KernelReps:
 
 
 def _swept_kernels(entries, blocks, pairs, lams: Sequence[float]) -> list[tuple[KernelReps, int | None]]:
-    """:func:`kernel_reps` at each of the ascending ``lams``, with its first matched position (None if none).
+    """The kernel at each of the ascending ``lams``, with its first matched position (None if none).
 
     ``entries``, ``blocks`` and ``pairs`` come from :func:`_spectral_pairs`
     over a window holding every lam.  A pair (m, k, i) with b = blocks[k]
     can match lam only if |lam - m| <= MERGE_REL * max(1/|b|, |lam|, |m|),
     and |m| <= |lam| / (1 - MERGE_REL) then; so one window moving up the
     sorted pairs, twice that wide at the largest 1/|b|, holds every match.
-    Each pair in it is decided by the predicate of :func:`kernel_reps`,
-    ``close(s*(lam*b), alpha_i)``, and the hits are ordered as there.  The
-    walk is linear in pairs plus candidates, with no spectrum lookup.
+    Each pair in it is decided by ``close(s*(lam*b), alpha_i)``, the one
+    matching test of the package, and the hits are ordered B1 first, by b,
+    by position.  The walk is linear in pairs plus candidates, with no
+    spectrum lookup.
     """
     inv_b = max((1.0 / abs(b) for _, b, _ in blocks), default=0.0)
     out: list[tuple[KernelReps, int | None]] = []

@@ -9,6 +9,7 @@ public callable takes a merge or matching tolerance (the constant
 no other module tests for bools by hand.
 """
 
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -48,7 +49,7 @@ def test_nothing_takes_xtol_or_step():
 
 def test_nothing_takes_a_merge_tolerance_or_a_constant_knob():
     signatures = public_signatures()
-    assert {"close", "SpectrumIndex.matches", "enumerate_zero_sum_subsets", "AnalysisConfig"} <= set(signatures)
+    assert {"close", "DiskDomain.entries_up_to", "enumerate_zero_sum_subsets", "AnalysisConfig"} <= set(signatures)
     knobs = {
         "merge_rel", "match_rel", "rel", "merge_tol", "max_members", "full_label", "cyclic_prefix", "default_irr_dim"
     }
@@ -61,3 +62,15 @@ def test_only_the_checker_module_tests_for_bool():
     hand_written = re.compile(r"isinstance\([^)]*\bbool\b")
     found = sorted(f.name for f in package.glob("*.py") if hand_written.search(f.read_text(encoding="utf-8")))
     assert found == ["errors.py"]
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition is gone breaks ``from module import *``
+    package = Path(symbif.__file__).parent
+    exporting = []
+    for path in sorted(package.glob("*.py")):
+        module = symbif if path.stem == "__init__" else importlib.import_module(f"symbif.{path.stem}")
+        if hasattr(module, "__all__"):
+            exporting.append(path.stem)
+            assert [n for n in module.__all__ if not hasattr(module, n)] == [], path.stem
+    assert {"__init__", "bifurcation", "cli", "euler", "morse", "spectral", "system"} <= set(exporting)

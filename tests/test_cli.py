@@ -535,6 +535,14 @@ class TestNegativeRealFlags:
         assert runs[0] == runs[1]
         assert runs[0][0] == code and "usage:" not in runs[0][2]
 
+    @pytest.mark.parametrize(
+        "argv", [["bif", "--lambda", "-1e1"], ["rabinowitz", "--lambdas", "-1e1,5"]], ids=["bif", "rabinowitz"]
+    )
+    def test_negative_non_member_names_the_parameter(self, capsys, negative_config, argv):
+        code, out, err = run_cli_exit(capsys, argv[0], "--config", negative_config, *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == "symbif: PreconditionError: -10.0 is not in Lambda: 10.0 is not an eigenvalue of the loaded spectrum\n"
+
     def test_infinite_window_matches_the_config_file(self, capsys, negative_config, tmp_path):
         doc = tmp_path / "window.json"
         doc.write_text(json.dumps({"system": NEGATIVE_SYSTEM, "spectrum_bound": 50.0, "window": [-math.inf, math.inf]}))

@@ -1,8 +1,9 @@
 """Fuzz of the record readers: a mutated document is read faithfully or refused with a package error.
 
 Each example starts from a valid document of ``SO2Rep``, ``EulerSO2`` or
-``SpectrumEntry``, disguises, replaces, deletes or adds one to three values
-anywhere in it, and reads it.  Every outcome must be a value or a
+``SpectrumEntry``, or of a supplied spectrum (``load_custom_spectrum``) or a
+domain (``domain_from_json``), disguises, replaces, deletes or adds one to
+three values anywhere in it, and reads it.  Every outcome must be a value or a
 ``symbif.errors.Error``; any other exception fails the example.  A value must
 also be what the document says, with the exact types it says it with: a
 reader that took ``2.0`` or ``"2"`` for the integer 2 (as a bare ``int(...)``
@@ -10,16 +11,35 @@ would) fails the example too.
 """
 
 import copy
+import functools
+import operator
 from datetime import timedelta
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from symbif import EulerSO2, SO2Rep, SpectrumEntry
-from symbif.errors import Error
+from symbif import BallDomain, CustomDomain, DiskDomain, EulerSO2, SO2Rep, SpectrumEntry, load_custom_spectrum
+from symbif.spectral import domain_from_json
+from symbif.errors import Error, SchemaError
 
 REP = {"trivial": 1, "irr": {"1": 2, "3": 1}}
 EULER = {"unit": -1, "cyclic": {"1": -2, "4": 3}}
 ENTRY = {"eigenvalue": 3.3899577166932745, "angular_index": 1, "root_index": 1, "rep": REP}
+#: a supplied spectrum: the constants, two eigenvalues 5e-9 apart (merged into one) and a trivial one
+ENTRIES = [
+    {"eigenvalue": 0.0, "rep": {"trivial": 1}},
+    ENTRY,
+    {"eigenvalue": 3.3899577166932745 * (1 + 5e-9), "angular_index": 2, "rep": {"trivial": 0, "irr": {"2": 1}}},
+    {"eigenvalue": 7, "angular_index": 0, "root_index": 1, "rep": {"trivial": 1}},
+]
+CUSTOM = {"domain": "custom", "entries": ENTRIES}
+#: one document per domain type, with the constants as the only entry, so that a mutation often lands
+#: on the domain's own fields (the entries are fuzzed through load_custom_spectrum)
+DOMAINS = {
+    "disk": {"type": "disk", "max_eigenvalue": 50.0},
+    "ball": {"type": "ball", "dim": 3, "entries": ENTRIES[:1]},
+    "custom": {"type": "custom", "entries": ENTRIES[:1], "irr_dims": {"1": 2, "3": 6}},
+}
 
 #: values that look like a count, a label, a coefficient or an eigenvalue, and are not one
 _NEAR_MISSES = st.sampled_from(
@@ -32,7 +52,10 @@ _KEYS = st.sampled_from(
     ["1", "2", "01", "-1", "0", "+1", " 1", "1.0", "1e0", "x", "", "١", "9" * 5000, 1, 2, 0, -1, 1.0, True]
 )
 #: keys a document may carry by mistake
-_NAMES = st.sampled_from(["trivial", "irr", "rot", "unit", "cyclic", "eigenvalue", "angular_index", "root_index", "rep", "other"])
+_NAMES = st.sampled_from(
+    ["trivial", "irr", "rot", "unit", "cyclic", "eigenvalue", "angular_index", "root_index", "rep", "other"]
+    + ["domain", "entries", "type", "dim", "irr_dims", "max_eigenvalue"]
+)
 
 
 def _nodes(doc) -> list:
@@ -66,7 +89,8 @@ def _mutated(draw, base):
         else:
             key = draw(st.sampled_from(keys))
             old = node[key]
-            if action == "disguise" and type(old) in (int, float):
+            # any number but an integer past the float range, whose float(...) overflows
+            if action == "disguise" and (type(old) is float or type(old) is int and abs(old) <= 1e308):
                 node[key] = draw(st.sampled_from(_GUISES))(old)
             else:
                 node[key] = fresh(_NEAR_MISSES)
@@ -85,14 +109,18 @@ def _is_int(v) -> bool:
     return type(v) is int
 
 
-def _table(doc, key: str, least: int | None) -> dict[int, int]:
-    """The nonzero entries of the label table ``doc[key]``, read as the document says them."""
+def _table(doc, key: str, least: int | None, any_label: bool = False) -> dict[int, int]:
+    """The nonzero entries of the label table ``doc[key]``, read as the document says them.
+
+    Labels are >= 1 (irreducibles of SO(2)) unless ``any_label``: a custom
+    domain's dimension table may name any integer label.
+    """
     table = doc.get(key, {})
     assert type(table) is dict
     out = {}
     for k, v in table.items():
         assert _is_int(k) or (type(k) is str and k.removeprefix("-").isdecimal())
-        assert int(k) >= 1 and _is_int(v) and (least is None or v >= least)
+        assert (any_label or int(k) >= 1) and _is_int(v) and (least is None or v >= least)
         assert int(k) not in out  # two spellings of one label are refused, not merged
         if v:
             out[int(k)] = v
@@ -125,6 +153,58 @@ def _check_entry(doc, entry: SpectrumEntry) -> None:
     _check_rep(doc["rep"], entry.rep)
 
 
+def _check_entries(docs, entries: list[SpectrumEntry]) -> None:
+    """``entries`` are ``docs``, each read faithfully, sorted, with eigenvalues within 1e-8 of a group's first fused."""
+    assert type(docs) is list and docs
+    read = [SpectrumEntry.from_json(d) for d in docs]
+    for d, e in zip(docs, read):
+        _check_entry(d, e)
+    groups: list[list[SpectrumEntry]] = []
+    for e in sorted(read, key=lambda e: e.eigenvalue):
+        first = groups[-1][0].eigenvalue if groups else None
+        if first is not None and abs(e.eigenvalue - first) <= 1e-8 * max(1.0, first, e.eigenvalue):
+            groups[-1].append(e)
+        else:
+            groups.append([e])
+
+    def common(values):
+        return values[0] if all(v == values[0] for v in values) else None
+
+    assert [(e.eigenvalue, e.rep, e.angular_index, e.root_index) for e in entries] == [
+        (
+            g[0].eigenvalue,
+            functools.reduce(operator.add, (e.rep for e in g)),
+            common([e.angular_index for e in g]),
+            common([e.root_index for e in g]),
+        )
+        for g in groups
+    ]
+    # a Neumann spectrum: the constants first, then strictly ascending
+    assert entries[0].eigenvalue == 0.0 and entries[0].rep == SO2Rep.trivial(1)
+    assert all(a.eigenvalue < b.eigenvalue for a, b in zip(entries, entries[1:]))
+
+
+def _check_domain(doc, domain) -> None:
+    assert type(doc) is dict
+    kind = doc["type"]
+    if kind == "disk":
+        assert set(doc) <= {"type", "max_eigenvalue"} and type(domain) is DiskDomain
+        bound = doc.get("max_eigenvalue")
+        assert bound is None or type(bound) in (int, float) and bound > 0
+        assert domain.bound == bound and type(domain.bound) is type(bound)
+    elif kind == "ball":
+        assert set(doc) == {"type", "dim", "entries"} and type(domain) is BallDomain
+        assert _is_int(doc["dim"]) and doc["dim"] >= 3 and domain.dim == doc["dim"] and _is_int(domain.dim)
+        _check_entries(doc["entries"], domain.entries)
+    else:
+        assert kind == "custom" and set(doc) <= {"type", "entries", "irr_dims"} and type(domain) is CustomDomain
+        if doc.get("irr_dims") is None:
+            assert domain.irr_dim_table is None
+        else:
+            assert _table(doc, "irr_dims", 1, any_label=True) == domain.irr_dim_table and all(_is_int(k) for k in domain.irr_dim_table)
+        _check_entries(doc["entries"], domain.entries)
+
+
 FUZZ = settings(max_examples=250, deadline=timedelta(seconds=1), derandomize=True)
 
 
@@ -152,7 +232,54 @@ def test_spectrum_entry_from_json(doc):
         _check_entry(doc, entry)
 
 
+@FUZZ
+@given(doc=_mutated(CUSTOM))
+def test_load_custom_spectrum(doc):
+    entries = _read(load_custom_spectrum, doc)
+    if entries is not None:
+        assert type(doc) is dict and doc["domain"] == "custom" and set(doc) == {"domain", "entries"}
+        _check_entries(doc["entries"], entries)
+
+
+@pytest.mark.parametrize("kind", DOMAINS)
+def test_domain_from_json(kind):
+    @FUZZ
+    @given(doc=_mutated(DOMAINS[kind]))
+    def read(doc):
+        domain = _read(domain_from_json, doc)
+        if domain is not None:
+            _check_domain(doc, domain)
+
+    read()
+
+
+@pytest.mark.parametrize(
+    "kind, path", [("disk", ["max_eigenvalue"]), ("ball", ["dim"]), ("custom", ["irr_dims", "3"])], ids=list(DOMAINS)
+)
+def test_domain_numbers_in_every_guise(kind, path):
+    # each number of the domain's own, in each guise, the rest of the document valid
+    for guise in _GUISES:
+        doc = copy.deepcopy(DOMAINS[kind])
+        node = functools.reduce(operator.getitem, path[:-1], doc)
+        node[path[-1]] = guise(node[path[-1]])
+        domain = _read(domain_from_json, doc)
+        if domain is not None:
+            _check_domain(doc, domain)
+
+
+def test_unknown_keys_of_mixed_types_are_refused():
+    # a key that is not text (a document built in Python) is named after the text keys
+    for reader, doc in ((SO2Rep.from_json, REP), (SpectrumEntry.from_json, ENTRY), (domain_from_json, DOMAINS["ball"])):
+        with pytest.raises(SchemaError, match=r"^unknown keys in .*: \['b', 'x', 1\]$"):
+            reader({**doc, "x": 0, 1: 0, "b": 0})
+
+
 def test_the_base_documents_are_read():
     _check_rep(REP, SO2Rep.from_json(REP))
     _check_euler(EULER, EulerSO2.from_json(EULER))
     _check_entry(ENTRY, SpectrumEntry.from_json(ENTRY))
+    entries = load_custom_spectrum(CUSTOM)
+    _check_entries(ENTRIES, entries)
+    assert len(entries) == 3
+    for doc in DOMAINS.values():
+        _check_domain(doc, domain_from_json(doc))
