@@ -541,7 +541,9 @@ class TestNegativeRealFlags:
     def test_negative_non_member_names_the_parameter(self, capsys, negative_config, argv):
         code, out, err = run_cli_exit(capsys, argv[0], "--config", negative_config, *argv[1:])
         assert (code, out) == (1, "")
-        assert err == "symbif: PreconditionError: -10.0 is not in Lambda: 10.0 is not an eigenvalue of the loaded spectrum\n"
+        assert err == (
+            "symbif: PreconditionError: -10.0 is not in Lambda: 10.0 is not an eigenvalue of the loaded spectrum\n"
+        )
 
     def test_infinite_window_matches_the_config_file(self, capsys, negative_config, tmp_path):
         doc = tmp_path / "window.json"

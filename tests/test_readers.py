@@ -19,8 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symbif import BallDomain, CustomDomain, DiskDomain, EulerSO2, SO2Rep, SpectrumEntry, load_custom_spectrum
-from symbif.spectral import domain_from_json
 from symbif.errors import Error, SchemaError
+from symbif.spectral import domain_from_json
 
 REP = {"trivial": 1, "irr": {"1": 2, "3": 1}}
 EULER = {"unit": -1, "cyclic": {"1": -2, "4": 3}}
@@ -201,7 +201,8 @@ def _check_domain(doc, domain) -> None:
         if doc.get("irr_dims") is None:
             assert domain.irr_dim_table is None
         else:
-            assert _table(doc, "irr_dims", 1, any_label=True) == domain.irr_dim_table and all(_is_int(k) for k in domain.irr_dim_table)
+            assert _table(doc, "irr_dims", 1, any_label=True) == domain.irr_dim_table
+            assert all(_is_int(k) for k in domain.irr_dim_table)
         _check_entries(doc["entries"], domain.entries)
 
 
