@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError, UnsupportedDomain, ValidationError, _real, _repr, _show
+from .errors import PreconditionError, UnsupportedDomain, ValidationError, _real, _Record, _show
 from .euler import EulerSO2, SO2Rep, deg_minus_id, rep_equiv_mod_even_trivial
 from .spectral import BallDomain, DiskDomain, SpectrumEntry, close
 from .system import (
@@ -87,20 +87,14 @@ NO_VERDICT = "NoVerdict"
 MAX_SUBSET_MEMBERS = 20
 
 
-class GlobCheck:
+class GlobCheck(_Record):
     """Outcome of the sufficient global-bifurcation criterion at one parameter."""
+
+    _fields = ("glob", "justification")
 
     def __init__(self, glob: str, justification: str) -> None:
         self.glob = glob
         self.justification = justification
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.glob, self.justification) == (other.glob, other.justification)
-
-    def __repr__(self) -> str:
-        return _repr(self, "glob", "justification")
 
 
 def check_glob(spec: SystemSpec, lambda0: float) -> GlobCheck:
@@ -272,20 +266,14 @@ _BOUNDED_WOULD_IMPLY = {
 }
 
 
-class UnboundedReport:
+class UnboundedReport(_Record):
     """Unboundedness certificate plus the structural facts boundedness would force."""
+
+    _fields = ("verdict", "bounded_would_imply")
 
     def __init__(self, verdict: str, bounded_would_imply: tuple[str, ...] = ()) -> None:
         self.verdict = verdict
         self.bounded_would_imply = bounded_would_imply
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.verdict, self.bounded_would_imply) == (other.verdict, other.bounded_would_imply)
-
-    def __repr__(self) -> str:
-        return _repr(self, "verdict", "bounded_would_imply")
 
 
 def _eigenspace_nontrivial(spec: SystemSpec, entry: SpectrumEntry) -> bool:
@@ -315,8 +303,10 @@ def unbounded_verdict(spec: SystemSpec, entry: SpectrumEntry, sign: int) -> Unbo
     return UnboundedReport(verdict, _BOUNDED_WOULD_IMPLY[sign] if one_sided else ())
 
 
-class BifurcationVerdict:
+class BifurcationVerdict(_Record):
     """Per-parameter report assembled by :func:`analyze`."""
+
+    _fields = ("lambda0", "in_lambda", "kernel", "glob", "justification", "bif_element", "unbounded")
 
     def __init__(
         self,
@@ -335,19 +325,6 @@ class BifurcationVerdict:
         self.justification = justification
         self.bif_element = bif_element
         self.unbounded = unbounded
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.lambda0, self.in_lambda, self.kernel, self.glob, self.justification, self.bif_element, self.unbounded
-        ) == (
-            other.lambda0, other.in_lambda, other.kernel, other.glob, other.justification, other.bif_element,
-            other.unbounded,
-        )
-
-    def __repr__(self) -> str:
-        return _repr(self, "lambda0", "in_lambda", "kernel", "glob", "justification", "bif_element", "unbounded")
 
     def to_json(self) -> dict:
         return {

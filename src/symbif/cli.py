@@ -29,7 +29,7 @@ from .errors import (
     _known_keys,
     _parse_json,
     _real,
-    _repr,
+    _Record,
     _show,
 )
 from .spectral import DiskDomain, RootCache
@@ -40,8 +40,10 @@ SCHEMA_VERSION = 1
 SUBCOMMANDS = ("spectrum", "lambda-set", "analyze", "bif", "rabinowitz", "morse-degree")
 
 
-class AnalysisConfig:
+class AnalysisConfig(_Record):
     """Validated configuration: the system document plus run parameters."""
+
+    _fields = ("system", "window", "output_format", "spectrum_bound")
 
     def __init__(
         self,
@@ -50,34 +52,21 @@ class AnalysisConfig:
         output_format: str = "table",
         spectrum_bound: float | None = None,
     ) -> None:
+        def real(value, what):
+            return _real(value, what, finite=False, error=SchemaError, invalid=ValidationError)
+
+        if window is not None:
+            lo, hi = window = tuple(real(w, "window entry") for w in window)
+            if not lo < hi:
+                raise ValidationError(f"window must satisfy lo < hi, got {window!r}")
+        if spectrum_bound is not None and not real(spectrum_bound, "spectrum_bound") > 0.0:
+            raise ValidationError(f"spectrum_bound must be positive, got {spectrum_bound!r}")
+        if output_format not in ("table", "structured"):
+            raise ValidationError(f"output_format must be 'table' or 'structured', got {_show(output_format)}")
         self.system = system
         self.window = window
         self.output_format = output_format
         self.spectrum_bound = spectrum_bound
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        def real(value, what):
-            return _real(value, what, finite=False, error=SchemaError, invalid=ValidationError)
-
-        if self.window is not None:
-            lo, hi = self.window = tuple(real(w, "window entry") for w in self.window)
-            if not lo < hi:
-                raise ValidationError(f"window must satisfy lo < hi, got {self.window!r}")
-        if self.spectrum_bound is not None and not real(self.spectrum_bound, "spectrum_bound") > 0.0:
-            raise ValidationError(f"spectrum_bound must be positive, got {self.spectrum_bound!r}")
-        if self.output_format not in ("table", "structured"):
-            raise ValidationError(f"output_format must be 'table' or 'structured', got {_show(self.output_format)}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.system, self.window, self.output_format, self.spectrum_bound) == (
-            other.system, other.window, other.output_format, other.spectrum_bound
-        )
-
-    def __repr__(self) -> str:
-        return _repr(self, "system", "window", "output_format", "spectrum_bound")
 
     @classmethod
     def from_doc(cls, doc) -> "AnalysisConfig":

@@ -10,9 +10,9 @@ reports a wrong JSON type as SchemaError, a bad value as ValidationError.
 A message shows a caller's value through :func:`_show`, which never fails,
 and every table keyed by integer labels is read by :func:`_label_table`.
 
-The package's record classes are plain classes; they share :func:`_repr`
-and the ``_FACTORY`` default of a parameter that gets a new value per
-instance.
+The package's record classes are plain classes on :class:`_Record`, which
+compares and prints the fields each names once in ``_fields``; they share
+the ``_FACTORY`` default of a parameter that gets a new value per instance.
 """
 
 import json
@@ -165,6 +165,21 @@ class _Factory:
 _FACTORY = _Factory()
 
 
-def _repr(record, *fields: str) -> str:
-    """``Name(field=value, ...)`` over the named fields of a record."""
-    return f"{type(record).__qualname__}({', '.join(f'{f}={getattr(record, f)!r}' for f in fields)})"
+class _Record:
+    """Base of the record classes: equality and ``Name(field=value, ...)`` over the names in ``_fields``.
+
+    A record equals one of its own class whose fields are equal; any other
+    attribute (a cache, a memo) is neither compared nor shown.  Since this
+    class defines ``__eq__``, a record is unhashable unless its class
+    defines ``__hash__``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(getattr(self, f) for f in self._fields) == tuple(getattr(other, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"

@@ -44,7 +44,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import (
-    _FACTORY, NotInvertible, SchemaError, ValidationError, _int, _is_int, _known_keys, _label_table, _repr, _show
+    _FACTORY, NotInvertible, SchemaError, ValidationError, _int, _is_int, _known_keys, _label_table, _Record, _show
 )
 
 __all__ = ["EulerSO2", "SO2Rep", "deg_minus_id", "rep_equiv_mod_even_trivial"]
@@ -60,7 +60,7 @@ def _pruned(coeffs: Mapping[int, int], label: str, value: str, least: int | None
     return out
 
 
-class EulerSO2:
+class EulerSO2(_Record):
     """Element of the Euler ring of SO(2), in zero-pruned canonical form.
 
     ``unit`` is the coefficient of the class of the full group; ``cyclic``
@@ -68,6 +68,8 @@ class EulerSO2:
     explicit zeros, so structural equality is semantic equality.  Coefficients
     are arbitrary-size integers.  Instances are treated as immutable values.
     """
+
+    _fields = ("unit", "cyclic")
 
     def __init__(self, unit: int = 0, cyclic: dict[int, int] = _FACTORY) -> None:
         self.unit = unit
@@ -164,16 +166,8 @@ class EulerSO2:
             return self.unit
         return self.cyclic.get(k, 0)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EulerSO2):
-            return NotImplemented
-        return self.unit == other.unit and self.cyclic == other.cyclic
-
     def __hash__(self) -> int:
         return hash((self.unit, tuple(sorted(self.cyclic.items()))))
-
-    def __repr__(self) -> str:
-        return _repr(self, "unit", "cyclic")
 
     def __str__(self) -> str:
         parts = []
@@ -197,7 +191,7 @@ class EulerSO2:
         return cls(doc.get("unit", 0), _label_table(doc.get("cyclic", {}), "cyclic coefficient table"))
 
 
-class SO2Rep:
+class SO2Rep(_Record):
     """Orthogonal representation: a trivial summand plus nontrivial irreducibles.
 
     ``irreducibles`` maps a label ``k >= 1`` to the multiplicity of a
@@ -208,6 +202,8 @@ class SO2Rep:
     Zero multiplicities are pruned, so equality is equality of contents.
     """
 
+    _fields = ("trivial_dim", "irreducibles")
+
     def __init__(self, trivial_dim: int = 0, irreducibles: dict[int, int] = _FACTORY) -> None:
         self.trivial_dim = trivial_dim
         self.irreducibles = {} if irreducibles is _FACTORY else irreducibles
@@ -216,14 +212,6 @@ class SO2Rep:
     def __post_init__(self) -> None:
         _int(self.trivial_dim, "trivial_dim", 0)
         self.irreducibles = _pruned(self.irreducibles, "irreducible label", "irreducible multiplicity", 0)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.trivial_dim, self.irreducibles) == (other.trivial_dim, other.irreducibles)
-
-    def __repr__(self) -> str:
-        return _repr(self, "trivial_dim", "irreducibles")
 
     @classmethod
     def _make(cls, trivial_dim: int, irreducibles: Mapping[int, int]) -> "SO2Rep":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .errors import MissingClass, NonInjectiveTable, SchemaError, ValidationError, _int, _repr, _show
+from .errors import MissingClass, NonInjectiveTable, SchemaError, ValidationError, _int, _Record, _show
 from .euler import EulerSO2
 
 __all__ = [
@@ -31,21 +31,19 @@ __all__ = [
 ]
 
 
-class OrbitDatum:
+class OrbitDatum(_Record):
     """One special non-degenerate critical orbit: isotropy class and the
     Morse index of its normal block (the tangential block carries none by
     the specialness assumption, which is trusted, not checked).  Frozen and
     hashable."""
 
-    def __init__(self, isotropy_class: str, morse_index: int) -> None:
-        object.__setattr__(self, "isotropy_class", isotropy_class)
-        object.__setattr__(self, "morse_index", morse_index)
-        self.__post_init__()
+    _fields = ("isotropy_class", "morse_index")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.isotropy_class, str) or not self.isotropy_class:
-            raise ValidationError(f"isotropy class must be a nonempty string, got {_show(self.isotropy_class)}")
-        _int(self.morse_index, "morse_index", 0)
+    def __init__(self, isotropy_class: str, morse_index: int) -> None:
+        if not isinstance(isotropy_class, str) or not isotropy_class:
+            raise ValidationError(f"isotropy class must be a nonempty string, got {_show(isotropy_class)}")
+        object.__setattr__(self, "isotropy_class", isotropy_class)
+        object.__setattr__(self, "morse_index", _int(morse_index, "morse_index", 0))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -53,16 +51,8 @@ class OrbitDatum:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.isotropy_class, self.morse_index) == (other.isotropy_class, other.morse_index)
-
     def __hash__(self) -> int:
         return hash((self.isotropy_class, self.morse_index))
-
-    def __repr__(self) -> str:
-        return _repr(self, "isotropy_class", "morse_index")
 
 
 def degree_from_orbits(data: Iterable[OrbitDatum]) -> dict[str, int]:

@@ -56,7 +56,7 @@ from .errors import (
     _label_table,
     _parse_json,
     _real,
-    _repr,
+    _Record,
     _show,
 )
 from .euler import SO2Rep
@@ -123,37 +123,25 @@ def _beyond_coverage(alpha_max: float, coverage: float) -> bool:
 RepDescriptor = SO2Rep
 
 
-class SpectrumEntry:
+class SpectrumEntry(_Record):
     """One distinct Neumann eigenvalue with the isotypic type of its eigenspace.
 
     ``root_index`` is the 1-based index of the radial root producing the
     eigenvalue; the injected zero eigenvalue (constants) carries None there.
     """
 
+    _fields = ("eigenvalue", "rep", "angular_index", "root_index")
+
     def __init__(
         self, eigenvalue: float, rep: SO2Rep, angular_index: int | None = None, root_index: int | None = None
     ) -> None:
-        self.eigenvalue = eigenvalue
+        # the one check of an eigenvalue, so a wrong type is a SchemaError as in a document
+        self.eigenvalue = _real(eigenvalue, "eigenvalue", error=SchemaError, invalid=ValidationError)
+        if self.eigenvalue < 0.0:
+            raise ValidationError(f"eigenvalue must be nonnegative, got {self.eigenvalue!r}")
         self.rep = rep
         self.angular_index = angular_index
         self.root_index = root_index
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        # the one check of an eigenvalue, so a wrong type is a SchemaError as in a document
-        self.eigenvalue = _real(self.eigenvalue, "eigenvalue", error=SchemaError, invalid=ValidationError)
-        if self.eigenvalue < 0.0:
-            raise ValidationError(f"eigenvalue must be nonnegative, got {self.eigenvalue!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.eigenvalue, self.rep, self.angular_index, self.root_index) == (
-            other.eigenvalue, other.rep, other.angular_index, other.root_index
-        )
-
-    def __repr__(self) -> str:
-        return _repr(self, "eigenvalue", "rep", "angular_index", "root_index")
 
     def to_json(self) -> dict:
         return {
@@ -424,7 +412,7 @@ def neumann_radial_roots(
 # ---------------------------------------------------------------------------
 
 
-class RootCache:
+class RootCache(_Record):
     """Memo of radial roots, each refined to ``ROOT_XTOL``.
 
     The record list for each (dim, l) pair is always a complete prefix of
@@ -443,17 +431,11 @@ class RootCache:
     ``grown`` tells a caller whether a loaded cache needs saving at all.
     """
 
+    _fields = ("records",)
+
     def __init__(self, records: dict[tuple[int, int], list[float]] = _FACTORY) -> None:
         self.records = {} if records is _FACTORY else records
         self.grown = False  # whether put() added roots since construction
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.records == other.records
-
-    def __repr__(self) -> str:
-        return _repr(self, "records")
 
     def get(self, dim: int, l: int) -> list[float]:
         return self.records.get((dim, l), [])
@@ -655,7 +637,7 @@ def load_custom_spectrum(source) -> list[SpectrumEntry]:
 # ---------------------------------------------------------------------------
 
 
-class DiskDomain:
+class DiskDomain(_Record):
     """Unit disk; the spectrum is computed on demand (and memoised).
 
     ``bound``, when set, caps how far the spectrum may be extended; requests
@@ -665,34 +647,23 @@ class DiskDomain:
 
     kind = "disk"
     dim = 2
+    _fields = ("bound",)
 
     def __init__(self, bound: float | None = None, cache: RootCache = _FACTORY) -> None:
+        if bound is not None:
+            if not _real(bound, "disk max_eigenvalue", finite=False, error=SchemaError, invalid=ValidationError) > 0:
+                raise ValidationError(f"the disk spectrum bound must be positive, got {bound!r}")
         self.bound = bound
         self.cache = RootCache() if cache is _FACTORY else cache
         self._memo: list[SpectrumEntry] = []
         self._eigenvalues: list[float] = []
         self._memo_bound = -1.0
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.bound is None:
-            return
-        if not _real(self.bound, "disk max_eigenvalue", finite=False, error=SchemaError, invalid=ValidationError) > 0:
-            raise ValidationError(f"the disk spectrum bound must be positive, got {self.bound!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.bound == other.bound
-
-    def __repr__(self) -> str:
-        return _repr(self, "bound")
 
     def irr_dims(self) -> None:
         return None  # rotation irreducibles all have real dimension 2
 
-    def spectrum_index(self, alpha_max: float) -> tuple[list[SpectrumEntry], int]:
-        """The computed spectrum, and how many of its entries are <= alpha_max.
+    def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
+        """The computed entries <= alpha_max.
 
         Extends the spectrum to ``alpha_max`` first, or raises
         InsufficientSpectrum beyond ``bound``; the eigenvalue list searched
@@ -708,11 +679,7 @@ class DiskDomain:
             self._memo = disk_spectrum(target, cache=self.cache)
             self._eigenvalues = [e.eigenvalue for e in self._memo]
             self._memo_bound = target
-        return self._memo, bisect_right(self._eigenvalues, alpha_max)
-
-    def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
-        entries, n = self.spectrum_index(alpha_max)
-        return entries[:n]
+        return self._memo[: bisect_right(self._eigenvalues, alpha_max)]
 
     def first_entries(self, k: int) -> list[SpectrumEntry]:
         _int(k, "k", 1)
@@ -731,14 +698,13 @@ class DiskDomain:
         raise InsufficientSpectrum(f"could not collect {_show(k)} eigenvalues")  # pragma: no cover
 
 
-class _SuppliedDomain:
+class _SuppliedDomain(_Record):
     """Base for domains whose spectrum is user-supplied and finite; equal when the entries are."""
+
+    _fields = ("entries",)
 
     def __init__(self, entries: list[SpectrumEntry]) -> None:
         self.entries = entries
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         if not self.entries or self.entries[0].eigenvalue != 0.0:
             raise ValidationError("a Neumann spectrum must start at the eigenvalue 0 (constants)")
         zero = self.entries[0]
@@ -755,20 +721,12 @@ class _SuppliedDomain:
                     f"supplied entries must be in ascending eigenvalue order ({nxt!r} after {prev!r})"
                 )
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return _repr(self, "entries")
-
     @property
     def coverage(self) -> float:
         return self.entries[-1].eigenvalue
 
-    def spectrum_index(self, alpha_max: float) -> tuple[list[SpectrumEntry], int]:
-        """The supplied entries, and how many are <= alpha_max.
+    def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
+        """The supplied entries <= alpha_max.
 
         Raises InsufficientSpectrum when alpha_max lies beyond the supplied
         spectrum.
@@ -778,11 +736,7 @@ class _SuppliedDomain:
             raise InsufficientSpectrum(
                 f"need eigenvalues up to {alpha_max!r} but the supplied spectrum stops at {self.coverage!r}"
             )
-        return self.entries, bisect_right(self._eigenvalues, alpha_max)
-
-    def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
-        entries, n = self.spectrum_index(alpha_max)
-        return entries[:n]
+        return self.entries[: bisect_right(self._eigenvalues, alpha_max)]
 
     def first_entries(self, k: int) -> list[SpectrumEntry]:
         _int(k, "k", 1)
@@ -795,23 +749,12 @@ class BallDomain(_SuppliedDomain):
     """Unit ball of dimension >= 3 with a user-supplied spectrum; the cache is neither compared nor shown."""
 
     kind = "ball"
+    _fields = ("entries", "dim")
 
     def __init__(self, entries: list[SpectrumEntry], dim: int = 3, cache: RootCache = _FACTORY) -> None:
-        self.dim = dim
-        self.cache = RootCache() if cache is _FACTORY else cache
         _SuppliedDomain.__init__(self, entries)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _int(self.dim, "ball dimension", 3)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.entries, self.dim) == (other.entries, other.dim)
-
-    def __repr__(self) -> str:
-        return _repr(self, "entries", "dim")
+        self.dim = _int(dim, "ball dimension", 3)
+        self.cache = RootCache() if cache is _FACTORY else cache
 
     def irr_dims(self) -> None:
         return None  # harmonic dimension tables are out of scope; callers may override
@@ -830,27 +773,16 @@ class CustomDomain(_SuppliedDomain):
 
     kind = "custom"
     dim = None
+    _fields = ("entries", "irr_dim_table")
 
     def __init__(self, entries: list[SpectrumEntry], irr_dim_table: dict[int, int] | None = None) -> None:
-        self.irr_dim_table = irr_dim_table
         _SuppliedDomain.__init__(self, entries)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.irr_dim_table is None:
-            return
-        self.irr_dim_table = {
-            k: _int(d, "irreducible dimensions", 1, SchemaError, ValidationError)
-            for k, d in _label_table(self.irr_dim_table, "irr_dims").items()
-        }
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.entries, self.irr_dim_table) == (other.entries, other.irr_dim_table)
-
-    def __repr__(self) -> str:
-        return _repr(self, "entries", "irr_dim_table")
+        if irr_dim_table is not None:
+            irr_dim_table = {
+                k: _int(d, "irreducible dimensions", 1, SchemaError, ValidationError)
+                for k, d in _label_table(irr_dim_table, "irr_dims").items()
+            }
+        self.irr_dim_table = irr_dim_table
 
     def irr_dims(self) -> dict[int, int] | None:
         return self.irr_dim_table

@@ -34,7 +34,7 @@ import math
 from collections.abc import Mapping
 from typing import Sequence
 
-from .errors import _FACTORY, NotAMember, SchemaError, ValidationError, _bool, _int, _known_keys, _real, _repr, _show
+from .errors import _FACTORY, NotAMember, SchemaError, ValidationError, _bool, _int, _known_keys, _real, _Record, _show
 from .euler import SO2Rep
 from .spectral import (
     MERGE_REL,
@@ -74,7 +74,7 @@ def _as_multiset(pairs, what: str) -> _Multiset:
     return out
 
 
-class SystemSpec:
+class SystemSpec(_Record):
     """Block data of the linearization plus the spectral domain.
 
     ``sigma_b1`` and ``sigma_b2`` are eigenvalue -> multiplicity multisets of
@@ -84,6 +84,8 @@ class SystemSpec:
     B1 = diag(0,...,0,1,...,1), B2 = Id used by the closed-form bifurcation
     indices and the unboundedness certificates.
     """
+
+    _fields = ("p1", "p2", "sigma_b1", "sigma_b2", "mu_b0", "domain", "a9")
 
     def __init__(
         self,
@@ -102,9 +104,6 @@ class SystemSpec:
         self.mu_b0 = mu_b0
         self.domain = DiskDomain() if domain is _FACTORY else domain
         self.a9 = a9
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         for name in ("p1", "p2", "mu_b0"):
             _int(getattr(self, name), name, 0)
         if self.p1 + self.p2 < 1:
@@ -132,16 +131,6 @@ class SystemSpec:
                     "a9 requires B1 = diag(0^mu, 1^(p1-mu)) and B2 = Id; "
                     f"got sigma_b1={_show(self.sigma_b1)}, sigma_b2={_show(self.sigma_b2)}"
                 )
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.p1, self.p2, self.sigma_b1, self.sigma_b2, self.mu_b0, self.domain, self.a9) == (
-            other.p1, other.p2, other.sigma_b1, other.sigma_b2, other.mu_b0, other.domain, other.a9
-        )
-
-    def __repr__(self) -> str:
-        return _repr(self, "p1", "p2", "sigma_b1", "sigma_b2", "mu_b0", "domain", "a9")
 
     # -- views ---------------------------------------------------------------
 
@@ -294,7 +283,7 @@ def lambda_membership(spec: SystemSpec, lam: float) -> bool:
     return bool(kernel_reps(spec, lam).matched)
 
 
-class KernelReps:
+class KernelReps(_Record):
     """Isotypic pieces V1, V2 of the Hessian kernel on the normal slice.
 
     ``matched`` (not compared, not shown) holds the spectrum entries that some
@@ -303,18 +292,12 @@ class KernelReps:
     so a zero kernel does not rule a match out.
     """
 
+    _fields = ("v1", "v2")
+
     def __init__(self, v1: SO2Rep, v2: SO2Rep, matched: tuple[SpectrumEntry, ...] = ()) -> None:
         self.v1 = v1
         self.v2 = v2
         self.matched = matched
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.v1, self.v2) == (other.v1, other.v2)
-
-    def __repr__(self) -> str:
-        return _repr(self, "v1", "v2")
 
     def is_zero(self) -> bool:
         return self.v1.is_zero() and self.v2.is_zero()
@@ -388,7 +371,7 @@ def _swept_kernels(entries, blocks, pairs, lams: Sequence[float]) -> list[tuple[
     return out
 
 
-class LinearizationEigenvalue:
+class LinearizationEigenvalue(_Record):
     """One eigenvalue of the linearized operator on a spectral cutoff.
 
     ``vanishes`` flags the lambda-dependent kernel (a nonzero block eigenvalue
@@ -396,6 +379,8 @@ class LinearizationEigenvalue:
     (alpha = 0, b = 0) directions that are zero for every lambda and belong to
     the orbit of trivial solutions.
     """
+
+    _fields = ("value", "multiplicity", "entry", "block", "b", "vanishes", "structural")
 
     def __init__(
         self,
@@ -414,16 +399,6 @@ class LinearizationEigenvalue:
         self.b = b
         self.vanishes = vanishes
         self.structural = structural
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.value, self.multiplicity, self.entry, self.block, self.b, self.vanishes, self.structural) == (
-            other.value, other.multiplicity, other.entry, other.block, other.b, other.vanishes, other.structural
-        )
-
-    def __repr__(self) -> str:
-        return _repr(self, "value", "multiplicity", "entry", "block", "b", "vanishes", "structural")
 
 
 def linearization_eigenvalues(

@@ -6,7 +6,8 @@ threaded through a domain or a spectrum builder could disagree with the cache
 that stores its roots, and no setting of it changes a result.  Likewise no
 public callable takes a merge or matching tolerance (the constant
 ``MERGE_REL``) or one of the single-value knobs that became constants.  Input checks live in one module:
-no other module tests for bools by hand.
+no other module tests for bools by hand.  A record states its fields once, in ``_fields``; only the
+base ``errors._Record`` compares and prints records.
 """
 
 import importlib
@@ -15,7 +16,7 @@ import re
 from pathlib import Path
 
 import symbif
-from symbif import bifurcation, cli, euler, morse, spectral, system
+from symbif import bifurcation, cli, errors, euler, morse, spectral, system
 
 
 def public_signatures():
@@ -74,3 +75,23 @@ def test_every_exported_name_resolves():
             exporting.append(path.stem)
             assert [n for n in module.__all__ if not hasattr(module, n)] == [], path.stem
     assert {"__init__", "bifurcation", "cli", "euler", "morse", "spectral", "system"} <= set(exporting)
+
+
+def package_classes():
+    """Every class defined in one of the package's modules."""
+    package = Path(symbif.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        module = symbif if path.stem == "__init__" else importlib.import_module(f"symbif.{path.stem}")
+        found += [c for c in vars(module).values() if inspect.isclass(c) and c.__module__ == module.__name__]
+    return found
+
+
+def test_records_state_their_fields_once():
+    classes = package_classes()
+    records = [c for c in classes if issubclass(c, errors._Record) and c is not errors._Record]
+    assert len(records) == 16
+    for cls in records:
+        assert cls._fields and set(cls._fields) <= set(inspect.signature(cls).parameters), cls.__name__
+    written = sorted(f"{c.__name__}.{name}" for c in classes for name in ("__eq__", "__repr__") if name in vars(c))
+    assert written == ["_Factory.__repr__", "_Record.__eq__", "_Record.__repr__"]

@@ -719,7 +719,7 @@ class TestVerdictCost:
         # the eigenspaces unbounded_verdict certifies come from the same walk, so
         # analyze requests the spectrum as often for 33 candidates as for more
         # than 300, on the disk and on a custom ball spectrum
-        lookups = call_counts(DiskDomain, "spectrum_index")
+        lookups = call_counts(DiskDomain, "entries_up_to")
         counts = []
         for w in (100.0, 1200.0):
             lookups[0] = 0
@@ -732,7 +732,7 @@ class TestVerdictCost:
         entries = [SpectrumEntry(0.0, RepDescriptor.trivial(1))] + [
             SpectrumEntry(a, RepDescriptor.trivial(1) if a in trivial else RepDescriptor.irr(1)) for a in alphas
         ]
-        lookups = call_counts(BallDomain, "spectrum_index")
+        lookups = call_counts(BallDomain, "entries_up_to")
         verdicts = analyze(a9_spec(q1=2, p2=2, domain=BallDomain(entries, dim=3)), (-60.0, 60.0))
         assert len(verdicts) > 40 and any(v.unbounded == UNBOUNDED for v in verdicts)
         assert lookups[0] == counts[0][1]
