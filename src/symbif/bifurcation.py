@@ -48,6 +48,7 @@ from .spectral import BallDomain, DiskDomain, SpectrumEntry, close
 from .system import (
     KernelReps,
     SystemSpec,
+    _covered_entries,
     _merged,
     _spectral_pairs,
     _swept_kernels,
@@ -152,7 +153,7 @@ def bif_a9(spec: SystemSpec, lambda0: float) -> EulerSO2:
 
 
 def _a9_indices(spec: SystemSpec, lams: Sequence[float]) -> list[EulerSO2]:
-    """:func:`bif_a9` at each of ``lams``, in order: k0 looked up per lambda, then one sweep."""
+    """:func:`bif_a9` at each of ``lams``, in order: one walk gives every k0, then one sweep."""
     if not lams:
         return []
     entries, k0s = _a9_k0s(spec, lams)
@@ -162,34 +163,45 @@ def _a9_indices(spec: SystemSpec, lams: Sequence[float]) -> list[EulerSO2]:
 def _a9_k0s(spec: SystemSpec, lams: Sequence[float]) -> tuple[Sequence[SpectrumEntry], list[int | None]]:
     """The spectrum entries and, per lambda, k0 with alpha_k0 = |lambda| (None at 0).
 
-    Every lambda is checked and looked up in input order, so errors and
-    spectrum extensions come as they would one call at a time.  Each lookup
-    is the walk of :func:`analyze` over the one candidate lambda; a9 pairs
-    only b = 1, so its first matched entry is the eigenspace of |lambda|.
+    Every lambda is checked and asks for the spectrum it needs in input
+    order, up to the first error, so errors and spectrum extensions come as
+    they would one call at a time.  One walk of :func:`analyze` over the
+    lambdas checked, sorted, then gives every k0: a9 pairs only b = 1, so
+    the first matched entry is the eigenspace of |lambda|.  The first lambda
+    outside Lambda, in input order, is raised, or else the error that
+    stopped the checks.
     """
     if not spec.a9:
         raise PreconditionError("bif_a9 needs the normalized block form (a9 flag)")
     _require_disk(spec, "bif_a9")
+    k0s: list[int | None] = [None] * len(lams)
+    checked: list[tuple[float, int]] = []  # (lambda, slot) of each nonzero lambda, in input order
+    stopped = None
+    for slot, lambda0 in enumerate(lams):
+        try:
+            lam = _real(lambda0, "lambda0")
+            if close(lam, 0.0):
+                continue
+            power, side, needs = (spec.q1, "positive", "p1 - mu_b0") if lam > 0 else (spec.p2, "negative", "p2")
+            if power == 0:
+                raise PreconditionError(f"{side} parameters need {needs} > 0; {lambda0!r} is not in Lambda")
+            _covered_entries(spec, lam, lam)
+        except Exception as exc:  # raised after any earlier lambda outside Lambda
+            stopped = exc
+            break
+        checked.append((lam, slot))
     entries: Sequence[SpectrumEntry] = ()
-    k0s: list[int | None] = []
-    for lambda0 in lams:
-        lam = _real(lambda0, "lambda0")
-        if close(lam, 0.0):
-            k0s.append(None)
-            continue
-        power, side, needs = (spec.q1, "positive", "p1 - mu_b0") if lam > 0 else (spec.p2, "negative", "p2")
-        if power == 0:
-            raise PreconditionError(f"{side} parameters need {needs} > 0; {lambda0!r} is not in Lambda")
-        _, _, covered, blocks, pairs = _spectral_pairs(spec, (lam, lam))
-        ((_, first),) = _swept_kernels(covered, blocks, pairs, [lam])
-        if first is None:
-            missing = f"{abs(lam)!r} is not an eigenvalue of the loaded spectrum"
-            raise PreconditionError(missing if lam > 0 else f"{lambda0!r} is not in Lambda: {missing}")
-        k0s.append(first + 1)
-        # the spectrum only grows and keeps its entries below an earlier bound in place,
-        # so the longest list covered holds every V(m)
-        if len(covered) > len(entries):
-            entries = covered
+    if checked:
+        ordered = sorted(checked)
+        _, _, entries, blocks, pairs = _spectral_pairs(spec, (ordered[0][0], ordered[-1][0]))
+        for (_, slot), (_, first) in zip(ordered, _swept_kernels(entries, blocks, pairs, [m for m, _ in ordered])):
+            k0s[slot] = None if first is None else first + 1
+        for lam, slot in checked:
+            if k0s[slot] is None:
+                missing = f"{abs(lam)!r} is not an eigenvalue of the loaded spectrum"
+                raise PreconditionError(missing if lam > 0 else f"{lams[slot]!r} is not in Lambda: {missing}")
+    if stopped is not None:
+        raise stopped
     return entries, k0s
 
 

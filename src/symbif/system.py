@@ -222,14 +222,13 @@ def system_spec_from_json(doc, *, spectrum_bound=None, cache=None) -> SystemSpec
 # ---------------------------------------------------------------------------
 
 
-def _coverage_needed(spec: SystemSpec, lo: float, hi: float) -> float:
-    """Largest Laplacian eigenvalue that could pair into the window [lo, hi]."""
-    reach = [s * (hi if s * b > 0 else lo) * b for s, bs in spec._blocks() for b, _ in bs]
-    return max([0.0, *reach])
+def _covered_entries(spec: SystemSpec, lo: float, hi: float) -> list[SpectrumEntry]:
+    """The entries that could pair into the window [lo, hi]: up to the largest s*lam*b there, plus a margin.
 
-
-def _with_margin(alpha: float) -> float:
-    return alpha * (1.0 + 10.0 * MERGE_REL) + MERGE_REL
+    Raises InsufficientSpectrum when that reach lies beyond the loaded spectrum.
+    """
+    reach = max([0.0, *(s * (hi if s * b > 0 else lo) * b for s, bs in spec._blocks() for b, _ in bs)])
+    return spec.domain.entries_up_to(reach * (1.0 + 10.0 * MERGE_REL) + MERGE_REL)
 
 
 def _spectral_pairs(spec: SystemSpec, window: tuple[float, float]):
@@ -250,7 +249,7 @@ def _spectral_pairs(spec: SystemSpec, window: tuple[float, float]):
     blocks = [(s, b, mult) for s, bs in spec._blocks() for b, mult in bs]
     if not blocks:
         return lo, hi, [], blocks, []
-    entries = spec.domain.entries_up_to(_with_margin(_coverage_needed(spec, lo, hi)))
+    entries = _covered_entries(spec, lo, hi)
     pairs = sorted(
         (e.eigenvalue / (s * b) + 0.0, k, i) for k, (s, b, _) in enumerate(blocks) for i, e in enumerate(entries)
     )

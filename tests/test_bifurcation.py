@@ -648,8 +648,22 @@ def _kernel_window(t: tuple[int, float, int]) -> tuple[float, float]:
     return lo, min(lo + t[2] * step, 16 * step)
 
 
+def brute_force_kernel(b1, b2, entries, lam):
+    """(V1, V2, matched) at lam from every (block, entry) pair: B1 first, then by b, then by position."""
+    trivial, irr, matched = {1: 0, -1: 0}, {1: {}, -1: {}}, []
+    for s, block in ((1, b1), (-1, b2)):
+        for b, mult in sorted((b, m) for b, m in block.items() if b != 0):
+            for e in entries:
+                if close(s * (lam * b), e.eigenvalue):
+                    matched.append(e)
+                    trivial[s] += mult * e.rep.trivial_dim
+                    for label, m in e.rep.irreducibles.items():
+                        irr[s][label] = irr[s].get(label, 0) + mult * m
+    return SO2Rep(trivial[1], irr[1]), SO2Rep(trivial[-1], irr[-1]), matched
+
+
 class TestKernelSweep:
-    """analyze's kernels, candidate by candidate, against kernel_reps and the reference verdicts."""
+    """analyze's kernels, candidate by candidate, against a brute-force match and the reference verdicts."""
 
     @pytest.fixture(scope="class")
     def domains(self):
@@ -666,12 +680,13 @@ class TestKernelSweep:
         if window[0] <= 0.0 <= window[1] and not any(close(c, 0.0) for c in lams):
             lams = sorted(lams + [0.0])
         assert len(verdicts) == len(lams)
+        covered = domain.entries_up_to(KERNEL_REACH)
         for lam, v in zip(lams, verdicts):
-            kr = kernel_reps(spec, lam)
-            assert (v.kernel.v1, v.kernel.v2) == (kr.v1, kr.v2), lam
-            assert len(v.kernel.matched) == len(kr.matched), lam
-            assert all(a is b for a, b in zip(v.kernel.matched, kr.matched)), lam
-        entries = [e.to_json() for e in domain.entries_up_to(KERNEL_REACH)]
+            v1, v2, matched = brute_force_kernel(b1, b2, covered, lam)
+            assert (v.kernel.v1, v.kernel.v2) == (v1, v2), lam
+            assert len(v.kernel.matched) == len(matched), lam
+            assert all(a is b for a, b in zip(v.kernel.matched, matched)), lam
+        entries = [e.to_json() for e in covered]
         reference = reference_verdicts(entries, b1, b2, mu_b0, a9, window, disk=isinstance(domain, DiskDomain))
         assert _dumps(verdicts) == json.dumps(reference, sort_keys=True)
         return verdicts
@@ -745,6 +760,21 @@ class TestVerdictCost:
             analyze(a9_spec(q1=2, p2=2, domain=domain), (-w, w))
             sizes.append(copies[0])
         assert sizes[0] == sizes[1] <= 2
+
+    def test_a9_indices_sort_the_pairs_once(self, domain, call_counts):
+        # rabinowitz --lambdas and --enumerate: one sort of the spectral pairs for
+        # any number of parameters, walked in sorted order, answered in input order
+        spec = a9_spec(q1=3, p2=1, mu=1, domain=domain)
+        sorts = call_counts(symbif.bifurcation, "_spectral_pairs")
+        counts = []
+        for w in (300.0, 1200.0):
+            lams = lambda_set(spec, (-w, w))[::-1]
+            sorts[0] = 0
+            indices = symbif.bifurcation._a9_indices(spec, lams)
+            counts.append((len(lams), sorts[0]))
+            assert indices == [v.bif_element for v in analyze(spec, (-w, w))][::-1]
+        assert counts[0][0] > 80 and counts[1][0] > 300
+        assert counts[0][1] == counts[1][1] == 1
 
     def test_ring_elements_grow_with_candidates(self, domain, call_counts):
         built = call_counts(EulerSO2, "__post_init__")
