@@ -35,14 +35,15 @@ of the pairs plus time linear in the pairs and candidates.  A single
 parameter (:func:`bif_a9`, :func:`check_glob`, :func:`bif_difference`)
 takes the same walk over the one candidate, after one sort of the pairs
 that could reach it, and a lone :func:`bif_a9` sweeps the k0 entries below
-its parameter.
+its parameter.  Many a9 parameters (``rabinowitz``) share one sort and one
+walk.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError, UnsupportedDomain, ValidationError, _real, _Record, _show
+from .errors import Error, PreconditionError, UnsupportedDomain, ValidationError, _real, _Record, _show
 from .euler import EulerSO2, SO2Rep, deg_minus_id, rep_equiv_mod_even_trivial
 from .spectral import BallDomain, DiskDomain, SpectrumEntry, close
 from .system import (
@@ -186,7 +187,7 @@ def _a9_k0s(spec: SystemSpec, lams: Sequence[float]) -> tuple[Sequence[SpectrumE
             if power == 0:
                 raise PreconditionError(f"{side} parameters need {needs} > 0; {lambda0!r} is not in Lambda")
             _covered_entries(spec, lam, lam)
-        except Exception as exc:  # raised after any earlier lambda outside Lambda
+        except Error as exc:  # raised after any earlier lambda outside Lambda
             stopped = exc
             break
         checked.append((lam, slot))
