@@ -172,10 +172,6 @@ def with_attr(record, name, value):
     return out
 
 
-def test_sixteen_record_classes():
-    assert len({case[0] for case in CASES}) == 16
-
-
 @pytest.mark.parametrize("cls, fields, ignored, signature, text, make", CASES, ids=IDS)
 def test_repr_and_signature(cls, fields, ignored, signature, text, make):
     assert type(make()) is cls
