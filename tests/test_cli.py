@@ -352,6 +352,42 @@ class TestMorseDegree:
         assert code == 1 and "NonInjectiveTable" in err
 
 
+class TestTableText:
+    """The exact table text of the listing subcommands, including their empty cases."""
+
+    def test_lambda_set_members(self, capsys, a9_config):
+        out = run_cli(capsys, "lambda-set", "--config", a9_config, "--window", "0", "15")
+        assert out == (0, "0\n3.389957717\n9.328363214\n14.68197064\n", "")
+
+    def test_lambda_set_empty(self, capsys, a9_config):
+        out = run_cli(capsys, "lambda-set", "--config", a9_config, "--window", "0.5", "1")
+        assert out == (0, "lambda set: (empty)\n", "")
+
+    def test_analyze_without_candidates(self, capsys, a9_config):
+        out = run_cli(capsys, "analyze", "--config", a9_config, "--window", "0.5", "1")
+        header = f"{'lambda0':>14}  {'glob':<12} {'justification':<26} {'unbounded':<10} {'bif':<18} kernel"
+        assert out == (0, f"{header}\n(no candidate parameters in the window)\n", "")
+
+    @pytest.mark.parametrize(
+        "orbits, lift, text",
+        [
+            ("Z2:1,SO2:0", True, "degree:\n  SO2: +1\n  Z2: -1\nlifted:\n  G.SO2: +1\n  G.Z2: -1\n"),
+            ("Z2:1,SO2:0", False, "degree:\n  SO2: +1\n  Z2: -1\n"),
+            ("Z2:1,Z2:0", False, "degree:\n  (zero)\n"),
+            ("Z2:1,Z2:0", True, "degree:\n  (zero)\nlifted:\n"),
+        ],
+        ids=["lift", "no-lift", "zero", "zero-lift"],
+    )
+    def test_morse_degree(self, capsys, tmp_path, orbits, lift, text):
+        data = [{"class": c, "morse_index": int(m)} for c, m in (o.split(":") for o in orbits.split(","))]
+        (tmp_path / "orbits.json").write_text(json.dumps(data))
+        (tmp_path / "table.json").write_text(json.dumps({"Z2": "G.Z2", "SO2": "G.SO2"}))
+        argv = ["morse-degree", "--orbits", str(tmp_path / "orbits.json")]
+        if lift:
+            argv += ["--table", str(tmp_path / "table.json")]
+        assert run_cli(capsys, *argv) == (0, text, "")
+
+
 class TestCacheAndConfig:
     def test_cache_written_and_reused(self, capsys, a9_config, tmp_path):
         cache = tmp_path / "roots.json"

@@ -49,6 +49,17 @@ class TestBesselValues:
         assert bessel_j(5, 0.0) == 0.0
         assert bessel_j(0.5, 0.0) == 0.0
 
+    @pytest.mark.parametrize("nu", [0, 1, 2, 0.5, 1.5, 2.5])
+    def test_at_zero_is_exact_and_positive(self, nu):
+        # 1 for J_0, +0.0 (never -0.0) for every other order
+        value = bessel_j(nu, 0.0)
+        assert value == (1.0 if nu == 0 else 0.0) and math.copysign(1.0, value) == 1.0
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_prime_at_zero_is_exact_and_positive(self, n):
+        value = bessel_j_prime(n, 0.0)
+        assert value == (0.5 if n == 1 else 0.0) and math.copysign(1.0, value) == 1.0
+
     def test_first_root_of_j0(self):
         assert abs(bessel_j(0, 2.404826)) < 1e-6
 

@@ -90,6 +90,24 @@ class TestSystemSpecJson:
         spec = system_spec_from_json(self.DOC)
         assert spec.to_json() == self.DOC
 
+    def test_bounded_disk_round_trip(self):
+        doc = {**self.DOC, "domain": {"type": "disk", "max_eigenvalue": 50.0}}
+        spec = system_spec_from_json(doc)
+        assert spec.domain.bound == 50.0
+        assert spec.to_json() == doc
+        assert system_spec_from_json(spec.to_json()) == spec
+
+    def test_custom_domain_with_irr_dims_round_trip(self):
+        entries = [
+            {"eigenvalue": 0.0, "angular_index": None, "root_index": None, "rep": {"trivial": 1, "irr": {}}},
+            {"eigenvalue": 4.0, "angular_index": None, "root_index": None, "rep": {"trivial": 0, "irr": {"3": 1}}},
+        ]
+        doc = {**self.DOC, "a9": False, "domain": {"type": "custom", "entries": entries, "irr_dims": {"3": 5}}}
+        spec = system_spec_from_json(doc)
+        assert spec.domain.irr_dims() == {3: 5}
+        assert spec.to_json() == doc
+        assert system_spec_from_json(spec.to_json()) == spec
+
     def test_unknown_key(self):
         with pytest.raises(SchemaError):
             system_spec_from_json({**self.DOC, "extra": 1})
