@@ -229,22 +229,15 @@ def _asym_j(nu: float, x: float) -> tuple[float, bool]:
 
 
 def _bessel_j3(nu: float, x: float) -> tuple[float, float, float]:
-    """(J_{nu-1}, J_nu, J_{nu+1}); nu integer or half-integer, nu >= 0, x >= 0."""
-    half = nu != math.floor(nu)
-    if x == 0.0:
-        jm = 1.0 if nu == 1.0 else 0.0
-        jn = 1.0 if nu == 0.0 else 0.0
-        jp = 0.0
-        if nu == 0.0:
-            jm = 0.0  # J_{-1}(0) = -J_1(0) = 0
-        if half and nu == 0.5:
-            jm = math.inf  # J_{-1/2} diverges at 0
-        return jm, jn, jp
+    """(J_{nu-1}, J_nu, J_{nu+1}); nu integer or half-integer, nu >= 0, x >= 0.
+
+    At x = 0 the series gives exactly 1 for J_0 and 0 for every other order
+    (also for J_{-1/2}, infinite there, which no caller reads).
+    """
     if x <= SERIES_X_MAX:
         if nu == 0.0:
-            jn = _series_j(0.0, x)
             jp = _series_j(1.0, x)
-            return -jp, jn, jp
+            return -jp, _series_j(0.0, x), jp
         return _series_j(nu - 1.0, x), _series_j(nu, x), _series_j(nu + 1.0, x)
     if x >= ASYMPTOTIC_X_MIN:
         vm, ok_m = _asym_j(nu - 1.0, x)
@@ -252,10 +245,9 @@ def _bessel_j3(nu: float, x: float) -> tuple[float, float, float]:
         vp, ok_p = _asym_j(nu + 1.0, x)
         if ok_m and ok_n and ok_p:
             return vm, vn, vp
-    if half:
+    if nu != math.floor(nu):
         return _sph3(int(nu - 0.5), x)
-    n = int(nu)
-    return _miller3(n, x)
+    return _miller3(int(nu), x)
 
 
 def _bessel_j(nu: float, x: float) -> float:
@@ -264,10 +256,8 @@ def _bessel_j(nu: float, x: float) -> float:
 
 def _bessel_j_prime(nu: float, x: float) -> float:
     """J_nu'(x) via (J_{nu-1} - J_{nu+1})/2, with J_0' = -J_1."""
-    if x == 0.0:
-        if nu == 1.0:
-            return 0.5
-        return 0.0  # integer nu != 1; fractional orders are rejected upstream
+    if x == 0.0:  # fractional orders are rejected upstream; a branch of its own keeps J_0'(0) = +0.0
+        return 0.5 if nu == 1.0 else 0.0
     jm, _, jp = _bessel_j3(nu, x)
     if nu == 0.0:
         return -jp

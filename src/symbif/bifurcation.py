@@ -6,7 +6,10 @@ whenever the kernel pieces V1(lambda0) and V2(lambda0) are not equivalent
 modulo even-dimensional trivial summands (their degrees of -Id differ, so the
 jump of the degree across lambda0 is nonzero).  At lambda0 = 0 the criterion
 is the parity test (-1)^{m+(B)} != (-1)^{m-(B)}.  Both are sufficient only,
-so the negative outcome is always reported as Inconclusive.
+so the negative outcome is always reported as Inconclusive.  A finite
+parameter is 0 when ``close(lambda0, 0.0)``, |lambda0| <= ``MERGE_REL``:
+:func:`analyze` and :func:`bif_a9` take the zero case there, and
+:func:`check_glob` and :func:`bif_difference` refuse it (:func:`_nonzero`).
 
 On the disk the package also computes elements of the Euler ring of SO(2):
 the normalized degree difference behind the criterion, and, in the normalized
@@ -45,7 +48,7 @@ from typing import Iterable, Sequence
 
 from .errors import Error, PreconditionError, UnsupportedDomain, ValidationError, _real, _Record, _show
 from .euler import EulerSO2, SO2Rep, deg_minus_id, rep_equiv_mod_even_trivial
-from .spectral import BallDomain, DiskDomain, SpectrumEntry, close
+from .spectral import DiskDomain, SpectrumEntry, close
 from .system import (
     KernelReps,
     SystemSpec,
@@ -99,11 +102,18 @@ class GlobCheck(_Record):
         self.justification = justification
 
 
+def _nonzero(lambda0: float, refusal: str) -> float:
+    """``lambda0`` as a float: ValidationError unless finite, PreconditionError(``refusal``) at 0."""
+    lam = _real(lambda0, "lambda0")  # first, as an infinity is close to 0
+    if close(lam, 0.0):
+        raise PreconditionError(refusal)
+    return lam
+
+
 def check_glob(spec: SystemSpec, lambda0: float) -> GlobCheck:
     """Criterion at lambda0 != 0: kernel pieces inequivalent mod even trivial."""
-    if lambda0 == 0.0:
-        raise PreconditionError("check_glob needs lambda0 != 0; use check_glob_zero at 0")
-    return _glob_from_kernel(kernel_reps(spec, lambda0))  # kernel_reps checks lambda0
+    lam = _nonzero(lambda0, "check_glob needs lambda0 != 0; use check_glob_zero at 0")
+    return _glob_from_kernel(kernel_reps(spec, lam))
 
 
 def _glob_from_kernel(kr: KernelReps) -> GlobCheck:
@@ -129,6 +139,13 @@ def _require_disk(spec: SystemSpec, op: str) -> None:
         )
 
 
+def _require_a9_disk(spec: SystemSpec) -> None:
+    """The preconditions of every a9 index, in order: the a9 flag, then the disk."""
+    if not spec.a9:
+        raise PreconditionError("bif_a9 needs the normalized block form (a9 flag)")
+    _require_disk(spec, "bif_a9")
+
+
 def bif_difference(spec: SystemSpec, lambda0: float) -> EulerSO2:
     """Normalized degree difference whose nonvanishing detects bifurcation.
 
@@ -137,10 +154,9 @@ def bif_difference(spec: SystemSpec, lambda0: float) -> EulerSO2:
     invertible factor, so it is nonzero exactly when the index is.
     """
     _require_disk(spec, "bif_difference")
-    if lambda0 == 0.0:
-        raise PreconditionError("bif_difference needs lambda0 != 0")
-    kr = kernel_reps(spec, lambda0)  # checks lambda0
-    own, other = (kr.v1, kr.v2) if lambda0 > 0 else (kr.v2, kr.v1)
+    lam = _nonzero(lambda0, "bif_difference needs lambda0 != 0")
+    kr = kernel_reps(spec, lam)
+    own, other = (kr.v1, kr.v2) if lam > 0 else (kr.v2, kr.v1)
     return deg_minus_id(own) - deg_minus_id(other)
 
 
@@ -172,9 +188,7 @@ def _a9_k0s(spec: SystemSpec, lams: Sequence[float]) -> tuple[Sequence[SpectrumE
     outside Lambda, in input order, is raised, or else the error that
     stopped the checks.
     """
-    if not spec.a9:
-        raise PreconditionError("bif_a9 needs the normalized block form (a9 flag)")
-    _require_disk(spec, "bif_a9")
+    _require_a9_disk(spec)
     k0s: list[int | None] = [None] * len(lams)
     checked: list[tuple[float, int]] = []  # (lambda, slot) of each nonzero lambda, in input order
     stopped = None
@@ -266,10 +280,7 @@ def rabinowitz_excludes_bounded(indices: Iterable[EulerSO2]) -> bool:
     sum therefore certifies that any continuum meeting exactly these
     parameters is unbounded.
     """
-    total = EulerSO2.zero()
-    for ix in indices:
-        total = total + ix
-    return not total.is_zero()
+    return not sum(indices, EulerSO2.zero()).is_zero()
 
 
 #: what boundedness of the continuum at sign * alpha would force, by sign
@@ -289,12 +300,6 @@ class UnboundedReport(_Record):
         self.bounded_would_imply = bounded_would_imply
 
 
-def _eigenspace_nontrivial(spec: SystemSpec, entry: SpectrumEntry) -> bool:
-    if isinstance(spec.domain, BallDomain):
-        return spec.domain.rep_nontrivial(entry)
-    return entry.rep.has_nontrivial()
-
-
 def unbounded_verdict(spec: SystemSpec, entry: SpectrumEntry, sign: int) -> UnboundedReport:
     """Certificate for the continuum at sign * alpha, alpha = entry.eigenvalue.
 
@@ -310,7 +315,7 @@ def unbounded_verdict(spec: SystemSpec, entry: SpectrumEntry, sign: int) -> Unbo
     if sign not in (1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {_show(sign)}")
     own, other = (spec.q1, spec.p2) if sign == 1 else (spec.p2, spec.q1)
-    nontrivial = _eigenspace_nontrivial(spec, entry)
+    nontrivial = spec.domain.rep_nontrivial(entry)
     one_sided = own > 0 and own % 2 == 0 and nontrivial
     verdict = UNBOUNDED if one_sided and other % 2 == 0 else NO_VERDICT
     return UnboundedReport(verdict, _BOUNDED_WOULD_IMPLY[sign] if one_sided else ())
@@ -394,6 +399,12 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
     return verdicts
 
 
+def _refuse_subsets(members: int) -> None:
+    """ValidationError when :func:`enumerate_zero_sum_subsets` would walk more than ``MAX_SUBSET_MEMBERS``."""
+    if members > MAX_SUBSET_MEMBERS:
+        raise ValidationError(f"subset enumeration is exponential; refusing {members} > {MAX_SUBSET_MEMBERS} members")
+
+
 def enumerate_zero_sum_subsets(indices: Sequence[tuple[float, EulerSO2]]) -> list[tuple[float, ...]]:
     """Nonempty parameter subsets whose indices sum to zero.
 
@@ -411,10 +422,7 @@ def enumerate_zero_sum_subsets(indices: Sequence[tuple[float, EulerSO2]]) -> lis
     the negative of its sum.  Sorting the hits by (size, positions) gives
     the combinations order.  Time and memory are O(2^(n/2) + hits).
     """
-    if len(indices) > MAX_SUBSET_MEMBERS:
-        raise ValidationError(
-            f"subset enumeration is exponential; refusing {len(indices)} > {MAX_SUBSET_MEMBERS} members"
-        )
+    _refuse_subsets(len(indices))
     lams = [lam for lam, _ in indices]
     keys = sorted({k for _, ix in indices for k in ix.cyclic})
     coords = [[ix.unit, *(ix.coefficient(k) for k in keys)] for _, ix in indices]

@@ -23,7 +23,6 @@ from pathlib import Path
 from .errors import (
     COMPUTATIONAL_ERRORS,
     Error,
-    PreconditionError,
     SchemaError,
     ValidationError,
     _known_keys,
@@ -100,8 +99,9 @@ def _load_json(path: str):
     return _parse_json(data, path)
 
 
-def _emit(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+def _emit(**fields) -> str:
+    """The structured report of ``fields`` under the ``schema_version``: JSON with sorted keys, so deterministic."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, **fields}, indent=2, sort_keys=True)
 
 
 def parse_report(text: str) -> dict:
@@ -127,13 +127,10 @@ def _cmd_spectrum(config: AnalysisConfig, args, cache) -> str:
     bound = config.spectrum_bound
     if bound is None:
         raise ValidationError("spectrum needs --max-eigenvalue or a spectrum_bound in the config")
-    if config.system is not None:
-        domain = config.build_spec(cache).domain
-    else:
-        domain = DiskDomain(cache=cache)
+    domain = DiskDomain(cache=cache) if config.system is None else config.build_spec(cache).domain
     entries = domain.entries_up_to(bound)
     if config.output_format == "structured":
-        return _emit({"schema_version": SCHEMA_VERSION, "entries": [e.to_json() for e in entries]})
+        return _emit(entries=[e.to_json() for e in entries])
     lines = [f"{'eigenvalue':>16}  {'l':>4}  {'root':>4}  rep"]
     for e in entries:
         l = "-" if e.angular_index is None else str(e.angular_index)
@@ -149,9 +146,7 @@ def _cmd_lambda_set(config: AnalysisConfig, args, cache) -> str:
     window = _require_window(config)
     members = lambda_set(spec, window)
     if config.output_format == "structured":
-        return _emit(
-            {"schema_version": SCHEMA_VERSION, "window": list(window), "lambda_set": members}
-        )
+        return _emit(window=list(window), lambda_set=members)
     if not members:
         return "lambda set: (empty)"
     return "\n".join(f"{m:.10g}" for m in members)
@@ -164,23 +159,19 @@ def _cmd_analyze(config: AnalysisConfig, args, cache) -> str:
     window = _require_window(config)
     verdicts = analyze(spec, window)
     if config.output_format == "structured":
-        return _emit(
-            {"schema_version": SCHEMA_VERSION, "verdicts": [v.to_json() for v in verdicts]}
-        )
+        return _emit(verdicts=[v.to_json() for v in verdicts])
     lines = [f"{'lambda0':>14}  {'glob':<12} {'justification':<26} {'unbounded':<10} {'bif':<18} kernel"]
     for v in verdicts:
         kernel = f"V1 = {v.kernel.v1.describe()}; V2 = {v.kernel.v2.describe()}"
         bif = "-" if v.bif_element is None else str(v.bif_element)
-        lines.append(
-            f"{v.lambda0:14.6f}  {v.glob:<12} {v.justification:<26} {v.unbounded:<10} {bif:<18} {kernel}"
-        )
+        lines.append(f"{v.lambda0:14.6f}  {v.glob:<12} {v.justification:<26} {v.unbounded:<10} {bif:<18} {kernel}")
     if not verdicts:
         lines.append("(no candidate parameters in the window)")
     return "\n".join(lines)
 
 
 def _cmd_bif(config: AnalysisConfig, args, cache) -> str:
-    from .bifurcation import bif_a9, bif_difference
+    from .bifurcation import _nonzero, bif_a9, bif_difference
 
     if args.lambda0 is None:
         raise ValidationError("bif needs --lambda")
@@ -189,24 +180,16 @@ def _cmd_bif(config: AnalysisConfig, args, cache) -> str:
         element = bif_a9(spec, args.lambda0)
         kind = "a9_closed_form"
     else:
-        if args.lambda0 == 0.0:
-            raise PreconditionError("the exact index at 0 needs the normalized block form (a9)")
+        _nonzero(args.lambda0, "the exact index at 0 needs the normalized block form (a9)")
         element = bif_difference(spec, args.lambda0)
         kind = "normalized_difference"
     if config.output_format == "structured":
-        return _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "lambda0": args.lambda0,
-                "kind": kind,
-                "bif": element.to_json(),
-            }
-        )
+        return _emit(lambda0=args.lambda0, kind=kind, bif=element.to_json())
     return f"BIF({args.lambda0:g}) [{kind}] = {element}"
 
 
 def _cmd_rabinowitz(config: AnalysisConfig, args, cache) -> str:
-    from .bifurcation import _a9_indices, enumerate_zero_sum_subsets, rabinowitz_excludes_bounded
+    from .bifurcation import _a9_indices, _refuse_subsets, _require_a9_disk, enumerate_zero_sum_subsets
     from .euler import EulerSO2
     from .system import lambda_set
 
@@ -228,23 +211,18 @@ def _cmd_rabinowitz(config: AnalysisConfig, args, cache) -> str:
                 raise ValidationError(f"--lambdas: {exc}") from None
         else:
             lams = lambda_set(spec, _require_window(config))
+            if lams:  # the errors of the first index, then the refusal of too many, before any index
+                _require_a9_disk(spec)
+                _refuse_subsets(len(lams))
         labelled = list(zip(lams, _a9_indices(spec, lams)))
         if args.enumerate:
             subsets = enumerate_zero_sum_subsets(labelled)
-    total = EulerSO2.zero()
-    for _, ix in labelled:
-        total = total + ix
-    excludes = rabinowitz_excludes_bounded(ix for _, ix in labelled)
+    total = sum((ix for _, ix in labelled), EulerSO2.zero())
+    excludes = not total.is_zero()
     if config.output_format == "structured":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "indices": [{"lambda0": lam, "bif": ix.to_json()} for lam, ix in labelled],
-            "sum": total.to_json(),
-            "excludes_bounded": excludes,
-        }
-        if subsets is not None:
-            doc["zero_sum_subsets"] = [list(s) for s in subsets]
-        return _emit(doc)
+        indices = [{"lambda0": lam, "bif": ix.to_json()} for lam, ix in labelled]
+        listed = {} if subsets is None else {"zero_sum_subsets": subsets}
+        return _emit(indices=indices, sum=total.to_json(), excludes_bounded=excludes, **listed)
     lines = [f"index sum = {total}", f"excludes bounded continua: {'yes' if excludes else 'no'}"]
     for lam, ix in labelled:
         lines.append(f"  BIF({lam:g}) = {ix}")
@@ -268,13 +246,7 @@ def _cmd_morse_degree(config: AnalysisConfig, args, cache) -> str:
     if args.table:
         lifted = lift_degree(degree, class_table_from_json(_load_json(args.table)))
     if config.output_format == "structured":
-        return _emit(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "degree": dict(sorted(degree.items())),
-                "lifted": None if lifted is None else dict(sorted(lifted.items())),
-            }
-        )
+        return _emit(degree=degree, lifted=lifted)
     lines = ["degree:"]
     lines.extend(f"  {cls}: {coeff:+d}" for cls, coeff in sorted(degree.items()))
     if not degree:

@@ -12,7 +12,10 @@ for N >= 3 (or for other invariant domains) are supplied by the user as
 structured documents.  Every eigenspace is a :class:`symbif.euler.SO2Rep`,
 the package's one representation class (``RepDescriptor`` is its former
 name); an entry's ``rep`` document is ``{"trivial", "irr"}``, and ``"rot"``
-is accepted in place of ``"irr"`` on input only.
+is accepted in place of ``"irr"`` on input only.  Each domain writes its own
+document (``to_json``, which :func:`domain_from_json` reads back) and decides
+whether an eigenspace is a nontrivial representation (``rep_nontrivial``):
+the disk and supplied spectra by the stated type, a ball by the radial test.
 
 Root finding is one scan: sign-change bracketing on a fixed pi/8 lattice,
 then safeguarded Newton inside each bracket (``_kernels._bisect_radial``) to
@@ -301,21 +304,14 @@ def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.
         right, ahead = cell(mid, b, ahead, halvings + 1)
         return left + right, ahead
 
-    if f_leads and not after:
-        i = math.floor(math.sqrt(l * (l + 2)) / step)
-        prev = origin
-        if i:
-            x = i * step
-            f, g = _kernels._radial_condition(l, dim, x)
-            if not (f > 0.0 and g > 0.0):
-                raise ConvergenceError(
-                    f"J_{l}' and J_{l} must be positive below sqrt(l(l+2)), got {f!r} and {g!r} "
-                    f"at x={x!r}"
-                )
-            prev = (x, f, g)
-    else:
-        i = math.ceil(after / step)
-        prev = point(i * step, origin) if i else origin
+    known_signs = f_leads and not after
+    i = math.floor(math.sqrt(l * (l + 2)) / step) if known_signs else math.ceil(after / step)
+    prev = point(i * step, origin) if i else origin
+    if known_signs and i and not (prev[1] > 0.0 and prev[2] > 0.0):
+        raise ConvergenceError(
+            f"J_{l}' and J_{l} must be positive below sqrt(l(l+2)), got {prev[1]!r} and {prev[2]!r} "
+            f"at x={prev[0]!r}"
+        )
     # the lead is one zero ahead exactly when the sign pattern differs from that at 0+
     ahead = int(((prev[1] > 0.0) == (prev[2] > 0.0)) != f_leads)
     roots: list[float] = []
@@ -619,9 +615,9 @@ def load_custom_spectrum(source) -> list[SpectrumEntry]:
     if isinstance(source, (str, Path)):
         try:
             text = Path(source).read_bytes()
-        except (OSError, ValueError):
+        except (OSError, ValueError) as exc:
             if isinstance(source, Path):
-                raise
+                raise ValidationError(f"cannot read {source}: {exc}") from exc
             text = source  # not a readable file; treat as inline JSON
         doc = _parse_json(text, "custom spectrum")
     if not isinstance(doc, dict):
@@ -661,6 +657,12 @@ class DiskDomain(_Record):
 
     def irr_dims(self) -> None:
         return None  # rotation irreducibles all have real dimension 2
+
+    def to_json(self) -> dict:
+        return {"type": "disk"} if self.bound is None else {"type": "disk", "max_eigenvalue": self.bound}
+
+    def rep_nontrivial(self, entry: SpectrumEntry) -> bool:
+        return entry.rep.has_nontrivial()
 
     def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
         """The computed entries <= alpha_max.
@@ -725,6 +727,12 @@ class _SuppliedDomain(_Record):
     def coverage(self) -> float:
         return self.entries[-1].eigenvalue
 
+    def to_json(self) -> dict:
+        return {"type": self.kind, "entries": [e.to_json() for e in self.entries]}
+
+    def rep_nontrivial(self, entry: SpectrumEntry) -> bool:
+        return entry.rep.has_nontrivial()
+
     def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
         """The supplied entries <= alpha_max.
 
@@ -759,7 +767,11 @@ class BallDomain(_SuppliedDomain):
     def irr_dims(self) -> None:
         return None  # harmonic dimension tables are out of scope; callers may override
 
+    def to_json(self) -> dict:
+        return {**_SuppliedDomain.to_json(self), "dim": self.dim}
+
     def rep_nontrivial(self, entry: SpectrumEntry) -> bool:
+        """Whether the eigenspace is a nontrivial SO(dim)-representation, by the radial test."""
         return ball_rep_nontrivial(entry, self.dim, cache=self.cache)
 
 
@@ -787,6 +799,12 @@ class CustomDomain(_SuppliedDomain):
     def irr_dims(self) -> dict[int, int] | None:
         return self.irr_dim_table
 
+    def to_json(self) -> dict:
+        doc = _SuppliedDomain.to_json(self)
+        if self.irr_dim_table is not None:
+            doc["irr_dims"] = {str(k): v for k, v in sorted(self.irr_dim_table.items())}
+        return doc
+
 
 def domain_from_json(
     doc,
@@ -794,7 +812,7 @@ def domain_from_json(
     spectrum_bound: float | None = None,
     cache: RootCache | None = None,
 ):
-    """Build a domain from its document form ``{"type": "disk"|"ball"|"custom", ...}``."""
+    """Build a domain from its document ``{"type": "disk"|"ball"|"custom", ...}``; ``to_json`` writes it."""
     if cache is None:
         cache = RootCache()
     if not isinstance(doc, dict) or "type" not in doc:
@@ -810,8 +828,7 @@ def domain_from_json(
         _known_keys(doc, {"type", "dim", "entries"}, "ball domain")
         if "dim" not in doc:
             raise SchemaError("ball domain needs 'dim'")
-        entries = _entries_from_docs(doc.get("entries"))
-        return BallDomain(entries, dim=doc["dim"], cache=cache)
+        return BallDomain(_entries_from_docs(doc.get("entries")), dim=doc["dim"], cache=cache)
     if kind == "custom":
         _known_keys(doc, {"type", "entries", "irr_dims"}, "custom domain")
         return CustomDomain(_entries_from_docs(doc.get("entries")), irr_dim_table=doc.get("irr_dims"))

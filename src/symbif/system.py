@@ -156,23 +156,13 @@ class SystemSpec(_Record):
         def pack(sigma: dict[float, int]) -> list[dict]:
             return [{"value": b, "mult": m} for b, m in sorted(sigma.items())]
 
-        dom: dict = {"type": self.domain.kind}
-        if isinstance(self.domain, DiskDomain):
-            if self.domain.bound is not None:
-                dom["max_eigenvalue"] = self.domain.bound
-        else:
-            dom["entries"] = [e.to_json() for e in self.domain.entries]
-            if isinstance(self.domain, BallDomain):
-                dom["dim"] = self.domain.dim
-            elif self.domain.irr_dim_table is not None:
-                dom["irr_dims"] = {str(k): v for k, v in sorted(self.domain.irr_dim_table.items())}
         return {
             "p1": self.p1,
             "p2": self.p2,
             "b1": pack(self.sigma_b1),
             "b2": pack(self.sigma_b2),
             "mu_b0": self.mu_b0,
-            "domain": dom,
+            "domain": self.domain.to_json(),
             "a9": self.a9,
         }
 
@@ -320,20 +310,6 @@ def kernel_reps(spec: SystemSpec, lambda0: float) -> KernelReps:
     return _swept_kernels(entries, blocks, pairs, [lam])[0][0]
 
 
-def _kernel(hits) -> KernelReps:
-    """KernelReps from (s, mult, entry) hits in ``matched`` order: B1 first, by b, by position."""
-    trivial, irr = {1: 0, -1: 0}, {1: {}, -1: {}}
-    matched = []
-    for s, mult, e in hits:
-        matched.append(e)
-        trivial[s] += mult * e.rep.trivial_dim
-        table = irr[s]
-        for label, m in e.rep.irreducibles.items():
-            table[label] = table.get(label, 0) + mult * m
-    v1, v2 = (SO2Rep._make(trivial[s], irr[s]) for s in (1, -1))
-    return KernelReps(v1, v2, matched=tuple(matched))
-
-
 def _swept_kernels(entries, blocks, pairs, lams: Sequence[float]) -> list[tuple[KernelReps, int | None]]:
     """The kernel at each of the ascending ``lams``, with its first matched position (None if none).
 
@@ -344,8 +320,9 @@ def _swept_kernels(entries, blocks, pairs, lams: Sequence[float]) -> list[tuple[
     sorted pairs, twice that wide at the largest 1/|b|, holds every match.
     Each pair in it is decided by ``close(s*(lam*b), alpha_i)``, the one
     matching test of the package, and the hits are ordered B1 first, by b,
-    by position.  The walk is linear in pairs plus candidates, with no
-    spectrum lookup.
+    by position, the order of ``KernelReps.matched``; each adds its
+    eigenspace mult times to V1 (s = +1) or V2 (s = -1).  The walk is
+    linear in pairs plus candidates, with no spectrum lookup.
     """
     inv_b = max((1.0 / abs(b) for _, b, _ in blocks), default=0.0)
     out: list[tuple[KernelReps, int | None]] = []
@@ -365,8 +342,15 @@ def _swept_kernels(entries, blocks, pairs, lams: Sequence[float]) -> list[tuple[
             if close(s * (lam * b), entries[i].eigenvalue):
                 hits.append((k, i))
         hits.sort()
-        kr = _kernel([(blocks[k][0], blocks[k][2], entries[i]) for k, i in hits])
-        out.append((kr, hits[0][1] if hits else None))
+        trivial, irr = {1: 0, -1: 0}, {1: {}, -1: {}}
+        for k, i in hits:
+            s, _, mult = blocks[k]
+            rep, table = entries[i].rep, irr[s]
+            trivial[s] += mult * rep.trivial_dim
+            for label, m in rep.irreducibles.items():
+                table[label] = table.get(label, 0) + mult * m
+        v1, v2 = (SO2Rep._make(trivial[s], irr[s]) for s in (1, -1))
+        out.append((KernelReps(v1, v2, matched=tuple(entries[i] for _, i in hits)), hits[0][1] if hits else None))
     return out
 
 

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import symbif
+import symbif.bifurcation
+import symbif.system
 from symbif.cli import main, parse_report
 
 ALPHA2 = 3.3899577166932745  # close enough for --lambda matching (1e-8 relative)
@@ -248,6 +250,21 @@ class TestBif:
         assert doc["kind"] == "normalized_difference"
         assert doc["bif"] == {"unit": 0, "cyclic": {"1": -2}}
 
+    @pytest.mark.parametrize("lam", ["0", "1e-12", "-1e-12"])
+    def test_near_zero_without_a9_is_refused_as_zero(self, capsys, tmp_path, lam):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": {**A9_SYSTEM, "a9": False}}))
+        err = "symbif: PreconditionError: the exact index at 0 needs the normalized block form (a9)\n"
+        assert run_cli(capsys, "bif", "--config", str(cfg), "--lambda", lam) == (1, "", err)
+
+    @pytest.mark.parametrize("a9", [True, False])
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_non_finite_lambda_is_exit_1(self, capsys, tmp_path, a9, lam):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": {**A9_SYSTEM, "a9": a9}}))
+        err = f"symbif: ValidationError: lambda0 {lam} must be finite\n"
+        assert run_cli(capsys, "bif", "--config", str(cfg), "--lambda", lam) == (1, "", err)
+
     def test_missing_lambda(self, capsys, a9_config):
         code, _, err = run_cli(capsys, "bif", "--config", a9_config)
         assert code == 1 and "ValidationError" in err
@@ -314,6 +331,30 @@ class TestRabinowitz:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"system": system, "spectrum_bound": 50.0}))
         assert run_cli(capsys, "rabinowitz", "--config", str(cfg), "--lambdas", lambdas) == (code, "", f"symbif: {err}\n")
+
+    @pytest.mark.parametrize(
+        "domain, a9, err",
+        [
+            ({"type": "disk"}, True, "ValidationError: subset enumeration is exponential; refusing 63 > 20 members"),
+            ({"type": "disk"}, False, "PreconditionError: bif_a9 needs the normalized block form (a9 flag)"),
+            ("ball", True, "UnsupportedDomain: bif_a9 computes an element of the Euler ring of SO(2)"),
+        ],
+        ids=["a9-disk", "not-a9", "ball"],
+    )
+    def test_enumerate_refuses_before_any_index(self, capsys, tmp_path, call_counts, domain, a9, err):
+        # the refusal of more than 20 members follows lambda_set at once, after
+        # the errors the first index would raise: one sort of the spectral pairs
+        if domain == "ball":
+            entries = [{"eigenvalue": 0.0, "rep": {"trivial": 1}}]
+            entries += [{"eigenvalue": float(k), "rep": {"irr": {"1": 1}}} for k in range(1, 300)]
+            domain = {"type": "ball", "dim": 3, "entries": entries}
+        system = {**A9_SYSTEM, "p2": 2, "b2": [{"value": 1, "mult": 2}], "domain": domain, "a9": a9}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": system, "window": [-200, 200]}))
+        sorts = [call_counts(module, "_spectral_pairs") for module in (symbif.system, symbif.bifurcation)]
+        code, out, got = run_cli(capsys, "rabinowitz", "--config", str(cfg), "--enumerate")
+        assert (code, out) == (1, "") and got.startswith(f"symbif: {err}")
+        assert [s[0] for s in sorts] == [1, 0]
 
     def test_non_numeric_lambda_is_exit_1(self, capsys, a9_config):
         code, _, err = run_cli(capsys, "rabinowitz", "--config", a9_config, "--lambdas", "3.39,abc")

@@ -616,6 +616,12 @@ class TestCustomSpectrum:
         with pytest.raises(SchemaError):
             load_custom_spectrum("not json {")
 
+    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+    def test_unreadable_path_is_a_validation_error(self, tmp_path, name):
+        # a Path names a file, so one that cannot be read is not taken as inline JSON
+        with pytest.raises(ValidationError, match="cannot read"):
+            load_custom_spectrum(tmp_path / name)
+
 
 class TestEntryBudget:
     def test_huge_request_refused_before_any_evaluation(self, monkeypatch):
@@ -630,6 +636,39 @@ class TestEntryBudget:
                 disk_spectrum(alpha)
             with pytest.raises(InsufficientSpectrum, match="Weyl"):
                 DiskDomain().entries_up_to(alpha)
+
+
+class TestLivePaths:
+    """Paths of the root scan and the disk domain that only unusual requests reach."""
+
+    def test_count_window_grows(self):
+        # the first window, l + dim + (count + 2) pi = 101.1, stops below the
+        # 20th root 103.2, so the window grows once before the count is met
+        first_window = 30 + 2 + 22 * math.pi
+        assert first_window < jp_zero(30, 20)
+        roots = neumann_radial_roots(30, 2, 20)
+        assert len(roots) == 20 and abs(roots[-1] - jp_zero(30, 20)) <= 1e-9
+
+    def test_underflow_keeps_the_sign_before_it(self, monkeypatch):
+        # -J_{150.5} and J_{149.5} underflow to 0.0 near the origin; the scan
+        # carries the previous sign there and still finds the first root
+        real, underflows = _kernels._radial_condition, []
+
+        def watched(l, dim, x):
+            f, g = real(l, dim, x)
+            underflows.append(f == 0.0 or g == 0.0)
+            return f, g
+
+        monkeypatch.setattr(_kernels, "_radial_condition", watched)
+        first = radial_roots_up_to(0, 301, 200.0)[0]
+        assert any(underflows)
+        assert abs(first - float(mpmath.besseljzero(150.5, 1))) <= 1e-9
+
+    def test_bounded_disk_refuses_more_entries_than_its_bound_holds(self):
+        domain = DiskDomain(bound=10.0)
+        assert len(domain.first_entries(3)) == 3  # 0, j'_{1,1}^2 and j'_{2,1}^2
+        with pytest.raises(InsufficientSpectrum, match="only 3 distinct eigenvalues below the bound 10.0, need 4"):
+            domain.first_entries(4)
 
 
 class TestRootRange:

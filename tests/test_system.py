@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symbif import (
+    BallDomain,
     CustomDomain,
     DiskDomain,
     InsufficientSpectrum,
@@ -243,6 +244,10 @@ class TestLambdaSet:
         with pytest.raises(InsufficientSpectrum):
             lambda_set(spec, (0.0, 100.0))
 
+    def test_window_must_be_ordered(self):
+        with pytest.raises(ValidationError, match="lo <= hi"):
+            lambda_set(a9_spec(q1=1, p2=0), (5.0, 1.0))
+
     def test_insufficient_spectrum_from_custom(self):
         entries = [SpectrumEntry(0.0, RepDescriptor.trivial(1)), SpectrumEntry(5.0, RepDescriptor.irr(1))]
         spec = SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, sigma_b2={}, domain=CustomDomain(entries))
@@ -325,6 +330,25 @@ class TestLinearization:
         spec = SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, sigma_b2={}, domain=CustomDomain(entries))
         with pytest.raises(InsufficientSpectrum):
             linearization_eigenvalues(spec, 0.0, 2)
+
+    @pytest.mark.parametrize("kind", ["ball", "custom"])
+    def test_supplied_domains(self, kind):
+        # rows per entry, B1 then B2; an eigenspace's dimension is 2 per irreducible
+        # unless the custom domain's irr_dims say otherwise (here 5 for label 3)
+        entries = [
+            SpectrumEntry(0.0, RepDescriptor.trivial(1)),
+            SpectrumEntry(4.0, RepDescriptor.irr(3)),
+            SpectrumEntry(9.0, RepDescriptor(2, {1: 1})),
+        ]
+        domain = BallDomain(entries, dim=3) if kind == "ball" else CustomDomain(entries, irr_dim_table={3: 5})
+        spec = SystemSpec(p1=1, p2=1, sigma_b1={2: 1}, sigma_b2={1: 1}, domain=domain)
+        rows = [(r.value, r.multiplicity, r.block, r.vanishes) for r in linearization_eigenvalues(spec, 2.0, 3)]
+        dim_4 = 2 if kind == "ball" else 5
+        assert rows == [
+            (-4.0, 1, "B1", False), (-2.0, 1, "B2", False),
+            (0.0, dim_4, "B1", True), (-6.0 / 5.0, dim_4, "B2", False),
+            (5.0 / 10.0, 4, "B1", False), (-11.0 / 10.0, 4, "B2", False),
+        ]
 
 
 class TestThreeWayEquivalence:
