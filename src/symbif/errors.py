@@ -11,8 +11,8 @@ A message shows a caller's value through :func:`_show`, which never fails,
 and every table keyed by integer labels is read by :func:`_label_table`.
 
 The package's record classes are plain classes on :class:`_Record`, which
-compares and prints the fields each names once in ``_fields``; they share
-the ``_FACTORY`` default of a parameter that gets a new value per instance.
+compares and prints the fields each names once in ``_fields``; a parameter
+that gets a new value per call or instance has the one default ``None``.
 """
 
 import json
@@ -153,16 +153,6 @@ def _parse_json(data: str | bytes, what: str):
     # bad text, bad UTF-8 and integer literals over 4,300 digits raise ValueError, deep nesting RecursionError
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
-
-
-class _Factory:
-    """Default of a parameter whose value is made per instance; shown as ``<factory>`` in signatures."""
-
-    def __repr__(self) -> str:
-        return "<factory>"
-
-
-_FACTORY = _Factory()
 
 
 class _Record:

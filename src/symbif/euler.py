@@ -41,17 +41,19 @@ build results from checked values through ``_make``, which only drops zeros.
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .errors import (
-    _FACTORY, NotInvertible, SchemaError, ValidationError, _int, _is_int, _known_keys, _label_table, _Record, _show
+    NotInvertible, SchemaError, ValidationError, _int, _is_int, _known_keys, _label_table, _Record, _show
 )
 
 __all__ = ["EulerSO2", "SO2Rep", "deg_minus_id", "rep_equiv_mod_even_trivial"]
 
 
 def _pruned(coeffs: Mapping[int, int], label: str, value: str, least: int | None = None) -> dict[int, int]:
-    """Checked copy without zeros: integer labels >= 1 and integer values >= ``least``."""
+    """Checked copy without zeros of a mapping: integer labels >= 1 and integer values >= ``least``."""
+    if not isinstance(coeffs, Mapping):
+        raise ValidationError(f"{value} table must be a mapping of {label} to {value}, got {_show(coeffs)}")
     out: dict[int, int] = {}
     for k, v in coeffs.items():
         _int(k, label, 1)
@@ -71,9 +73,9 @@ class EulerSO2(_Record):
 
     _fields = ("unit", "cyclic")
 
-    def __init__(self, unit: int = 0, cyclic: dict[int, int] = _FACTORY) -> None:
+    def __init__(self, unit: int = 0, cyclic: dict[int, int] | None = None) -> None:
         self.unit = unit
-        self.cyclic = {} if cyclic is _FACTORY else cyclic
+        self.cyclic = {} if cyclic is None else cyclic
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -204,9 +206,9 @@ class SO2Rep(_Record):
 
     _fields = ("trivial_dim", "irreducibles")
 
-    def __init__(self, trivial_dim: int = 0, irreducibles: dict[int, int] = _FACTORY) -> None:
+    def __init__(self, trivial_dim: int = 0, irreducibles: dict[int, int] | None = None) -> None:
         self.trivial_dim = trivial_dim
-        self.irreducibles = {} if irreducibles is _FACTORY else irreducibles
+        self.irreducibles = {} if irreducibles is None else irreducibles
         self.__post_init__()
 
     def __post_init__(self) -> None:

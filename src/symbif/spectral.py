@@ -8,14 +8,18 @@ N >= 3 the package evaluates only the stated radial test
 J_nu'(x) - (nu/x) J_nu(x) = 0 with nu = (N-2)/2, which characterises the
 eigenvalues whose eigenspace is a trivial SO(N)-representation; it is
 evaluated as -J_{nu+1}(x), the same function (DLMF 10.6.2).  Full spectra
-for N >= 3 (or for other invariant domains) are supplied by the user as
-structured documents.  Every eigenspace is a :class:`symbif.euler.SO2Rep`,
+for N >= 3 (or for other invariant domains) are supplied by the user, as
+structured documents or as :class:`SpectrumEntry` lists, under one rule
+that the domain applies: ascending order, where a step down within
+``MERGE_REL`` is a tie, and near-coincident eigenvalues merged with their
+representations summed.  Every eigenspace is a :class:`symbif.euler.SO2Rep`,
 the package's one representation class (``RepDescriptor`` is its former
 name); an entry's ``rep`` document is ``{"trivial", "irr"}``, and ``"rot"``
 is accepted in place of ``"irr"`` on input only.  Each domain writes its own
 document (``to_json``, which :func:`domain_from_json` reads back) and decides
 whether an eigenspace is a nontrivial representation (``rep_nontrivial``):
 the disk and supplied spectra by the stated type, a ball by the radial test.
+A ``cache`` of None is a fresh in-memory :class:`RootCache`.
 
 Root finding is one scan: sign-change bracketing on a fixed pi/8 lattice,
 then safeguarded Newton inside each bracket (``_kernels._bisect_radial``) to
@@ -46,7 +50,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import (
-    _FACTORY,
     ConvergenceError,
     DomainError,
     Error,
@@ -109,8 +112,8 @@ MAX_ROOT_X = 200.0
 
 
 def close(a: float, b: float) -> bool:
-    """Tolerant equality at ``MERGE_REL``, used for eigenvalue merging and spectral matching."""
-    return abs(a - b) <= MERGE_REL * max(1.0, abs(a), abs(b))
+    """Tolerant equality at ``MERGE_REL``, used for eigenvalue merging and spectral matching; never at an infinity."""
+    return abs(a - b) <= MERGE_REL * max(1.0, abs(a), abs(b)) < math.inf
 
 
 def _beyond_coverage(alpha_max: float, coverage: float) -> bool:
@@ -355,8 +358,7 @@ def radial_roots_up_to(
         )
     if angular_index > MAX_ROOT_X:  # every root of J_l' lies above l >= x_max (DLMF 10.21(i))
         return []
-    if cache is None:
-        cache = RootCache()
+    cache = RootCache() if cache is None else cache
     cached = cache.get(dim, angular_index)
     if not cache.covers(dim, angular_index, x_max):
         after = cached[-1] if cached else 0.0
@@ -380,8 +382,7 @@ def neumann_radial_roots(
     """
     _check_radial_family(angular_index, dim)
     _int(count, "count", 1)
-    if cache is None:
-        cache = RootCache()
+    cache = RootCache() if cache is None else cache
     cached = cache.get(dim, angular_index)
     if len(cached) >= count:
         return cached[:count]
@@ -429,8 +430,8 @@ class RootCache(_Record):
 
     _fields = ("records",)
 
-    def __init__(self, records: dict[tuple[int, int], list[float]] = _FACTORY) -> None:
-        self.records = {} if records is _FACTORY else records
+    def __init__(self, records: dict[tuple[int, int], list[float]] | None = None) -> None:
+        self.records = {} if records is None else records
         self.grown = False  # whether put() added roots since construction
 
     def get(self, dim: int, l: int) -> list[float]:
@@ -544,8 +545,7 @@ def disk_spectrum(
             f"the disk spectrum up to {max_eigenvalue!r} has about {estimate:.4g} distinct eigenvalues "
             f"(Weyl estimate), more than the budget of {MAX_DISK_ENTRIES}"
         )
-    if cache is None:
-        cache = RootCache()
+    cache = RootCache() if cache is None else cache
     x_max = math.sqrt(max_eigenvalue)
     entries = [SpectrumEntry(0.0, SO2Rep.trivial(1), angular_index=0, root_index=None)]
     l = 0
@@ -592,16 +592,10 @@ def ball_rep_nontrivial(
 
 
 def _entries_from_docs(raw) -> list[SpectrumEntry]:
+    """The entries of a supplied spectrum's document, in their order; the domain orders and merges them."""
     if not isinstance(raw, list) or not raw:
         raise SchemaError("'entries' must be a nonempty array of spectrum entries")
-    entries = [SpectrumEntry.from_json(item) for item in raw]
-    for prev, nxt in zip(entries, entries[1:]):
-        if nxt.eigenvalue < prev.eigenvalue and not close(prev.eigenvalue, nxt.eigenvalue):
-            raise ValidationError(
-                f"entries must be listed in ascending eigenvalue order "
-                f"({nxt.eigenvalue!r} after {prev.eigenvalue!r})"
-            )
-    return _merge_entries(entries)
+    return [SpectrumEntry.from_json(item) for item in raw]
 
 
 def load_custom_spectrum(source) -> list[SpectrumEntry]:
@@ -645,12 +639,12 @@ class DiskDomain(_Record):
     dim = 2
     _fields = ("bound",)
 
-    def __init__(self, bound: float | None = None, cache: RootCache = _FACTORY) -> None:
+    def __init__(self, bound: float | None = None, cache: RootCache | None = None) -> None:
         if bound is not None:
             if not _real(bound, "disk max_eigenvalue", finite=False, error=SchemaError, invalid=ValidationError) > 0:
                 raise ValidationError(f"the disk spectrum bound must be positive, got {bound!r}")
         self.bound = bound
-        self.cache = RootCache() if cache is _FACTORY else cache
+        self.cache = RootCache() if cache is None else cache
         self._memo: list[SpectrumEntry] = []
         self._eigenvalues: list[float] = []
         self._memo_bound = -1.0
@@ -686,7 +680,7 @@ class DiskDomain(_Record):
     def first_entries(self, k: int) -> list[SpectrumEntry]:
         _int(k, "k", 1)
         target = max(self._memo_bound, 25.0)
-        for _ in range(64):
+        while True:  # disk_spectrum's Weyl budget ends the doubling
             if self.bound is not None:
                 target = min(target, self.bound)
             entries = self.entries_up_to(target)
@@ -697,7 +691,6 @@ class DiskDomain(_Record):
                     f"only {len(entries)} distinct eigenvalues below the bound {self.bound!r}, need {_show(k)}"
                 )
             target *= 2.0
-        raise InsufficientSpectrum(f"could not collect {_show(k)} eigenvalues")  # pragma: no cover
 
 
 class _SuppliedDomain(_Record):
@@ -706,7 +699,14 @@ class _SuppliedDomain(_Record):
     _fields = ("entries",)
 
     def __init__(self, entries: list[SpectrumEntry]) -> None:
-        self.entries = entries
+        for e in entries if isinstance(entries, (list, tuple)) else [entries]:
+            if not isinstance(e, SpectrumEntry):
+                raise ValidationError(f"a supplied spectrum is a list of SpectrumEntry records, got {_show(e)}")
+        values = [e.eigenvalue for e in entries]
+        for a, b in zip(values, values[1:]):
+            if b < a and not close(a, b):  # a step down within MERGE_REL is a tie, which the merge sorts
+                raise ValidationError(f"entries must be listed in ascending eigenvalue order ({b!r} after {a!r})")
+        self.entries = _merge_entries(entries)
         if not self.entries or self.entries[0].eigenvalue != 0.0:
             raise ValidationError("a Neumann spectrum must start at the eigenvalue 0 (constants)")
         zero = self.entries[0]
@@ -717,11 +717,6 @@ class _SuppliedDomain(_Record):
         if zero.angular_index not in (None, 0):
             raise ValidationError("the zero eigenvalue has angular index 0")
         self._eigenvalues = [e.eigenvalue for e in self.entries]
-        for prev, nxt in zip(self._eigenvalues, self._eigenvalues[1:]):
-            if nxt < prev:
-                raise ValidationError(
-                    f"supplied entries must be in ascending eigenvalue order ({nxt!r} after {prev!r})"
-                )
 
     @property
     def coverage(self) -> float:
@@ -759,10 +754,10 @@ class BallDomain(_SuppliedDomain):
     kind = "ball"
     _fields = ("entries", "dim")
 
-    def __init__(self, entries: list[SpectrumEntry], dim: int = 3, cache: RootCache = _FACTORY) -> None:
+    def __init__(self, entries: list[SpectrumEntry], dim: int = 3, cache: RootCache | None = None) -> None:
         _SuppliedDomain.__init__(self, entries)
         self.dim = _int(dim, "ball dimension", 3)
-        self.cache = RootCache() if cache is _FACTORY else cache
+        self.cache = RootCache() if cache is None else cache
 
     def irr_dims(self) -> None:
         return None  # harmonic dimension tables are out of scope; callers may override
@@ -813,8 +808,6 @@ def domain_from_json(
     cache: RootCache | None = None,
 ):
     """Build a domain from its document ``{"type": "disk"|"ball"|"custom", ...}``; ``to_json`` writes it."""
-    if cache is None:
-        cache = RootCache()
     if not isinstance(doc, dict) or "type" not in doc:
         raise SchemaError(f"domain document must be an object with a 'type', got {_show(doc)}")
     kind = doc["type"]

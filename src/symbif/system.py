@@ -34,7 +34,7 @@ import math
 from collections.abc import Mapping
 from typing import Sequence
 
-from .errors import _FACTORY, NotAMember, SchemaError, ValidationError, _bool, _int, _known_keys, _real, _Record, _show
+from .errors import NotAMember, SchemaError, ValidationError, _bool, _int, _known_keys, _real, _Record, _show
 from .euler import SO2Rep
 from .spectral import (
     MERGE_REL,
@@ -91,19 +91,21 @@ class SystemSpec(_Record):
         self,
         p1: int,
         p2: int,
-        sigma_b1: dict[float, int] = _FACTORY,
-        sigma_b2: dict[float, int] = _FACTORY,
+        sigma_b1: dict[float, int] | None = None,
+        sigma_b2: dict[float, int] | None = None,
         mu_b0: int = 0,
-        domain: Domain = _FACTORY,
+        domain: Domain | None = None,
         a9: bool = False,
     ) -> None:
         self.p1 = p1
         self.p2 = p2
-        self.sigma_b1 = {} if sigma_b1 is _FACTORY else sigma_b1
-        self.sigma_b2 = {} if sigma_b2 is _FACTORY else sigma_b2
+        self.sigma_b1 = {} if sigma_b1 is None else sigma_b1
+        self.sigma_b2 = {} if sigma_b2 is None else sigma_b2
         self.mu_b0 = mu_b0
-        self.domain = DiskDomain() if domain is _FACTORY else domain
+        self.domain = DiskDomain() if domain is None else domain
         self.a9 = a9
+        if not isinstance(self.domain, Domain):
+            raise ValidationError(f"domain must be a DiskDomain, BallDomain or CustomDomain, got {_show(domain)}")
         for name in ("p1", "p2", "mu_b0"):
             _int(getattr(self, name), name, 0)
         if self.p1 + self.p2 < 1:

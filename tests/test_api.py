@@ -7,7 +7,8 @@ that stores its roots, and no setting of it changes a result.  Likewise no
 public callable takes a merge or matching tolerance (the constant
 ``MERGE_REL``) or one of the single-value knobs that became constants.  Input checks live in one module:
 no other module tests for bools by hand.  A record states its fields once, in ``_fields``; only the
-base ``errors._Record`` compares and prints records.
+base ``errors._Record`` compares and prints records.  "A fresh one" has one spelling, the default
+``None``: every other default is a plain immutable value.
 """
 
 import importlib
@@ -19,8 +20,8 @@ import symbif
 from symbif import bifurcation, cli, errors, euler, morse, spectral, system
 
 
-def public_signatures():
-    """(qualified name, parameter names) of every public callable of the package's namespaces."""
+def public_parameters():
+    """Qualified name -> ``inspect.Parameter`` by name, for every public callable of the package's namespaces."""
     seen = {}
     for module in (symbif, spectral, system, bifurcation, euler, morse, cli):
         for name in dir(module):
@@ -36,10 +37,15 @@ def public_signatures():
                 ]
             for qualname, fn in members:
                 try:
-                    seen[qualname] = set(inspect.signature(fn).parameters)
+                    seen[qualname] = inspect.signature(fn).parameters
                 except ValueError:  # builtins without a signature
                     pass
     return seen
+
+
+def public_signatures():
+    """(qualified name, parameter names) of every public callable of the package's namespaces."""
+    return {name: set(params) for name, params in public_parameters().items()}
 
 
 def test_nothing_takes_xtol_or_step():
@@ -94,4 +100,25 @@ def test_records_state_their_fields_once():
     for cls in records:
         assert cls._fields and set(cls._fields) <= set(inspect.signature(cls).parameters), cls.__name__
     written = sorted(f"{c.__name__}.{name}" for c in classes for name in ("__eq__", "__repr__") if name in vars(c))
-    assert written == ["_Factory.__repr__", "_Record.__eq__", "_Record.__repr__"]
+    assert written == ["_Record.__eq__", "_Record.__repr__"]
+
+
+#: the defaults a signature may show: values made once that no call can change
+PLAIN_DEFAULTS = (type(None), bool, int, float, str, tuple)
+
+
+def test_defaults_are_none_or_plain_values():
+    # a mutable default would be shared by every call, and a sentinel standing for "a fresh one"
+    # would be a second spelling of None that a caller passing None silently misses
+    parameters = public_parameters()
+    parameters.update(
+        (c.__name__, inspect.signature(c).parameters) for c in package_classes() if issubclass(c, errors._Record)
+    )
+    assert {"SystemSpec", "DiskDomain", "BallDomain", "RootCache", "EulerSO2", "domain_from_json"} <= set(parameters)
+    odd = sorted(
+        f"{name}({p.name}={p.default!r})"
+        for name, params in parameters.items()
+        for p in params.values()
+        if p.default is not p.empty and not isinstance(p.default, PLAIN_DEFAULTS)
+    )
+    assert odd == []

@@ -411,6 +411,25 @@ class TestUnboundedVerdict:
         assert unbounded_verdict(spec, entries[1], 1).verdict == NO_VERDICT
 
 
+class TestSuppliedSpectrumPaths:
+    def test_near_duplicate_gives_one_verdict_on_both_paths(self):
+        # 5.0 and 5.0 (1 + 2e-9) are one eigenvalue with eigenspace triv + irr(1), which the
+        # merge builds from a document and from Python alike; left unmerged, the trivial entry
+        # alone was matched at +-5 and the Python-built domain gave NoVerdict there
+        entries = [
+            SpectrumEntry(0.0, SO2Rep.trivial(1)),
+            SpectrumEntry(5.0, SO2Rep.trivial(1)),
+            SpectrumEntry(5.0 * (1 + 2e-9), SO2Rep.irr(1)),
+            SpectrumEntry(9.0, SO2Rep.trivial(1)),
+        ]
+        doc = {"type": "custom", "entries": [e.to_json() for e in entries]}
+        for domain in (symbif.spectral.domain_from_json(doc), CustomDomain(entries)):
+            verdicts = analyze(a9_spec(q1=2, p2=2, domain=domain), (-6.0, 6.0))
+            assert [(v.lambda0, v.unbounded) for v in verdicts] == [
+                (-5.0, UNBOUNDED), (0.0, NO_VERDICT), (5.0, UNBOUNDED)
+            ]
+
+
 class TestAnalyze:
     def test_ball_trivial_type_roots_scanned_once(self, kernel_calls, call_counts):
         trivial = [r * r for r in neumann_radial_roots(0, 3, 8)]

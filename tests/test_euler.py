@@ -234,6 +234,16 @@ def test_rep_rejects_bad_trivial_dim(trivial):
         SO2Rep(trivial)
 
 
+@pytest.mark.parametrize("make", [lambda: SO2Rep(1, [1]), lambda: EulerSO2(0, 5), lambda: EulerSO2(0, "12")])
+def test_a_table_that_is_no_mapping_is_a_validation_error(make):
+    with pytest.raises(ValidationError, match="table must be a mapping"):
+        make()
+
+
+def test_none_table_is_an_empty_one():
+    assert SO2Rep(2, None) == SO2Rep.trivial(2) and EulerSO2(3, None) == EulerSO2(3)
+
+
 def test_rep_descriptor_is_so2rep():
     from symbif import spectral
 

@@ -80,13 +80,13 @@ CASES = [
     ),
     (
         EulerSO2, ("unit", "cyclic"), (),
-        "(unit: 'int' = 0, cyclic: 'dict[int, int]' = <factory>) -> 'None'",
+        "(unit: 'int' = 0, cyclic: 'dict[int, int] | None' = None) -> 'None'",
         "EulerSO2(unit=1, cyclic={2: -3})",
         lambda: EulerSO2(1, {2: -3}),
     ),
     (
         SO2Rep, ("trivial_dim", "irreducibles"), (),
-        "(trivial_dim: 'int' = 0, irreducibles: 'dict[int, int]' = <factory>) -> 'None'",
+        "(trivial_dim: 'int' = 0, irreducibles: 'dict[int, int] | None' = None) -> 'None'",
         "SO2Rep(trivial_dim=2, irreducibles={1: 1, 3: 2})",
         lambda: SO2Rep(2, {1: 1, 3: 2}),
     ),
@@ -105,13 +105,13 @@ CASES = [
     ),
     (
         RootCache, ("records",), ("grown",),
-        "(records: 'dict[tuple[int, int], list[float]]' = <factory>) -> 'None'",
+        "(records: 'dict[tuple[int, int], list[float]] | None' = None) -> 'None'",
         "RootCache(records={(2, 1): [1.5, 5.25]})",
         lambda: RootCache({(2, 1): [1.5, 5.25]}),
     ),
     (
         DiskDomain, ("bound",), ("_eigenvalues", "_memo", "_memo_bound", "cache"),
-        "(bound: 'float | None' = None, cache: 'RootCache' = <factory>) -> 'None'",
+        "(bound: 'float | None' = None, cache: 'RootCache | None' = None) -> 'None'",
         "DiskDomain(bound=50.0)",
         lambda: DiskDomain(bound=50.0),
     ),
@@ -123,7 +123,7 @@ CASES = [
     ),
     (
         BallDomain, ("entries", "dim"), ("_eigenvalues", "cache"),
-        "(entries: 'list[SpectrumEntry]', dim: 'int' = 3, cache: 'RootCache' = <factory>) -> 'None'",
+        "(entries: 'list[SpectrumEntry]', dim: 'int' = 3, cache: 'RootCache | None' = None) -> 'None'",
         f"BallDomain(entries=[{ENTRY_REPRS}], dim=4)",
         lambda: BallDomain([zero_entry(), rot_entry()], dim=4),
     ),
@@ -135,8 +135,9 @@ CASES = [
     ),
     (
         SystemSpec, ("p1", "p2", "sigma_b1", "sigma_b2", "mu_b0", "domain", "a9"), (),
-        "(p1: 'int', p2: 'int', sigma_b1: 'dict[float, int]' = <factory>, sigma_b2: 'dict[float, int]' = <factory>, "
-        "mu_b0: 'int' = 0, domain: 'Domain' = <factory>, a9: 'bool' = False) -> 'None'",
+        "(p1: 'int', p2: 'int', sigma_b1: 'dict[float, int] | None' = None, "
+        "sigma_b2: 'dict[float, int] | None' = None, mu_b0: 'int' = 0, domain: 'Domain | None' = None, "
+        "a9: 'bool' = False) -> 'None'",
         "SystemSpec(p1=1, p2=1, sigma_b1={1: 1}, sigma_b2={2.0: 1}, mu_b0=0, domain=DiskDomain(bound=50.0), a9=False)",
         lambda: SystemSpec(p1=1, p2=1, sigma_b1={1: 1}, sigma_b2={2.0: 1}, domain=DiskDomain(bound=50.0)),
     ),

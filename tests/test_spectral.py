@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import re
 import signal
+import sys
 from datetime import timedelta
 from functools import lru_cache
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symbif import (
+    BallDomain,
     ConvergenceError,
     CustomDomain,
     DiskDomain,
@@ -31,7 +34,9 @@ from symbif import (
     radial_condition,
     radial_roots_up_to,
 )
-from symbif.spectral import GRID_STEP, MAX_DISK_ENTRIES, MAX_ROOT_X, ROOT_XTOL, _lattice_scan
+from symbif.spectral import (
+    GRID_STEP, MAX_DISK_ENTRIES, MAX_ROOT_X, MERGE_REL, ROOT_XTOL, _lattice_scan, close, domain_from_json
+)
 
 from oracles import oracle_radial_roots, radial_condition_mp
 
@@ -322,6 +327,15 @@ class TestInterlacingCheck:
             assert longer[: len(short)] == short
             assert longer == radial_roots_up_to(0, dim, 150.5)
 
+    def test_none_cache_is_a_fresh_cache(self, kernel_calls):
+        # cache=None spells "a fresh cache", as the default does, so the doublings still resume
+        counts = []
+        for domain in (DiskDomain(cache=None), DiskDomain()):
+            kernel_calls.reset()
+            assert len(domain.first_entries(400)) == 400
+            counts.append(kernel_calls.total)
+        assert counts == [5_936, 5_936]
+
     def test_growing_domain_resumes_its_scans(self, kernel_calls):
         # first_entries doubles its target from 25; each doubling resumes the
         # cached scans instead of starting them again from 0
@@ -543,6 +557,17 @@ class TestBallNontrivial:
         with pytest.raises(DomainError):
             ball_rep_nontrivial(SpectrumEntry(1.0, RepDescriptor.zero()), 2)
 
+    def test_none_cache_is_one_fresh_cache(self, kernel_calls):
+        # cache=None spells "a fresh cache", as the default does: the domain keeps it, so the
+        # second test reads the trivial-type roots the first one scanned
+        zero = SpectrumEntry(0.0, RepDescriptor.trivial(1))
+        domain = BallDomain([zero], dim=3, cache=None)
+        entry = SpectrumEntry(40.0, RepDescriptor.trivial(1))  # no angular index: the radial test runs
+        assert domain.rep_nontrivial(entry)
+        scanned = kernel_calls.total
+        assert scanned > 0 and domain.cache.get(3, 0)
+        assert domain.rep_nontrivial(entry) and kernel_calls.total == scanned
+
 
 def _doc(entries):
     return {"domain": "custom", "entries": entries}
@@ -621,6 +646,64 @@ class TestCustomSpectrum:
         # a Path names a file, so one that cannot be read is not taken as inline JSON
         with pytest.raises(ValidationError, match="cannot read"):
             load_custom_spectrum(tmp_path / name)
+
+
+A = 7.25
+#: (eigenvalue, rep) lists that the one supplied-spectrum rule merges to [0, A (irr(1) + 2 irr(2)), 9]
+MERGED_ALIKE = {
+    "near-duplicate": [(0.0, (1, {})), (A, (0, {1: 1})), (A * (1 + 1e-9), (0, {2: 2})), (9.0, (1, {}))],
+    "reversal-within-tolerance": [(0.0, (1, {})), (A * (1 + 1e-9), (0, {2: 2})), (A, (0, {1: 1})), (9.0, (1, {}))],
+}
+
+
+def _supplied(kind: str, items) -> tuple:
+    """The domain of ``kind`` built in Python from ``items`` and its document, each as a thunk."""
+    entries = [SpectrumEntry(a, RepDescriptor(*rep)) for a, rep in items]
+    doc = {"type": kind, "entries": [e.to_json() for e in entries], **({"dim": 3} if kind == "ball" else {})}
+    built = (lambda: CustomDomain(entries)) if kind == "custom" else (lambda: BallDomain(entries, dim=3))
+    return built, lambda: domain_from_json(doc)
+
+
+class TestOneSuppliedRule:
+    """A spectrum built in Python is ordered, merged and checked as its document is."""
+
+    @pytest.mark.parametrize("kind", ["custom", "ball"])
+    @pytest.mark.parametrize("case", sorted(MERGED_ALIKE))
+    def test_python_and_document_give_one_domain(self, kind, case):
+        built, read = _supplied(kind, MERGED_ALIKE[case])
+        assert built() == read()
+        assert [(e.eigenvalue, e.rep) for e in built().entries] == [
+            (0.0, RepDescriptor.trivial(1)), (A, RepDescriptor(0, {1: 1, 2: 2})), (9.0, RepDescriptor.trivial(1))
+        ]
+
+    @pytest.mark.parametrize("kind", ["custom", "ball"])
+    def test_out_of_order_gets_one_message(self, kind):
+        message = re.escape("entries must be listed in ascending eigenvalue order (2.0 after 5.0)")
+        for make in _supplied(kind, [(0.0, (1, {})), (5.0, (1, {})), (2.0, (1, {}))]):
+            with pytest.raises(ValidationError, match=message):
+                make()
+
+    def test_a_reversal_just_past_the_tolerance_is_out_of_order(self):
+        for make in _supplied("custom", [(0.0, (1, {})), (A * (1 + 2 * MERGE_REL), (1, {})), (A, (1, {}))]):
+            with pytest.raises(ValidationError, match="ascending eigenvalue order"):
+                make()
+
+    @pytest.mark.parametrize("entries", ["abc", [1], [SpectrumEntry(0.0, RepDescriptor.trivial(1)), {}], 5])
+    def test_items_that_are_no_entries_are_a_validation_error(self, entries):
+        with pytest.raises(ValidationError, match="list of SpectrumEntry records"):
+            CustomDomain(entries)
+
+
+class TestClose:
+    @pytest.mark.parametrize("a, b", [(math.inf, 0.0), (-math.inf, 12.5), (math.inf, math.inf), (0.0, -math.inf)])
+    def test_never_at_an_infinity(self, a, b):
+        assert not close(a, b) and not close(b, a)
+
+    def test_finite_band_unchanged(self):
+        for x in (0.0, 1.0, 7.25, 1e300, -3e5):
+            scale = max(1.0, abs(x))
+            assert close(x, x + 0.9 * MERGE_REL * scale) and not close(x, x + 1.1 * MERGE_REL * scale)
+        assert close(sys.float_info.max, sys.float_info.max) and not close(sys.float_info.max, -sys.float_info.max)
 
 
 class TestEntryBudget:

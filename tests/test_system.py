@@ -64,6 +64,15 @@ class TestSystemSpecValidation:
         with pytest.raises(ValidationError, match=f"{field} must be a mapping"):
             SystemSpec(p1=1, p2=1, **{"sigma_b1": {1: 1}, "sigma_b2": {1: 1}, field: [(1, 1)]})
 
+    @pytest.mark.parametrize("domain", ["disk", {"type": "disk"}, RepDescriptor.zero()])
+    def test_domain_refused_when_built(self, domain):
+        with pytest.raises(ValidationError, match="domain must be a DiskDomain, BallDomain or CustomDomain"):
+            SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, domain=domain)
+
+    def test_none_means_empty_blocks_and_a_fresh_disk(self):
+        spec = SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, sigma_b2=None, domain=None)
+        assert spec.sigma_b2 == {} and spec.domain == DiskDomain()
+
     def test_negative_multiplicity(self):
         with pytest.raises(ValidationError):
             SystemSpec(p1=1, p2=0, sigma_b1={1: -1}, sigma_b2={}, domain=DiskDomain())
