@@ -39,12 +39,12 @@ Sampled against mpmath on a grid of x in (0, 200], the composite
 evaluator stays within 3e-13 * max(1, |J_nu(x)|) for integer orders up to
 8 (the largest errors sit at the top of the recurrence band, x ~ 54-56),
 within 1e-14 for half-integer orders up to 7/2, and within 5e-12 for
-integer orders up to 199, whose longer recurrence chains round more; J_l'
-keeps the same bounds.  The roots of J_l' for l = 150, 177 and 190 below
-x = 199 agree with mpmath's ``besseljzero`` to the last bit.  Kernels
-assume validated arguments (x >= 0, order integer or half-integer
->= -1/2); wrappers in ``symbif.spectral`` do the checking and raise
-package errors.
+integer orders up to 199, whose longer recurrence chains round more; J_l',
+formed in ``_radial_condition`` only, keeps the same bounds.  The roots of
+J_l' for l = 150, 177 and 190 below x = 199 agree with mpmath's
+``besseljzero`` to the last bit.  Kernels assume validated arguments
+(x >= 0, order integer or half-integer >= -1/2); wrappers in
+``symbif.spectral`` do the checking and raise package errors.
 """
 
 from __future__ import annotations
@@ -76,13 +76,13 @@ def _series_j(nu: float, x: float) -> float:
     return s
 
 
-def _miller_row(x: float, m0: int, lo: int, hi: int) -> tuple[list[float], float]:
-    """Unnormalized J_lo .. J_hi at x > 0 (0 <= lo <= hi <= m0) and their normalizing sum.
+def _miller_row(x: float, m0: int) -> tuple[list[float], float]:
+    """Unnormalized J_0 .. J_m0 at x > 0 and their normalizing sum.
 
     One downward recurrence seeded with a decaying solution far above m0;
-    J_k is ``row[k - lo] / s`` by the even-order sum identity.  Every value
-    is stored and rescaled with the recurrence, so each quotient depends on
-    x and m0 only, not on ``lo`` or ``hi``.
+    J_k is ``row[k] / s`` by the even-order sum identity.  Every value is
+    stored and rescaled with the recurrence, so each quotient depends on x
+    and m0 only.
     """
     top = m0 + 20 + int(2.0 * math.sqrt(m0))
     if top % 2 == 1:
@@ -115,7 +115,7 @@ def _miller_row(x: float, m0: int, lo: int, hi: int) -> tuple[list[float], float
         row[:] = [v * 1e-250 for v in row]
     s += fc
     row.reverse()
-    return row[lo : hi + 1], s
+    return row[: m0 + 1], s
 
 
 #: recurrence rows of the disk spectrum being built: (lattice step, rows by lattice point)
@@ -151,15 +151,13 @@ def _miller3(n: int, x: float) -> tuple[float, float, float]:
     if shared is not None and n < m0 and round(x / shared[0]) * shared[0] == x:
         rows = shared[1]
         if x not in rows:
-            rows[x] = _miller_row(x, m0, 0, m0)
+            rows[x] = _miller_row(x, m0)
         row, s = rows[x]
-        lo = 0
     else:
-        lo = max(n - 1, 0)
-        row, s = _miller_row(x, max(n + 1, m0), lo, n + 1)
-    jp = row[n + 1 - lo]
-    jm = -jp if n == 0 else row[n - 1 - lo]
-    return jm / s, row[n - lo] / s, jp / s
+        row, s = _miller_row(x, max(n + 1, m0))
+    jp = row[n + 1]
+    jm = -jp if n == 0 else row[n - 1]
+    return jm / s, row[n] / s, jp / s
 
 
 def _sph3(n: int, x: float) -> tuple[float, float, float]:
@@ -250,25 +248,12 @@ def _bessel_j3(nu: float, x: float) -> tuple[float, float, float]:
     return _miller3(int(nu), x)
 
 
-def _bessel_j(nu: float, x: float) -> float:
-    return _bessel_j3(nu, x)[1]
+def _radial_condition(l: float, dim: int, x: float) -> tuple[float, float]:
+    """Radial Neumann condition f on the unit ball of dimension ``dim``, with its partner g, at x > 0.
 
-
-def _bessel_j_prime(nu: float, x: float) -> float:
-    """J_nu'(x) via (J_{nu-1} - J_{nu+1})/2, with J_0' = -J_1."""
-    if x == 0.0:  # fractional orders are rejected upstream; a branch of its own keeps J_0'(0) = +0.0
-        return 0.5 if nu == 1.0 else 0.0
-    jm, _, jp = _bessel_j3(nu, x)
-    if nu == 0.0:
-        return -jp
-    return 0.5 * (jm - jp)
-
-
-def _radial_condition(l: int, dim: int, x: float) -> tuple[float, float]:
-    """Radial Neumann condition f on the unit ball of dimension ``dim``, with its partner g.
-
-    dim == 2: (J_l'(x), J_l(x)) for angular index l.  dim >= 3 (l == 0 only):
-    (-J_{nu+1}(x), J_nu(x)) with nu = (dim - 2)/2, where
+    dim == 2: (J_l'(x), J_l(x)) for an integer or half-integer l >= 0, where
+    J_l' = (J_{l-1} - J_{l+1})/2 and J_0' = -J_1, the package's one formula for J'.
+    dim >= 3 (l == 0 only): (-J_{nu+1}(x), J_nu(x)) with nu = (dim - 2)/2, where
     -J_{nu+1} = J_nu' - (nu/x) J_nu (DLMF 10.6.2).  Both come from one
     ``_bessel_j3`` triple; the zeros of f and g interlace (DLMF 10.21(i)).
     """
@@ -284,6 +269,8 @@ def _radial_condition(l: int, dim: int, x: float) -> tuple[float, float]:
 def _bisect_radial(l: int, dim: int, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
     """Root of the radial condition in a sign-change bracket [a, b], by safeguarded Newton.
 
+    The caller's bracket has a < b and finite, nonzero ends fa, fb of
+    opposite sign (``symbif.spectral._lattice_scan`` refines only there).
     The slope comes from the pair (f, g) of ``_radial_condition``: for the
     disk f' = J_l'' = -f/x - (1 - l^2/x^2) g (DLMF 10.2.1), for balls
     f' = -J_{nu+1}' = -g - ((nu+1)/x) f (DLMF 10.6.2).  The first iterate is
@@ -294,14 +281,6 @@ def _bisect_radial(l: int, dim: int, a: float, fa: float, b: float, fb: float, x
     floating-point resolution, and NaN if an evaluation broke down (NaN
     value) or 200 iterations did not converge.
     """
-    if not (fa == fa) or not (fb == fb):
-        return math.nan
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        return math.nan
     x = a - fa * (b - a) / (fb - fa)
     for _ in range(200):
         if not (a < x < b):

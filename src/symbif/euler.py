@@ -29,8 +29,8 @@ for ``V`` with trivial summand of dimension ``t`` and ``m_k`` copies of the
 two-dimensional rotation representation with rotation number ``k``; it is
 evaluated from the right-hand side, one element per call.
 
-:class:`SO2Rep` is the package's one representation class: spectral
-entries, kernel pieces and degrees all use it.
+:class:`SO2Rep` is the package's one representation class, exported
+under that one name: spectral entries, kernel pieces and degrees all use it.
 Its document is ``{"trivial": t, "irr": {"k": m, ...}}``; ``"rot"`` is read
 in place of ``"irr"`` but never written.
 

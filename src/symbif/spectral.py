@@ -13,12 +13,12 @@ structured documents or as :class:`SpectrumEntry` lists, under one rule
 that the domain applies: ascending order, where a step down within
 ``MERGE_REL`` is a tie, and near-coincident eigenvalues merged with their
 representations summed.  Every eigenspace is a :class:`symbif.euler.SO2Rep`,
-the package's one representation class (``RepDescriptor`` is its former
-name); an entry's ``rep`` document is ``{"trivial", "irr"}``, and ``"rot"``
-is accepted in place of ``"irr"`` on input only.  Each domain writes its own
-document (``to_json``, which :func:`domain_from_json` reads back) and decides
-whether an eigenspace is a nontrivial representation (``rep_nontrivial``):
-the disk and supplied spectra by the stated type, a ball by the radial test.
+the package's one representation class; an entry's ``rep`` document is
+``{"trivial", "irr"}``, and ``"rot"`` is accepted in place of ``"irr"`` on
+input only.  Each domain writes its own document (``to_json``, which
+:func:`domain_from_json` reads back) and decides whether an eigenspace is a
+nontrivial representation (``rep_nontrivial``): the disk and supplied
+spectra by the stated type, a ball by the radial test.
 A ``cache`` of None is a fresh in-memory :class:`RootCache`.
 
 Root finding is one scan: sign-change bracketing on a fixed pi/8 lattice,
@@ -73,7 +73,6 @@ __all__ = [
     "GRID_STEP",
     "MAX_DISK_ENTRIES",
     "MAX_ROOT_X",
-    "RepDescriptor",
     "SpectrumEntry",
     "RootCache",
     "bessel_j",
@@ -125,7 +124,7 @@ def _beyond_coverage(alpha_max: float, coverage: float) -> bool:
 # spectrum entries
 # ---------------------------------------------------------------------------
 
-#: former name of :class:`symbif.euler.SO2Rep`, kept for callers that import it
+#: not exported; its one reader is perfbench/tracing.py:216, which wraps ``RepDescriptor.__post_init__``
 RepDescriptor = SO2Rep
 
 
@@ -198,17 +197,19 @@ def bessel_j(order: float, x: float) -> float:
     nu, x = _check_arguments("bessel_j", order, x)
     from . import _kernels
 
-    return _kernels._bessel_j(nu, x)
+    return _kernels._bessel_j3(nu, x)[1]
 
 
 def bessel_j_prime(order: float, x: float) -> float:
-    """Derivative J_order'(x) via (J_{order-1} - J_{order+1})/2, J_0' = -J_1."""
+    """Derivative J_order'(x); at x = 0 it is 1/2 for order 1, 0 for other integers, singular for half-integers."""
     nu, x = _check_arguments("bessel_j_prime", order, x)
-    if x == 0.0 and nu != math.floor(nu):
-        raise DomainError("derivative of a half-integer order is singular at x = 0")
+    if x == 0.0:
+        if nu != math.floor(nu):
+            raise DomainError("derivative of a half-integer order is singular at x = 0")
+        return 0.5 if nu == 1.0 else 0.0
     from . import _kernels
 
-    return _kernels._bessel_j_prime(nu, x)
+    return _kernels._radial_condition(nu, 2, x)[0]
 
 
 def radial_condition(angular_index: int, dim: int, x: float) -> float:
@@ -699,9 +700,12 @@ class _SuppliedDomain(_Record):
     _fields = ("entries",)
 
     def __init__(self, entries: list[SpectrumEntry]) -> None:
-        for e in entries if isinstance(entries, (list, tuple)) else [entries]:
-            if not isinstance(e, SpectrumEntry):
-                raise ValidationError(f"a supplied spectrum is a list of SpectrumEntry records, got {_show(e)}")
+        wanted = "a supplied spectrum is a list of SpectrumEntry records, each with an SO2Rep as its rep"
+        if not isinstance(entries, (list, tuple)):
+            raise ValidationError(f"{wanted}, got {_show(entries)}")
+        for e in entries:  # the one check of a rep built in Python: SpectrumEntry, built per disk root, checks none
+            if not isinstance(e, SpectrumEntry) or not isinstance(e.rep, SO2Rep):
+                raise ValidationError(f"{wanted}, got {_show(e)}")
         values = [e.eigenvalue for e in entries]
         for a, b in zip(values, values[1:]):
             if b < a and not close(a, b):  # a step down within MERGE_REL is a tie, which the merge sorts

@@ -61,12 +61,8 @@ __all__ = [
 Domain = DiskDomain | BallDomain | CustomDomain
 
 
-class _Multiset(dict):
-    """Eigenvalue -> multiplicity table built by :func:`_as_multiset`, so already checked."""
-
-
-def _as_multiset(pairs, what: str) -> _Multiset:
-    out = _Multiset()
+def _as_multiset(pairs, what: str) -> dict:
+    out = {}
     for value, mult in pairs:
         _int(mult, f"{what}: multiplicity", 1)
         _real(value, f"{what}: eigenvalue")  # the value itself is kept, so an integer stays one
@@ -112,11 +108,10 @@ class SystemSpec(_Record):
             raise ValidationError("the system needs at least one component (p1 + p2 >= 1)")
         for name, p in (("sigma_b1", "p1"), ("sigma_b2", "p2")):
             sigma = getattr(self, name)
-            if not isinstance(sigma, _Multiset):  # system_spec_from_json passes the tables it checked
-                if not isinstance(sigma, Mapping):
-                    raise ValidationError(f"{name} must be a mapping of eigenvalue to multiplicity, got {_show(sigma)}")
-                sigma = _as_multiset(sigma.items(), name)
-                setattr(self, name, sigma)
+            if not isinstance(sigma, Mapping):
+                raise ValidationError(f"{name} must be a mapping of eigenvalue to multiplicity, got {_show(sigma)}")
+            sigma = _as_multiset(sigma.items(), name)
+            setattr(self, name, sigma)
             total, expected = sum(sigma.values()), getattr(self, p)
             if total != expected:
                 raise ValidationError(f"{name} multiplicities sum to {_show(total)}, expected {p} = {_show(expected)}")
@@ -136,18 +131,18 @@ class SystemSpec(_Record):
 
     # -- views ---------------------------------------------------------------
 
-    def _blocks(self) -> tuple[tuple[int, list[tuple[float, int]]], ...]:
-        """``(s, nonzero (b, mult) ascending)`` per block: s = +1 for B1, -1 for B2."""
+    def _blocks(self) -> list[tuple[int, float, int]]:
+        """``(s, b, mult)`` for the nonzero b of B1 (s = +1), then of B2 (s = -1), each block by ascending b."""
         signed = ((1, self.sigma_b1), (-1, self.sigma_b2))
-        return tuple((s, sorted((b, m) for b, m in sigma.items() if b != 0)) for s, sigma in signed)
+        return [(s, b, m) for s, sigma in signed for b, m in sorted(sigma.items()) if b != 0]
 
     def morse_plus(self) -> int:
         """Total multiplicity of positive eigenvalues over both blocks."""
-        return sum(m for _, bs in self._blocks() for b, m in bs if b > 0)
+        return sum(m for _, b, m in self._blocks() if b > 0)
 
     def morse_minus(self) -> int:
         """Total multiplicity of negative eigenvalues over both blocks."""
-        return sum(m for _, bs in self._blocks() for b, m in bs if b < 0)
+        return sum(m for _, b, m in self._blocks() if b < 0)
 
     @property
     def q1(self) -> int:
@@ -185,7 +180,7 @@ def system_spec_from_json(doc, *, spectrum_bound=None, cache=None) -> SystemSpec
         if key not in doc:
             raise SchemaError(f"system document needs '{key}'")
 
-    def unpack(key: str) -> _Multiset:
+    def unpack(key: str) -> dict:
         raw = doc.get(key, [])
         if not isinstance(raw, list):
             raise SchemaError(f"'{key}' must be an array of {{value, mult}} objects")
@@ -219,17 +214,17 @@ def _covered_entries(spec: SystemSpec, lo: float, hi: float) -> list[SpectrumEnt
 
     Raises InsufficientSpectrum when that reach lies beyond the loaded spectrum.
     """
-    reach = max([0.0, *(s * (hi if s * b > 0 else lo) * b for s, bs in spec._blocks() for b, _ in bs)])
+    reach = max([0.0, *(s * (hi if s * b > 0 else lo) * b for s, b, _ in spec._blocks())])
     return spec.domain.entries_up_to(reach * (1.0 + 10.0 * MERGE_REL) + MERGE_REL)
 
 
 def _spectral_pairs(spec: SystemSpec, window: tuple[float, float]):
     """The checked window, the covered entries, the signed blocks and every spectral pair, sorted.
 
-    ``blocks`` lists (s, b, mult) for the nonzero b of ``spec._blocks()``, in
-    that order.  Pair (m, k, i) puts entry i against blocks[k]: m =
-    alpha_i/(s*b) + 0.0 is the parameter at which the pair vanishes (+0.0
-    drops -0.0), and the pairs are sorted by (m, k, i).  The entries reach
+    ``blocks`` is ``spec._blocks()``, (s, b, mult) per nonzero b.  Pair
+    (m, k, i) puts entry i against blocks[k]: m = alpha_i/(s*b) + 0.0 is the
+    parameter at which the pair vanishes (+0.0 drops -0.0), and the pairs
+    are sorted by (m, k, i).  The entries reach
     every eigenvalue that could pair into the window, and the pairs are not
     cut to the window: a pair just outside it may still match a candidate
     inside.  Raises InsufficientSpectrum when that reach lies beyond the
@@ -238,7 +233,7 @@ def _spectral_pairs(spec: SystemSpec, window: tuple[float, float]):
     lo, hi = (_real(w, "window entry", finite=False) for w in (window[0], window[1]))
     if lo > hi:
         raise ValidationError(f"window must satisfy lo <= hi, got {window!r}")
-    blocks = [(s, b, mult) for s, bs in spec._blocks() for b, mult in bs]
+    blocks = spec._blocks()
     if not blocks:
         return lo, hi, [], blocks, []
     entries = _covered_entries(spec, lo, hi)

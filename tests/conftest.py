@@ -1,6 +1,35 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from symbif import _kernels
+
+
+@contextmanager
+def _deadline(seconds: int, message: str):
+    """Fail with ``message`` if the block runs past ``seconds``; the alarm and its handler are restored after."""
+
+    def overdue(signum, frame):
+        raise AssertionError(message)
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="session")
+def deadline():
+    """``with deadline(seconds, message):`` turns a hang into a test failure (SIGALRM, main thread).
+
+    Session scope, as the guard keeps no state between uses, lets Hypothesis
+    tests take it without a function-scoped-fixture health check.
+    """
+    return _deadline
 
 
 class KernelCalls:

@@ -17,7 +17,6 @@ from symbif import (
     NonInjectiveTable,
     NotInvertible,
     OrbitDatum,
-    RepDescriptor,
     SO2Rep,
     SystemSpec,
     bessel_j_prime,
@@ -157,10 +156,10 @@ def test_criterion_4_disk_spectrum_reproduction():
     with criterion(4, "first four nonzero disk eigenvalues and labels within 1e-4"):
         entries = disk_spectrum(18.0)
         expected = [
-            (3.38996, RepDescriptor.irr(1)),
-            (9.32836, RepDescriptor.irr(2)),
-            (14.68197, RepDescriptor.trivial(1)),
-            (17.64999, RepDescriptor.irr(3)),
+            (3.38996, SO2Rep.irr(1)),
+            (9.32836, SO2Rep.irr(2)),
+            (14.68197, SO2Rep.trivial(1)),
+            (17.64999, SO2Rep.irr(3)),
         ]
         nonzero = [e for e in entries if e.eigenvalue > 0][:4]
         assert len(nonzero) == 4
@@ -219,16 +218,16 @@ def test_criterion_7_worked_example_reproduction():
         twin = SystemSpec(p1=2, p2=0, sigma_b1={3: 2}, sigma_b2={}, domain=DiskDomain())
         twin_verdicts = analyze(twin, (4.5, 5.2))
         assert len(twin_verdicts) == 1
-        assert twin_verdicts[0].kernel.v1 == RepDescriptor.trivial(2)
+        assert twin_verdicts[0].kernel.v1 == SO2Rep.trivial(2)
         assert twin_verdicts[0].glob == INCONCLUSIVE
 
 
 def test_criterion_8_unbounded_truth_table():
     with criterion(8, "32-case parity truth table for the unboundedness certificate"):
         rot_entry = disk_spectrum(5.0)[1]
-        assert rot_entry.rep == RepDescriptor.irr(1)
+        assert rot_entry.rep == SO2Rep.irr(1)
         triv_entry = disk_spectrum(15.0)[3]
-        assert triv_entry.rep == RepDescriptor.trivial(1)
+        assert triv_entry.rep == SO2Rep.trivial(1)
         facts = {
             1: ("p2 > 0", "p2 odd", "continuum returns to trivial solutions at negative parameters"),
             -1: ("p1 - mu_b0 > 0", "p1 - mu_b0 odd", "continuum returns to trivial solutions at positive parameters"),

@@ -8,7 +8,8 @@ public callable takes a merge or matching tolerance (the constant
 ``MERGE_REL``) or one of the single-value knobs that became constants.  Input checks live in one module:
 no other module tests for bools by hand.  A record states its fields once, in ``_fields``; only the
 base ``errors._Record`` compares and prints records.  "A fresh one" has one spelling, the default
-``None``: every other default is a plain immutable value.
+``None``: every other default is a plain immutable value.  The representation class has one public
+name, ``SO2Rep``, in the package root and in ``symbif.euler``.
 """
 
 import importlib
@@ -71,26 +72,39 @@ def test_only_the_checker_module_tests_for_bool():
     assert found == ["errors.py"]
 
 
+def package_modules():
+    """(file stem, module) for every module of the package, the root as ``__init__``."""
+    package = Path(symbif.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        yield path.stem, symbif if path.stem == "__init__" else importlib.import_module(f"symbif.{path.stem}")
+
+
 def test_every_exported_name_resolves():
     # a name left in __all__ after its definition is gone breaks ``from module import *``
-    package = Path(symbif.__file__).parent
     exporting = []
-    for path in sorted(package.glob("*.py")):
-        module = symbif if path.stem == "__init__" else importlib.import_module(f"symbif.{path.stem}")
+    for stem, module in package_modules():
         if hasattr(module, "__all__"):
-            exporting.append(path.stem)
-            assert [n for n in module.__all__ if not hasattr(module, n)] == [], path.stem
+            exporting.append(stem)
+            assert [n for n in module.__all__ if not hasattr(module, n)] == [], stem
     assert {"__init__", "bifurcation", "cli", "euler", "morse", "spectral", "system"} <= set(exporting)
+
+
+def test_the_representation_class_has_one_public_name():
+    # every eigenspace, kernel piece and degree argument is an SO2Rep; a second exported name for it
+    # would be a second spelling for callers and docs to keep in step
+    for stem, module in package_modules():
+        names = [n for n in getattr(module, "__all__", ()) if getattr(module, n) is euler.SO2Rep]
+        assert names == (["SO2Rep"] if stem in ("__init__", "euler") else []), stem
 
 
 def package_classes():
     """Every class defined in one of the package's modules."""
-    package = Path(symbif.__file__).parent
-    found = []
-    for path in sorted(package.glob("*.py")):
-        module = symbif if path.stem == "__init__" else importlib.import_module(f"symbif.{path.stem}")
-        found += [c for c in vars(module).values() if inspect.isclass(c) and c.__module__ == module.__name__]
-    return found
+    return [
+        c
+        for _, module in package_modules()
+        for c in vars(module).values()
+        if inspect.isclass(c) and c.__module__ == module.__name__
+    ]
 
 
 def test_records_state_their_fields_once():

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import re
-import signal
 from datetime import timedelta
 
 import mpmath
@@ -23,7 +22,6 @@ from symbif import (
     EulerSO2,
     InsufficientSpectrum,
     PreconditionError,
-    RepDescriptor,
     SO2Rep,
     SpectrumEntry,
     SystemSpec,
@@ -74,8 +72,8 @@ def a9_spec(q1: int, p2: int, mu: int = 0, domain=None) -> SystemSpec:
     )
 
 
-ROT1 = SpectrumEntry(ALPHA2, RepDescriptor.irr(1), angular_index=1, root_index=1)
-TRIV = SpectrumEntry(ALPHA4, RepDescriptor.trivial(1), angular_index=0, root_index=1)
+ROT1 = SpectrumEntry(ALPHA2, SO2Rep.irr(1), angular_index=1, root_index=1)
+TRIV = SpectrumEntry(ALPHA4, SO2Rep.trivial(1), angular_index=0, root_index=1)
 
 
 class TestCheckGlob:
@@ -127,16 +125,16 @@ class TestCheckGlob:
     def test_parity_mismatch_of_trivial_dims(self):
         # V1 trivial dim 2, V2 trivial dim 1 at the same lambda0
         entries = [
-            SpectrumEntry(0.0, RepDescriptor.trivial(1)),
-            SpectrumEntry(3.0, RepDescriptor.trivial(2)),
-            SpectrumEntry(6.0, RepDescriptor.trivial(1)),
+            SpectrumEntry(0.0, SO2Rep.trivial(1)),
+            SpectrumEntry(3.0, SO2Rep.trivial(2)),
+            SpectrumEntry(6.0, SO2Rep.trivial(1)),
         ]
         spec = SystemSpec(
             p1=1, p2=1, sigma_b1={2: 1}, sigma_b2={-4: 1}, domain=CustomDomain(entries)
         )
         kr = kernel_reps(spec, 1.5)
-        assert kr.v1 == RepDescriptor.trivial(2)
-        assert kr.v2 == RepDescriptor.trivial(1)
+        assert kr.v1 == SO2Rep.trivial(2)
+        assert kr.v2 == SO2Rep.trivial(1)
         assert check_glob(spec, 1.5).glob == BIFURCATES
 
 
@@ -179,7 +177,7 @@ class TestBifDifference:
         assert bif_difference(spec, -ALPHA2) == -2 * chi(1)
 
     def test_rejects_non_disk(self):
-        entries = [SpectrumEntry(0.0, RepDescriptor.trivial(1)), SpectrumEntry(2.0, RepDescriptor.irr(1))]
+        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1)), SpectrumEntry(2.0, SO2Rep.irr(1))]
         spec = SystemSpec(
             p1=1, p2=0, sigma_b1={1: 1}, sigma_b2={}, domain=BallDomain(entries, dim=3)
         )
@@ -234,7 +232,7 @@ class TestBifA9:
             bif_a9(spec, ALPHA2)
 
     def test_requires_disk(self):
-        entries = [SpectrumEntry(0.0, RepDescriptor.trivial(1)), SpectrumEntry(2.0, RepDescriptor.irr(1))]
+        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1)), SpectrumEntry(2.0, SO2Rep.irr(1))]
         spec = SystemSpec(
             p1=1,
             p2=0,
@@ -300,17 +298,12 @@ class TestRabinowitz:
                 enumerate_zero_sum_subsets(labelled)
             assert str(exc.value) == f"subset enumeration is exponential; refusing {n} > 20 members"
 
-    def test_twenty_members_answer_in_time(self):
+    def test_twenty_members_answer_in_time(self, deadline):
         # 2^20 - 1 subsets, the halves 2^10 each; every label k carries +1, -1, +2
         # and -2, which cancel in 3 ways, so 4^5 - 1 families sum to zero
         labelled = [(float(i), chi(i % 5 + 1, (-1) ** (i // 5) * (i // 10 + 1))) for i in range(20)]
-        previous = signal.signal(signal.SIGALRM, _no_answer)
-        signal.alarm(2)
-        try:
+        with deadline(2, "no answer within the deadline"):
             subsets = enumerate_zero_sum_subsets(labelled)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert len(subsets) == 4**5 - 1
         assert all(not rabinowitz_excludes_bounded(labelled[int(lam)][1] for lam in s) for s in subsets)
 
@@ -359,10 +352,6 @@ def _zero_sum_combinations(labelled):
     ]
 
 
-def _no_answer(signum, frame):
-    raise AssertionError("no answer within the deadline")
-
-
 class TestUnboundedVerdict:
     def test_positive_even_pattern(self):
         rep = unbounded_verdict(a9_spec(q1=2, p2=0), ROT1, 1)
@@ -404,8 +393,8 @@ class TestUnboundedVerdict:
     def test_ball_domain_uses_radial_test(self):
         root2 = 7.725251836937707  # second root of the dim-3 trivial-type condition
         entries = [
-            SpectrumEntry(0.0, RepDescriptor.trivial(1)),
-            SpectrumEntry(root2 * root2, RepDescriptor.trivial(1)),
+            SpectrumEntry(0.0, SO2Rep.trivial(1)),
+            SpectrumEntry(root2 * root2, SO2Rep.trivial(1)),
         ]
         spec = a9_spec(q1=2, p2=0, domain=BallDomain(entries, dim=3))
         assert unbounded_verdict(spec, entries[1], 1).verdict == NO_VERDICT
@@ -434,8 +423,8 @@ class TestAnalyze:
     def test_ball_trivial_type_roots_scanned_once(self, kernel_calls, call_counts):
         trivial = [r * r for r in neumann_radial_roots(0, 3, 8)]
         alphas = sorted(trivial + [1.0 + 2.5 * k for k in range(90)])
-        entries = [SpectrumEntry(0.0, RepDescriptor.trivial(1))] + [
-            SpectrumEntry(a, RepDescriptor.trivial(1) if a in trivial else RepDescriptor.irr(1))
+        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1))] + [
+            SpectrumEntry(a, SO2Rep.trivial(1) if a in trivial else SO2Rep.irr(1))
             for a in alphas
         ]
         domain = BallDomain(entries, dim=3)
@@ -572,9 +561,9 @@ class TestVerdictsAgainstReference:
         # a supplied eigenspace may be the zero representation: the kernel is
         # then zero, yet the parameter is in Lambda
         entries = [
-            SpectrumEntry(0.0, RepDescriptor.trivial(1)),
-            SpectrumEntry(2.0, RepDescriptor.zero()),
-            SpectrumEntry(5.0, RepDescriptor.irr(3)),
+            SpectrumEntry(0.0, SO2Rep.trivial(1)),
+            SpectrumEntry(2.0, SO2Rep.zero()),
+            SpectrumEntry(5.0, SO2Rep.irr(3)),
         ]
         spec = SystemSpec(p1=1, p2=1, sigma_b1={1: 1}, sigma_b2={0.5: 1}, domain=CustomDomain(entries))
         window = (-8.0, 4.5)
@@ -784,8 +773,8 @@ class TestVerdictCost:
         assert counts[0][1] == counts[1][1] == 1
         trivial = [r * r for r in neumann_radial_roots(0, 3, 4)]
         alphas = sorted(trivial + [1.0 + 2.5 * k for k in range(20)])
-        entries = [SpectrumEntry(0.0, RepDescriptor.trivial(1))] + [
-            SpectrumEntry(a, RepDescriptor.trivial(1) if a in trivial else RepDescriptor.irr(1)) for a in alphas
+        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1))] + [
+            SpectrumEntry(a, SO2Rep.trivial(1) if a in trivial else SO2Rep.irr(1)) for a in alphas
         ]
         lookups = call_counts(BallDomain, "entries_up_to")
         verdicts = analyze(a9_spec(q1=2, p2=2, domain=BallDomain(entries, dim=3)), (-60.0, 60.0))

@@ -11,7 +11,6 @@ import contextlib
 import copy
 import io
 import json
-import signal
 from datetime import timedelta
 
 import pytest
@@ -117,10 +116,6 @@ def config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("boundary") / "config.json"
 
 
-def _hang(signum, frame):
-    raise AssertionError("the run did not finish within 30 s")
-
-
 def test_every_base_run_succeeds(config_path):
     for argv, base, _ in CASES:
         config_path.write_text(json.dumps(base))
@@ -131,17 +126,12 @@ def test_every_base_run_succeeds(config_path):
 # one strategy over every (case, value) pair, so the examples can cover all of them
 @settings(max_examples=len(CASES) * len(HOSTILE), deadline=timedelta(seconds=5), derandomize=True)
 @given(example=st.sampled_from([(case, value) for case in CASES for value in HOSTILE]))
-def test_hostile_number_is_a_package_error(config_path, example):
+def test_hostile_number_is_a_package_error(config_path, deadline, example):
     (argv, base, path), value = example
     config_path.write_text(config_text(base, path, value))
-    previous = signal.signal(signal.SIGALRM, _hang)
-    signal.alarm(30)
-    try:
+    with deadline(30, "the run did not finish within 30 s"):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([*argv, "--config", str(config_path)])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert code in (0, 1, 2)
 
 

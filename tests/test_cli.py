@@ -11,6 +11,7 @@ import pytest
 import symbif
 import symbif.bifurcation
 import symbif.system
+from symbif import DomainError, SchemaError, ValidationError
 from symbif.cli import main, parse_report
 
 ALPHA2 = 3.3899577166932745  # close enough for --lambda matching (1e-8 relative)
@@ -655,3 +656,120 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["spectrum", "--help"])
         assert exc.value.code == 0 and "--max-eigenvalue" in capsys.readouterr().out
+
+
+def _system(**fields):
+    """A config over the a9 system with ``fields`` replaced."""
+    return {"system": {**A9_SYSTEM, **fields}, "window": [0.0, 1.0]}
+
+
+class TestRefusals:
+    """Refusals that no other test reaches in process: each names its error and its message."""
+
+    @pytest.mark.parametrize(
+        "files, call, error, message",
+        [
+            ({"c.json": [1]}, ["analyze", "--config", "c.json"], SchemaError, "config must be an object, got list"),
+            (
+                {"c.json": {"window": [1]}},
+                ["analyze", "--config", "c.json"],
+                SchemaError,
+                "window must be [lo, hi], got [1]",
+            ),
+            (
+                {"c.json": {"output_format": "xml"}},
+                ["analyze", "--config", "c.json"],
+                ValidationError,
+                "output_format must be 'table' or 'structured', got 'xml'",
+            ),
+            (
+                {},
+                ["analyze", "--config", "missing.json"],
+                ValidationError,
+                "cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'",
+            ),
+            (
+                {"c.json": {"window": [0.0, 1.0]}},
+                ["analyze", "--config", "c.json"],
+                ValidationError,
+                "this subcommand needs a 'system' document in the config",
+            ),
+            (
+                {"i.json": {}},
+                ["rabinowitz", "--indices", "i.json"],
+                SchemaError,
+                "--indices file must hold an array of ring elements",
+            ),
+            ({}, ["morse-degree"], ValidationError, "morse-degree needs --orbits FILE"),
+            (
+                {"c.json": {"system": [1], "window": [0.0, 1.0]}},
+                ["analyze", "--config", "c.json"],
+                SchemaError,
+                "system document must be an object, got list",
+            ),
+            (
+                {"c.json": {"system": {"p1": 1, "domain": {"type": "disk"}}}},
+                ["analyze", "--config", "c.json"],
+                SchemaError,
+                "system document needs 'p2'",
+            ),
+            (
+                {"c.json": _system(b1={})},
+                ["analyze", "--config", "c.json"],
+                SchemaError,
+                "'b1' must be an array of {value, mult} objects",
+            ),
+            (
+                {
+                    "c.json": _system(
+                        a9=False,
+                        domain={
+                            "type": "custom",
+                            "entries": [
+                                {"eigenvalue": 0.0, "angular_index": 3, "rep": {"trivial": 1}},
+                                {"eigenvalue": 5.0, "rep": {"trivial": 1}},
+                            ],
+                        },
+                    )
+                },
+                ["analyze", "--config", "c.json"],
+                ValidationError,
+                "the zero eigenvalue has angular index 0",
+            ),
+            ({}, lambda: symbif.radial_condition(0, 2, 0.0), DomainError, "radial condition needs x > 0, got 0.0"),
+            ({}, lambda: symbif.disk_spectrum(-1.0), ValidationError, "max_eigenvalue must be positive, got -1.0"),
+            (
+                {},
+                lambda: parse_report("{}"),
+                SchemaError,
+                "not a structured report (missing or wrong schema_version)",
+            ),
+        ],
+        ids=[
+            "config-not-an-object",
+            "window-not-a-pair",
+            "output-format",
+            "config-missing",
+            "no-system",
+            "indices-not-an-array",
+            "morse-without-orbits",
+            "system-not-an-object",
+            "system-without-p2",
+            "b1-not-an-array",
+            "zero-at-angular-index-3",
+            "radial-condition-at-0",
+            "disk-spectrum-negative",
+            "report-without-version",
+        ],
+    )
+    def test_refusal_names_its_error(self, capsys, tmp_path, monkeypatch, files, call, error, message):
+        monkeypatch.chdir(tmp_path)
+        for name, doc in files.items():
+            Path(name).write_text(json.dumps(doc))
+        if callable(call):
+            with pytest.raises(error) as exc:
+                call()
+            assert str(exc.value) == message
+        else:
+            code = main(call)
+            assert (code, capsys.readouterr().err) == (1, f"symbif: {error.__name__}: {message}\n")

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import re
-import signal
 import sys
 from datetime import timedelta
 from functools import lru_cache
@@ -18,8 +17,8 @@ from symbif import (
     DiskDomain,
     DomainError,
     InsufficientSpectrum,
-    RepDescriptor,
     RootCache,
+    SO2Rep,
     SchemaError,
     SpectrumEntry,
     UnsupportedDomain,
@@ -171,7 +170,7 @@ class TestRadialRoots:
         assert capped == pytest.approx(roots, abs=1e-12)
 
     def test_count_validation(self):
-        supplied = CustomDomain([SpectrumEntry(0.0, RepDescriptor.trivial(1))])
+        supplied = CustomDomain([SpectrumEntry(0.0, SO2Rep.trivial(1))])
         calls = [
             lambda: neumann_radial_roots(0, 2, 0),
             lambda: neumann_radial_roots(0, 2, 2.5),
@@ -403,26 +402,37 @@ class TestNewtonRefinement:
             on_lattice = abs(x / GRID_STEP - round(x / GRID_STEP)) < 1e-9
             return real(l, dim, x) if on_lattice else (math.nan, math.nan)
 
-        assert math.isnan(_kernels._bisect_radial(1, 2, 1.5, math.nan, 2.0, -1.0, ROOT_XTOL))
         monkeypatch.setattr(_kernels, "_radial_condition", nan_off_lattice)
         with pytest.raises(ConvergenceError, match="refinement failed"):
             radial_roots_up_to(1, 2, 5.0)
 
     @staticmethod
-    def brackets(l, dim, x_max, monkeypatch):
-        """The (l, dim, a, fa, b, fb) brackets a scan up to x_max refines."""
+    def brackets(monkeypatch, scan, *args):
+        """The (l, dim, a, fa, b, fb) brackets that ``scan(*args)`` refines, on a fresh cache."""
         real = _kernels._bisect_radial
         found = []
 
-        def record(*args):
-            found.append(args[:6])
-            return real(*args)
+        def record(*call):
+            found.append(call[:6])
+            return real(*call)
 
         monkeypatch.setattr(_kernels, "_bisect_radial", record)
-        radial_roots_up_to(l, dim, x_max)
+        scan(*args)
         monkeypatch.setattr(_kernels, "_bisect_radial", real)
         assert found
         return found
+
+    @pytest.mark.parametrize(
+        "scan,args",
+        [(disk_spectrum, (400.0,)), *((radial_roots_up_to, (0, n, 60.0)) for n in (3, 4, 7))],
+        ids=["disk-400", "ball-3", "ball-4", "ball-7"],
+    )
+    def test_every_bracket_has_finite_nonzero_ends_of_opposite_sign(self, scan, args, monkeypatch):
+        # the contract _bisect_radial starts from: the scan refines only a sign change, and its
+        # points have replaced an exact 0.0 by a signed ulp and refused NaN
+        for _, _, a, fa, b, fb in self.brackets(monkeypatch, scan, *args):
+            assert a < b and math.isfinite(fa) and math.isfinite(fb), (a, fa, b, fb)
+            assert fa != 0.0 and fb != 0.0 and (fa > 0.0) != (fb > 0.0), (a, fa, b, fb)
 
     @pytest.mark.parametrize("l,dim", [(0, 2), (3, 2), (40, 2), (0, 3), (0, 4), (0, 7)])
     def test_newton_step_uses_the_exact_slope(self, l, dim, monkeypatch):
@@ -430,7 +440,7 @@ class TestNewtonRefinement:
         # with f' = J_l'' (disk) or -J_{nu+1}' (balls) as mpmath gives it
         nu = l if dim == 2 else 0.5 * (dim - 2)
         real = _kernels._radial_condition
-        for bracket in self.brackets(l, dim, l + 12.0, monkeypatch)[:3]:
+        for bracket in self.brackets(monkeypatch, radial_roots_up_to, l, dim, l + 12.0)[:3]:
             xs = []
 
             def record(l, dim, x):
@@ -451,7 +461,7 @@ class TestNewtonRefinement:
     @pytest.mark.parametrize("l,dim", [(0, 2), (1, 2), (5, 2), (60, 2), (0, 3), (0, 7)])
     def test_zero_and_tiny_xtol_terminate_at_the_root(self, l, dim, monkeypatch):
         real = _kernels._bisect_radial
-        for bracket in self.brackets(l, dim, l + 15.0, monkeypatch):
+        for bracket in self.brackets(monkeypatch, radial_roots_up_to, l, dim, l + 15.0):
             want = real(*bracket, 1e-14)
             for xtol in (0.0, 1e-300):
                 got = real(*bracket, xtol)
@@ -463,14 +473,14 @@ class TestDiskSpectrum:
         entries = disk_spectrum(10.0)
         assert [e.angular_index for e in entries] == [0, 1, 2]
         assert entries[0].eigenvalue == 0.0
-        assert entries[0].rep == RepDescriptor.trivial(1)
+        assert entries[0].rep == SO2Rep.trivial(1)
         assert abs(entries[1].eigenvalue - 3.38996) < 1e-4
         assert abs(entries[2].eigenvalue - 9.32836) < 1e-4
 
     def test_max_fifteen_adds_radial_mode(self):
         entries = disk_spectrum(15.0)
         assert abs(entries[3].eigenvalue - 14.68197) < 1e-4
-        assert entries[3].rep == RepDescriptor.trivial(1)
+        assert entries[3].rep == SO2Rep.trivial(1)
         assert entries[3].angular_index == 0
 
     def test_small_bound_keeps_only_zero(self):
@@ -540,29 +550,29 @@ class TestDiskSpectrumBytes:
 
 class TestBallNontrivial:
     def test_zero_is_trivial(self):
-        assert not ball_rep_nontrivial(SpectrumEntry(0.0, RepDescriptor.trivial(1)), 3)
+        assert not ball_rep_nontrivial(SpectrumEntry(0.0, SO2Rep.trivial(1)), 3)
 
     def test_labelled_positive_degree(self):
-        e = SpectrumEntry(10.0, RepDescriptor.zero(), angular_index=2)
+        e = SpectrumEntry(10.0, SO2Rep.zero(), angular_index=2)
         assert ball_rep_nontrivial(e, 3)
 
     def test_root_fed_back_is_trivial(self):
         r = neumann_radial_roots(0, 3, 2)[1]
-        assert not ball_rep_nontrivial(SpectrumEntry(r * r, RepDescriptor.trivial(1)), 3)
+        assert not ball_rep_nontrivial(SpectrumEntry(r * r, SO2Rep.trivial(1)), 3)
 
     def test_generic_eigenvalue_is_nontrivial(self):
-        assert ball_rep_nontrivial(SpectrumEntry(16.0, RepDescriptor.zero()), 3)
+        assert ball_rep_nontrivial(SpectrumEntry(16.0, SO2Rep.zero()), 3)
 
     def test_needs_dim_three(self):
         with pytest.raises(DomainError):
-            ball_rep_nontrivial(SpectrumEntry(1.0, RepDescriptor.zero()), 2)
+            ball_rep_nontrivial(SpectrumEntry(1.0, SO2Rep.zero()), 2)
 
     def test_none_cache_is_one_fresh_cache(self, kernel_calls):
         # cache=None spells "a fresh cache", as the default does: the domain keeps it, so the
         # second test reads the trivial-type roots the first one scanned
-        zero = SpectrumEntry(0.0, RepDescriptor.trivial(1))
+        zero = SpectrumEntry(0.0, SO2Rep.trivial(1))
         domain = BallDomain([zero], dim=3, cache=None)
-        entry = SpectrumEntry(40.0, RepDescriptor.trivial(1))  # no angular index: the radial test runs
+        entry = SpectrumEntry(40.0, SO2Rep.trivial(1))  # no angular index: the radial test runs
         assert domain.rep_nontrivial(entry)
         scanned = kernel_calls.total
         assert scanned > 0 and domain.cache.get(3, 0)
@@ -582,12 +592,12 @@ class TestCustomSpectrum:
             _doc([ZERO_ENTRY, {"eigenvalue": 2.5, "rep": {"trivial": 0, "irr": {"1": 1}}}])
         )
         assert len(entries) == 2
-        assert entries[1].rep == RepDescriptor.irr(1)
+        assert entries[1].rep == SO2Rep.irr(1)
 
     def test_accepts_rot_alias_and_json_text(self):
         text = json.dumps(_doc([ZERO_ENTRY, {"eigenvalue": 1.0, "rep": {"trivial": 0, "rot": {"2": 3}}}]))
         entries = load_custom_spectrum(text)
-        assert entries[1].rep == RepDescriptor.irr(2, 3)
+        assert entries[1].rep == SO2Rep.irr(2, 3)
 
     def test_missing_zero_rejected(self):
         with pytest.raises(ValidationError):
@@ -623,7 +633,7 @@ class TestCustomSpectrum:
             )
         )
         assert len(entries) == 2
-        assert entries[1].rep == RepDescriptor(0, {1: 1, 2: 2})
+        assert entries[1].rep == SO2Rep(0, {1: 1, 2: 2})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(SchemaError):
@@ -658,7 +668,7 @@ MERGED_ALIKE = {
 
 def _supplied(kind: str, items) -> tuple:
     """The domain of ``kind`` built in Python from ``items`` and its document, each as a thunk."""
-    entries = [SpectrumEntry(a, RepDescriptor(*rep)) for a, rep in items]
+    entries = [SpectrumEntry(a, SO2Rep(*rep)) for a, rep in items]
     doc = {"type": kind, "entries": [e.to_json() for e in entries], **({"dim": 3} if kind == "ball" else {})}
     built = (lambda: CustomDomain(entries)) if kind == "custom" else (lambda: BallDomain(entries, dim=3))
     return built, lambda: domain_from_json(doc)
@@ -673,7 +683,7 @@ class TestOneSuppliedRule:
         built, read = _supplied(kind, MERGED_ALIKE[case])
         assert built() == read()
         assert [(e.eigenvalue, e.rep) for e in built().entries] == [
-            (0.0, RepDescriptor.trivial(1)), (A, RepDescriptor(0, {1: 1, 2: 2})), (9.0, RepDescriptor.trivial(1))
+            (0.0, SO2Rep.trivial(1)), (A, SO2Rep(0, {1: 1, 2: 2})), (9.0, SO2Rep.trivial(1))
         ]
 
     @pytest.mark.parametrize("kind", ["custom", "ball"])
@@ -688,10 +698,25 @@ class TestOneSuppliedRule:
             with pytest.raises(ValidationError, match="ascending eigenvalue order"):
                 make()
 
-    @pytest.mark.parametrize("entries", ["abc", [1], [SpectrumEntry(0.0, RepDescriptor.trivial(1)), {}], 5])
+    @pytest.mark.parametrize("entries", ["abc", [1], [SpectrumEntry(0.0, SO2Rep.trivial(1)), {}], 5])
     def test_items_that_are_no_entries_are_a_validation_error(self, entries):
         with pytest.raises(ValidationError, match="list of SpectrumEntry records"):
             CustomDomain(entries)
+
+    @pytest.mark.parametrize("domain", [CustomDomain, BallDomain])
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [SpectrumEntry(0.0, "x")],
+            [SpectrumEntry(0.0, SO2Rep.trivial(1)), SpectrumEntry(2.0, None), SpectrumEntry(5.0, SO2Rep.trivial(1))],
+            SpectrumEntry(0.0, SO2Rep.trivial(1)),
+        ],
+        ids=["rep-text", "rep-none", "lone-entry"],
+    )
+    def test_entries_are_checked_as_records(self, domain, entries):
+        # these raised AttributeError or TypeError, or built a domain whose first analyze raised AttributeError
+        with pytest.raises(ValidationError, match="list of SpectrumEntry records"):
+            domain(entries)
 
 
 class TestClose:
@@ -766,7 +791,7 @@ class TestRootRange:
             with pytest.raises(DomainError):
                 radial_roots_up_to(0, dim, math.nan)
         with pytest.raises(InsufficientSpectrum, match="supported range"):
-            ball_rep_nontrivial(SpectrumEntry(1e12, RepDescriptor.irr(1)), 3)
+            ball_rep_nontrivial(SpectrumEntry(1e12, SO2Rep.irr(1)), 3)
 
     def test_disk_budget_stays_inside_the_range(self):
         # the largest alpha with alpha/4 + sqrt(alpha)/2 <= MAX_DISK_ENTRIES
@@ -804,27 +829,19 @@ class TestRootRange:
             "roots-up-to-l-10e6",
         ],
     )
-    def test_extreme_order_or_count_answers_at_once(self, call, expected, evaluates, kernel_calls):
+    def test_extreme_order_or_count_answers_at_once(self, call, expected, evaluates, kernel_calls, deadline):
         # a recurrence started above the order would run for ages: every root
         # of J_l' lies above l, and no evaluator accepts an order above MAX_ROOT_X
-        def overdue(signum, frame):
-            raise AssertionError("the call did not finish within 10 s")
-
-        previous = signal.signal(signal.SIGALRM, overdue)
-        signal.alarm(10)
-        try:
+        with deadline(10, "the call did not finish within 10 s"):
             if isinstance(expected, list):
                 assert call() == expected
             else:
                 with pytest.raises(expected[0], match=expected[1]):
                     call()
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert (kernel_calls.total > 0) == evaluates
 
     def test_orders_up_to_the_cut_answer(self):
-        assert bessel_j(MAX_ROOT_X, 150.0) == _kernels._bessel_j(200.0, 150.0)
+        assert bessel_j(MAX_ROOT_X, 150.0) == _kernels._bessel_j3(200.0, 150.0)[1]
         assert radial_condition(int(MAX_ROOT_X), 2, 150.0) == _kernels._radial_condition(200, 2, 150.0)[0]
         assert radial_condition(0, 402, 150.0) == _kernels._radial_condition(0, 402, 150.0)[0]
         for call in (
@@ -893,8 +910,11 @@ def _mutated_cache_docs(draw):
     doc = _valid_cache_doc()
     for _ in range(draw(st.integers(1, 3))):
         record, i = draw(st.sampled_from(doc["records"])), draw(st.integers(0, 3))
-        if type(record[i]) in (int, float) and draw(st.booleans()):  # the same number in another guise
-            record[i] = draw(st.sampled_from(_GUISES))(record[i])
+        old = record[i]
+        # the same number in another guise: any number but an integer past the float range, whose float(...)
+        # overflows (an earlier step may have put 10**400 there)
+        if (type(old) is float or type(old) is int and abs(old) <= 1e308) and draw(st.booleans()):
+            record[i] = draw(st.sampled_from(_GUISES))(old)
         else:
             record[i] = draw(st.one_of(_NEAR_MISSES, _HOSTILE))
     for _ in range(draw(st.integers(0, 2))):
@@ -931,15 +951,10 @@ def _damaged_cache_bytes(draw):
     return bytes(raw)
 
 
-def _check_load(path) -> None:
+def _check_load(path, deadline) -> None:
     """RootCache.load answers (cache, stale), and a cache it keeps holds exactly the records of the file."""
-    previous = signal.signal(signal.SIGALRM, _load_hung)
-    signal.alarm(10)
-    try:
+    with deadline(10, "RootCache.load did not answer within 10 s"):
         result = RootCache.load(path)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert isinstance(result, tuple) and len(result) == 2
     cache, stale = result
     assert isinstance(cache, RootCache) and stale in (True, False)
@@ -955,10 +970,6 @@ def _check_load(path) -> None:
     kept = [[dim, l, i, x] for (dim, l), roots in cache.records.items() for i, x in enumerate(roots, start=1)]
     normal = [[dim, l, i, float(x) if type(x) is int else x] for dim, l, i, x in records]
     assert json.dumps(sorted(kept)) == json.dumps(sorted(normal))
-
-
-def _load_hung(signum, frame):
-    raise AssertionError("RootCache.load did not answer within 10 s")
 
 
 class TestRootCache:
@@ -1066,15 +1077,15 @@ class TestRootCache:
 
     @settings(max_examples=300, deadline=timedelta(seconds=2), derandomize=True)
     @given(doc=_mutated_cache_docs())
-    def test_mutated_document_loads_or_is_stale(self, fuzz_path, doc):
+    def test_mutated_document_loads_or_is_stale(self, fuzz_path, deadline, doc):
         fuzz_path.write_text(json.dumps(doc))
-        _check_load(fuzz_path)
+        _check_load(fuzz_path, deadline)
 
     @settings(max_examples=300, deadline=timedelta(seconds=2), derandomize=True)
     @given(raw=st.one_of(_damaged_cache_bytes(), st.binary(max_size=64)))
-    def test_damaged_bytes_load_or_are_stale(self, fuzz_path, raw):
+    def test_damaged_bytes_load_or_are_stale(self, fuzz_path, deadline, raw):
         fuzz_path.write_bytes(raw)
-        _check_load(fuzz_path)
+        _check_load(fuzz_path, deadline)
 
     @pytest.mark.parametrize("version", [None, False, True, 1.0, 99], ids=["missing", "false", "true", "1.0", "99"])
     def test_other_schema_version_is_stale(self, tmp_path, version):

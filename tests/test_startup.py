@@ -36,12 +36,12 @@ A9_DISK = {
     "window": [-60.0, 60.0],
 }
 
-#: the 59 names the package root re-exported and the 7 submodules it imported
+#: the 58 names the package root re-exported and the 7 submodules it imported
 PARENT_NAMESPACE = [
     "BIFURCATES", "BallDomain", "BifurcationVerdict", "ConvergenceError", "CustomDomain", "DiskDomain",
     "DomainError", "Error", "EulerSO2", "GlobCheck", "INCONCLUSIVE", "InsufficientSpectrum", "KernelReps",
     "LinearizationEigenvalue", "MissingClass", "NO_VERDICT", "NonInjectiveTable", "NotAMember", "NotInvertible",
-    "OrbitDatum", "PreconditionError", "RepDescriptor", "RootCache", "SO2Rep", "SchemaError", "SpectrumEntry",
+    "OrbitDatum", "PreconditionError", "RootCache", "SO2Rep", "SchemaError", "SpectrumEntry",
     "SystemSpec", "UNBOUNDED", "UnboundedReport", "UnsupportedDomain", "ValidationError", "_kernels", "analyze",
     "ball_rep_nontrivial", "bessel_j", "bessel_j_prime", "bif_a9", "bif_difference", "bifurcation", "check_glob",
     "check_glob_zero", "compare_orbit_degrees", "deg_minus_id", "degree_from_orbits", "disk_spectrum",

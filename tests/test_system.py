@@ -9,7 +9,7 @@ from symbif import (
     DiskDomain,
     InsufficientSpectrum,
     NotAMember,
-    RepDescriptor,
+    SO2Rep,
     SchemaError,
     SpectrumEntry,
     SystemSpec,
@@ -64,7 +64,7 @@ class TestSystemSpecValidation:
         with pytest.raises(ValidationError, match=f"{field} must be a mapping"):
             SystemSpec(p1=1, p2=1, **{"sigma_b1": {1: 1}, "sigma_b2": {1: 1}, field: [(1, 1)]})
 
-    @pytest.mark.parametrize("domain", ["disk", {"type": "disk"}, RepDescriptor.zero()])
+    @pytest.mark.parametrize("domain", ["disk", {"type": "disk"}, SO2Rep.zero()])
     def test_domain_refused_when_built(self, domain):
         with pytest.raises(ValidationError, match="domain must be a DiskDomain, BallDomain or CustomDomain"):
             SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, domain=domain)
@@ -236,9 +236,9 @@ class TestLambdaSet:
     def test_dedup_of_coincident_members(self):
         # b and 2b produce the same lambda for alpha and 2*alpha in a made-up spectrum
         entries = [
-            SpectrumEntry(0.0, RepDescriptor.trivial(1)),
-            SpectrumEntry(2.0, RepDescriptor.irr(1)),
-            SpectrumEntry(4.0, RepDescriptor.irr(2)),
+            SpectrumEntry(0.0, SO2Rep.trivial(1)),
+            SpectrumEntry(2.0, SO2Rep.irr(1)),
+            SpectrumEntry(4.0, SO2Rep.irr(2)),
         ]
         spec = SystemSpec(
             p1=2, p2=0, sigma_b1={1: 1, 2: 1}, sigma_b2={}, domain=CustomDomain(entries)
@@ -258,7 +258,7 @@ class TestLambdaSet:
             lambda_set(a9_spec(q1=1, p2=0), (5.0, 1.0))
 
     def test_insufficient_spectrum_from_custom(self):
-        entries = [SpectrumEntry(0.0, RepDescriptor.trivial(1)), SpectrumEntry(5.0, RepDescriptor.irr(1))]
+        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1)), SpectrumEntry(5.0, SO2Rep.irr(1))]
         spec = SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, sigma_b2={}, domain=CustomDomain(entries))
         with pytest.raises(InsufficientSpectrum):
             lambda_set(spec, (0.0, 50.0))
@@ -273,20 +273,20 @@ class TestKernelReps:
     def test_positive_match(self):
         spec = a9_spec(q1=2, p2=0)
         kr = kernel_reps(spec, ALPHA2)
-        assert kr.v1 == RepDescriptor.irr(1, 2)
+        assert kr.v1 == SO2Rep.irr(1, 2)
         assert kr.v2.is_zero()
 
     def test_negative_match(self):
         spec = a9_spec(q1=0, p2=3)
         kr = kernel_reps(spec, -ALPHA2)
         assert kr.v1.is_zero()
-        assert kr.v2 == RepDescriptor.irr(1, 3)
+        assert kr.v2 == SO2Rep.irr(1, 3)
 
     def test_zero_parameter_collects_constants(self):
         spec = a9_spec(q1=2, p2=1)
         kr = kernel_reps(spec, 0.0)
-        assert kr.v1 == RepDescriptor.trivial(2)
-        assert kr.v2 == RepDescriptor.trivial(1)
+        assert kr.v1 == SO2Rep.trivial(2)
+        assert kr.v2 == SO2Rep.trivial(1)
 
     def test_total_dim_matches_vanishing_multiplicity(self):
         spec = SystemSpec(
@@ -335,7 +335,7 @@ class TestLinearization:
             linearization_eigenvalues(spec, 0.0, 0)
 
     def test_insufficient_for_supplied_domain(self):
-        entries = [SpectrumEntry(0.0, RepDescriptor.trivial(1))]
+        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1))]
         spec = SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, sigma_b2={}, domain=CustomDomain(entries))
         with pytest.raises(InsufficientSpectrum):
             linearization_eigenvalues(spec, 0.0, 2)
@@ -345,9 +345,9 @@ class TestLinearization:
         # rows per entry, B1 then B2; an eigenspace's dimension is 2 per irreducible
         # unless the custom domain's irr_dims say otherwise (here 5 for label 3)
         entries = [
-            SpectrumEntry(0.0, RepDescriptor.trivial(1)),
-            SpectrumEntry(4.0, RepDescriptor.irr(3)),
-            SpectrumEntry(9.0, RepDescriptor(2, {1: 1})),
+            SpectrumEntry(0.0, SO2Rep.trivial(1)),
+            SpectrumEntry(4.0, SO2Rep.irr(3)),
+            SpectrumEntry(9.0, SO2Rep(2, {1: 1})),
         ]
         domain = BallDomain(entries, dim=3) if kind == "ball" else CustomDomain(entries, irr_dim_table={3: 5})
         spec = SystemSpec(p1=1, p2=1, sigma_b1={2: 1}, sigma_b2={1: 1}, domain=domain)
@@ -440,7 +440,7 @@ class TestDocstringFormulas:
                             trivial += mult * e.rep.trivial_dim
                             for label, m in e.rep.irreducibles.items():
                                 irr[label] = irr.get(label, 0) + mult * m
-                pieces.append(RepDescriptor(trivial, irr))
+                pieces.append(SO2Rep(trivial, irr))
             kr = kernel_reps(spec, lam)
             assert (kr.v1, kr.v2) == tuple(pieces), lam
             assert lambda_membership(spec, lam) is matched, lam
@@ -561,7 +561,7 @@ class TestNonFiniteInputs:
             lambda: SystemSpec(p1=0, p2=1, sigma_b2={-INF: 1}),
             lambda: SystemSpec(p1=1, p2=0, sigma_b1={10**400: 1}),
             lambda: system_spec_from_json({"p1": 1, "p2": 0, "b1": [{"value": INF}], "domain": {"type": "disk"}}),
-            lambda: SpectrumEntry(INF, RepDescriptor.trivial(1)),
+            lambda: SpectrumEntry(INF, SO2Rep.trivial(1)),
             lambda: load_custom_spectrum(NONFINITE_CUSTOM),
         ],
         ids=[
