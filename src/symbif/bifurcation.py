@@ -170,24 +170,18 @@ def bif_a9(spec: SystemSpec, lambda0: float) -> EulerSO2:
 
 
 def _a9_indices(spec: SystemSpec, lams: Sequence[float]) -> list[EulerSO2]:
-    """:func:`bif_a9` at each of ``lams``, in order: one walk gives every k0, then one sweep."""
-    if not lams:
-        return []
-    entries, k0s = _a9_k0s(spec, lams)
-    return _a9_sweep(spec, entries, lams, k0s)
-
-
-def _a9_k0s(spec: SystemSpec, lams: Sequence[float]) -> tuple[Sequence[SpectrumEntry], list[int | None]]:
-    """The spectrum entries and, per lambda, k0 with alpha_k0 = |lambda| (None at 0).
+    """:func:`bif_a9` at each of ``lams``, in order: one walk gives every k0, then one sweep.
 
     Every lambda is checked and asks for the spectrum it needs in input
     order, up to the first error, so errors and spectrum extensions come as
     they would one call at a time.  One walk of :func:`analyze` over the
-    lambdas checked, sorted, then gives every k0: a9 pairs only b = 1, so
-    the first matched entry is the eigenspace of |lambda|.  The first lambda
-    outside Lambda, in input order, is raised, or else the error that
-    stopped the checks.
+    lambdas checked, sorted, then gives every k0 with alpha_k0 = |lambda|
+    (None at 0): a9 pairs only b = 1, so the first matched entry is the
+    eigenspace of |lambda|.  The first lambda outside Lambda, in input
+    order, is raised, or else the error that stopped the checks.
     """
+    if not lams:
+        return []
     _require_a9_disk(spec)
     k0s: list[int | None] = [None] * len(lams)
     checked: list[tuple[float, int]] = []  # (lambda, slot) of each nonzero lambda, in input order
@@ -217,7 +211,7 @@ def _a9_k0s(spec: SystemSpec, lams: Sequence[float]) -> tuple[Sequence[SpectrumE
                 raise PreconditionError(missing if lam > 0 else f"{lams[slot]!r} is not in Lambda: {missing}")
     if stopped is not None:
         raise stopped
-    return entries, k0s
+    return _a9_sweep(spec, entries, lams, k0s)
 
 
 def _a9_sweep(

@@ -330,13 +330,12 @@ def _check_cache_path(path: str) -> None:
 def run(args: argparse.Namespace) -> int:
     """Dispatch a parsed invocation; returns the process exit status."""
     config = AnalysisConfig.from_doc(_load_json(args.config)) if args.config else AnalysisConfig()
-    if args.window is not None or args.format is not None or args.max_eigenvalue is not None:
-        config = AnalysisConfig(  # flags override the document
-            config.system,
-            config.window if args.window is None else (args.window[0], args.window[1]),
-            config.output_format if args.format is None else args.format,
-            config.spectrum_bound if args.max_eigenvalue is None else args.max_eigenvalue,
-        )
+    config = AnalysisConfig(  # flags override the document
+        config.system,
+        config.window if args.window is None else (args.window[0], args.window[1]),
+        config.output_format if args.format is None else args.format,
+        config.spectrum_bound if args.max_eigenvalue is None else args.max_eigenvalue,
+    )
     if args.cache:
         _check_cache_path(args.cache)
         missing = not Path(args.cache).exists()

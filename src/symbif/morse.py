@@ -67,7 +67,13 @@ def degree_from_orbits(data: Iterable[OrbitDatum]) -> dict[str, int]:
     return {c: v for c, v in out.items() if v != 0}
 
 
-def _check_table(table: Mapping[str, str]) -> None:
+def lift_degree(deg: Mapping[str, int], table: Mapping[str, str]) -> dict[str, int]:
+    """Transport a slice-level degree along an injective class table.
+
+    Coefficients are preserved under the relabelling.  Raises MissingClass if
+    a class with nonzero coefficient has no table entry, NonInjectiveTable if
+    the table merges classes (the transported map would be meaningless).
+    """
     seen: set[str] = set()
     for g_class in table.values():
         if g_class in seen:
@@ -76,16 +82,6 @@ def _check_table(table: Mapping[str, str]) -> None:
                 f"classes {clashing} share the target {_show(g_class)}; the pair is not admissible"
             )
         seen.add(g_class)
-
-
-def lift_degree(deg: Mapping[str, int], table: Mapping[str, str]) -> dict[str, int]:
-    """Transport a slice-level degree along an injective class table.
-
-    Coefficients are preserved under the relabelling.  Raises MissingClass if
-    a class with nonzero coefficient has no table entry, NonInjectiveTable if
-    the table merges classes (the transported map would be meaningless).
-    """
-    _check_table(table)
     out: dict[str, int] = {}
     for h_class, coeff in deg.items():
         if coeff == 0:

@@ -18,7 +18,9 @@ the package's one representation class; an entry's ``rep`` document is
 input only.  Each domain writes its own document (``to_json``, which
 :func:`domain_from_json` reads back) and decides whether an eigenspace is a
 nontrivial representation (``rep_nontrivial``): the disk and supplied
-spectra by the stated type, a ball by the radial test.
+spectra by the stated type, a ball by the radial test.  Its attribute
+``irr_dim_table`` maps an irreducible's label to its real dimension, or is
+None when every irreducible has dimension 2; only a custom domain sets one.
 A ``cache`` of None is a fresh in-memory :class:`RootCache`.
 
 Root finding is one scan: sign-change bracketing on a fixed pi/8 lattice,
@@ -636,8 +638,7 @@ class DiskDomain(_Record):
     their bounds are; the cache and the memo are neither compared nor shown.
     """
 
-    kind = "disk"
-    dim = 2
+    irr_dim_table = None  # rotation irreducibles all have real dimension 2
     _fields = ("bound",)
 
     def __init__(self, bound: float | None = None, cache: RootCache | None = None) -> None:
@@ -649,9 +650,6 @@ class DiskDomain(_Record):
         self._memo: list[SpectrumEntry] = []
         self._eigenvalues: list[float] = []
         self._memo_bound = -1.0
-
-    def irr_dims(self) -> None:
-        return None  # rotation irreducibles all have real dimension 2
 
     def to_json(self) -> dict:
         return {"type": "disk"} if self.bound is None else {"type": "disk", "max_eigenvalue": self.bound}
@@ -697,6 +695,7 @@ class DiskDomain(_Record):
 class _SuppliedDomain(_Record):
     """Base for domains whose spectrum is user-supplied and finite; equal when the entries are."""
 
+    irr_dim_table = None  # a ball's harmonic dimension tables are out of scope; CustomDomain may set one
     _fields = ("entries",)
 
     def __init__(self, entries: list[SpectrumEntry]) -> None:
@@ -722,10 +721,6 @@ class _SuppliedDomain(_Record):
             raise ValidationError("the zero eigenvalue has angular index 0")
         self._eigenvalues = [e.eigenvalue for e in self.entries]
 
-    @property
-    def coverage(self) -> float:
-        return self.entries[-1].eigenvalue
-
     def to_json(self) -> dict:
         return {"type": self.kind, "entries": [e.to_json() for e in self.entries]}
 
@@ -739,9 +734,10 @@ class _SuppliedDomain(_Record):
         spectrum.
         """
         alpha_max = max(0.0, float(alpha_max))
-        if _beyond_coverage(alpha_max, self.coverage):
+        coverage = self.entries[-1].eigenvalue
+        if _beyond_coverage(alpha_max, coverage):
             raise InsufficientSpectrum(
-                f"need eigenvalues up to {alpha_max!r} but the supplied spectrum stops at {self.coverage!r}"
+                f"need eigenvalues up to {alpha_max!r} but the supplied spectrum stops at {coverage!r}"
             )
         return self.entries[: bisect_right(self._eigenvalues, alpha_max)]
 
@@ -763,9 +759,6 @@ class BallDomain(_SuppliedDomain):
         self.dim = _int(dim, "ball dimension", 3)
         self.cache = RootCache() if cache is None else cache
 
-    def irr_dims(self) -> None:
-        return None  # harmonic dimension tables are out of scope; callers may override
-
     def to_json(self) -> dict:
         return {**_SuppliedDomain.to_json(self), "dim": self.dim}
 
@@ -783,7 +776,6 @@ class CustomDomain(_SuppliedDomain):
     """
 
     kind = "custom"
-    dim = None
     _fields = ("entries", "irr_dim_table")
 
     def __init__(self, entries: list[SpectrumEntry], irr_dim_table: dict[int, int] | None = None) -> None:
@@ -794,9 +786,6 @@ class CustomDomain(_SuppliedDomain):
                 for k, d in _label_table(irr_dim_table, "irr_dims").items()
             }
         self.irr_dim_table = irr_dim_table
-
-    def irr_dims(self) -> dict[int, int] | None:
-        return self.irr_dim_table
 
     def to_json(self) -> dict:
         doc = _SuppliedDomain.to_json(self)

@@ -21,11 +21,13 @@ One relative tolerance, the constant ``MERGE_REL``, drives eigenvalue
 merging, Lambda membership and kernel matching, so the three stay consistent
 by construction.  The candidates of a window come from the spectral pairs
 sorted once by the parameter at which each vanishes, and one walk up the
-same sorted pairs gives every candidate's kernel: the only place a pair is
-matched against a parameter.  A single-parameter lookup (:func:`kernel_reps`,
-:func:`lambda_membership`) is that walk over the window [lambda0, lambda0],
-so it costs one sort of the pairs that could reach lambda0; a parameter that
-is not a finite number raises ValidationError.
+same sorted pairs gives every candidate's kernel.  The walk and
+:func:`linearization_eigenvalues` are the two places a pair is matched
+against a parameter, both by the one test ``close(s*(lam*b), alpha)``.
+A single-parameter lookup (:func:`kernel_reps`, :func:`lambda_membership`)
+is that walk over the window [lambda0, lambda0], so it costs one sort of
+the pairs that could reach lambda0; a parameter that is not a finite
+number raises ValidationError.
 """
 
 from __future__ import annotations
@@ -392,10 +394,9 @@ def linearization_eigenvalues(
     """
     lam = _real(lam, "lambda0")
     entries = spec.domain.first_entries(k_max)  # checks k_max
-    irr_dims = spec.domain.irr_dims()
     out: list[LinearizationEigenvalue] = []
     for e in entries:
-        dim = e.rep.total_dim(irr_dims)
+        dim = e.rep.total_dim(spec.domain.irr_dim_table)
         alpha = e.eigenvalue
         for s, block, sigma in ((1, "B1", spec.sigma_b1), (-1, "B2", spec.sigma_b2)):
             for b, mult in sorted(sigma.items()):
@@ -406,7 +407,7 @@ def linearization_eigenvalues(
                         entry=e,
                         block=block,
                         b=b,
-                        vanishes=b != 0 and close(lam * b, s * alpha),
+                        vanishes=b != 0 and close(s * (lam * b), alpha),
                         structural=b == 0 and alpha == 0.0,
                     )
                 )

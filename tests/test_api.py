@@ -9,7 +9,8 @@ public callable takes a merge or matching tolerance (the constant
 no other module tests for bools by hand.  A record states its fields once, in ``_fields``; only the
 base ``errors._Record`` compares and prints records.  "A fresh one" has one spelling, the default
 ``None``: every other default is a plain immutable value.  The representation class has one public
-name, ``SO2Rep``, in the package root and in ``symbif.euler``.
+name, ``SO2Rep``, in the package root and in ``symbif.euler``.  No source line of the package is longer
+than 120 characters.
 """
 
 import importlib
@@ -136,3 +137,18 @@ def test_defaults_are_none_or_plain_values():
         if p.default is not p.empty and not isinstance(p.default, PLAIN_DEFAULTS)
     )
     assert odd == []
+
+
+#: the longest source line the package allows
+MAX_LINE = 120
+
+
+def test_no_source_line_is_longer_than_the_limit():
+    package = Path(symbif.__file__).parent
+    long_lines = [
+        f"{path.name}:{n}"
+        for path in sorted(package.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > MAX_LINE
+    ]
+    assert long_lines == []

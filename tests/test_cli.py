@@ -736,8 +736,20 @@ class TestRefusals:
                 ValidationError,
                 "the zero eigenvalue has angular index 0",
             ),
+            (
+                {"c.json": _system(a9=1)},
+                ["analyze", "--config", "c.json"],
+                SchemaError,
+                "'a9' must be a boolean, got 1",
+            ),
             ({}, lambda: symbif.radial_condition(0, 2, 0.0), DomainError, "radial condition needs x > 0, got 0.0"),
             ({}, lambda: symbif.disk_spectrum(-1.0), ValidationError, "max_eigenvalue must be positive, got -1.0"),
+            (
+                {},
+                lambda: symbif.SO2Rep(trivial_dim=[10**5000]),
+                ValidationError,
+                "trivial_dim must be an integer, got a list holding an integer too long to print",
+            ),
             (
                 {},
                 lambda: parse_report("{}"),
@@ -757,8 +769,10 @@ class TestRefusals:
             "system-without-p2",
             "b1-not-an-array",
             "zero-at-angular-index-3",
+            "a9-not-a-boolean",
             "radial-condition-at-0",
             "disk-spectrum-negative",
+            "list-holding-an-unprintable-integer",
             "report-without-version",
         ],
     )

@@ -73,6 +73,20 @@ class TestRingOps:
         with pytest.raises(NotInvertible):
             (2 * I) ** -1
 
+    @pytest.mark.parametrize(
+        "op",
+        [lambda a: a + 1, lambda a: a - 1, lambda a: a * 1.5, lambda a: 1.5 * a],
+        ids=["add-int", "sub-int", "mul-float", "rmul-float"],
+    )
+    def test_non_elements_are_a_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(EulerSO2.one())
+
+    def test_negative_cyclic_coefficient_reads_and_prints(self):
+        a = EulerSO2(3, {1: -2})
+        assert (a.coefficient(), a.coefficient(1), a.coefficient(2)) == (3, -2, 0)
+        assert str(a) == "3*I -2*chi[1]"
+
     def test_zero_pruning_canonical(self):
         assert EulerSO2(1, {3: 0, 4: 2}) == EulerSO2(1, {4: 2})
         assert chi(2) - chi(2) == O

@@ -53,6 +53,14 @@ class TestDegreeFromOrbits:
         with pytest.raises(ValidationError):
             OrbitDatum("Z2", -1)
 
+    def test_fields_are_frozen(self):
+        datum = OrbitDatum("Z2", 1)
+        with pytest.raises(AttributeError, match="cannot assign to field 'morse_index'"):
+            datum.morse_index = 3
+        with pytest.raises(AttributeError, match="cannot delete field 'isotropy_class'"):
+            del datum.isotropy_class
+        assert datum == OrbitDatum("Z2", 1)
+
 
 class TestLiftDegree:
     def test_identity_table(self):

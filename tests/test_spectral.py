@@ -406,6 +406,19 @@ class TestNewtonRefinement:
         with pytest.raises(ConvergenceError, match="refinement failed"):
             radial_roots_up_to(1, 2, 5.0)
 
+    def test_nan_at_a_lattice_point_raises(self, monkeypatch):
+        real = _kernels._radial_condition
+
+        def nan_above_5(l, dim, x):
+            return real(l, dim, x) if x <= 5.0 else (math.nan, math.nan)
+
+        monkeypatch.setattr(_kernels, "_radial_condition", nan_above_5)
+        with pytest.raises(ConvergenceError) as exc:
+            radial_roots_up_to(0, 2, 10.0)
+        # the scan stops at the first lattice point past 5, 13 * GRID_STEP
+        assert 5.105088062083414 == 13 * GRID_STEP
+        assert str(exc.value) == "radial condition evaluated to NaN at x=5.105088062083414 (l=0, dim=2)"
+
     @staticmethod
     def brackets(monkeypatch, scan, *args):
         """The (l, dim, a, fa, b, fb) brackets that ``scan(*args)`` refines, on a fresh cache."""

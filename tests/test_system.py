@@ -114,7 +114,7 @@ class TestSystemSpecJson:
         ]
         doc = {**self.DOC, "a9": False, "domain": {"type": "custom", "entries": entries, "irr_dims": {"3": 5}}}
         spec = system_spec_from_json(doc)
-        assert spec.domain.irr_dims() == {3: 5}
+        assert spec.domain.irr_dim_table == {3: 5}
         assert spec.to_json() == doc
         assert system_spec_from_json(spec.to_json()) == spec
 
