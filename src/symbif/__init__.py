@@ -19,7 +19,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-#: the public names, by the submodule that defines them
+#: the public names, by the submodule that defines them; each submodule's ``__all__`` is built from its entry
 _EXPORTS = {
     "bifurcation": (
         "BIFURCATES", "INCONCLUSIVE", "NO_VERDICT", "UNBOUNDED", "BifurcationVerdict", "GlobCheck", "UnboundedReport",

@@ -27,18 +27,20 @@ are checked exactly.
 
 :func:`analyze` sorts the spectral pairs (sign, block eigenvalue, entry)
 once, by the parameter at which each vanishes; one walk up them gives
-every candidate, its kernel, its Lambda membership and its k0, with no
-spectrum lookup per candidate.  The exact indices of all candidates come
-from one ascending sweep over the spectrum that keeps the trivial
-dimension t and the multiplicities m_k of V(n), so
+every candidate, its kernel and its Lambda membership, with no spectrum
+lookup per candidate.  a9 pairs only b = 1, so E_k0 is the kernel's first
+matched entry, where both the index and the unboundedness certificate
+read it.  The exact indices of all candidates come from one ascending
+sweep over the spectrum that keeps the trivial dimension t and the
+multiplicities m_k of V(n), so
 D(V(n)) = (-1)^t (I - sum_k m_k chi[k]) is never summed twice; with the
 closed form (u; c)^n = (u^n; n u^(n-1) c) of :mod:`symbif.euler` each
 element is one pass over its labels.  :func:`analyze` thus costs one sort
 of the pairs plus time linear in the pairs and candidates.  A single
 parameter (:func:`bif_a9`, :func:`check_glob`, :func:`bif_difference`)
 takes the same walk over the one candidate, after one sort of the pairs
-that could reach it, and a lone :func:`bif_a9` sweeps the k0 entries below
-its parameter.  Many a9 parameters (``rabinowitz``) share one sort and one
+that could reach it, and a lone :func:`bif_a9` sweeps the entries up to
+|lambda0|.  Many a9 parameters (``rabinowitz``) share one sort and one
 walk.
 """
 
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from . import _EXPORTS
 from .errors import Error, PreconditionError, UnsupportedDomain, ValidationError, _real, _Record, _show
 from .euler import EulerSO2, SO2Rep, deg_minus_id, rep_equiv_mod_even_trivial
 from .spectral import DiskDomain, SpectrumEntry, close
@@ -59,23 +62,7 @@ from .system import (
     kernel_reps,
 )
 
-__all__ = [
-    "BIFURCATES",
-    "INCONCLUSIVE",
-    "UNBOUNDED",
-    "NO_VERDICT",
-    "GlobCheck",
-    "UnboundedReport",
-    "BifurcationVerdict",
-    "check_glob",
-    "check_glob_zero",
-    "bif_difference",
-    "bif_a9",
-    "rabinowitz_excludes_bounded",
-    "unbounded_verdict",
-    "analyze",
-    "enumerate_zero_sum_subsets",
-]
+__all__ = [*_EXPORTS["bifurcation"]]
 
 BIFURCATES = "Bifurcates"
 INCONCLUSIVE = "Inconclusive"
@@ -170,20 +157,20 @@ def bif_a9(spec: SystemSpec, lambda0: float) -> EulerSO2:
 
 
 def _a9_indices(spec: SystemSpec, lams: Sequence[float]) -> list[EulerSO2]:
-    """:func:`bif_a9` at each of ``lams``, in order: one walk gives every k0, then one sweep.
+    """:func:`bif_a9` at each of ``lams``, in order: one walk gives every kernel, then one sweep.
 
     Every lambda is checked and asks for the spectrum it needs in input
     order, up to the first error, so errors and spectrum extensions come as
     they would one call at a time.  One walk of :func:`analyze` over the
-    lambdas checked, sorted, then gives every k0 with alpha_k0 = |lambda|
-    (None at 0): a9 pairs only b = 1, so the first matched entry is the
-    eigenspace of |lambda|.  The first lambda outside Lambda, in input
-    order, is raised, or else the error that stopped the checks.
+    nonzero lambdas checked, sorted, then gives their kernels; a kernel
+    that matched no entry marks a lambda outside Lambda.  The first such
+    lambda, in input order, is raised, or else the error that stopped the
+    checks.
     """
     if not lams:
         return []
     _require_a9_disk(spec)
-    k0s: list[int | None] = [None] * len(lams)
+    kernels: list[KernelReps | None] = [None] * len(lams)  # None at 0
     checked: list[tuple[float, int]] = []  # (lambda, slot) of each nonzero lambda, in input order
     stopped = None
     for slot, lambda0 in enumerate(lams):
@@ -203,44 +190,47 @@ def _a9_indices(spec: SystemSpec, lams: Sequence[float]) -> list[EulerSO2]:
     if checked:
         ordered = sorted(checked)
         _, _, entries, blocks, pairs = _spectral_pairs(spec, (ordered[0][0], ordered[-1][0]))
-        for (_, slot), (_, first) in zip(ordered, _swept_kernels(entries, blocks, pairs, [m for m, _ in ordered])):
-            k0s[slot] = None if first is None else first + 1
+        for (_, slot), kr in zip(ordered, _swept_kernels(entries, blocks, pairs, [m for m, _ in ordered])):
+            kernels[slot] = kr
         for lam, slot in checked:
-            if k0s[slot] is None:
+            if not kernels[slot].matched:
                 missing = f"{abs(lam)!r} is not an eigenvalue of the loaded spectrum"
                 raise PreconditionError(missing if lam > 0 else f"{lams[slot]!r} is not in Lambda: {missing}")
     if stopped is not None:
         raise stopped
-    return _a9_sweep(spec, entries, lams, k0s)
+    return _a9_sweep(spec, entries, lams, kernels)
 
 
 def _a9_sweep(
-    spec: SystemSpec, entries: Sequence[SpectrumEntry], lams: Sequence[float], k0s: Sequence[int | None]
+    spec: SystemSpec, entries: Sequence[SpectrumEntry], lams: Sequence[float], kernels: Sequence[KernelReps | None]
 ) -> list[EulerSO2]:
-    """The a9 index at each lambda with its k0 (None at 0), from one ascending sweep of ``entries``.
+    """The a9 index at each lambda from its kernel (not read at 0), by one ascending sweep of ``entries``.
 
-    The sweep keeps the trivial dimension and multiplicities of V(n) and
-    reads each element off :func:`_a9_element`.
+    a9 pairs only b = 1, so E_k0 is the kernel's first matched entry.  The
+    sweep keeps the trivial dimension and multiplicities of V(n), the
+    entries passed so far: V(k0-1) before E_k0 and V(k0) after it.  Each
+    element is read off :func:`_a9_element`.
     """
     q1, p2 = spec.q1, spec.p2
     out: list = [None] * len(lams)
-    wanted: dict[int, list[tuple[int, int, SO2Rep]]] = {}  # m -> (slot, power, E_k0) per lambda
-    for slot, (lam, k0) in enumerate(zip(lams, k0s)):
-        if k0 is None:
+    wanted: dict[float, list[tuple[int, int]]] = {}  # eigenvalue of E_k0 -> (slot, power) per lambda
+    for slot, (lam, kr) in enumerate(zip(lams, kernels)):
+        if close(lam, 0.0):
             out[slot] = ((-1) ** q1 - (-1) ** p2) * EulerSO2.one()
         else:
-            # D(V(m))^power * (D(E_k0)^|power| - I), (m, power) = (k0 - 1, q1) above 0 and (k0, -p2) below
-            m, power = (k0 - 1, q1) if lam > 0 else (k0, -p2)
-            wanted.setdefault(m, []).append((slot, power, entries[k0 - 1].rep))
-    t, mults, done = 0, {}, 0
-    for m in sorted(wanted):
-        for e in entries[done:m]:
-            t += e.rep.trivial_dim
-            for k, mult in e.rep.irreducibles.items():
-                mults[k] = mults.get(k, 0) + mult
-        done = m
-        for slot, power, eig in wanted[m]:
-            out[slot] = _a9_element(t, mults, eig, power)
+            wanted.setdefault(kr.matched[0].eigenvalue, []).append((slot, q1 if lam > 0 else -p2))
+    t, mults = 0, {}
+    for e in entries:
+        at_e = wanted.get(e.eigenvalue, ())
+        for slot, power in at_e:
+            if power > 0:  # D(V(k0-1))^q1 * (D(E_k0)^q1 - I)
+                out[slot] = _a9_element(t, mults, e.rep, power)
+        t += e.rep.trivial_dim
+        for k, mult in e.rep.irreducibles.items():
+            mults[k] = mults.get(k, 0) + mult
+        for slot, power in at_e:
+            if power < 0:  # D(V(k0))^-p2 * (D(E_k0)^p2 - I)
+                out[slot] = _a9_element(t, mults, e.rep, power)
     return out
 
 
@@ -357,23 +347,22 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
     the window contains it.  Exact index elements are attached only in the
     normalized block form on the disk, where the closed forms apply.  The
     spectral pairs are formed and sorted once; one walk up them gives every
-    candidate, its kernel and its k0, and one sweep of the spectrum the
-    exact elements, with no spectrum lookup per candidate.
+    candidate and its kernel, and one sweep of the spectrum the exact
+    elements, each at its kernel's E_k0, with no spectrum lookup per
+    candidate.
     """
     lo, hi, entries, blocks, pairs = _spectral_pairs(spec, window)  # checks the window
     candidates = _merged(pairs, lo, hi)
-    if window[0] <= 0.0 <= window[1] and not any(close(c, 0.0) for c in candidates):
+    if lo <= 0.0 <= hi and not any(close(c, 0.0) for c in candidates):
         candidates.append(0.0)
         candidates.sort()
     kernels = _swept_kernels(entries, blocks, pairs, candidates)
     if spec.a9 and isinstance(spec.domain, DiskDomain):
-        # a9 pairs only b = 1, so the first matched entry is the eigenspace of |lam|
-        k0s = [None if close(lam, 0.0) else first + 1 for lam, (_, first) in zip(candidates, kernels)]
-        bifs = _a9_sweep(spec, entries, candidates, k0s)
+        bifs = _a9_sweep(spec, entries, candidates, kernels)
     else:
         bifs = [None] * len(candidates)
     verdicts = []
-    for lam, (kr, _), bif in zip(candidates, kernels, bifs):
+    for lam, kr, bif in zip(candidates, kernels, bifs):
         at_zero = close(lam, 0.0)
         gc = check_glob_zero(spec) if at_zero else _glob_from_kernel(kr)
         unb = NO_VERDICT

@@ -36,7 +36,6 @@ from .spectral import DiskDomain, RootCache
 __all__ = ["AnalysisConfig", "main", "parse_report"]
 
 SCHEMA_VERSION = 1
-SUBCOMMANDS = ("spectrum", "lambda-set", "analyze", "bif", "rabinowitz", "morse-degree")
 
 
 class AnalysisConfig(_Record):
@@ -99,11 +98,6 @@ def _load_json(path: str):
     return _parse_json(data, path)
 
 
-def _emit(**fields) -> str:
-    """The structured report of ``fields`` under the ``schema_version``: JSON with sorted keys, so deterministic."""
-    return json.dumps({"schema_version": SCHEMA_VERSION, **fields}, indent=2, sort_keys=True)
-
-
 def parse_report(text: str) -> dict:
     """Parse a structured report back into its document form."""
     doc = _parse_json(text, "report")
@@ -113,7 +107,7 @@ def parse_report(text: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers (each returns the stdout payload)
+# subcommand handlers (each returns its report fields and its table text)
 # ---------------------------------------------------------------------------
 
 
@@ -123,43 +117,36 @@ def _require_window(config: AnalysisConfig) -> tuple[float, float]:
     return config.window
 
 
-def _cmd_spectrum(config: AnalysisConfig, args, cache) -> str:
+def _cmd_spectrum(config: AnalysisConfig, args, cache) -> tuple[dict, str]:
     bound = config.spectrum_bound
     if bound is None:
         raise ValidationError("spectrum needs --max-eigenvalue or a spectrum_bound in the config")
     domain = DiskDomain(cache=cache) if config.system is None else config.build_spec(cache).domain
     entries = domain.entries_up_to(bound)
-    if config.output_format == "structured":
-        return _emit(entries=[e.to_json() for e in entries])
     lines = [f"{'eigenvalue':>16}  {'l':>4}  {'root':>4}  rep"]
     for e in entries:
         l = "-" if e.angular_index is None else str(e.angular_index)
         r = "-" if e.root_index is None else str(e.root_index)
         lines.append(f"{e.eigenvalue:16.8f}  {l:>4}  {r:>4}  {e.rep.describe()}")
-    return "\n".join(lines)
+    return {"entries": [e.to_json() for e in entries]}, "\n".join(lines)
 
 
-def _cmd_lambda_set(config: AnalysisConfig, args, cache) -> str:
+def _cmd_lambda_set(config: AnalysisConfig, args, cache) -> tuple[dict, str]:
     from .system import lambda_set
 
     spec = config.build_spec(cache)
     window = _require_window(config)
     members = lambda_set(spec, window)
-    if config.output_format == "structured":
-        return _emit(window=list(window), lambda_set=members)
-    if not members:
-        return "lambda set: (empty)"
-    return "\n".join(f"{m:.10g}" for m in members)
+    table = "\n".join(f"{m:.10g}" for m in members) if members else "lambda set: (empty)"
+    return {"window": list(window), "lambda_set": members}, table
 
 
-def _cmd_analyze(config: AnalysisConfig, args, cache) -> str:
+def _cmd_analyze(config: AnalysisConfig, args, cache) -> tuple[dict, str]:
     from .bifurcation import analyze
 
     spec = config.build_spec(cache)
     window = _require_window(config)
     verdicts = analyze(spec, window)
-    if config.output_format == "structured":
-        return _emit(verdicts=[v.to_json() for v in verdicts])
     lines = [f"{'lambda0':>14}  {'glob':<12} {'justification':<26} {'unbounded':<10} {'bif':<18} kernel"]
     for v in verdicts:
         kernel = f"V1 = {v.kernel.v1.describe()}; V2 = {v.kernel.v2.describe()}"
@@ -167,10 +154,10 @@ def _cmd_analyze(config: AnalysisConfig, args, cache) -> str:
         lines.append(f"{v.lambda0:14.6f}  {v.glob:<12} {v.justification:<26} {v.unbounded:<10} {bif:<18} {kernel}")
     if not verdicts:
         lines.append("(no candidate parameters in the window)")
-    return "\n".join(lines)
+    return {"verdicts": [v.to_json() for v in verdicts]}, "\n".join(lines)
 
 
-def _cmd_bif(config: AnalysisConfig, args, cache) -> str:
+def _cmd_bif(config: AnalysisConfig, args, cache) -> tuple[dict, str]:
     from .bifurcation import _nonzero, bif_a9, bif_difference
 
     if args.lambda0 is None:
@@ -183,12 +170,11 @@ def _cmd_bif(config: AnalysisConfig, args, cache) -> str:
         _nonzero(args.lambda0, "the exact index at 0 needs the normalized block form (a9)")
         element = bif_difference(spec, args.lambda0)
         kind = "normalized_difference"
-    if config.output_format == "structured":
-        return _emit(lambda0=args.lambda0, kind=kind, bif=element.to_json())
-    return f"BIF({args.lambda0:g}) [{kind}] = {element}"
+    fields = {"lambda0": args.lambda0, "kind": kind, "bif": element.to_json()}
+    return fields, f"BIF({args.lambda0:g}) [{kind}] = {element}"
 
 
-def _cmd_rabinowitz(config: AnalysisConfig, args, cache) -> str:
+def _cmd_rabinowitz(config: AnalysisConfig, args, cache) -> tuple[dict, str]:
     from .bifurcation import _a9_indices, _refuse_subsets, _require_a9_disk, enumerate_zero_sum_subsets
     from .euler import EulerSO2
     from .system import lambda_set
@@ -219,10 +205,9 @@ def _cmd_rabinowitz(config: AnalysisConfig, args, cache) -> str:
             subsets = enumerate_zero_sum_subsets(labelled)
     total = sum((ix for _, ix in labelled), EulerSO2.zero())
     excludes = not total.is_zero()
-    if config.output_format == "structured":
-        indices = [{"lambda0": lam, "bif": ix.to_json()} for lam, ix in labelled]
-        listed = {} if subsets is None else {"zero_sum_subsets": subsets}
-        return _emit(indices=indices, sum=total.to_json(), excludes_bounded=excludes, **listed)
+    indices = [{"lambda0": lam, "bif": ix.to_json()} for lam, ix in labelled]
+    listed = {} if subsets is None else {"zero_sum_subsets": subsets}
+    fields = {"indices": indices, "sum": total.to_json(), "excludes_bounded": excludes, **listed}
     lines = [f"index sum = {total}", f"excludes bounded continua: {'yes' if excludes else 'no'}"]
     for lam, ix in labelled:
         lines.append(f"  BIF({lam:g}) = {ix}")
@@ -232,10 +217,10 @@ def _cmd_rabinowitz(config: AnalysisConfig, args, cache) -> str:
             lines.extend("  {" + ", ".join(f"{lam:g}" for lam in s) + "}" for s in subsets)
         else:
             lines.append("no parameter family has zero index sum: every continuum is unbounded")
-    return "\n".join(lines)
+    return fields, "\n".join(lines)
 
 
-def _cmd_morse_degree(config: AnalysisConfig, args, cache) -> str:
+def _cmd_morse_degree(config: AnalysisConfig, args, cache) -> tuple[dict, str]:
     from .morse import class_table_from_json, degree_from_orbits, lift_degree, orbit_data_from_json
 
     if not args.orbits:
@@ -245,8 +230,6 @@ def _cmd_morse_degree(config: AnalysisConfig, args, cache) -> str:
     lifted = None
     if args.table:
         lifted = lift_degree(degree, class_table_from_json(_load_json(args.table)))
-    if config.output_format == "structured":
-        return _emit(degree=degree, lifted=lifted)
     lines = ["degree:"]
     lines.extend(f"  {cls}: {coeff:+d}" for cls, coeff in sorted(degree.items()))
     if not degree:
@@ -254,17 +237,7 @@ def _cmd_morse_degree(config: AnalysisConfig, args, cache) -> str:
     if lifted is not None:
         lines.append("lifted:")
         lines.extend(f"  {cls}: {coeff:+d}" for cls, coeff in sorted(lifted.items()))
-    return "\n".join(lines)
-
-
-_HANDLERS = {
-    "spectrum": _cmd_spectrum,
-    "lambda-set": _cmd_lambda_set,
-    "analyze": _cmd_analyze,
-    "bif": _cmd_bif,
-    "rabinowitz": _cmd_rabinowitz,
-    "morse-degree": _cmd_morse_degree,
-}
+    return {"degree": degree, "lifted": lifted}, "\n".join(lines)
 
 
 #: a real number as ``float`` spells it
@@ -303,16 +276,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bifurcation certificates for symmetric elliptic systems",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    sub.add_parser("spectrum", parents=[common], help="print the Neumann spectrum")
-    sub.add_parser("lambda-set", parents=[common], help="candidate parameters in a window")
-    sub.add_parser("analyze", parents=[common], help="per-parameter bifurcation verdicts")
-    p_bif = sub.add_parser("bif", parents=[common], help="one bifurcation index element")
+
+    def command(name, handler, help):
+        """The subparser ``name``, which runs ``handler``."""
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    command("spectrum", _cmd_spectrum, "print the Neumann spectrum")
+    command("lambda-set", _cmd_lambda_set, "candidate parameters in a window")
+    command("analyze", _cmd_analyze, "per-parameter bifurcation verdicts")
+    p_bif = command("bif", _cmd_bif, "one bifurcation index element")
     p_bif.add_argument("--lambda", type=float, dest="lambda0", metavar="REAL")
-    p_rab = sub.add_parser("rabinowitz", parents=[common], help="index-sum exclusion test")
+    p_rab = command("rabinowitz", _cmd_rabinowitz, "index-sum exclusion test")
     p_rab.add_argument("--indices", metavar="PATH", help="JSON array of ring elements")
     p_rab.add_argument("--lambdas", metavar="L1,L2,...", help="parameters to index (a9 disk)")
     p_rab.add_argument("--enumerate", action="store_true", help="enumerate zero-sum parameter families")
-    p_mor = sub.add_parser("morse-degree", parents=[common], help="degree from orbit data")
+    p_mor = command("morse-degree", _cmd_morse_degree, "degree from orbit data")
     p_mor.add_argument("--orbits", metavar="PATH", help="orbit data document")
     p_mor.add_argument("--table", metavar="PATH", help="class table document")
     return parser
@@ -328,7 +308,7 @@ def _check_cache_path(path: str) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Dispatch a parsed invocation; returns the process exit status."""
+    """Run the parsed invocation's handler and print its table or its structured report; returns the exit status."""
     config = AnalysisConfig.from_doc(_load_json(args.config)) if args.config else AnalysisConfig()
     config = AnalysisConfig(  # flags override the document
         config.system,
@@ -348,7 +328,11 @@ def run(args: argparse.Namespace) -> int:
             )
     else:
         cache = RootCache()
-    payload = _HANDLERS[args.subcommand](config, args, cache)
+    fields, table = args.handler(config, args, cache)
+    if config.output_format == "structured":  # deterministic: sorted keys under the schema_version
+        payload = json.dumps({"schema_version": SCHEMA_VERSION, **fields}, indent=2, sort_keys=True)
+    else:
+        payload = table
     if args.cache and (missing or stale or cache.grown):  # a warm run leaves the file alone
         cache.save(args.cache)
     print(payload)

@@ -43,11 +43,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
+from . import _EXPORTS
 from .errors import (
     NotInvertible, SchemaError, ValidationError, _int, _is_int, _known_keys, _label_table, _Record, _show
 )
 
-__all__ = ["EulerSO2", "SO2Rep", "deg_minus_id", "rep_equiv_mod_even_trivial"]
+__all__ = [*_EXPORTS["euler"]]
 
 
 def _pruned(coeffs: Mapping[int, int], label: str, value: str, least: int | None = None) -> dict[int, int]:

@@ -17,18 +17,11 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from . import _EXPORTS
 from .errors import MissingClass, NonInjectiveTable, SchemaError, ValidationError, _int, _Record, _show
 from .euler import EulerSO2
 
-__all__ = [
-    "OrbitDatum",
-    "degree_from_orbits",
-    "lift_degree",
-    "compare_orbit_degrees",
-    "orbit_data_from_json",
-    "class_table_from_json",
-    "so2_class_map_to_euler",
-]
+__all__ = [*_EXPORTS["morse"], "orbit_data_from_json", "class_table_from_json"]
 
 
 class OrbitDatum(_Record):

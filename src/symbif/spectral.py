@@ -51,6 +51,7 @@ from contextlib import ExitStack
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import _EXPORTS
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -70,25 +71,7 @@ from .errors import (
 from .euler import SO2Rep
 
 __all__ = [
-    "MERGE_REL",
-    "ROOT_XTOL",
-    "GRID_STEP",
-    "MAX_DISK_ENTRIES",
-    "MAX_ROOT_X",
-    "SpectrumEntry",
-    "RootCache",
-    "bessel_j",
-    "bessel_j_prime",
-    "radial_condition",
-    "neumann_radial_roots",
-    "radial_roots_up_to",
-    "disk_spectrum",
-    "ball_rep_nontrivial",
-    "load_custom_spectrum",
-    "DiskDomain",
-    "BallDomain",
-    "CustomDomain",
-    "domain_from_json",
+    *_EXPORTS["spectral"], "MERGE_REL", "ROOT_XTOL", "GRID_STEP", "MAX_DISK_ENTRIES", "MAX_ROOT_X", "domain_from_json"
 ]
 
 #: relative tolerance at which two nearby eigenvalues are one logical eigenvalue
@@ -664,7 +647,7 @@ class DiskDomain(_Record):
         InsufficientSpectrum beyond ``bound``; the eigenvalue list searched
         by bisection is rebuilt only when the spectrum grows.
         """
-        alpha_max = max(0.0, float(alpha_max))
+        alpha_max = max(0.0, _real(alpha_max, "alpha_max", finite=False))
         if self.bound is not None and _beyond_coverage(alpha_max, self.bound):
             raise InsufficientSpectrum(
                 f"need eigenvalues up to {alpha_max!r} but the spectrum bound is {self.bound!r}"
@@ -733,7 +716,7 @@ class _SuppliedDomain(_Record):
         Raises InsufficientSpectrum when alpha_max lies beyond the supplied
         spectrum.
         """
-        alpha_max = max(0.0, float(alpha_max))
+        alpha_max = max(0.0, _real(alpha_max, "alpha_max", finite=False))
         coverage = self.entries[-1].eigenvalue
         if _beyond_coverage(alpha_max, coverage):
             raise InsufficientSpectrum(

@@ -36,6 +36,7 @@ import math
 from collections.abc import Mapping
 from typing import Sequence
 
+from . import _EXPORTS
 from .errors import NotAMember, SchemaError, ValidationError, _bool, _int, _known_keys, _real, _Record, _show
 from .euler import SO2Rep
 from .spectral import (
@@ -48,17 +49,7 @@ from .spectral import (
     domain_from_json,
 )
 
-__all__ = [
-    "SystemSpec",
-    "KernelReps",
-    "LinearizationEigenvalue",
-    "lambda_set",
-    "lambda_membership",
-    "kernel_reps",
-    "linearization_eigenvalues",
-    "epsilon_gap",
-    "system_spec_from_json",
-]
+__all__ = [*_EXPORTS["system"]]
 
 Domain = DiskDomain | BallDomain | CustomDomain
 
@@ -101,7 +92,7 @@ class SystemSpec(_Record):
         self.sigma_b2 = {} if sigma_b2 is None else sigma_b2
         self.mu_b0 = mu_b0
         self.domain = DiskDomain() if domain is None else domain
-        self.a9 = a9
+        self.a9 = _bool(a9, "a9")
         if not isinstance(self.domain, Domain):
             raise ValidationError(f"domain must be a DiskDomain, BallDomain or CustomDomain, got {_show(domain)}")
         for name in ("p1", "p2", "mu_b0"):
@@ -232,7 +223,9 @@ def _spectral_pairs(spec: SystemSpec, window: tuple[float, float]):
     inside.  Raises InsufficientSpectrum when that reach lies beyond the
     loaded spectrum.
     """
-    lo, hi = (_real(w, "window entry", finite=False) for w in (window[0], window[1]))
+    if not isinstance(window, (tuple, list)) or len(window) != 2:
+        raise ValidationError(f"window must be a pair (lo, hi), got {_show(window)}")
+    lo, hi = (_real(w, "window entry", finite=False) for w in window)
     if lo > hi:
         raise ValidationError(f"window must satisfy lo <= hi, got {window!r}")
     blocks = spec._blocks()
@@ -306,11 +299,11 @@ def kernel_reps(spec: SystemSpec, lambda0: float) -> KernelReps:
     """
     lam = _real(lambda0, "lambda0")
     _, _, entries, blocks, pairs = _spectral_pairs(spec, (lam, lam))
-    return _swept_kernels(entries, blocks, pairs, [lam])[0][0]
+    return _swept_kernels(entries, blocks, pairs, [lam])[0]
 
 
-def _swept_kernels(entries, blocks, pairs, lams: Sequence[float]) -> list[tuple[KernelReps, int | None]]:
-    """The kernel at each of the ascending ``lams``, with its first matched position (None if none).
+def _swept_kernels(entries, blocks, pairs, lams: Sequence[float]) -> list[KernelReps]:
+    """The kernel at each of the ascending ``lams``, its matched entries in ``matched`` (none off Lambda).
 
     ``entries``, ``blocks`` and ``pairs`` come from :func:`_spectral_pairs`
     over a window holding every lam.  A pair (m, k, i) with b = blocks[k]
@@ -324,7 +317,7 @@ def _swept_kernels(entries, blocks, pairs, lams: Sequence[float]) -> list[tuple[
     linear in pairs plus candidates, with no spectrum lookup.
     """
     inv_b = max((1.0 / abs(b) for _, b, _ in blocks), default=0.0)
-    out: list[tuple[KernelReps, int | None]] = []
+    out: list[KernelReps] = []
     start, end = 0, len(pairs)
     for lam in lams:
         scale = max(inv_b, abs(lam))
@@ -349,7 +342,7 @@ def _swept_kernels(entries, blocks, pairs, lams: Sequence[float]) -> list[tuple[
             for label, m in rep.irreducibles.items():
                 table[label] = table.get(label, 0) + mult * m
         v1, v2 = (SO2Rep._make(trivial[s], irr[s]) for s in (1, -1))
-        out.append((KernelReps(v1, v2, matched=tuple(entries[i] for _, i in hits)), hits[0][1] if hits else None))
+        out.append(KernelReps(v1, v2, matched=tuple(entries[i] for _, i in hits)))
     return out
 
 

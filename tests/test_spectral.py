@@ -759,6 +759,38 @@ class TestEntryBudget:
                 DiskDomain().entries_up_to(alpha)
 
 
+class TestEntriesUpToTakesANumber:
+    """``alpha_max`` is a number other than NaN: a NaN or a string is refused, not read as 0 or parsed."""
+
+    DOMAINS = {
+        "disk": DiskDomain,
+        "bounded-disk": lambda: DiskDomain(bound=50.0),
+        "custom": lambda: CustomDomain([SpectrumEntry(0.0, SO2Rep.trivial(1)), SpectrumEntry(2.0, SO2Rep.irr(1))]),
+    }
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @pytest.mark.parametrize(
+        "alpha_max, message",
+        [
+            (math.nan, "alpha_max nan must be a float value other than NaN"),
+            ("30", "alpha_max '30' must be a real number"),
+        ],
+        ids=["nan", "string"],
+    )
+    def test_refused(self, domain, alpha_max, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            self.DOMAINS[domain]().entries_up_to(alpha_max)
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_infinity_is_insufficient(self, domain):
+        with pytest.raises(InsufficientSpectrum):
+            self.DOMAINS[domain]().entries_up_to(math.inf)
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_negative_reads_as_zero(self, domain):
+        assert [e.eigenvalue for e in self.DOMAINS[domain]().entries_up_to(-5)] == [0.0]
+
+
 class TestLivePaths:
     """Paths of the root scan and the disk domain that only unusual requests reach."""
 

@@ -14,6 +14,7 @@ from symbif import (
     SpectrumEntry,
     SystemSpec,
     ValidationError,
+    analyze,
     bif_a9,
     bif_difference,
     check_glob,
@@ -76,6 +77,18 @@ class TestSystemSpecValidation:
     def test_negative_multiplicity(self):
         with pytest.raises(ValidationError):
             SystemSpec(p1=1, p2=0, sigma_b1={1: -1}, sigma_b2={}, domain=DiskDomain())
+
+    @pytest.mark.parametrize("a9", ["no", 1, None], ids=["string", "int", "none"])
+    def test_a9_must_be_a_boolean(self, a9):
+        # a truthy non-boolean would select the a9 path and write a document the reader refuses
+        with pytest.raises(ValidationError, match=f"^a9 must be a boolean, got {a9!r}$"):
+            SystemSpec(2, 2, {1: 2}, {1: 2}, a9=a9)
+
+    @pytest.mark.parametrize("a9", [True, False])
+    @pytest.mark.parametrize("domain", [DiskDomain(), DiskDomain(bound=50.0)], ids=["disk", "bounded-disk"])
+    def test_accepted_spec_reads_back_from_its_document(self, a9, domain):
+        spec = SystemSpec(2, 2, {1: 2}, {1: 2}, domain=domain, a9=a9)
+        assert system_spec_from_json(spec.to_json()) == spec
 
     def test_morse_counts(self):
         spec = SystemSpec(
@@ -194,6 +207,22 @@ class TestSystemSpecJson:
         if error is ValidationError:
             with pytest.raises(ValidationError, match="dimensions must be >= 1"):
                 CustomDomain([SpectrumEntry.from_json(e) for e in entries], irr_dim_table={1: table["1"]})
+
+
+class TestWindowIsAPair:
+    """A window that is not a tuple or list of two entries is refused, not indexed or cut short."""
+
+    @pytest.mark.parametrize("call", [lambda_set, analyze])
+    @pytest.mark.parametrize(
+        "window", [(1.0,), None, (0, 1, 2), "01", {0: 1, 1: 2}], ids=["one", "none", "three", "string", "mapping"]
+    )
+    def test_refused(self, call, window):
+        with pytest.raises(ValidationError, match=r"^window must be a pair \(lo, hi\), got "):
+            call(a9_spec(2, 2), window)
+
+    @pytest.mark.parametrize("call", [lambda_set, analyze])
+    def test_list_and_tuple_agree(self, call):
+        assert call(a9_spec(2, 2), [-5, 15]) == call(a9_spec(2, 2), (-5.0, 15.0))
 
 
 class TestLambdaSet:
