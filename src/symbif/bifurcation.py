@@ -27,39 +27,26 @@ are checked exactly.
 
 :func:`analyze` sorts the spectral pairs (sign, block eigenvalue, entry)
 once, by the parameter at which each vanishes; one walk up them gives
-every candidate, its kernel and its Lambda membership, with no spectrum
-lookup per candidate.  a9 pairs only b = 1, so E_k0 is the kernel's first
-matched entry, where both the index and the unboundedness certificate
-read it.  The exact indices of all candidates come from one ascending
-sweep over the spectrum that keeps the trivial dimension t and the
-multiplicities m_k of V(n), so
-D(V(n)) = (-1)^t (I - sum_k m_k chi[k]) is never summed twice; with the
-closed form (u; c)^n = (u^n; n u^(n-1) c) of :mod:`symbif.euler` each
-element is one pass over its labels.  :func:`analyze` thus costs one sort
-of the pairs plus time linear in the pairs and candidates.  A single
-parameter (:func:`bif_a9`, :func:`check_glob`, :func:`bif_difference`)
-takes the same walk over the one candidate, after one sort of the pairs
-that could reach it, and a lone :func:`bif_a9` sweeps the entries up to
-|lambda0|.  Many a9 parameters (``rabinowitz``) share one sort and one
-walk.
+every candidate, its kernel and its Lambda membership.  a9 pairs only
+b = 1, so E_k0 is the kernel's first matched entry, where the index and the
+unboundedness certificate read it; one ascending sweep of the spectrum gives
+every index, and the parities behind the certificate are decided once per
+call.  So :func:`analyze` costs one sort plus time linear in the pairs and
+candidates.  A single parameter (:func:`bif_a9`, :func:`check_glob`,
+:func:`bif_difference`) takes the same walk over the one candidate; many a9
+parameters (``rabinowitz``) share one sort and one walk.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import _EXPORTS
 from .errors import Error, PreconditionError, UnsupportedDomain, ValidationError, _real, _Record, _show
 from .euler import EulerSO2, SO2Rep, deg_minus_id, rep_equiv_mod_even_trivial
 from .spectral import DiskDomain, SpectrumEntry, close
 from .system import (
-    KernelReps,
-    SystemSpec,
-    _covered_entries,
-    _merged,
-    _spectral_pairs,
-    _swept_kernels,
-    kernel_reps,
+    KernelReps, SystemSpec, _covered_entries, _merged, _spec, _spectral_pairs, _swept_kernels, kernel_reps
 )
 
 __all__ = [*_EXPORTS["bifurcation"]]
@@ -100,26 +87,24 @@ def _nonzero(lambda0: float, refusal: str) -> float:
 def check_glob(spec: SystemSpec, lambda0: float) -> GlobCheck:
     """Criterion at lambda0 != 0: kernel pieces inequivalent mod even trivial."""
     lam = _nonzero(lambda0, "check_glob needs lambda0 != 0; use check_glob_zero at 0")
-    return _glob_from_kernel(kernel_reps(spec, lam))
+    return GlobCheck(*_glob_from_kernel(kernel_reps(spec, lam)))
 
 
-def _glob_from_kernel(kr: KernelReps) -> GlobCheck:
-    if kr.is_zero():
-        return GlobCheck(INCONCLUSIVE, J_KERNEL_EMPTY)
-    if rep_equiv_mod_even_trivial(kr.v1, kr.v2):
-        return GlobCheck(INCONCLUSIVE, J_EQUIV_MOD_EVEN)
-    return GlobCheck(BIFURCATES, J_REP_NONEQUIV)
+def _glob_from_kernel(kr: KernelReps) -> tuple[str, str]:
+    """The criterion's (glob, justification) at lambda0 != 0 from the kernel there; a zero kernel is equivalent."""
+    if not rep_equiv_mod_even_trivial(kr.v1, kr.v2):
+        return BIFURCATES, J_REP_NONEQUIV
+    return INCONCLUSIVE, J_KERNEL_EMPTY if kr.is_zero() else J_EQUIV_MOD_EVEN
 
 
 def check_glob_zero(spec: SystemSpec) -> GlobCheck:
     """Criterion at lambda0 = 0: odd total Morse index of the block matrix."""
-    if (spec.morse_plus() + spec.morse_minus()) % 2 == 1:
-        return GlobCheck(BIFURCATES, J_ZERO_PARITY)
-    return GlobCheck(INCONCLUSIVE, J_ZERO_PARITY)
+    odd = (_spec(spec).morse_plus() + spec.morse_minus()) % 2 == 1
+    return GlobCheck(BIFURCATES if odd else INCONCLUSIVE, J_ZERO_PARITY)
 
 
 def _require_disk(spec: SystemSpec, op: str) -> None:
-    if not isinstance(spec.domain, DiskDomain):
+    if not isinstance(_spec(spec).domain, DiskDomain):
         raise UnsupportedDomain(
             f"{op} computes an element of the Euler ring of SO(2) and needs the disk domain; "
             "use check_glob for verdict-level results on other domains"
@@ -128,7 +113,7 @@ def _require_disk(spec: SystemSpec, op: str) -> None:
 
 def _require_a9_disk(spec: SystemSpec) -> None:
     """The preconditions of every a9 index, in order: the a9 flag, then the disk."""
-    if not spec.a9:
+    if not _spec(spec).a9:
         raise PreconditionError("bif_a9 needs the normalized block form (a9 flag)")
     _require_disk(spec, "bif_a9")
 
@@ -264,6 +249,8 @@ def rabinowitz_excludes_bounded(indices: Iterable[EulerSO2]) -> bool:
     sum therefore certifies that any continuum meeting exactly these
     parameters is unbounded.
     """
+    if not isinstance(indices, Iterable):
+        raise ValidationError(f"indices must be an iterable of EulerSO2 elements, got {_show(indices)}")
     return not sum(indices, EulerSO2.zero()).is_zero()
 
 
@@ -294,15 +281,23 @@ def unbounded_verdict(spec: SystemSpec, entry: SpectrumEntry, sign: int) -> Unbo
     positive on the matching side, nontrivial eigenspace) the report also
     carries what boundedness of the continuum would force.
     """
-    if not spec.a9:
+    if not _spec(spec).a9:
         raise PreconditionError("unbounded_verdict needs the normalized block form (a9 flag)")
     if sign not in (1, -1):
         raise ValidationError(f"sign must be +1 or -1, got {_show(sign)}")
-    own, other = (spec.q1, spec.p2) if sign == 1 else (spec.p2, spec.q1)
+    if not isinstance(entry, SpectrumEntry):
+        raise ValidationError(f"entry must be a SpectrumEntry, got {_show(entry)}")
     nontrivial = spec.domain.rep_nontrivial(entry)
-    one_sided = own > 0 and own % 2 == 0 and nontrivial
-    verdict = UNBOUNDED if one_sided and other % 2 == 0 else NO_VERDICT
+    own_even, other_even = _parities(spec, sign)
+    one_sided = own_even and nontrivial
+    verdict = UNBOUNDED if one_sided and other_even else NO_VERDICT
     return UnboundedReport(verdict, _BOUNDED_WOULD_IMPLY[sign] if one_sided else ())
+
+
+def _parities(spec: SystemSpec, sign: int) -> tuple[bool, bool]:
+    """Whether q is even and positive on the side of ``sign``, and even on the other; q1 above 0, p2 below."""
+    own, other = (spec.q1, spec.p2) if sign == 1 else (spec.p2, spec.q1)
+    return own > 0 and own % 2 == 0, other % 2 == 0
 
 
 class BifurcationVerdict(_Record):
@@ -357,28 +352,21 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
         candidates.append(0.0)
         candidates.sort()
     kernels = _swept_kernels(entries, blocks, pairs, candidates)
-    if spec.a9 and isinstance(spec.domain, DiskDomain):
-        bifs = _a9_sweep(spec, entries, candidates, kernels)
-    else:
-        bifs = [None] * len(candidates)
+    exact = spec.a9 and isinstance(spec.domain, DiskDomain)
+    bifs = _a9_sweep(spec, entries, candidates, kernels) if exact else [None] * len(candidates)
+    # by lambda0 > 0: whether the parities let a nontrivial E_k0 certify Unbounded (a9 only)
+    parity = {True: all(_parities(spec, 1)), False: all(_parities(spec, -1))} if spec.a9 else None
     verdicts = []
     for lam, kr, bif in zip(candidates, kernels, bifs):
-        at_zero = close(lam, 0.0)
-        gc = check_glob_zero(spec) if at_zero else _glob_from_kernel(kr)
         unb = NO_VERDICT
-        if spec.a9 and not at_zero:
-            unb = unbounded_verdict(spec, kr.matched[0], 1 if lam > 0 else -1).verdict
-        verdicts.append(
-            BifurcationVerdict(
-                lambda0=0.0 if at_zero else lam,
-                in_lambda=bool(kr.matched),
-                kernel=kr,
-                glob=gc.glob,
-                justification=gc.justification,
-                bif_element=bif,
-                unbounded=unb,
-            )
-        )
+        if close(lam, 0.0):
+            gc = check_glob_zero(spec)
+            lam, glob, why = 0.0, gc.glob, gc.justification
+        else:
+            glob, why = _glob_from_kernel(kr)
+            if parity is not None and spec.domain.rep_nontrivial(kr.matched[0]) and parity[lam > 0]:
+                unb = UNBOUNDED
+        verdicts.append(BifurcationVerdict(lam, bool(kr.matched), kr, glob, why, bif, unb))
     return verdicts
 
 
@@ -405,6 +393,8 @@ def enumerate_zero_sum_subsets(indices: Sequence[tuple[float, EulerSO2]]) -> lis
     the negative of its sum.  Sorting the hits by (size, positions) gives
     the combinations order.  Time and memory are O(2^(n/2) + hits).
     """
+    if not isinstance(indices, Sequence):
+        raise ValidationError(f"indices must be a sequence of (lambda0, EulerSO2) pairs, got {_show(indices)}")
     _refuse_subsets(len(indices))
     lams = [lam for lam, _ in indices]
     keys = sorted({k for _, ix in indices for k in ix.cyclic})

@@ -84,10 +84,15 @@ def _show(v) -> str:
     except ValueError:  # the limit stops repr of a container holding such an integer too
         if not _is_int(v):
             return f"a {type(v).__name__} holding an integer too long to print"
-        n = abs(v)
-        digits = int(math.log10(n)) + 1  # a float estimate, corrected by one either way
-        digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
-        return f"{'a negative' if v < 0 else 'an'} integer of {digits} digits"
+        return _digit_count(v)
+
+
+def _digit_count(v: int) -> str:
+    """A nonzero integer named by its number of decimal digits, e.g. "an integer of 401 digits"."""
+    n = abs(v)
+    digits = int(math.log10(n)) + 1  # a float estimate, corrected by one either way
+    digits += (n >= 10**digits) - (n < 10 ** (digits - 1))
+    return f"{'a negative' if v < 0 else 'an'} integer of {digits} digits"
 
 
 def _known_keys(doc: dict, allowed: set[str], what: str) -> None:
@@ -108,11 +113,16 @@ def _int(v, what: str, least: int | None = None, error: type[Error] = Validation
 
 
 def _real(v, what: str, *, finite: bool = True, error: type[Error] = ValidationError, invalid=None) -> float:
-    """``v`` as a float if it is a number a float holds: never NaN, and an infinity only when not ``finite``."""
+    """``v`` as a float if it is a number a float holds: never NaN, and an infinity only when not ``finite``.
+
+    An integer beyond the float range is refused by its digit count, however many digits it has.
+    """
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise error(f"{what} {_show(v)} must be a real number")
     if abs(v) <= sys.float_info.max or (not finite and v in (math.inf, -math.inf)):
         return float(v)
+    if isinstance(v, int):
+        raise (invalid or error)(f"{what} is {_digit_count(v)}, too large for a float")
     raise (invalid or error)(f"{what} {_show(v)} must be {'finite' if finite else 'a float value other than NaN'}")
 
 

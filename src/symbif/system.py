@@ -17,37 +17,26 @@ domain's Neumann spectrum.  From these the module derives
 Each formula is written once over the signed blocks; IEEE negation is exact,
 so ``-(alpha/b) == alpha/(-b)`` and the sign costs no rounding.
 
-One relative tolerance, the constant ``MERGE_REL``, drives eigenvalue
-merging, Lambda membership and kernel matching, so the three stay consistent
-by construction.  The candidates of a window come from the spectral pairs
-sorted once by the parameter at which each vanishes, and one walk up the
-same sorted pairs gives every candidate's kernel.  The walk and
-:func:`linearization_eigenvalues` are the two places a pair is matched
-against a parameter, both by the one test ``close(s*(lam*b), alpha)``.
-A single-parameter lookup (:func:`kernel_reps`, :func:`lambda_membership`)
-is that walk over the window [lambda0, lambda0], so it costs one sort of
-the pairs that could reach lambda0; a parameter that is not a finite
-number raises ValidationError.
+One relative tolerance, ``MERGE_REL``, drives eigenvalue merging, Lambda
+membership and kernel matching, so the three stay consistent.  The spectral
+pairs of a window are sorted once by the parameter at which each vanishes,
+and one walk up them gives every candidate's kernel.  The walk and
+:func:`linearization_eigenvalues` match a pair against a parameter by the
+one test ``close(s*(lam*b), alpha)``.  A single lookup (:func:`kernel_reps`,
+:func:`lambda_membership`) is that walk over [lambda0, lambda0].  A
+parameter that is not a finite number raises ValidationError, as does a
+spec that is not a SystemSpec.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from typing import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from . import _EXPORTS
 from .errors import NotAMember, SchemaError, ValidationError, _bool, _int, _known_keys, _real, _Record, _show
 from .euler import SO2Rep
-from .spectral import (
-    MERGE_REL,
-    BallDomain,
-    CustomDomain,
-    DiskDomain,
-    SpectrumEntry,
-    close,
-    domain_from_json,
-)
+from .spectral import MERGE_REL, BallDomain, CustomDomain, DiskDomain, SpectrumEntry, close, domain_from_json
 
 __all__ = [*_EXPORTS["system"]]
 
@@ -157,6 +146,13 @@ class SystemSpec(_Record):
         }
 
 
+def _spec(spec) -> SystemSpec:
+    """``spec`` if it is a SystemSpec: the one check of a spec, made where a call first reads it."""
+    if not isinstance(spec, SystemSpec):
+        raise ValidationError(f"spec must be a SystemSpec, got {_show(spec)}")
+    return spec
+
+
 def system_spec_from_json(doc, *, spectrum_bound=None, cache=None) -> SystemSpec:
     """Parse the system document schema.
 
@@ -228,7 +224,7 @@ def _spectral_pairs(spec: SystemSpec, window: tuple[float, float]):
     lo, hi = (_real(w, "window entry", finite=False) for w in window)
     if lo > hi:
         raise ValidationError(f"window must satisfy lo <= hi, got {window!r}")
-    blocks = spec._blocks()
+    blocks = _spec(spec)._blocks()
     if not blocks:
         return lo, hi, [], blocks, []
     entries = _covered_entries(spec, lo, hi)
@@ -311,12 +307,13 @@ def _swept_kernels(entries, blocks, pairs, lams: Sequence[float]) -> list[Kernel
     and |m| <= |lam| / (1 - MERGE_REL) then; so one window moving up the
     sorted pairs, twice that wide at the largest 1/|b|, holds every match.
     Each pair in it is decided by ``close(s*(lam*b), alpha_i)``, the one
-    matching test of the package, and the hits are ordered B1 first, by b,
-    by position, the order of ``KernelReps.matched``; each adds its
-    eigenspace mult times to V1 (s = +1) or V2 (s = -1).  The walk is
-    linear in pairs plus candidates, with no spectrum lookup.
+    matching test, and each hit adds its eigenspace mult times to V1
+    (s = +1) or V2 (s = -1), in the order of ``matched``: B1 first, by b,
+    by position.  A lone hit, nearly every candidate, is one scaled copy of
+    its eigenspace and a zero rep; no kernel shares an entry's rep.
     """
     inv_b = max((1.0 / abs(b) for _, b, _ in blocks), default=0.0)
+    alphas = [e.eigenvalue for e in entries]
     out: list[KernelReps] = []
     start, end = 0, len(pairs)
     for lam in lams:
@@ -331,8 +328,16 @@ def _swept_kernels(entries, blocks, pairs, lams: Sequence[float]) -> list[Kernel
             if m > highest:
                 break
             s, b, _ = blocks[k]
-            if close(s * (lam * b), entries[i].eigenvalue):
+            if close(s * (lam * b), alphas[i]):
                 hits.append((k, i))
+        if len(hits) == 1:  # mult copies of one eigenspace on its block's side, the zero rep on the other
+            ((k, i),) = hits
+            s, _, mult = blocks[k]
+            rep = entries[i].rep
+            piece = SO2Rep._make(mult * rep.trivial_dim, {q: mult * m for q, m in rep.irreducibles.items()})
+            v1, v2 = (piece, SO2Rep._make(0, {})) if s == 1 else (SO2Rep._make(0, {}), piece)
+            out.append(KernelReps(v1, v2, (entries[i],)))
+            continue
         hits.sort()
         trivial, irr = {1: 0, -1: 0}, {1: {}, -1: {}}
         for k, i in hits:
@@ -376,9 +381,7 @@ class LinearizationEigenvalue(_Record):
         self.structural = structural
 
 
-def linearization_eigenvalues(
-    spec: SystemSpec, lam: float, k_max: int
-) -> list[LinearizationEigenvalue]:
+def linearization_eigenvalues(spec: SystemSpec, lam: float, k_max: int) -> list[LinearizationEigenvalue]:
     """All eigenvalues of the linearization on the first ``k_max`` eigenspaces.
 
     Block B_s (s = +1 for B1, -1 for B2): (s*alpha - lambda*b)/(1 + alpha);
@@ -386,7 +389,7 @@ def linearization_eigenvalues(
     b.  Per eigenspace, the B1 rows come first, each block by ascending b.
     """
     lam = _real(lam, "lambda0")
-    entries = spec.domain.first_entries(k_max)  # checks k_max
+    entries = _spec(spec).domain.first_entries(k_max)  # checks k_max
     out: list[LinearizationEigenvalue] = []
     for e in entries:
         dim = e.rep.total_dim(spec.domain.irr_dim_table)
@@ -415,6 +418,8 @@ def epsilon_gap(lambda0: float, members: Sequence[float]) -> float:
     is raised.
     """
     lam = _real(lambda0, "lambda0")
+    if not isinstance(members, Iterable):
+        raise ValidationError(f"members must be an iterable of parameters, got {_show(members)}")
     members = [_real(m, "parameter list member") for m in members]
     idx = [i for i, m in enumerate(members) if close(lam, m)]
     if not idx:

@@ -10,13 +10,16 @@ no other module tests for bools by hand.  A record states its fields once, in ``
 base ``errors._Record`` compares and prints records.  "A fresh one" has one spelling, the default
 ``None``: every other default is a plain immutable value.  The representation class has one public
 name, ``SO2Rep``, in the package root and in ``symbif.euler``.  No source line of the package is longer
-than 120 characters.
+than 120 characters.  A public function of ``system`` or ``bifurcation`` given a plain ``object()`` for any
+required argument refuses it with the package's own error, never AttributeError or TypeError.
 """
 
 import importlib
 import inspect
 import re
 from pathlib import Path
+
+import pytest
 
 import symbif
 from symbif import bifurcation, cli, errors, euler, morse, spectral, system
@@ -152,3 +155,38 @@ def test_no_source_line_is_longer_than_the_limit():
         if len(line) > MAX_LINE
     ]
     assert long_lines == []
+
+
+def _valid_arguments() -> dict:
+    """A working value for each required argument name of the public functions of ``system`` and ``bifurcation``."""
+    spec = system.SystemSpec(p1=2, p2=2, sigma_b1={1: 2}, sigma_b2={1: 2}, a9=True)
+    lam = system.lambda_set(spec, (0.5, 5.0))[0]
+    return {
+        "spec": spec, "lambda0": lam, "lam": lam, "window": (-5.0, 5.0), "sign": 1, "k_max": 3, "members": [lam],
+        "entry": spec.domain.entries_up_to(lam)[-1], "indices": [], "doc": spec.to_json(),
+    }
+
+
+@pytest.mark.parametrize("module", [system, bifurcation], ids=["system", "bifurcation"])
+def test_an_object_for_any_required_argument_is_refused(module):
+    # each argument is checked once where a call first reads it; a document reader refuses with SchemaError
+    valid = _valid_arguments()
+    leaks, tried = [], 0
+    for name in module.__all__:
+        fn = getattr(module, name)
+        if not inspect.isfunction(fn):
+            continue
+        required = [p.name for p in inspect.signature(fn).parameters.values() if p.default is p.empty]
+        fn(*(valid[r] for r in required))  # the call works as given
+        expected = errors.SchemaError if name.endswith("_from_json") else errors.ValidationError
+        for arg in required:
+            tried += 1
+            try:
+                fn(*(object() if r == arg else valid[r] for r in required))
+            except expected:
+                continue
+            except Exception as exc:  # noqa: BLE001 - what leaks is the finding
+                leaks.append(f"{name}({arg}=object()): {type(exc).__name__}")
+            else:
+                leaks.append(f"{name}({arg}=object()) returned")
+    assert tried >= 10 and leaks == []

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 import math
 import re
 from datetime import timedelta
@@ -20,11 +21,13 @@ from symbif import (
     CustomDomain,
     DiskDomain,
     EulerSO2,
+    GlobCheck,
     InsufficientSpectrum,
     PreconditionError,
     SO2Rep,
     SpectrumEntry,
     SystemSpec,
+    UnboundedReport,
     UnsupportedDomain,
     ValidationError,
     analyze,
@@ -42,6 +45,7 @@ from symbif import (
     unbounded_verdict,
 )
 from symbif.spectral import MERGE_REL, close
+from symbif.system import _merged, _spectral_pairs, _swept_kernels
 from symbif.bifurcation import (
     J_EQUIV_MOD_EVEN,
     J_KERNEL_EMPTY,
@@ -735,6 +739,15 @@ class TestKernelSweep:
         assert [len(v.kernel.matched) for v in verdicts] == [2, 2]
         assert all(v.kernel.v1 == SO2Rep.irr(1, 2) for v in verdicts)
 
+    def test_lone_and_shared_hits_match_brute_force(self, domains):
+        # nearly every candidate matches one pair, which the walk builds on its own path;
+        # 0 matches one pair per block and near-equal blocks share candidates
+        general = self.check(domains["disk"], {0.5: 1, -0.75: 1}, {1.25: 2, -0.375: 1}, 0, False, (-40.0, 40.0))
+        hits = Counter(len(v.kernel.matched) for v in general)
+        assert hits[1] > 20 and hits[4] == 1 and set(hits) == {1, 4}
+        near = self.check(domains["disk"], {1: 1, 1 + 6e-9: 1, 1 + 1.2e-8: 1}, {}, 0, False, (-40.0, 40.0))
+        assert set(Counter(len(v.kernel.matched) for v in near)) == {2, 3}
+
     def test_pair_outside_the_window_matches_a_candidate_inside(self, domains):
         verdicts = self.check(domains["disk"], {1: 1, 1 - 6e-9: 1}, {}, 0, False, (3.0, ALPHA2 * (1 + 3e-9)))
         (v,) = verdicts
@@ -780,6 +793,54 @@ class TestVerdictCost:
         verdicts = analyze(a9_spec(q1=2, p2=2, domain=BallDomain(entries, dim=3)), (-60.0, 60.0))
         assert len(verdicts) > 40 and any(v.unbounded == UNBOUNDED for v in verdicts)
         assert lookups[0] == counts[0][1]
+
+    def test_no_verdict_record_per_candidate(self, domain, call_counts):
+        # glob and the unboundedness parities are decided without a GlobCheck or an
+        # UnboundedReport per candidate; only the candidate at 0 asks check_glob_zero,
+        # and the eigenspace test still runs once for every other candidate
+        globs = call_counts(GlobCheck, "__init__")
+        reports = call_counts(UnboundedReport, "__init__")
+        certificates = call_counts(symbif.bifurcation, "unbounded_verdict")
+        nontrivial = call_counts(DiskDomain, "rep_nontrivial")
+        verdicts = analyze(a9_spec(q1=2, p2=2, domain=domain), (-1200.0, 1200.0))
+        assert len(verdicts) > 300 and any(v.unbounded == UNBOUNDED for v in verdicts)
+        assert (globs[0], reports[0], certificates[0]) == (1, 0, 0)
+        assert nontrivial[0] == len(verdicts) - 1
+
+    def test_walk_reads_each_eigenvalue_once(self, domain):
+        # the pair test reads alpha from one list made per walk, not from an entry per pair in reach
+        class CountedEntry(SpectrumEntry):
+            reads = 0
+
+            @property
+            def eigenvalue(self):
+                CountedEntry.reads += 1
+                return self._eigenvalue
+
+            @eigenvalue.setter
+            def eigenvalue(self, value):
+                self._eigenvalue = value
+
+        spec = SystemSpec(p1=2, p2=3, sigma_b1={0.5: 1, -0.75: 1}, sigma_b2={1.25: 2, -0.375: 1}, domain=domain)
+        lo, hi, entries, blocks, pairs = _spectral_pairs(spec, (-300.0, 300.0))
+        lams = _merged(pairs, lo, hi)
+        counted = [CountedEntry(e.eigenvalue, e.rep, e.angular_index, e.root_index) for e in entries]
+        CountedEntry.reads = 0
+        kernels = _swept_kernels(counted, blocks, pairs, lams)
+        assert len(lams) > len(entries) and CountedEntry.reads == len(entries)
+        for kr, ref in zip(kernels, _swept_kernels(entries, blocks, pairs, lams), strict=True):
+            assert (kr.v1, kr.v2) == (ref.v1, ref.v2)
+            assert [counted.index(e) for e in kr.matched] == [entries.index(e) for e in ref.matched]
+
+    def test_kernels_hold_copies_of_the_eigenspaces(self, domain):
+        # a kernel never hands out an entry's own rep or its irreducibles table, one hit or several
+        general = SystemSpec(p1=2, p2=3, sigma_b1={0.5: 1, -0.75: 1}, sigma_b2={1.25: 2, -0.375: 1}, domain=domain)
+        near = SystemSpec(p1=3, p2=0, sigma_b1={1: 1, 1 + 6e-9: 1, 1 + 1.2e-8: 1}, domain=domain)
+        for spec in (a9_spec(q1=1, p2=1, domain=domain), general, near):
+            for v in analyze(spec, (-100.0, 100.0)):
+                for piece in (v.kernel.v1, v.kernel.v2):
+                    for e in v.kernel.matched:
+                        assert piece is not e.rep and piece.irreducibles is not e.rep.irreducibles
 
     def test_a9_indices_sort_the_pairs_once(self, domain, call_counts):
         # rabinowitz --lambdas and --enumerate: one sort of the spectral pairs for

@@ -185,6 +185,39 @@ def test_integer_too_long_to_print_is_a_package_error(call):
         call()
 
 
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "infinity-allowed"])
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (2**1024, "an integer of 309 digits"),
+        (10**400, "an integer of 401 digits"),
+        (-(10**400), "a negative integer of 401 digits"),
+        (BIG, "an integer of 5001 digits"),
+    ],
+    ids=["2^1024", "10^400", "-10^400", "5001-digits"],
+)
+def test_integer_beyond_the_float_range_is_named_by_its_digits(finite, value, shown):
+    # an integer is never NaN, and its digits are not printed
+    with pytest.raises(symbif.ValidationError) as exc:
+        symbif.errors._real(value, "x", finite=finite)
+    assert str(exc.value) == f"x is {shown}, too large for a float"
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: symbif.DiskDomain().entries_up_to(10**400), "alpha_max"),
+        (lambda: symbif.bif_a9(A9_SPEC, 10**400), "lambda0"),
+        (lambda: symbif.lambda_set(A9_SPEC, (0, 10**400)), "window entry"),
+    ],
+    ids=["entries-up-to", "bif-a9", "lambda-set-window"],
+)
+def test_library_refuses_an_integer_too_large_for_a_float_by_its_digits(call, what):
+    with pytest.raises(symbif.ValidationError) as exc:
+        call()
+    assert str(exc.value) == f"{what} is an integer of 401 digits, too large for a float"
+
+
 @pytest.mark.parametrize(
     "read",
     [
