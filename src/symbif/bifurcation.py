@@ -39,6 +39,7 @@ parameters (``rabinowitz``) share one sort and one walk.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 
 from . import _EXPORTS
@@ -348,9 +349,9 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
     """
     lo, hi, entries, blocks, pairs = _spectral_pairs(spec, window)  # checks the window
     candidates = _merged(pairs, lo, hi)
-    if lo <= 0.0 <= hi and not any(close(c, 0.0) for c in candidates):
-        candidates.append(0.0)
-        candidates.sort()
+    at = bisect_left(candidates, 0.0)  # any candidate close to 0 is a neighbour of this slot
+    if lo <= 0.0 <= hi and not any(close(c, 0.0) for c in candidates[max(at - 1, 0) : at + 1]):
+        candidates.insert(at, 0.0)
     kernels = _swept_kernels(entries, blocks, pairs, candidates)
     exact = spec.a9 and isinstance(spec.domain, DiskDomain)
     bifs = _a9_sweep(spec, entries, candidates, kernels) if exact else [None] * len(candidates)

@@ -424,6 +424,16 @@ class TestSuppliedSpectrumPaths:
 
 
 class TestAnalyze:
+    def test_candidate_within_the_tolerance_of_zero_is_the_zero_candidate(self):
+        # the pair at -5e-9 absorbs the pairs at 0; it is 0 by close(), so analyze
+        # reports it as 0 and adds no second candidate at 0
+        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1)), SpectrumEntry(2e-8, SO2Rep.irr(1))]
+        spec = SystemSpec(p1=1, p2=0, sigma_b1={-4: 1}, domain=CustomDomain(entries + [SpectrumEntry(20.0, SO2Rep.irr(3))]))
+        for window in ((-1.0, 1.0), (-1.0, -1e-12)):
+            assert lambda_set(spec, window) == [-5e-9]
+            (v,) = analyze(spec, window)
+            assert (v.lambda0, v.glob, v.justification, v.in_lambda) == (0.0, BIFURCATES, J_ZERO_PARITY, True)
+
     def test_ball_trivial_type_roots_scanned_once(self, kernel_calls, call_counts):
         trivial = [r * r for r in neumann_radial_roots(0, 3, 8)]
         alphas = sorted(trivial + [1.0 + 2.5 * k for k in range(90)])
