@@ -334,7 +334,7 @@ def _swept_kernels(entries, blocks, pairs, lams: Sequence[float]) -> list[Kernel
             ((k, i),) = hits
             s, _, mult = blocks[k]
             rep = entries[i].rep
-            piece = SO2Rep._make(mult * rep.trivial_dim, {q: mult * m for q, m in rep.irreducibles.items()})
+            piece = SO2Rep._make(mult * rep.trivial_dim, {label: mult * m for label, m in rep.irreducibles.items()})
             v1, v2 = (piece, SO2Rep._make(0, {})) if s == 1 else (SO2Rep._make(0, {}), piece)
             out.append(KernelReps(v1, v2, (entries[i],)))
             continue
