@@ -47,13 +47,18 @@ DIMS = (2, 3, 4, 5, 7)
 #: the values of the three grids below, function values first, then the
 #: radial conditions off and on the lattice
 KERNEL_GOLDEN = "9ff71c2e67831a0d91ab58d4d9fa3a83c92a5a97590d0927a65c492c03fcad82"
-#: ``radial_roots_up_to(0, dim, 150.5)``: the integer-order scan for dim 4,
-#: the half-integer scans for odd dim, across all three bands
+#: ``radial_roots_up_to(0, dim, 150.5)``: the integer-order scans for even dim,
+#: the half-integer scans for odd dim, across all three bands.  Dim 9 and 12
+#: lie past the N <= 7 of the spacing claim in ``radial_roots_up_to``; their
+#: scans rest on the interlacing check alone
 BALL_GOLDEN = {
     3: "1041a5560b67351c5221f13d9feb3fec793b6ecf2e299a33ac73ab9a60d93509",
     4: "6280e036ce1a25041814c7cce1aa0a2015d2e3bc77dbd4dfad0fbd7c0f3aa594",
     5: "b9f9b0db2f6a9a84aac4c6918f5f3e349daa24cedccaccb779c582dd516b9c89",
+    6: "93ff1aaf20798e06e20063f3db5d3aeeedf4c5aeb29063c15c54d3cac728caa4",
     7: "d0f34dbe06358d6958f03de14a0005952097dbad2e69ca66b70f118fe4cbb0fc",
+    9: "9f7c2e9b5888254c0c45c458629adeaffe0d0954555499523f5d8589a64f8129",
+    12: "d2636349e45e12ab1ec5d17a92dcff8afc72a3ab8a6b73f5a2e613e56f7842a2",
 }
 
 
@@ -100,7 +105,7 @@ def test_kernel_values_are_pinned():
     assert _digest(values) == KERNEL_GOLDEN
 
 
-@pytest.mark.parametrize("dim", [3, 4, 5, 7])
+@pytest.mark.parametrize("dim", sorted(BALL_GOLDEN))
 def test_ball_roots_are_pinned(dim):
     roots = radial_roots_up_to(0, dim, 150.5)
     assert len(roots) > 40
