@@ -6,6 +6,13 @@ the scan lattice and inside the safeguarded Newton refinement of each
 bracket (about three per root).  They are plain Python with ``math``
 only; there is one evaluation path.
 
+The condition is one formula for the disk and every ball: on the unit
+N-ball the radial part of the degree-l eigenfunctions is u = x^-c J_nu with
+c = (N - 2)/2 and nu = l + c, and ``_radial_condition`` returns
+f = x^c u' = J_nu' - (c/x) J_nu with its partner g = J_nu.  Newton's slope
+f' in ``_bisect_radial`` is read off the radial equation u satisfies, so
+no evaluation beyond (f, g) is needed and no branch tests the dimension.
+
 Evaluation strategy for J_nu(x), nu a nonnegative integer or half-integer:
 
 * ``x <= 8``: ascending power series (termwise recurrence, also exact at 0).
@@ -39,8 +46,10 @@ Sampled against mpmath on a grid of x in (0, 200], the composite
 evaluator stays within 3e-13 * max(1, |J_nu(x)|) for integer orders up to
 8 (the largest errors sit at the top of the recurrence band, x ~ 54-56),
 within 1e-14 for half-integer orders up to 7/2, and within 5e-12 for
-integer orders up to 199, whose longer recurrence chains round more; J_l',
-formed in ``_radial_condition`` only, keeps the same bounds.  The roots of
+integer orders up to 199, whose longer recurrence chains round more; the
+radial condition, where alone J_nu' is formed, keeps the same bounds, and for
+balls with l = 1, 3, 10 and N = 3, 4, 5, 7 it stays within
+7.2e-14 * max(1, |f|) of mpmath at ten x across the three bands.  The roots of
 J_l' for l = 150, 177 and 190 below x = 199 agree with mpmath's
 ``besseljzero`` to the last bit.  Kernels assume validated arguments
 (x >= 0, order integer or half-integer >= -1/2); wrappers in
@@ -251,19 +260,19 @@ def _bessel_j3(nu: float, x: float) -> tuple[float, float, float]:
 def _radial_condition(l: float, dim: int, x: float) -> tuple[float, float]:
     """Radial Neumann condition f on the unit ball of dimension ``dim``, with its partner g, at x > 0.
 
-    dim == 2: (J_l'(x), J_l(x)) for an integer or half-integer l >= 0, where
-    J_l' = (J_{l-1} - J_{l+1})/2 and J_0' = -J_1, the package's one formula for J'.
-    dim >= 3 (l == 0 only): (-J_{nu+1}(x), J_nu(x)) with nu = (dim - 2)/2, where
-    -J_{nu+1} = J_nu' - (nu/x) J_nu (DLMF 10.6.2).  Both come from one
-    ``_bessel_j3`` triple; the zeros of f and g interlace (DLMF 10.21(i)).
+    The Neumann eigenfunctions of harmonic degree l are u(x r) times a
+    degree-l harmonic, with u = x^-c J_nu, c = (dim - 2)/2 and nu = l + c
+    (DLMF 10.21(i)); f = x^c u' = J_nu' - (c/x) J_nu and g = J_nu, both from
+    one ``_bessel_j3`` triple.  J_nu' is (J_{nu-1} - J_{nu+1})/2, and -J_{nu+1}
+    for l = 0, where f = (l/x) J_nu - J_{nu+1} (DLMF 10.6.2) is -J_{nu+1}
+    exactly; on the disk (c = 0) f is J_l', the package's one formula for J',
+    for an integer or half-integer l >= 0.  The zeros of f and g interlace.
     """
-    if dim == 2:
-        jm, jn, jp = _bessel_j3(float(l), x)
-        if l == 0:
-            return -jp, jn
-        return 0.5 * (jm - jp), jn
-    _, jn, jp = _bessel_j3(0.5 * (dim - 2), x)
-    return -jp, jn
+    c = 0.5 * (dim - 2)
+    jm, jn, jp = _bessel_j3(l + c, x)
+    if l == 0:
+        return -jp, jn
+    return 0.5 * (jm - jp) - (c / x) * jn, jn
 
 
 def _bisect_radial(l: int, dim: int, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
@@ -271,9 +280,11 @@ def _bisect_radial(l: int, dim: int, a: float, fa: float, b: float, fb: float, x
 
     The caller's bracket has a < b and finite, nonzero ends fa, fb of
     opposite sign (``symbif.spectral._lattice_scan`` refines only there).
-    The slope comes from the pair (f, g) of ``_radial_condition``: for the
-    disk f' = J_l'' = -f/x - (1 - l^2/x^2) g (DLMF 10.2.1), for balls
-    f' = -J_{nu+1}' = -g - ((nu+1)/x) f (DLMF 10.6.2).  The first iterate is
+    The slope comes from the pair (f, g) of ``_radial_condition`` and the
+    radial equation u'' + ((dim-1)/x) u' + (1 - l(l+dim-2)/x^2) u = 0 of
+    u = x^-c g, whose derivative is x^-c f: f' = -(dim/2x) f -
+    (1 - l(l+dim-2)/x^2) g, which is Bessel's equation (DLMF 10.2.1) on the
+    disk.  The first iterate is
     the false-position point; each evaluation shrinks the bracket to the side
     that keeps the sign change, and an iterate outside the bracket is
     replaced by its midpoint.  Returns x + step once a Newton step is at most
@@ -297,10 +308,7 @@ def _bisect_radial(l: int, dim: int, a: float, fa: float, b: float, fb: float, x
             fa = f
         else:
             b = x
-        if dim == 2:
-            df = -f / x - (1.0 - (l / x) * (l / x)) * g
-        else:
-            df = -g - (0.5 * dim / x) * f  # nu + 1 = dim/2
+        df = -(0.5 * dim) * f / x - (1.0 - (l / x) * ((l + dim - 2) / x)) * g
         step = -f / df if df != 0.0 else math.inf
         if abs(step) <= xtol:
             return x + step

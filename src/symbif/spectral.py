@@ -1,16 +1,18 @@
 """Neumann Laplacian spectra on balls, and ingestion of user-supplied spectra.
 
-On the unit disk the distinct eigenvalues are 0 (constants) together with the
-squares of the positive roots of J_l'(x) = 0 over all angular indices l; the
+On the unit N-ball the Neumann eigenfunctions of harmonic degree l are
+x^-c J_nu(x r) times a degree-l harmonic, with c = (N-2)/2 and nu = l + c,
+so the eigenvalues of degree l are the squares of the positive roots of one
+radial condition J_nu'(x) - (c/x) J_nu(x) = 0 (``radial_condition``; DLMF
+10.6.2, 10.21(i)).  On the disk (N = 2, c = 0) it is J_l'(x) = 0; the
 eigenspace for a root with l >= 1 is one copy of the rotation-l irreducible
-(real dimension 2), and trivial of dimension 1 for l = 0.  On the N-ball with
-N >= 3 the package evaluates only the stated radial test
-J_nu'(x) - (nu/x) J_nu(x) = 0 with nu = (N-2)/2, which characterises the
-eigenvalues whose eigenspace is a trivial SO(N)-representation; it is
-evaluated as -J_{nu+1}(x), the same function (DLMF 10.6.2).  Full spectra
-for N >= 3 (or for other invariant domains) are supplied by the user, as
-structured documents or as :class:`SpectrumEntry` lists, under one rule
-that the domain applies: ascending order, where a step down within
+(real dimension 2), and trivial of dimension 1 for l = 0, together with the
+eigenvalue 0 (constants).  For N >= 3 the package evaluates only l = 0, the
+radial test -J_{nu+1}(x) = 0, which characterises the eigenvalues whose
+eigenspace is a trivial SO(N)-representation; other degrees raise
+:class:`UnsupportedDomain`.  Full spectra for N >= 3 (or for other invariant
+domains) are supplied by the user, as structured documents or as
+:class:`SpectrumEntry` lists, under one rule that the domain applies: ascending order, where a step down within
 ``MERGE_REL`` is a tie, and near-coincident eigenvalues merged with their
 representations summed.  Every eigenspace is a :class:`symbif.euler.SO2Rep`,
 the package's one representation class; an entry's ``rep`` document is
@@ -26,13 +28,13 @@ A ``cache`` of None is a fresh in-memory :class:`RootCache`.
 Root finding is one scan: sign-change bracketing on a fixed pi/8 lattice,
 then safeguarded Newton inside each bracket (``_kernels._bisect_radial``) to
 the fixed ``ROOT_XTOL``.
-Each kernel call also gives a partner whose zeros interlace with the
-condition's (J_l for J_l', J_nu for -J_{nu+1}; DLMF 10.21(i)); the scan
-checks after every cell that the two still alternate, so a root list is
-complete or the call raises :class:`ConvergenceError`.  The scan starts
-from the signs of the pair as x -> 0+ (DLMF 10.2.2), so the first cell is
-checked like every other; for the disk with l >= 1 it starts instead at
-the last lattice point at or below sqrt(l(l+2)) < j'_{l,1}, where J_l' and
+Each kernel call also gives the partner J_nu, whose zeros interlace with the
+condition's (DLMF 10.21(i)); the scan checks after every cell that the two
+still alternate, so a root list is complete or the call raises
+:class:`ConvergenceError`.  The scan starts from the signs of the pair as
+x -> 0+, where u = x^-c J_nu behaves like x^l (DLMF 10.2.2), so the first
+cell is checked like every other; for the disk with l >= 1 it starts instead
+at the last lattice point at or below sqrt(l(l+2)) < j'_{l,1}, where J_l' and
 J_l are known to be positive, and checks those signs there.  Requests for
 roots beyond x = ``MAX_ROOT_X`` are refused.
 Two structurally different Bessel evaluation paths (ascending series vs.
@@ -198,15 +200,17 @@ def bessel_j_prime(order: float, x: float) -> float:
 
 
 def radial_condition(angular_index: int, dim: int, x: float) -> float:
-    """Value of the radial Neumann condition at x > 0.
+    """Value of the radial Neumann condition J_nu'(x) - (c/x) J_nu(x) at x > 0.
 
-    Disk (dim == 2): J_l'(x).  Ball (dim >= 3, l == 0 only): the trivial-type
-    radial test J_nu'(x) - (nu/x) J_nu(x) = -J_{nu+1}(x), nu = (dim-2)/2.
-    An order l or nu above ``MAX_ROOT_X`` raises DomainError.
+    Here c = (dim - 2)/2 and nu = l + c: the derivative x^c u' of the radial
+    part u = x^-c J_nu of the degree-l eigenfunctions.  It is J_l'(x) on the
+    disk and the trivial-type radial test -J_{nu+1}(x) for l == 0.  Balls
+    (dim >= 3) with l >= 1 raise UnsupportedDomain, and an order nu above
+    ``MAX_ROOT_X`` raises DomainError.
     """
     _check_radial_family(angular_index, dim)
-    if angular_index > MAX_ROOT_X or dim - 2 > 2 * MAX_ROOT_X:  # integer tests: no float overflow
-        raise DomainError(f"the radial condition's order (l, or (dim - 2)/2 for balls) must be <= {MAX_ROOT_X}")
+    if 2 * angular_index + dim - 2 > 2 * MAX_ROOT_X:  # 2 nu, an integer: no float overflow
+        raise DomainError(f"the radial condition's order nu = l + (dim - 2)/2 must be <= {MAX_ROOT_X}")
     x = _real(x, "radial condition argument x", error=DomainError)
     if x <= 0.0:
         raise DomainError(f"radial condition needs x > 0, got {x!r}")
@@ -239,24 +243,25 @@ def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.
     """Roots of f above ``after`` through the first beyond ``x_max``, on the lattice step, 2*step, ...
 
     The zeros of f and of its partner g (both from ``_kernels._radial_condition``)
-    interlace, f leading for the disk with l >= 1 and g otherwise, so the
-    leader's sign changes run ahead of the other's by 0 or 1.  A cell that
-    breaks this hides a pair of zeros and is scanned again on its halved
-    lattice, at most ``_MAX_HALVINGS`` times before ConvergenceError.  No
-    bracket depends on ``x_max`` or ``after`` (prefix stability).  With
-    ``after == 0`` the scan starts at x = 0+, where g > 0 and f has the sign
-    of its leading power (DLMF 10.2.2): J_l' > 0 for l >= 1, while J_0' and
-    -J_{nu+1} are negative.  For the disk with l >= 1 it skips ahead to the
-    last lattice point at or below sqrt(l(l+2)), which lies below
-    j'_{l,1} < j_{l,1} (DLMF 10.21(i)), so no zero of f or g precedes it
-    and the brackets are those of the full scan; ConvergenceError unless
-    f > 0 and g > 0 there.  With ``after > 0`` the scan starts at the end of
-    the cell holding ``after``.  A value that underflowed to 0.0 (high
-    orders near the origin) keeps the sign of the point before it.
+    interlace, f leading for l >= 1 and g for l == 0, so the leader's sign
+    changes run ahead of the other's by 0 or 1.  A cell that breaks this
+    hides a pair of zeros and is scanned again on its halved lattice, at most
+    ``_MAX_HALVINGS`` times before ConvergenceError.  No bracket depends on
+    ``x_max`` or ``after`` (prefix stability).  With ``after == 0`` the scan
+    starts at x = 0+, where g > 0 and f has the sign of the derivative of
+    u = x^-c g ~ x^l (DLMF 10.2.2): positive for l >= 1, negative for l == 0.
+    For the disk with l >= 1 it skips ahead to the last lattice point at or
+    below sqrt(l(l+2)), which lies below j'_{l,1} < j_{l,1} (DLMF 10.21(i)),
+    so no zero of f or g precedes it and the brackets are those of the full
+    scan; ConvergenceError unless f > 0 and g > 0 there.  No such bound is
+    proven for balls with l >= 1, which scan from 0+.  With ``after > 0`` the
+    scan starts at the end of the cell holding ``after``.  A value that
+    underflowed to 0.0 (high orders near the origin) keeps the sign of the
+    point before it.
     """
     from . import _kernels  # once per scan: the kernels load with the first scan of a process
 
-    f_leads = dim == 2 and l >= 1
+    f_leads = l >= 1
     origin = (0.0, 1.0 if f_leads else -1.0, 1.0)
 
     def refine(a: float, fa: float, b: float, fb: float) -> float:
@@ -293,7 +298,7 @@ def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.
         right, ahead = cell(mid, b, ahead, halvings + 1)
         return left + right, ahead
 
-    known_signs = f_leads and not after
+    known_signs = f_leads and dim == 2 and not after
     i = math.floor(math.sqrt(l * (l + 2)) / step) if known_signs else math.ceil(after / step)
     prev = point(i * step, origin) if i else origin
     if known_signs and i and not (prev[1] > 0.0 and prev[2] > 0.0):

@@ -70,11 +70,10 @@ def bessel_j_prime_mp(nu: float, x: float, dps: int | None = None):
 
 
 def radial_condition_mp(l: int, dim: int, x: float, dps: int | None = None):
-    """Oracle value of the radial Neumann condition."""
-    if dim == 2:
-        return bessel_j_prime_mp(l, x, dps)
-    nu = 0.5 * (dim - 2)
-    return bessel_j_prime_mp(nu, x, dps) - (mpf(nu) / mpf(x)) * bessel_j_mp(nu, x, dps)
+    """Oracle value of the radial Neumann condition J_nu' - (c/x) J_nu, c = (dim - 2)/2, nu = l + c."""
+    c = 0.5 * (dim - 2)
+    nu = l + c
+    return bessel_j_prime_mp(nu, x, dps) - (mpf(c) / mpf(x)) * bessel_j_mp(nu, x, dps)
 
 
 def _sign(v) -> int:
@@ -82,18 +81,17 @@ def _sign(v) -> int:
 
 
 def _condition_and_slope(l: int, dim: int, x: float):
-    """Radial condition and its x-derivative from the series pair J_nu, J_{nu+1}."""
-    nu = l if dim == 2 else 0.5 * (dim - 2)
+    """Radial condition and its x-derivative from the series pair J_nu, J_{nu+1}, nu = l + (dim - 2)/2."""
+    c = 0.5 * (dim - 2)
+    nu = l + c
     dps = _dps_for(x)
     j0 = bessel_j_mp(nu, x, dps)
     j1 = bessel_j_mp(nu + 1, x, dps)
     with mp.workdps(dps):
-        xm, num = mpf(x), mpf(nu)
+        xm, num, cm = mpf(x), mpf(nu), mpf(c)
         jp = (num / xm) * j0 - j1
         jpp = -jp / xm - (1 - (num / xm) ** 2) * j0
-        if dim == 2:
-            return jp, jpp
-        return jp - (num / xm) * j0, jpp - (num / xm) * jp + (num / xm ** 2) * j0
+        return jp - (cm / xm) * j0, jpp - (cm / xm) * jp + (cm / xm ** 2) * j0
 
 
 def _refine(l: int, dim: int, a: float, b: float, fa, fb, xtol: float) -> float:

@@ -343,6 +343,83 @@ class TestInterlacingCheck:
         assert len(entries) == 400 and entries == disk_spectrum(entries[-1].eigenvalue)
 
 
+#: x in each kernel band: the series (x <= 8), the recurrences (8 < x < 60) and the
+#: asymptotic expansion (x >= 60), with the band edges
+BAND_XS = (0.3, 2.9, 8.0, 8.5, 23.7, 47.1, 59.9, 60.0, 121.3, 199.0)
+
+
+class TestOneRadialFamily:
+    """``_kernels._radial_condition`` and its slope for balls with l >= 1, which no public call reaches yet."""
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 7])
+    @pytest.mark.parametrize("l", [1, 3, 10])
+    def test_condition_matches_the_oracle(self, l, dim):
+        for x in BAND_XS:
+            f = _kernels._radial_condition(l, dim, x)[0]
+            want = float(radial_condition_mp(l, dim, x))
+            assert abs(f - want) <= 1e-11 * max(1.0, abs(f)), (x, f, want)
+
+    @pytest.mark.parametrize("l,dim", [(1, 3), (3, 4), (10, 5), (1, 7)])
+    def test_scan_matches_the_oracle_roots(self, l, dim):
+        # the lead rule (f ahead of g for l >= 1) and the one Newton slope, from 0+ with no skip
+        roots = [r for r in _lattice_scan(l, dim, 30.0, GRID_STEP) if r <= 30.0]
+        assert len(roots) >= 5
+        for got, want in zip(roots, oracle_radial_roots(l, dim, len(roots))):
+            assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
+def _spacing(zeros) -> tuple[float, float]:
+    """Least gap between consecutive zeros in (0, 200], and least span of four consecutive ones."""
+    z = sorted(x for x in zeros if 0.0 < x <= MAX_ROOT_X)
+    return min(b - a for a, b in zip(z, z[1:])), min(d - a for a, d in zip(z, z[3:]))
+
+
+def _ball_zeros(dim: int) -> list[float]:
+    """Zeros in (0, 200] of f = -J_{nu+1} and g = J_nu, nu = (dim - 2)/2: brentq on every sign change of a 0.01 grid."""
+    from scipy.optimize import brentq
+    from scipy.special import jv
+
+    xs = [0.01 * i for i in range(1, 20_001)]
+    found = []
+    for nu in (0.5 * (dim - 2), 0.5 * dim):
+        ys = jv(nu, xs)
+        found += [brentq(lambda x: jv(nu, x), a, b) for a, b, ya, yb in zip(xs, xs[1:], ys, ys[1:]) if ya * yb < 0]
+    return found
+
+
+class TestSpacingPremise:
+    """The spacing ``radial_roots_up_to`` claims, on which a pi/8 cell holds at most one zero of f and g.
+
+    Consecutive zeros of the condition f and its partner g lie at least 1.2
+    apart, and four of them span at least 4.5, for the disk with l < 200 and
+    the trivial-type test on balls with N <= 7, x <= 200; scipy's zeros check it.
+    """
+
+    def test_disk(self):
+        from scipy.special import jn_zeros, jnp_zeros
+
+        gaps, spans = [], []
+        for l in range(200):
+            n = int((MAX_ROOT_X - l) / math.pi) + 3  # more zeros than lie below 200
+            zeros = [*jnp_zeros(l, n), *jn_zeros(l, n)]
+            if sum(x <= MAX_ROOT_X for x in zeros) >= 4:
+                gap, span = _spacing(zeros)
+                gaps.append(gap)
+                spans.append(span)
+        # the least of both sits at l = 0: 1.427 and 4.611
+        assert min(gaps) >= 1.2 and min(spans) >= 4.5
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7])
+    def test_balls(self, dim):
+        gap, span = _spacing(_ball_zeros(dim))
+        # the least gap falls with dim, to 1.2245 at N = 7; the least span is 4.5837 at N = 3
+        assert gap >= 1.2 and span >= 4.5
+
+    def test_the_claim_stops_at_dim_7(self):
+        # at N = 9 the first zeros of J_{7/2} and J_{9/2} lie 1.1946 apart, so the claim cannot reach it
+        assert _spacing(_ball_zeros(9))[0] < 1.2
+
+
 class TestKnownSignPrefix:
     @pytest.mark.parametrize("l", [1, 2, 5, 20, 60, 150, 190])
     def test_first_root_lies_above_the_bound(self, l):
