@@ -252,6 +252,10 @@ def rabinowitz_excludes_bounded(indices: Iterable[EulerSO2]) -> bool:
     """
     if not isinstance(indices, Iterable):
         raise ValidationError(f"indices must be an iterable of EulerSO2 elements, got {_show(indices)}")
+    indices = list(indices)
+    for ix in indices:
+        if not isinstance(ix, EulerSO2):
+            raise ValidationError(f"indices must hold EulerSO2 elements, got {_show(ix)}")
     return not sum(indices, EulerSO2.zero()).is_zero()
 
 
@@ -397,6 +401,10 @@ def enumerate_zero_sum_subsets(indices: Sequence[tuple[float, EulerSO2]]) -> lis
     if not isinstance(indices, Sequence):
         raise ValidationError(f"indices must be a sequence of (lambda0, EulerSO2) pairs, got {_show(indices)}")
     _refuse_subsets(len(indices))
+    for item in indices:
+        if not isinstance(item, Sequence) or len(item) != 2 or not isinstance(item[1], EulerSO2):
+            raise ValidationError(f"indices must hold (lambda0, EulerSO2) pairs, got {_show(item)}")
+        _real(item[0], "lambda0 of an index pair")
     lams = [lam for lam, _ in indices]
     keys = sorted({k for _, ix in indices for k in ix.cyclic})
     coords = [[ix.unit, *(ix.coefficient(k) for k in keys)] for _, ix in indices]

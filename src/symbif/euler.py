@@ -290,6 +290,8 @@ def deg_minus_id(rep: SO2Rep) -> EulerSO2:
     the ring rules gives ``(-1)^t * (I - sum_k m_k chi[k])``, which is what is
     evaluated.
     """
+    if not isinstance(rep, SO2Rep):
+        raise ValidationError(f"deg_minus_id needs an SO2Rep, got {_show(rep)}")
     sign = -1 if rep.trivial_dim % 2 else 1
     return EulerSO2._make(sign, {k: -sign * m for k, m in rep.irreducibles.items()})
 
@@ -302,6 +304,8 @@ def rep_equiv_mod_even_trivial(v: SO2Rep, w: SO2Rep) -> bool:
     representations have equal degree of ``-Id`` iff they are equivalent
     modulo even-dimensional trivial summands.
     """
+    if not isinstance(v, SO2Rep) or not isinstance(w, SO2Rep):
+        raise ValidationError(f"rep_equiv_mod_even_trivial needs two SO2Reps, got {_show(v)} and {_show(w)}")
     return (
         v.irreducibles == w.irreducibles
         and v.trivial_dim % 2 == w.trivial_dim % 2

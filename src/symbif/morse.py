@@ -54,8 +54,12 @@ def degree_from_orbits(data: Iterable[OrbitDatum]) -> dict[str, int]:
     Classes absent from the result have coefficient 0, so pruning keeps
     structural equality of maps equal to semantic equality of degrees.
     """
+    if not isinstance(data, Iterable):
+        raise ValidationError(f"orbit data must be an iterable of OrbitDatum records, got {_show(data)}")
     out: dict[str, int] = {}
     for datum in data:
+        if not isinstance(datum, OrbitDatum):
+            raise ValidationError(f"orbit data must hold OrbitDatum records, got {_show(datum)}")
         out[datum.isotropy_class] = out.get(datum.isotropy_class, 0) + (-1) ** datum.morse_index
     return {c: v for c, v in out.items() if v != 0}
 
@@ -67,6 +71,8 @@ def lift_degree(deg: Mapping[str, int], table: Mapping[str, str]) -> dict[str, i
     a class with nonzero coefficient has no table entry, NonInjectiveTable if
     the table merges classes (the transported map would be meaningless).
     """
+    _class_map(deg, "degree", _int)
+    _class_map(table, "class table", _label)
     seen: set[str] = set()
     for g_class in table.values():
         if g_class in seen:
@@ -83,6 +89,21 @@ def lift_degree(deg: Mapping[str, int], table: Mapping[str, str]) -> dict[str, i
             raise MissingClass(f"class {_show(h_class)} is absent from the class table")
         out[table[h_class]] = coeff
     return out
+
+
+def _label(v, what: str) -> str:
+    if not isinstance(v, str):
+        raise ValidationError(f"{what} must be a string, got {_show(v)}")
+    return v
+
+
+def _class_map(m, what: str, check) -> None:
+    """ValidationError unless ``m`` is a mapping of class labels to values that pass ``check``."""
+    if not isinstance(m, Mapping):
+        raise ValidationError(f"{what} must be a mapping of class labels, got {_show(m)}")
+    for k, v in m.items():
+        _label(k, f"{what} class label")
+        check(v, f"{what} entry for {_show(k)}")
 
 
 def compare_orbit_degrees(a: Mapping[str, int], b: Mapping[str, int], table: Mapping[str, str]) -> bool:
@@ -122,6 +143,8 @@ def so2_class_map_to_euler(deg: Mapping[str, int]) -> EulerSO2:
     finite cyclic classes.  Two labels of one class (``Z1`` and ``Z01``)
     raise ValidationError, as either coefficient would otherwise be lost.
     """
+    if not isinstance(deg, Mapping):
+        raise ValidationError(f"degree must be a mapping of SO(2) class labels, got {_show(deg)}")
     unit = 0
     cyclic: dict[int, int] = {}
     labels: dict[int, str] = {}

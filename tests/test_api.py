@@ -10,8 +10,9 @@ no other module tests for bools by hand.  A record states its fields once, in ``
 base ``errors._Record`` compares and prints records.  "A fresh one" has one spelling, the default
 ``None``: every other default is a plain immutable value.  The representation class has one public
 name, ``SO2Rep``, in the package root and in ``symbif.euler``.  No source line of the package is longer
-than 120 characters.  A public function of ``system`` or ``bifurcation`` given a plain ``object()`` for any
-required argument refuses it with the package's own error, never AttributeError or TypeError.
+than 120 characters.  A public function of ``system``, ``bifurcation``, ``euler`` or ``morse`` given a plain
+``object()`` for any required argument, or for an item of a sequence argument, refuses it with the package's own
+error, never AttributeError or TypeError.
 """
 
 import importlib
@@ -158,18 +159,51 @@ def test_no_source_line_is_longer_than_the_limit():
 
 
 def _valid_arguments() -> dict:
-    """A working value for each required argument name of the public functions of ``system`` and ``bifurcation``."""
+    """A working value for each required argument name of the public functions of the swept modules."""
     spec = system.SystemSpec(p1=2, p2=2, sigma_b1={1: 2}, sigma_b2={1: 2}, a9=True)
     lam = system.lambda_set(spec, (0.5, 5.0))[0]
+    rep = euler.SO2Rep(1, {2: 1})
     return {
         "spec": spec, "lambda0": lam, "lam": lam, "window": (-5.0, 5.0), "sign": 1, "k_max": 3, "members": [lam],
-        "entry": spec.domain.entries_up_to(lam)[-1], "indices": [], "doc": spec.to_json(),
+        "entry": spec.domain.entries_up_to(lam)[-1], "doc": spec.to_json(),
+        "rep": rep, "v": rep, "w": rep,
+        "data": [morse.OrbitDatum("Z2", 1), morse.OrbitDatum("SO2", 0)], "deg": {"SO2": 1, "Z2": -1},
+        "a": {"SO2": 1}, "b": {"Z2": 1}, "table": {"SO2": "SO2", "Z2": "Z2"},
     }
 
 
-@pytest.mark.parametrize("module", [system, bifurcation], ids=["system", "bifurcation"])
-def test_an_object_for_any_required_argument_is_refused(module):
-    # each argument is checked once where a call first reads it; a document reader refuses with SchemaError
+#: arguments whose working value depends on the function as well as the name
+VALID_FOR = {
+    ("rabinowitz_excludes_bounded", "indices"): [euler.EulerSO2.one(), euler.EulerSO2.chi(2)],
+    ("enumerate_zero_sum_subsets", "indices"): [(1.0, euler.EulerSO2.one()), (2.0, euler.EulerSO2.chi(2))],
+    ("orbit_data_from_json", "doc"): [{"class": "Z2", "morse_index": 1}],
+    ("class_table_from_json", "doc"): {"Z2": "Z2"},
+}
+
+
+def _replaced(seq, i: int, new):
+    """A copy of the list or tuple ``seq`` with ``new`` at position ``i``."""
+    return type(seq)(new if j == i else v for j, v in enumerate(seq))
+
+
+def _with_an_object(value):
+    """(where, value) with ``object()`` in place of ``value``, of each item of a sequence, and of each part of a pair."""
+    yield "", object()
+    if isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield f"[{i}]", _replaced(value, i, object())
+            if isinstance(item, tuple):
+                for k in range(len(item)):
+                    yield f"[{i}][{k}]", _replaced(value, i, _replaced(item, k, object()))
+
+
+@pytest.mark.parametrize(
+    "module, least", [(system, 10), (bifurcation, 10), (euler, 3), (morse, 10)],
+    ids=["system", "bifurcation", "euler", "morse"],
+)
+def test_an_object_for_any_required_argument_is_refused(module, least):
+    # each argument is checked once where a call first reads it, and so is each item of a
+    # sequence; a document reader refuses with SchemaError
     valid = _valid_arguments()
     leaks, tried = [], 0
     for name in module.__all__:
@@ -177,16 +211,18 @@ def test_an_object_for_any_required_argument_is_refused(module):
         if not inspect.isfunction(fn):
             continue
         required = [p.name for p in inspect.signature(fn).parameters.values() if p.default is p.empty]
-        fn(*(valid[r] for r in required))  # the call works as given
+        given = {r: VALID_FOR.get((name, r), valid.get(r)) for r in required}
+        fn(**given)  # the call works as given
         expected = errors.SchemaError if name.endswith("_from_json") else errors.ValidationError
         for arg in required:
-            tried += 1
-            try:
-                fn(*(object() if r == arg else valid[r] for r in required))
-            except expected:
-                continue
-            except Exception as exc:  # noqa: BLE001 - what leaks is the finding
-                leaks.append(f"{name}({arg}=object()): {type(exc).__name__}")
-            else:
-                leaks.append(f"{name}({arg}=object()) returned")
-    assert tried >= 10 and leaks == []
+            for where, wrong in _with_an_object(given[arg]):
+                tried += 1
+                try:
+                    fn(**{**given, arg: wrong})
+                except expected:
+                    continue
+                except Exception as exc:  # noqa: BLE001 - what leaks is the finding
+                    leaks.append(f"{name}({arg}{where}=object()): {type(exc).__name__}")
+                else:
+                    leaks.append(f"{name}({arg}{where}=object()) returned")
+    assert tried >= least and leaks == []

@@ -88,6 +88,16 @@ class TestLiftDegree:
             lifted = lift_degree(deg, table)
         assert lifted == {f"g{i}": 1 for i in range(0, n, 7)}
 
+    @pytest.mark.parametrize(
+        "deg, table",
+        [({"a": 1.0}, {"a": "g"}), ({"a": True}, {"a": "g"}), ({1: 1}, {1: "g"}), ({"a": 1}, {"a": 7})],
+        ids=["float-coefficient", "bool-coefficient", "int-label", "int-target"],
+    )
+    def test_entries_are_checked(self, deg, table):
+        # coefficients are integers and labels strings, as degree_from_orbits and class_table_from_json give them
+        with pytest.raises(ValidationError):
+            lift_degree(deg, table)
+
     def test_explicit_zero_does_not_need_entry(self):
         assert lift_degree({"a": 1, "zz": 0}, {"a": "ga"}) == {"ga": 1}
 
