@@ -284,10 +284,9 @@ def _bisect_radial(l: int, dim: int, a: float, fa: float, b: float, fb: float, x
     radial equation u'' + ((dim-1)/x) u' + (1 - l(l+dim-2)/x^2) u = 0 of
     u = x^-c g, whose derivative is x^-c f: f' = -(dim/2x) f -
     (1 - l(l+dim-2)/x^2) g, which is Bessel's equation (DLMF 10.2.1) on the
-    disk.  The first iterate is
-    the false-position point; each evaluation shrinks the bracket to the side
-    that keeps the sign change, and an iterate outside the bracket is
-    replaced by its midpoint.  Returns x + step once a Newton step is at most
+    disk.  The first iterate is the false-position point; each evaluation
+    shrinks the bracket to the side that keeps the sign change, and an
+    iterate outside the bracket is replaced by its midpoint.  Returns x + step once a Newton step is at most
     ``xtol``, the midpoint once the bracket is that narrow or at
     floating-point resolution, and NaN if an evaluation broke down (NaN
     value) or 200 iterations did not converge.

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from . import _EXPORTS
-from .errors import MissingClass, NonInjectiveTable, SchemaError, ValidationError, _int, _Record, _show
+from .errors import MissingClass, NonInjectiveTable, SchemaError, ValidationError, _int, _is_int, _Record, _show
 from .euler import EulerSO2
 
 __all__ = [*_EXPORTS["morse"], "orbit_data_from_json", "class_table_from_json"]
@@ -71,8 +71,8 @@ def lift_degree(deg: Mapping[str, int], table: Mapping[str, str]) -> dict[str, i
     a class with nonzero coefficient has no table entry, NonInjectiveTable if
     the table merges classes (the transported map would be meaningless).
     """
-    _class_map(deg, "degree", _int)
-    _class_map(table, "class table", _label)
+    _class_map(deg, "degree", _is_int, "integer coefficients")
+    _class_map(table, "class table", lambda g_class: isinstance(g_class, str), "string classes")
     seen: set[str] = set()
     for g_class in table.values():
         if g_class in seen:
@@ -91,19 +91,15 @@ def lift_degree(deg: Mapping[str, int], table: Mapping[str, str]) -> dict[str, i
     return out
 
 
-def _label(v, what: str) -> str:
-    if not isinstance(v, str):
-        raise ValidationError(f"{what} must be a string, got {_show(v)}")
-    return v
-
-
-def _class_map(m, what: str, check) -> None:
-    """ValidationError unless ``m`` is a mapping of class labels to values that pass ``check``."""
+def _class_map(m, what: str, value_ok, values: str) -> None:
+    """ValidationError unless ``m`` maps string class labels to values for which ``value_ok`` holds."""
     if not isinstance(m, Mapping):
-        raise ValidationError(f"{what} must be a mapping of class labels, got {_show(m)}")
+        raise ValidationError(f"{what} must be a mapping of class labels to {values}, got {_show(m)}")
     for k, v in m.items():
-        _label(k, f"{what} class label")
-        check(v, f"{what} entry for {_show(k)}")
+        if not isinstance(k, str) or not value_ok(v):
+            raise ValidationError(
+                f"{what} must map string class labels to {values}, got {_show(k)}: {_show(v)}"
+            )
 
 
 def compare_orbit_degrees(a: Mapping[str, int], b: Mapping[str, int], table: Mapping[str, str]) -> bool:

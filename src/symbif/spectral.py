@@ -12,18 +12,19 @@ radial test -J_{nu+1}(x) = 0, which characterises the eigenvalues whose
 eigenspace is a trivial SO(N)-representation; other degrees raise
 :class:`UnsupportedDomain`.  Full spectra for N >= 3 (or for other invariant
 domains) are supplied by the user, as structured documents or as
-:class:`SpectrumEntry` lists, under one rule that the domain applies: ascending order, where a step down within
-``MERGE_REL`` is a tie, and near-coincident eigenvalues merged with their
-representations summed.  Every eigenspace is a :class:`symbif.euler.SO2Rep`,
-the package's one representation class; an entry's ``rep`` document is
-``{"trivial", "irr"}``, and ``"rot"`` is accepted in place of ``"irr"`` on
-input only.  Each domain writes its own document (``to_json``, which
-:func:`domain_from_json` reads back) and decides whether an eigenspace is a
-nontrivial representation (``rep_nontrivial``): the disk and supplied
-spectra by the stated type, a ball by the radial test.  Its attribute
-``irr_dim_table`` maps an irreducible's label to its real dimension, or is
-None when every irreducible has dimension 2; only a custom domain sets one.
-A ``cache`` of None is a fresh in-memory :class:`RootCache`.
+:class:`SpectrumEntry` lists, under one rule that the domain applies:
+ascending order, where a step down within ``MERGE_REL`` is a tie, and
+near-coincident eigenvalues merged with their representations summed.
+Every eigenspace is a :class:`symbif.euler.SO2Rep`, the package's one
+representation class; an entry's ``rep`` document is ``{"trivial", "irr"}``,
+and ``"rot"`` is accepted in place of ``"irr"`` on input only.  Each domain
+writes its own document (``to_json``, which :func:`domain_from_json` reads
+back) and decides whether an eigenspace is a nontrivial representation
+(``rep_nontrivial``): the disk and supplied spectra by the stated type, a
+ball by the radial test.  Its attribute ``irr_dim_table`` maps an
+irreducible's label to its real dimension, or is None when every irreducible
+has dimension 2; only a custom domain sets one.  A ``cache`` of None is a
+fresh in-memory :class:`RootCache`.
 
 Root finding is one scan: sign-change bracketing on a fixed pi/8 lattice,
 then safeguarded Newton inside each bracket (``_kernels._bisect_radial``) to
