@@ -4,17 +4,17 @@ On the unit N-ball the Neumann eigenfunctions of harmonic degree l are
 x^-c J_nu(x r) times a degree-l harmonic, with c = (N-2)/2 and nu = l + c,
 so the eigenvalues of degree l are the squares of the positive roots of one
 radial condition J_nu'(x) - (c/x) J_nu(x) = 0 (``radial_condition``; DLMF
-10.6.2, 10.21(i)).  On the disk (N = 2, c = 0) it is J_l'(x) = 0; the
-eigenspace for a root with l >= 1 is one copy of the rotation-l irreducible
-(real dimension 2), and trivial of dimension 1 for l = 0, together with the
-eigenvalue 0 (constants).  For N >= 3 the package evaluates only l = 0, the
-radial test -J_{nu+1}(x) = 0, which characterises the eigenvalues whose
-eigenspace is a trivial SO(N)-representation; other degrees raise
-:class:`UnsupportedDomain`.  Full spectra for N >= 3 (or for other invariant
-domains) are supplied by the user, as structured documents or as
-:class:`SpectrumEntry` lists, under one rule that the domain applies:
-ascending order, where a step down within ``MERGE_REL`` is a tie, and
-near-coincident eigenvalues merged with their representations summed.
+10.6.2, 10.21(i)), for every N >= 2 and l >= 0 with nu <= ``MAX_ROOT_X``.
+On the disk (N = 2, c = 0) it is J_l'(x) = 0; the eigenspace for a root
+with l >= 1 is one copy of the rotation-l irreducible (real dimension 2),
+and trivial of dimension 1 for l = 0, together with the eigenvalue 0
+(constants).  On a ball the eigenspace of degree l is a trivial
+SO(N)-representation exactly when l = 0.  The disk spectrum is computed;
+spectra of balls (or of other invariant domains) are supplied by the user,
+as structured documents or as :class:`SpectrumEntry` lists, under one rule
+that the domain applies: ascending order, where a step down within
+``MERGE_REL`` is a tie, and near-coincident eigenvalues merged with their
+representations summed.
 Every eigenspace is a :class:`symbif.euler.SO2Rep`, the package's one
 representation class; an entry's ``rep`` document is ``{"trivial", "irr"}``,
 and ``"rot"`` is accepted in place of ``"irr"`` on input only.  Each domain
@@ -26,17 +26,17 @@ irreducible's label to its real dimension, or is None when every irreducible
 has dimension 2; only a custom domain sets one.  A ``cache`` of None is a
 fresh in-memory :class:`RootCache`.
 
-Root finding is one scan: sign-change bracketing on a fixed pi/8 lattice,
-then safeguarded Newton inside each bracket (``_kernels._bisect_radial``) to
-the fixed ``ROOT_XTOL``.
+Root finding is one scan for every (l, N): sign-change bracketing on a
+fixed pi/8 lattice, then safeguarded Newton inside each bracket
+(``_kernels._bisect_radial``) to the fixed ``ROOT_XTOL``.
 Each kernel call also gives the partner J_nu, whose zeros interlace with the
 condition's (DLMF 10.21(i)); the scan checks after every cell that the two
 still alternate, so a root list is complete or the call raises
-:class:`ConvergenceError`.  The scan starts from the signs of the pair as
-x -> 0+, where u = x^-c J_nu behaves like x^l (DLMF 10.2.2), so the first
-cell is checked like every other; for the disk with l >= 1 it starts instead
-at the last lattice point at or below sqrt(l(l+2)) < j'_{l,1}, where J_l' and
-J_l are known to be positive, and checks those signs there.  Requests for
+:class:`ConvergenceError`.  For l = 0 the scan starts from the signs of the
+pair as x -> 0+, where u = x^-c J_nu behaves like x^l (DLMF 10.2.2), so the
+first cell is checked like every other; for l >= 1 it starts at the last
+lattice point at or below sqrt(l(l+N)), below which u and u' are proven
+positive (``_lattice_scan``), and checks those signs there.  Requests for
 roots beyond x = ``MAX_ROOT_X`` are refused.
 Two structurally different Bessel evaluation paths (ascending series vs.
 backward recurrence) back the production kernels, and the test suite runs
@@ -61,7 +61,6 @@ from .errors import (
     Error,
     InsufficientSpectrum,
     SchemaError,
-    UnsupportedDomain,
     ValidationError,
     _int,
     _known_keys,
@@ -92,9 +91,8 @@ CACHE_SCHEMA_VERSION = 1
 MAX_DISK_ENTRIES = 10_000
 #: largest x a root scan may be asked to reach: the kernels' accuracy is stated
 #: for x <= 200, and every disk request inside MAX_DISK_ENTRIES stays below 199.
-#: It bounds orders too: the pointwise evaluators refuse an order above it, and
-#: an angular index above it has no root in range, as every root of J_l' lies
-#: above l (DLMF 10.21(i)); a disk request scans l <= x_max + 1 < 201
+#: It caps the order nu = l + (N-2)/2 of every evaluator, and a degree l above it has no root in range, as
+#: every root of degree l lies above sqrt(l(l+N)) > l (``_lattice_scan``); a disk request scans l <= x_max + 1 < 201
 MAX_ROOT_X = 200.0
 
 
@@ -128,13 +126,13 @@ class SpectrumEntry(_Record):
     def __init__(
         self, eigenvalue: float, rep: SO2Rep, angular_index: int | None = None, root_index: int | None = None
     ) -> None:
-        # the one check of an eigenvalue, so a wrong type is a SchemaError as in a document
+        # the one check of the eigenvalue and the indices, so a wrong one is refused as in a document
+        self.angular_index = None if angular_index is None else _int(angular_index, "angular_index", 0, SchemaError)
+        self.root_index = None if root_index is None else _int(root_index, "root_index", 0, SchemaError)
         self.eigenvalue = _real(eigenvalue, "eigenvalue", error=SchemaError, invalid=ValidationError)
         if self.eigenvalue < 0.0:
             raise ValidationError(f"eigenvalue must be nonnegative, got {self.eigenvalue!r}")
         self.rep = rep
-        self.angular_index = angular_index
-        self.root_index = root_index
 
     def to_json(self) -> dict:
         return {
@@ -151,9 +149,6 @@ class SpectrumEntry(_Record):
         _known_keys(doc, {"eigenvalue", "angular_index", "root_index", "rep"}, "spectrum entry")
         if "eigenvalue" not in doc or "rep" not in doc:
             raise SchemaError("spectrum entry needs 'eigenvalue' and 'rep'")
-        for key in ("angular_index", "root_index"):
-            if doc.get(key) is not None:
-                _int(doc[key], key, 0, SchemaError)
         return cls(doc["eigenvalue"], SO2Rep.from_json(doc["rep"]), doc.get("angular_index"), doc.get("root_index"))
 
 
@@ -205,13 +200,11 @@ def radial_condition(angular_index: int, dim: int, x: float) -> float:
 
     Here c = (dim - 2)/2 and nu = l + c: the derivative x^c u' of the radial
     part u = x^-c J_nu of the degree-l eigenfunctions.  It is J_l'(x) on the
-    disk and the trivial-type radial test -J_{nu+1}(x) for l == 0.  Balls
-    (dim >= 3) with l >= 1 raise UnsupportedDomain, and an order nu above
-    ``MAX_ROOT_X`` raises DomainError.
+    disk and the trivial-type radial test -J_{nu+1}(x) for l == 0.  An order
+    nu above ``MAX_ROOT_X`` raises DomainError.
     """
     _check_radial_family(angular_index, dim)
-    if 2 * angular_index + dim - 2 > 2 * MAX_ROOT_X:  # 2 nu, an integer: no float overflow
-        raise DomainError(f"the radial condition's order nu = l + (dim - 2)/2 must be <= {MAX_ROOT_X}")
+    _check_order(angular_index, dim)
     x = _real(x, "radial condition argument x", error=DomainError)
     if x <= 0.0:
         raise DomainError(f"radial condition needs x > 0, got {x!r}")
@@ -223,11 +216,11 @@ def radial_condition(angular_index: int, dim: int, x: float) -> float:
 def _check_radial_family(angular_index: int, dim: int) -> None:
     _int(dim, "dimension", 2, DomainError)
     _int(angular_index, "angular index", 0, DomainError)
-    if dim >= 3 and angular_index != 0:
-        raise UnsupportedDomain(
-            "for dim >= 3 only the angular_index == 0 radial test is available; "
-            "supply spectra for other types explicitly"
-        )
+
+
+def _check_order(angular_index: int, dim: int) -> None:
+    if 2 * angular_index + dim - 2 > 2 * MAX_ROOT_X:  # 2 nu, an integer: no float overflow
+        raise DomainError(f"the radial condition's order nu = l + (dim - 2)/2 must be <= {MAX_ROOT_X}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +244,15 @@ def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.
     ``x_max`` or ``after`` (prefix stability).  With ``after == 0`` the scan
     starts at x = 0+, where g > 0 and f has the sign of the derivative of
     u = x^-c g ~ x^l (DLMF 10.2.2): positive for l >= 1, negative for l == 0.
-    For the disk with l >= 1 it skips ahead to the last lattice point at or
-    below sqrt(l(l+2)), which lies below j'_{l,1} < j_{l,1} (DLMF 10.21(i)),
-    so no zero of f or g precedes it and the brackets are those of the full
-    scan; ConvergenceError unless f > 0 and g > 0 there.  No such bound is
-    proven for balls with l >= 1, which scan from 0+.  With ``after > 0`` the
-    scan starts at the end of the cell holding ``after``.  A value that
-    underflowed to 0.0 (high orders near the origin) keeps the sign of the
-    point before it.
+    For l >= 1 it skips ahead to the last lattice point at or below
+    sqrt(l(l+dim)), where f > 0 and g > 0 or ConvergenceError, so the brackets
+    are those of the full scan: by the radial equation q = x u'/u has q(0+) = l
+    and x q' = l(l+dim-2) - x^2 - (dim-2) q - q^2, which p = l - x^2/(l+dim)
+    satisfies with <= for = while x^2 <= l(l+dim); so q >= p > 0 there, and
+    no zero of f = x^c u' or g = x^c u precedes that point (on the disk,
+    j'_{l,1} > sqrt(l(l+2)), DLMF 10.21(i)).  With ``after > 0`` the scan
+    starts at the end of the cell holding ``after``.  A value that underflowed
+    to 0.0 (high orders near the origin) keeps the sign of the point before it.
     """
     from . import _kernels  # once per scan: the kernels load with the first scan of a process
 
@@ -299,13 +293,12 @@ def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.
         right, ahead = cell(mid, b, ahead, halvings + 1)
         return left + right, ahead
 
-    known_signs = f_leads and dim == 2 and not after
-    i = math.floor(math.sqrt(l * (l + 2)) / step) if known_signs else math.ceil(after / step)
+    known_signs = f_leads and not after
+    i = math.floor(math.sqrt(l * (l + dim)) / step) if known_signs else math.ceil(after / step)
     prev = point(i * step, origin) if i else origin
     if known_signs and i and not (prev[1] > 0.0 and prev[2] > 0.0):
         raise ConvergenceError(
-            f"J_{l}' and J_{l} must be positive below sqrt(l(l+2)), got {prev[1]!r} and {prev[2]!r} "
-            f"at x={prev[0]!r}"
+            f"f and g must be positive below sqrt(l(l+dim)), got {prev[1]!r}, {prev[2]!r} at x={prev[0]!r} (l={l})"
         )
     # the lead is one zero ahead exactly when the sign pattern differs from that at 0+
     ahead = int(((prev[1] > 0.0) == (prev[2] > 0.0)) != f_leads)
@@ -329,27 +322,31 @@ def radial_roots_up_to(
     """All positive roots of the radial condition not exceeding ``x_max``.
 
     No root is silently missed while no lattice cell holds more than three
-    zeros of the condition f and its partner g together (see
-    ``_lattice_scan``).  Consecutive zeros lie at least 1.2 apart, and four
-    of them span at least 4.5 (disk l < 200 and balls N <= 7, x <= 200), so
-    the fixed pi/8 step (``GRID_STEP``) holds at most one.  A request beyond
-    ``MAX_ROOT_X`` raises InsufficientSpectrum before any evaluation.  Roots
-    are refined to ``ROOT_XTOL`` and kept in ``cache`` (a new in-memory
-    :class:`RootCache` when None) through the first root beyond ``x_max``,
-    so the cache serves the same request again, and a longer request
-    resumes the scan after the last cached root.
+    zeros of f and its partner g (``_lattice_scan``).  Consecutive zeros lie
+    at least 1.2 apart and four span at least 4.5 (scipy's zeros, x <= 200:
+    disk l < 200; l = 0 on balls N <= 7; l in {1, 2, 3, 5, 10, 30, 100, 150}
+    on N in {3, 4, 5, 7, 10}), so a pi/8 cell (``GRID_STEP``) holds at most
+    one.  An ``x_max`` below dim/2, and for l >= 1 below sqrt(l(l+dim)) too,
+    lies below the first root and gets [] at once; beyond ``MAX_ROOT_X`` it
+    raises InsufficientSpectrum, and an order nu above that DomainError, before
+    any evaluation.  Roots are refined to ``ROOT_XTOL`` and kept in ``cache``
+    (a new in-memory :class:`RootCache` when None) through the first root
+    beyond ``x_max``, so the cache serves the same request again, and a longer
+    request resumes the scan after the last cached root.
     """
     _check_radial_family(angular_index, dim)
     _real(x_max, "radial roots bound x_max", finite=False, error=DomainError)
-    if x_max <= 0.0 or 2.0 * x_max < dim:  # every root lies above dim/2 (DLMF 10.21(i)); no scan for huge dims
+    below = 2.0 * x_max < dim and (angular_index == 0 or x_max * x_max < angular_index * (angular_index + dim))
+    if x_max <= 0.0 or below:
         return []
     if x_max > MAX_ROOT_X:
         raise InsufficientSpectrum(
             f"radial roots up to x = {x_max!r} lie beyond the supported range x <= {MAX_ROOT_X!r} "
-            f"(l={_show(angular_index)}, dim={dim})"
+            f"(l={_show(angular_index)}, dim={_show(dim)})"
         )
-    if angular_index > MAX_ROOT_X:  # every root of J_l' lies above l >= x_max (DLMF 10.21(i))
+    if angular_index > MAX_ROOT_X:  # every root lies above sqrt(l(l+dim)) > l > MAX_ROOT_X >= x_max
         return []
+    _check_order(angular_index, dim)
     cache = RootCache() if cache is None else cache
     cached = cache.get(dim, angular_index)
     if not cache.covers(dim, angular_index, x_max):
@@ -571,9 +568,11 @@ def ball_rep_nontrivial(
 
     True iff sqrt(eigenvalue) is NOT a root of the trivial-type radial test.
     The constants (eigenvalue 0) are trivial; a declared angular index >= 1
-    short-circuits the numeric test.
+    short-circuits the numeric test.  A wrong-typed entry raises ValidationError.
     """
     _int(dim, "ball_rep_nontrivial dim", 3, DomainError)
+    if not isinstance(entry, SpectrumEntry):
+        raise ValidationError(f"entry must be a SpectrumEntry, got {_show(entry)}")
     if close(entry.eigenvalue, 0.0):
         return False
     if entry.angular_index is not None:

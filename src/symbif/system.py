@@ -84,8 +84,8 @@ class SystemSpec(_Record):
         self.a9 = _bool(a9, "a9")
         if not isinstance(self.domain, Domain):
             raise ValidationError(f"domain must be a DiskDomain, BallDomain or CustomDomain, got {_show(domain)}")
-        for name in ("p1", "p2", "mu_b0"):
-            _int(getattr(self, name), name, 0)
+        for name in ("p1", "p2", "mu_b0"):  # the one check, so a wrong type is a SchemaError as in a document
+            _int(getattr(self, name), name, 0, SchemaError, ValidationError)
         if self.p1 + self.p2 < 1:
             raise ValidationError("the system needs at least one component (p1 + p2 >= 1)")
         for name, p in (("sigma_b1", "p1"), ("sigma_b2", "p2")):

@@ -32,7 +32,11 @@ def _dps_for(x: float) -> int:
 
 
 def bessel_j_mp(nu: float, x: float, dps: int | None = None):
-    """J_nu(x) by the ascending series in mpmath arithmetic."""
+    """J_nu(x) by the ascending series in mpmath arithmetic, summed until a term is below 10^-(dps-2) of the sum.
+
+    The bound is relative, so a value far below 1 (a high order near the
+    origin) keeps its leading digits instead of stopping after a term or two.
+    """
     if dps is None:
         dps = _dps_for(x)
     with mp.workdps(dps):
@@ -48,7 +52,7 @@ def bessel_j_mp(nu: float, x: float, dps: int | None = None):
             for k in range(1, 20000):
                 t = t * mq / (k * (k + n))  # integer denominator: cheap in gmpy
                 s += t
-                if abs(t) < floor:
+                if abs(t) < floor * abs(s):
                     return +s
         else:
             num = mpf(nu)
@@ -57,7 +61,7 @@ def bessel_j_mp(nu: float, x: float, dps: int | None = None):
             for k in range(1, 20000):
                 t = t * mq / (k * (k + num))
                 s += t
-                if abs(t) < floor:
+                if abs(t) < floor * abs(s):
                     return +s
     raise RuntimeError("oracle series did not converge")
 

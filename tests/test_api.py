@@ -10,9 +10,9 @@ no other module tests for bools by hand.  A record states its fields once, in ``
 base ``errors._Record`` compares and prints records.  "A fresh one" has one spelling, the default
 ``None``: every other default is a plain immutable value.  The representation class has one public
 name, ``SO2Rep``, in the package root and in ``symbif.euler``.  No source line of the package is longer
-than 120 characters.  A public function of ``system``, ``bifurcation``, ``euler`` or ``morse`` given a plain
-``object()`` for any required argument, or for an item of a sequence argument, refuses it with the package's own
-error, never AttributeError or TypeError.
+than 120 characters.  A public function of ``system``, ``bifurcation``, ``euler``, ``morse`` or ``spectral`` given a
+plain ``object()`` for any required argument, or for an item of a sequence argument, refuses it with the package's
+own error, never AttributeError or TypeError.
 """
 
 import importlib
@@ -169,6 +169,8 @@ def _valid_arguments() -> dict:
         "rep": rep, "v": rep, "w": rep,
         "data": [morse.OrbitDatum("Z2", 1), morse.OrbitDatum("SO2", 0)], "deg": {"SO2": 1, "Z2": -1},
         "a": {"SO2": 1}, "b": {"Z2": 1}, "table": {"SO2": "SO2", "Z2": "Z2"},
+        "order": 1, "x": 2.0, "angular_index": 1, "dim": 3, "x_max": 5.0, "max_eigenvalue": 10.0,
+        "source": {"domain": "custom", "entries": [{"eigenvalue": 0.0, "rep": {"trivial": 1}}]},
     }
 
 
@@ -178,7 +180,30 @@ VALID_FOR = {
     ("enumerate_zero_sum_subsets", "indices"): [(1.0, euler.EulerSO2.one()), (2.0, euler.EulerSO2.chi(2))],
     ("orbit_data_from_json", "doc"): [{"class": "Z2", "morse_index": 1}],
     ("class_table_from_json", "doc"): {"Z2": "Z2"},
+    ("domain_from_json", "doc"): {"type": "disk"},
 }
+
+#: the error each public function of ``spectral`` gives ``object()``, by argument where two differ: the Bessel
+#: and radial calls refuse an argument outside their domain with DomainError, the readers with SchemaError
+SPECTRAL_ERRORS = {
+    "ball_rep_nontrivial": {"entry": errors.ValidationError, "dim": errors.DomainError},
+    "bessel_j": errors.DomainError,
+    "bessel_j_prime": errors.DomainError,
+    "disk_spectrum": errors.ValidationError,
+    "domain_from_json": errors.SchemaError,
+    "load_custom_spectrum": errors.SchemaError,
+    "neumann_radial_roots": errors.DomainError,
+    "radial_condition": errors.DomainError,
+    "radial_roots_up_to": errors.DomainError,
+}
+
+
+def _expected(module, name: str, arg: str) -> type:
+    """The package error ``module.name`` must raise for ``object()`` in ``arg``."""
+    if module is spectral:
+        wanted = SPECTRAL_ERRORS[name]  # a new spectral function states its error here
+        return wanted[arg] if isinstance(wanted, dict) else wanted
+    return errors.SchemaError if name.endswith("_from_json") else errors.ValidationError
 
 
 def _replaced(seq, i: int, new):
@@ -198,8 +223,8 @@ def _with_an_object(value):
 
 
 @pytest.mark.parametrize(
-    "module, least", [(system, 10), (bifurcation, 10), (euler, 3), (morse, 10)],
-    ids=["system", "bifurcation", "euler", "morse"],
+    "module, least", [(system, 10), (bifurcation, 10), (euler, 3), (morse, 10), (spectral, 16)],
+    ids=["system", "bifurcation", "euler", "morse", "spectral"],
 )
 def test_an_object_for_any_required_argument_is_refused(module, least):
     # each argument is checked once where a call first reads it, and so is each item of a
@@ -213,13 +238,12 @@ def test_an_object_for_any_required_argument_is_refused(module, least):
         required = [p.name for p in inspect.signature(fn).parameters.values() if p.default is p.empty]
         given = {r: VALID_FOR.get((name, r), valid.get(r)) for r in required}
         fn(**given)  # the call works as given
-        expected = errors.SchemaError if name.endswith("_from_json") else errors.ValidationError
         for arg in required:
             for where, wrong in _with_an_object(given[arg]):
                 tried += 1
                 try:
                     fn(**{**given, arg: wrong})
-                except expected:
+                except _expected(module, name, arg):
                     continue
                 except Exception as exc:  # noqa: BLE001 - what leaks is the finding
                     leaks.append(f"{name}({arg}{where}=object()): {type(exc).__name__}")

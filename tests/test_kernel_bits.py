@@ -47,10 +47,14 @@ DIMS = (2, 3, 4, 5, 7)
 #: the values of the three grids below, function values first, then the
 #: radial conditions off and on the lattice
 KERNEL_GOLDEN = "9ff71c2e67831a0d91ab58d4d9fa3a83c92a5a97590d0927a65c492c03fcad82"
-#: ``radial_roots_up_to(0, dim, 150.5)``: the integer-order scans for even dim,
-#: the half-integer scans for odd dim, across all three bands.  Dim 9 and 12
-#: lie past the N <= 7 of the spacing claim in ``radial_roots_up_to``; their
-#: scans rest on the interlacing check alone
+#: ``radial_roots_up_to(0, dim, 150.5)`` under the key dim, and
+#: ``radial_roots_up_to(l, dim, 150.5)`` under the key (l, dim) for l >= 1,
+#: whose scans start just below sqrt(l(l+dim)): the integer-order scans for
+#: even dim, the half-integer scans for odd dim, across all three bands.  Dim
+#: 9 and 12 lie past the N <= 7 of the spacing claim for l = 0 in
+#: ``radial_roots_up_to``; their scans rest on the interlacing check alone.
+#: The l >= 1 roots agree with ``tests/oracles.oracle_radial_roots`` to
+#: 3.8e-15 relative, with the same count below 150.5
 BALL_GOLDEN = {
     3: "1041a5560b67351c5221f13d9feb3fec793b6ecf2e299a33ac73ab9a60d93509",
     4: "6280e036ce1a25041814c7cce1aa0a2015d2e3bc77dbd4dfad0fbd7c0f3aa594",
@@ -59,6 +63,10 @@ BALL_GOLDEN = {
     7: "d0f34dbe06358d6958f03de14a0005952097dbad2e69ca66b70f118fe4cbb0fc",
     9: "9f7c2e9b5888254c0c45c458629adeaffe0d0954555499523f5d8589a64f8129",
     12: "d2636349e45e12ab1ec5d17a92dcff8afc72a3ab8a6b73f5a2e613e56f7842a2",
+    (1, 3): "15c9d55297cd255e6be06dae951cfa12149643ca1e041fc38da9c3dce355d6b7",
+    (3, 4): "4fe856451bedc528c23cd9252152ef95ced0ee2a0fe91d1c14d8219eb81a21ce",
+    (10, 5): "d7b3887e34fd4cdc0479aad3e67850e9acab9712d38ab80aeabd4a629d6659df",
+    (1, 10): "26a04b0b33fd788200fa901d5e02b0e01f20c3370d283b5e88153f695b608f5a",
 }
 
 
@@ -105,8 +113,9 @@ def test_kernel_values_are_pinned():
     assert _digest(values) == KERNEL_GOLDEN
 
 
-@pytest.mark.parametrize("dim", sorted(BALL_GOLDEN))
-def test_ball_roots_are_pinned(dim):
-    roots = radial_roots_up_to(0, dim, 150.5)
+@pytest.mark.parametrize("key", list(BALL_GOLDEN), ids=lambda key: f"{key[0]}-N{key[1]}" if isinstance(key, tuple) else str(key))
+def test_ball_roots_are_pinned(key):
+    l, dim = key if isinstance(key, tuple) else (0, key)
+    roots = radial_roots_up_to(l, dim, 150.5)
     assert len(roots) > 40
-    assert _digest(roots) == BALL_GOLDEN[dim]
+    assert _digest(roots) == BALL_GOLDEN[key]

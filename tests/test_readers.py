@@ -284,3 +284,17 @@ def test_the_base_documents_are_read():
     assert len(entries) == 3
     for doc in DOMAINS.values():
         _check_domain(doc, domain_from_json(doc))
+
+
+@pytest.mark.parametrize(
+    "key, wrong", [("angular_index", "x"), ("angular_index", True), ("root_index", -3), ("root_index", 2.0)]
+)
+def test_an_entry_built_in_python_is_checked_as_its_document_is(key, wrong):
+    # the constructor holds the one check of the indices, so no entry it accepts writes a
+    # document that from_json refuses, and a ball never meets a non-integer degree
+    with pytest.raises(SchemaError, match=key):
+        SpectrumEntry(4.0, SO2Rep.irr(1), **{key: wrong})
+    with pytest.raises(SchemaError, match=key):
+        SpectrumEntry.from_json({**ENTRY, key: wrong})
+    entry = SpectrumEntry(4.0, SO2Rep.irr(1), angular_index=1, root_index=0)
+    assert SpectrumEntry.from_json(entry.to_json()) == entry

@@ -21,7 +21,6 @@ from symbif import (
     SO2Rep,
     SchemaError,
     SpectrumEntry,
-    UnsupportedDomain,
     ValidationError,
     _kernels,
     ball_rep_nontrivial,
@@ -44,6 +43,20 @@ from oracles import oracle_radial_roots, radial_condition_mp
 def jp_zero(l: int, k: int) -> float:
     """k-th positive zero of J_l' from mpmath (J_0' = -J_1 counts x = 0 out)."""
     return float(mpmath.besseljzero(l, k, derivative=1))
+
+
+def spherical_jp_zeros(l: int, x_max: float) -> list[float]:
+    """Zeros in (0, x_max] of scipy's j_l', the 3-ball's radial condition up to the factor sqrt(pi/2x)."""
+    from scipy.optimize import brentq
+    from scipy.special import spherical_jn
+
+    xs = [0.01 * i for i in range(1, int(x_max / 0.01) + 1)]
+    ys = spherical_jn(l, xs, derivative=True)
+    return [
+        brentq(lambda x: spherical_jn(l, x, derivative=True), a, b, xtol=1e-15)
+        for a, b, ya, yb in zip(xs, xs[1:], ys, ys[1:])
+        if ya * yb < 0
+    ]
 
 
 class TestBesselValues:
@@ -184,9 +197,12 @@ class TestRadialRoots:
             with pytest.raises(ValidationError):
                 call()
 
-    def test_general_l_on_ball_unsupported(self):
-        with pytest.raises(UnsupportedDomain):
-            neumann_radial_roots(1, 3, 1)
+    def test_degree_one_on_the_three_ball_is_the_zeros_of_j1_prime(self):
+        roots = neumann_radial_roots(1, 3, 5)
+        want = spherical_jp_zeros(1, 16.0)
+        assert len(want) == 5
+        for got, r in zip(roots, want):
+            assert abs(got - r) <= 1e-12 * r, (got, r)
 
     def test_halved_step_rescan_recovers_missed_pair(self):
         # step 4 puts two roots of J_1' (8.54, 11.71) inside one cell, so f shows
@@ -349,7 +365,7 @@ BAND_XS = (0.3, 2.9, 8.0, 8.5, 23.7, 47.1, 59.9, 60.0, 121.3, 199.0)
 
 
 class TestOneRadialFamily:
-    """``_kernels._radial_condition`` and its slope for balls with l >= 1, which no public call reaches yet."""
+    """The kernel, its slope and the public root calls for balls with l >= 1."""
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 7])
     @pytest.mark.parametrize("l", [1, 3, 10])
@@ -367,6 +383,28 @@ class TestOneRadialFamily:
         for got, want in zip(roots, oracle_radial_roots(l, dim, len(roots))):
             assert abs(got - want) <= 1e-12 * want, (got, want)
 
+    @pytest.mark.parametrize("dim", [3, 4, 5, 7])
+    @pytest.mark.parametrize("l", [1, 3, 10])
+    def test_public_roots_match_the_oracle(self, l, dim):
+        roots = neumann_radial_roots(l, dim, 4)
+        for got, want in zip(roots, oracle_radial_roots(l, dim, 4)):
+            assert abs(got - want) <= 1e-12 * want, (got, want)
+
+    @pytest.mark.parametrize("l", [1, 3, 10])
+    def test_three_ball_roots_are_the_zeros_of_spherical_j_prime(self, l):
+        roots = radial_roots_up_to(l, 3, 60.0)
+        want = spherical_jp_zeros(l, 60.0)
+        assert len(roots) == len(want) >= 14
+        for got, r in zip(roots, want):
+            assert abs(got - r) <= 1e-12 * r, (got, r)
+
+    def test_a_first_root_below_half_the_dimension_is_found(self):
+        # on the 10-ball the first root of degree 1 lies below N/2 = 5, so the
+        # l = 0 exit (no root below dim/2) must not cut the scan short
+        (root,) = radial_roots_up_to(1, 10, 4.0)
+        assert abs(root - oracle_radial_roots(1, 10, 1)[0]) <= 1e-12 * root
+        assert abs(root - 3.3406) < 1e-4
+
 
 def _spacing(zeros) -> tuple[float, float]:
     """Least gap between consecutive zeros in (0, 200], and least span of four consecutive ones."""
@@ -374,25 +412,38 @@ def _spacing(zeros) -> tuple[float, float]:
     return min(b - a for a, b in zip(z, z[1:])), min(d - a for a, d in zip(z, z[3:]))
 
 
-def _ball_zeros(dim: int) -> list[float]:
-    """Zeros in (0, 200] of f = -J_{nu+1} and g = J_nu, nu = (dim - 2)/2: brentq on every sign change of a 0.01 grid."""
+def _ball_zeros(dim: int, l: int = 0, step: float = 0.01) -> tuple[list[float], list[float]]:
+    """Zeros in (0, 200] of f = (l/x) J_nu - J_{nu+1} and of g = J_nu, nu = l + (dim - 2)/2.
+
+    brentq on every sign change of a grid of the given step.
+    """
+    import numpy as np
     from scipy.optimize import brentq
     from scipy.special import jv
 
-    xs = [0.01 * i for i in range(1, 20_001)]
-    found = []
-    for nu in (0.5 * (dim - 2), 0.5 * dim):
-        ys = jv(nu, xs)
-        found += [brentq(lambda x: jv(nu, x), a, b) for a, b, ya, yb in zip(xs, xs[1:], ys, ys[1:]) if ya * yb < 0]
-    return found
+    nu = l + 0.5 * (dim - 2)
+    xs = step * np.arange(1, round(MAX_ROOT_X / step) + 1)
+
+    def f(x):
+        return l / x * jv(nu, x) - jv(nu + 1, x)
+
+    def g(x):
+        return jv(nu, x)
+
+    def zeros(fn) -> list[float]:
+        ys = fn(xs)
+        return [brentq(fn, a, b) for a, b, ya, yb in zip(xs, xs[1:], ys, ys[1:]) if ya * yb < 0]
+
+    return zeros(f), zeros(g)
 
 
 class TestSpacingPremise:
     """The spacing ``radial_roots_up_to`` claims, on which a pi/8 cell holds at most one zero of f and g.
 
     Consecutive zeros of the condition f and its partner g lie at least 1.2
-    apart, and four of them span at least 4.5, for the disk with l < 200 and
-    the trivial-type test on balls with N <= 7, x <= 200; scipy's zeros check it.
+    apart, and four of them span at least 4.5, for the disk with l < 200, for
+    the trivial-type test on balls with N <= 7, and for l >= 1 on the sampled
+    balls below, x <= 200; scipy's zeros check it.
     """
 
     def test_disk(self):
@@ -411,32 +462,57 @@ class TestSpacingPremise:
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7])
     def test_balls(self, dim):
-        gap, span = _spacing(_ball_zeros(dim))
+        gap, span = _spacing(sum(_ball_zeros(dim), []))
         # the least gap falls with dim, to 1.2245 at N = 7; the least span is 4.5837 at N = 3
         assert gap >= 1.2 and span >= 4.5
 
     def test_the_claim_stops_at_dim_7(self):
         # at N = 9 the first zeros of J_{7/2} and J_{9/2} lie 1.1946 apart, so the claim cannot reach it
-        assert _spacing(_ball_zeros(9))[0] < 1.2
+        assert _spacing(sum(_ball_zeros(9), []))[0] < 1.2
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 7, 10])
+    def test_positive_degrees(self, dim):
+        gaps, spans = [], []
+        for l in (1, 2, 3, 5, 10, 30, 100, 150):
+            f, g = _ball_zeros(dim, l, step=0.05)
+            # f leads and the zeros alternate, so the coarse grid hid no pair of either
+            kinds = "".join(kind for _, kind in sorted([(x, "f") for x in f] + [(x, "g") for x in g]))
+            assert kinds.startswith("f") and "ff" not in kinds and "gg" not in kinds, l
+            gap, span = _spacing(f + g)
+            gaps.append(gap)
+            spans.append(span)
+        # the least of both sits at N = 10, l = 1: 1.2697 and 4.6366
+        assert min(gaps) >= 1.2 and min(spans) >= 4.5
+
+
+def _degrees(pairs) -> list:
+    """(l, dim) parameters, a disk degree under the id the disk-only tests gave it."""
+    return [pytest.param(l, dim, id=str(l) if dim == 2 else f"{l}-N{dim}") for l, dim in pairs]
+
+
+#: balls of the known-sign tests; on the 10-ball the first root of degree 1, 3.3406, lies just above sqrt(11) = 3.3166
+KNOWN_SIGN_BALLS = ((1, 3), (1, 10), (3, 4), (10, 5), (100, 3), (1, 40))
 
 
 class TestKnownSignPrefix:
-    @pytest.mark.parametrize("l", [1, 2, 5, 20, 60, 150, 190])
-    def test_first_root_lies_above_the_bound(self, l):
-        # j'_{l,1} > sqrt(l(l+2)) (DLMF 10.21(i)) is what lets the scan skip ahead
-        assert jp_zero(l, 1) > math.sqrt(l * (l + 2))
+    @pytest.mark.parametrize("l, dim", _degrees([*((l, 2) for l in (1, 2, 5, 20, 60, 150, 190)), *KNOWN_SIGN_BALLS]))
+    def test_first_root_lies_above_the_bound(self, l, dim):
+        # the first root of degree l lies above sqrt(l(l+dim)) (j'_{l,1} > sqrt(l(l+2)) on the
+        # disk, DLMF 10.21(i)), which lets the scan skip ahead; so it lies above sqrt(l(l+dim-2))
+        first = jp_zero(l, 1) if dim == 2 else oracle_radial_roots(l, dim, 1)[0]
+        assert first > math.sqrt(l * (l + dim))
 
-    @pytest.mark.parametrize("l", [1, 5, 20, 60])
-    def test_skip_keeps_the_brackets(self, l, kernel_calls):
+    @pytest.mark.parametrize("l, dim", _degrees([*((l, 2) for l in (1, 5, 20, 60)), *KNOWN_SIGN_BALLS]))
+    def test_skip_keeps_the_brackets(self, l, dim, kernel_calls):
         # a scan resumed just above 0 walks the whole lattice; the skipping
         # scan refines the same brackets, so the roots agree bit for bit
-        skipped = _lattice_scan(l, 2, 70.0, GRID_STEP)
+        skipped = _lattice_scan(l, dim, 70.0, GRID_STEP)
         lattice = kernel_calls.lattice
         kernel_calls.reset()
-        assert skipped == _lattice_scan(l, 2, 70.0, GRID_STEP, after=5e-324)
+        assert skipped == _lattice_scan(l, dim, 70.0, GRID_STEP, after=5e-324)
         # the full walk evaluates lattice points 1, 2, ...; the skipping scan
-        # starts at the last one at or below sqrt(l(l+2))
-        start = math.floor(math.sqrt(l * (l + 2)) / GRID_STEP)
+        # starts at the last one at or below sqrt(l(l+dim))
+        start = math.floor(math.sqrt(l * (l + dim)) / GRID_STEP)
         assert kernel_calls.lattice - lattice == start - 1
 
     @pytest.mark.parametrize("part", [0, 1])
@@ -938,6 +1014,19 @@ class TestRootRange:
             (lambda: neumann_radial_roots(2**60, 2, 1), (InsufficientSpectrum, "only 0 roots"), False),
             (lambda: radial_roots_up_to(2**60, 2, 150.0), [], False),
             (lambda: radial_roots_up_to(10**6, 2, 150.0), [], False),
+            # degree 1 on balls whose order nu = 1 + (dim - 2)/2 lies above MAX_ROOT_X: a root call
+            # answers at once when every root lies beyond the request (first root > min(dim/2,
+            # sqrt(dim + 1))), and refuses the order otherwise
+            (lambda: radial_condition(1, 1000, 3.0), (DomainError, "<= 200"), False),
+            (lambda: radial_roots_up_to(1, 1000, 3.0), [], False),
+            (lambda: radial_roots_up_to(1, 1000, 150.0), (DomainError, "<= 200"), False),
+            (lambda: neumann_radial_roots(1, 1000, 1), (DomainError, "<= 200"), False),
+            (lambda: radial_condition(1, 2**60, 3.0), (DomainError, "<= 200"), False),
+            (lambda: radial_roots_up_to(1, 2**60, 150.0), [], False),
+            (lambda: neumann_radial_roots(1, 2**60, 1), (InsufficientSpectrum, "only 0 roots"), False),
+            (lambda: radial_condition(1, 10**400, 3.0), (DomainError, "<= 200"), False),
+            (lambda: radial_roots_up_to(1, 10**400, 150.0), [], False),
+            (lambda: neumann_radial_roots(1, 10**400, 1), (InsufficientSpectrum, "only 0 roots"), False),
         ],
         ids=[
             "condition-l-10e400",
@@ -949,6 +1038,16 @@ class TestRootRange:
             "neumann-l-2e60",
             "roots-up-to-l-2e60",
             "roots-up-to-l-10e6",
+            "condition-l-1-dim-1000",
+            "roots-up-to-l-1-dim-1000-below",
+            "roots-up-to-l-1-dim-1000",
+            "neumann-l-1-dim-1000",
+            "condition-l-1-dim-2e60",
+            "roots-up-to-l-1-dim-2e60",
+            "neumann-l-1-dim-2e60",
+            "condition-l-1-dim-10e400",
+            "roots-up-to-l-1-dim-10e400",
+            "neumann-l-1-dim-10e400",
         ],
     )
     def test_extreme_order_or_count_answers_at_once(self, call, expected, evaluates, kernel_calls, deadline):
@@ -966,10 +1065,14 @@ class TestRootRange:
         assert bessel_j(MAX_ROOT_X, 150.0) == _kernels._bessel_j3(200.0, 150.0)[1]
         assert radial_condition(int(MAX_ROOT_X), 2, 150.0) == _kernels._radial_condition(200, 2, 150.0)[0]
         assert radial_condition(0, 402, 150.0) == _kernels._radial_condition(0, 402, 150.0)[0]
+        assert radial_condition(1, 400, 150.0) == _kernels._radial_condition(1, 400, 150.0)[0]
+        assert radial_roots_up_to(1, 400, 25.0) == [r for r in _lattice_scan(1, 400, 25.0, GRID_STEP) if r <= 25.0]
         for call in (
             lambda: bessel_j(MAX_ROOT_X + 0.5, 150.0),
             lambda: bessel_j_prime(MAX_ROOT_X + 1, 150.0),
             lambda: radial_condition(0, 403, 150.0),
+            lambda: radial_condition(1, 401, 150.0),
+            lambda: radial_roots_up_to(1, 401, 150.0),
         ):
             with pytest.raises(DomainError, match="200"):
                 call()

@@ -139,6 +139,15 @@ class TestSystemSpecJson:
         with pytest.raises(SchemaError):
             system_spec_from_json({**self.DOC, "b1": [{"mult": 2}]})
 
+    @pytest.mark.parametrize("key", ["p1", "p2", "mu_b0"])
+    def test_wrong_type_of_a_count_is_a_schema_error(self, key):
+        # as for a9, b1 and domain: the one check, in SystemSpec, reports a wrong type as a SchemaError
+        for wrong in ("2", object()):
+            with pytest.raises(SchemaError, match=f"{key} must be an integer"):
+                system_spec_from_json({**self.DOC, key: wrong})
+        with pytest.raises(ValidationError, match=f"{key} must be >= 0"):
+            system_spec_from_json({**self.DOC, key: -1})
+
     def test_ball_domain_round_trip(self):
         doc = {
             "p1": 2,
