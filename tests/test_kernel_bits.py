@@ -43,10 +43,19 @@ RESCALING = ((199, 8.5), (174, 9.0), (176, 8.5), (199.5, 8.5), (180.5, 9.0), (19
 #: the dimensions of ``_radial_condition``: the disk (every order l) and the
 #: balls, half-integer nu for odd dim and integer nu for even dim
 DIMS = (2, 3, 4, 5, 7)
+#: the x > 0 of the series, recurrence and asymptotic grids, where the radial
+#: condition is defined
+CONDITION_XS = tuple(x for x in SERIES_XS + RECURRENCE_XS + ASYMPTOTIC_XS if x > 0.0)
+#: (l, dim) of the ball conditions pinned apart from the disk's: l >= 1, whose
+#: f reads J_{nu-1}, J_nu and J_{nu+1}, and l = 0 past the dims of DIMS
+BALL_CONDITIONS = tuple((l, dim) for dim in (3, 4, 5, 7) for l in (1, 3, 10)) + ((0, 6), (0, 9), (0, 12))
 
 #: the values of the three grids below, function values first, then the
 #: radial conditions off and on the lattice
 KERNEL_GOLDEN = "9ff71c2e67831a0d91ab58d4d9fa3a83c92a5a97590d0927a65c492c03fcad82"
+#: (f, g) of ``_radial_condition(l, dim, x)`` for (l, dim) in BALL_CONDITIONS
+#: and x in CONDITION_XS, in that order
+BALL_CONDITION_GOLDEN = "e9f607d170ae30e2b280334433a4d81f7d8c29e1adfafead46ade5c487a92d52"
 #: ``radial_roots_up_to(0, dim, 150.5)`` under the key dim, and
 #: ``radial_roots_up_to(l, dim, 150.5)`` under the key (l, dim) for l >= 1,
 #: whose scans start just below sqrt(l(l+dim)): the integer-order scans for
@@ -83,13 +92,12 @@ def _function_values() -> list[float]:
 
 
 def _condition_values() -> list[float]:
-    xs = [x for x in SERIES_XS + RECURRENCE_XS + ASYMPTOTIC_XS if x > 0.0]
     values = []
     for dim in DIMS:
         for l in (ORDERS if dim == 2 else (0,)):
             if l != math.floor(l):
                 continue
-            values += [v for x in xs for v in _kernels._radial_condition(l, dim, x)]
+            values += [v for x in CONDITION_XS for v in _kernels._radial_condition(l, dim, x)]
     values += [v for l, x in RESCALING if l == math.floor(l) for v in _kernels._radial_condition(l, 2, x)]
     return values
 
@@ -111,6 +119,11 @@ def test_kernel_values_are_pinned():
     assert inside == outside
     values = _function_values() + _condition_values() + outside
     assert _digest(values) == KERNEL_GOLDEN
+
+
+def test_ball_condition_values_are_pinned():
+    values = [v for l, dim in BALL_CONDITIONS for x in CONDITION_XS for v in _kernels._radial_condition(l, dim, x)]
+    assert _digest(values) == BALL_CONDITION_GOLDEN
 
 
 @pytest.mark.parametrize("key", list(BALL_GOLDEN), ids=lambda key: f"{key[0]}-N{key[1]}" if isinstance(key, tuple) else str(key))
