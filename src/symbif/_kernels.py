@@ -15,7 +15,8 @@ no evaluation beyond (f, g) is needed and no branch tests the dimension.
 
 Evaluation strategy for J_nu(x), nu a nonnegative integer or half-integer:
 
-* ``x <= 8``: ascending power series (termwise recurrence, also exact at 0).
+* ``x <= 8``: ascending power series (termwise recurrence; x > 0, as
+  ``symbif.spectral.bessel_j`` answers x = 0 itself).
 * ``8 < x < 60``: backward three-term recurrence.  Integer orders are
   normalized by the even-order sum identity ``J_0 + 2*sum J_{2k} = 1``
   (DLMF 3.6(vi), 10.12); half-integer orders go through the spherical
@@ -24,13 +25,21 @@ Evaluation strategy for J_nu(x), nu a nonnegative integer or half-integer:
   ``x - (nu/2 + 1/4)*pi``; if its terms do not fall below 1e-17 of the sum
   within 50 terms (very large order), fall back to the recurrence.
 
+``_radial_condition`` is the one entry and the one band dispatch: it picks
+the band of (nu, x) and computes there only the values it reads, J_{nu-1},
+J_nu and J_{nu+1} for l != 0, and J_nu and J_{nu+1} for l = 0, whose f is
+-J_{nu+1}.  The asymptotic band answers when every value it computes
+converges; for l = 0 that is the band all three values would pick, as
+J_{nu-1} converges whenever J_nu and J_{nu+1} do (checked for 2nu <= 400
+and 60 <= x <= 200 in ``tests/test_spectral.py``).
+
 The integer-order recurrence at x starts above max(n + 1, int(x) + 1), so
 one pass (``_miller_row``) serves every order n <= int(x) at that x.  Inside
 ``shared_rows``, which ``symbif.spectral.disk_spectrum`` opens, the row of
 each scan lattice point is kept and read by every disk order scanned there
 (each of them has l <= int(x)); the values are bit-identical to a pass per
 order.  Other points, and every call outside the block, get a pass of their
-own and read only the three values asked for.
+own and read only the values asked for.
 
 Both recurrence loops (``_miller_row``, ``_sph3``) store every value and
 pick the orders they need after the loop, and ``_miller_row`` steps in pairs
@@ -71,9 +80,7 @@ NUMBA_ENABLED = False
 
 
 def _series_j(nu: float, x: float) -> float:
-    """Ascending series for J_nu(x); accurate for small x."""
-    if x == 0.0:
-        return 1.0 if nu == 0.0 else 0.0
+    """Ascending series for J_nu(x); accurate for small x > 0."""
     t = math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0))
     s = t
     q = 0.25 * x * x
@@ -147,28 +154,6 @@ def shared_rows(step: float) -> Iterator[None]:
         _shared_rows.reset(token)
 
 
-def _miller3(n: int, x: float) -> tuple[float, float, float]:
-    """(J_{n-1}, J_n, J_{n+1}) for integer n >= 0, x > 0, by downward recurrence.
-
-    The pass starts above m0 = max(n + 1, int(x) + 1), so every n <= int(x)
-    gets the same pass at x: inside ``shared_rows`` the row J_0 .. J_m0 of a
-    lattice point is kept and serves all those orders, bit-identical to a
-    pass of their own.  J_{-1} is served as -J_1.
-    """
-    m0 = int(x) + 1
-    shared = _shared_rows.get()
-    if shared is not None and n < m0 and round(x / shared[0]) * shared[0] == x:
-        rows = shared[1]
-        if x not in rows:
-            rows[x] = _miller_row(x, m0)
-        row, s = rows[x]
-    else:
-        row, s = _miller_row(x, max(n + 1, m0))
-    jp = row[n + 1]
-    jm = -jp if n == 0 else row[n - 1]
-    return jm / s, row[n] / s, jp / s
-
-
 def _sph3(n: int, x: float) -> tuple[float, float, float]:
     """(J_{nu-1}, J_nu, J_{nu+1}) for nu = n + 1/2, x > 0, via spherical functions.
 
@@ -235,41 +220,51 @@ def _asym_j(nu: float, x: float) -> tuple[float, bool]:
     return val, ok
 
 
-def _bessel_j3(nu: float, x: float) -> tuple[float, float, float]:
-    """(J_{nu-1}, J_nu, J_{nu+1}); nu integer or half-integer, nu >= 0, x >= 0.
-
-    At x = 0 the series gives exactly 1 for J_0 and 0 for every other order
-    (also for J_{-1/2}, infinite there, which no caller reads).
-    """
-    if x <= SERIES_X_MAX:
-        if nu == 0.0:
-            jp = _series_j(1.0, x)
-            return -jp, _series_j(0.0, x), jp
-        return _series_j(nu - 1.0, x), _series_j(nu, x), _series_j(nu + 1.0, x)
-    if x >= ASYMPTOTIC_X_MIN:
-        vm, ok_m = _asym_j(nu - 1.0, x)
-        vn, ok_n = _asym_j(nu, x)
-        vp, ok_p = _asym_j(nu + 1.0, x)
-        if ok_m and ok_n and ok_p:
-            return vm, vn, vp
-    if nu != math.floor(nu):
-        return _sph3(int(nu - 0.5), x)
-    return _miller3(int(nu), x)
-
-
 def _radial_condition(l: float, dim: int, x: float) -> tuple[float, float]:
     """Radial Neumann condition f on the unit ball of dimension ``dim``, with its partner g, at x > 0.
 
     The Neumann eigenfunctions of harmonic degree l are u(x r) times a
     degree-l harmonic, with u = x^-c J_nu, c = (dim - 2)/2 and nu = l + c
-    (DLMF 10.21(i)); f = x^c u' = J_nu' - (c/x) J_nu and g = J_nu, both from
-    one ``_bessel_j3`` triple.  J_nu' is (J_{nu-1} - J_{nu+1})/2, and -J_{nu+1}
-    for l = 0, where f = (l/x) J_nu - J_{nu+1} (DLMF 10.6.2) is -J_{nu+1}
-    exactly; on the disk (c = 0) f is J_l', the package's one formula for J',
-    for an integer or half-integer l >= 0.  The zeros of f and g interlace.
+    (DLMF 10.21(i)); f = x^c u' = J_nu' - (c/x) J_nu and g = J_nu.  J_nu' is
+    (J_{nu-1} - J_{nu+1})/2, and for l = 0, where f = (l/x) J_nu - J_{nu+1}
+    (DLMF 10.6.2) is -J_{nu+1} exactly, J_{nu-1} is not computed; on the disk
+    (c = 0) f is J_l', the package's one formula for J', for an integer or
+    half-integer l >= 0.  The zeros of f and g interlace.  The band is chosen
+    here, as the module docstring states; an integer order nu <= int(x) reads
+    the shared row of a lattice point inside ``shared_rows``.
     """
     c = 0.5 * (dim - 2)
-    jm, jn, jp = _bessel_j3(l + c, x)
+    nu = l + c
+    if x <= SERIES_X_MAX:
+        jn, jp = _series_j(nu, x), _series_j(nu + 1.0, x)
+        if l == 0:
+            return -jp, jn
+        return 0.5 * (_series_j(nu - 1.0, x) - jp) - (c / x) * jn, jn
+    if x >= ASYMPTOTIC_X_MIN:
+        (jn, ok_n), (jp, ok_p) = _asym_j(nu, x), _asym_j(nu + 1.0, x)
+        if ok_n and ok_p:
+            if l == 0:
+                return -jp, jn
+            jm, ok_m = _asym_j(nu - 1.0, x)
+            if ok_m:
+                return 0.5 * (jm - jp) - (c / x) * jn, jn
+    if nu != math.floor(nu):
+        jm, jn, jp = _sph3(int(nu - 0.5), x)
+    else:
+        n = int(nu)
+        m0 = int(x) + 1
+        shared = _shared_rows.get()
+        if shared is not None and n < m0 and round(x / shared[0]) * shared[0] == x:
+            rows = shared[1]
+            if x not in rows:
+                rows[x] = _miller_row(x, m0)
+            row, s = rows[x]
+        else:
+            row, s = _miller_row(x, max(n + 1, m0))
+        jn, jp = row[n] / s, row[n + 1] / s
+        if l == 0:
+            return -jp, jn
+        jm = row[n - 1] / s
     if l == 0:
         return -jp, jn
     return 0.5 * (jm - jp) - (c / x) * jn, jn

@@ -178,9 +178,11 @@ def bessel_j(order: float, x: float) -> float:
     to 199, for x <= 200 (see ``symbif._kernels``).
     """
     nu, x = _check_arguments("bessel_j", order, x)
+    if x == 0.0:  # the radial condition divides by x
+        return 1.0 if nu == 0.0 else 0.0
     from . import _kernels
 
-    return _kernels._bessel_j3(nu, x)[1]
+    return _kernels._radial_condition(nu, 2, x)[1]
 
 
 def bessel_j_prime(order: float, x: float) -> float:
@@ -218,8 +220,12 @@ def _check_radial_family(angular_index: int, dim: int) -> None:
     _int(angular_index, "angular index", 0, DomainError)
 
 
+def _order_in_range(angular_index: int, dim: int) -> bool:
+    return 2 * angular_index + dim - 2 <= 2 * MAX_ROOT_X  # 2 nu, an integer: no float overflow
+
+
 def _check_order(angular_index: int, dim: int) -> None:
-    if 2 * angular_index + dim - 2 > 2 * MAX_ROOT_X:  # 2 nu, an integer: no float overflow
+    if not _order_in_range(angular_index, dim):
         raise DomainError(f"the radial condition's order nu = l + (dim - 2)/2 must be <= {MAX_ROOT_X}")
 
 
@@ -267,7 +273,7 @@ def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.
 
     def point(x: float, before: tuple[float, float, float]) -> tuple[float, float, float]:
         f, g = _kernels._radial_condition(l, dim, x)
-        if math.isnan(f) or math.isnan(g):
+        if f != f or g != g:  # NaN
             raise ConvergenceError(f"radial condition evaluated to NaN at x={x!r} (l={l}, dim={dim})")
         if f == 0.0:
             f = math.copysign(_UNDERFLOW, before[1])
@@ -306,8 +312,9 @@ def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.
     while not roots or roots[-1] <= x_max:
         i += 1
         x = point(i * step, prev)
-        found, ahead = cell(prev, x, ahead, 0)
-        roots.extend(r for r in found if r > after)
+        if (prev[1] > 0.0) != (x[1] > 0.0) or (prev[2] > 0.0) != (x[2] > 0.0):  # a quiet cell keeps ``ahead``
+            found, ahead = cell(prev, x, ahead, 0)
+            roots.extend(r for r in found if r > after)
         prev = x
     return roots
 
@@ -372,7 +379,8 @@ def neumann_radial_roots(
     _check_radial_family(angular_index, dim)
     _int(count, "count", 1)
     cache = RootCache() if cache is None else cache
-    cached = cache.get(dim, angular_index)
+    # no cache serves an order above MAX_ROOT_X: radial_roots_up_to refuses it, or finds no root in range
+    cached = cache.get(dim, angular_index) if _order_in_range(angular_index, dim) else []
     if len(cached) >= count:
         return cached[:count]
     # roots sit near l + (k + dim/2) * pi; scan a window and extend if short (an
@@ -408,7 +416,8 @@ class RootCache(_Record):
     ``GRID_STEP``; one that stores another version (a missing one, a bool or
     a float included) or other tolerances (say from an older release), or
     that holds a record whose dim is not an integer >= 2, whose
-    l is not an integer >= 0, or whose roots are not finite, positive,
+    l is not an integer >= 0, whose order nu = l + (dim - 2)/2 lies above
+    ``MAX_ROOT_X``, or whose roots are not finite, positive,
     strictly increasing and indexed 1..n, is discarded and regenerated.
     Roots of the right type but the wrong value are not detected: checking
     them would cost a kernel evaluation per cached root.  Saving writes a
@@ -475,7 +484,8 @@ class RootCache(_Record):
             if tol["xtol"] != ROOT_XTOL or tol["step"] != GRID_STEP:
                 return fresh, True
             for dim, l, idx, x in doc["records"]:
-                roots = fresh.records.setdefault((_int(dim, "cached dim", 2), _int(l, "cached l", 0)), [])
+                _check_order(_int(l, "cached l", 0), _int(dim, "cached dim", 2))
+                roots = fresh.records.setdefault((dim, l), [])
                 x = _real(x, "cached root")
                 # positive, indexed 1..n in order and strictly increasing
                 if _int(idx, "cached root index") != len(roots) + 1 or x <= (roots[-1] if roots else 0.0):

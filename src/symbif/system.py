@@ -46,8 +46,9 @@ Domain = DiskDomain | BallDomain | CustomDomain
 def _as_multiset(pairs, what: str) -> dict:
     out = {}
     for value, mult in pairs:
-        _int(mult, f"{what}: multiplicity", 1)
-        _real(value, f"{what}: eigenvalue")  # the value itself is kept, so an integer stays one
+        # a wrong type is a SchemaError, as for p1 and p2; the value itself is kept, so an integer stays one
+        _int(mult, f"{what}: multiplicity", 1, SchemaError, ValidationError)
+        _real(value, f"{what}: eigenvalue", error=SchemaError, invalid=ValidationError)
         out[value] = out.get(value, 0) + mult
     return out
 

@@ -124,6 +124,17 @@ class TestBesselValues:
             assert abs(g - float(mpmath.besselj(nu, x))) <= 5e-12, (nu, x)
             assert abs(f - float(mpmath.besselj(nu, x, derivative=1))) <= 5e-12, (nu, x)
 
+    def test_asymptotic_band_converges_downward(self):
+        # for l = 0 the radial condition computes no J_{nu-1}, so its asymptotic
+        # band accepts J_nu and J_{nu+1} alone; this is the same band the triple
+        # chose, as J_{nu-1} converges whenever those two do
+        xs = [60.0 + 0.35 * k for k in range(401)]
+        for two_nu in range(401):
+            nu = 0.5 * two_nu
+            for x in xs:
+                if _kernels._asym_j(nu, x)[1] and _kernels._asym_j(nu + 1.0, x)[1]:
+                    assert _kernels._asym_j(nu - 1.0, x)[1], (nu, x)
+
     @pytest.mark.parametrize("nu", [0, 1, 2, 4, 0.5, 2.5])
     def test_prime_accuracy_against_reference(self, nu):
         for x in [0.3, 2.0, 7.0, 12.5, 40.0, 120.0]:
@@ -1062,7 +1073,7 @@ class TestRootRange:
         assert (kernel_calls.total > 0) == evaluates
 
     def test_orders_up_to_the_cut_answer(self):
-        assert bessel_j(MAX_ROOT_X, 150.0) == _kernels._bessel_j3(200.0, 150.0)[1]
+        assert bessel_j(MAX_ROOT_X, 150.0) == _kernels._radial_condition(200, 2, 150.0)[1]
         assert radial_condition(int(MAX_ROOT_X), 2, 150.0) == _kernels._radial_condition(200, 2, 150.0)[0]
         assert radial_condition(0, 402, 150.0) == _kernels._radial_condition(0, 402, 150.0)[0]
         assert radial_condition(1, 400, 150.0) == _kernels._radial_condition(1, 400, 150.0)[0]
@@ -1295,6 +1306,20 @@ class TestRootCache:
         path.write_text(json.dumps({**RootCache().to_json(), "records": [record]}))
         loaded, stale = RootCache.load(path)
         assert stale and loaded.records == {}
+
+    def test_record_of_an_order_above_the_range_is_stale(self, tmp_path):
+        # nu = 1 + (1000 - 2)/2 lies above MAX_ROOT_X: once loaded as current and served as the first root
+        path = tmp_path / "roots.json"
+        path.write_text(json.dumps({**RootCache().to_json(), "records": [[1000, 1, 1, 5.0]]}))
+        loaded, stale = RootCache.load(path)
+        assert stale and loaded.records == {}
+        with pytest.raises(DomainError, match="<= 200"):
+            neumann_radial_roots(1, 1000, 1, cache=loaded)
+        # a cache built in Python is not read for such an order either
+        with pytest.raises(DomainError, match="<= 200"):
+            neumann_radial_roots(1, 1000, 1, cache=RootCache({(1000, 1): [5.0]}))
+        with pytest.raises(InsufficientSpectrum, match="only 0 roots"):
+            neumann_radial_roots(1, 2**60, 1, cache=RootCache({(2**60, 1): [5.0]}))
 
     @pytest.fixture(scope="class")
     def fuzz_path(self, tmp_path_factory):

@@ -139,6 +139,25 @@ class TestSystemSpecJson:
         with pytest.raises(SchemaError):
             system_spec_from_json({**self.DOC, "b1": [{"mult": 2}]})
 
+    @pytest.mark.parametrize(
+        "item, error, message",
+        [
+            ({"value": "1", "mult": 2}, SchemaError, "eigenvalue '1' must be a real number"),
+            ({"value": 1, "mult": "2"}, SchemaError, "multiplicity must be an integer"),
+            ({"value": 1, "mult": 0}, ValidationError, "multiplicity must be >= 1"),
+            ({"value": 1e999, "mult": 2}, ValidationError, "eigenvalue inf must be finite"),
+        ],
+        ids=["value-str", "mult-str", "mult-0", "value-inf"],
+    )
+    @pytest.mark.parametrize("key", ["b1", "b2"])
+    def test_wrong_type_in_a_block_item_is_a_schema_error(self, key, item, error, message):
+        # a wrong type is a SchemaError and a bad value a ValidationError, in a document and in Python alike
+        doc = {**self.DOC, "p1": 2 if key == "b1" else 0, "p2": 2 if key == "b2" else 0, "b1": [], "b2": [], "a9": False}
+        with pytest.raises(error, match=f"^{key}: {message}"):
+            system_spec_from_json({**doc, key: [item]})
+        with pytest.raises(error, match=f"^sigma_{key}: {message}"):
+            SystemSpec(p1=doc["p1"], p2=doc["p2"], **{f"sigma_{key}": {item["value"]: item["mult"]}})
+
     @pytest.mark.parametrize("key", ["p1", "p2", "mu_b0"])
     def test_wrong_type_of_a_count_is_a_schema_error(self, key):
         # as for a9, b1 and domain: the one check, in SystemSpec, reports a wrong type as a SchemaError
