@@ -262,9 +262,8 @@ def _radial_condition(l: float, dim: int, x: float) -> tuple[float, float]:
         else:
             row, s = _miller_row(x, max(n + 1, m0))
         jn, jp = row[n] / s, row[n + 1] / s
-        if l == 0:
-            return -jp, jn
-        jm = row[n - 1] / s
+        if l:
+            jm = row[n - 1] / s
     if l == 0:
         return -jp, jn
     return 0.5 * (jm - jp) - (c / x) * jn, jn

@@ -150,7 +150,7 @@ class TestSystemSpecJson:
         ids=["value-str", "mult-str", "mult-0", "value-inf"],
     )
     @pytest.mark.parametrize("key", ["b1", "b2"])
-    def test_wrong_type_in_a_block_item_is_a_schema_error(self, key, item, error, message):
+    def test_block_item_refusals(self, key, item, error, message):
         # a wrong type is a SchemaError and a bad value a ValidationError, in a document and in Python alike
         doc = {**self.DOC, "p1": 2 if key == "b1" else 0, "p2": 2 if key == "b2" else 0, "b1": [], "b2": [], "a9": False}
         with pytest.raises(error, match=f"^{key}: {message}"):
