@@ -25,7 +25,7 @@ from .errors import (
     Error,
     SchemaError,
     ValidationError,
-    _known_keys,
+    _object,
     _parse_json,
     _real,
     _Record,
@@ -68,9 +68,7 @@ class AnalysisConfig(_Record):
 
     @classmethod
     def from_doc(cls, doc) -> "AnalysisConfig":
-        if not isinstance(doc, dict):
-            raise SchemaError(f"config must be an object, got {type(doc).__name__}")
-        _known_keys(doc, {"system", "window", "output_format", "spectrum_bound"}, "config")
+        _object(doc, "config", {"system", "window", "output_format", "spectrum_bound"})
         window = doc.get("window")
         if window is not None and (not isinstance(window, list) or len(window) != 2):
             raise SchemaError(f"window must be [lo, hi], got {_show(window)}")

@@ -8,7 +8,8 @@ Below are the package's only input checkers.  Each raises ``error`` for a
 wrong type and ``invalid`` (default ``error``) for a bad value: a reader
 reports a wrong JSON type as SchemaError, a bad value as ValidationError.
 A message shows a caller's value through :func:`_show`, which never fails,
-and every table keyed by integer labels is read by :func:`_label_table`.
+every JSON object is checked by :func:`_object`, and every table keyed by
+integer labels is read by :func:`_label_table`.
 
 The package's record classes are plain classes on :class:`_Record`, which
 compares and prints the fields each names once in ``_fields``; a parameter
@@ -95,12 +96,20 @@ def _digit_count(v: int) -> str:
     return f"{'a negative' if v < 0 else 'an'} integer of {digits} digits"
 
 
-def _known_keys(doc: dict, allowed: set[str], what: str) -> None:
-    """SchemaError naming the keys of ``doc`` outside ``allowed``: text keys sorted, then any others by repr."""
-    unknown = set(doc) - allowed
-    if unknown:
+def _object(doc, what: str, allowed=None, required=()) -> dict:
+    """``doc`` if it is an object, has no key outside ``allowed`` (None allows any) and has every key in ``required``.
+
+    SchemaError otherwise, checked in that order; a non-object is named by its type only, never shown whole.
+    """
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} must be an object, got {type(doc).__name__}")
+    if allowed is not None and (unknown := set(doc).difference(allowed)):
         ordered = sorted(unknown, key=lambda k: (False, k) if isinstance(k, str) else (True, _show(k)))
         raise SchemaError(f"unknown keys in {what}: {_show(ordered)}")
+    for key in required:
+        if key not in doc:
+            raise SchemaError(f"{what} needs '{key}'")
+    return doc
 
 
 def _int(v, what: str, least: int | None = None, error: type[Error] = ValidationError, invalid=None) -> int:
@@ -139,10 +148,8 @@ def _label_table(table, what: str) -> dict:
     label past the 4,300-digit limit of ``int()``, and for two keys that give
     one label (``"1"`` and ``"01"``), which would otherwise overwrite each other.
     """
-    if not isinstance(table, dict):
-        raise SchemaError(f"{what} must be an object, got {_show(table)}")
     out, keys = {}, {}
-    for key, value in table.items():
+    for key, value in _object(table, what).items():
         if isinstance(key, str) and key.removeprefix("-").isdecimal():
             try:
                 label = int(key)

@@ -44,9 +44,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from . import _EXPORTS
-from .errors import (
-    NotInvertible, SchemaError, ValidationError, _int, _is_int, _known_keys, _label_table, _Record, _show
-)
+from .errors import NotInvertible, SchemaError, ValidationError, _int, _is_int, _label_table, _object, _Record, _show
 
 __all__ = [*_EXPORTS["euler"]]
 
@@ -189,8 +187,7 @@ class EulerSO2(_Record):
 
     @classmethod
     def from_json(cls, doc) -> "EulerSO2":
-        if not isinstance(doc, dict) or set(doc) - {"unit", "cyclic"}:
-            raise SchemaError(f"EulerSO2 document must be {{unit, cyclic}}, got {_show(doc)}")
+        _object(doc, "EulerSO2 document", {"unit", "cyclic"})
         return cls(doc.get("unit", 0), _label_table(doc.get("cyclic", {}), "cyclic coefficient table"))
 
 
@@ -272,9 +269,7 @@ class SO2Rep(_Record):
     @classmethod
     def from_json(cls, doc) -> "SO2Rep":
         """Read ``{"trivial", "irr"}``; ``"rot"`` is accepted in place of ``"irr"``, not beside it."""
-        if not isinstance(doc, dict):
-            raise SchemaError(f"representation must be an object, got {_show(doc)}")
-        _known_keys(doc, {"trivial", "irr", "rot"}, "representation")
+        _object(doc, "representation", {"trivial", "irr", "rot"})
         if "irr" in doc and "rot" in doc:
             raise SchemaError("representation carries both 'irr' and 'rot'")
         irr = _label_table(doc.get("irr", doc.get("rot", {})), "irreducible table")

@@ -18,7 +18,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from . import _EXPORTS
-from .errors import MissingClass, NonInjectiveTable, SchemaError, ValidationError, _int, _is_int, _Record, _show
+from .errors import (
+    MissingClass, NonInjectiveTable, SchemaError, ValidationError, _int, _is_int, _object, _Record, _show
+)
 from .euler import EulerSO2
 
 __all__ = [*_EXPORTS["morse"], "orbit_data_from_json", "class_table_from_json"]
@@ -115,19 +117,16 @@ def orbit_data_from_json(doc) -> list[OrbitDatum]:
     """Parse ``[{"class": str, "morse_index": int}, ...]``."""
     if not isinstance(doc, list):
         raise SchemaError(f"orbit data must be an array, got {type(doc).__name__}")
-    out = []
+    out, keys = [], ("class", "morse_index")
     for item in doc:
-        if not isinstance(item, dict) or set(item) != {"class", "morse_index"}:
-            raise SchemaError(f"orbit entry must be {{class, morse_index}}, got {_show(item)}")
+        _object(item, "orbit entry", keys, keys)
         out.append(OrbitDatum(item["class"], item["morse_index"]))
     return out
 
 
 def class_table_from_json(doc) -> dict[str, str]:
     """Parse ``{"h_class": "g_class", ...}`` (injectivity checked at use)."""
-    if not isinstance(doc, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in doc.items()
-    ):
+    if not all(isinstance(k, str) and isinstance(v, str) for k, v in _object(doc, "class table").items()):
         raise SchemaError("class table must map strings to strings")
     return dict(doc)
 

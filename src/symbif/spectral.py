@@ -63,8 +63,8 @@ from .errors import (
     SchemaError,
     ValidationError,
     _int,
-    _known_keys,
     _label_table,
+    _object,
     _parse_json,
     _real,
     _Record,
@@ -144,11 +144,7 @@ class SpectrumEntry(_Record):
 
     @classmethod
     def from_json(cls, doc) -> "SpectrumEntry":
-        if not isinstance(doc, dict):
-            raise SchemaError(f"spectrum entry must be an object, got {_show(doc)}")
-        _known_keys(doc, {"eigenvalue", "angular_index", "root_index", "rep"}, "spectrum entry")
-        if "eigenvalue" not in doc or "rep" not in doc:
-            raise SchemaError("spectrum entry needs 'eigenvalue' and 'rep'")
+        _object(doc, "spectrum entry", {"eigenvalue", "angular_index", "root_index", "rep"}, ("eigenvalue", "rep"))
         return cls(doc["eigenvalue"], SO2Rep.from_json(doc["rep"]), doc.get("angular_index"), doc.get("root_index"))
 
 
@@ -615,9 +611,7 @@ def load_custom_spectrum(source) -> list[SpectrumEntry]:
                 raise ValidationError(f"cannot read {source}: {exc}") from exc
             text = source  # not a readable file; treat as inline JSON
         doc = _parse_json(text, "custom spectrum")
-    if not isinstance(doc, dict):
-        raise SchemaError(f"custom spectrum document must be an object, got {type(doc).__name__}")
-    _known_keys(doc, {"domain", "entries"}, "custom spectrum document")
+    _object(doc, "custom spectrum document", {"domain", "entries"})
     if doc.get("domain") != "custom":
         raise SchemaError("custom spectrum document needs \"domain\": \"custom\"")
     return CustomDomain(_entries_from_docs(doc.get("entries"))).entries
@@ -799,21 +793,17 @@ def domain_from_json(
     cache: RootCache | None = None,
 ):
     """Build a domain from its document ``{"type": "disk"|"ball"|"custom", ...}``; ``to_json`` writes it."""
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise SchemaError(f"domain document must be an object with a 'type', got {_show(doc)}")
-    kind = doc["type"]
+    kind = _object(doc, "domain document", required=("type",))["type"]
     if kind == "disk":
-        _known_keys(doc, {"type", "max_eigenvalue"}, "disk domain")
+        _object(doc, "disk domain", {"type", "max_eigenvalue"})
         bound = doc.get("max_eigenvalue", spectrum_bound)
         if bound is None and "max_eigenvalue" in doc:  # null would read as "no bound"
             raise SchemaError("disk max_eigenvalue None must be a real number")
         return DiskDomain(bound=bound, cache=cache)
     if kind == "ball":
-        _known_keys(doc, {"type", "dim", "entries"}, "ball domain")
-        if "dim" not in doc:
-            raise SchemaError("ball domain needs 'dim'")
+        _object(doc, "ball domain", {"type", "dim", "entries"}, ("dim",))
         return BallDomain(_entries_from_docs(doc.get("entries")), dim=doc["dim"], cache=cache)
     if kind == "custom":
-        _known_keys(doc, {"type", "entries", "irr_dims"}, "custom domain")
+        _object(doc, "custom domain", {"type", "entries", "irr_dims"})
         return CustomDomain(_entries_from_docs(doc.get("entries")), irr_dim_table=doc.get("irr_dims"))
     raise SchemaError(f"unknown domain type {_show(kind)}")

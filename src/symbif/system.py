@@ -34,7 +34,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 
 from . import _EXPORTS
-from .errors import NotAMember, SchemaError, ValidationError, _bool, _int, _known_keys, _real, _Record, _show
+from .errors import NotAMember, SchemaError, ValidationError, _bool, _int, _object, _real, _Record, _show
 from .euler import SO2Rep
 from .spectral import MERGE_REL, BallDomain, CustomDomain, DiskDomain, SpectrumEntry, close, domain_from_json
 
@@ -163,12 +163,7 @@ def system_spec_from_json(doc, *, spectrum_bound=None, cache=None) -> SystemSpec
     domain, whose eigenvalues are merged and matched at the one tolerance
     ``MERGE_REL``.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError(f"system document must be an object, got {type(doc).__name__}")
-    _known_keys(doc, {"p1", "p2", "b1", "b2", "mu_b0", "domain", "a9"}, "system document")
-    for key in ("p1", "p2", "domain"):
-        if key not in doc:
-            raise SchemaError(f"system document needs '{key}'")
+    _object(doc, "system document", {"p1", "p2", "b1", "b2", "mu_b0", "domain", "a9"}, ("p1", "p2", "domain"))
 
     def unpack(key: str) -> dict:
         raw = doc.get(key, [])
@@ -176,8 +171,7 @@ def system_spec_from_json(doc, *, spectrum_bound=None, cache=None) -> SystemSpec
             raise SchemaError(f"'{key}' must be an array of {{value, mult}} objects")
         pairs = []
         for item in raw:
-            if not isinstance(item, dict) or set(item) - {"value", "mult"} or "value" not in item:
-                raise SchemaError(f"bad entry in '{key}': {_show(item)}")
+            _object(item, f"'{key}' entry", {"value", "mult"}, ("value",))
             pairs.append((item["value"], item.get("mult", 1)))
         return _as_multiset(pairs, key)
 
