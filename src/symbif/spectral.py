@@ -24,7 +24,7 @@ back) and decides whether an eigenspace is a nontrivial representation
 ball by the radial test.  Its attribute ``irr_dim_table`` maps an
 irreducible's label to its real dimension, or is None when every irreducible
 has dimension 2; only a custom domain sets one.  A ``cache`` of None is a
-fresh in-memory :class:`RootCache`.
+fresh in-memory :class:`RootCache`, and any other must be one.
 
 Root finding is one scan for every (l, N): sign-change bracketing on a
 fixed pi/8 lattice, then safeguarded Newton inside each bracket
@@ -178,7 +178,7 @@ def bessel_j(order: float, x: float) -> float:
         return 1.0 if nu == 0.0 else 0.0
     from . import _kernels
 
-    return _kernels._radial_condition(nu, 2, x)[1]
+    return _kernels._radial_condition(0, int(2.0 * nu) + 2, x)[1]  # g = J_nu at l = 0, c = nu: no J_{nu-1}
 
 
 def bessel_j_prime(order: float, x: float) -> float:
@@ -216,12 +216,8 @@ def _check_radial_family(angular_index: int, dim: int) -> None:
     _int(angular_index, "angular index", 0, DomainError)
 
 
-def _order_in_range(angular_index: int, dim: int) -> bool:
-    return 2 * angular_index + dim - 2 <= 2 * MAX_ROOT_X  # 2 nu, an integer: no float overflow
-
-
 def _check_order(angular_index: int, dim: int) -> None:
-    if not _order_in_range(angular_index, dim):
+    if 2 * angular_index + dim - 2 > 2 * MAX_ROOT_X:  # 2 nu, an integer: no float overflow
         raise DomainError(f"the radial condition's order nu = l + (dim - 2)/2 must be <= {MAX_ROOT_X}")
 
 
@@ -350,7 +346,7 @@ def radial_roots_up_to(
     if angular_index > MAX_ROOT_X:  # every root lies above sqrt(l(l+dim)) > l > MAX_ROOT_X >= x_max
         return []
     _check_order(angular_index, dim)
-    cache = RootCache() if cache is None else cache
+    cache = _root_cache(cache)
     cached = cache.get(dim, angular_index)
     if not cache.covers(dim, angular_index, x_max):
         after = cached[-1] if cached else 0.0
@@ -374,9 +370,8 @@ def neumann_radial_roots(
     """
     _check_radial_family(angular_index, dim)
     _int(count, "count", 1)
-    cache = RootCache() if cache is None else cache
-    # no cache serves an order above MAX_ROOT_X: radial_roots_up_to refuses it, or finds no root in range
-    cached = cache.get(dim, angular_index) if _order_in_range(angular_index, dim) else []
+    cache = _root_cache(cache)
+    cached = cache.get(dim, angular_index)
     if len(cached) >= count:
         return cached[:count]
     # roots sit near l + (k + dim/2) * pi; scan a window and extend if short (an
@@ -407,14 +402,15 @@ class RootCache(_Record):
 
     The record list for each (dim, l) pair is always a complete prefix of
     the true root sequence, so cached data can serve any request whose range
-    it covers.  A file is written with the integer ``schema_version``
+    it covers.  The constructor and ``put`` keep roots as floats and refuse
+    (ValidationError) a record whose dim is not an integer >= 2, whose l is
+    not an integer >= 0, whose order nu = l + (dim - 2)/2 lies above
+    ``MAX_ROOT_X``, or whose roots are not finite, positive and strictly
+    increasing.  A file is written with the integer ``schema_version``
     ``CACHE_SCHEMA_VERSION`` and the tolerances ``ROOT_XTOL`` and
     ``GRID_STEP``; one that stores another version (a missing one, a bool or
-    a float included) or other tolerances (say from an older release), or
-    that holds a record whose dim is not an integer >= 2, whose
-    l is not an integer >= 0, whose order nu = l + (dim - 2)/2 lies above
-    ``MAX_ROOT_X``, or whose roots are not finite, positive,
-    strictly increasing and indexed 1..n, is discarded and regenerated.
+    a float included) or other tolerances (say from an older release), or a
+    record so refused or not indexed 1..n, is discarded and regenerated.
     Roots of the right type but the wrong value are not detected: checking
     them would cost a kernel evaluation per cached root.  Saving writes a
     temporary file beside the target and renames it over the target, so a
@@ -425,7 +421,9 @@ class RootCache(_Record):
     _fields = ("records",)
 
     def __init__(self, records: dict[tuple[int, int], list[float]] | None = None) -> None:
-        self.records = {} if records is None else records
+        if not isinstance(records, (dict, type(None))):
+            raise ValidationError(f"root cache records must map (dim, l) to a root list, got {type(records).__name__}")
+        self.records = {key: _cached_roots(key, roots) for key, roots in (records or {}).items()}
         self.grown = False  # whether put() added roots since construction
 
     def get(self, dim: int, l: int) -> list[float]:
@@ -437,7 +435,7 @@ class RootCache(_Record):
         return bool(cached) and x_max <= cached[-1]
 
     def put(self, dim: int, l: int, roots: Sequence[float]) -> None:
-        roots = list(roots)
+        roots = _cached_roots((dim, l), roots)
         if roots != self.records.get((dim, l)):
             self.records[(dim, l)] = roots
             self.grown = True
@@ -467,29 +465,45 @@ class RootCache(_Record):
     @classmethod
     def load(cls, path: str | Path) -> tuple["RootCache", bool]:
         """Load a cache; returns (cache, stale) where stale means regenerated."""
-        fresh = cls()
         p = Path(path)
         if not p.exists():
-            return fresh, False
+            return cls(), False
         try:
             doc = _parse_json(p.read_bytes(), str(p))
             version, tol = doc["schema_version"], doc["tolerances"]
             # True == 1 and 1.0 == 1 in Python, so the type is checked too
-            if type(version) is not int or version != CACHE_SCHEMA_VERSION:
-                return fresh, True
-            if tol["xtol"] != ROOT_XTOL or tol["step"] != GRID_STEP:
-                return fresh, True
+            if (type(version), version, tol["xtol"], tol["step"]) != (int, CACHE_SCHEMA_VERSION, ROOT_XTOL, GRID_STEP):
+                return cls(), True
+            records: dict[tuple[int, int], list] = {}
             for dim, l, idx, x in doc["records"]:
-                _check_order(_int(l, "cached l", 0), _int(dim, "cached dim", 2))
-                roots = fresh.records.setdefault((dim, l), [])
-                x = _real(x, "cached root")
-                # positive, indexed 1..n in order and strictly increasing
-                if _int(idx, "cached root index") != len(roots) + 1 or x <= (roots[-1] if roots else 0.0):
+                # integer keys, so a dim of 2.0 or an l of True never joins the record of 2 or 1
+                roots = records.setdefault((_int(dim, "cached dim"), _int(l, "cached l")), [])
+                if _int(idx, "cached root index") != len(roots) + 1:
                     return cls(), True
                 roots.append(x)
-            return fresh, False
+            return cls(records), False
         except (Error, KeyError, TypeError, ValueError):
             return cls(), True
+
+
+def _cached_roots(key, roots) -> list[float]:
+    """The roots of the cache record ``key`` = (dim, l) as floats, or ValidationError (see :class:`RootCache`)."""
+    if not isinstance(key, tuple) or len(key) != 2 or not isinstance(roots, (list, tuple)):
+        raise ValidationError(f"a root cache record is (dim, l): [root, ...], got {_show(key)}: {type(roots).__name__}")
+    dim, l = key
+    if 2 * _int(l, "cached l", 0) + _int(dim, "cached dim", 2) - 2 > 2 * MAX_ROOT_X:  # 2 nu: no float overflow
+        raise ValidationError(f"the order nu = l + (dim - 2)/2 of cached record {_show(key)} lies above {MAX_ROOT_X}")
+    out = [_real(x, "cached root") for x in roots]
+    if not all(a < b for a, b in zip([0.0, *out], out)):
+        raise ValidationError(f"the cached roots of {_show(key)} must be positive and strictly increasing")
+    return out
+
+
+def _root_cache(cache) -> RootCache:
+    """``cache``, or a fresh in-memory RootCache when it is None; ValidationError for anything else."""
+    if cache is not None and not isinstance(cache, RootCache):
+        raise ValidationError(f"cache must be a RootCache or None, got {_show(cache)}")
+    return RootCache() if cache is None else cache
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +554,7 @@ def disk_spectrum(
             f"the disk spectrum up to {max_eigenvalue!r} has about {estimate:.4g} distinct eigenvalues "
             f"(Weyl estimate), more than the budget of {MAX_DISK_ENTRIES}"
         )
-    cache = RootCache() if cache is None else cache
+    cache = _root_cache(cache)
     x_max = math.sqrt(max_eigenvalue)
     entries = [SpectrumEntry(0.0, SO2Rep.trivial(1), angular_index=0, root_index=None)]
     l = 0
@@ -638,7 +652,7 @@ class DiskDomain(_Record):
             if not _real(bound, "disk max_eigenvalue", finite=False, error=SchemaError, invalid=ValidationError) > 0:
                 raise ValidationError(f"the disk spectrum bound must be positive, got {bound!r}")
         self.bound = bound
-        self.cache = RootCache() if cache is None else cache
+        self.cache = _root_cache(cache)
         self._memo: list[SpectrumEntry] = []
         self._eigenvalues: list[float] = []
         self._memo_bound = -1.0
@@ -749,7 +763,7 @@ class BallDomain(_SuppliedDomain):
     def __init__(self, entries: list[SpectrumEntry], dim: int = 3, cache: RootCache | None = None) -> None:
         _SuppliedDomain.__init__(self, entries)
         self.dim = _int(dim, "ball dimension", 3)
-        self.cache = RootCache() if cache is None else cache
+        self.cache = _root_cache(cache)
 
     def to_json(self) -> dict:
         return {**_SuppliedDomain.to_json(self), "dim": self.dim}

@@ -77,6 +77,13 @@ class TestBesselValues:
         value = bessel_j_prime(n, 0.0)
         assert value == (0.5 if n == 1 else 0.0) and math.copysign(1.0, value) == 1.0
 
+    @pytest.mark.parametrize("nu, x, band", [(5, 3.0, "_series_j"), (2.5, 3.0, "_series_j"), (5, 100.0, "_asym_j")])
+    def test_reads_two_values_per_band(self, call_counts, nu, x, band):
+        # J_nu and J_{nu+1}, as the l = 0 condition forms them; J_{nu-1} once came along unread
+        calls = call_counts(_kernels, band)
+        bessel_j(nu, x)
+        assert calls[0] == 2
+
     def test_first_root_of_j0(self):
         assert abs(bessel_j(0, 2.404826)) < 1e-6
 
@@ -1315,11 +1322,79 @@ class TestRootCache:
         assert stale and loaded.records == {}
         with pytest.raises(DomainError, match="<= 200"):
             neumann_radial_roots(1, 1000, 1, cache=loaded)
-        # a cache built in Python is not read for such an order either
-        with pytest.raises(DomainError, match="<= 200"):
-            neumann_radial_roots(1, 1000, 1, cache=RootCache({(1000, 1): [5.0]}))
+        # a cache built in Python refuses such a record when it is built
+        for dim in (1000, 2**60):
+            with pytest.raises(ValidationError, match="lies above 200"):
+                RootCache({(dim, 1): [5.0]})
         with pytest.raises(InsufficientSpectrum, match="only 0 roots"):
-            neumann_radial_roots(1, 2**60, 1, cache=RootCache({(2**60, 1): [5.0]}))
+            neumann_radial_roots(1, 2**60, 1, cache=RootCache())
+
+    @pytest.mark.parametrize(
+        "records, match",
+        [
+            ({(2, 0): [9.0, 1.0]}, "strictly increasing"),  # once served as [1.0, 3.83...] and as [9.0, 1.0]
+            ({(2, 0): [3.8, 3.8]}, "strictly increasing"),
+            ({(2, 0): [-1.0]}, "positive"),
+            ({(2, 0): [float("nan")]}, "finite"),  # once leaked ValueError from the scan
+            ({(2, 0): [float("inf")]}, "finite"),
+            ({(2, 0): ["3.8"]}, "real number"),
+            ({(2, 0): 3.8}, r"record is \(dim, l\)"),
+            ({(2.0, 0): [3.8]}, "cached dim"),
+            ({(2, True): [3.8]}, "cached l"),
+            ({(1, 0): [3.8]}, "cached dim"),
+            ({2: [3.8]}, r"record is \(dim, l\)"),
+            (object(), "got object"),  # once leaked AttributeError at the first get
+            ([((2, 0), [3.8])], "got list"),
+        ],
+        ids=["descending", "repeated", "negative", "nan", "inf", "str", "bare", "dim-float", "l-bool", "dim-1", "key",
+             "object", "pairs"],
+    )
+    def test_records_built_in_python_are_checked(self, records, match):
+        with pytest.raises(ValidationError, match=match):
+            RootCache(records)
+        for key, roots in records.items() if isinstance(records, dict) else ():
+            if isinstance(key, tuple):  # put() keeps the same rule
+                with pytest.raises(ValidationError, match=match):
+                    RootCache().put(*key, roots)
+
+    def test_no_cache_serves_roots_out_of_order(self):
+        # the repros of a cache built with [9.0, 1.0]: each call is refused where the cache is built
+        with pytest.raises(ValidationError):
+            radial_roots_up_to(0, 2, 5.0, cache=RootCache({(2, 0): [9.0, 1.0]}))
+        with pytest.raises(ValidationError):
+            neumann_radial_roots(0, 2, 2, cache=RootCache({(2, 0): [9.0, 1.0]}))
+
+    def test_records_keep_float_roots(self):
+        cache = RootCache({(2, 0): (4, 7.5)})
+        assert cache.records == {(2, 0): [4.0, 7.5]} and all(type(x) is float for x in cache.get(2, 0))
+        cache.put(2, 1, [2, 5])
+        assert cache.get(2, 1) == [2.0, 5.0] and all(type(x) is float for x in cache.get(2, 1))
+
+    def test_a_key_in_another_number_type_is_stale(self, tmp_path):
+        # 2.0 == 2 and True == 1: neither may join the record of the integer key
+        for records in ([[2, 1, 1, 1.5], [2.0, 1, 2, 4.5]], [[2, 1, 1, 1.5], [2, True, 2, 4.5]]):
+            path = tmp_path / "roots.json"
+            path.write_text(json.dumps({**RootCache().to_json(), "records": records}))
+            loaded, stale = RootCache.load(path)
+            assert stale and loaded.records == {}
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cache: disk_spectrum(20.0, cache=cache),
+            lambda cache: DiskDomain(cache=cache).entries_up_to(10),
+            lambda cache: BallDomain([SpectrumEntry(0.0, SO2Rep.trivial(1))], 3, cache=cache),
+            lambda cache: radial_roots_up_to(0, 2, 5.0, cache=cache),
+            lambda cache: neumann_radial_roots(0, 2, 1, cache=cache),
+            lambda cache: ball_rep_nontrivial(SpectrumEntry(20.0, SO2Rep.trivial(1)), 3, cache=cache),
+        ],
+        ids=["disk_spectrum", "DiskDomain", "BallDomain", "radial_roots_up_to", "neumann_radial_roots", "ball_test"],
+    )
+    @pytest.mark.parametrize("cache", ["x", 5, {}], ids=["str", "int", "dict"])
+    def test_a_cache_argument_is_none_or_a_root_cache(self, call, cache):
+        # each once leaked AttributeError at the first use of the cache
+        with pytest.raises(ValidationError, match="cache must be a RootCache or None"):
+            call(cache)
 
     @pytest.fixture(scope="class")
     def fuzz_path(self, tmp_path_factory):
