@@ -6,8 +6,8 @@ threaded through a domain or a spectrum builder could disagree with the cache
 that stores its roots, and no setting of it changes a result.  Likewise no
 public callable takes a merge or matching tolerance (the constant
 ``MERGE_REL``) or one of the single-value knobs that became constants.  Input checks live in one module:
-no other module tests for bools by hand.  A record states its fields once, in ``_fields``; only the
-base ``errors._Record`` compares and prints records.  "A fresh one" has one spelling, the default
+no other module tests for bools or checks a JSON object by hand.  A record states its fields once, in
+``_fields``; only the base ``errors._Record`` compares and prints records.  "A fresh one" has one spelling, the default
 ``None``: every other default is a plain immutable value.  The representation class has one public
 name, ``SO2Rep``, in the package root and in ``symbif.euler``.  No source line of the package is longer
 than 120 characters.  A public function of ``system``, ``bifurcation``, ``euler``, ``morse`` or ``spectral`` given a
@@ -73,6 +73,14 @@ def test_nothing_takes_a_merge_tolerance_or_a_constant_knob():
 def test_only_the_checker_module_tests_for_bool():
     package = Path(symbif.__file__).parent
     hand_written = re.compile(r"isinstance\([^)]*\bbool\b")
+    found = sorted(f.name for f in package.glob("*.py") if hand_written.search(f.read_text(encoding="utf-8")))
+    assert found == ["errors.py"]
+
+
+def test_only_the_checker_module_checks_an_object():
+    # every JSON object is read through errors._object: no other module words its refusal or does its key arithmetic
+    package = Path(symbif.__file__).parent
+    hand_written = re.compile(r"must be an object|unknown keys|set\((doc|item)\)")
     found = sorted(f.name for f in package.glob("*.py") if hand_written.search(f.read_text(encoding="utf-8")))
     assert found == ["errors.py"]
 

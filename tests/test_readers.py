@@ -1,9 +1,11 @@
 """Fuzz of the record readers: a mutated document is read faithfully or refused with a package error.
 
 Each example starts from a valid document of ``SO2Rep``, ``EulerSO2`` or
-``SpectrumEntry``, or of a supplied spectrum (``load_custom_spectrum``) or a
-domain (``domain_from_json``), disguises, replaces, deletes or adds one to
-three values anywhere in it, and reads it.  Every outcome must be a value or a
+``SpectrumEntry``, of a supplied spectrum (``load_custom_spectrum``) or a
+domain (``domain_from_json``), or of a system (``system_spec_from_json``), a
+run config (``AnalysisConfig.from_doc``), orbit data or a class table,
+disguises, replaces, deletes or adds one to three values anywhere in it, and
+reads it.  Every outcome must be a value or a
 ``symbif.errors.Error``; any other exception fails the example.  A value must
 also be what the document says, with the exact types it says it with: a
 reader that took ``2.0`` or ``"2"`` for the integer 2 (as a bare ``int(...)``
@@ -12,15 +14,20 @@ would) fails the example too.
 
 import copy
 import functools
+import math
 import operator
+import re
 from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from symbif import BallDomain, CustomDomain, DiskDomain, EulerSO2, SO2Rep, SpectrumEntry, load_custom_spectrum
+from symbif.cli import AnalysisConfig
 from symbif.errors import Error, SchemaError
+from symbif.morse import OrbitDatum, class_table_from_json, orbit_data_from_json
 from symbif.spectral import domain_from_json
+from symbif.system import system_spec_from_json
 
 REP = {"trivial": 1, "irr": {"1": 2, "3": 1}}
 EULER = {"unit": -1, "cyclic": {"1": -2, "4": 3}}
@@ -40,6 +47,19 @@ DOMAINS = {
     "ball": {"type": "ball", "dim": 3, "entries": ENTRIES[:1]},
     "custom": {"type": "custom", "entries": ENTRIES[:1], "irr_dims": {"1": 2, "3": 6}},
 }
+#: a system on a disk whose spectrum is never computed while reading
+SYSTEM = {
+    "p1": 2,
+    "p2": 1,
+    "b1": [{"value": 0, "mult": 1}, {"value": 1.0}],
+    "b2": [{"value": -2, "mult": 1}],
+    "mu_b0": 1,
+    "domain": DOMAINS["disk"],
+    "a9": False,
+}
+CONFIG = {"system": SYSTEM, "window": [-10, 60.5], "output_format": "structured", "spectrum_bound": 100.0}
+ORBITS = [{"class": "Z2", "morse_index": 1}, {"class": "SO2", "morse_index": 0}]
+CLASS_TABLE = {"Z2": "Z4", "SO2": "SO2"}
 
 #: values that look like a count, a label, a coefficient or an eigenvalue, and are not one
 _NEAR_MISSES = st.sampled_from(
@@ -55,6 +75,8 @@ _KEYS = st.sampled_from(
 _NAMES = st.sampled_from(
     ["trivial", "irr", "rot", "unit", "cyclic", "eigenvalue", "angular_index", "root_index", "rep", "other"]
     + ["domain", "entries", "type", "dim", "irr_dims", "max_eigenvalue"]
+    + ["p1", "p2", "b1", "b2", "mu_b0", "a9", "value", "mult", "system", "window", "output_format", "spectrum_bound"]
+    + ["class", "morse_index", "Z2", "SO2"]
 )
 
 
@@ -206,6 +228,44 @@ def _check_domain(doc, domain) -> None:
         _check_entries(doc["entries"], domain.entries)
 
 
+def _check_system(doc, spec) -> None:
+    assert type(doc) is dict and {"p1", "p2", "domain"} <= set(doc) <= {"p1", "p2", "b1", "b2", "mu_b0", "domain", "a9"}
+    for key, default in (("p1", None), ("p2", None), ("mu_b0", 0)):
+        value = doc.get(key, default)
+        assert _is_int(value) and value >= 0 and getattr(spec, key) == value and _is_int(getattr(spec, key))
+    assert spec.a9 is doc.get("a9", False)
+    for key, sigma in (("b1", spec.sigma_b1), ("b2", spec.sigma_b2)):
+        expected: dict = {}
+        for item in doc.get(key, []):
+            assert type(item) is dict and "value" in item and set(item) <= {"value", "mult"}
+            value, mult = item["value"], item.get("mult", 1)
+            assert type(value) in (int, float) and math.isfinite(value) and _is_int(mult) and mult >= 1
+            expected[value] = expected.get(value, 0) + mult
+        assert sigma == expected and [type(v) for v in sigma] == [type(v) for v in expected]
+    _check_domain(doc["domain"], spec.domain)
+
+
+def _check_config(doc, config: AnalysisConfig) -> None:
+    assert type(doc) is dict and set(doc) <= {"system", "window", "output_format", "spectrum_bound"}
+    assert config.system is doc.get("system") and config.output_format == doc.get("output_format", "table")
+    window, bound = doc.get("window"), doc.get("spectrum_bound")
+    if window is None:
+        assert config.window is None
+    else:
+        assert type(window) is list and all(type(w) in (int, float) for w in window)
+        assert config.window == tuple(window) and all(type(w) is float for w in config.window)
+    assert bound is None or type(bound) in (int, float) and bound > 0
+    assert config.spectrum_bound == bound and type(config.spectrum_bound) is type(bound)
+
+
+def _check_orbits(doc, data: list[OrbitDatum]) -> None:
+    assert type(doc) is list and len(doc) == len(data)
+    for item, datum in zip(doc, data):
+        assert type(item) is dict and set(item) == {"class", "morse_index"}
+        assert type(item["class"]) is str and item["class"] and _is_int(item["morse_index"])
+        assert datum == OrbitDatum(item["class"], item["morse_index"])
+
+
 FUZZ = settings(max_examples=250, deadline=timedelta(seconds=1), derandomize=True)
 
 
@@ -254,6 +314,44 @@ def test_domain_from_json(kind):
     read()
 
 
+def _read_in_time(reader, doc, deadline):
+    with deadline(10, f"{reader.__qualname__} did not answer within 10 s"):
+        return _read(reader, doc)
+
+
+@FUZZ
+@given(doc=_mutated(SYSTEM))
+def test_system_spec_from_json(deadline, doc):
+    spec = _read_in_time(system_spec_from_json, doc, deadline)
+    if spec is not None:
+        _check_system(doc, spec)
+
+
+@FUZZ
+@given(doc=_mutated(CONFIG))
+def test_analysis_config_from_doc(deadline, doc):
+    config = _read_in_time(AnalysisConfig.from_doc, doc, deadline)
+    if config is not None:
+        _check_config(doc, config)
+
+
+@FUZZ
+@given(doc=_mutated(ORBITS))
+def test_orbit_data_from_json(deadline, doc):
+    data = _read_in_time(orbit_data_from_json, doc, deadline)
+    if data is not None:
+        _check_orbits(doc, data)
+
+
+@FUZZ
+@given(doc=_mutated(CLASS_TABLE))
+def test_class_table_from_json(deadline, doc):
+    table = _read_in_time(class_table_from_json, doc, deadline)
+    if table is not None:
+        assert type(doc) is dict and all(type(k) is str and type(v) is str for k, v in doc.items())
+        assert table == doc and table is not doc
+
+
 @pytest.mark.parametrize(
     "kind, path", [("disk", ["max_eigenvalue"]), ("ball", ["dim"]), ("custom", ["irr_dims", "3"])], ids=list(DOMAINS)
 )
@@ -298,3 +396,34 @@ def test_an_entry_built_in_python_is_checked_as_its_document_is(key, wrong):
         SpectrumEntry.from_json({**ENTRY, key: wrong})
     entry = SpectrumEntry(4.0, SO2Rep.irr(1), angular_index=1, root_index=0)
     assert SpectrumEntry.from_json(entry.to_json()) == entry
+
+
+def _system(**changes) -> dict:
+    return {**SYSTEM, **changes}
+
+
+@pytest.mark.parametrize(
+    "reader, doc, message",
+    [
+        (EulerSO2.from_json, [1], "EulerSO2 document must be an object, got list"),
+        (EulerSO2.from_json, {**EULER, "x": 0}, "unknown keys in EulerSO2 document: ['x']"),
+        (orbit_data_from_json, [5], "orbit entry must be an object, got int"),
+        (orbit_data_from_json, [{**ORBITS[0], "x": 0}], "unknown keys in orbit entry: ['x']"),
+        (orbit_data_from_json, [{"class": "Z2"}], "orbit entry needs 'morse_index'"),
+        (system_spec_from_json, _system(b1=["1"]), "'b1' entry must be an object, got str"),
+        (system_spec_from_json, _system(b2=[{"value": 1, "x": 0}]), "unknown keys in 'b2' entry: ['x']"),
+        (system_spec_from_json, _system(b1=[{"mult": 2}]), "'b1' entry needs 'value'"),
+        (SpectrumEntry.from_json, {"rep": REP}, "spectrum entry needs 'eigenvalue'"),
+        (SpectrumEntry.from_json, {"eigenvalue": 1.0}, "spectrum entry needs 'rep'"),
+        (SpectrumEntry.from_json, 3, "spectrum entry must be an object, got int"),
+        (domain_from_json, ["disk"], "domain document must be an object, got list"),
+        (domain_from_json, {"max_eigenvalue": 5.0}, "domain document needs 'type'"),
+        (class_table_from_json, ["Z2"], "class table must be an object, got list"),
+        (SO2Rep.from_json, "irr", "representation must be an object, got str"),
+        (SO2Rep.from_json, {"irr": [1]}, "irreducible table must be an object, got list"),
+    ],
+)
+def test_object_messages(reader, doc, message):
+    # every object check is errors._object: a non-object by its type name, then unknown keys, then required keys
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        reader(doc)
