@@ -421,7 +421,7 @@ class RootCache(_Record):
     _fields = ("records",)
 
     def __init__(self, records: dict[tuple[int, int], list[float]] | None = None) -> None:
-        if not isinstance(records, (dict, type(None))):
+        if records is not None and not isinstance(records, dict):
             raise ValidationError(f"root cache records must map (dim, l) to a root list, got {type(records).__name__}")
         self.records = {key: _cached_roots(key, roots) for key, roots in (records or {}).items()}
         self.grown = False  # whether put() added roots since construction

@@ -7,8 +7,8 @@ that stores its roots, and no setting of it changes a result.  Likewise no
 public callable takes a merge or matching tolerance (the constant
 ``MERGE_REL``) or one of the single-value knobs that became constants.  Input checks live in one module:
 no other module tests for bools or checks a JSON object by hand.  A record states its fields once, in
-``_fields``; only the base ``errors._Record`` compares and prints records.  "A fresh one" has one spelling, the default
-``None``: every other default is a plain immutable value.  The representation class has one public
+``_fields``; only the base ``errors._Record`` compares and prints records.  "A fresh one" has one
+spelling, the default ``None``: every other default is a plain immutable value.  The representation class has one public
 name, ``SO2Rep``, in the package root and in ``symbif.euler``.  No source line of the package is longer
 than 120 characters.  A public function of ``system``, ``bifurcation``, ``euler``, ``morse`` or ``spectral`` given a
 plain ``object()`` for any required argument, or for an item of a sequence argument, refuses it with the package's

@@ -5,11 +5,10 @@ Each example starts from a valid document of ``SO2Rep``, ``EulerSO2`` or
 domain (``domain_from_json``), or of a system (``system_spec_from_json``), a
 run config (``AnalysisConfig.from_doc``), orbit data or a class table,
 disguises, replaces, deletes or adds one to three values anywhere in it, and
-reads it.  Every outcome must be a value or a
-``symbif.errors.Error``; any other exception fails the example.  A value must
-also be what the document says, with the exact types it says it with: a
-reader that took ``2.0`` or ``"2"`` for the integer 2 (as a bare ``int(...)``
-would) fails the example too.
+reads it.  Every outcome must be a value or a ``symbif.errors.Error``; any
+other exception fails the example.  A value must also be what the document
+says, with the exact types it says it with: a reader that took ``2.0`` or
+``"2"`` for the integer 2 (as a bare ``int(...)`` would) fails the example too.
 """
 
 import copy
@@ -398,10 +397,6 @@ def test_an_entry_built_in_python_is_checked_as_its_document_is(key, wrong):
     assert SpectrumEntry.from_json(entry.to_json()) == entry
 
 
-def _system(**changes) -> dict:
-    return {**SYSTEM, **changes}
-
-
 @pytest.mark.parametrize(
     "reader, doc, message",
     [
@@ -410,9 +405,9 @@ def _system(**changes) -> dict:
         (orbit_data_from_json, [5], "orbit entry must be an object, got int"),
         (orbit_data_from_json, [{**ORBITS[0], "x": 0}], "unknown keys in orbit entry: ['x']"),
         (orbit_data_from_json, [{"class": "Z2"}], "orbit entry needs 'morse_index'"),
-        (system_spec_from_json, _system(b1=["1"]), "'b1' entry must be an object, got str"),
-        (system_spec_from_json, _system(b2=[{"value": 1, "x": 0}]), "unknown keys in 'b2' entry: ['x']"),
-        (system_spec_from_json, _system(b1=[{"mult": 2}]), "'b1' entry needs 'value'"),
+        (system_spec_from_json, {**SYSTEM, "b1": ["1"]}, "'b1' entry must be an object, got str"),
+        (system_spec_from_json, {**SYSTEM, "b2": [{"value": 1, "x": 0}]}, "unknown keys in 'b2' entry: ['x']"),
+        (system_spec_from_json, {**SYSTEM, "b1": [{"mult": 2}]}, "'b1' entry needs 'value'"),
         (SpectrumEntry.from_json, {"rep": REP}, "spectrum entry needs 'eigenvalue'"),
         (SpectrumEntry.from_json, {"eigenvalue": 1.0}, "spectrum entry needs 'rep'"),
         (SpectrumEntry.from_json, 3, "spectrum entry must be an object, got int"),
