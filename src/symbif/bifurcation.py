@@ -292,7 +292,7 @@ def unbounded_verdict(spec: SystemSpec, entry: SpectrumEntry, sign: int) -> Unbo
         raise ValidationError(f"sign must be +1 or -1, got {_show(sign)}")
     if not isinstance(entry, SpectrumEntry):
         raise ValidationError(f"entry must be a SpectrumEntry, got {_show(entry)}")
-    nontrivial = spec.domain.rep_nontrivial(entry)
+    nontrivial = entry.rep.has_nontrivial()
     own_even, other_even = _parities(spec, sign)
     one_sided = own_even and nontrivial
     verdict = UNBOUNDED if one_sided and other_even else NO_VERDICT
@@ -369,7 +369,7 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
             lam, glob, why = 0.0, gc.glob, gc.justification
         else:
             glob, why = _glob_from_kernel(kr)
-            if parity is not None and spec.domain.rep_nontrivial(kr.matched[0]) and parity[lam > 0]:
+            if parity is not None and kr.matched[0].rep.has_nontrivial() and parity[lam > 0]:
                 unb = UNBOUNDED
         verdicts.append(BifurcationVerdict(lam, bool(kr.matched), kr, glob, why, bif, unb))
     return verdicts

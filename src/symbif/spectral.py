@@ -17,14 +17,15 @@ that the domain applies: ascending order, where a step down within
 representations summed.
 Every eigenspace is a :class:`symbif.euler.SO2Rep`, the package's one
 representation class; an entry's ``rep`` document is ``{"trivial", "irr"}``,
-and ``"rot"`` is accepted in place of ``"irr"`` on input only.  Each domain
-writes its own document (``to_json``, which :func:`domain_from_json` reads
-back) and decides whether an eigenspace is a nontrivial representation
-(``rep_nontrivial``): the disk and supplied spectra by the stated type, a
-ball by the radial test.  Its attribute ``irr_dim_table`` maps an
-irreducible's label to its real dimension, or is None when every irreducible
-has dimension 2; only a custom domain sets one.  A ``cache`` of None is a
-fresh in-memory :class:`RootCache`, and any other must be one.
+and ``"rot"`` is accepted in place of ``"irr"`` on input only.  On every
+domain an eigenspace is nontrivial exactly when its stated ``rep`` has a
+nontrivial summand.  A supplied ball spectrum is checked once, when it is
+built, against one scan of the trivial-type roots: their squares up to its
+top are exactly its nonzero eigenvalues with a trivial summand, or
+ValidationError; past x = ``MAX_ROOT_X`` the scan raises InsufficientSpectrum.
+``irr_dim_table`` maps an irreducible's label to its real dimension (None:
+all 2); only a custom domain sets one.  A ``cache`` of None is a fresh
+in-memory :class:`RootCache`, and any other must be one.
 
 Root finding is one scan for every (l, N): sign-change bracketing on a
 fixed pi/8 lattice, then safeguarded Newton inside each bracket
@@ -51,6 +52,7 @@ import os
 import tempfile
 from bisect import bisect_right
 from contextlib import ExitStack
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -660,9 +662,6 @@ class DiskDomain(_Record):
     def to_json(self) -> dict:
         return {"type": "disk"} if self.bound is None else {"type": "disk", "max_eigenvalue": self.bound}
 
-    def rep_nontrivial(self, entry: SpectrumEntry) -> bool:
-        return entry.rep.has_nontrivial()
-
     def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
         """The computed entries <= alpha_max.
 
@@ -730,9 +729,6 @@ class _SuppliedDomain(_Record):
     def to_json(self) -> dict:
         return {"type": self.kind, "entries": [e.to_json() for e in self.entries]}
 
-    def rep_nontrivial(self, entry: SpectrumEntry) -> bool:
-        return entry.rep.has_nontrivial()
-
     def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
         """The supplied entries <= alpha_max.
 
@@ -762,15 +758,18 @@ class BallDomain(_SuppliedDomain):
 
     def __init__(self, entries: list[SpectrumEntry], dim: int = 3, cache: RootCache | None = None) -> None:
         _SuppliedDomain.__init__(self, entries)
-        self.dim = _int(dim, "ball dimension", 3)
+        self.dim = n = _int(dim, "ball dimension", 3)
         self.cache = _root_cache(cache)
+        top = self.entries[-1].eigenvalue  # one scan: the claims must be the trivial-type roots' squares up to top
+        roots = radial_roots_up_to(0, n, math.sqrt(top * (1.0 + MERGE_REL)), cache=self.cache)
+        claims = [e.eigenvalue for e in self.entries[1:] if e.rep.trivial_dim]
+        for alpha, root in zip_longest(claims, [x * x for x in roots], fillvalue=math.inf):
+            if not close(alpha, root):  # the smaller one is unmatched
+                off = f"a trivial summand at {alpha!r}, no" if alpha < root else f"no trivial summand at {root!r}, a"
+                raise ValidationError(f"the supplied {n}-ball spectrum has {off} squared trivial-type root")
 
     def to_json(self) -> dict:
         return {**_SuppliedDomain.to_json(self), "dim": self.dim}
-
-    def rep_nontrivial(self, entry: SpectrumEntry) -> bool:
-        """Whether the eigenspace is a nontrivial SO(dim)-representation, by the radial test."""
-        return ball_rep_nontrivial(entry, self.dim, cache=self.cache)
 
 
 class CustomDomain(_SuppliedDomain):

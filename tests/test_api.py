@@ -12,7 +12,8 @@ spelling, the default ``None``: every other default is a plain immutable value. 
 name, ``SO2Rep``, in the package root and in ``symbif.euler``.  No source line of the package is longer
 than 120 characters.  A public function of ``system``, ``bifurcation``, ``euler``, ``morse`` or ``spectral`` given a
 plain ``object()`` for any required argument, or for an item of a sequence argument, refuses it with the package's
-own error, never AttributeError or TypeError.
+own error, never AttributeError or TypeError.  Whether an eigenspace is nontrivial is read off its stated
+representation alone: no module but ``ball_rep_nontrivial``'s own lines names ``rep_nontrivial``.
 """
 
 import importlib
@@ -83,6 +84,20 @@ def test_only_the_checker_module_checks_an_object():
     hand_written = re.compile(r"must be an object|unknown keys|set\((doc|item)\)")
     found = sorted(f.name for f in package.glob("*.py") if hand_written.search(f.read_text(encoding="utf-8")))
     assert found == ["errors.py"]
+
+
+def test_only_the_stated_rep_decides_a_nontrivial_eigenspace():
+    # verdicts read entry.rep.has_nontrivial(); no domain decides it a second way, so the one name
+    # left is the public radial test, ball_rep_nontrivial, which the benchmark's tracer wraps
+    package = Path(symbif.__file__).parent
+    second_way = re.compile(r"(?<!ball_)rep_nontrivial")
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(package.glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if second_way.search(line)
+    ]
+    assert found == []
 
 
 def package_modules():

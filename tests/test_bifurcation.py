@@ -395,13 +395,12 @@ class TestUnboundedVerdict:
             assert plus == minus
 
     def test_ball_domain_uses_radial_test(self):
-        root2 = 7.725251836937707  # second root of the dim-3 trivial-type condition
-        entries = [
-            SpectrumEntry(0.0, SO2Rep.trivial(1)),
-            SpectrumEntry(root2 * root2, SO2Rep.trivial(1)),
-        ]
+        # a true 3-ball spectrum holds a trivial summand at each squared trivial-type root, which the
+        # build checks; the verdict reads the stated trivial rep there
+        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1))]
+        entries += [SpectrumEntry(r * r, SO2Rep.trivial(1)) for r in neumann_radial_roots(0, 3, 2)]
         spec = a9_spec(q1=2, p2=0, domain=BallDomain(entries, dim=3))
-        assert unbounded_verdict(spec, entries[1], 1).verdict == NO_VERDICT
+        assert unbounded_verdict(spec, entries[2], 1).verdict == NO_VERDICT
 
 
 class TestSuppliedSpectrumPaths:
@@ -435,29 +434,26 @@ class TestAnalyze:
             assert (v.lambda0, v.glob, v.justification, v.in_lambda) == (0.0, BIFURCATES, J_ZERO_PARITY, True)
 
     def test_ball_trivial_type_roots_scanned_once(self, kernel_calls, call_counts):
+        # the build scans the trivial-type roots once, up to the top eigenvalue, as a scan of its
+        # own to that bound does; the verdicts read the stated reps and evaluate nothing
         trivial = [r * r for r in neumann_radial_roots(0, 3, 8)]
         alphas = sorted(trivial + [1.0 + 2.5 * k for k in range(90)])
         entries = [SpectrumEntry(0.0, SO2Rep.trivial(1))] + [
             SpectrumEntry(a, SO2Rep.trivial(1) if a in trivial else SO2Rep.irr(1))
             for a in alphas
         ]
-        domain = BallDomain(entries, dim=3)
         scans = call_counts(symbif.spectral, "_lattice_scan")
         kernel_calls.reset()
+        domain = BallDomain(entries, dim=3)
+        built = (scans[0], kernel_calls.lattice, kernel_calls.refinement)
         verdicts = analyze(a9_spec(q1=2, p2=0, domain=domain), (-300.0, 300.0))
         assert len(verdicts) >= 90
-        during = (kernel_calls.lattice, kernel_calls.refinement)
-        resumptions = scans[0] - 1
-        assert resumptions >= 1
+        assert (scans[0], kernel_calls.lattice, kernel_calls.refinement) == built and built[0] == 1
         kernel_calls.reset()
-        # b = 1, so the largest candidate eigenvalue is the largest |lambda0|;
-        # the cached scan refines the brackets of one scan up to its test
-        # range, and evaluates that scan's lattice points plus the point each
-        # resumption starts from
-        radial_roots_up_to(0, 3, math.sqrt(max(abs(v.lambda0) for v in verdicts)) + math.pi)
-        assert during == (kernel_calls.lattice + resumptions, kernel_calls.refinement)
+        radial_roots_up_to(0, 3, math.sqrt(alphas[-1] * (1.0 + MERGE_REL)))
+        assert built[1:] == (kernel_calls.lattice, kernel_calls.refinement)
         for e in entries:
-            assert domain.rep_nontrivial(e) == ball_rep_nontrivial(e, 3) == e.rep.has_nontrivial()
+            assert ball_rep_nontrivial(e, 3) == e.rep.has_nontrivial()
 
     def test_a9_window(self):
         spec = a9_spec(q1=2, p2=0)
@@ -804,6 +800,30 @@ class TestVerdictCost:
         assert len(verdicts) > 40 and any(v.unbounded == UNBOUNDED for v in verdicts)
         assert lookups[0] == counts[0][1]
 
+    def test_a_built_ball_is_judged_without_evaluation(self, kernel_calls, call_counts):
+        # the build checks the trivial-type roots; after it, analyze and unbounded_verdict read the
+        # stated reps of the true 3-ball spectrum (degree l at each root of degree l) and scan nothing
+        x_max = 12.0
+        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1))] + sorted(
+            (
+                SpectrumEntry(x * x, SO2Rep.irr(l) if l else SO2Rep.trivial(1))
+                for l in range(int(x_max) + 1)
+                for x in radial_roots_up_to(l, 3, x_max)
+            ),
+            key=lambda e: e.eigenvalue,
+        )
+        spec = a9_spec(q1=2, p2=2, domain=BallDomain(entries, dim=3))
+        roots = call_counts(symbif.spectral, "radial_roots_up_to")
+        kernel_calls.reset()
+        top = entries[-1].eigenvalue
+        verdicts = analyze(spec, (-top, top))
+        reports = [unbounded_verdict(spec, e, sign) for e in entries[1:] for sign in (1, -1)]
+        assert len(verdicts) == 2 * len(entries) - 1 and sum(v.unbounded == UNBOUNDED for v in verdicts) == 34
+        assert [r.verdict for r in reports] == [
+            UNBOUNDED if e.rep.has_nontrivial() else NO_VERDICT for e in entries[1:] for _ in (1, -1)
+        ]
+        assert (roots[0], kernel_calls.total) == (0, 0)
+
     def test_no_verdict_record_per_candidate(self, domain, call_counts):
         # glob and the unboundedness parities are decided without a GlobCheck or an
         # UnboundedReport per candidate; only the candidate at 0 asks check_glob_zero,
@@ -811,7 +831,7 @@ class TestVerdictCost:
         globs = call_counts(GlobCheck, "__init__")
         reports = call_counts(UnboundedReport, "__init__")
         certificates = call_counts(symbif.bifurcation, "unbounded_verdict")
-        nontrivial = call_counts(DiskDomain, "rep_nontrivial")
+        nontrivial = call_counts(SO2Rep, "has_nontrivial")
         verdicts = analyze(a9_spec(q1=2, p2=2, domain=domain), (-1200.0, 1200.0))
         assert len(verdicts) > 300 and any(v.unbounded == UNBOUNDED for v in verdicts)
         assert (globs[0], reports[0], certificates[0]) == (1, 0, 0)

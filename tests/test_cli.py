@@ -151,8 +151,8 @@ class TestAnalyze:
         assert "InsufficientSpectrum" in proc.stderr and "Weyl" in proc.stderr
 
     def test_huge_ball_eigenvalue_is_refused_not_run(self, tmp_path):
-        # the trivial-type test of the eigenvalue 1e12 would scan the ball's
-        # radial roots up to x ~ 1e6; the root range stops it before any evaluation
+        # the build's check of the trivial-type roots up to the eigenvalue 1e12 would scan
+        # the ball's radial roots up to x ~ 1e6; the root range stops it before any evaluation
         entries = [
             {"eigenvalue": 0.0, "rep": {"trivial": 1, "irr": {}}},
             {"eigenvalue": 1e12, "rep": {"trivial": 0, "irr": {"1": 1}}},
@@ -163,6 +163,51 @@ class TestAnalyze:
         proc = self.analyze_process(cfg)
         assert proc.returncode == 2
         assert "InsufficientSpectrum" in proc.stderr and "supported range" in proc.stderr
+
+
+def ball3_entries(x_max: float) -> list[dict]:
+    """The 3-ball spectrum up to x_max^2 as entry documents: degree l at each root of degree l, trivial at l = 0."""
+    items = [(0.0, 0)] + sorted(
+        (x * x, l) for l in range(int(x_max) + 1) for x in symbif.radial_roots_up_to(l, 3, x_max)
+    )
+    return [{"eigenvalue": a, "rep": {"irr": {str(l): 1}} if l else {"trivial": 1}} for a, l in items]
+
+
+class TestSuppliedBall:
+    """A supplied ball spectrum is checked against its trivial-type roots once, when it is built."""
+
+    def config(self, tmp_path, entries) -> str:
+        system = {**A9_SYSTEM, "p2": 2, "b2": [{"value": 1, "mult": 2}]}
+        system["domain"] = {"type": "ball", "dim": 3, "entries": entries}
+        cfg = tmp_path / "ball.json"
+        cfg.write_text(json.dumps({"system": system, "window": [-60.0, 60.0]}))
+        return str(cfg)
+
+    def test_true_spectrum_is_analyzed(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "analyze", "--config", self.config(tmp_path, ball3_entries(8.5)))
+        assert (code, err) == (0, "") and "Unbounded" in out and "20.190729" in out
+
+    @pytest.mark.parametrize("change", ["declared-irr", "dropped"])
+    def test_first_trivial_eigenvalue_missing_is_exit_1(self, capsys, tmp_path, change):
+        # the trivial entry at the first trivial-type eigenvalue, declared irr(1) in its place
+        # or left out: either once exited 0, now the build names that eigenvalue
+        entries = ball3_entries(8.5)
+        at = next(i for i, e in enumerate(entries) if e["eigenvalue"] and "trivial" in e["rep"])
+        if change == "dropped":
+            del entries[at]
+        else:
+            entries[at]["rep"] = {"irr": {"1": 1}}
+        code, out, err = run_cli(capsys, "analyze", "--config", self.config(tmp_path, entries))
+        assert (code, out) == (1, "") and err == (
+            "symbif: ValidationError: the supplied 3-ball spectrum has no trivial summand at 20.19072855642663, "
+            "a squared trivial-type root\n"
+        )
+
+    def test_trivial_summand_off_the_roots_is_exit_1(self, capsys, tmp_path):
+        entries = ball3_entries(8.5)
+        entries.insert(3, {"eigenvalue": 16.0, "rep": {"trivial": 1}})
+        code, _, err = run_cli(capsys, "analyze", "--config", self.config(tmp_path, entries))
+        assert code == 1 and "has a trivial summand at 16.0, no squared trivial-type root" in err
 
 
 class TestLambdaSet:
@@ -349,10 +394,11 @@ class TestRabinowitz:
     def test_enumerate_refuses_before_any_index(self, capsys, tmp_path, call_counts, domain, a9, err):
         # the refusal of more than 20 members follows lambda_set at once, after
         # the errors the first index would raise: one sort of the spectral pairs
-        if domain == "ball":
+        if domain == "ball":  # irr(1) at 1, ..., 299, and the trivial-type eigenvalues below 299 the build checks
+            trivial = [{"eigenvalue": x * x, "rep": {"trivial": 1}} for x in symbif.radial_roots_up_to(0, 3, 299**0.5)]
             entries = [{"eigenvalue": 0.0, "rep": {"trivial": 1}}]
-            entries += [{"eigenvalue": float(k), "rep": {"irr": {"1": 1}}} for k in range(1, 300)]
-            domain = {"type": "ball", "dim": 3, "entries": entries}
+            entries += [{"eigenvalue": float(k), "rep": {"irr": {"1": 1}}} for k in range(1, 300)] + trivial
+            domain = {"type": "ball", "dim": 3, "entries": sorted(entries, key=lambda e: e["eigenvalue"])}
         system = {**A9_SYSTEM, "p2": 2, "b2": [{"value": 1, "mult": 2}], "domain": domain, "a9": a9}
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"system": system, "window": [-200, 200]}))

@@ -752,15 +752,30 @@ class TestBallNontrivial:
             ball_rep_nontrivial(SpectrumEntry(1.0, SO2Rep.zero()), 2)
 
     def test_none_cache_is_one_fresh_cache(self, kernel_calls):
-        # cache=None spells "a fresh cache", as the default does: the domain keeps it, so the
-        # second test reads the trivial-type roots the first one scanned
-        zero = SpectrumEntry(0.0, SO2Rep.trivial(1))
-        domain = BallDomain([zero], dim=3, cache=None)
-        entry = SpectrumEntry(40.0, SO2Rep.trivial(1))  # no angular index: the radial test runs
-        assert domain.rep_nontrivial(entry)
+        # cache=None spells "a fresh cache", as the default does: the domain keeps it, so a
+        # request after the build reads the trivial-type roots the build scanned
+        root = neumann_radial_roots(0, 3, 1)[0]
+        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1)), SpectrumEntry(root * root, SO2Rep.trivial(1))]
+        kernel_calls.reset()
+        domain = BallDomain([*entries, SpectrumEntry(40.0, SO2Rep.irr(1))], dim=3, cache=None)
         scanned = kernel_calls.total
         assert scanned > 0 and domain.cache.get(3, 0)
-        assert domain.rep_nontrivial(entry) and kernel_calls.total == scanned
+        assert radial_roots_up_to(0, 3, math.sqrt(40.0), cache=domain.cache) == [root]
+        assert kernel_calls.total == scanned
+
+    def test_true_spectrum_states_what_the_radial_test_finds(self):
+        # on the 3-ball spectrum from scipy's zeros of j_l', the rep each entry states is
+        # nontrivial exactly where the radial test finds no trivial-type root
+        x_max = 12.0
+        items = [(0.0, SO2Rep.trivial(1))] + sorted(
+            (x * x, SO2Rep.trivial(1) if l == 0 else SO2Rep.irr(l))
+            for l in range(int(x_max) + 1)
+            for x in spherical_jp_zeros(l, x_max)
+        )
+        entries = BallDomain([SpectrumEntry(a, rep) for a, rep in items], dim=3).entries
+        assert len(entries) == len(items) > 20 and sum(not e.rep.has_nontrivial() for e in entries) == 4
+        for e in entries:
+            assert ball_rep_nontrivial(e, 3) == e.rep.has_nontrivial(), e.eigenvalue
 
 
 def _doc(entries):
@@ -843,10 +858,12 @@ class TestCustomSpectrum:
 
 
 A = 7.25
-#: (eigenvalue, rep) lists that the one supplied-spectrum rule merges to [0, A (irr(1) + 2 irr(2)), 9]
+#: the first trivial-type eigenvalue of the 3-ball, so the ball spectra below are true up to their top
+T = 20.19072855642663
+#: (eigenvalue, rep) lists that the one supplied-spectrum rule merges to [0, A (irr(1) + 2 irr(2)), T]
 MERGED_ALIKE = {
-    "near-duplicate": [(0.0, (1, {})), (A, (0, {1: 1})), (A * (1 + 1e-9), (0, {2: 2})), (9.0, (1, {}))],
-    "reversal-within-tolerance": [(0.0, (1, {})), (A * (1 + 1e-9), (0, {2: 2})), (A, (0, {1: 1})), (9.0, (1, {}))],
+    "near-duplicate": [(0.0, (1, {})), (A, (0, {1: 1})), (A * (1 + 1e-9), (0, {2: 2})), (T, (1, {}))],
+    "reversal-within-tolerance": [(0.0, (1, {})), (A * (1 + 1e-9), (0, {2: 2})), (A, (0, {1: 1})), (T, (1, {}))],
 }
 
 
@@ -867,7 +884,7 @@ class TestOneSuppliedRule:
         built, read = _supplied(kind, MERGED_ALIKE[case])
         assert built() == read()
         assert [(e.eigenvalue, e.rep) for e in built().entries] == [
-            (0.0, SO2Rep.trivial(1)), (A, SO2Rep(0, {1: 1, 2: 2})), (9.0, SO2Rep.trivial(1))
+            (0.0, SO2Rep.trivial(1)), (A, SO2Rep(0, {1: 1, 2: 2})), (T, SO2Rep.trivial(1))
         ]
 
     @pytest.mark.parametrize("kind", ["custom", "ball"])

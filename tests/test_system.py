@@ -399,12 +399,14 @@ class TestLinearization:
 
     @pytest.mark.parametrize("kind", ["ball", "custom"])
     def test_supplied_domains(self, kind):
-        # rows per entry, B1 then B2; an eigenspace's dimension is 2 per irreducible
-        # unless the custom domain's irr_dims say otherwise (here 5 for label 3)
+        # rows per entry, B1 then B2; an eigenspace's dimension is 2 per irreducible unless the
+        # custom domain's irr_dims say otherwise (here 5 for label 3); the trivial summand sits at
+        # the first trivial-type eigenvalue t of the 3-ball, so the ball spectrum is true up to its top
+        t = 20.19072855642663
         entries = [
             SpectrumEntry(0.0, SO2Rep.trivial(1)),
             SpectrumEntry(4.0, SO2Rep.irr(3)),
-            SpectrumEntry(9.0, SO2Rep(2, {1: 1})),
+            SpectrumEntry(t, SO2Rep(2, {1: 1})),
         ]
         domain = BallDomain(entries, dim=3) if kind == "ball" else CustomDomain(entries, irr_dim_table={3: 5})
         spec = SystemSpec(p1=1, p2=1, sigma_b1={2: 1}, sigma_b2={1: 1}, domain=domain)
@@ -413,7 +415,7 @@ class TestLinearization:
         assert rows == [
             (-4.0, 1, "B1", False), (-2.0, 1, "B2", False),
             (0.0, dim_4, "B1", True), (-6.0 / 5.0, dim_4, "B2", False),
-            (5.0 / 10.0, 4, "B1", False), (-11.0 / 10.0, 4, "B2", False),
+            ((t - 4.0) / (1.0 + t), 4, "B1", False), ((-t - 2.0) / (1.0 + t), 4, "B2", False),
         ]
 
 
