@@ -418,6 +418,8 @@ class RootCache(_Record):
     temporary file beside the target and renames it over the target, so a
     reader sees the old file or the new one, never a partial write;
     ``grown`` tells a caller whether a loaded cache needs saving at all.
+    ``records`` and ``get`` hand out copies, so no caller changes a stored
+    record.
     """
 
     _fields = ("records",)
@@ -425,27 +427,32 @@ class RootCache(_Record):
     def __init__(self, records: dict[tuple[int, int], list[float]] | None = None) -> None:
         if records is not None and not isinstance(records, dict):
             raise ValidationError(f"root cache records must map (dim, l) to a root list, got {type(records).__name__}")
-        self.records = {key: _cached_roots(key, roots) for key, roots in (records or {}).items()}
+        self._records = {key: _cached_roots(key, roots) for key, roots in (records or {}).items()}
         self.grown = False  # whether put() added roots since construction
 
+    @property
+    def records(self) -> dict[tuple[int, int], list[float]]:
+        """A copy of the records, (dim, l) -> roots."""
+        return {key: list(roots) for key, roots in self._records.items()}
+
     def get(self, dim: int, l: int) -> list[float]:
-        return self.records.get((dim, l), [])
+        return list(self._records.get((dim, l), ()))
 
     def covers(self, dim: int, l: int, x_max: float) -> bool:
         """Whether the roots kept for (dim, l) reach past ``x_max``, so a scan to it needs no evaluation."""
-        cached = self.records.get((dim, l))
+        cached = self._records.get((dim, l))
         return bool(cached) and x_max <= cached[-1]
 
     def put(self, dim: int, l: int, roots: Sequence[float]) -> None:
         roots = _cached_roots((dim, l), roots)
-        if roots != self.records.get((dim, l)):
-            self.records[(dim, l)] = roots
+        if roots != self._records.get((dim, l)):
+            self._records[(dim, l)] = roots
             self.grown = True
 
     def to_json(self) -> dict:
         recs = []
-        for (dim, l) in sorted(self.records):
-            for i, x in enumerate(self.records[(dim, l)], start=1):
+        for (dim, l) in sorted(self._records):
+            for i, x in enumerate(self._records[(dim, l)], start=1):
                 recs.append([dim, l, i, x])
         return {
             "schema_version": CACHE_SCHEMA_VERSION,
@@ -488,15 +495,15 @@ class RootCache(_Record):
             return cls(), True
 
 
-def _cached_roots(key, roots) -> list[float]:
+def _cached_roots(key, roots) -> tuple[float, ...]:
     """The roots of the cache record ``key`` = (dim, l) as floats, or ValidationError (see :class:`RootCache`)."""
     if not isinstance(key, tuple) or len(key) != 2 or not isinstance(roots, (list, tuple)):
         raise ValidationError(f"a root cache record is (dim, l): [root, ...], got {_show(key)}: {type(roots).__name__}")
     dim, l = key
     if 2 * _int(l, "cached l", 0) + _int(dim, "cached dim", 2) - 2 > 2 * MAX_ROOT_X:  # 2 nu: no float overflow
         raise ValidationError(f"the order nu = l + (dim - 2)/2 of cached record {_show(key)} lies above {MAX_ROOT_X}")
-    out = [_real(x, "cached root") for x in roots]
-    if not all(a < b for a, b in zip([0.0, *out], out)):
+    out = tuple(_real(x, "cached root") for x in roots)
+    if not all(a < b for a, b in zip((0.0, *out), out)):
         raise ValidationError(f"the cached roots of {_show(key)} must be positive and strictly increasing")
     return out
 

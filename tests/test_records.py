@@ -165,6 +165,11 @@ class _Unequal:
     """A value no field equals."""
 
 
+def stored(cls, field: str) -> str:
+    """The instance attribute behind ``field``: ``_field`` when a read-only property hands the field out."""
+    return f"_{field}" if isinstance(vars(cls).get(field), property) else field
+
+
 def with_attr(record, name, value):
     """A record of the same class and attributes as ``record`` except ``name``."""
     out = object.__new__(type(record))
@@ -184,9 +189,11 @@ def test_repr_and_signature(cls, fields, ignored, signature, text, make):
 def test_equality_reads_exactly_the_fields(cls, fields, ignored, signature, text, make):
     record = make()
     assert record == make() and not record != make()
-    assert sorted(vars(record)) == sorted(fields + ignored)
+    assert sorted(vars(record)) == sorted([stored(cls, name) for name in fields] + list(ignored))
     for name in fields:
-        changed = with_attr(record, name, _Unequal())
+        # a field behind a property is changed through its stored attribute, emptied, as the property reads it
+        attr = stored(cls, name)
+        changed = with_attr(record, attr, _Unequal() if attr == name else type(vars(record)[attr])())
         assert record != changed and changed != record, name
     for name in ignored:
         assert record == with_attr(record, name, _Unequal()), name

@@ -1381,6 +1381,18 @@ class TestRootCache:
         with pytest.raises(ValidationError):
             neumann_radial_roots(0, 2, 2, cache=RootCache({(2, 0): [9.0, 1.0]}))
 
+    def test_no_record_changes_outside_the_cache(self):
+        # records hands out a copy: an unchecked list written into it never reaches a root call
+        cache = RootCache()
+        cache.records[(2, 0)] = [9.0, 1.0, 20.0]
+        assert cache.records == {} and radial_roots_up_to(0, 2, 5.0, cache=cache) == [3.831705970207512]
+
+    def test_no_root_list_handed_out_is_the_stored_one(self):
+        # get hands out a copy: a root inserted into it is not served
+        cache = RootCache({(2, 0): [3.0, 7.0]})
+        cache.get(2, 0).insert(0, 8.0)
+        assert neumann_radial_roots(0, 2, 2, cache=cache) == [3.0, 7.0] and cache.get(2, 0) == [3.0, 7.0]
+
     def test_records_keep_float_roots(self):
         cache = RootCache({(2, 0): (4, 7.5)})
         assert cache.records == {(2, 0): [4.0, 7.5]} and all(type(x) is float for x in cache.get(2, 0))
