@@ -24,8 +24,9 @@ built, against one scan of the trivial-type roots: their squares up to its
 top are exactly its nonzero eigenvalues with a trivial summand, or
 ValidationError; past x = ``MAX_ROOT_X`` the scan raises InsufficientSpectrum.
 ``irr_dim_table`` maps an irreducible's label to its real dimension (None:
-all 2); only a custom domain sets one.  A ``cache`` of None is a fresh
-in-memory :class:`RootCache`, and any other must be one.
+all 2); a custom domain may set one, and a ball's gives degree l the
+dimension C(l+N-1, N-1) - C(l+N-3, N-1) of its harmonics.  A ``cache`` of
+None is a fresh in-memory :class:`RootCache`, and any other must be one.
 
 Root finding is one scan for every (l, N): sign-change bracketing on a
 fixed pi/8 lattice, then safeguarded Newton inside each bracket
@@ -707,7 +708,7 @@ class DiskDomain(_Record):
 class _SuppliedDomain(_Record):
     """Base for domains whose spectrum is user-supplied and finite; equal when the entries are."""
 
-    irr_dim_table = None  # a ball's harmonic dimension tables are out of scope; CustomDomain may set one
+    irr_dim_table = None  # a ball computes its own; CustomDomain may set one
     _fields = ("entries",)
 
     def __init__(self, entries: list[SpectrumEntry]) -> None:
@@ -774,6 +775,13 @@ class BallDomain(_SuppliedDomain):
             if not close(alpha, root):  # the smaller one is unmatched
                 off = f"a trivial summand at {alpha!r}, no" if alpha < root else f"no trivial summand at {root!r}, a"
                 raise ValidationError(f"the supplied {n}-ball spectrum has {off} squared trivial-type root")
+
+    @property
+    def irr_dim_table(self) -> dict[int, int]:
+        """C(l+N-1, N-1) - C(l+N-3, N-1), the real dimension of the degree-l harmonics, per degree l in the spectrum."""
+        n = self.dim
+        degrees = sorted({l for e in self.entries for l in e.rep.irreducibles})
+        return {l: math.comb(l + n - 1, n - 1) - math.comb(l + n - 3, n - 1) for l in degrees}
 
     def to_json(self) -> dict:
         return {**_SuppliedDomain.to_json(self), "dim": self.dim}

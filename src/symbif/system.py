@@ -385,9 +385,10 @@ def linearization_eigenvalues(spec: SystemSpec, lam: float, k_max: int) -> list[
     """
     lam = _real(lam, "lambda0")
     entries = _spec(spec).domain.first_entries(k_max)  # checks k_max
+    irr_dims = spec.domain.irr_dim_table
     out: list[LinearizationEigenvalue] = []
     for e in entries:
-        dim = e.rep.total_dim(spec.domain.irr_dim_table)
+        dim = e.rep.total_dim(irr_dims)
         alpha = e.eigenvalue
         for s, block, sigma in ((1, "B1", spec.sigma_b1), (-1, "B2", spec.sigma_b2)):
             for b, mult in sorted(sigma.items()):

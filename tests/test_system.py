@@ -400,8 +400,9 @@ class TestLinearization:
     @pytest.mark.parametrize("kind", ["ball", "custom"])
     def test_supplied_domains(self, kind):
         # rows per entry, B1 then B2; an eigenspace's dimension is 2 per irreducible unless the
-        # custom domain's irr_dims say otherwise (here 5 for label 3); the trivial summand sits at
-        # the first trivial-type eigenvalue t of the 3-ball, so the ball spectrum is true up to its top
+        # custom domain's irr_dims say otherwise (here 5 for label 3), and on the 3-ball the
+        # degree-l harmonics have dimension 2l + 1; the trivial summand sits at the first
+        # trivial-type eigenvalue t of the 3-ball, so the ball spectrum is true up to its top
         t = 20.19072855642663
         entries = [
             SpectrumEntry(0.0, SO2Rep.trivial(1)),
@@ -411,12 +412,23 @@ class TestLinearization:
         domain = BallDomain(entries, dim=3) if kind == "ball" else CustomDomain(entries, irr_dim_table={3: 5})
         spec = SystemSpec(p1=1, p2=1, sigma_b1={2: 1}, sigma_b2={1: 1}, domain=domain)
         rows = [(r.value, r.multiplicity, r.block, r.vanishes) for r in linearization_eigenvalues(spec, 2.0, 3)]
-        dim_4 = 2 if kind == "ball" else 5
+        dim_4, dim_t = (7, 5) if kind == "ball" else (5, 4)
         assert rows == [
             (-4.0, 1, "B1", False), (-2.0, 1, "B2", False),
             (0.0, dim_4, "B1", True), (-6.0 / 5.0, dim_4, "B2", False),
-            ((t - 4.0) / (1.0 + t), 4, "B1", False), ((-t - 2.0) / (1.0 + t), 4, "B2", False),
+            ((t - 4.0) / (1.0 + t), dim_t, "B1", False), ((-t - 2.0) / (1.0 + t), dim_t, "B2", False),
         ]
+
+    @pytest.mark.parametrize("dim, dims", [(3, {1: 3, 2: 5, 7: 15}), (4, {1: 4, 2: 9, 3: 16}), (5, {1: 5, 2: 14})])
+    def test_ball_multiplicities_are_the_harmonic_dimensions(self, dim, dims):
+        # degree l on the N-ball: C(l+N-1, N-1) - C(l+N-3, N-1), which is 2l + 1 on the 3-ball
+        # and (l + 1)^2 on the 4-ball; read by linearization_eigenvalues, one B1 row per entry
+        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1))]
+        entries += [SpectrumEntry(1.0 + l, SO2Rep.irr(l)) for l in sorted(dims)]
+        spec = SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, domain=BallDomain(entries, dim=dim))
+        rows = linearization_eigenvalues(spec, 0.5, len(entries))
+        assert [r.multiplicity for r in rows] == [1, *(dims[l] for l in sorted(dims))]
+        assert spec.domain.irr_dim_table == dims
 
 
 class TestThreeWayEquivalence:
