@@ -30,6 +30,7 @@ from .errors import (
     _real,
     _Record,
     _show,
+    _window,
 )
 from .spectral import DiskDomain, RootCache
 
@@ -54,7 +55,7 @@ class AnalysisConfig(_Record):
             return _real(value, what, finite=False, error=SchemaError, invalid=ValidationError)
 
         if window is not None:
-            lo, hi = window = tuple(real(w, "window entry") for w in window)
+            lo, hi = window = tuple(real(w, "window entry") for w in _window(window))
             if not lo < hi:
                 raise ValidationError(f"window must satisfy lo < hi, got {window!r}")
         if spectrum_bound is not None and not real(spectrum_bound, "spectrum_bound") > 0.0:
@@ -338,9 +339,10 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return run(args)
+        if argv is not None and not (isinstance(argv, (list, tuple)) and all(isinstance(w, str) for w in argv)):
+            raise ValidationError(f"argv must be a list of strings, got {_show(argv)}")
+        return run(_build_parser().parse_args(argv))
     except COMPUTATIONAL_ERRORS as exc:
         print(f"symbif: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -163,8 +163,17 @@ def _label_table(table, what: str) -> dict:
     return out
 
 
+def _window(window) -> tuple | list:
+    """``window`` if it is a list or tuple of two items, the bounds (lo, hi); ValidationError otherwise."""
+    if not isinstance(window, (tuple, list)) or len(window) != 2:
+        raise ValidationError(f"window must be a pair (lo, hi), got {_show(window)}")
+    return window
+
+
 def _parse_json(data: str | bytes, what: str):
-    """The JSON document in ``data`` (bytes are UTF-8); SchemaError for anything Python's json cannot read."""
+    """The JSON document in text or UTF-8 ``data``: SchemaError if json cannot read it, ValidationError if neither."""
+    if not isinstance(data, (str, bytes)):
+        raise ValidationError(f"{what} must be JSON text, got {type(data).__name__}")
     try:
         return json.loads(data if isinstance(data, str) else data.decode("utf-8"))
     # bad text, bad UTF-8 and integer literals over 4,300 digits raise ValueError, deep nesting RecursionError

@@ -34,7 +34,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 
 from . import _EXPORTS
-from .errors import NotAMember, SchemaError, ValidationError, _bool, _int, _object, _real, _Record, _show
+from .errors import NotAMember, SchemaError, ValidationError, _bool, _int, _object, _real, _Record, _show, _window
 from .euler import SO2Rep
 from .spectral import MERGE_REL, BallDomain, CustomDomain, DiskDomain, SpectrumEntry, close, domain_from_json
 
@@ -214,9 +214,7 @@ def _spectral_pairs(spec: SystemSpec, window: tuple[float, float]):
     inside.  Raises InsufficientSpectrum when that reach lies beyond the
     loaded spectrum.
     """
-    if not isinstance(window, (tuple, list)) or len(window) != 2:
-        raise ValidationError(f"window must be a pair (lo, hi), got {_show(window)}")
-    lo, hi = (_real(w, "window entry", finite=False) for w in window)
+    lo, hi = (_real(w, "window entry", finite=False) for w in _window(window))
     if lo > hi:
         raise ValidationError(f"window must satisfy lo <= hi, got {window!r}")
     blocks = _spec(spec)._blocks()

@@ -10,10 +10,11 @@ no other module tests for bools or checks a JSON object by hand.  A record state
 ``_fields``; only the base ``errors._Record`` compares and prints records.  "A fresh one" has one
 spelling, the default ``None``: every other default is a plain immutable value.  The representation class has one public
 name, ``SO2Rep``, in the package root and in ``symbif.euler``.  No source line of the package is longer
-than 120 characters.  A public function of ``system``, ``bifurcation``, ``euler``, ``morse`` or ``spectral`` given a
-plain ``object()`` for any required argument, or for an item of a sequence argument, refuses it with the package's
-own error, never AttributeError or TypeError.  Whether an eigenspace is nontrivial is read off its stated
-representation alone: no module but ``ball_rep_nontrivial``'s own lines names ``rep_nontrivial``.
+than 120 characters.  A public function of ``system``, ``bifurcation``, ``euler``, ``morse``, ``spectral`` or ``cli``
+given a plain ``object()`` for any required argument, or for an item of a sequence argument, refuses it with the
+package's own error, never AttributeError or TypeError, and so does ``cli.AnalysisConfig`` for any argument.  Whether
+an eigenspace is nontrivial is read off its stated representation alone: no module but ``ball_rep_nontrivial``'s
+own lines names ``rep_nontrivial``.
 """
 
 import importlib
@@ -194,6 +195,7 @@ def _valid_arguments() -> dict:
         "a": {"SO2": 1}, "b": {"Z2": 1}, "table": {"SO2": "SO2", "Z2": "Z2"},
         "order": 1, "x": 2.0, "angular_index": 1, "dim": 3, "x_max": 5.0, "max_eigenvalue": 10.0,
         "source": {"domain": "custom", "entries": [{"eigenvalue": 0.0, "rep": {"trivial": 1}}]},
+        "text": '{"schema_version": 1}',
     }
 
 
@@ -246,8 +248,8 @@ def _with_an_object(value):
 
 
 @pytest.mark.parametrize(
-    "module, least", [(system, 10), (bifurcation, 10), (euler, 3), (morse, 10), (spectral, 16)],
-    ids=["system", "bifurcation", "euler", "morse", "spectral"],
+    "module, least", [(system, 10), (bifurcation, 10), (euler, 3), (morse, 10), (spectral, 16), (cli, 1)],
+    ids=["system", "bifurcation", "euler", "morse", "spectral", "cli"],
 )
 def test_an_object_for_any_required_argument_is_refused(module, least):
     # each argument is checked once where a call first reads it, and so is each item of a
@@ -259,6 +261,8 @@ def test_an_object_for_any_required_argument_is_refused(module, least):
         if not inspect.isfunction(fn):
             continue
         required = [p.name for p in inspect.signature(fn).parameters.values() if p.default is p.empty]
+        if not required:  # nothing to sweep; cli.main would read the process's own argv
+            continue
         given = {r: VALID_FOR.get((name, r), valid.get(r)) for r in required}
         fn(**given)  # the call works as given
         for arg in required:
@@ -273,3 +277,46 @@ def test_an_object_for_any_required_argument_is_refused(module, least):
                 else:
                     leaks.append(f"{name}({arg}{where}=object()) returned")
     assert tried >= least and leaks == []
+
+
+def test_an_object_for_any_config_argument_is_refused():
+    # AnalysisConfig checks each argument where it is built, and build_spec the system document:
+    # object() there, in an item of the window, or a window of another length than two is refused
+    given = {"system": _valid_arguments()["doc"], "window": (-5.0, 5.0), "output_format": "table", "spectrum_bound": 9.0}
+
+    def build(**arguments):
+        return cli.AnalysisConfig(**arguments).build_spec(spectral.RootCache())
+
+    build(**given)  # the call works as given
+    cases = [(arg, where, wrong) for arg in given for where, wrong in _with_an_object(given[arg])]
+    cases += [("window", f" of {len(w)}", w) for w in ((), (1.0,), (1, 2, 3))]
+    leaks = []
+    for arg, where, wrong in cases:
+        try:
+            build(**{**given, arg: wrong})
+        except errors.Error:
+            continue
+        except Exception as exc:  # noqa: BLE001 - what leaks is the finding
+            leaks.append(f"AnalysisConfig({arg}{where}): {type(exc).__name__}")
+        else:
+            leaks.append(f"AnalysisConfig({arg}{where}) returned")
+    assert len(cases) == 9 and leaks == []
+
+
+@pytest.mark.parametrize("window", [object(), (1.0,), (1, 2, 3)], ids=["object", "one", "three"])
+def test_a_config_window_that_is_no_pair_gets_the_analysis_message(window):
+    with pytest.raises(errors.ValidationError, match=r"^window must be a pair \(lo, hi\), got "):
+        cli.AnalysisConfig(window=window)
+    with pytest.raises(errors.ValidationError, match=r"^window must be a pair \(lo, hi\), got "):
+        system._spectral_pairs(system.SystemSpec(p1=1, p2=0, sigma_b1={1: 1}), window)
+
+
+@pytest.mark.parametrize("argv", [object(), [object()], ["analyze", 5], "analyze"], ids=["object", "item", "int", "str"])
+def test_an_argv_that_is_no_list_of_words_is_exit_1(argv, capsys):
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("symbif: ValidationError: argv must be a list of strings, got ")
+
+
+def test_a_report_that_is_no_text_is_a_validation_error():
+    with pytest.raises(errors.ValidationError, match="^report must be JSON text, got object$"):
+        cli.parse_report(object())
