@@ -1,10 +1,13 @@
-"""Boundary fuzz: a malformed number or count in a config is a package error, never a traceback.
+"""Boundary fuzz: a malformed number or count in a config, or a malformed argv, is a package error, never a traceback.
 
-Each example takes one CLI run that works, replaces one numeric or count
-field of its config with a hostile JSON value, and runs ``main([...])`` in
-process.  The run must end in exit status 0, 1 or 2; any exception that
-escapes ``main`` (it maps every ``symbif.errors.Error`` to a status) fails
-the example, and so does a run that outlives its deadline.
+Each example of the config fuzz takes one CLI run that works, replaces one
+numeric or count field of its config with a hostile JSON value, and runs
+``main([...])`` in process.  The argv fuzz draws a subcommand and flags, with
+real numbers in many spellings and paths that are missing, directories or
+files of the wrong kind.  A run must end in exit status 0, 1 or 2 (argparse
+ends a usage error or ``--help`` in SystemExit with that status); any other
+exception that escapes ``main`` (it maps every ``symbif.errors.Error`` to a
+status) fails the example, and so does a run that outlives its deadline.
 """
 
 import contextlib
@@ -34,7 +37,7 @@ A9_DISK = {
     "a9": True,
 }
 DISK = {"system": A9_DISK, "window": [-12, 12], "spectrum_bound": 40}
-# no angular indices, so the a9 unboundedness check runs the ball's radial test
+# a true 3-ball spectrum up to 40: its one trivial-type eigenvalue there carries the trivial summand
 BALL = {
     "system": {
         **A9_DISK,
@@ -242,3 +245,110 @@ def test_colliding_rep_labels_in_a_config_are_exit_1(config_path):
         code = main(["analyze", "--config", str(config_path)])
     assert (code, out.getvalue()) == (1, "")
     assert err.getvalue().startswith("symbif: SchemaError: ") and "name the same label" in err.getvalue()
+
+
+#: real numbers as a user may spell them on the command line; every finite one is at most 2,000 in size,
+#: so no run asks for an eigenvalue above 2,000, and the infinite ones are refused before any evaluation
+REAL_WORDS = st.one_of(
+    st.sampled_from(["inf", "-inf", "nan", "-nan", "1e400", "-1e400", "abc", "", "1_0", "0x1p3", " 2", "+.5", "5."]),
+    st.sampled_from(["-0", "1e-320", "2e3", "-2e3", "3.3899577166932745", "-3.3899577166932745", "20.1907285564"]),
+    st.integers(-2000, 2000).map(str),
+    st.integers(-200, 200).map(str),
+    st.floats(-2000.0, 2000.0).map(repr),
+    st.floats(-2000.0, 2000.0).map(lambda v: f"{v:e}"),
+)
+#: the words each flag may take: a list strategy, so a flag may also get too few or too many
+FLAG_WORDS = {
+    "--config": st.sampled_from(["disk.json", "ball.json", "custom.json", "missing.json", "folder", "orbits.json"]),
+    "--window": st.one_of(st.lists(REAL_WORDS, min_size=2, max_size=2), st.lists(REAL_WORDS, min_size=1, max_size=3)),
+    "--format": st.sampled_from(["table", "structured", "xml"]),
+    "--max-eigenvalue": REAL_WORDS,
+    "--cache": st.sampled_from(["roots.json", "garbage.json", "folder", "no-such-folder/roots.json"]),
+    "--lambda": REAL_WORDS,
+    "--indices": st.sampled_from(["indices.json", "disk.json", "missing.json", "folder"]),
+    "--lambdas": st.lists(REAL_WORDS, max_size=4).map(",".join),
+    "--enumerate": st.just([]),
+    "--orbits": st.sampled_from(["orbits.json", "table.json", "missing.json", "folder"]),
+    "--table": st.sampled_from(["table.json", "orbits.json", "missing.json", "folder"]),
+    "--help": st.just([]),
+    "--no-such-flag": st.just([]),
+}
+#: each subcommand and the flags it takes besides the common ones; the first one it needs, as one of the
+#: three modes of rabinowitz, is given in 9 of 10 examples
+OWN_FLAGS = {
+    "spectrum": [],
+    "lambda-set": [],
+    "analyze": [],
+    "bif": ["--lambda"],
+    "rabinowitz": ["--indices", "--lambdas", "--enumerate"],
+    "morse-degree": ["--orbits", "--table"],
+}
+COMMON_FLAGS = ["--config", "--window", "--format", "--max-eigenvalue", "--cache"]
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A subcommand, a working config in 8 of 10, and up to four flags it takes; in 1 of 10 a stray word as well."""
+    roll = st.integers(0, 9)  # Hypothesis leans to 0, so the rare cases sit at 9
+    command = draw(st.sampled_from(sorted(OWN_FLAGS))) if draw(roll) < 9 else "no-such-command"
+    own = OWN_FLAGS.get(command, [])
+    argv = [command]
+    if draw(roll) < 8:
+        argv += ["--config", draw(st.sampled_from(["disk.json", "ball.json", "custom.json"]))]
+    flags = draw(st.lists(st.sampled_from(COMMON_FLAGS + own), max_size=4))
+    if own and draw(roll) < 9:
+        flags.insert(0, draw(st.sampled_from(own)) if command == "rabinowitz" else own[0])
+    if command == "spectrum" and draw(roll) < 9:
+        flags.insert(0, "--max-eigenvalue")
+    if draw(roll) == 9:
+        flags.append(draw(st.sampled_from(sorted(FLAG_WORDS))))
+    for flag in flags:
+        words = draw(FLAG_WORDS[flag])
+        argv += [flag, *([words] if isinstance(words, str) else words)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_folder(tmp_path_factory):
+    """A folder with the files the argv fuzz names; every other name in FLAG_WORDS is missing or a directory."""
+    folder = tmp_path_factory.mktemp("argv")
+    files = {
+        "disk.json": DISK,
+        "ball.json": BALL,
+        "custom.json": CUSTOM,
+        "indices.json": [{"unit": 1, "cyclic": {"1": -2}}, {"unit": 0, "cyclic": {}}],
+        "orbits.json": [{"class": "Z2", "morse_index": 1}, {"class": "SO2", "morse_index": 0}],
+        "table.json": {"Z2": "Z2", "SO2": "SO2"},
+    }
+    for name, doc in files.items():
+        (folder / name).write_text(json.dumps(doc))
+    (folder / "folder").mkdir()
+    return folder
+
+
+def test_every_argv_file_is_read(argv_folder, monkeypatch):
+    # the files the fuzz names work: the runs below reach the handlers, not only the readers
+    monkeypatch.chdir(argv_folder)
+    for argv in (
+        ["analyze", "--config", "ball.json"],
+        ["rabinowitz", "--indices", "indices.json"],
+        ["morse-degree", "--orbits", "orbits.json", "--table", "table.json"],
+        ["spectrum", "--config", "disk.json", "--cache", "roots.json"],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(argv) == 0, err.getvalue()
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=10), derandomize=True)
+@given(argv=argvs())
+def test_any_argv_ends_in_an_exit_status(argv_folder, deadline, argv):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(argv_folder)
+        (argv_folder / "garbage.json").write_bytes(b"\xff not a cache")
+        with deadline(30, f"main({argv!r}) did not finish within 30 s"):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse: a usage error, or --help
+                    code = exc.code
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), argv
