@@ -273,8 +273,8 @@ FLAG_WORDS = {
     "--help": st.just([]),
     "--no-such-flag": st.just([]),
 }
-#: each subcommand and the flags it takes besides the common ones; the first one it needs, as one of the
-#: three modes of rabinowitz, is given in 9 of 10 examples
+#: each subcommand and the flags it takes besides the common ones; most examples give the one it needs
+#: (the first, or one of the three modes of rabinowitz)
 OWN_FLAGS = {
     "spectrum": [],
     "lambda-set": [],
@@ -288,7 +288,8 @@ COMMON_FLAGS = ["--config", "--window", "--format", "--max-eigenvalue", "--cache
 
 @st.composite
 def argvs(draw) -> list[str]:
-    """A subcommand, a working config in 8 of 10, and up to four flags it takes; in 1 of 10 a stray word as well."""
+    """A subcommand, mostly a real one with a working config and the flag it needs, up to four more flags it
+    takes, and rarely a stray flag."""
     roll = st.integers(0, 9)  # Hypothesis leans to 0, so the rare cases sit at 9
     command = draw(st.sampled_from(sorted(OWN_FLAGS))) if draw(roll) < 9 else "no-such-command"
     own = OWN_FLAGS.get(command, [])
