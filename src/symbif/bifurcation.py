@@ -105,7 +105,7 @@ def check_glob_zero(spec: SystemSpec) -> GlobCheck:
 
 
 def _require_disk(spec: SystemSpec, op: str) -> None:
-    if not isinstance(_spec(spec).domain, DiskDomain):
+    if not isinstance(_spec(spec).domain, DiskDomain) or spec.domain.dim != 2:
         raise UnsupportedDomain(
             f"{op} computes an element of the Euler ring of SO(2) and needs the disk domain; "
             "use check_glob for verdict-level results on other domains"
@@ -357,7 +357,7 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
     if lo <= 0.0 <= hi and not any(close(c, 0.0) for c in candidates[max(at - 1, 0) : at + 1]):
         candidates.insert(at, 0.0)
     kernels = _swept_kernels(entries, blocks, pairs, candidates)
-    exact = spec.a9 and isinstance(spec.domain, DiskDomain)
+    exact = spec.a9 and isinstance(spec.domain, DiskDomain) and spec.domain.dim == 2
     bifs = _a9_sweep(spec, entries, candidates, kernels) if exact else [None] * len(candidates)
     # by lambda0 > 0: whether the parities let a nontrivial E_k0 certify Unbounded (a9 only)
     parity = {True: all(_parities(spec, 1)), False: all(_parities(spec, -1))} if spec.a9 else None

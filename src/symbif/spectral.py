@@ -9,20 +9,22 @@ On the disk (N = 2, c = 0) it is J_l'(x) = 0; the eigenspace for a root
 with l >= 1 is one copy of the rotation-l irreducible (real dimension 2),
 and trivial of dimension 1 for l = 0, together with the eigenvalue 0
 (constants).  On a ball the eigenspace of degree l is a trivial
-SO(N)-representation exactly when l = 0.  The disk spectrum is computed;
-spectra of balls (or of other invariant domains) are supplied by the user,
-as structured documents or as :class:`SpectrumEntry` lists, under one rule
-that the domain applies: ascending order, where a step down within
-``MERGE_REL`` is a tie, and near-coincident eigenvalues merged with their
-representations summed.
+SO(N)-representation exactly when l = 0, and is labelled irr(l).  One loop
+(``disk_spectrum``) computes the spectrum of every N-ball, the disk being
+N = 2, whose l = 0 order (N - 2)/2 is at most ``MAX_ROOT_X``; a larger N is
+refused when the domain is built.  Spectra of other invariant domains (or
+balls) may be supplied as structured documents or :class:`SpectrumEntry`
+lists, under one rule that the domain applies: ascending order, where a step
+down within ``MERGE_REL`` is a tie, and near-coincident eigenvalues merged
+with their representations summed.
 Every eigenspace is a :class:`symbif.euler.SO2Rep`, the package's one
 representation class; an entry's ``rep`` document is ``{"trivial", "irr"}``,
 and ``"rot"`` is accepted in place of ``"irr"`` on input only.  On every
 domain an eigenspace is nontrivial exactly when its stated ``rep`` has a
 nontrivial summand.  A supplied ball spectrum is checked once, when it is
-built, against one scan of the trivial-type roots: their squares up to its
-top are exactly its nonzero eigenvalues with a trivial summand, or
-ValidationError; past x = ``MAX_ROOT_X`` the scan raises InsufficientSpectrum.
+built, against the computed spectrum up to its top: entry by entry, the
+eigenvalues agree within ``MERGE_REL`` and the reps are equal, or
+ValidationError names the first eigenvalue that differs.
 ``irr_dim_table`` maps an irreducible's label to its real dimension (None:
 all 2); a custom domain may set one, and a ball's gives degree l the
 dimension C(l+N-1, N-1) - C(l+N-3, N-1) of its harmonics.  A ``cache`` of
@@ -90,7 +92,8 @@ GRID_STEP = math.pi / 8.0
 CACHE_SCHEMA_VERSION = 1
 #: most distinct disk eigenvalues one request may ask for, by the two-term Weyl
 #: estimate alpha/4 + sqrt(alpha)/2 (10,000 reaches alpha ~ 39,600, x ~ 199,
-#: inside the x <= 200 range the kernels' accuracy is stated for)
+#: inside the x <= 200 range the kernels' accuracy is stated for); the same
+#: estimate bounds every ball, which has fewer (measured for N = 3..12)
 MAX_DISK_ENTRIES = 10_000
 #: largest x a root scan may be asked to reach: the kernels' accuracy is stated
 #: for x <= 200, and every disk request inside MAX_DISK_ENTRIES stays below 199.
@@ -135,6 +138,8 @@ class SpectrumEntry(_Record):
         self.eigenvalue = _real(eigenvalue, "eigenvalue", error=SchemaError, invalid=ValidationError)
         if self.eigenvalue < 0.0:
             raise ValidationError(f"eigenvalue must be nonnegative, got {self.eigenvalue!r}")
+        if not isinstance(rep, SO2Rep):
+            raise ValidationError(f"a spectrum entry's rep must be an SO2Rep, got {_show(rep)}")
         self.rep = rep
 
     def to_json(self) -> dict:
@@ -542,26 +547,30 @@ def _merge_entries(entries: Iterable[SpectrumEntry]) -> list[SpectrumEntry]:
 def disk_spectrum(
     max_eigenvalue: float,
     *,
+    dim: int = 2,
     cache: RootCache | None = None,
 ) -> list[SpectrumEntry]:
-    """Distinct Neumann eigenvalues of the unit disk up to ``max_eigenvalue``.
+    """Distinct Neumann eigenvalues of the unit ``dim``-ball up to ``max_eigenvalue``; dim 2 is the disk.
 
     The zero eigenvalue (constants, trivial of dimension 1) is always present;
-    each positive eigenvalue is the square of a root of J_l' and carries one
-    copy of the rotation-l irreducible (trivial of dimension 1 when l = 0).
-    A request whose Weyl estimate exceeds ``MAX_DISK_ENTRIES`` raises
-    InsufficientSpectrum before any evaluation.  From the first order the
-    cache does not cover, the orders are scanned inside
-    ``_kernels.shared_rows``, so the orders scanned at one lattice point read
-    one recurrence row instead of a pass each; the rows are dropped when the
-    spectrum is built or the build raises.
+    each positive eigenvalue is the square of a root of the degree-l radial
+    condition (J_l' on the disk) and carries irr(l), the rotation-l
+    irreducible on the disk and the degree-l harmonics on a ball (trivial of
+    dimension 1 when l = 0).  A ``dim`` the domains refuse, or a request
+    whose disk Weyl estimate exceeds ``MAX_DISK_ENTRIES``, raises before any
+    evaluation.  From the first order the cache does not cover, the orders
+    are scanned inside ``_kernels.shared_rows``, so the orders scanned at one
+    lattice point read one recurrence row instead of a pass each; the rows
+    are dropped when the spectrum is built or the build raises.
     """
     if not _real(max_eigenvalue, "max_eigenvalue", finite=False) > 0.0:
         raise ValidationError(f"max_eigenvalue must be positive, got {max_eigenvalue!r}")
+    _check_order(0, _int(dim, "ball dimension", 2))  # l = 0 has the least order of any degree
+    name = "disk" if dim == 2 else f"{dim}-ball"
     estimate = max_eigenvalue / 4.0 + math.sqrt(max_eigenvalue) / 2.0
     if estimate > MAX_DISK_ENTRIES:
         raise InsufficientSpectrum(
-            f"the disk spectrum up to {max_eigenvalue!r} has about {estimate:.4g} distinct eigenvalues "
+            f"the {name} spectrum up to {max_eigenvalue!r} has about {estimate:.4g} distinct eigenvalues "
             f"(Weyl estimate), more than the budget of {MAX_DISK_ENTRIES}"
         )
     cache = _root_cache(cache)
@@ -571,12 +580,12 @@ def disk_spectrum(
     with ExitStack() as rows:
         kernels = None
         while l <= x_max + 1.0:
-            if kernels is None and not cache.covers(2, l, x_max):
+            if kernels is None and not cache.covers(dim, l, x_max):
                 # the first order to scan opens the rows, so a spectrum served from the cache loads no kernel
                 from . import _kernels as kernels
 
                 rows.enter_context(kernels.shared_rows(GRID_STEP))
-            roots = radial_roots_up_to(l, 2, x_max, cache=cache)
+            roots = radial_roots_up_to(l, dim, x_max, cache=cache)
             if not roots and l >= 1:
                 break  # first roots increase with l, so higher l find nothing
             rep = SO2Rep.trivial(1) if l == 0 else SO2Rep.irr(l)
@@ -588,28 +597,12 @@ def disk_spectrum(
     return _merge_entries(entries)
 
 
-def ball_rep_nontrivial(
-    entry: SpectrumEntry,
-    dim: int,
-    *,
-    cache: RootCache | None = None,
-) -> bool:
-    """Whether the eigenspace is a nontrivial SO(dim)-representation, dim >= 3.
-
-    True iff sqrt(eigenvalue) is NOT a root of the trivial-type radial test.
-    The constants (eigenvalue 0) are trivial; a declared angular index >= 1
-    short-circuits the numeric test.  A wrong-typed entry raises ValidationError.
-    """
+def ball_rep_nontrivial(entry: SpectrumEntry, dim: int) -> bool:
+    """Whether the eigenspace on the ``dim``-ball, dim >= 3, is nontrivial: its stated rep, as the verdicts read it."""
     _int(dim, "ball_rep_nontrivial dim", 3, DomainError)
     if not isinstance(entry, SpectrumEntry):
         raise ValidationError(f"entry must be a SpectrumEntry, got {_show(entry)}")
-    if close(entry.eigenvalue, 0.0):
-        return False
-    if entry.angular_index is not None:
-        return entry.angular_index >= 1
-    x = math.sqrt(entry.eigenvalue)
-    roots = radial_roots_up_to(0, dim, x + math.pi, cache=cache)
-    return not any(close(entry.eigenvalue, r * r) for r in roots)
+    return entry.rep.has_nontrivial()
 
 
 def _entries_from_docs(raw) -> list[SpectrumEntry]:
@@ -647,28 +640,35 @@ def load_custom_spectrum(source) -> list[SpectrumEntry]:
 
 
 class DiskDomain(_Record):
-    """Unit disk; the spectrum is computed on demand (and memoised).
+    """Unit ``dim``-ball, the disk by default; the spectrum is computed on demand (and memoised).
 
     ``bound``, when set, caps how far the spectrum may be extended; requests
-    beyond it raise :class:`InsufficientSpectrum`.  Two disks are equal when
-    their bounds are; the cache and the memo are neither compared nor shown.
+    beyond it raise :class:`InsufficientSpectrum`.  Two domains are equal when
+    their bounds and dims are; the cache and the memo are neither compared nor shown.
     """
 
-    irr_dim_table = None  # rotation irreducibles all have real dimension 2
-    _fields = ("bound",)
+    _fields = ("bound", "dim")
 
-    def __init__(self, bound: float | None = None, cache: RootCache | None = None) -> None:
+    def __init__(self, bound: float | None = None, cache: RootCache | None = None, dim: int = 2) -> None:
         if bound is not None:
             if not _real(bound, "disk max_eigenvalue", finite=False, error=SchemaError, invalid=ValidationError) > 0:
                 raise ValidationError(f"the disk spectrum bound must be positive, got {bound!r}")
         self.bound = bound
+        self.dim = _int(dim, "ball dimension", 2)
+        _check_order(0, self.dim)
         self.cache = _root_cache(cache)
         self._memo: list[SpectrumEntry] = []
         self._eigenvalues: list[float] = []
         self._memo_bound = -1.0
 
+    @property
+    def irr_dim_table(self) -> dict[int, int] | None:
+        """None on the disk, where every rotation irreducible has real dimension 2; a ball's per computed degree."""
+        return None if self.dim == 2 else _harmonic_dims(self.dim, self._memo)
+
     def to_json(self) -> dict:
-        return {"type": "disk"} if self.bound is None else {"type": "disk", "max_eigenvalue": self.bound}
+        doc = {"type": "disk"} if self.dim == 2 else {"type": "ball", "dim": self.dim}
+        return doc if self.bound is None else {**doc, "max_eigenvalue": self.bound}
 
     def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
         """The computed entries <= alpha_max.
@@ -684,7 +684,7 @@ class DiskDomain(_Record):
             )
         if alpha_max > self._memo_bound:
             target = max(alpha_max, 1.0)
-            self._memo = disk_spectrum(target, cache=self.cache)
+            self._memo = disk_spectrum(target, dim=self.dim, cache=self.cache)
             self._eigenvalues = [e.eigenvalue for e in self._memo]
             self._memo_bound = target
         return self._memo[: bisect_right(self._eigenvalues, alpha_max)]
@@ -712,11 +712,11 @@ class _SuppliedDomain(_Record):
     _fields = ("entries",)
 
     def __init__(self, entries: list[SpectrumEntry]) -> None:
-        wanted = "a supplied spectrum is a list of SpectrumEntry records, each with an SO2Rep as its rep"
+        wanted = "a supplied spectrum is a list of SpectrumEntry records"
         if not isinstance(entries, (list, tuple)):
             raise ValidationError(f"{wanted}, got {_show(entries)}")
-        for e in entries:  # the one check of a rep built in Python: SpectrumEntry, built per disk root, checks none
-            if not isinstance(e, SpectrumEntry) or not isinstance(e.rep, SO2Rep):
+        for e in entries:
+            if not isinstance(e, SpectrumEntry):
                 raise ValidationError(f"{wanted}, got {_show(e)}")
         values = [e.eigenvalue for e in entries]
         for a, b in zip(values, values[1:]):
@@ -768,20 +768,20 @@ class BallDomain(_SuppliedDomain):
         _SuppliedDomain.__init__(self, entries)
         self.dim = n = _int(dim, "ball dimension", 3)
         self.cache = _root_cache(cache)
-        top = self.entries[-1].eigenvalue  # one scan: the claims must be the trivial-type roots' squares up to top
-        roots = radial_roots_up_to(0, n, math.sqrt(top * (1.0 + MERGE_REL)), cache=self.cache)
-        claims = [e.eigenvalue for e in self.entries[1:] if e.rep.trivial_dim]
-        for alpha, root in zip_longest(claims, [x * x for x in roots], fillvalue=math.inf):
-            if not close(alpha, root):  # the smaller one is unmatched
-                off = f"a trivial summand at {alpha!r}, no" if alpha < root else f"no trivial summand at {root!r}, a"
-                raise ValidationError(f"the supplied {n}-ball spectrum has {off} squared trivial-type root")
+        top = self.entries[-1].eigenvalue
+        # every computed eigenvalue up to top (1 + MERGE_REL) is close to top; none lies in (0, 1]
+        computed = disk_spectrum(max(top, 1.0) * (1.0 + MERGE_REL), dim=n, cache=self.cache)
+        for claim, truth in zip_longest(self.entries, computed):
+            if not (claim and truth and close(claim.eigenvalue, truth.eigenvalue) and claim.rep == truth.rep):
+                at = min(e.eigenvalue for e in (claim, truth) if e)  # the smaller one differs
+                said, true = (e.rep.describe() if e and close(e.eigenvalue, at) else "none" for e in (claim, truth))
+                raise ValidationError(
+                    f"the supplied {n}-ball spectrum has {said} at {at!r} where the computed one has {true}"
+                )
 
     @property
     def irr_dim_table(self) -> dict[int, int]:
-        """C(l+N-1, N-1) - C(l+N-3, N-1), the real dimension of the degree-l harmonics, per degree l in the spectrum."""
-        n = self.dim
-        degrees = sorted({l for e in self.entries for l in e.rep.irreducibles})
-        return {l: math.comb(l + n - 1, n - 1) - math.comb(l + n - 3, n - 1) for l in degrees}
+        return _harmonic_dims(self.dim, self.entries)
 
     def to_json(self) -> dict:
         return {**_SuppliedDomain.to_json(self), "dim": self.dim}
@@ -814,6 +814,12 @@ class CustomDomain(_SuppliedDomain):
         return doc
 
 
+def _harmonic_dims(n: int, entries: Iterable[SpectrumEntry]) -> dict[int, int]:
+    """C(l+N-1, N-1) - C(l+N-3, N-1), the real dimension of the degree-l harmonics, per degree l in ``entries``."""
+    degrees = sorted({l for e in entries for l in e.rep.irreducibles})
+    return {l: math.comb(l + n - 1, n - 1) - math.comb(l + n - 3, n - 1) for l in degrees}
+
+
 def domain_from_json(
     doc,
     *,
@@ -822,12 +828,13 @@ def domain_from_json(
 ):
     """Build a domain from its document ``{"type": "disk"|"ball"|"custom", ...}``; ``to_json`` writes it."""
     kind = _object(doc, "domain document", required=("type",))["type"]
-    if kind == "disk":
-        _object(doc, "disk domain", {"type", "max_eigenvalue"})
+    if kind == "disk" or kind == "ball" and "entries" not in doc:
+        needs = ("dim",) if kind == "ball" else ()
+        _object(doc, f"{kind} domain", {"type", "max_eigenvalue", *needs}, needs)
         bound = doc.get("max_eigenvalue", spectrum_bound)
         if bound is None and "max_eigenvalue" in doc:  # null would read as "no bound"
-            raise SchemaError("disk max_eigenvalue None must be a real number")
-        return DiskDomain(bound=bound, cache=cache)
+            raise SchemaError(f"{kind} max_eigenvalue None must be a real number")
+        return DiskDomain(bound=bound, cache=cache, dim=doc.get("dim", 2))
     if kind == "ball":
         _object(doc, "ball domain", {"type", "dim", "entries"}, ("dim",))
         return BallDomain(_entries_from_docs(doc.get("entries")), dim=doc["dim"], cache=cache)

@@ -17,6 +17,10 @@ JSON entries it assembles the verdicts the straightforward way, by linear
 scans for every match, explicit sums of eigenspaces for V(n), degrees as
 products of their base cases and powers as repeated products, with ring
 elements held as (unit, {k: coefficient}) pairs.
+
+:func:`spherical_jp_zeros` and :func:`ball3_spectrum` are a third path for
+the 3-ball: scipy's spherical Bessel functions, bracketed and refined by
+scipy's own root finder.
 """
 
 from __future__ import annotations
@@ -141,6 +145,25 @@ def oracle_radial_roots(l: int, dim: int, count: int, xtol: float = 1e-11) -> tu
         if x_prev > 1000.0:
             raise RuntimeError(f"oracle failed to find {count} roots for (l={l}, dim={dim})")
     return tuple(roots[:count])
+
+
+def spherical_jp_zeros(l: int, x_max: float) -> list[float]:
+    """Zeros in (0, x_max] of scipy's j_l', the 3-ball's radial condition up to the factor sqrt(pi/2x)."""
+    from scipy.optimize import brentq
+    from scipy.special import spherical_jn
+
+    xs = [0.01 * i for i in range(1, int(x_max / 0.01) + 1)]
+    ys = spherical_jn(l, xs, derivative=True)
+    return [
+        brentq(lambda x: spherical_jn(l, x, derivative=True), a, b, xtol=1e-15)
+        for a, b, ya, yb in zip(xs, xs[1:], ys, ys[1:])
+        if ya * yb < 0
+    ]
+
+
+def ball3_spectrum(x_max: float) -> list[tuple[float, int]]:
+    """(eigenvalue, degree) of the 3-ball up to x_max^2 from :func:`spherical_jp_zeros`, the constants first."""
+    return [(0.0, 0)] + sorted((x * x, l) for l in range(int(x_max) + 1) for x in spherical_jp_zeros(l, x_max))
 
 
 # ---------------------------------------------------------------------------

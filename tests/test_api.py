@@ -279,6 +279,36 @@ def test_an_object_for_any_required_argument_is_refused(module, least):
     assert tried >= least and leaks == []
 
 
+def _zero_entry():
+    return spectral.SpectrumEntry(0.0, euler.SO2Rep.trivial(1))
+
+
+#: a working call of each input class, by keyword; every argument is swept, the defaulted ones too
+CONSTRUCTORS = {
+    system.SystemSpec: lambda: dict(
+        p1=1, p2=1, sigma_b1={1: 1}, sigma_b2={2.0: 1}, mu_b0=0, domain=spectral.DiskDomain(), a9=False
+    ),
+    spectral.BallDomain: lambda: dict(entries=[_zero_entry()], dim=3, cache=None),
+    spectral.CustomDomain: lambda: dict(entries=[_zero_entry()], irr_dim_table={1: 2}),
+    spectral.DiskDomain: lambda: dict(bound=50.0, cache=None, dim=3),
+    spectral.RootCache: lambda: dict(records={(2, 1): [1.5]}),
+    spectral.SpectrumEntry: lambda: dict(eigenvalue=2.0, rep=euler.SO2Rep.irr(1), angular_index=1, root_index=1),
+    euler.SO2Rep: lambda: dict(trivial_dim=1, irreducibles={1: 1}),
+    euler.EulerSO2: lambda: dict(unit=1, cyclic={1: 1}),
+    morse.OrbitDatum: lambda: dict(isotropy_class="Z2", morse_index=1),
+}
+
+
+@pytest.mark.parametrize("cls", CONSTRUCTORS, ids=[cls.__name__ for cls in CONSTRUCTORS])
+def test_an_object_for_any_constructor_argument_is_refused(cls):
+    given = CONSTRUCTORS[cls]()
+    assert list(given) == list(inspect.signature(cls).parameters)
+    cls(**given)  # the call works as given
+    for arg in given:
+        with pytest.raises(errors.Error):
+            cls(**{**given, arg: object()})
+
+
 def test_an_object_for_any_config_argument_is_refused():
     # AnalysisConfig checks each argument where it is built, and build_spec the system document:
     # object() there, in an item of the window, or a window of another length than two is refused

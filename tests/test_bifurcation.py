@@ -36,6 +36,7 @@ from symbif import (
     bif_difference,
     check_glob,
     check_glob_zero,
+    disk_spectrum,
     enumerate_zero_sum_subsets,
     kernel_reps,
     lambda_set,
@@ -181,12 +182,12 @@ class TestBifDifference:
         assert bif_difference(spec, -ALPHA2) == -2 * chi(1)
 
     def test_rejects_non_disk(self):
-        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1)), SpectrumEntry(2.0, SO2Rep.irr(1))]
-        spec = SystemSpec(
-            p1=1, p2=0, sigma_b1={1: 1}, sigma_b2={}, domain=BallDomain(entries, dim=3)
-        )
-        with pytest.raises(UnsupportedDomain):
-            bif_difference(spec, 2.0)
+        # a supplied and a computed 3-ball: the closed forms hold on the disk alone
+        entries = disk_spectrum(5.0, dim=3)
+        for domain in (BallDomain(entries, dim=3), DiskDomain(dim=3)):
+            spec = SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, sigma_b2={}, domain=domain)
+            with pytest.raises(UnsupportedDomain):
+                bif_difference(spec, entries[1].eigenvalue)
 
     def test_consistency_with_check_glob(self):
         spec = SystemSpec(
@@ -397,10 +398,11 @@ class TestUnboundedVerdict:
     def test_ball_domain_uses_radial_test(self):
         # a true 3-ball spectrum holds a trivial summand at each squared trivial-type root, which the
         # build checks; the verdict reads the stated trivial rep there
-        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1))]
-        entries += [SpectrumEntry(r * r, SO2Rep.trivial(1)) for r in neumann_radial_roots(0, 3, 2)]
+        entries = disk_spectrum(neumann_radial_roots(0, 3, 2)[-1] ** 2, dim=3)
         spec = a9_spec(q1=2, p2=0, domain=BallDomain(entries, dim=3))
-        assert unbounded_verdict(spec, entries[2], 1).verdict == NO_VERDICT
+        trivial = [e for e in entries[1:] if e.rep == SO2Rep.trivial(1)]
+        assert len(trivial) == 2 and trivial[1] is entries[-1]
+        assert all(unbounded_verdict(spec, e, 1).verdict == NO_VERDICT for e in trivial)
 
 
 class TestSuppliedSpectrumPaths:
@@ -434,23 +436,20 @@ class TestAnalyze:
             assert (v.lambda0, v.glob, v.justification, v.in_lambda) == (0.0, BIFURCATES, J_ZERO_PARITY, True)
 
     def test_ball_trivial_type_roots_scanned_once(self, kernel_calls, call_counts):
-        # the build scans the trivial-type roots once, up to the top eigenvalue, as a scan of its
-        # own to that bound does; the verdicts read the stated reps and evaluate nothing
-        trivial = [r * r for r in neumann_radial_roots(0, 3, 8)]
-        alphas = sorted(trivial + [1.0 + 2.5 * k for k in range(90)])
-        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1))] + [
-            SpectrumEntry(a, SO2Rep.trivial(1) if a in trivial else SO2Rep.irr(1))
-            for a in alphas
-        ]
+        # the build computes the spectrum once, up to the top eigenvalue, with one scan per degree as
+        # a computation of its own to that bound does; the verdicts read the stated reps and evaluate nothing
+        entries = disk_spectrum(1000.0, dim=3)
+        degrees = 1 + max(e.angular_index for e in entries)  # 0, 1, ..., each with a root
         scans = call_counts(symbif.spectral, "_lattice_scan")
         kernel_calls.reset()
         domain = BallDomain(entries, dim=3)
         built = (scans[0], kernel_calls.lattice, kernel_calls.refinement)
-        verdicts = analyze(a9_spec(q1=2, p2=0, domain=domain), (-300.0, 300.0))
+        verdicts = analyze(a9_spec(q1=2, p2=0, domain=domain), (-900.0, 900.0))
         assert len(verdicts) >= 90
-        assert (scans[0], kernel_calls.lattice, kernel_calls.refinement) == built and built[0] == 1
+        assert (scans[0], kernel_calls.lattice, kernel_calls.refinement) == built
+        assert built[0] == degrees + 1  # and the first degree with none
         kernel_calls.reset()
-        radial_roots_up_to(0, 3, math.sqrt(alphas[-1] * (1.0 + MERGE_REL)))
+        disk_spectrum(entries[-1].eigenvalue * (1.0 + 2.0 * MERGE_REL), dim=3)
         assert built[1:] == (kernel_calls.lattice, kernel_calls.refinement)
         for e in entries:
             assert ball_rep_nontrivial(e, 3) == e.rep.has_nontrivial()
@@ -635,15 +634,6 @@ class TestA9Sweep:
 
 KERNEL_REACH = 120.0
 KERNEL_REACH_STEPS = 48  # 1 + 2.5 * 47 = 118.5 < KERNEL_REACH
-_BALL_TRIVIAL = [r * r for r in neumann_radial_roots(0, 3, 4)]
-
-
-def _ball_entries() -> list[SpectrumEntry]:
-    # trivial eigenspaces exactly at the roots of trivial type, so the ball's radial test agrees with the reps
-    alphas = sorted(_BALL_TRIVIAL + [1.0 + 2.5 * k for k in range(KERNEL_REACH_STEPS)])
-    return [SpectrumEntry(0.0, SO2Rep.trivial(1))] + [
-        SpectrumEntry(a, SO2Rep.trivial(1) if a in _BALL_TRIVIAL else SO2Rep.irr(1)) for a in alphas
-    ]
 
 
 def _custom_entries() -> list[SpectrumEntry]:
@@ -708,7 +698,9 @@ class TestKernelSweep:
     def domains(self):
         disk = DiskDomain()
         disk.entries_up_to(KERNEL_REACH)
-        return {"disk": disk, "ball": BallDomain(_ball_entries(), dim=3), "custom": CustomDomain(_custom_entries())}
+        # a supplied ball must be a true spectrum: the build checks it against the computed one
+        ball = BallDomain(disk_spectrum(1.5 * KERNEL_REACH, dim=3), dim=3)
+        return {"disk": disk, "ball": ball, "custom": CustomDomain(_custom_entries())}
 
     def check(self, domain, b1, b2, mu_b0, a9, window):
         spec = SystemSpec(
@@ -781,7 +773,7 @@ class TestVerdictCost:
     def test_unbounded_verdict_reads_the_kernel_lookup(self, domain, call_counts):
         # the eigenspaces unbounded_verdict certifies come from the same walk, so
         # analyze requests the spectrum as often for 33 candidates as for more
-        # than 300, on the disk and on a custom ball spectrum
+        # than 300, on the disk and on a supplied ball spectrum
         lookups = call_counts(DiskDomain, "entries_up_to")
         counts = []
         for w in (100.0, 1200.0):
@@ -790,13 +782,9 @@ class TestVerdictCost:
             counts.append((len(verdicts), lookups[0]))
         assert counts[0][0] == 33 and counts[1][0] > 300
         assert counts[0][1] == counts[1][1] == 1
-        trivial = [r * r for r in neumann_radial_roots(0, 3, 4)]
-        alphas = sorted(trivial + [1.0 + 2.5 * k for k in range(20)])
-        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1))] + [
-            SpectrumEntry(a, SO2Rep.trivial(1) if a in trivial else SO2Rep.irr(1)) for a in alphas
-        ]
+        entries = disk_spectrum(250.0, dim=3)
         lookups = call_counts(BallDomain, "entries_up_to")
-        verdicts = analyze(a9_spec(q1=2, p2=2, domain=BallDomain(entries, dim=3)), (-60.0, 60.0))
+        verdicts = analyze(a9_spec(q1=2, p2=2, domain=BallDomain(entries, dim=3)), (-200.0, 200.0))
         assert len(verdicts) > 40 and any(v.unbounded == UNBOUNDED for v in verdicts)
         assert lookups[0] == counts[0][1]
 

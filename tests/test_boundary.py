@@ -37,22 +37,16 @@ A9_DISK = {
     "a9": True,
 }
 DISK = {"system": A9_DISK, "window": [-12, 12], "spectrum_bound": 40}
-# a true 3-ball spectrum up to 40: its one trivial-type eigenvalue there carries the trivial summand
+# a true 3-ball spectrum up to 40, as the build checks: degree l at each squared root of degree l
 BALL = {
     "system": {
         **A9_DISK,
-        "domain": {
-            "type": "ball",
-            "dim": 3,
-            "entries": [
-                {"eigenvalue": 0, "rep": {"trivial": 1}},
-                {"eigenvalue": 20.19072856, "rep": {"trivial": 1}},
-                {"eigenvalue": 40.0, "rep": {"trivial": 0, "irr": {"1": 1}}},
-            ],
-        },
+        "domain": {"type": "ball", "dim": 3, "entries": [e.to_json() for e in symbif.disk_spectrum(40.0, dim=3)]},
     },
     "window": [0, 21],
 }
+# the same ball, computed
+COMPUTED_BALL = {"system": {**A9_DISK, "domain": {"type": "ball", "dim": 3}}, "window": [0, 21], "spectrum_bound": 40}
 CUSTOM = {
     "system": {
         **A9_DISK,
@@ -98,6 +92,7 @@ CASES = [
         (["analyze"], BALL, path)
         for path in [("window", 1), DOM + ("dim",), ENTRY + ("eigenvalue",), ENTRY + ("rep",), ENTRY + ("rep", "trivial")]
     ],
+    *[(argv, COMPUTED_BALL, DOM + ("dim",)) for argv in (["analyze"], ["spectrum"])],
     *[
         (["analyze"], CUSTOM, path)
         for path in [DOM + ("irr_dims", "1"), ENTRY + ("eigenvalue",), ENTRY + ("rep", "irr", "1")]

@@ -14,6 +14,8 @@ import symbif.system
 from symbif import DomainError, SchemaError, ValidationError
 from symbif.cli import main, parse_report
 
+from oracles import ball3_spectrum
+
 ALPHA2 = 3.3899577166932745  # close enough for --lambda matching (1e-8 relative)
 #: sha256 of the cache file a cold ``spectrum --max-eigenvalue 100 --cache FILE`` writes
 SPECTRUM_100_CACHE_SHA256 = "66f03a0d34391324cd57b9473e17ad506c10f7fb2f3a9c4fa94169899daececa"
@@ -151,8 +153,8 @@ class TestAnalyze:
         assert "InsufficientSpectrum" in proc.stderr and "Weyl" in proc.stderr
 
     def test_huge_ball_eigenvalue_is_refused_not_run(self, tmp_path):
-        # the build's check of the trivial-type roots up to the eigenvalue 1e12 would scan
-        # the ball's radial roots up to x ~ 1e6; the root range stops it before any evaluation
+        # the build's check against the computed spectrum up to the eigenvalue 1e12 would scan
+        # the ball's radial roots up to x ~ 1e6; the entry budget stops it before any evaluation
         entries = [
             {"eigenvalue": 0.0, "rep": {"trivial": 1, "irr": {}}},
             {"eigenvalue": 1e12, "rep": {"trivial": 0, "irr": {"1": 1}}},
@@ -162,7 +164,7 @@ class TestAnalyze:
         cfg.write_text(json.dumps({"system": system, "window": [1.0, 1e12]}))
         proc = self.analyze_process(cfg)
         assert proc.returncode == 2
-        assert "InsufficientSpectrum" in proc.stderr and "supported range" in proc.stderr
+        assert "InsufficientSpectrum: the 3-ball spectrum up to" in proc.stderr and "Weyl" in proc.stderr
 
 
 def ball3_entries(x_max: float) -> list[dict]:
@@ -174,7 +176,7 @@ def ball3_entries(x_max: float) -> list[dict]:
 
 
 class TestSuppliedBall:
-    """A supplied ball spectrum is checked against its trivial-type roots once, when it is built."""
+    """A supplied ball spectrum is checked against the computed one once, when it is built."""
 
     def config(self, tmp_path, entries) -> str:
         system = {**A9_SYSTEM, "p2": 2, "b2": [{"value": 1, "mult": 2}]}
@@ -198,16 +200,56 @@ class TestSuppliedBall:
         else:
             entries[at]["rep"] = {"irr": {"1": 1}}
         code, out, err = run_cli(capsys, "analyze", "--config", self.config(tmp_path, entries))
+        said = "none" if change == "dropped" else "1*irr(1)"
         assert (code, out) == (1, "") and err == (
-            "symbif: ValidationError: the supplied 3-ball spectrum has no trivial summand at 20.19072855642663, "
-            "a squared trivial-type root\n"
+            f"symbif: ValidationError: the supplied 3-ball spectrum has {said} at 20.19072855642663 "
+            "where the computed one has 1*triv\n"
         )
 
     def test_trivial_summand_off_the_roots_is_exit_1(self, capsys, tmp_path):
         entries = ball3_entries(8.5)
         entries.insert(3, {"eigenvalue": 16.0, "rep": {"trivial": 1}})
         code, _, err = run_cli(capsys, "analyze", "--config", self.config(tmp_path, entries))
-        assert code == 1 and "has a trivial summand at 16.0, no squared trivial-type root" in err
+        assert code == 1 and "has 1*triv at 16.0 where the computed one has none" in err
+
+    def test_degree_one_entry_off_the_roots_is_exit_1(self, capsys, tmp_path):
+        # the old check read the trivial summands alone, so an irr(1) entry at 1.0 passed
+        entries = ball3_entries(8.5)
+        entries.insert(1, {"eigenvalue": 1.0, "rep": {"irr": {"1": 1}}})
+        code, out, err = run_cli(capsys, "analyze", "--config", self.config(tmp_path, entries))
+        assert (code, out) == (1, "") and err == (
+            "symbif: ValidationError: the supplied 3-ball spectrum has 1*irr(1) at 1.0 "
+            "where the computed one has none\n"
+        )
+
+
+class TestComputedBall:
+    """A ball document without entries is computed, as the disk is; a supplied one is checked against it."""
+
+    def config(self, tmp_path, domain, window=480.0) -> str:
+        system = {**A9_SYSTEM, "p2": 2, "b2": [{"value": 1, "mult": 2}], "domain": domain}
+        cfg = tmp_path / "ball.json"
+        cfg.write_text(json.dumps({"system": system, "window": [-window, window]}))
+        return str(cfg)
+
+    def test_supplied_and_computed_give_one_table(self, capsys, tmp_path):
+        # supplied from scipy's zeros of j_l', so the eigenvalues differ from the computed ones in the last bits
+        entries = [
+            {"eigenvalue": a, "rep": {"irr": {str(l): 1}} if l else {"trivial": 1}} for a, l in ball3_spectrum(22.0)
+        ]
+        domains = ({"type": "ball", "dim": 3, "entries": entries}, {"type": "ball", "dim": 3})
+        supplied, computed = (run_cli(capsys, "analyze", "--config", self.config(tmp_path, d)) for d in domains)
+        assert supplied == computed and supplied[0] == 0 and len(supplied[1].splitlines()) > 133
+
+    @pytest.mark.parametrize(
+        "entries", [None, [{"eigenvalue": 0.0, "rep": {"trivial": 1}}]], ids=["computed", "supplied"]
+    )
+    def test_dim_past_the_orders_is_exit_1(self, capsys, tmp_path, kernel_calls, entries):
+        # the l = 0 order (403 - 2)/2 lies above the kernels' orders: refused at build, before any evaluation
+        domain = {"type": "ball", "dim": 403, **({"entries": entries} if entries else {})}
+        kernel_calls.reset()
+        code, out, err = run_cli(capsys, "analyze", "--config", self.config(tmp_path, domain, 1.0))
+        assert (code, out, kernel_calls.total) == (1, "", 0) and err.startswith("symbif: DomainError: ")
 
 
 class TestLambdaSet:
@@ -394,11 +436,8 @@ class TestRabinowitz:
     def test_enumerate_refuses_before_any_index(self, capsys, tmp_path, call_counts, domain, a9, err):
         # the refusal of more than 20 members follows lambda_set at once, after
         # the errors the first index would raise: one sort of the spectral pairs
-        if domain == "ball":  # irr(1) at 1, ..., 299, and the trivial-type eigenvalues below 299 the build checks
-            trivial = [{"eigenvalue": x * x, "rep": {"trivial": 1}} for x in symbif.radial_roots_up_to(0, 3, 299**0.5)]
-            entries = [{"eigenvalue": 0.0, "rep": {"trivial": 1}}]
-            entries += [{"eigenvalue": float(k), "rep": {"irr": {"1": 1}}} for k in range(1, 300)] + trivial
-            domain = {"type": "ball", "dim": 3, "entries": sorted(entries, key=lambda e: e["eigenvalue"])}
+        if domain == "ball":  # a true 3-ball spectrum past the window, as the build checks
+            domain = {"type": "ball", "dim": 3, "entries": ball3_entries(299**0.5)}
         system = {**A9_SYSTEM, "p2": 2, "b2": [{"value": 1, "mult": 2}], "domain": domain, "a9": a9}
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"system": system, "window": [-200, 200]}))

@@ -208,8 +208,10 @@ def _check_entries(docs, entries: list[SpectrumEntry]) -> None:
 def _check_domain(doc, domain) -> None:
     assert type(doc) is dict
     kind = doc["type"]
-    if kind == "disk":
-        assert set(doc) <= {"type", "max_eigenvalue"} and type(domain) is DiskDomain
+    if kind == "disk" or kind == "ball" and "entries" not in doc:
+        # the disk, or a computed ball of the stated dim (2 is the disk)
+        assert set(doc) <= {"type", "max_eigenvalue", *(("dim",) if kind == "ball" else ())}
+        assert type(domain) is DiskDomain and _is_int(domain.dim) and domain.dim == doc.get("dim", 2) >= 2
         bound = doc.get("max_eigenvalue")
         assert bound is None or type(bound) in (int, float) and bound > 0
         assert domain.bound == bound and type(domain.bound) is type(bound)

@@ -110,10 +110,10 @@ CASES = [
         lambda: RootCache({(2, 1): [1.5, 5.25]}),
     ),
     (
-        DiskDomain, ("bound",), ("_eigenvalues", "_memo", "_memo_bound", "cache"),
-        "(bound: 'float | None' = None, cache: 'RootCache | None' = None) -> 'None'",
-        "DiskDomain(bound=50.0)",
-        lambda: DiskDomain(bound=50.0),
+        DiskDomain, ("bound", "dim"), ("_eigenvalues", "_memo", "_memo_bound", "cache"),
+        "(bound: 'float | None' = None, cache: 'RootCache | None' = None, dim: 'int' = 2) -> 'None'",
+        "DiskDomain(bound=50.0, dim=3)",
+        lambda: DiskDomain(bound=50.0, dim=3),
     ),
     (
         _SuppliedDomain, ("entries",), ("_eigenvalues",),
@@ -124,8 +124,10 @@ CASES = [
     (
         BallDomain, ("entries", "dim"), ("_eigenvalues", "cache"),
         "(entries: 'list[SpectrumEntry]', dim: 'int' = 3, cache: 'RootCache | None' = None) -> 'None'",
-        f"BallDomain(entries=[{ENTRY_REPRS}], dim=4)",
-        lambda: BallDomain([zero_entry(), rot_entry()], dim=4),
+        # a true 4-ball spectrum, as the build checks: its first nonzero eigenvalue lies above 3.39
+        "BallDomain(entries=[SpectrumEntry(eigenvalue=0.0, rep=SO2Rep(trivial_dim=1, irreducibles={}), "
+        "angular_index=0, root_index=None)], dim=4)",
+        lambda: BallDomain([zero_entry()], dim=4),
     ),
     (
         CustomDomain, ("entries", "irr_dim_table"), ("_eigenvalues",),
@@ -138,7 +140,8 @@ CASES = [
         "(p1: 'int', p2: 'int', sigma_b1: 'dict[float, int] | None' = None, "
         "sigma_b2: 'dict[float, int] | None' = None, mu_b0: 'int' = 0, domain: 'Domain | None' = None, "
         "a9: 'bool' = False) -> 'None'",
-        "SystemSpec(p1=1, p2=1, sigma_b1={1: 1}, sigma_b2={2.0: 1}, mu_b0=0, domain=DiskDomain(bound=50.0), a9=False)",
+        "SystemSpec(p1=1, p2=1, sigma_b1={1: 1}, sigma_b2={2.0: 1}, mu_b0=0, domain=DiskDomain(bound=50.0, dim=2), "
+        "a9=False)",
         lambda: SystemSpec(p1=1, p2=1, sigma_b1={1: 1}, sigma_b2={2.0: 1}, domain=DiskDomain(bound=50.0)),
     ),
     (

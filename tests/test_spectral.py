@@ -36,27 +36,13 @@ from symbif.spectral import (
     GRID_STEP, MAX_DISK_ENTRIES, MAX_ROOT_X, MERGE_REL, ROOT_XTOL, _lattice_scan, close, domain_from_json
 )
 
-from oracles import oracle_radial_roots, radial_condition_mp
+from oracles import ball3_spectrum, oracle_radial_roots, radial_condition_mp, spherical_jp_zeros
 
 
 @lru_cache(maxsize=None)
 def jp_zero(l: int, k: int) -> float:
     """k-th positive zero of J_l' from mpmath (J_0' = -J_1 counts x = 0 out)."""
     return float(mpmath.besseljzero(l, k, derivative=1))
-
-
-def spherical_jp_zeros(l: int, x_max: float) -> list[float]:
-    """Zeros in (0, x_max] of scipy's j_l', the 3-ball's radial condition up to the factor sqrt(pi/2x)."""
-    from scipy.optimize import brentq
-    from scipy.special import spherical_jn
-
-    xs = [0.01 * i for i in range(1, int(x_max / 0.01) + 1)]
-    ys = spherical_jn(l, xs, derivative=True)
-    return [
-        brentq(lambda x: spherical_jn(l, x, derivative=True), a, b, xtol=1e-15)
-        for a, b, ya, yb in zip(xs, xs[1:], ys, ys[1:])
-        if ya * yb < 0
-    ]
 
 
 class TestBesselValues:
@@ -737,15 +723,18 @@ class TestBallNontrivial:
         assert not ball_rep_nontrivial(SpectrumEntry(0.0, SO2Rep.trivial(1)), 3)
 
     def test_labelled_positive_degree(self):
-        e = SpectrumEntry(10.0, SO2Rep.zero(), angular_index=2)
-        assert ball_rep_nontrivial(e, 3)
+        # the stated rep decides, as in the verdicts, not the angular index
+        assert not ball_rep_nontrivial(SpectrumEntry(10.0, SO2Rep.zero(), angular_index=2), 3)
+        assert ball_rep_nontrivial(SpectrumEntry(10.0, SO2Rep.irr(2), angular_index=2), 3)
 
     def test_root_fed_back_is_trivial(self):
         r = neumann_radial_roots(0, 3, 2)[1]
         assert not ball_rep_nontrivial(SpectrumEntry(r * r, SO2Rep.trivial(1)), 3)
 
     def test_generic_eigenvalue_is_nontrivial(self):
-        assert ball_rep_nontrivial(SpectrumEntry(16.0, SO2Rep.zero()), 3)
+        # off every trivial-type root, an eigenspace is nontrivial when its rep has a nontrivial summand
+        assert ball_rep_nontrivial(SpectrumEntry(16.0, SO2Rep.irr(1)), 3)
+        assert not ball_rep_nontrivial(SpectrumEntry(16.0, SO2Rep.zero()), 3)
 
     def test_needs_dim_three(self):
         with pytest.raises(DomainError):
@@ -753,14 +742,15 @@ class TestBallNontrivial:
 
     def test_none_cache_is_one_fresh_cache(self, kernel_calls):
         # cache=None spells "a fresh cache", as the default does: the domain keeps it, so a
-        # request after the build reads the trivial-type roots the build scanned
+        # request after the build reads the roots of every degree the build scanned
+        entries = disk_spectrum(40.0, dim=3)
         root = neumann_radial_roots(0, 3, 1)[0]
-        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1)), SpectrumEntry(root * root, SO2Rep.trivial(1))]
         kernel_calls.reset()
-        domain = BallDomain([*entries, SpectrumEntry(40.0, SO2Rep.irr(1))], dim=3, cache=None)
+        domain = BallDomain(entries, dim=3, cache=None)
         scanned = kernel_calls.total
-        assert scanned > 0 and domain.cache.get(3, 0)
+        assert scanned > 0 and domain.cache.get(3, 0) and domain.cache.get(3, 4)
         assert radial_roots_up_to(0, 3, math.sqrt(40.0), cache=domain.cache) == [root]
+        assert disk_spectrum(40.0, dim=3, cache=domain.cache) == entries
         assert kernel_calls.total == scanned
 
     def test_true_spectrum_states_what_the_radial_test_finds(self):
@@ -776,6 +766,19 @@ class TestBallNontrivial:
         assert len(entries) == len(items) > 20 and sum(not e.rep.has_nontrivial() for e in entries) == 4
         for e in entries:
             assert ball_rep_nontrivial(e, 3) == e.rep.has_nontrivial(), e.eigenvalue
+
+    def test_a_declared_angular_index_does_not_decide(self):
+        # the scipy spectrum with angular_index 0 on each irr entry: the verdicts read the rep, and
+        # so does the radial test, which once let the declared index 0 make an irr entry trivial
+        x_max = 8.5
+        entries = [
+            SpectrumEntry(x * x, SO2Rep.irr(l), angular_index=0)
+            for l in range(1, int(x_max) + 1)
+            for x in spherical_jp_zeros(l, x_max)
+        ]
+        assert len(entries) == 8
+        for e in entries:
+            assert ball_rep_nontrivial(e, 3), e.eigenvalue
 
 
 def _doc(entries):
@@ -867,6 +870,17 @@ MERGED_ALIKE = {
 }
 
 
+#: the first eigenvalues of the 3-ball, degree 1 at B and degree 2 at C, then T
+B, C = 4.332958551429382, 11.169590014604001
+#: lists that the rule merges to the true 3-ball spectrum [0, B irr(1), C irr(2), T], as the build checks it
+BALL_MERGED_ALIKE = {
+    "near-duplicate": [(0.0, (1, {})), (B, (0, {1: 1})), (B * (1 + 1e-9), (0, {})), (C, (0, {2: 1})), (T, (1, {}))],
+    "reversal-within-tolerance": [
+        (0.0, (1, {})), (B * (1 + 1e-9), (0, {})), (B, (0, {1: 1})), (C, (0, {2: 1})), (T, (1, {}))
+    ],
+}
+
+
 def _supplied(kind: str, items) -> tuple:
     """The domain of ``kind`` built in Python from ``items`` and its document, each as a thunk."""
     entries = [SpectrumEntry(a, SO2Rep(*rep)) for a, rep in items]
@@ -881,10 +895,11 @@ class TestOneSuppliedRule:
     @pytest.mark.parametrize("kind", ["custom", "ball"])
     @pytest.mark.parametrize("case", sorted(MERGED_ALIKE))
     def test_python_and_document_give_one_domain(self, kind, case):
-        built, read = _supplied(kind, MERGED_ALIKE[case])
+        built, read = _supplied(kind, (MERGED_ALIKE if kind == "custom" else BALL_MERGED_ALIKE)[case])
         assert built() == read()
+        middle = [(A, SO2Rep(0, {1: 1, 2: 2}))] if kind == "custom" else [(B, SO2Rep.irr(1)), (C, SO2Rep.irr(2))]
         assert [(e.eigenvalue, e.rep) for e in built().entries] == [
-            (0.0, SO2Rep.trivial(1)), (A, SO2Rep(0, {1: 1, 2: 2})), (T, SO2Rep.trivial(1))
+            (0.0, SO2Rep.trivial(1)), *middle, (T, SO2Rep.trivial(1))
         ]
 
     @pytest.mark.parametrize("kind", ["custom", "ball"])
@@ -908,16 +923,19 @@ class TestOneSuppliedRule:
     @pytest.mark.parametrize(
         "entries",
         [
-            [SpectrumEntry(0.0, "x")],
-            [SpectrumEntry(0.0, SO2Rep.trivial(1)), SpectrumEntry(2.0, None), SpectrumEntry(5.0, SO2Rep.trivial(1))],
-            SpectrumEntry(0.0, SO2Rep.trivial(1)),
+            lambda: [SpectrumEntry(0.0, "x")],
+            lambda: [
+                SpectrumEntry(0.0, SO2Rep.trivial(1)), SpectrumEntry(2.0, None), SpectrumEntry(5.0, SO2Rep.trivial(1))
+            ],
+            lambda: SpectrumEntry(0.0, SO2Rep.trivial(1)),
         ],
         ids=["rep-text", "rep-none", "lone-entry"],
     )
     def test_entries_are_checked_as_records(self, domain, entries):
-        # these raised AttributeError or TypeError, or built a domain whose first analyze raised AttributeError
-        with pytest.raises(ValidationError, match="list of SpectrumEntry records"):
-            domain(entries)
+        # these raised AttributeError or TypeError, or built a domain whose first analyze raised AttributeError;
+        # a rep is refused where its entry is built, so no entry of any domain holds one of another type
+        with pytest.raises(ValidationError, match="list of SpectrumEntry records|entry's rep must be an SO2Rep"):
+            domain(entries())
 
 
 class TestClose:
@@ -945,6 +963,77 @@ class TestEntryBudget:
                 disk_spectrum(alpha)
             with pytest.raises(InsufficientSpectrum, match="Weyl"):
                 DiskDomain().entries_up_to(alpha)
+
+
+class TestComputedBall:
+    """The N-ball spectrum from the one loop of ``disk_spectrum``, the disk being its N = 2 case."""
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7])
+    def test_roots_match_the_oracle(self, dim):
+        # degree l at each root of degree l, every root up to x_max and no other
+        x_max = 12.0
+        entries = disk_spectrum(x_max * x_max, dim=dim)
+        degrees = {e.angular_index for e in entries}
+        assert len(entries) > 10 and degrees == set(range(max(degrees) + 1))
+        for l in degrees:
+            got = [math.sqrt(e.eigenvalue) for e in entries if e.angular_index == l and e.root_index]
+            want = oracle_radial_roots(l, dim, len(got) + 1)
+            assert want[-1] > x_max and all(abs(a - b) <= 1e-12 * b for a, b in zip(got, want)), (l, got, want)
+            assert all(e.rep == (SO2Rep.irr(l) if l else SO2Rep.trivial(1)) for e in entries if e.angular_index == l)
+        assert oracle_radial_roots(max(degrees) + 1, dim, 1)[0] > x_max
+
+    def test_three_ball_is_the_zeros_of_spherical_j_prime(self):
+        x_max = 22.0
+        want = ball3_spectrum(x_max)
+        got = disk_spectrum(x_max * x_max, dim=3)
+        assert len(got) == len(want) == 68
+        for e, (alpha, l) in zip(got, want):
+            assert abs(e.eigenvalue - alpha) <= 1e-12 * alpha and e.rep == (SO2Rep.irr(l) if l else SO2Rep.trivial(1))
+
+    def test_no_ball_has_more_entries_than_the_disk(self):
+        # the disk's Weyl estimate is the entry budget of every N
+        disk = len(disk_spectrum(4000.0))
+        counts = [len(disk_spectrum(4000.0, dim=n)) for n in range(3, 13)]
+        assert disk == 525 and counts[0] == 517 and max(counts) <= disk, counts
+
+    def test_a_request_past_the_budget_is_refused_before_any_evaluation(self, kernel_calls):
+        huge = [SpectrumEntry(0.0, SO2Rep.trivial(1)), SpectrumEntry(1e12, SO2Rep.irr(1))]
+        kernel_calls.reset()
+        for request in (
+            lambda: disk_spectrum(4.0 * MAX_DISK_ENTRIES, dim=5),
+            lambda: DiskDomain(dim=3).entries_up_to(4.0 * MAX_DISK_ENTRIES),
+            lambda: BallDomain(huge, dim=3),
+        ):
+            with pytest.raises(InsufficientSpectrum, match=r"the \d+-ball spectrum up to .* \(Weyl estimate\)"):
+                request()
+        assert kernel_calls.total == 0
+
+    def test_dim_past_the_orders_is_refused_at_build(self, kernel_calls):
+        # dim 403 has the l = 0 order 200.5 > MAX_ROOT_X: refused with or without entries, evaluating nothing
+        zero = [SpectrumEntry(0.0, SO2Rep.trivial(1))]
+        kernel_calls.reset()
+        for build in (
+            lambda: DiskDomain(dim=403),
+            lambda: BallDomain(zero, dim=403),
+            lambda: domain_from_json({"type": "ball", "dim": 403}),
+            lambda: disk_spectrum(1.0, dim=403),
+        ):
+            with pytest.raises(DomainError, match="order"):
+                build()
+        assert DiskDomain(dim=402).dim == 402 and BallDomain(zero, dim=402).dim == 402
+        assert kernel_calls.total == 0
+
+    def test_documents_and_the_disk(self):
+        # a ball without entries is computed, as the disk is, and the disk is the 2-ball
+        ball = domain_from_json({"type": "ball", "dim": 5, "max_eigenvalue": 30.0})
+        assert ball == DiskDomain(bound=30.0, dim=5)
+        assert ball.to_json() == {"type": "ball", "dim": 5, "max_eigenvalue": 30.0}
+        assert domain_from_json({"type": "ball", "dim": 2}) == DiskDomain()
+        assert DiskDomain().to_json() == {"type": "disk"}
+        assert ball.entries_up_to(30.0) == disk_spectrum(30.0, dim=5) and DiskDomain().irr_dim_table is None
+        assert ball.irr_dim_table == {1: 5, 2: 14, 3: 30}
+        with pytest.raises(SchemaError, match="unknown keys in disk domain"):
+            domain_from_json({"type": "disk", "dim": 3})
 
 
 class TestEntriesUpToTakesANumber:
@@ -1023,8 +1112,7 @@ class TestRootRange:
                 radial_roots_up_to(0, dim, MAX_ROOT_X * (1.0 + 1e-15))
             with pytest.raises(DomainError):
                 radial_roots_up_to(0, dim, math.nan)
-        with pytest.raises(InsufficientSpectrum, match="supported range"):
-            ball_rep_nontrivial(SpectrumEntry(1e12, SO2Rep.irr(1)), 3)
+        assert ball_rep_nontrivial(SpectrumEntry(1e12, SO2Rep.irr(1)), 3)  # reads the rep, scans nothing
 
     def test_disk_budget_stays_inside_the_range(self):
         # the largest alpha with alpha/4 + sqrt(alpha)/2 <= MAX_DISK_ENTRIES
@@ -1415,9 +1503,8 @@ class TestRootCache:
             lambda cache: BallDomain([SpectrumEntry(0.0, SO2Rep.trivial(1))], 3, cache=cache),
             lambda cache: radial_roots_up_to(0, 2, 5.0, cache=cache),
             lambda cache: neumann_radial_roots(0, 2, 1, cache=cache),
-            lambda cache: ball_rep_nontrivial(SpectrumEntry(20.0, SO2Rep.trivial(1)), 3, cache=cache),
         ],
-        ids=["disk_spectrum", "DiskDomain", "BallDomain", "radial_roots_up_to", "neumann_radial_roots", "ball_test"],
+        ids=["disk_spectrum", "DiskDomain", "BallDomain", "radial_roots_up_to", "neumann_radial_roots"],
     )
     @pytest.mark.parametrize("cache", ["x", 5, {}], ids=["str", "int", "dict"])
     def test_a_cache_argument_is_none_or_a_root_cache(self, call, cache):

@@ -90,6 +90,19 @@ def test_warm_cache_run_loads_only_what_it_runs(tmp_path, argv, absent):
     assert sorted(warm & absent) == []
 
 
+@pytest.mark.parametrize("command", ["spectrum", "analyze"])
+def test_warm_computed_ball_loads_no_kernel_and_keeps_the_cache(tmp_path, command):
+    # the warm rule of a CLI session, on a ball document without entries
+    system = {**A9_DISK["system"], "domain": {"type": "ball", "dim": 3}}
+    (tmp_path / "ball.json").write_text(json.dumps({**A9_DISK, "system": system, "spectrum_bound": 400.0}))
+    argv = [command, "--config", "ball.json", "--cache", "roots.json", "--format", "structured"]
+    assert "symbif._kernels" in loaded_by(argv, tmp_path)  # the cold run filled the cache
+    cached = (tmp_path / "roots.json").read_bytes()
+    warm = loaded_by(argv, tmp_path)
+    assert "symbif.spectral" in warm and "symbif._kernels" not in warm
+    assert (tmp_path / "roots.json").read_bytes() == cached
+
+
 def test_import_loads_no_submodule(tmp_path):
     out = python(["-c", "import sys, symbif; print(*sys.modules)"], tmp_path).stdout.split()
     assert [m for m in out if m.startswith("symbif.")] == []

@@ -18,12 +18,14 @@ from symbif import (
     bif_a9,
     bif_difference,
     check_glob,
+    disk_spectrum,
     epsilon_gap,
     kernel_reps,
     lambda_membership,
     lambda_set,
     linearization_eigenvalues,
     load_custom_spectrum,
+    neumann_radial_roots,
     system_spec_from_json,
 )
 
@@ -168,27 +170,15 @@ class TestSystemSpecJson:
             system_spec_from_json({**self.DOC, key: -1})
 
     def test_ball_domain_round_trip(self):
-        doc = {
-            "p1": 2,
-            "p2": 0,
-            "b1": [{"value": 1, "mult": 2}],
-            "b2": [],
-            "mu_b0": 0,
-            "domain": {
-                "type": "ball",
-                "dim": 4,
-                "entries": [
-                    {"eigenvalue": 0.0, "rep": {"trivial": 1, "irr": {}}},
-                    {"eigenvalue": 7.0, "rep": {"trivial": 0, "irr": {"1": 1}}},
-                ],
-            },
-            "a9": True,
-        }
-        spec = system_spec_from_json(doc)
-        redone = system_spec_from_json(spec.to_json())
-        assert redone.domain.dim == 4
-        assert redone.domain.entries == spec.domain.entries
-        assert redone.to_json() == spec.to_json()
+        # a supplied 4-ball, true up to 7 as the build checks (degree 1 at 5.29), and the computed one
+        supplied = {"type": "ball", "dim": 4, "entries": [e.to_json() for e in disk_spectrum(7.0, dim=4)]}
+        for domain in (supplied, {"type": "ball", "dim": 4}, {"type": "ball", "dim": 4, "max_eigenvalue": 7.0}):
+            doc = {"p1": 2, "p2": 0, "b1": [{"value": 1, "mult": 2}], "b2": [], "domain": domain, "a9": True}
+            spec = system_spec_from_json(doc)
+            redone = system_spec_from_json(spec.to_json())
+            assert redone.domain.dim == 4 and redone.domain == spec.domain
+            assert redone.domain.entries_up_to(5.0) == spec.domain.entries_up_to(5.0)
+            assert redone.to_json() == spec.to_json() and spec.to_json()["domain"] == domain
 
     def test_custom_domain(self):
         doc = {
@@ -401,34 +391,44 @@ class TestLinearization:
     def test_supplied_domains(self, kind):
         # rows per entry, B1 then B2; an eigenspace's dimension is 2 per irreducible unless the
         # custom domain's irr_dims say otherwise (here 5 for label 3), and on the 3-ball the
-        # degree-l harmonics have dimension 2l + 1; the trivial summand sits at the first
-        # trivial-type eigenvalue t of the 3-ball, so the ball spectrum is true up to its top
+        # degree-l harmonics have dimension 2l + 1.  The custom spectrum has irr(3) at 4.0 and a
+        # mixed eigenspace at t; the ball's is the true one up to its first irr(3), as the build checks
         t = 20.19072855642663
-        entries = [
-            SpectrumEntry(0.0, SO2Rep.trivial(1)),
-            SpectrumEntry(4.0, SO2Rep.irr(3)),
-            SpectrumEntry(t, SO2Rep(2, {1: 1})),
-        ]
-        domain = BallDomain(entries, dim=3) if kind == "ball" else CustomDomain(entries, irr_dim_table={3: 5})
+        if kind == "ball":
+            entries, dims = disk_spectrum(20.4, dim=3), [1, 3, 5, 1, 7]
+            domain = BallDomain(entries, dim=3)
+        else:
+            entries = [
+                SpectrumEntry(0.0, SO2Rep.trivial(1)),
+                SpectrumEntry(4.0, SO2Rep.irr(3)),
+                SpectrumEntry(t, SO2Rep(2, {1: 1})),
+            ]
+            dims, domain = [1, 5, 4], CustomDomain(entries, irr_dim_table={3: 5})
         spec = SystemSpec(p1=1, p2=1, sigma_b1={2: 1}, sigma_b2={1: 1}, domain=domain)
-        rows = [(r.value, r.multiplicity, r.block, r.vanishes) for r in linearization_eigenvalues(spec, 2.0, 3)]
-        dim_4, dim_t = (7, 5) if kind == "ball" else (5, 4)
+        lam = entries[1].eigenvalue / 2.0  # the B1 row (b = 2) of the first nonzero eigenvalue vanishes
+        rows = [(r.value, r.multiplicity, r.block, r.vanishes) for r in linearization_eigenvalues(spec, lam, len(dims))]
         assert rows == [
-            (-4.0, 1, "B1", False), (-2.0, 1, "B2", False),
-            (0.0, dim_4, "B1", True), (-6.0 / 5.0, dim_4, "B2", False),
-            ((t - 4.0) / (1.0 + t), dim_t, "B1", False), ((-t - 2.0) / (1.0 + t), dim_t, "B2", False),
+            row
+            for e, d in zip(entries, dims)
+            for row in (
+                ((e.eigenvalue - lam * 2) / (1.0 + e.eigenvalue), d, "B1", e is entries[1]),
+                ((-e.eigenvalue - lam) / (1.0 + e.eigenvalue), d, "B2", False),
+            )
         ]
+        assert rows[2][0] == 0.0 and len(rows) == 2 * len(entries)
 
     @pytest.mark.parametrize("dim, dims", [(3, {1: 3, 2: 5, 7: 15}), (4, {1: 4, 2: 9, 3: 16}), (5, {1: 5, 2: 14})])
     def test_ball_multiplicities_are_the_harmonic_dimensions(self, dim, dims):
         # degree l on the N-ball: C(l+N-1, N-1) - C(l+N-3, N-1), which is 2l + 1 on the 3-ball
-        # and (l + 1)^2 on the 4-ball; read by linearization_eigenvalues, one B1 row per entry
-        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1))]
-        entries += [SpectrumEntry(1.0 + l, SO2Rep.irr(l)) for l in sorted(dims)]
-        spec = SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, domain=BallDomain(entries, dim=dim))
-        rows = linearization_eigenvalues(spec, 0.5, len(entries))
-        assert [r.multiplicity for r in rows] == [1, *(dims[l] for l in sorted(dims))]
-        assert spec.domain.irr_dim_table == dims
+        # and (l + 1)^2 on the 4-ball; read by linearization_eigenvalues, one B1 row per entry of
+        # the true spectrum up to the first root of the highest degree listed, supplied or computed
+        entries = disk_spectrum(neumann_radial_roots(max(dims), dim)[0] ** 2, dim=dim)
+        for domain in (BallDomain(entries, dim=dim), DiskDomain(dim=dim)):
+            spec = SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, domain=domain)
+            rows = linearization_eigenvalues(spec, 0.5, len(entries))
+            table = spec.domain.irr_dim_table
+            assert [r.entry for r in rows] == entries and {l: table[l] for l in dims} == dims
+            assert [r.multiplicity for r in rows] == [table[e.angular_index] if e.angular_index else 1 for e in entries]
 
 
 class TestThreeWayEquivalence:
