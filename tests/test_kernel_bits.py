@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from symbif import _kernels, bessel_j, bessel_j_prime, radial_roots_up_to
+from symbif import _kernels, bessel_j, bessel_j_prime, disk_spectrum, radial_roots_up_to
 from symbif.spectral import GRID_STEP
 
 
@@ -77,6 +77,14 @@ BALL_GOLDEN = {
     (10, 5): "d7b3887e34fd4cdc0479aad3e67850e9acab9712d38ab80aeabd4a629d6659df",
     (1, 10): "26a04b0b33fd788200fa901d5e02b0e01f20c3370d283b5e88153f695b608f5a",
 }
+#: ``disk_spectrum(4000.0, dim=N)`` for the odd balls, one line per entry: the
+#: ``float.hex`` of its eigenvalue and the repr of its rep.  Every degree is
+#: scanned inside ``shared_rows`` with half-integer orders, in all three bands
+ODD_BALL_SPECTRUM_GOLDEN = {
+    3: "17efccedf4546862f9ab13ed2a439cb51c02c171a99c46a7312e4bcdabd36551",
+    5: "97ce8d0f5504081de96fb0813afe43784dd2f2f0c44573bae929d21da80fc747",
+    7: "003d11e2313c7b759e8bd54f6fddf6190b23598c9848e2110b8c89a4173acb45",
+}
 
 
 def _function_values() -> list[float]:
@@ -132,3 +140,10 @@ def test_ball_roots_are_pinned(key):
     roots = radial_roots_up_to(l, dim, 150.5)
     assert len(roots) > 40
     assert _digest(roots) == BALL_GOLDEN[key]
+
+
+@pytest.mark.parametrize("dim", sorted(ODD_BALL_SPECTRUM_GOLDEN))
+def test_odd_ball_spectra_are_pinned(dim):
+    entries = disk_spectrum(4000.0, dim=dim)
+    lines = "\n".join(f"{e.eigenvalue.hex()} {e.rep!r}" for e in entries)
+    assert hashlib.sha256(lines.encode()).hexdigest() == ODD_BALL_SPECTRUM_GOLDEN[dim]
