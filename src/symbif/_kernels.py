@@ -17,10 +17,10 @@ Evaluation strategy for J_nu(x), nu a nonnegative integer or half-integer:
 
 * ``x <= 8``: ascending power series (termwise recurrence; x > 0, as
   ``symbif.spectral.bessel_j`` answers x = 0 itself).
-* ``8 < x < 60``: backward three-term recurrence.  Integer orders are
-  normalized by the even-order sum identity ``J_0 + 2*sum J_{2k} = 1``
-  (DLMF 3.6(vi), 10.12); half-integer orders go through the spherical
-  functions anchored at ``sin(x)/x`` and ``sin(x)/x^2 - cos(x)/x``.
+* ``8 < x < 60``: backward three-term recurrence, a row of orders a pass,
+  normalized by the even-order sum ``J_0 + 2*sum J_{2k} = 1`` (DLMF 3.6(vi),
+  10.12) for integer orders, by the spherical anchors ``sin(x)/x`` and
+  ``sin(x)/x^2 - cos(x)/x`` (DLMF 10.47, 10.51) for half-integer orders.
 * ``x >= 60``: large-argument asymptotic expansion in the phase
   ``x - (nu/2 + 1/4)*pi``; if its terms do not fall below 1e-17 of the sum
   within 50 terms (very large order), fall back to the recurrence.
@@ -33,23 +33,24 @@ converges; for l = 0 that is the band all three values would pick, as
 J_{nu-1} converges whenever J_nu and J_{nu+1} do (checked for 2nu <= 400
 and 60 <= x <= 200 in ``tests/test_spectral.py``).
 
-The integer-order recurrence at x starts above max(n + 1, int(x) + 1), so
-one pass (``_miller_row``) serves every order n <= int(x) at that x.  Inside
-``shared_rows``, which ``symbif.spectral.disk_spectrum`` opens, the row of
-each scan lattice point is kept and read by every disk order scanned there
-(each of them has l <= int(x)); the values are bit-identical to a pass per
-order.  Other points, and every call outside the block, get a pass of their
-own and read only the values asked for.
+Both rows are read alike: J_nu is ``row[i] / s``, i = nu for an integer
+order and nu + 1/2 for a half-integer one (index 0 holds J_{-1/2}; the
+spherical divisor is 1.0).  A pass at x starts above max(i + 1, int(x) + 1),
+so one row of each parity serves every order with i <= int(x).  Inside
+``shared_rows``, which ``symbif.spectral.disk_spectrum`` opens for every
+dim, each scan lattice point keeps its rows for every such order scanned
+there, bit-identical to a pass per order.  Other points, and calls outside
+the block, make a pass of their own and normalize only the values they read.
 
-Both recurrence loops (``_miller_row``, ``_sph3``) store every value and
-pick the orders they need after the loop, and ``_miller_row`` steps in pairs
-(even order, then odd), so no step tests its order or parity.  They make the
-float operations of a step-by-step loop that tests both, in the same order, so
-every value is bit for bit the same (``tests/test_kernel_bits.py`` pins them).
-A value past 1e250 in magnitude rescales, at that step, the carried values,
-the sum and every stored value by 1e-250.  Only an order far above x does
-that (J_199 at x = 8.5, J_{180.5} at x = 9); no disk spectrum within the
-entry budget and no ball scan to x = 199 does.
+Both loops store every value and the orders are read after the loop, and
+``_miller_row`` steps in pairs (even order, then odd), so no step tests its
+order or parity.  They make the float operations of a step-by-step loop
+that tests both, in the same order, so every value is bit for bit the same
+(``tests/test_kernel_bits.py`` pins them).  A value past 1e250 in magnitude
+rescales, at that step, the carried values, the sum and every stored value
+by 1e-250.  Only an order far above x does that (J_199 at x = 8.5,
+J_{180.5} at x = 9); no disk spectrum within the entry budget and no ball
+scan to x = 199 does.
 
 Sampled against mpmath on a grid of x in (0, 200], the composite
 evaluator stays within 3e-13 * max(1, |J_nu(x)|) for integer orders up to
@@ -92,13 +93,13 @@ def _series_j(nu: float, x: float) -> float:
     return s
 
 
-def _miller_row(x: float, m0: int) -> tuple[list[float], float]:
+def _miller_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[list[float], float]:
     """Unnormalized J_0 .. J_m0 at x > 0 and their normalizing sum.
 
     One downward recurrence seeded with a decaying solution far above m0;
     J_k is ``row[k] / s`` by the even-order sum identity.  Every value is
     stored and rescaled with the recurrence, so each quotient depends on x
-    and m0 only.
+    and m0 only; the read divides, so the indices lo .. hi read are all kept.
     """
     top = m0 + 20 + int(2.0 * math.sqrt(m0))
     if top % 2 == 1:
@@ -134,35 +135,17 @@ def _miller_row(x: float, m0: int) -> tuple[list[float], float]:
     return row[: m0 + 1], s
 
 
-#: recurrence rows of the disk spectrum being built: (lattice step, rows by lattice point)
-_shared_rows: ContextVar[tuple[float, dict[float, tuple[list[float], float]]] | None] = ContextVar(
-    "symbif_shared_rows", default=None
-)
+def _sph_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[list[float], float]:
+    """J_{-1/2} .. J_{m0-1/2} at x > 0 with the divisor 1.0: J_{k-1/2} is ``row[k] / 1.0``.
 
-
-@contextmanager
-def shared_rows(step: float) -> Iterator[None]:
-    """Let every order read one recurrence row per lattice point ``i * step`` inside the block.
-
-    The rows live in the current context only and are dropped when the block
-    exits, by return or by an exception.
+    Downward recurrence on the spherical j_k (J_{k+1/2}, index k + 1), rescaled
+    against the larger of the anchors j_0 = sin(x)/x, j_1 = sin(x)/x^2 - cos(x)/x;
+    index 0 holds the closed form of J_{-1/2}.  Only indices lo .. hi (default
+    m0) are normalized, so a read at three indices pays for three.
     """
-    token = _shared_rows.set((step, {}))
-    try:
-        yield
-    finally:
-        _shared_rows.reset(token)
-
-
-def _sph3(n: int, x: float) -> tuple[float, float, float]:
-    """(J_{nu-1}, J_nu, J_{nu+1}) for nu = n + 1/2, x > 0, via spherical functions.
-
-    Downward recurrence on j_k, rescaled against whichever of the closed-form
-    anchors j_0 = sin(x)/x, j_1 = sin(x)/x^2 - cos(x)/x is larger.
-    """
+    cos = math.cos(x)
     s0 = math.sin(x) / x
-    s1 = s0 / x - math.cos(x) / x
-    m0 = max(n + 2, int(x) + 1)
+    s1 = s0 / x - cos / x
     top = m0 + 20 + int(2.0 * math.sqrt(m0))
     # f_{k-1} = ((2k + 1)/x) f_k - f_{k+1}; t is the float 2k + 1, exact, and
     # f_k is row[-1 - k] once the loop ends
@@ -179,12 +162,32 @@ def _sph3(n: int, x: float) -> tuple[float, float, float]:
             row[:] = [v * 1e-250 for v in row]
     scale = s0 / row[-1] if abs(s0) >= abs(s1) else s1 / row[-2]
     c = math.sqrt(2.0 * x / math.pi)
-    out_n = c * row[-1 - n] * scale
-    out_p = c * row[-2 - n] * scale
-    if n == 0:
-        # nu - 1 = -1/2 has a closed form
-        return c * math.cos(x) / x, out_n, out_p
-    return c * row[-n] * scale, out_n, out_p
+    row.append(0.0)
+    row.reverse()
+    for k in range(lo, (m0 if hi is None else hi) + 1):
+        row[k] = c * row[k] * scale
+    row[0] = c * cos / x
+    return row, 1.0
+
+
+#: recurrence rows of the spectrum being built: (lattice step, rows by lattice point, integer then half-integer)
+_shared_rows: ContextVar[tuple[float, tuple[dict[float, tuple[list[float], float]], ...]] | None] = ContextVar(
+    "symbif_shared_rows", default=None
+)
+
+
+@contextmanager
+def shared_rows(step: float) -> Iterator[None]:
+    """Let every order read one recurrence row per lattice point ``i * step`` inside the block.
+
+    The rows live in the current context only and are dropped when the block
+    exits, by return or by an exception.
+    """
+    token = _shared_rows.set((step, ({}, {})))
+    try:
+        yield
+    finally:
+        _shared_rows.reset(token)
 
 
 def _asym_j(nu: float, x: float) -> tuple[float, bool]:
@@ -230,8 +233,8 @@ def _radial_condition(l: float, dim: int, x: float) -> tuple[float, float]:
     (DLMF 10.6.2) is -J_{nu+1} exactly, J_{nu-1} is not computed; on the disk
     (c = 0) f is J_l', the package's one formula for J', for an integer or
     half-integer l >= 0.  The zeros of f and g interlace.  The band is chosen
-    here, as the module docstring states; an integer order nu <= int(x) reads
-    the shared row of a lattice point inside ``shared_rows``.
+    here, as the module docstring states; an order whose row index i is at
+    most int(x) reads the shared row of a lattice point inside ``shared_rows``.
     """
     c = 0.5 * (dim - 2)
     nu = l + c
@@ -248,25 +251,21 @@ def _radial_condition(l: float, dim: int, x: float) -> tuple[float, float]:
             jm, ok_m = _asym_j(nu - 1.0, x)
             if ok_m:
                 return 0.5 * (jm - jp) - (c / x) * jn, jn
-    if nu != math.floor(nu):
-        jm, jn, jp = _sph3(int(nu - 0.5), x)
+    i = int(nu + 0.5)  # J_nu is row[i] / s
+    row_of = _miller_row if i == nu else _sph_row
+    m0 = int(x) + 1
+    shared = _shared_rows.get()
+    if shared is not None and i < m0 and round(x / shared[0]) * shared[0] == x:
+        rows = shared[1][i != nu]
+        if x not in rows:
+            rows[x] = row_of(x, m0)
+        row, s = rows[x]
     else:
-        n = int(nu)
-        m0 = int(x) + 1
-        shared = _shared_rows.get()
-        if shared is not None and n < m0 and round(x / shared[0]) * shared[0] == x:
-            rows = shared[1]
-            if x not in rows:
-                rows[x] = _miller_row(x, m0)
-            row, s = rows[x]
-        else:
-            row, s = _miller_row(x, max(n + 1, m0))
-        jn, jp = row[n] / s, row[n + 1] / s
-        if l:
-            jm = row[n - 1] / s
+        row, s = row_of(x, max(i + 1, m0), i - 1, i + 1)
+    jn, jp = row[i] / s, row[i + 1] / s
     if l == 0:
         return -jp, jn
-    return 0.5 * (jm - jp) - (c / x) * jn, jn
+    return 0.5 * (row[i - 1] / s - jp) - (c / x) * jn, jn
 
 
 def _bisect_radial(l: int, dim: int, a: float, fa: float, b: float, fb: float, xtol: float) -> float:

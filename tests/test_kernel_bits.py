@@ -129,6 +129,22 @@ def test_kernel_values_are_pinned():
     assert _digest(values) == KERNEL_GOLDEN
 
 
+def test_odd_ball_rows_are_shared_bit_for_bit():
+    # half-integer orders at the lattice points read one spherical row per point
+    # inside ``shared_rows``, with the bits of a pass of their own
+    def values():
+        return [
+            v.hex() for x in LATTICE_XS for dim in (3, 5, 7) for l in (1, 3, 10) for v in _kernels._radial_condition(l, dim, x)
+        ]
+
+    outside = values()
+    with _kernels.shared_rows(GRID_STEP):
+        inside = values()
+        integer_rows, half_rows = _kernels._shared_rows.get()[1]
+    assert inside == outside
+    assert not integer_rows and sorted(half_rows) == sorted(LATTICE_XS)
+
+
 def test_ball_condition_values_are_pinned():
     values = [v for l, dim in BALL_CONDITIONS for x in CONDITION_XS for v in _kernels._radial_condition(l, dim, x)]
     assert _digest(values) == BALL_CONDITION_GOLDEN

@@ -289,6 +289,22 @@ class TestInterlacingCheck:
         assert kernel_calls.total == 5_818
         assert passes[0] <= 1_600  # 5,705 with a pass per order and point
 
+    def test_odd_ball_orders_share_one_spherical_row_per_lattice_point(self, kernel_calls, monkeypatch):
+        real = _kernels._sph_row
+        passes = []
+
+        def counted(x, m0, lo=0, hi=None):
+            passes.append((x, hi))
+            return real(x, m0, lo, hi)
+
+        monkeypatch.setattr(_kernels, "_sph_row", counted)
+        disk_spectrum(4000.0, dim=3)
+        assert kernel_calls.total == 7_067
+        assert len(passes) <= 1_800  # 6,766 with a pass per order and point
+        shared = [x for x, hi in passes if hi is None]  # the full rows, kept in ``shared_rows``
+        assert len(shared) > 100 and len(set(shared)) == len(shared)
+        assert all(x == round(x / GRID_STEP) * GRID_STEP for x in shared)
+
     def test_rows_live_only_while_the_spectrum_is_built(self, monkeypatch):
         real = _kernels._radial_condition
         tables = []
@@ -298,11 +314,14 @@ class TestInterlacingCheck:
             return real(l, dim, x)
 
         monkeypatch.setattr(_kernels, "_radial_condition", spy)
-        disk_spectrum(777.0)
-        step, rows = tables[-1]
-        assert step == GRID_STEP and len(rows) > 40
-        assert all(x == round(x / GRID_STEP) * GRID_STEP and x > 8.0 for x in rows)
-        assert _kernels._shared_rows.get() is None
+        # the disk's integer orders fill the first table, the 3-ball's half-integer orders the second
+        for dim, kept in ((2, 0), (3, 1)):
+            disk_spectrum(777.0, dim=dim)
+            step, tables_by_parity = tables[-1]
+            rows = tables_by_parity[kept]
+            assert step == GRID_STEP and len(rows) > 40 and not tables_by_parity[1 - kept]
+            assert all(x == round(x / GRID_STEP) * GRID_STEP and x > 8.0 for x in rows)
+            assert _kernels._shared_rows.get() is None
 
     def test_rows_are_dropped_when_the_build_raises(self, monkeypatch):
         # the planted fault of test_hidden_pair_raises_instead_of_dropping_roots,
@@ -318,7 +337,7 @@ class TestInterlacingCheck:
         monkeypatch.setattr(_kernels, "_radial_condition", hidden_pair)
         with pytest.raises(ConvergenceError, match="interlace"):
             disk_spectrum(800.0)
-        assert tables[-1][1]
+        assert tables[-1][1][0]
         assert _kernels._shared_rows.get() is None
 
     def test_disk_spectrum_evaluation_budget(self, kernel_calls):
