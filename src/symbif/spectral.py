@@ -556,12 +556,15 @@ def disk_spectrum(
     each positive eigenvalue is the square of a root of the degree-l radial
     condition (J_l' on the disk) and carries irr(l), the rotation-l
     irreducible on the disk and the degree-l harmonics on a ball (trivial of
-    dimension 1 when l = 0).  A ``dim`` the domains refuse, or a request
-    whose disk Weyl estimate exceeds ``MAX_DISK_ENTRIES``, raises before any
-    evaluation.  From the first order the cache does not cover, the orders
-    are scanned inside ``_kernels.shared_rows``, so the orders scanned at one
-    lattice point read one recurrence row instead of a pass each; the rows
-    are dropped when the spectrum is built or the build raises.
+    dimension 1 when l = 0).  A ``dim`` the domains refuse, a request whose
+    disk Weyl estimate exceeds ``MAX_DISK_ENTRIES``, or one past
+    sqrt(l(l+dim)) for the least degree l whose order exceeds ``MAX_ROOT_X``
+    raises before any evaluation; below that, no such degree is scanned.  From
+    the first order the cache does not cover, the orders are scanned inside
+    ``_kernels.shared_rows``, so the integer orders (even dim) or half-integer
+    orders (odd dim) scanned at one lattice point read one recurrence row
+    instead of a pass each; the rows are dropped when the spectrum is built or
+    the build raises.
     """
     if not _real(max_eigenvalue, "max_eigenvalue", finite=False) > 0.0:
         raise ValidationError(f"max_eigenvalue must be positive, got {max_eigenvalue!r}")
@@ -573,13 +576,19 @@ def disk_spectrum(
             f"the {name} spectrum up to {max_eigenvalue!r} has about {estimate:.4g} distinct eigenvalues "
             f"(Weyl estimate), more than the budget of {MAX_DISK_ENTRIES}"
         )
+    cut = (int(2 * MAX_ROOT_X) + 2 - dim) // 2 + 1  # the least l with l + (dim - 2)/2 > MAX_ROOT_X
+    if cut * (cut + dim) < max_eigenvalue:
+        raise InsufficientSpectrum(
+            f"the {name} spectrum up to {max_eigenvalue!r} reaches degree {cut}, whose order "
+            f"{cut + 0.5 * (dim - 2)} lies above the supported orders <= {MAX_ROOT_X}"
+        )
     cache = _root_cache(cache)
     x_max = math.sqrt(max_eigenvalue)
     entries = [SpectrumEntry(0.0, SO2Rep.trivial(1), angular_index=0, root_index=None)]
     l = 0
     with ExitStack() as rows:
         kernels = None
-        while l <= x_max + 1.0:
+        while l < cut and l <= x_max + 1.0:
             if kernels is None and not cache.covers(dim, l, x_max):
                 # the first order to scan opens the rows, so a spectrum served from the cache loads no kernel
                 from . import _kernels as kernels

@@ -1042,6 +1042,22 @@ class TestComputedBall:
         assert DiskDomain(dim=402).dim == 402 and BallDomain(zero, dim=402).dim == 402
         assert kernel_calls.total == 0
 
+    def test_degrees_past_the_orders_are_refused_at_once_or_never_scanned(self, kernel_calls):
+        # on the 300-ball, degree 52 (order 201) is the least past MAX_ROOT_X and
+        # 52 * 352 < 30,000, so its roots may lie below sqrt(30,000): refused at once
+        kernel_calls.reset()
+        for request in (lambda: disk_spectrum(30000.0, dim=300), lambda: DiskDomain(dim=300).entries_up_to(30000.0)):
+            with pytest.raises(InsufficientSpectrum, match="degree 52, whose order 201.0 lies above"):
+                request()
+        assert kernel_calls.total == 0
+        # on the 200-ball that degree is 102, whose roots lie above sqrt(102 * 302):
+        # refused just past 102 * 302, and not scanned up to it
+        with pytest.raises(InsufficientSpectrum, match="degree 102, whose order 201.0"):
+            disk_spectrum(math.nextafter(102.0 * 302.0, math.inf), dim=200)
+        assert kernel_calls.total == 0
+        entries = disk_spectrum(102.0 * 302.0, dim=200)
+        assert max(e.angular_index for e in entries) == 101 and entries[-1].eigenvalue <= 102.0 * 302.0
+
     def test_documents_and_the_disk(self):
         # a ball without entries is computed, as the disk is, and the disk is the 2-ball
         ball = domain_from_json({"type": "ball", "dim": 5, "max_eigenvalue": 30.0})
