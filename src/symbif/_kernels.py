@@ -99,7 +99,7 @@ def _miller_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[
     One downward recurrence seeded with a decaying solution far above m0;
     J_k is ``row[k] / s`` by the even-order sum identity.  Every value is
     stored and rescaled with the recurrence, so each quotient depends on x
-    and m0 only; the read divides, so the indices lo .. hi read are all kept.
+    and m0 only; lo and hi, the indices a caller reads, change nothing.
     """
     top = m0 + 20 + int(2.0 * math.sqrt(m0))
     if top % 2 == 1:
@@ -180,8 +180,8 @@ _shared_rows: ContextVar[tuple[float, tuple[dict[float, tuple[list[float], float
 def shared_rows(step: float) -> Iterator[None]:
     """Let every order read one recurrence row per lattice point ``i * step`` inside the block.
 
-    The rows live in the current context only and are dropped when the block
-    exits, by return or by an exception.
+    A point keeps a row per parity once read; the rows live in the current
+    context only and are dropped when the block exits, by return or by raising.
     """
     token = _shared_rows.set((step, ({}, {})))
     try:

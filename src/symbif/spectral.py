@@ -557,12 +557,11 @@ def disk_spectrum(
     condition (J_l' on the disk) and carries irr(l), the rotation-l
     irreducible on the disk and the degree-l harmonics on a ball (trivial of
     dimension 1 when l = 0).  A ``dim`` the domains refuse, a request whose
-    disk Weyl estimate exceeds ``MAX_DISK_ENTRIES``, or one past
-    sqrt(l(l+dim)) for the least degree l whose order exceeds ``MAX_ROOT_X``
-    raises before any evaluation; below that, no such degree is scanned.  From
-    the first order the cache does not cover, the orders are scanned inside
-    ``_kernels.shared_rows``, so the integer orders (even dim) or half-integer
-    orders (odd dim) scanned at one lattice point read one recurrence row
+    disk Weyl estimate exceeds ``MAX_DISK_ENTRIES``, or one past l(l+dim) for
+    the least degree l whose order exceeds ``MAX_ROOT_X`` raises before any
+    evaluation; no such degree is scanned.  From the first order the cache
+    does not cover, the orders are scanned inside ``_kernels.shared_rows``, so
+    the orders of any dim scanned at one lattice point read one recurrence row
     instead of a pass each; the rows are dropped when the spectrum is built or
     the build raises.
     """
@@ -579,8 +578,7 @@ def disk_spectrum(
     cut = (int(2 * MAX_ROOT_X) + 2 - dim) // 2 + 1  # the least l with l + (dim - 2)/2 > MAX_ROOT_X
     if cut * (cut + dim) < max_eigenvalue:
         raise InsufficientSpectrum(
-            f"the {name} spectrum up to {max_eigenvalue!r} reaches degree {cut}, whose order "
-            f"{cut + 0.5 * (dim - 2)} lies above the supported orders <= {MAX_ROOT_X}"
+            f"the {name} spectrum up to {max_eigenvalue!r} reaches degree {cut}, of order above {MAX_ROOT_X}"
         )
     cache = _root_cache(cache)
     x_max = math.sqrt(max_eigenvalue)

@@ -132,14 +132,10 @@ def test_kernel_values_are_pinned():
 def test_odd_ball_rows_are_shared_bit_for_bit():
     # half-integer orders at the lattice points read one spherical row per point
     # inside ``shared_rows``, with the bits of a pass of their own
-    def values():
-        return [
-            v.hex() for x in LATTICE_XS for dim in (3, 5, 7) for l in (1, 3, 10) for v in _kernels._radial_condition(l, dim, x)
-        ]
-
-    outside = values()
+    points = [(l, dim, x) for x in LATTICE_XS for dim in (3, 5, 7) for l in (1, 3, 10)]
+    outside = [v.hex() for p in points for v in _kernels._radial_condition(*p)]
     with _kernels.shared_rows(GRID_STEP):
-        inside = values()
+        inside = [v.hex() for p in points for v in _kernels._radial_condition(*p)]
         integer_rows, half_rows = _kernels._shared_rows.get()[1]
     assert inside == outside
     assert not integer_rows and sorted(half_rows) == sorted(LATTICE_XS)

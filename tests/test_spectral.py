@@ -1046,13 +1046,16 @@ class TestComputedBall:
         # on the 300-ball, degree 52 (order 201) is the least past MAX_ROOT_X and
         # 52 * 352 < 30,000, so its roots may lie below sqrt(30,000): refused at once
         kernel_calls.reset()
-        for request in (lambda: disk_spectrum(30000.0, dim=300), lambda: DiskDomain(dim=300).entries_up_to(30000.0)):
-            with pytest.raises(InsufficientSpectrum, match="degree 52, whose order 201.0 lies above"):
+        for request in (
+            lambda: disk_spectrum(30000.0, dim=300),
+            lambda: DiskDomain(dim=300).entries_up_to(30000.0),
+        ):
+            with pytest.raises(InsufficientSpectrum, match="degree 52, of order above 200.0"):
                 request()
         assert kernel_calls.total == 0
         # on the 200-ball that degree is 102, whose roots lie above sqrt(102 * 302):
         # refused just past 102 * 302, and not scanned up to it
-        with pytest.raises(InsufficientSpectrum, match="degree 102, whose order 201.0"):
+        with pytest.raises(InsufficientSpectrum, match="degree 102, of order above 200.0"):
             disk_spectrum(math.nextafter(102.0 * 302.0, math.inf), dim=200)
         assert kernel_calls.total == 0
         entries = disk_spectrum(102.0 * 302.0, dim=200)
