@@ -159,3 +159,56 @@ def test_odd_ball_spectra_are_pinned(dim):
     entries = disk_spectrum(4000.0, dim=dim)
     lines = "\n".join(f"{e.eigenvalue.hex()} {e.rep!r}" for e in entries)
     assert hashlib.sha256(lines.encode()).hexdigest() == ODD_BALL_SPECTRUM_GOLDEN[dim]
+
+
+# ---------------------------------------------------------------------------
+# the loops of the windowed kernels against full-row and unhoisted references
+# ---------------------------------------------------------------------------
+
+
+def _asym_reference(nu: float, x: float) -> tuple[float, bool]:
+    """Reference: the large-x expansion with its invariants formed at every term."""
+    mu = 4.0 * nu * nu
+    if mu - 1.0 >= 8.0 * x:
+        return 0.0, False
+    p = 1.0
+    q = 0.0
+    t = 1.0
+    ok = False
+    sign_q = 1.0
+    sign_p = -1.0
+    m = 0
+    while m < 50:
+        t = t * (mu - (2.0 * m + 1.0) ** 2) / (8.0 * x * (m + 1.0))
+        q += sign_q * t
+        if abs(t) < 1e-17 * (abs(p) + abs(q)):
+            ok = True
+            break
+        t = t * (mu - (2.0 * m + 3.0) ** 2) / (8.0 * x * (m + 2.0))
+        p += sign_p * t
+        if abs(t) < 1e-17 * (abs(p) + abs(q)):
+            ok = True
+            break
+        sign_q = -sign_q
+        sign_p = -sign_p
+        m += 2
+    w = x - (0.5 * nu + 0.25) * math.pi
+    val = math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(w) - q * math.sin(w))
+    return val, ok
+
+
+#: x in [60, 200] for the asymptotic loop, the band's edge and the top included
+ASYM_CHECK_XS = (60.0, 61.3, 77.7, 99.9, 123.4, 150.5, 175.25, 200.0)
+
+
+def test_asymptotic_loop_matches_the_unhoisted_loop_bit_for_bit():
+    checked = 0
+    for x in ASYM_CHECK_XS:
+        # every integer and half-integer order the precheck 4 nu^2 - 1 < 8x admits,
+        # whose largest orders run the most terms, and the first one it refuses
+        two_nus = range(0, 2 * int(math.sqrt(2.0 * x + 0.25)) + 3)
+        for nu in (0.5 * n for n in two_nus):
+            got, ref = _kernels._asym_j(nu, x), _asym_reference(nu, x)
+            assert (got[0].hex(), got[1]) == (ref[0].hex(), ref[1]), (nu, x)
+            checked += 4.0 * nu * nu - 1.0 < 8.0 * x
+    assert checked > 150
