@@ -40,17 +40,20 @@ so one row of each parity serves every order with i <= int(x).  Inside
 ``shared_rows``, which ``symbif.spectral.disk_spectrum`` opens for every
 dim, each scan lattice point keeps its rows for every such order scanned
 there, bit-identical to a pass per order.  Other points, and calls outside
-the block, make a pass of their own and normalize only the values they read.
+the block, make a pass of their own that stores and normalizes only the
+three values it reads.
 
-Both loops store every value and the orders are read after the loop, and
-``_miller_row`` steps in pairs (even order, then odd), so no step tests its
-order or parity.  They make the float operations of a step-by-step loop
-that tests both, in the same order, so every value is bit for bit the same
-(``tests/test_kernel_bits.py`` pins them).  A value past 1e250 in magnitude
-rescales, at that step, the carried values, the sum and every stored value
-by 1e-250.  Only an order far above x does that (J_199 at x = 8.5,
-J_{180.5} at x = 9); no disk spectrum within the entry budget and no ball
-scan to x = 199 does.
+A pass stores only the indices lo .. hi its caller reads: the loops run
+above them, through them and below them, and ``_miller_row`` steps in pairs
+(even order, then odd), so no step tests its order or parity, and the
+spherical anchors are the pair the loop carries at its end.  The loops make the
+float operations of a step-by-step loop that stores every value, in the same
+order, so every value read is bit for bit the same (``tests/test_kernel_bits.py``
+checks each window against that loop and pins the values).  A value past
+1e250 in magnitude rescales, at that step, the carried values, the sum and
+every value stored so far by 1e-250.  Only an order far above x does that
+(J_199 at x = 8.5, J_{180.5} at x = 9); no disk spectrum within the entry
+budget and no ball scan to x = 199 does.
 
 Sampled against mpmath on a grid of x in (0, 200], the composite
 evaluator stays within 3e-13 * max(1, |J_nu(x)|) for integer orders up to
@@ -94,77 +97,121 @@ def _series_j(nu: float, x: float) -> float:
 
 
 def _miller_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[list[float], float]:
-    """Unnormalized J_0 .. J_m0 at x > 0 and their normalizing sum.
+    """Unnormalized J_lo .. J_hi at x > 0 (default J_0 .. J_m0) and their normalizing sum.
 
     One downward recurrence seeded with a decaying solution far above m0;
-    J_k is ``row[k] / s`` by the even-order sum identity.  Every value is
-    stored and rescaled with the recurrence, so each quotient depends on x
-    and m0 only; lo and hi, the indices a caller reads, change nothing.
+    J_k is ``row[k] / s`` by the even-order sum identity for lo <= k <= hi
+    (hi <= m0 + 3; lo may be -1, read as 0).  The other entries of the row are
+    not to be read.  Only those orders are stored, each rescaled with the
+    recurrence, so each quotient depends on x and m0 only, not on lo and hi.
     """
     top = m0 + 20 + int(2.0 * math.sqrt(m0))
     if top % 2 == 1:
         top += 1
+    if hi is None:
+        hi = m0
     # f_{k-1} = (2k/x) f_k - f_{k+1} from f_top = 1e-30, f_{top+1} = 0, with t
-    # the exact float 2k; the first step (odd order top - 1) cannot rescale
+    # the exact float 2k; the first step (odd order top - 1) cannot rescale.
+    # Pairs (even order k, odd order k - 1) follow in three loops: above the
+    # pair holding hi, from it to the pair holding lo (stored), and below
+    e_hi = hi + hi % 2
+    e_lo = max(lo + lo % 2, 2)
     t = 2.0 * top
     fp = 1e-30
     fc = (t / x) * 1e-30
     s = 0.0
-    row = [fc]
-    for _ in range(top // 2 - 1):
+    row = [0.0] * (e_hi + 1)
+    for _ in range((top - e_hi) // 2 - 1):
         t -= 2.0
         fp, fc = fc, (t / x) * fc - fp  # even order > 0
-        row.append(fc)
+        s += 2.0 * fc
+        if fc > 1e250 or fc < -1e250:
+            fc, fp, s = fc * 1e-250, fp * 1e-250, s * 1e-250
+        t -= 2.0
+        fp, fc = fc, (t / x) * fc - fp  # odd order
+        if fc > 1e250 or fc < -1e250:
+            fc, fp, s = fc * 1e-250, fp * 1e-250, s * 1e-250
+    for k in range(e_hi, e_lo - 1, -2):
+        t -= 2.0
+        fp, fc = fc, (t / x) * fc - fp
+        row[k] = fc
         s += 2.0 * fc
         if fc > 1e250 or fc < -1e250:
             fc, fp, s = fc * 1e-250, fp * 1e-250, s * 1e-250
             row[:] = [v * 1e-250 for v in row]
         t -= 2.0
-        fp, fc = fc, (t / x) * fc - fp  # odd order
-        row.append(fc)
+        fp, fc = fc, (t / x) * fc - fp
+        row[k - 1] = fc
+        if fc > 1e250 or fc < -1e250:
+            fc, fp, s = fc * 1e-250, fp * 1e-250, s * 1e-250
+            row[:] = [v * 1e-250 for v in row]
+    for _ in range(e_lo // 2 - 1):
+        t -= 2.0
+        fp, fc = fc, (t / x) * fc - fp
+        s += 2.0 * fc
+        if fc > 1e250 or fc < -1e250:
+            fc, fp, s = fc * 1e-250, fp * 1e-250, s * 1e-250
+            row[:] = [v * 1e-250 for v in row]
+        t -= 2.0
+        fp, fc = fc, (t / x) * fc - fp
         if fc > 1e250 or fc < -1e250:
             fc, fp, s = fc * 1e-250, fp * 1e-250, s * 1e-250
             row[:] = [v * 1e-250 for v in row]
     fp, fc = fc, (2.0 / x) * fc - fp  # order 0
-    row.append(fc)
+    row[0] = fc
     if fc > 1e250 or fc < -1e250:
         fc, s = fc * 1e-250, s * 1e-250
         row[:] = [v * 1e-250 for v in row]
     s += fc
-    row.reverse()
-    return row[: m0 + 1], s
+    return row, s
 
 
 def _sph_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[list[float], float]:
-    """J_{-1/2} .. J_{m0-1/2} at x > 0 with the divisor 1.0: J_{k-1/2} is ``row[k] / 1.0``.
+    """J_{lo-1/2} .. J_{hi-1/2} at x > 0 (default lo = 0, hi = m0) with the divisor 1.0.
 
-    Downward recurrence on the spherical j_k (J_{k+1/2}, index k + 1), rescaled
-    against the larger of the anchors j_0 = sin(x)/x, j_1 = sin(x)/x^2 - cos(x)/x;
-    index 0 holds the closed form of J_{-1/2}.  Only indices lo .. hi (default
-    m0) are normalized, so a read at three indices pays for three.
+    J_{k-1/2} is ``row[k] / 1.0`` for lo <= k <= hi (hi <= m0 + 3; lo may be
+    -1, read as 0), and the other entries are not to be read.  Downward
+    recurrence on the spherical j_k (J_{k+1/2}, index k + 1), rescaled against
+    the larger of the anchors j_0 = sin(x)/x, j_1 = sin(x)/x^2 - cos(x)/x;
+    index 0 holds the closed form of J_{-1/2}.  Only indices lo .. hi are
+    stored and normalized, so a read at three indices pays for three.
     """
     cos = math.cos(x)
     s0 = math.sin(x) / x
     s1 = s0 / x - cos / x
     top = m0 + 20 + int(2.0 * math.sqrt(m0))
-    # f_{k-1} = ((2k + 1)/x) f_k - f_{k+1}; t is the float 2k + 1, exact, and
-    # f_k is row[-1 - k] once the loop ends
+    if hi is None:
+        hi = m0
+    # f_{k-1} = ((2k + 1)/x) f_k - f_{k+1}; t is the float 2k + 1, exact.  The
+    # steps to f_{top-1} .. f_hi store nothing, those to indices hi .. low store,
+    # and those below store nothing
+    low = max(lo, 1)
     t = 2.0 * top + 1.0
     fp = 0.0
     fc = 1e-30
-    row: list[float] = []
-    for _ in range(top):
+    row = [0.0] * (hi + 1)
+    for _ in range(top - hi):
         fp, fc = fc, (t / x) * fc - fp
         t -= 2.0
-        row.append(fc)
+        if fc > 1e250 or fc < -1e250:
+            fc, fp = fc * 1e-250, fp * 1e-250
+    for k in range(hi, low - 1, -1):
+        fp, fc = fc, (t / x) * fc - fp
+        t -= 2.0
+        row[k] = fc
         if fc > 1e250 or fc < -1e250:
             fc, fp = fc * 1e-250, fp * 1e-250
             row[:] = [v * 1e-250 for v in row]
-    scale = s0 / row[-1] if abs(s0) >= abs(s1) else s1 / row[-2]
+    for _ in range(low - 1):
+        fp, fc = fc, (t / x) * fc - fp
+        t -= 2.0
+        if fc > 1e250 or fc < -1e250:
+            fc, fp = fc * 1e-250, fp * 1e-250
+            row[:] = [v * 1e-250 for v in row]
+    # fc and fp are j_0 and j_1, rescaled as every stored value was
+    scale = s0 / fc if abs(s0) >= abs(s1) else s1 / fp
     c = math.sqrt(2.0 * x / math.pi)
-    row.append(0.0)
-    row.reverse()
-    for k in range(lo, (m0 if hi is None else hi) + 1):
+    for k in range(low, hi + 1):
         row[k] = c * row[k] * scale
     row[0] = c * cos / x
     return row, 1.0
@@ -193,7 +240,8 @@ def shared_rows(step: float) -> Iterator[None]:
 def _asym_j(nu: float, x: float) -> tuple[float, bool]:
     """Large-x expansion of J_nu(x); flag reports whether it converged."""
     mu = 4.0 * nu * nu
-    if mu - 1.0 >= 8.0 * x:
+    x8 = 8.0 * x
+    if mu - 1.0 >= x8:
         # terms would grow before decaying and their rounding would dominate;
         # the backward recurrence handles this order range instead
         return 0.0, False
@@ -201,23 +249,27 @@ def _asym_j(nu: float, x: float) -> tuple[float, bool]:
     q = 0.0
     t = 1.0
     ok = False
-    sign_q = 1.0
-    sign_p = -1.0
-    m = 0
-    while m < 50:
-        t = t * (mu - (2.0 * m + 1.0) ** 2) / (8.0 * x * (m + 1.0))
-        q += sign_q * t
+    # term m multiplies by (mu - a^2) / (8x n) with a = 2m + 1 and n = m + 1,
+    # both exact floats; q takes terms m = 0, 4, ... with sign +, p terms m = 1, 5, ... with sign -,
+    # and both signs flip every two terms
+    sign = 1.0
+    a = 1.0
+    n = 1.0
+    for _ in range(25):
+        t = t * (mu - a * a) / (x8 * n)
+        q += sign * t
         if abs(t) < 1e-17 * (abs(p) + abs(q)):
             ok = True
             break
-        t = t * (mu - (2.0 * m + 3.0) ** 2) / (8.0 * x * (m + 2.0))
-        p += sign_p * t
+        a += 2.0
+        t = t * (mu - a * a) / (x8 * (n + 1.0))
+        p -= sign * t
         if abs(t) < 1e-17 * (abs(p) + abs(q)):
             ok = True
             break
-        sign_q = -sign_q
-        sign_p = -sign_p
-        m += 2
+        a += 2.0
+        n += 2.0
+        sign = -sign
     w = x - (0.5 * nu + 0.25) * math.pi
     val = math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(w) - q * math.sin(w))
     return val, ok
@@ -255,13 +307,14 @@ def _radial_condition(l: float, dim: int, x: float) -> tuple[float, float]:
     row_of = _miller_row if i == nu else _sph_row
     m0 = int(x) + 1
     shared = _shared_rows.get()
-    if shared is not None and i < m0 and round(x / shared[0]) * shared[0] == x:
+    got = None
+    if shared is not None and i < m0:
+        # only lattice points are stored, so a stored x needs no lattice test
         rows = shared[1][i != nu]
-        if x not in rows:
-            rows[x] = row_of(x, m0)
-        row, s = rows[x]
-    else:
-        row, s = row_of(x, max(i + 1, m0), i - 1, i + 1)
+        got = rows.get(x)
+        if got is None and round(x / shared[0]) * shared[0] == x:
+            got = rows[x] = row_of(x, m0)
+    row, s = row_of(x, max(i + 1, m0), i - 1, i + 1) if got is None else got
     jn, jp = row[i] / s, row[i + 1] / s
     if l == 0:
         return -jp, jn

@@ -166,6 +166,66 @@ def test_odd_ball_spectra_are_pinned(dim):
 # ---------------------------------------------------------------------------
 
 
+def _miller_full(x: float, m0: int) -> tuple[list[float], float]:
+    """Reference: the integer-order recurrence storing every order 0 .. top - 1, and its sum."""
+    top = m0 + 20 + int(2.0 * math.sqrt(m0))
+    if top % 2 == 1:
+        top += 1
+    t = 2.0 * top
+    fp = 1e-30
+    fc = (t / x) * 1e-30
+    s = 0.0
+    row = [fc]
+    for _ in range(top // 2 - 1):
+        t -= 2.0
+        fp, fc = fc, (t / x) * fc - fp
+        row.append(fc)
+        s += 2.0 * fc
+        if fc > 1e250 or fc < -1e250:
+            fc, fp, s = fc * 1e-250, fp * 1e-250, s * 1e-250
+            row[:] = [v * 1e-250 for v in row]
+        t -= 2.0
+        fp, fc = fc, (t / x) * fc - fp
+        row.append(fc)
+        if fc > 1e250 or fc < -1e250:
+            fc, fp, s = fc * 1e-250, fp * 1e-250, s * 1e-250
+            row[:] = [v * 1e-250 for v in row]
+    fp, fc = fc, (2.0 / x) * fc - fp
+    row.append(fc)
+    if fc > 1e250 or fc < -1e250:
+        fc, s = fc * 1e-250, s * 1e-250
+        row[:] = [v * 1e-250 for v in row]
+    s += fc
+    row.reverse()
+    return row, s
+
+
+def _sph_full(x: float, m0: int) -> tuple[list[float], float]:
+    """Reference: the spherical recurrence normalizing every index 0 .. top, anchored on the stored j_0, j_1."""
+    cos = math.cos(x)
+    s0 = math.sin(x) / x
+    s1 = s0 / x - cos / x
+    top = m0 + 20 + int(2.0 * math.sqrt(m0))
+    t = 2.0 * top + 1.0
+    fp = 0.0
+    fc = 1e-30
+    row = []
+    for _ in range(top):
+        fp, fc = fc, (t / x) * fc - fp
+        t -= 2.0
+        row.append(fc)
+        if fc > 1e250 or fc < -1e250:
+            fc, fp = fc * 1e-250, fp * 1e-250
+            row[:] = [v * 1e-250 for v in row]
+    scale = s0 / row[-1] if abs(s0) >= abs(s1) else s1 / row[-2]
+    c = math.sqrt(2.0 * x / math.pi)
+    row.append(0.0)
+    row.reverse()
+    row = [c * v * scale for v in row]
+    row[0] = c * cos / x
+    return row, 1.0
+
+
 def _asym_reference(nu: float, x: float) -> tuple[float, bool]:
     """Reference: the large-x expansion with its invariants formed at every term."""
     mu = 4.0 * nu * nu
@@ -195,6 +255,36 @@ def _asym_reference(nu: float, x: float) -> tuple[float, bool]:
     w = x - (0.5 * nu + 0.25) * math.pi
     val = math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(w) - q * math.sin(w))
     return val, ok
+
+
+def _hexes(values) -> list[str]:
+    return [v.hex() for v in values]
+
+
+#: (row function, x, m0) of the window check: both parities on and off the
+#: lattice with the m0 of a shared row, and each RESCALING pass with its own m0
+ROW_PASSES = [
+    (row_of, x, int(x) + 1) for x in RECURRENCE_XS + LATTICE_XS for row_of in ("_miller_row", "_sph_row")
+] + [
+    ("_miller_row" if nu == math.floor(nu) else "_sph_row", x, max(int(nu + 0.5) + 1, int(x) + 1))
+    for nu, x in RESCALING
+]
+
+
+@pytest.mark.parametrize("row_of, x, m0", ROW_PASSES, ids=lambda v: str(v))
+def test_windowed_rows_match_the_full_row_bit_for_bit(row_of, x, m0):
+    # a window stores only indices lo .. hi, yet each value read there and the
+    # sum keep the bits of the full row; the RESCALING passes rescale stored
+    # values below, inside and above a window
+    ref, ref_s = (_miller_full if row_of == "_miller_row" else _sph_full)(x, m0)
+    kernel = getattr(_kernels, row_of)
+    for i in range(m0 + 3):
+        # lo = -1 reads as 0, as for J_{-1} of the l = 0 disk condition
+        row, s = kernel(x, m0, i - 1, i + 1)
+        lo = max(i - 1, 0)
+        assert _hexes(row[lo : i + 2]) == _hexes(ref[lo : i + 2]) and s.hex() == ref_s.hex(), i
+    for row, s in (kernel(x, m0), kernel(x, m0, 0, m0)):
+        assert _hexes(row[: m0 + 1]) == _hexes(ref[: m0 + 1]) and s.hex() == ref_s.hex()
 
 
 #: x in [60, 200] for the asymptotic loop, the band's edge and the top included
