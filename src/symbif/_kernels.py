@@ -16,7 +16,10 @@ no evaluation beyond (f, g) is needed and no branch tests the dimension.
 Evaluation strategy for J_nu(x), nu a nonnegative integer or half-integer:
 
 * ``x <= 8``: ascending power series (termwise recurrence; x > 0, as
-  ``symbif.spectral.bessel_j`` answers x = 0 itself).
+  ``symbif.spectral.bessel_j`` answers x = 0 itself).  Below the normal
+  range (x < ``sys.float_info.min``) the series takes log(x/2) as
+  log(x) - log(2), and the radial condition forms (c/x) J_nu as
+  c (J_{nu-1} + J_{nu+1}) / (2 nu), as c/x overflows there.
 * ``8 < x < 60``: backward three-term recurrence, a row of orders a pass,
   normalized by the even-order sum ``J_0 + 2*sum J_{2k} = 1`` (DLMF 3.6(vi),
   10.12) for integer orders, by the spherical anchors ``sin(x)/x`` and
@@ -72,6 +75,7 @@ J_l' for l = 150, 177 and 190 below x = 199 agree with mpmath's
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator
@@ -85,7 +89,9 @@ NUMBA_ENABLED = False
 
 def _series_j(nu: float, x: float) -> float:
     """Ascending series for J_nu(x); accurate for small x > 0."""
-    t = math.exp(nu * math.log(0.5 * x) - math.lgamma(nu + 1.0))
+    # below the normal range 0.5 * x rounds, to 0.0 at x = 5e-324
+    h = math.log(0.5 * x) if x >= sys.float_info.min else math.log(x) - math.log(2.0)
+    t = math.exp(nu * h - math.lgamma(nu + 1.0))
     s = t
     q = 0.25 * x * x
     for k in range(1, 600):
@@ -294,7 +300,11 @@ def _radial_condition(l: float, dim: int, x: float) -> tuple[float, float]:
         jn, jp = _series_j(nu, x), _series_j(nu + 1.0, x)
         if l == 0:
             return -jp, jn
-        return 0.5 * (_series_j(nu - 1.0, x) - jp) - (c / x) * jn, jn
+        jm = _series_j(nu - 1.0, x)
+        if x < sys.float_info.min:
+            # c/x overflows or J_nu underflows: (c/x) J_nu = c (J_{nu-1} + J_{nu+1}) / (2 nu), DLMF 10.6.1
+            return 0.5 * (jm - jp) - (0.5 * c / nu) * (jm + jp), jn
+        return 0.5 * (jm - jp) - (c / x) * jn, jn
     if x >= ASYMPTOTIC_X_MIN:
         (jn, ok_n), (jp, ok_p) = _asym_j(nu, x), _asym_j(nu + 1.0, x)
         if ok_n and ok_p:

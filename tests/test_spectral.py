@@ -70,6 +70,29 @@ class TestBesselValues:
         bessel_j(nu, x)
         assert calls[0] == 2
 
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            (bessel_j, (0, 5e-324)),
+            (bessel_j, (0.5, 5e-324)),
+            (bessel_j_prime, (1, 5e-324)),
+            (radial_condition, (1, 4, 1e-310)),
+            (radial_condition, (1, 3, 1e-310)),
+        ],
+    )
+    def test_subnormal_arguments_agree_with_mpmath(self, call, args):
+        # below the normal range 0.5 * x underflows to 0.0 and c/x overflows; the
+        # values are finite, and 1.25e-311 keeps about 12 digits
+        *head, x = args
+        x = mpmath.mpf(x)
+        if call is radial_condition:
+            c = mpmath.mpf(head[1] - 2) / 2
+            ref = mpmath.besselj(head[0] + c, x, derivative=1) - c / x * mpmath.besselj(head[0] + c, x)
+        else:
+            ref = mpmath.besselj(head[0], x, derivative=int(call is bessel_j_prime))
+        got = call(*args)
+        assert math.isfinite(got) and abs(got - float(ref)) <= 1e-12 * abs(float(ref)), (got, ref)
+
     def test_first_root_of_j0(self):
         assert abs(bessel_j(0, 2.404826)) < 1e-6
 
