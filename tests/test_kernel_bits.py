@@ -295,7 +295,7 @@ def test_asymptotic_loop_matches_the_unhoisted_loop_bit_for_bit():
     checked = 0
     for x in ASYM_CHECK_XS:
         # every integer and half-integer order the precheck 4 nu^2 - 1 < 8x admits,
-        # whose largest orders run the most terms, and the first one it refuses
+        # whose largest orders run the most terms, and the first ones it refuses
         two_nus = range(0, 2 * int(math.sqrt(2.0 * x + 0.25)) + 3)
         for nu in (0.5 * n for n in two_nus):
             got, ref = _kernels._asym_j(nu, x), _asym_reference(nu, x)
