@@ -18,8 +18,10 @@ Evaluation strategy for J_nu(x), nu a nonnegative integer or half-integer:
 * ``x <= 8``: ascending power series (termwise recurrence; x > 0, as
   ``symbif.spectral.bessel_j`` answers x = 0 itself).  Below the normal
   range (x < ``sys.float_info.min``) the series takes log(x/2) as
-  log(x) - log(2), and the radial condition forms (c/x) J_nu as
-  c (J_{nu-1} + J_{nu+1}) / (2 nu), as c/x overflows there.
+  log(x) - log(2).  Where J_nu is below the normal range (every such x
+  included, as nu >= 1 for l >= 1), the radial condition forms (c/x) J_nu
+  as c (J_{nu-1} + J_{nu+1}) / (2 nu), which neither loses the term nor
+  meets an overflowing c/x.
 * ``8 < x < 60``: backward three-term recurrence, a row of orders a pass,
   normalized by the even-order sum ``J_0 + 2*sum J_{2k} = 1`` (DLMF 3.6(vi),
   10.12) for integer orders, by the spherical anchors ``sin(x)/x`` and
@@ -43,20 +45,21 @@ so one row of each parity serves every order with i <= int(x).  Inside
 ``shared_rows``, which ``symbif.spectral.disk_spectrum`` opens for every
 dim, each scan lattice point keeps its rows for every such order scanned
 there, bit-identical to a pass per order.  Other points, and calls outside
-the block, make a pass of their own that stores and normalizes only the
-three values it reads.
+the block, make a pass of their own that stores the orders up to the top
+one it reads and normalizes only what it reads.
 
-A pass stores only the indices lo .. hi its caller reads: the loops run
-above them, through them and below them, and ``_miller_row`` steps in pairs
-(even order, then odd), so no step tests its order or parity, and the
-spherical anchors are the pair the loop carries at its end.  The loops make the
-float operations of a step-by-step loop that stores every value, in the same
-order, so every value read is bit for bit the same (``tests/test_kernel_bits.py``
-checks each window against that loop and pins the values).  A value past
-1e250 in magnitude rescales, at that step, the carried values, the sum and
-every value stored so far by 1e-250.  Only an order far above x does that
-(J_199 at x = 8.5, J_{180.5} at x = 9); no disk spectrum within the entry
-budget and no ball scan to x = 199 does.
+A pass runs two loops: the first, over the orders above the top index hi
+its caller reads, stores nothing; the second stores every index from hi
+down.  ``_miller_row`` steps in pairs (even order, then odd), so no step
+tests its order or parity, and the spherical anchors are the pair the loop
+carries at its end.  The loops make the float operations of a step-by-step
+loop that stores every value, in the same order, so every value read is bit
+for bit the same (``tests/test_kernel_bits.py`` checks each window against
+that loop and pins the values).  A value past 1e250 in magnitude rescales,
+at that step, the carried values, the sum and every value stored so far by
+1e-250.  Only an order far above x does that (J_199 at x = 8.5, J_{180.5}
+at x = 9); no disk spectrum within the entry budget and no ball scan to
+x = 199 does.
 
 Sampled against mpmath on a grid of x in (0, 200], the composite
 evaluator stays within 3e-13 * max(1, |J_nu(x)|) for integer orders up to
@@ -103,13 +106,13 @@ def _series_j(nu: float, x: float) -> float:
 
 
 def _miller_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[list[float], float]:
-    """Unnormalized J_lo .. J_hi at x > 0 (default J_0 .. J_m0) and their normalizing sum.
+    """Unnormalized J_0 .. J_hi at x > 0 (default hi = m0) and their normalizing sum.
 
     One downward recurrence seeded with a decaying solution far above m0;
-    J_k is ``row[k] / s`` by the even-order sum identity for lo <= k <= hi
-    (hi <= m0 + 3; lo may be -1, read as 0).  The other entries of the row are
-    not to be read.  Only those orders are stored, each rescaled with the
-    recurrence, so each quotient depends on x and m0 only, not on lo and hi.
+    J_k is ``row[k] / s`` by the even-order sum identity for 0 <= k <= hi
+    (hi <= m0 + 3).  ``lo`` is not read; it keeps the signature of
+    ``_sph_row``.  Every order up to hi is stored, each rescaled with the
+    recurrence, so each quotient depends on x and m0 only, not on hi.
     """
     top = m0 + 20 + int(2.0 * math.sqrt(m0))
     if top % 2 == 1:
@@ -118,10 +121,9 @@ def _miller_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[
         hi = m0
     # f_{k-1} = (2k/x) f_k - f_{k+1} from f_top = 1e-30, f_{top+1} = 0, with t
     # the exact float 2k; the first step (odd order top - 1) cannot rescale.
-    # Pairs (even order k, odd order k - 1) follow in three loops: above the
-    # pair holding hi, from it to the pair holding lo (stored), and below
+    # Pairs (even order k, odd order k - 1) follow in two loops: above the
+    # pair holding hi, storing nothing, and from it down to orders 2 and 1
     e_hi = hi + hi % 2
-    e_lo = max(lo + lo % 2, 2)
     t = 2.0 * top
     fp = 1e-30
     fc = (t / x) * 1e-30
@@ -137,7 +139,7 @@ def _miller_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[
         fp, fc = fc, (t / x) * fc - fp  # odd order
         if fc > 1e250 or fc < -1e250:
             fc, fp, s = fc * 1e-250, fp * 1e-250, s * 1e-250
-    for k in range(e_hi, e_lo - 1, -2):
+    for k in range(e_hi, 1, -2):
         t -= 2.0
         fp, fc = fc, (t / x) * fc - fp
         row[k] = fc
@@ -148,18 +150,6 @@ def _miller_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[
         t -= 2.0
         fp, fc = fc, (t / x) * fc - fp
         row[k - 1] = fc
-        if fc > 1e250 or fc < -1e250:
-            fc, fp, s = fc * 1e-250, fp * 1e-250, s * 1e-250
-            row[:] = [v * 1e-250 for v in row]
-    for _ in range(e_lo // 2 - 1):
-        t -= 2.0
-        fp, fc = fc, (t / x) * fc - fp
-        s += 2.0 * fc
-        if fc > 1e250 or fc < -1e250:
-            fc, fp, s = fc * 1e-250, fp * 1e-250, s * 1e-250
-            row[:] = [v * 1e-250 for v in row]
-        t -= 2.0
-        fp, fc = fc, (t / x) * fc - fp
         if fc > 1e250 or fc < -1e250:
             fc, fp, s = fc * 1e-250, fp * 1e-250, s * 1e-250
             row[:] = [v * 1e-250 for v in row]
@@ -179,8 +169,9 @@ def _sph_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[lis
     -1, read as 0), and the other entries are not to be read.  Downward
     recurrence on the spherical j_k (J_{k+1/2}, index k + 1), rescaled against
     the larger of the anchors j_0 = sin(x)/x, j_1 = sin(x)/x^2 - cos(x)/x;
-    index 0 holds the closed form of J_{-1/2}.  Only indices lo .. hi are
-    stored and normalized, so a read at three indices pays for three.
+    index 0 holds the closed form of J_{-1/2}.  Every index up to hi is
+    stored, but only lo .. hi are normalized, so a read at three indices
+    pays for three products.
     """
     cos = math.cos(x)
     s0 = math.sin(x) / x
@@ -189,9 +180,7 @@ def _sph_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[lis
     if hi is None:
         hi = m0
     # f_{k-1} = ((2k + 1)/x) f_k - f_{k+1}; t is the float 2k + 1, exact.  The
-    # steps to f_{top-1} .. f_hi store nothing, those to indices hi .. low store,
-    # and those below store nothing
-    low = max(lo, 1)
+    # steps to f_{top-1} .. f_hi store nothing, and those to indices hi .. 1 store
     t = 2.0 * top + 1.0
     fp = 0.0
     fc = 1e-30
@@ -201,23 +190,17 @@ def _sph_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[lis
         t -= 2.0
         if fc > 1e250 or fc < -1e250:
             fc, fp = fc * 1e-250, fp * 1e-250
-    for k in range(hi, low - 1, -1):
+    for k in range(hi, 0, -1):
         fp, fc = fc, (t / x) * fc - fp
         t -= 2.0
         row[k] = fc
         if fc > 1e250 or fc < -1e250:
             fc, fp = fc * 1e-250, fp * 1e-250
             row[:] = [v * 1e-250 for v in row]
-    for _ in range(low - 1):
-        fp, fc = fc, (t / x) * fc - fp
-        t -= 2.0
-        if fc > 1e250 or fc < -1e250:
-            fc, fp = fc * 1e-250, fp * 1e-250
-            row[:] = [v * 1e-250 for v in row]
     # fc and fp are j_0 and j_1, rescaled as every stored value was
     scale = s0 / fc if abs(s0) >= abs(s1) else s1 / fp
     c = math.sqrt(2.0 * x / math.pi)
-    for k in range(low, hi + 1):
+    for k in range(max(lo, 1), hi + 1):
         row[k] = c * row[k] * scale
     row[0] = c * cos / x
     return row, 1.0
@@ -301,8 +284,9 @@ def _radial_condition(l: float, dim: int, x: float) -> tuple[float, float]:
         if l == 0:
             return -jp, jn
         jm = _series_j(nu - 1.0, x)
-        if x < sys.float_info.min:
-            # c/x overflows or J_nu underflows: (c/x) J_nu = c (J_{nu-1} + J_{nu+1}) / (2 nu), DLMF 10.6.1
+        if abs(jn) < sys.float_info.min:
+            # J_nu is subnormal or 0 (so is any x below the normal range, as nu >= 1),
+            # and c/x may overflow: (c/x) J_nu = c (J_{nu-1} + J_{nu+1}) / (2 nu), DLMF 10.6.1
             return 0.5 * (jm - jp) - (0.5 * c / nu) * (jm + jp), jn
         return 0.5 * (jm - jp) - (c / x) * jn, jn
     if x >= ASYMPTOTIC_X_MIN:

@@ -273,9 +273,9 @@ ROW_PASSES = [
 
 @pytest.mark.parametrize("row_of, x, m0", ROW_PASSES, ids=lambda v: str(v))
 def test_windowed_rows_match_the_full_row_bit_for_bit(row_of, x, m0):
-    # a window stores only indices lo .. hi, yet each value read there and the
-    # sum keep the bits of the full row; the RESCALING passes rescale stored
-    # values below, inside and above a window
+    # a window stores only indices up to hi, yet each value read in lo .. hi
+    # and the sum keep the bits of the full row; the RESCALING passes rescale
+    # stored values below, inside and above a window
     ref, ref_s = (_miller_full if row_of == "_miller_row" else _sph_full)(x, m0)
     kernel = getattr(_kernels, row_of)
     for i in range(m0 + 3):

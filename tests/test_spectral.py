@@ -78,11 +78,16 @@ class TestBesselValues:
             (bessel_j_prime, (1, 5e-324)),
             (radial_condition, (1, 4, 1e-310)),
             (radial_condition, (1, 3, 1e-310)),
+            (radial_condition, (1, 4, 1e-200)),
+            (radial_condition, (1, 3, 1e-300)),
+            (radial_condition, (2, 3, 1e-160)),
         ],
     )
     def test_subnormal_arguments_agree_with_mpmath(self, call, args):
         # below the normal range 0.5 * x underflows to 0.0 and c/x overflows; the
-        # values are finite, and 1.25e-311 keeps about 12 digits
+        # values are finite, and 1.25e-311 keeps about 12 digits.  At the normal x
+        # of the last three J_nu is subnormal, yet (c/x) J_nu is a third to a
+        # half of the condition
         *head, x = args
         x = mpmath.mpf(x)
         if call is radial_condition:
