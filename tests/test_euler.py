@@ -1,16 +1,21 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from symbif import (
+    CustomDomain,
     EulerSO2,
     NotInvertible,
     SO2Rep,
+    SpectrumEntry,
+    SystemSpec,
     ValidationError,
     deg_minus_id,
     rep_equiv_mod_even_trivial,
 )
+from symbif.bifurcation import _a9_element
+from symbif.system import _merged, _spectral_pairs, _swept_kernels
 
 I = EulerSO2.one()
 O = EulerSO2.zero()
@@ -275,3 +280,91 @@ def test_exhaustive_family_product_law_small():
     for v, w in itertools.product(family, repeat=2):
         assert deg_minus_id(v.direct_sum(w)) == deg_minus_id(v) * deg_minus_id(w)
         assert (deg_minus_id(v) == deg_minus_id(w)) == rep_equiv_mod_even_trivial(v, w)
+
+
+#: small elements over few labels, so sums, differences and products cancel often
+small_elements = st.builds(
+    EulerSO2,
+    st.integers(-3, 3),
+    st.dictionaries(st.integers(1, 4), st.integers(-3, 3), max_size=4),
+)
+
+small_reps = st.builds(
+    SO2Rep,
+    st.integers(0, 3),
+    st.dictionaries(st.integers(1, 4), st.integers(0, 3), max_size=4),
+)
+
+
+def assert_zero_free(x):
+    """``x`` equals its checked twin and stores no zero coefficient or multiplicity."""
+    if isinstance(x, EulerSO2):
+        twin, table = EulerSO2(x.unit, dict(x.cyclic)), x.cyclic
+    else:
+        twin, table = SO2Rep(x.trivial_dim, dict(x.irreducibles)), x.irreducibles
+    assert x == twin and 0 not in table.values(), x
+
+
+class TestZeroFreeTables:
+    """Every record an operation builds unchecked is zero-pruned, as the constructors build it."""
+
+    @given(small_elements, small_elements, st.integers(-3, 3))
+    def test_ring_operations(self, a, b, n):
+        for x in (a + b, a - b, a - a, a + (-a), -a, a * b, n * a, a * n, a * 0, a * (b - b)):
+            assert_zero_free(x)
+
+    @given(small_elements, st.integers(0, 5))
+    def test_powers(self, a, n):
+        assert_zero_free(a**n)
+        assert_zero_free(EulerSO2(0, a.cyclic) ** (n + 2))  # u = 0, n >= 2: the factor n u^(n-1) is 0
+        if a.unit in (1, -1):
+            assert_zero_free(a.invert())
+            assert_zero_free(a ** -(n + 1))
+
+    @given(small_reps, small_reps)
+    def test_degrees_and_direct_sums(self, v, w):
+        assert_zero_free(deg_minus_id(v))
+        assert_zero_free(v.direct_sum(w))
+        assert_zero_free(v + w)
+        assert_zero_free(SO2Rep.from_json(v.to_json()))
+        assert_zero_free(EulerSO2.from_json(deg_minus_id(v).to_json()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from([1.0, 2.0, 3.0, 4.0, 6.0, 8.0]), small_reps), max_size=6),
+        st.dictionaries(st.sampled_from([1, 2, -1, 0]), st.integers(1, 2), min_size=1, max_size=3),
+        st.dictionaries(st.sampled_from([1, 2, -2]), st.integers(1, 2), max_size=2),
+    )
+    def test_kernel_pieces(self, spectrum, b1, b2):
+        # eigenvalues alpha and 2 alpha under b = 1 and 2 share a candidate, and every block meets 0 at 0:
+        # several hits per kernel
+        by_alpha = {0.0: SO2Rep.trivial(1), **dict(spectrum), 100.0: SO2Rep.irr(1)}
+        entries = [SpectrumEntry(a, by_alpha[a]) for a in sorted(by_alpha)]
+        spec = SystemSpec(
+            p1=sum(b1.values()), p2=sum(b2.values()), sigma_b1=b1, sigma_b2=b2, mu_b0=b1.get(0, 0),
+            domain=CustomDomain(entries),
+        )
+        lo, hi, covered, blocks, pairs = _spectral_pairs(spec, (-8.0, 8.0))
+        for kr in _swept_kernels(covered, blocks, pairs, [0.0, *_merged(pairs, lo, hi)]):
+            assert_zero_free(kr.v1)
+            assert_zero_free(kr.v2)
+
+    @given(
+        st.integers(0, 3),
+        st.dictionaries(st.integers(1, 4), st.integers(1, 3), max_size=4),
+        small_reps,
+        st.integers(1, 4),
+        st.sampled_from([1, -1]),
+    )
+    def test_a9_elements(self, t, mults, eig, a, sign):
+        power = sign * a
+        element = _a9_element(t, mults, eig, power)
+        assert_zero_free(element)
+        assert element == deg_minus_id(SO2Rep(t, mults)) ** power * (deg_minus_id(eig) ** a - I)
+
+    def test_a9_element_whose_cyclic_part_cancels(self):
+        # power = -a with e^a = -1 and m_E = 2 m_V: s^n a m_E + 2 s^n n m_V = 0 on every label
+        for t, a in itertools.product(range(2), (1, 3)):
+            element = _a9_element(t, {1: 1, 3: 2}, SO2Rep(1, {1: 2, 3: 4}), -a)
+            assert_zero_free(element)
+            assert element.cyclic == {} and element.unit == -2 * (-1) ** (t * a)
