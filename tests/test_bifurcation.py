@@ -435,6 +435,25 @@ class TestAnalyze:
             (v,) = analyze(spec, window)
             assert (v.lambda0, v.glob, v.justification, v.in_lambda) == (0.0, BIFURCATES, J_ZERO_PARITY, True)
 
+    def test_two_candidates_close_to_zero_on_both_sides(self):
+        # b = 2.2e9 puts the pairs of alpha = 20 at -+9.09e-9, within the tolerance of 0 on each
+        # side and 1.8e-8 apart, so they do not merge: each is reported as 0 with its own kernel
+        entries = [SpectrumEntry(0.0, SO2Rep.trivial(1)), SpectrumEntry(20.0, SO2Rep.irr(1))]
+        domain = CustomDomain(entries + [SpectrumEntry(300.0, SO2Rep.irr(3))])
+        spec = SystemSpec(p1=1, p2=1, sigma_b1={2.2e9: 1}, sigma_b2={2.2e9: 1}, domain=domain)
+        window = (-1e-7, 1e-7)
+        assert lambda_set(spec, window) == [-20.0 / 2.2e9, 20.0 / 2.2e9]
+        verdicts = analyze(spec, window)
+        assert json.dumps([v.to_json() for v in verdicts]) == (
+            '[{"lambda0": 0.0, "in_lambda": true, "kernel": {"v1": {"trivial": 0, "irr": {}}, '
+            '"v2": {"trivial": 0, "irr": {"1": 1}}}, "glob": "Inconclusive", "justification": "ZeroCaseParity", '
+            '"bif": null, "unbounded": "NoVerdict"}, '
+            '{"lambda0": 0.0, "in_lambda": true, "kernel": {"v1": {"trivial": 0, "irr": {"1": 1}}, '
+            '"v2": {"trivial": 0, "irr": {}}}, "glob": "Inconclusive", "justification": "ZeroCaseParity", '
+            '"bif": null, "unbounded": "NoVerdict"}]'
+        )
+        assert [[e.eigenvalue for e in v.kernel.matched] for v in verdicts] == [[20.0], [20.0]]
+
     def test_ball_trivial_type_roots_scanned_once(self, kernel_calls, call_counts):
         # the build computes the spectrum once, up to the top eigenvalue, with one scan per degree as
         # a computation of its own to that bound does; the verdicts read the stated reps and evaluate nothing
