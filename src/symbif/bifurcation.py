@@ -190,7 +190,7 @@ def _a9_indices(spec: SystemSpec, lams: Sequence[float]) -> list[EulerSO2]:
 def _a9_sweep(
     spec: SystemSpec, entries: Sequence[SpectrumEntry], lams: Sequence[float], kernels: Sequence[KernelReps | None]
 ) -> list[EulerSO2]:
-    """The a9 index at each lambda from its kernel (not read at 0), by one ascending sweep of ``entries``.
+    """The a9 index at each lambda from its kernel, None at 0, by one ascending sweep of ``entries``.
 
     a9 pairs only b = 1, so E_k0 is the kernel's first matched entry.  The
     sweep keeps the trivial dimension and multiplicities of V(n), the
@@ -201,7 +201,7 @@ def _a9_sweep(
     out: list = [None] * len(lams)
     wanted: dict[float, list[tuple[int, int]]] = {}  # eigenvalue of E_k0 -> (slot, power) per lambda
     for slot, (lam, kr) in enumerate(zip(lams, kernels)):
-        if close(lam, 0.0):
+        if kr is None:
             out[slot] = ((-1) ** q1 - (-1) ** p2) * EulerSO2.one()
         else:
             wanted.setdefault(kr.matched[0].eigenvalue, []).append((slot, q1 if lam > 0 else -p2))
@@ -238,7 +238,7 @@ def _a9_element(t: int, mults: dict[int, int], eig: SO2Rep, power: int) -> Euler
         cyclic = {k: sn * a * m for k, m in eig.irreducibles.items()}
         for k, m in mults.items():
             cyclic[k] = cyclic.get(k, 0) + 2 * sn * power * m
-        return EulerSO2._make(-2 * sn, cyclic)
+        return EulerSO2._make(-2 * sn, {k: v for k, v in cyclic.items() if v})  # m_E = 2 m_V cancels at n = -a
     return EulerSO2._make(0, {k: -sn * a * m for k, m in eig.irreducibles.items()})
 
 
@@ -353,18 +353,25 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
     """
     lo, hi, entries, blocks, pairs = _spectral_pairs(spec, window)  # checks the window
     candidates = _merged(pairs, lo, hi)
-    at = bisect_left(candidates, 0.0)  # any candidate close to 0 is a neighbour of this slot
-    if lo <= 0.0 <= hi and not any(close(c, 0.0) for c in candidates[max(at - 1, 0) : at + 1]):
+    at = bisect_left(candidates, 0.0)  # a candidate close to 0 is a neighbour of this slot, at most one per side
+    zeros = [slot for slot in range(max(at - 1, 0), min(at + 1, len(candidates))) if close(candidates[slot], 0.0)]
+    if lo <= 0.0 <= hi and not zeros:
         candidates.insert(at, 0.0)
+        zeros = [at]
     kernels = _swept_kernels(entries, blocks, pairs, candidates)
     exact = spec.a9 and isinstance(spec.domain, DiskDomain) and spec.domain.dim == 2
-    bifs = _a9_sweep(spec, entries, candidates, kernels) if exact else [None] * len(candidates)
+    bifs = [None] * len(candidates)
+    if exact:
+        a9_kernels: list[KernelReps | None] = kernels.copy()
+        for slot in zeros:
+            a9_kernels[slot] = None
+        bifs = _a9_sweep(spec, entries, candidates, a9_kernels)
     # by lambda0 > 0: whether the parities let a nontrivial E_k0 certify Unbounded (a9 only)
     parity = {True: all(_parities(spec, 1)), False: all(_parities(spec, -1))} if spec.a9 else None
     verdicts = []
-    for lam, kr, bif in zip(candidates, kernels, bifs):
+    for slot, (lam, kr, bif) in enumerate(zip(candidates, kernels, bifs)):
         unb = NO_VERDICT
-        if close(lam, 0.0):
+        if slot in zeros:
             gc = check_glob_zero(spec)
             lam, glob, why = 0.0, gc.glob, gc.justification
         else:

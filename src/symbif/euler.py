@@ -36,7 +36,10 @@ in place of ``"irr"`` but never written.
 
 Public construction (constructors, ``one``, ``zero``, ``chi``, ``trivial``,
 ``irr``, ``from_json``) checks its input; ring and representation operations
-build results from checked values through ``_make``, which only drops zeros.
+build results from checked values through ``_make``, which takes ownership of
+a fresh table with no zeros and neither copies nor filters it.  The
+operations that can cancel (sum, ring product, scaling by 0, a power whose
+factor n u^(n-1) is 0) drop their own zeros; the others cannot make one.
 """
 
 from __future__ import annotations
@@ -84,10 +87,13 @@ class EulerSO2(_Record):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _make(cls, unit: int, cyclic: Mapping[int, int]) -> "EulerSO2":
-        """Element from coefficients already checked; drops the zeros and checks nothing."""
+    def _make(cls, unit: int, cyclic: dict[int, int]) -> "EulerSO2":
+        """Element that owns ``cyclic``, a fresh table of checked coefficients with no zeros.
+
+        Checks nothing; every caller builds the table for this record alone.
+        """
         x = object.__new__(cls)
-        x.unit, x.cyclic = unit, {k: v for k, v in cyclic.items() if v}
+        x.unit, x.cyclic = unit, cyclic
         return x
 
     @classmethod
@@ -112,7 +118,11 @@ class EulerSO2(_Record):
             return NotImplemented
         coeffs = dict(self.cyclic)
         for k, v in other.cyclic.items():
-            coeffs[k] = coeffs.get(k, 0) + v
+            v += coeffs.get(k, 0)
+            if v:
+                coeffs[k] = v
+            else:  # cancelled
+                del coeffs[k]
         return EulerSO2._make(self.unit + other.unit, coeffs)
 
     def __neg__(self) -> "EulerSO2":
@@ -130,10 +140,10 @@ class EulerSO2(_Record):
                 coeffs[k] = coeffs.get(k, 0) + self.unit * v
             for k, v in self.cyclic.items():
                 coeffs[k] = coeffs.get(k, 0) + other.unit * v
-            return EulerSO2._make(self.unit * other.unit, coeffs)
+            return EulerSO2._make(self.unit * other.unit, {k: v for k, v in coeffs.items() if v})
         if _is_int(other):
-            # Z-module scaling
-            return EulerSO2._make(other * self.unit, {k: other * v for k, v in self.cyclic.items()})
+            # Z-module scaling; by 0 every coefficient vanishes
+            return EulerSO2._make(other * self.unit, {k: other * v for k, v in self.cyclic.items()} if other else {})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -153,8 +163,8 @@ class EulerSO2(_Record):
         if n == 0:
             return EulerSO2.one()
         u = self.unit
-        factor = n * u ** (n - 1)
-        return EulerSO2._make(u**n, {k: factor * v for k, v in self.cyclic.items()})
+        factor = n * u ** (n - 1)  # 0 when u = 0 and n >= 2
+        return EulerSO2._make(u**n, {k: factor * v for k, v in self.cyclic.items()} if factor else {})
 
     # -- predicates and views ----------------------------------------------
 
@@ -214,10 +224,13 @@ class SO2Rep(_Record):
         self.irreducibles = _pruned(self.irreducibles, "irreducible label", "irreducible multiplicity", 0)
 
     @classmethod
-    def _make(cls, trivial_dim: int, irreducibles: Mapping[int, int]) -> "SO2Rep":
-        """Representation from parts already checked; drops zero multiplicities and checks nothing."""
+    def _make(cls, trivial_dim: int, irreducibles: dict[int, int]) -> "SO2Rep":
+        """Representation that owns ``irreducibles``, a fresh table of checked multiplicities with no zeros.
+
+        Checks nothing; every caller builds the table for this record alone.
+        """
         rep = object.__new__(cls)
-        rep.trivial_dim, rep.irreducibles = trivial_dim, {k: m for k, m in irreducibles.items() if m}
+        rep.trivial_dim, rep.irreducibles = trivial_dim, irreducibles
         return rep
 
     @classmethod
