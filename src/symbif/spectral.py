@@ -170,14 +170,21 @@ def _check_arguments(op: str, order: float, x: float) -> tuple[float, float]:
     x = _real(x, f"{op} argument x", error=DomainError)
     if x < 0.0:
         raise DomainError(f"{op} needs x >= 0, got {x!r}")
+    _check_x(op, x)
     return nu, x
 
 
+def _check_x(op: str, x: float) -> None:
+    """DomainError above ``MAX_ROOT_X``: accuracy is stated up to there, and far above, the phase rounds to x."""
+    if x > MAX_ROOT_X:
+        raise DomainError(f"{op} needs x <= {MAX_ROOT_X}, the range of stated accuracy; got {x!r}")
+
+
 def bessel_j(order: float, x: float) -> float:
-    """Bessel function of the first kind, J_order(x), for x >= 0.
+    """Bessel function of the first kind, J_order(x), for 0 <= x <= ``MAX_ROOT_X``.
 
     Orders are nonnegative integers or half-integers up to ``MAX_ROOT_X``;
-    a higher order raises DomainError.  Accuracy is within
+    a higher order or a larger x raises DomainError.  Accuracy is within
     3e-13 * max(1, |J|) for orders up to 8 and 5e-12 for integer orders up
     to 199, for x <= 200 (see ``symbif._kernels``).
     """
@@ -190,7 +197,10 @@ def bessel_j(order: float, x: float) -> float:
 
 
 def bessel_j_prime(order: float, x: float) -> float:
-    """Derivative J_order'(x); at x = 0 it is 1/2 for order 1, 0 for other integers, singular for half-integers."""
+    """Derivative J_order'(x) for 0 <= x <= ``MAX_ROOT_X``.
+
+    At x = 0 it is 1/2 for order 1, 0 for other integers, singular for half-integers.
+    """
     nu, x = _check_arguments("bessel_j_prime", order, x)
     if x == 0.0:
         if nu != math.floor(nu):
@@ -202,18 +212,19 @@ def bessel_j_prime(order: float, x: float) -> float:
 
 
 def radial_condition(angular_index: int, dim: int, x: float) -> float:
-    """Value of the radial Neumann condition J_nu'(x) - (c/x) J_nu(x) at x > 0.
+    """Value of the radial Neumann condition J_nu'(x) - (c/x) J_nu(x) at 0 < x <= ``MAX_ROOT_X``.
 
     Here c = (dim - 2)/2 and nu = l + c: the derivative x^c u' of the radial
     part u = x^-c J_nu of the degree-l eigenfunctions.  It is J_l'(x) on the
     disk and the trivial-type radial test -J_{nu+1}(x) for l == 0.  An order
-    nu above ``MAX_ROOT_X`` raises DomainError.
+    nu or an x above ``MAX_ROOT_X`` raises DomainError.
     """
     _check_radial_family(angular_index, dim)
     _check_order(angular_index, dim)
     x = _real(x, "radial condition argument x", error=DomainError)
     if x <= 0.0:
         raise DomainError(f"radial condition needs x > 0, got {x!r}")
+    _check_x("radial condition", x)
     from . import _kernels
 
     return _kernels._radial_condition(angular_index, dim, x)[0]

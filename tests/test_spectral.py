@@ -1167,6 +1167,10 @@ class TestLivePaths:
             domain.first_entries(4)
 
 
+#: x refused by the evaluators: the next float above MAX_ROOT_X, and far above it
+BEYOND_X = {"x-above-200": math.nextafter(MAX_ROOT_X, math.inf), "x-1e17": 1e17, "x-1e300": 1e300}
+
+
 class TestRootRange:
     def test_scan_beyond_the_range_refused_before_any_evaluation(self, monkeypatch):
         def never(l, dim, x):
@@ -1216,6 +1220,11 @@ class TestRootRange:
             (lambda: radial_condition(1, 10**400, 3.0), (DomainError, "<= 200"), False),
             (lambda: radial_roots_up_to(1, 10**400, 150.0), [], False),
             (lambda: neumann_radial_roots(1, 10**400, 1), (InsufficientSpectrum, "only 0 roots"), False),
+            # x above MAX_ROOT_X: far above it the phase x - (nu/2 + 1/4) pi rounds to x, so J_3(1e300)
+            # once came out with the wrong sign and J_3'(1e17) as 0.0
+            *[(lambda x=x: bessel_j(3, x), (DomainError, "<= 200"), False) for x in BEYOND_X.values()],
+            *[(lambda x=x: bessel_j_prime(3, x), (DomainError, "<= 200"), False) for x in BEYOND_X.values()],
+            *[(lambda x=x: radial_condition(3, 2, x), (DomainError, "<= 200"), False) for x in BEYOND_X.values()],
         ],
         ids=[
             "condition-l-10e400",
@@ -1237,6 +1246,9 @@ class TestRootRange:
             "condition-l-1-dim-10e400",
             "roots-up-to-l-1-dim-10e400",
             "neumann-l-1-dim-10e400",
+            *[f"bessel-{name}" for name in BEYOND_X],
+            *[f"bessel-prime-{name}" for name in BEYOND_X],
+            *[f"condition-{name}" for name in BEYOND_X],
         ],
     )
     def test_extreme_order_or_count_answers_at_once(self, call, expected, evaluates, kernel_calls, deadline):
@@ -1255,6 +1267,12 @@ class TestRootRange:
         assert radial_condition(int(MAX_ROOT_X), 2, 150.0) == _kernels._radial_condition(200, 2, 150.0)[0]
         assert radial_condition(0, 402, 150.0) == _kernels._radial_condition(0, 402, 150.0)[0]
         assert radial_condition(1, 400, 150.0) == _kernels._radial_condition(1, 400, 150.0)[0]
+        # the largest x answered: J_3, J_3' and the disk's condition at x = MAX_ROOT_X
+        assert bessel_j(3, MAX_ROOT_X) == _kernels._radial_condition(0, 8, MAX_ROOT_X)[1]
+        top = _kernels._radial_condition(3, 2, MAX_ROOT_X)[0]
+        assert bessel_j_prime(3, MAX_ROOT_X) == radial_condition(3, 2, MAX_ROOT_X) == top
+        assert abs(bessel_j(3, MAX_ROOT_X) - float(mpmath.besselj(3, MAX_ROOT_X))) <= 5e-12
+        assert abs(bessel_j_prime(3, MAX_ROOT_X) - float(mpmath.besselj(3, MAX_ROOT_X, derivative=1))) <= 5e-12
         assert radial_roots_up_to(1, 400, 25.0) == [r for r in _lattice_scan(1, 400, 25.0, GRID_STEP) if r <= 25.0]
         for call in (
             lambda: bessel_j(MAX_ROOT_X + 0.5, 150.0),
