@@ -5,8 +5,9 @@ backward-recurrence / asymptotic split.  The oracle here is structurally
 different: a single ascending series summed in adaptive multi-precision
 arithmetic (enough digits to absorb the cancellation, which grows like
 0.43 * x), wrapped in its own from-scratch grid scan and a safeguarded Newton
-refinement.  Newton takes the condition's value and slope from the pair
-J_nu, J_{nu+1} through J_nu' = (nu/x) J_nu - J_{nu+1} (DLMF 10.6.2) and
+refinement.  The condition is formed from the pair J_nu, J_{nu+1} as
+(l/x) J_nu - J_{nu+1}, and Newton takes its slope from the same pair
+through J_nu' = (nu/x) J_nu - J_{nu+1} (DLMF 10.6.2) and
 Bessel's equation J_nu'' = -J_nu'/x - (1 - nu^2/x^2) J_nu (DLMF 10.2.1); a
 step that leaves the sign-change bracket falls back to bisection.  The module
 imports nothing from ``symbif`` and never consults the production kernels, so
@@ -70,18 +71,19 @@ def bessel_j_mp(nu: float, x: float, dps: int | None = None):
     raise RuntimeError("oracle series did not converge")
 
 
-def bessel_j_prime_mp(nu: float, x: float, dps: int | None = None):
-    """J_nu'(x) = (J_{nu-1} - J_{nu+1})/2 on the oracle path."""
-    if nu == 0:
-        return -bessel_j_mp(1, x, dps)
-    return (bessel_j_mp(nu - 1, x, dps) - bessel_j_mp(nu + 1, x, dps)) / 2
-
-
 def radial_condition_mp(l: int, dim: int, x: float, dps: int | None = None):
-    """Oracle value of the radial Neumann condition J_nu' - (c/x) J_nu, c = (dim - 2)/2, nu = l + c."""
-    c = 0.5 * (dim - 2)
-    nu = l + c
-    return bessel_j_prime_mp(nu, x, dps) - (mpf(c) / mpf(x)) * bessel_j_mp(nu, x, dps)
+    """Oracle value of the radial Neumann condition J_nu' - (c/x) J_nu, c = (dim - 2)/2, nu = l + c.
+
+    It is formed as (l/x) J_nu - J_{nu+1} (DLMF 10.6.2), which does not
+    cancel at small x: for l = 0 it is -J_{nu+1} exactly.
+    """
+    nu = l + 0.5 * (dim - 2)
+    if dps is None:
+        dps = _dps_for(x)
+    j0 = bessel_j_mp(nu, x, dps)
+    j1 = bessel_j_mp(nu + 1, x, dps)
+    with mp.workdps(dps):
+        return (mpf(l) / mpf(x)) * j0 - j1
 
 
 def _sign(v) -> int:

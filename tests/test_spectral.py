@@ -426,6 +426,14 @@ class TestOneRadialFamily:
             want = float(radial_condition_mp(l, dim, x))
             assert abs(f - want) <= 1e-11 * max(1.0, abs(f)), (x, f, want)
 
+    @pytest.mark.parametrize("x", [1e-6, 1e-108])
+    def test_oracle_does_not_cancel_at_small_x(self, x):
+        # l = 0 on the 3-ball: the condition is -J_{3/2}(x), which J_nu' - (c/x) J_nu forms by cancellation
+        with mpmath.workdps(30):
+            want = -mpmath.besselj(1.5, x)
+        got = radial_condition_mp(0, 3, x)
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
     @pytest.mark.parametrize("l,dim", [(1, 3), (3, 4), (10, 5), (1, 7)])
     def test_scan_matches_the_oracle_roots(self, l, dim):
         # the lead rule (f ahead of g for l >= 1) and the one Newton slope, from 0+ with no skip
