@@ -360,12 +360,10 @@ def analyze(spec: SystemSpec, window: tuple[float, float]) -> list[BifurcationVe
         zeros = [at]
     kernels = _swept_kernels(entries, blocks, pairs, candidates)
     exact = spec.a9 and isinstance(spec.domain, DiskDomain) and spec.domain.dim == 2
-    bifs = [None] * len(candidates)
-    if exact:
-        a9_kernels: list[KernelReps | None] = kernels.copy()
-        for slot in zeros:
-            a9_kernels[slot] = None
-        bifs = _a9_sweep(spec, entries, candidates, a9_kernels)
+    a9_kernels: list[KernelReps | None] = kernels.copy()  # _a9_sweep reads None as the zero case
+    for slot in zeros:
+        a9_kernels[slot] = None
+    bifs = _a9_sweep(spec, entries, candidates, a9_kernels) if exact else [None] * len(candidates)
     # by lambda0 > 0: whether the parities let a nontrivial E_k0 certify Unbounded (a9 only)
     parity = {True: all(_parities(spec, 1)), False: all(_parities(spec, -1))} if spec.a9 else None
     verdicts = []

@@ -118,12 +118,8 @@ class EulerSO2(_Record):
             return NotImplemented
         coeffs = dict(self.cyclic)
         for k, v in other.cyclic.items():
-            v += coeffs.get(k, 0)
-            if v:
-                coeffs[k] = v
-            else:  # cancelled
-                del coeffs[k]
-        return EulerSO2._make(self.unit + other.unit, coeffs)
+            coeffs[k] = coeffs.get(k, 0) + v
+        return EulerSO2._make(self.unit + other.unit, {k: v for k, v in coeffs.items() if v})
 
     def __neg__(self) -> "EulerSO2":
         return EulerSO2._make(-self.unit, {k: -v for k, v in self.cyclic.items()})
