@@ -101,7 +101,7 @@ def _condition_and_slope(l: int, dim: int, x: float):
         xm, num, cm = mpf(x), mpf(nu), mpf(c)
         jp = (num / xm) * j0 - j1
         jpp = -jp / xm - (1 - (num / xm) ** 2) * j0
-        return jp - (cm / xm) * j0, jpp - (cm / xm) * jp + (cm / xm ** 2) * j0
+        return (mpf(l) / xm) * j0 - j1, jpp - (cm / xm) * jp + (cm / xm ** 2) * j0
 
 
 def _refine(l: int, dim: int, a: float, b: float, fa, fb, xtol: float) -> float:

@@ -36,7 +36,7 @@ from symbif.spectral import (
     GRID_STEP, MAX_DISK_ENTRIES, MAX_ROOT_X, MERGE_REL, ROOT_XTOL, _lattice_scan, close, domain_from_json
 )
 
-from oracles import ball3_spectrum, oracle_radial_roots, radial_condition_mp, spherical_jp_zeros
+from oracles import _condition_and_slope, ball3_spectrum, oracle_radial_roots, radial_condition_mp, spherical_jp_zeros
 
 
 @lru_cache(maxsize=None)
@@ -428,11 +428,12 @@ class TestOneRadialFamily:
 
     @pytest.mark.parametrize("x", [1e-6, 1e-108])
     def test_oracle_does_not_cancel_at_small_x(self, x):
-        # l = 0 on the 3-ball: the condition is -J_{3/2}(x), which J_nu' - (c/x) J_nu forms by cancellation
+        # l = 0 on the 3-ball: the condition is -J_{3/2}(x), which J_nu' - (c/x) J_nu forms by cancellation;
+        # the oracle's value and its Newton step form it alike
         with mpmath.workdps(30):
             want = -mpmath.besselj(1.5, x)
-        got = radial_condition_mp(0, 3, x)
-        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+        for got in (radial_condition_mp(0, 3, x), _condition_and_slope(0, 3, x)[0]):
+            assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
     @pytest.mark.parametrize("l,dim", [(1, 3), (3, 4), (10, 5), (1, 7)])
     def test_scan_matches_the_oracle_roots(self, l, dim):
