@@ -31,11 +31,10 @@ _EXPORTS = {
         "NotAMember", "NotInvertible", "PreconditionError", "SchemaError", "UnsupportedDomain", "ValidationError",
     ),
     "euler": ("EulerSO2", "SO2Rep", "deg_minus_id", "rep_equiv_mod_even_trivial"),
-    "morse": ("OrbitDatum", "compare_orbit_degrees", "degree_from_orbits", "lift_degree", "so2_class_map_to_euler"),
+    "morse": ("OrbitDatum", "degree_from_orbits", "lift_degree", "so2_class_map_to_euler"),
     "spectral": (
         "BallDomain", "CustomDomain", "DiskDomain", "RootCache", "SpectrumEntry", "ball_rep_nontrivial", "bessel_j",
-        "bessel_j_prime", "disk_spectrum", "load_custom_spectrum", "neumann_radial_roots", "radial_condition",
-        "radial_roots_up_to",
+        "bessel_j_prime", "disk_spectrum", "radial_condition", "radial_roots_up_to",
     ),
     "system": (
         "KernelReps", "LinearizationEigenvalue", "SystemSpec", "epsilon_gap", "kernel_reps", "lambda_membership",

@@ -104,15 +104,6 @@ def _class_map(m, what: str, value_ok, values: str) -> None:
             )
 
 
-def compare_orbit_degrees(a: Mapping[str, int], b: Mapping[str, int], table: Mapping[str, str]) -> bool:
-    """True iff the degrees differ (then the lifted degrees differ too).
-
-    Both maps must be liftable through the same table; comparison ignores
-    explicit zero coefficients.
-    """
-    return lift_degree(a, table) != lift_degree(b, table)
-
-
 def orbit_data_from_json(doc) -> list[OrbitDatum]:
     """Parse ``[{"class": str, "morse_index": int}, ...]``."""
     if not isinstance(doc, list):

@@ -270,6 +270,18 @@ def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.
     j'_{l,1} > sqrt(l(l+2)), DLMF 10.21(i)).  With ``after > 0`` the scan
     starts at the end of the cell holding ``after``.  A value that underflowed
     to 0.0 (high orders near the origin) keeps the sign of the point before it.
+
+    No cell of length 3 or less holds two zeros of g = J_nu, so none hides a
+    zero the check misses.  w = sqrt(x) g solves w'' + q w = 0 with
+    q = 1 - (nu^2 - 1/4)/x^2, and by Sturm comparison with sin(k (x - a)),
+    consecutive zeros a < b of w lie more than pi/k apart where q < k^2 on
+    (a, b), and less where q > k^2.  For nu > 1/2, q < 1: more than pi apart.
+    For 0 <= nu <= 1/2 they lie at most pi apart, and above j_{nu,1} >=
+    j_{0,1} > 2.4 (zeros grow with nu, DLMF 10.21), where q <= 1 + 1/23: more
+    than pi/sqrt(1 + 1/23) > 3.07 apart (scipy's least is j_{0,2} - j_{0,1} =
+    3.115).  A cell then holds at most one zero of g and, as the zeros
+    interlace, two of f; two hidden zeros of f have g's zero between them,
+    which breaks the lead.
     """
     from . import _kernels  # once per scan: the kernels load with the first scan of a process
 
@@ -339,18 +351,15 @@ def radial_roots_up_to(
 ) -> list[float]:
     """All positive roots of the radial condition not exceeding ``x_max``.
 
-    No root is silently missed while no lattice cell holds more than three
-    zeros of f and its partner g (``_lattice_scan``).  Consecutive zeros lie
-    at least 1.2 apart and four span at least 4.5 (scipy's zeros, x <= 200:
-    disk l < 200; l = 0 on balls N <= 7; l in {1, 2, 3, 5, 10, 30, 100, 150}
-    on N in {3, 4, 5, 7, 10}), so a pi/8 cell (``GRID_STEP``) holds at most
-    one.  An ``x_max`` below dim/2, and for l >= 1 below sqrt(l(l+dim)) too,
-    lies below the first root and gets [] at once; beyond ``MAX_ROOT_X`` it
-    raises InsufficientSpectrum, and an order nu above that DomainError, before
-    any evaluation.  Roots are refined to ``ROOT_XTOL`` and kept in ``cache``
-    (a new in-memory :class:`RootCache` when None) through the first root
-    beyond ``x_max``, so the cache serves the same request again, and a longer
-    request resumes the scan after the last cached root.
+    No root is missed: a pi/8 cell (``GRID_STEP``) holds at most one zero of
+    the partner g, so the scan halves every cell that hides two zeros of f
+    (proof in ``_lattice_scan``).  An ``x_max`` below dim/2, and for l >= 1
+    below sqrt(l(l+dim)) too, lies below the first root and gets [] at once;
+    beyond ``MAX_ROOT_X`` it raises InsufficientSpectrum, and an order nu above
+    that DomainError, before any evaluation.  Roots are refined to ``ROOT_XTOL``
+    and kept in ``cache`` (a new in-memory :class:`RootCache` when None) through
+    the first root beyond ``x_max``, so the cache serves the same request again,
+    and a longer request resumes the scan after the last cached root.
     """
     _check_radial_family(angular_index, dim)
     _real(x_max, "radial roots bound x_max", finite=False, error=DomainError)
@@ -372,43 +381,6 @@ def radial_roots_up_to(
         cached = cached + _lattice_scan(angular_index, dim, x_max, GRID_STEP, after)
         cache.put(dim, angular_index, cached)
     return [r for r in cached if r <= x_max]
-
-
-def neumann_radial_roots(
-    angular_index: int,
-    dim: int = 2,
-    count: int = 1,
-    *,
-    cache: "RootCache | None" = None,
-) -> list[float]:
-    """First ``count`` positive roots of the radial Neumann condition.
-
-    x = 0 is excluded by convention; the zero eigenvalue is injected once by
-    the spectrum builders, not reported as a radial root.  Fewer than
-    ``count`` roots below ``MAX_ROOT_X`` raise InsufficientSpectrum.
-    """
-    _check_radial_family(angular_index, dim)
-    _int(count, "count", 1)
-    cache = _root_cache(cache)
-    cached = cache.get(dim, angular_index)
-    if len(cached) >= count:
-        return cached[:count]
-    # roots sit near l + (k + dim/2) * pi; scan a window and extend if short (an
-    # integer test first, so no huge argument reaches float arithmetic)
-    if angular_index + dim + count > MAX_ROOT_X:
-        x_max = MAX_ROOT_X
-    else:
-        x_max = min(angular_index + dim + (count + 2) * math.pi, MAX_ROOT_X)
-    while True:
-        roots = radial_roots_up_to(angular_index, dim, x_max, cache=cache)
-        if len(roots) >= count:
-            return roots[:count]
-        if x_max == MAX_ROOT_X:
-            raise InsufficientSpectrum(
-                f"only {len(roots)} roots for (l={_show(angular_index)}, dim={_show(dim)}) lie in the supported "
-                f"range x <= {MAX_ROOT_X!r}, need {_show(count)}"
-            )
-        x_max = min(1.5 * x_max, MAX_ROOT_X)
 
 
 # ---------------------------------------------------------------------------
@@ -628,28 +600,6 @@ def _entries_from_docs(raw) -> list[SpectrumEntry]:
     if not isinstance(raw, list) or not raw:
         raise SchemaError("'entries' must be a nonempty array of spectrum entries")
     return [SpectrumEntry.from_json(item) for item in raw]
-
-
-def load_custom_spectrum(source) -> list[SpectrumEntry]:
-    """Validate a custom-spectrum document: ``{"domain": "custom", "entries": [...]}``.
-
-    Accepts a parsed document, a JSON string, or a path to a JSON file.
-    Entries must be ascending; near-coincident eigenvalues are merged with
-    their representations summed.
-    """
-    doc = source
-    if isinstance(source, (str, Path)):
-        try:
-            text = Path(source).read_bytes()
-        except (OSError, ValueError) as exc:
-            if isinstance(source, Path):
-                raise ValidationError(f"cannot read {source}: {exc}") from exc
-            text = source  # not a readable file; treat as inline JSON
-        doc = _parse_json(text, "custom spectrum")
-    _object(doc, "custom spectrum document", {"domain", "entries"})
-    if doc.get("domain") != "custom":
-        raise SchemaError("custom spectrum document needs \"domain\": \"custom\"")
-    return CustomDomain(_entries_from_docs(doc.get("entries"))).entries
 
 
 # ---------------------------------------------------------------------------

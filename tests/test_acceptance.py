@@ -22,7 +22,6 @@ from symbif import (
     bessel_j_prime,
     bif_a9,
     analyze,
-    compare_orbit_degrees,
     deg_minus_id,
     degree_from_orbits,
     disk_spectrum,
@@ -31,8 +30,8 @@ from symbif import (
     lambda_set,
     lift_degree,
     linearization_eigenvalues,
-    neumann_radial_roots,
     rabinowitz_excludes_bounded,
+    radial_roots_up_to,
     rep_equiv_mod_even_trivial,
     unbounded_verdict,
 )
@@ -141,7 +140,7 @@ def test_criterion_3_bessel_root_accuracy():
         start = time.perf_counter()
         produced = {}
         for l in range(6):
-            produced[l] = neumann_radial_roots(l, 2, 10)
+            produced[l] = radial_roots_up_to(l, 2, 40.0)[:10]
             assert len(produced[l]) == 10
             for mine in produced[l]:
                 assert abs(bessel_j_prime(l, mine)) < 1e-10, (l, mine)
@@ -279,7 +278,7 @@ def test_criterion_9_morse_degree_suite():
             b = degree_from_orbits(
                 OrbitDatum(rng.choice(classes), rng.randrange(3)) for _ in range(rng.randrange(7))
             )
-            assert compare_orbit_degrees(a, b, table) == (a != b)
+            assert (lift_degree(a, table) != lift_degree(b, table)) == (a != b)
 
 
 def test_criterion_10_rabinowitz_exclusion():

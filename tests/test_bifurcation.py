@@ -40,7 +40,6 @@ from symbif import (
     enumerate_zero_sum_subsets,
     kernel_reps,
     lambda_set,
-    neumann_radial_roots,
     rabinowitz_excludes_bounded,
     radial_roots_up_to,
     unbounded_verdict,
@@ -398,7 +397,7 @@ class TestUnboundedVerdict:
     def test_ball_domain_uses_radial_test(self):
         # a true 3-ball spectrum holds a trivial summand at each squared trivial-type root, which the
         # build checks; the verdict reads the stated trivial rep there
-        entries = disk_spectrum(neumann_radial_roots(0, 3, 2)[-1] ** 2, dim=3)
+        entries = disk_spectrum(radial_roots_up_to(0, 3, 8.0)[1] ** 2, dim=3)
         spec = a9_spec(q1=2, p2=0, domain=BallDomain(entries, dim=3))
         trivial = [e for e in entries[1:] if e.rep == SO2Rep.trivial(1)]
         assert len(trivial) == 2 and trivial[1] is entries[-1]

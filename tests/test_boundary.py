@@ -141,13 +141,13 @@ PLAIN_SPEC = symbif.system_spec_from_json({**A9_DISK, "a9": False})
     "call",
     [
         lambda: symbif.radial_condition(True, 2, 3.0),
-        lambda: symbif.neumann_radial_roots(True),
+        lambda: symbif.radial_roots_up_to(True, 2, 3.0),
         lambda: symbif.check_glob(A9_SPEC, "abc"),
         lambda: symbif.bif_difference(PLAIN_SPEC, "abc"),
         lambda: symbif.bif_a9(A9_SPEC, "11.49"),
         lambda: symbif.epsilon_gap(1.0, ["a"]),
     ],
-    ids=["radial-condition-bool", "neumann-bool", "check-glob-str", "bif-difference-str", "bif-a9-str", "epsilon-gap-str"],
+    ids=["radial-condition-bool", "radial-roots-bool", "check-glob-str", "bif-difference-str", "bif-a9-str", "epsilon-gap-str"],
 )
 def test_library_refuses_bools_and_strings_as_numbers(call):
     with pytest.raises((symbif.DomainError, symbif.ValidationError)):
@@ -161,8 +161,6 @@ BIG = 10**5000  # 5,001 digits: str() and repr() of it raise ValueError
     "call",
     [
         lambda: symbif.radial_roots_up_to(-BIG, 2, 3.0),
-        lambda: symbif.neumann_radial_roots(0, 2, -BIG),
-        lambda: symbif.neumann_radial_roots(BIG, 2, 1),
         lambda: symbif.SO2Rep(-BIG),
         lambda: symbif.EulerSO2(0, {-BIG: 1}),
         lambda: symbif.EulerSO2(BIG).invert(),
@@ -173,7 +171,7 @@ BIG = 10**5000  # 5,001 digits: str() and repr() of it raise ValueError
         lambda: symbif.epsilon_gap(BIG, [1.0]),
     ],
     ids=[
-        "radial-roots-index", "neumann-count", "neumann-index", "so2rep-trivial", "euler-label", "euler-invert",
+        "radial-roots-index", "so2rep-trivial", "euler-label", "euler-invert",
         "spec-p1", "spec-mu-b0", "orbit-morse-index", "first-entries", "epsilon-gap",
     ],
 )

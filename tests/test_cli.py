@@ -590,21 +590,20 @@ class TestCacheAndConfig:
             ("config", '{"window": [0, ' + "1" * 5001 + "]}"),
             ("report", '{"schema_version": ' + "1" * 5001 + "}"),
             ("report", "{not json"),
-            ("custom-spectrum", '{"domain": "custom", "entries": [' + "1" * 5001 + "]}"),
+            ("custom-spectrum", '{"system": {"domain": {"type": "custom", "entries": [' + "1" * 5001 + "]}}}"),
         ],
         ids=["config-5001-digits", "report-5001-digits", "report-syntax", "custom-spectrum-5001-digits"],
     )
     def test_json_python_cannot_read_is_a_schema_error(self, capsys, tmp_path, reader, text):
         # Python refuses integer literals of more than 4,300 digits with a plain ValueError
-        if reader == "config":
+        if reader != "report":
             cfg = tmp_path / "bad.json"
             cfg.write_text(text)
             code, out, err = run_cli(capsys, "analyze", "--config", str(cfg))
             assert (code, out) == (1, "") and err.startswith("symbif: SchemaError: ")
         else:
-            read = parse_report if reader == "report" else symbif.load_custom_spectrum
             with pytest.raises(symbif.SchemaError, match="not valid JSON"):
-                read(text)
+                parse_report(text)
 
     @pytest.mark.parametrize(
         "field",

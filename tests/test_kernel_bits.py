@@ -60,8 +60,8 @@ BALL_CONDITION_GOLDEN = "e9f607d170ae30e2b280334433a4d81f7d8c29e1adfafead46ade5c
 #: ``radial_roots_up_to(l, dim, 150.5)`` under the key (l, dim) for l >= 1,
 #: whose scans start just below sqrt(l(l+dim)): the integer-order scans for
 #: even dim, the half-integer scans for odd dim, across all three bands.  Dim
-#: 9 and 12 lie past the N <= 7 of the spacing claim for l = 0 in
-#: ``radial_roots_up_to``; their scans rest on the interlacing check alone.
+#: 9 and 12 lie past the N <= 7 of the sampled spacing of f and g together;
+#: their scans rest on the proven spacing of g in ``_lattice_scan``.
 #: The l >= 1 roots agree with ``tests/oracles.oracle_radial_roots`` to
 #: 3.8e-15 relative, with the same count below 150.5
 BALL_GOLDEN = {

@@ -1,9 +1,8 @@
 """Fuzz of the record readers: a mutated document is read faithfully or refused with a package error.
 
 Each example starts from a valid document of ``SO2Rep``, ``EulerSO2`` or
-``SpectrumEntry``, of a supplied spectrum (``load_custom_spectrum``) or a
-domain (``domain_from_json``), or of a system (``system_spec_from_json``), a
-run config (``AnalysisConfig.from_doc``), orbit data or a class table,
+``SpectrumEntry``, of a domain (``domain_from_json``; a custom one carries a
+supplied spectrum), or of a system (``system_spec_from_json``), a run config (``AnalysisConfig.from_doc``), orbit data or a class table,
 disguises, replaces, deletes or adds one to three values anywhere in it, and
 reads it.  Every outcome must be a value or a ``symbif.errors.Error``; any
 other exception fails the example.  A value must also be what the document
@@ -21,7 +20,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symbif import BallDomain, CustomDomain, DiskDomain, EulerSO2, SO2Rep, SpectrumEntry, load_custom_spectrum
+from symbif import BallDomain, CustomDomain, DiskDomain, EulerSO2, SO2Rep, SpectrumEntry, spectral
 from symbif.cli import AnalysisConfig
 from symbif.errors import Error, SchemaError
 from symbif.morse import OrbitDatum, class_table_from_json, orbit_data_from_json
@@ -38,13 +37,12 @@ ENTRIES = [
     {"eigenvalue": 3.3899577166932745 * (1 + 5e-9), "angular_index": 2, "rep": {"trivial": 0, "irr": {"2": 1}}},
     {"eigenvalue": 7, "angular_index": 0, "root_index": 1, "rep": {"trivial": 1}},
 ]
-CUSTOM = {"domain": "custom", "entries": ENTRIES}
-#: one document per domain type, with the constants as the only entry, so that a mutation often lands
-#: on the domain's own fields (the entries are fuzzed through load_custom_spectrum)
+#: one document per domain type; a ball holds the constants only, so that a mutation often lands on its
+#: dim, and a custom domain holds every entry of ENTRIES, so its entries are fuzzed as a supplied spectrum
 DOMAINS = {
     "disk": {"type": "disk", "max_eigenvalue": 50.0},
     "ball": {"type": "ball", "dim": 3, "entries": ENTRIES[:1]},
-    "custom": {"type": "custom", "entries": ENTRIES[:1], "irr_dims": {"1": 2, "3": 6}},
+    "custom": {"type": "custom", "entries": ENTRIES, "irr_dims": {"1": 2, "3": 6}},
 }
 #: a system on a disk whose spectrum is never computed while reading
 SYSTEM = {
@@ -294,15 +292,6 @@ def test_spectrum_entry_from_json(doc):
         _check_entry(doc, entry)
 
 
-@FUZZ
-@given(doc=_mutated(CUSTOM))
-def test_load_custom_spectrum(doc):
-    entries = _read(load_custom_spectrum, doc)
-    if entries is not None:
-        assert type(doc) is dict and doc["domain"] == "custom" and set(doc) == {"domain", "entries"}
-        _check_entries(doc["entries"], entries)
-
-
 @pytest.mark.parametrize("kind", DOMAINS)
 def test_domain_from_json(kind):
     @FUZZ
@@ -367,6 +356,18 @@ def test_domain_numbers_in_every_guise(kind, path):
             _check_domain(doc, domain)
 
 
+def test_a_bare_int_in_a_reader_is_caught(monkeypatch):
+    # a ball dim read by int(...) instead of the checked _int takes 3.0 and "3" for 3; the guise test must fail
+    checked = spectral._int
+
+    def bare(v, what, *args, **kwargs):
+        return int(v) if what == "ball dimension" else checked(v, what, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_int", bare)
+    with pytest.raises(AssertionError):
+        test_domain_numbers_in_every_guise("ball", ["dim"])
+
+
 def test_unknown_keys_of_mixed_types_are_refused():
     # a key that is not text (a document built in Python) is named after the text keys
     for reader, doc in ((SO2Rep.from_json, REP), (SpectrumEntry.from_json, ENTRY), (domain_from_json, DOMAINS["ball"])):
@@ -378,7 +379,7 @@ def test_the_base_documents_are_read():
     _check_rep(REP, SO2Rep.from_json(REP))
     _check_euler(EULER, EulerSO2.from_json(EULER))
     _check_entry(ENTRY, SpectrumEntry.from_json(ENTRY))
-    entries = load_custom_spectrum(CUSTOM)
+    entries = domain_from_json(DOMAINS["custom"]).entries
     _check_entries(ENTRIES, entries)
     assert len(entries) == 3
     for doc in DOMAINS.values():

@@ -27,8 +27,6 @@ from symbif import (
     bessel_j,
     bessel_j_prime,
     disk_spectrum,
-    load_custom_spectrum,
-    neumann_radial_roots,
     radial_condition,
     radial_roots_up_to,
 )
@@ -166,31 +164,38 @@ class TestBesselValues:
 
 class TestRadialRoots:
     def test_spec_examples(self):
-        assert abs(neumann_radial_roots(1, 2, 1)[0] - 1.8411838) < 1e-6
-        assert abs(neumann_radial_roots(0, 2, 1)[0] - 3.8317060) < 1e-6
-        assert abs(neumann_radial_roots(2, 2, 1)[0] - 3.0542370) < 1e-6
+        assert abs(radial_roots_up_to(1, 2, 4.0)[0] - 1.8411838) < 1e-6
+        assert abs(radial_roots_up_to(0, 2, 4.0)[0] - 3.8317060) < 1e-6
+        assert abs(radial_roots_up_to(2, 2, 4.0)[0] - 3.0542370) < 1e-6
 
     @pytest.mark.parametrize("l,dim", [(0, 2), (1, 2), (4, 2), (0, 3), (0, 4), (0, 5)])
     def test_roots_increase_and_satisfy_condition(self, l, dim):
-        roots = neumann_radial_roots(l, dim, 8)
-        assert all(b > a for a, b in zip(roots, roots[1:]))
+        roots = radial_roots_up_to(l, dim, 30.0)[:8]
+        assert len(roots) == 8 and all(b > a for a, b in zip(roots, roots[1:]))
         for r in roots:
             assert r > 0
             assert abs(radial_condition(l, dim, r)) < 1e-10
 
     def test_sign_change_across_final_bracket(self):
         for l in (0, 1, 3):
-            for r in neumann_radial_roots(l, 2, 4):
+            roots = radial_roots_up_to(l, 2, 15.0)[:4]
+            assert len(roots) == 4
+            for r in roots:
                 lo = radial_condition(l, 2, r - 2 * ROOT_XTOL)
                 hi = radial_condition(l, 2, r + 2 * ROOT_XTOL)
                 assert lo == 0 or hi == 0 or (lo > 0) != (hi > 0)
 
     def test_oracle_agreement(self):
         for l, dim in [(0, 2), (1, 2), (2, 2), (0, 3), (0, 4), (0, 5), (0, 7)]:
-            mine = neumann_radial_roots(l, dim, 3)
+            mine = radial_roots_up_to(l, dim, 14.0)[:3]
+            assert len(mine) == 3
             theirs = oracle_radial_roots(l, dim, 3)
             for a, b in zip(mine, theirs):
                 assert abs(a - b) < 1e-12, (l, dim, a, b)
+
+    def test_twentieth_root_of_degree_30(self):
+        roots = radial_roots_up_to(30, 2, 104.0)
+        assert len(roots) == 20 and abs(roots[-1] - jp_zero(30, 20)) <= 1e-9
 
     @pytest.mark.parametrize("l", [150, 177, 190])
     def test_high_order_roots_pinned(self, l):
@@ -206,21 +211,20 @@ class TestRadialRoots:
                 assert lo == 0 or hi == 0 or (lo > 0) != (hi > 0), (l, r)
 
     def test_ball_condition_is_tan_x_for_dim3(self):
-        for r in neumann_radial_roots(0, 3, 4):
+        roots = radial_roots_up_to(0, 3, 15.0)[:4]
+        assert len(roots) == 4
+        for r in roots:
             assert abs(math.tan(r) - r) < 1e-7
 
     def test_up_to_consistent_with_count(self):
-        roots = neumann_radial_roots(1, 2, 6)
+        roots = radial_roots_up_to(1, 2, 20.0)[:6]
+        assert len(roots) == 6
         capped = radial_roots_up_to(1, 2, roots[-1] + 1e-9)
         assert capped == pytest.approx(roots, abs=1e-12)
 
     def test_count_validation(self):
         supplied = CustomDomain([SpectrumEntry(0.0, SO2Rep.trivial(1))])
         calls = [
-            lambda: neumann_radial_roots(0, 2, 0),
-            lambda: neumann_radial_roots(0, 2, 2.5),
-            lambda: neumann_radial_roots(0, 2, "3"),
-            lambda: neumann_radial_roots(0, 2, True),
             lambda: DiskDomain().first_entries(2.5),
             lambda: DiskDomain().first_entries(True),
             lambda: supplied.first_entries(1.0),
@@ -230,9 +234,9 @@ class TestRadialRoots:
                 call()
 
     def test_degree_one_on_the_three_ball_is_the_zeros_of_j1_prime(self):
-        roots = neumann_radial_roots(1, 3, 5)
+        roots = radial_roots_up_to(1, 3, 16.0)
         want = spherical_jp_zeros(1, 16.0)
-        assert len(want) == 5
+        assert len(want) == len(roots) == 5
         for got, r in zip(roots, want):
             assert abs(got - r) <= 1e-12 * r, (got, r)
 
@@ -244,7 +248,7 @@ class TestRadialRoots:
         # root 1.84 is refined like the others.
         from symbif.spectral import _lattice_scan
 
-        reference = neumann_radial_roots(1, 2, 5)
+        reference = radial_roots_up_to(1, 2, 16.0)
         coarse = [r for r in _lattice_scan(1, 2, 16.0, step=4.0) if r <= 16.0]
         assert len(coarse) == len(reference) == 5
         for got, want in zip(coarse, reference):
@@ -446,7 +450,8 @@ class TestOneRadialFamily:
     @pytest.mark.parametrize("dim", [3, 4, 5, 7])
     @pytest.mark.parametrize("l", [1, 3, 10])
     def test_public_roots_match_the_oracle(self, l, dim):
-        roots = neumann_radial_roots(l, dim, 4)
+        roots = radial_roots_up_to(l, dim, 27.0)[:4]
+        assert len(roots) == 4
         for got, want in zip(roots, oracle_radial_roots(l, dim, 4)):
             assert abs(got - want) <= 1e-12 * want, (got, want)
 
@@ -498,13 +503,32 @@ def _ball_zeros(dim: int, l: int = 0, step: float = 0.01) -> tuple[list[float], 
 
 
 class TestSpacingPremise:
-    """The spacing ``radial_roots_up_to`` claims, on which a pi/8 cell holds at most one zero of f and g.
+    """scipy's zeros as the oracle of the spacing on which a pi/8 cell holds at most one zero of g.
 
-    Consecutive zeros of the condition f and its partner g lie at least 1.2
-    apart, and four of them span at least 4.5, for the disk with l < 200, for
-    the trivial-type test on balls with N <= 7, and for l >= 1 on the sampled
-    balls below, x <= 200; scipy's zeros check it.
+    ``_lattice_scan`` proves that consecutive zeros of the partner g = J_nu
+    lie more than 3.07 apart, and more than pi for nu > 1/2.  The sampled
+    spacing of f and g together is checked as well: consecutive zeros lie at
+    least 1.2 apart, and four of them span at least 4.5, for the disk with
+    l < 200, for the trivial-type test on balls with N <= 7, and for l >= 1
+    on the sampled balls below, x <= 200.
     """
+
+    def test_zeros_of_the_partner_lie_as_far_apart_as_proven(self):
+        # more than pi apart for nu > 1/2, pi at nu = 1/2, and in (3.07, pi) at nu = 0, where the
+        # least gap is j_{0,2} - j_{0,1} = 3.1153
+        from scipy.special import jn_zeros
+
+        for l in range(200):
+            zeros = [x for x in jn_zeros(l, int((MAX_ROOT_X - l) / math.pi) + 3) if x <= MAX_ROOT_X]
+            gaps = [b - a for a, b in zip(zeros, zeros[1:])]
+            assert all(gap > math.pi for gap in gaps) if l else 3.07 < min(gaps) < max(gaps) < math.pi, l
+        for l, dim in ((0, 3), (0, 5), (0, 9), (1, 3), (10, 3), (100, 3)):
+            zeros = _ball_zeros(dim, l)[1]
+            gaps = [b - a for a, b in zip(zeros, zeros[1:])]
+            if l + (dim - 2) / 2 == 0.5:
+                assert max(abs(gap - math.pi) for gap in gaps) < 1e-9
+            else:
+                assert gaps and min(gaps) > math.pi, (l, dim)
 
     def test_disk(self):
         from scipy.special import jn_zeros, jnp_zeros
@@ -784,7 +808,7 @@ class TestBallNontrivial:
         assert ball_rep_nontrivial(SpectrumEntry(10.0, SO2Rep.irr(2), angular_index=2), 3)
 
     def test_root_fed_back_is_trivial(self):
-        r = neumann_radial_roots(0, 3, 2)[1]
+        r = radial_roots_up_to(0, 3, 8.0)[1]
         assert not ball_rep_nontrivial(SpectrumEntry(r * r, SO2Rep.trivial(1)), 3)
 
     def test_generic_eigenvalue_is_nontrivial(self):
@@ -800,7 +824,7 @@ class TestBallNontrivial:
         # cache=None spells "a fresh cache", as the default does: the domain keeps it, so a
         # request after the build reads the roots of every degree the build scanned
         entries = disk_spectrum(40.0, dim=3)
-        root = neumann_radial_roots(0, 3, 1)[0]
+        [root] = radial_roots_up_to(0, 3, 5.0)
         kernel_calls.reset()
         domain = BallDomain(entries, dim=3, cache=None)
         scanned = kernel_calls.total
@@ -838,7 +862,11 @@ class TestBallNontrivial:
 
 
 def _doc(entries):
-    return {"domain": "custom", "entries": entries}
+    return {"type": "custom", "entries": entries}
+
+
+def _custom(doc) -> list[SpectrumEntry]:
+    return domain_from_json(doc).entries
 
 
 ZERO_ENTRY = {"eigenvalue": 0.0, "rep": {"trivial": 1, "irr": {}}}
@@ -846,7 +874,7 @@ ZERO_ENTRY = {"eigenvalue": 0.0, "rep": {"trivial": 1, "irr": {}}}
 
 class TestCustomSpectrum:
     def test_well_formed(self):
-        entries = load_custom_spectrum(
+        entries = _custom(
             _doc([ZERO_ENTRY, {"eigenvalue": 2.5, "rep": {"trivial": 0, "irr": {"1": 1}}}])
         )
         assert len(entries) == 2
@@ -854,16 +882,16 @@ class TestCustomSpectrum:
 
     def test_accepts_rot_alias_and_json_text(self):
         text = json.dumps(_doc([ZERO_ENTRY, {"eigenvalue": 1.0, "rep": {"trivial": 0, "rot": {"2": 3}}}]))
-        entries = load_custom_spectrum(text)
+        entries = _custom(json.loads(text))
         assert entries[1].rep == SO2Rep.irr(2, 3)
 
     def test_missing_zero_rejected(self):
         with pytest.raises(ValidationError):
-            load_custom_spectrum(_doc([{"eigenvalue": 1.0, "rep": {"trivial": 1, "irr": {}}}]))
+            _custom(_doc([{"eigenvalue": 1.0, "rep": {"trivial": 1, "irr": {}}}]))
 
     def test_descending_rejected(self):
         with pytest.raises(ValidationError):
-            load_custom_spectrum(
+            _custom(
                 _doc(
                     [
                         ZERO_ENTRY,
@@ -875,13 +903,13 @@ class TestCustomSpectrum:
 
     def test_negative_multiplicity_rejected(self):
         with pytest.raises(ValidationError):
-            load_custom_spectrum(
+            _custom(
                 _doc([ZERO_ENTRY, {"eigenvalue": 1.0, "rep": {"trivial": 0, "irr": {"1": -2}}}])
             )
 
     def test_near_duplicates_merge(self):
         a = 7.25
-        entries = load_custom_spectrum(
+        entries = _custom(
             _doc(
                 [
                     ZERO_ENTRY,
@@ -895,25 +923,19 @@ class TestCustomSpectrum:
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(SchemaError):
-            load_custom_spectrum({"domain": "custom", "entries": [ZERO_ENTRY], "extra": 1})
+            _custom({**_doc([ZERO_ENTRY]), "extra": 1})
         with pytest.raises(SchemaError):
-            load_custom_spectrum(_doc([{**ZERO_ENTRY, "bogus": 1}]))
+            _custom(_doc([{**ZERO_ENTRY, "bogus": 1}]))
 
     def test_zero_entry_must_be_constants(self):
         with pytest.raises(ValidationError):
-            load_custom_spectrum(_doc([{"eigenvalue": 0.0, "rep": {"trivial": 2, "irr": {}}}]))
+            _custom(_doc([{"eigenvalue": 0.0, "rep": {"trivial": 2, "irr": {}}}]))
 
     def test_malformed_document(self):
         with pytest.raises(SchemaError):
-            load_custom_spectrum({"entries": [ZERO_ENTRY]})
+            _custom({"entries": [ZERO_ENTRY]})
         with pytest.raises(SchemaError):
-            load_custom_spectrum("not json {")
-
-    @pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
-    def test_unreadable_path_is_a_validation_error(self, tmp_path, name):
-        # a Path names a file, so one that cannot be read is not taken as inline JSON
-        with pytest.raises(ValidationError, match="cannot read"):
-            load_custom_spectrum(tmp_path / name)
+            _custom("not json {")
 
 
 A = 7.25
@@ -1146,14 +1168,6 @@ class TestEntriesUpToTakesANumber:
 class TestLivePaths:
     """Paths of the root scan and the disk domain that only unusual requests reach."""
 
-    def test_count_window_grows(self):
-        # the first window, l + dim + (count + 2) pi = 101.1, stops below the
-        # 20th root 103.2, so the window grows once before the count is met
-        first_window = 30 + 2 + 22 * math.pi
-        assert first_window < jp_zero(30, 20)
-        roots = neumann_radial_roots(30, 2, 20)
-        assert len(roots) == 20 and abs(roots[-1] - jp_zero(30, 20)) <= 1e-9
-
     def test_underflow_keeps_the_sign_before_it(self, monkeypatch):
         # -J_{150.5} and J_{149.5} underflow to 0.0 near the origin; the scan
         # carries the previous sign there and still finds the first root
@@ -1199,68 +1213,51 @@ class TestRootRange:
         assert x_edge < 199.01 < MAX_ROOT_X
         assert len(radial_roots_up_to(0, 2, x_edge)) == 63
 
-    def test_count_beyond_the_range_is_insufficient(self):
-        with pytest.raises(InsufficientSpectrum, match="need 100"):
-            neumann_radial_roots(0, 2, 100)
-
     @pytest.mark.parametrize(
-        "call, expected, evaluates",
+        "call, expected",
         [
-            (lambda: radial_condition(10**400, 2, 3.0), (DomainError, "<= 200"), False),
-            (lambda: radial_roots_up_to(10**400, 2, 3.0), [], False),
-            (lambda: neumann_radial_roots(10**400, 2, 1), (InsufficientSpectrum, "only 0 roots"), False),
-            # the error a count of 2**60 gets: the 63 roots below MAX_ROOT_X are too few
-            (lambda: neumann_radial_roots(0, 2, 10**400), (InsufficientSpectrum, "only 63 roots"), True),
-            (lambda: bessel_j(2**60, 30.0), (DomainError, "<= 200"), False),
-            (lambda: radial_condition(2**60, 2, 30.0), (DomainError, "<= 200"), False),
-            (lambda: neumann_radial_roots(2**60, 2, 1), (InsufficientSpectrum, "only 0 roots"), False),
-            (lambda: radial_roots_up_to(2**60, 2, 150.0), [], False),
-            (lambda: radial_roots_up_to(10**6, 2, 150.0), [], False),
+            (lambda: radial_condition(10**400, 2, 3.0), (DomainError, "<= 200")),
+            (lambda: radial_roots_up_to(10**400, 2, 3.0), []),
+            (lambda: bessel_j(2**60, 30.0), (DomainError, "<= 200")),
+            (lambda: radial_condition(2**60, 2, 30.0), (DomainError, "<= 200")),
+            (lambda: radial_roots_up_to(2**60, 2, 150.0), []),
+            (lambda: radial_roots_up_to(10**6, 2, 150.0), []),
             # degree 1 on balls whose order nu = 1 + (dim - 2)/2 lies above MAX_ROOT_X: a root call
             # answers at once when every root lies beyond the request (first root > min(dim/2,
             # sqrt(dim + 1))), and refuses the order otherwise
-            (lambda: radial_condition(1, 1000, 3.0), (DomainError, "<= 200"), False),
-            (lambda: radial_roots_up_to(1, 1000, 3.0), [], False),
-            (lambda: radial_roots_up_to(1, 1000, 150.0), (DomainError, "<= 200"), False),
-            (lambda: neumann_radial_roots(1, 1000, 1), (DomainError, "<= 200"), False),
-            (lambda: radial_condition(1, 2**60, 3.0), (DomainError, "<= 200"), False),
-            (lambda: radial_roots_up_to(1, 2**60, 150.0), [], False),
-            (lambda: neumann_radial_roots(1, 2**60, 1), (InsufficientSpectrum, "only 0 roots"), False),
-            (lambda: radial_condition(1, 10**400, 3.0), (DomainError, "<= 200"), False),
-            (lambda: radial_roots_up_to(1, 10**400, 150.0), [], False),
-            (lambda: neumann_radial_roots(1, 10**400, 1), (InsufficientSpectrum, "only 0 roots"), False),
+            (lambda: radial_condition(1, 1000, 3.0), (DomainError, "<= 200")),
+            (lambda: radial_roots_up_to(1, 1000, 3.0), []),
+            (lambda: radial_roots_up_to(1, 1000, 150.0), (DomainError, "<= 200")),
+            (lambda: radial_condition(1, 2**60, 3.0), (DomainError, "<= 200")),
+            (lambda: radial_roots_up_to(1, 2**60, 150.0), []),
+            (lambda: radial_condition(1, 10**400, 3.0), (DomainError, "<= 200")),
+            (lambda: radial_roots_up_to(1, 10**400, 150.0), []),
             # x above MAX_ROOT_X: far above it the phase x - (nu/2 + 1/4) pi rounds to x, so J_3(1e300)
             # once came out with the wrong sign and J_3'(1e17) as 0.0
-            *[(lambda x=x: bessel_j(3, x), (DomainError, "<= 200"), False) for x in BEYOND_X.values()],
-            *[(lambda x=x: bessel_j_prime(3, x), (DomainError, "<= 200"), False) for x in BEYOND_X.values()],
-            *[(lambda x=x: radial_condition(3, 2, x), (DomainError, "<= 200"), False) for x in BEYOND_X.values()],
+            *[(lambda x=x: bessel_j(3, x), (DomainError, "<= 200")) for x in BEYOND_X.values()],
+            *[(lambda x=x: bessel_j_prime(3, x), (DomainError, "<= 200")) for x in BEYOND_X.values()],
+            *[(lambda x=x: radial_condition(3, 2, x), (DomainError, "<= 200")) for x in BEYOND_X.values()],
         ],
         ids=[
             "condition-l-10e400",
             "roots-up-to-l-10e400",
-            "neumann-l-10e400",
-            "neumann-count-10e400",
             "bessel-order-2e60",
             "condition-l-2e60",
-            "neumann-l-2e60",
             "roots-up-to-l-2e60",
             "roots-up-to-l-10e6",
             "condition-l-1-dim-1000",
             "roots-up-to-l-1-dim-1000-below",
             "roots-up-to-l-1-dim-1000",
-            "neumann-l-1-dim-1000",
             "condition-l-1-dim-2e60",
             "roots-up-to-l-1-dim-2e60",
-            "neumann-l-1-dim-2e60",
             "condition-l-1-dim-10e400",
             "roots-up-to-l-1-dim-10e400",
-            "neumann-l-1-dim-10e400",
             *[f"bessel-{name}" for name in BEYOND_X],
             *[f"bessel-prime-{name}" for name in BEYOND_X],
             *[f"condition-{name}" for name in BEYOND_X],
         ],
     )
-    def test_extreme_order_or_count_answers_at_once(self, call, expected, evaluates, kernel_calls, deadline):
+    def test_extreme_order_or_count_answers_at_once(self, call, expected, kernel_calls, deadline):
         # a recurrence started above the order would run for ages: every root
         # of J_l' lies above l, and no evaluator accepts an order above MAX_ROOT_X
         with deadline(10, "the call did not finish within 10 s"):
@@ -1269,7 +1266,7 @@ class TestRootRange:
             else:
                 with pytest.raises(expected[0], match=expected[1]):
                     call()
-        assert (kernel_calls.total > 0) == evaluates
+        assert kernel_calls.total == 0
 
     def test_orders_up_to_the_cut_answer(self):
         assert bessel_j(MAX_ROOT_X, 150.0) == _kernels._radial_condition(200, 2, 150.0)[1]
@@ -1519,13 +1516,12 @@ class TestRootCache:
         loaded, stale = RootCache.load(path)
         assert stale and loaded.records == {}
         with pytest.raises(DomainError, match="<= 200"):
-            neumann_radial_roots(1, 1000, 1, cache=loaded)
+            radial_roots_up_to(1, 1000, 150.0, cache=loaded)
         # a cache built in Python refuses such a record when it is built
         for dim in (1000, 2**60):
             with pytest.raises(ValidationError, match="lies above 200"):
                 RootCache({(dim, 1): [5.0]})
-        with pytest.raises(InsufficientSpectrum, match="only 0 roots"):
-            neumann_radial_roots(1, 2**60, 1, cache=RootCache())
+        assert radial_roots_up_to(1, 2**60, 150.0, cache=RootCache()) == []
 
     @pytest.mark.parametrize(
         "records, match",
@@ -1556,11 +1552,9 @@ class TestRootCache:
                     RootCache().put(*key, roots)
 
     def test_no_cache_serves_roots_out_of_order(self):
-        # the repros of a cache built with [9.0, 1.0]: each call is refused where the cache is built
+        # the repro of a cache built with [9.0, 1.0]: the call is refused where the cache is built
         with pytest.raises(ValidationError):
             radial_roots_up_to(0, 2, 5.0, cache=RootCache({(2, 0): [9.0, 1.0]}))
-        with pytest.raises(ValidationError):
-            neumann_radial_roots(0, 2, 2, cache=RootCache({(2, 0): [9.0, 1.0]}))
 
     def test_no_record_changes_outside_the_cache(self):
         # records hands out a copy: an unchecked list written into it never reaches a root call
@@ -1572,7 +1566,7 @@ class TestRootCache:
         # get hands out a copy: a root inserted into it is not served
         cache = RootCache({(2, 0): [3.0, 7.0]})
         cache.get(2, 0).insert(0, 8.0)
-        assert neumann_radial_roots(0, 2, 2, cache=cache) == [3.0, 7.0] and cache.get(2, 0) == [3.0, 7.0]
+        assert radial_roots_up_to(0, 2, 7.0, cache=cache) == [3.0, 7.0] and cache.get(2, 0) == [3.0, 7.0]
 
     def test_records_keep_float_roots(self):
         cache = RootCache({(2, 0): (4, 7.5)})
@@ -1595,9 +1589,8 @@ class TestRootCache:
             lambda cache: DiskDomain(cache=cache).entries_up_to(10),
             lambda cache: BallDomain([SpectrumEntry(0.0, SO2Rep.trivial(1))], 3, cache=cache),
             lambda cache: radial_roots_up_to(0, 2, 5.0, cache=cache),
-            lambda cache: neumann_radial_roots(0, 2, 1, cache=cache),
         ],
-        ids=["disk_spectrum", "DiskDomain", "BallDomain", "radial_roots_up_to", "neumann_radial_roots"],
+        ids=["disk_spectrum", "DiskDomain", "BallDomain", "radial_roots_up_to"],
     )
     @pytest.mark.parametrize("cache", ["x", 5, {}], ids=["str", "int", "dict"])
     def test_a_cache_argument_is_none_or_a_root_cache(self, call, cache):
@@ -1668,11 +1661,11 @@ class TestRootCache:
         fake = [1.0, 2.0, 99.0]  # wrong on purpose: proves the cache is consulted
         cache.put(2, 1, fake)
         assert radial_roots_up_to(1, 2, 50.0, cache=cache) == [1.0, 2.0]
-        assert neumann_radial_roots(1, 2, 2, cache=cache) == [1.0, 2.0]
+        assert radial_roots_up_to(1, 2, 99.0, cache=cache) == fake
 
     def test_cache_extended_when_insufficient(self):
         cache = RootCache()
-        roots = neumann_radial_roots(1, 2, 4, cache=cache)
-        assert len(cache.get(2, 1)) >= 4
-        again = neumann_radial_roots(1, 2, 4, cache=cache)
+        roots = radial_roots_up_to(1, 2, 15.0, cache=cache)[:4]
+        assert len(roots) == 4 and len(cache.get(2, 1)) >= 4
+        again = radial_roots_up_to(1, 2, 15.0, cache=cache)[:4]
         assert again == roots

@@ -24,10 +24,10 @@ from symbif import (
     lambda_membership,
     lambda_set,
     linearization_eigenvalues,
-    load_custom_spectrum,
-    neumann_radial_roots,
+    radial_roots_up_to,
     system_spec_from_json,
 )
+from symbif.spectral import domain_from_json
 
 ALPHA2 = 1.8411837813406593**2  # first rotation-1 disk eigenvalue
 ALPHA3 = 3.0542369282271403**2  # first rotation-2 disk eigenvalue
@@ -422,7 +422,7 @@ class TestLinearization:
         # degree l on the N-ball: C(l+N-1, N-1) - C(l+N-3, N-1), which is 2l + 1 on the 3-ball
         # and (l + 1)^2 on the 4-ball; read by linearization_eigenvalues, one B1 row per entry of
         # the true spectrum up to the first root of the highest degree listed, supplied or computed
-        entries = disk_spectrum(neumann_radial_roots(max(dims), dim)[0] ** 2, dim=dim)
+        entries = disk_spectrum(radial_roots_up_to(max(dims), dim, 10.0)[0] ** 2, dim=dim)
         for domain in (BallDomain(entries, dim=dim), DiskDomain(dim=dim)):
             spec = SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, domain=domain)
             rows = linearization_eigenvalues(spec, 0.5, len(entries))
@@ -573,12 +573,8 @@ class TestCustomSpectrumIdempotence:
         docs = [{"eigenvalue": 0.0, "rep": {"trivial": 1, "irr": {}}}]
         for ev, label, mult in sorted(raw):
             docs.append({"eigenvalue": ev, "rep": {"trivial": 0, "irr": {str(label): mult}}})
-        from symbif import load_custom_spectrum
-
-        entries = load_custom_spectrum({"domain": "custom", "entries": docs})
-        again = load_custom_spectrum(
-            {"domain": "custom", "entries": [e.to_json() for e in entries]}
-        )
+        entries = domain_from_json({"type": "custom", "entries": docs}).entries
+        again = domain_from_json({"type": "custom", "entries": [e.to_json() for e in entries]}).entries
         assert again == entries
 
 
@@ -601,7 +597,7 @@ class TestEpsilonGap:
 
 NAN, INF = float("nan"), float("inf")
 NONFINITE_CUSTOM = {
-    "domain": "custom",
+    "type": "custom",
     "entries": [
         {"eigenvalue": 0.0, "rep": {"trivial": 1, "irr": {}}},
         {"eigenvalue": 1.0, "rep": {"trivial": 1, "irr": {}}},
@@ -633,7 +629,7 @@ class TestNonFiniteInputs:
             lambda: SystemSpec(p1=1, p2=0, sigma_b1={10**400: 1}),
             lambda: system_spec_from_json({"p1": 1, "p2": 0, "b1": [{"value": INF}], "domain": {"type": "disk"}}),
             lambda: SpectrumEntry(INF, SO2Rep.trivial(1)),
-            lambda: load_custom_spectrum(NONFINITE_CUSTOM),
+            lambda: domain_from_json(NONFINITE_CUSTOM),
         ],
         ids=[
             "kernel_reps-nan",
