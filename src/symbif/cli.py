@@ -10,12 +10,19 @@ spectrum too short for the request).
 Each subcommand imports the modules it calls when it runs, so a process
 loads only those: ``spectrum`` on a warm cache needs neither the system
 model nor the kernels.
+
+A process enters through :func:`process_main` (the ``__main__`` block and
+the ``symbif`` console script): it runs :func:`main`, which has no
+process-level side effects and is what library callers use, and then ends
+the process without the interpreter's exit-time garbage collections.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -34,7 +41,7 @@ from .errors import (
 )
 from .spectral import DiskDomain, RootCache
 
-__all__ = ["AnalysisConfig", "main", "parse_report"]
+__all__ = ["AnalysisConfig", "main", "parse_report", "process_main"]
 
 SCHEMA_VERSION = 1
 
@@ -351,5 +358,26 @@ def main(argv=None) -> int:
         return 1
 
 
+def process_main() -> int:
+    """The ``symbif`` process: ``main()`` on ``sys.argv``, then an exit without shutdown collections.
+
+    ``gc.freeze()`` moves every tracked object to the permanent generation, so
+    the collections the interpreter runs at shutdown have nothing to traverse;
+    the cycles left are reclaimed by the OS with the process.  atexit handlers
+    and the flush of the standard streams still run, and the cache file is
+    complete before the payload is printed.  A reader that closes the pipe
+    early ends the process with status 1 and no traceback.
+    """
+    try:
+        status = main()
+        gc.freeze()
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at shutdown
+    except BrokenPipeError:
+        # the flush at shutdown would fail again: point stdout at devnull (the note on SIGPIPE in the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

@@ -1,4 +1,7 @@
+import ast
+import gc
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -12,7 +15,7 @@ import symbif
 import symbif.bifurcation
 import symbif.system
 from symbif import DomainError, SchemaError, ValidationError
-from symbif.cli import main, parse_report
+from symbif.cli import main, parse_report, process_main
 
 from oracles import ball3_spectrum
 
@@ -875,3 +878,69 @@ class TestRefusals:
         else:
             code = main(call)
             assert (code, capsys.readouterr().err) == (1, f"symbif: {error.__name__}: {message}\n")
+
+
+def cli_process(argv, cwd, **kwargs):
+    """``python -m symbif.cli ARGV`` in a fresh process, as a Popen with the package on its path.
+
+    Its stdout is buffered, as in a shell without PYTHONUNBUFFERED.
+    """
+    src = str(Path(symbif.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "symbif.cli", *argv], env=env, cwd=cwd, **kwargs)
+
+
+class TestProcessEntry:
+    """A process enters through ``process_main``; ``main`` itself leaves the process as it found it."""
+
+    def test_console_script_calls_what_the_main_block_calls(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        module, _, name = tomllib.loads(pyproject.read_text())["project"]["scripts"]["symbif"].partition(":")
+        cli = importlib.import_module("symbif.cli")
+        assert importlib.import_module(module) is cli
+        tree = ast.parse(Path(cli.__file__).read_text())
+        [block] = [n for n in tree.body if isinstance(n, ast.If) and ast.unparse(n.test) == "__name__ == '__main__'"]
+        assert [ast.unparse(stmt) for stmt in block.body] == [f"sys.exit({name}())"]
+        assert getattr(cli, name) is process_main
+
+    def test_main_leaves_the_collector_as_it_found_it(self, capsys, a9_config):
+        before = (gc.get_freeze_count(), gc.isenabled())
+        code, out, _ = run_cli(capsys, "analyze", "--config", a9_config, "--format", "structured")
+        assert code == 0 and parse_report(out)["verdicts"]
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_a_process_prints_what_main_prints_cold_and_warm(self, capsys, a9_config, tmp_path):
+        cache = tmp_path / "roots.json"
+        argv = ["analyze", "--config", a9_config, "--format", "structured", "--cache", str(cache)]
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        written = cache.read_bytes()
+        cache.unlink()
+        for _ in ("cold", "warm"):  # the warm process only reads the file the cold one wrote
+            proc = cli_process(argv, tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            out, err = proc.communicate(timeout=60)
+            assert (proc.returncode, out, err) == (0, expected.encode(), b"")
+            assert cache.read_bytes() == written
+
+    @pytest.mark.parametrize(
+        "bound, form, read",
+        [("20000", "structured", 100), ("20000", "table", 100), ("100", "structured", 0)],
+        ids=["structured", "table", "small-report-unread"],
+    )
+    def test_a_closed_pipe_is_exit_1_and_the_cache_is_complete(self, capsys, tmp_path, bound, form, read):
+        # the reports up to 20000 (100 kB as a table, 490 kB structured) outgrow a 64 kB pipe buffer, so the
+        # process is still writing when the reader leaves; a small report, its pipe closed before the
+        # process starts, fails only when stdout is flushed
+        cache = tmp_path / "roots.json"
+        argv = ["spectrum", "--max-eigenvalue", bound, "--format", form, "--cache", str(cache)]
+        proc = cli_process(argv, tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(read)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
+        written = cache.read_bytes()
+        code, out, err = run_cli(capsys, *argv)  # warm: a complete cache serves every root
+        assert (code, err) == (0, "") and out.encode().startswith(head)
+        assert cache.read_bytes() == written
