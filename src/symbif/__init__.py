@@ -28,7 +28,7 @@ _EXPORTS = {
     ),
     "errors": (
         "ConvergenceError", "DomainError", "Error", "InsufficientSpectrum", "MissingClass", "NonInjectiveTable",
-        "NotAMember", "NotInvertible", "PreconditionError", "SchemaError", "UnsupportedDomain", "ValidationError",
+        "NotInvertible", "PreconditionError", "SchemaError", "UnsupportedDomain", "ValidationError",
     ),
     "euler": ("EulerSO2", "SO2Rep", "deg_minus_id", "rep_equiv_mod_even_trivial"),
     "morse": ("OrbitDatum", "degree_from_orbits", "lift_degree", "so2_class_map_to_euler"),
@@ -37,7 +37,7 @@ _EXPORTS = {
         "bessel_j_prime", "disk_spectrum", "radial_condition", "radial_roots_up_to",
     ),
     "system": (
-        "KernelReps", "LinearizationEigenvalue", "SystemSpec", "epsilon_gap", "kernel_reps", "lambda_membership",
+        "KernelReps", "LinearizationEigenvalue", "SystemSpec", "kernel_reps", "lambda_membership",
         "lambda_set", "linearization_eigenvalues", "system_spec_from_json",
     ),
 }

@@ -45,8 +45,8 @@ so one row of each parity serves every order with i <= int(x).  Inside
 ``shared_rows``, which ``symbif.spectral.disk_spectrum`` opens for every
 dim, each scan lattice point keeps its rows for every such order scanned
 there, bit-identical to a pass per order.  Other points, and calls outside
-the block, make a pass of their own that stores the orders up to the top
-one it reads and normalizes only what it reads.
+the block, make a pass ``row_of(x, m0, hi)`` of their own, hi = i + 1, that
+stores the orders up to hi and normalizes only what it reads.
 
 A pass runs two loops: the first, over the orders above the top index hi
 its caller reads, stores nothing; the second stores every index from hi
@@ -105,13 +105,12 @@ def _series_j(nu: float, x: float) -> float:
     return s
 
 
-def _miller_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[list[float], float]:
+def _miller_row(x: float, m0: int, hi: int | None = None) -> tuple[list[float], float]:
     """Unnormalized J_0 .. J_hi at x > 0 (default hi = m0) and their normalizing sum.
 
     One downward recurrence seeded with a decaying solution far above m0;
     J_k is ``row[k] / s`` by the even-order sum identity for 0 <= k <= hi
-    (hi <= m0 + 3).  ``lo`` is not read; it keeps the signature of
-    ``_sph_row``.  Every order up to hi is stored, each rescaled with the
+    (hi <= m0 + 3).  Every order up to hi is stored, each rescaled with the
     recurrence, so each quotient depends on x and m0 only, not on hi.
     """
     top = m0 + 20 + int(2.0 * math.sqrt(m0))
@@ -162,23 +161,22 @@ def _miller_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[
     return row, s
 
 
-def _sph_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[list[float], float]:
-    """J_{lo-1/2} .. J_{hi-1/2} at x > 0 (default lo = 0, hi = m0) with the divisor 1.0.
+def _sph_row(x: float, m0: int, hi: int | None = None) -> tuple[list[float], float]:
+    """J_{k-1/2} for k <= hi at x > 0 (default hi = m0, a full row) with the divisor 1.0.
 
-    J_{k-1/2} is ``row[k] / 1.0`` for lo <= k <= hi (hi <= m0 + 3; lo may be
-    -1, read as 0), and the other entries are not to be read.  Downward
-    recurrence on the spherical j_k (J_{k+1/2}, index k + 1), rescaled against
-    the larger of the anchors j_0 = sin(x)/x, j_1 = sin(x)/x^2 - cos(x)/x;
-    index 0 holds the closed form of J_{-1/2}.  Every index up to hi is
-    stored, but only lo .. hi are normalized, so a read at three indices
-    pays for three products.
+    J_{k-1/2} is ``row[k] / 1.0`` for every k of a full row, and for
+    max(hi - 2, 0) <= k <= hi (hi <= m0 + 3) when hi is given; other entries
+    are not to be read.  Downward recurrence on the spherical j_k (J_{k+1/2},
+    index k + 1), rescaled against the larger of the anchors j_0 = sin(x)/x,
+    j_1 = sin(x)/x^2 - cos(x)/x; index 0 holds the closed form of J_{-1/2}.
+    Every index up to hi is stored, but a given hi normalizes only those three,
+    so a read pays for three products.
     """
     cos = math.cos(x)
     s0 = math.sin(x) / x
     s1 = s0 / x - cos / x
     top = m0 + 20 + int(2.0 * math.sqrt(m0))
-    if hi is None:
-        hi = m0
+    lo, hi = (1, m0) if hi is None else (max(hi - 2, 1), hi)
     # f_{k-1} = ((2k + 1)/x) f_k - f_{k+1}; t is the float 2k + 1, exact.  The
     # steps to f_{top-1} .. f_hi store nothing, and those to indices hi .. 1 store
     t = 2.0 * top + 1.0
@@ -200,7 +198,7 @@ def _sph_row(x: float, m0: int, lo: int = 0, hi: int | None = None) -> tuple[lis
     # fc and fp are j_0 and j_1, rescaled as every stored value was
     scale = s0 / fc if abs(s0) >= abs(s1) else s1 / fp
     c = math.sqrt(2.0 * x / math.pi)
-    for k in range(max(lo, 1), hi + 1):
+    for k in range(lo, hi + 1):
         row[k] = c * row[k] * scale
     row[0] = c * cos / x
     return row, 1.0
@@ -308,7 +306,7 @@ def _radial_condition(l: float, dim: int, x: float) -> tuple[float, float]:
         got = rows.get(x)
         if got is None and round(x / shared[0]) * shared[0] == x:
             got = rows[x] = row_of(x, m0)
-    row, s = row_of(x, max(i + 1, m0), i - 1, i + 1) if got is None else got
+    row, s = row_of(x, max(i + 1, m0), i + 1) if got is None else got
     jn, jp = row[i] / s, row[i + 1] / s
     if l == 0:
         return -jp, jn

@@ -304,15 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_cache_path(path: str) -> None:
-    """ValidationError unless a cache file can be kept at ``path``, before any root is computed."""
-    target = Path(path)
-    if target.is_dir():
-        raise ValidationError(f"--cache {path} is a directory, not a file")
-    if not target.parent.is_dir():
-        raise ValidationError(f"--cache {path}: the directory {target.parent} does not exist")
-
-
 def run(args: argparse.Namespace) -> int:
     """Run the parsed invocation's handler and print its table or its structured report; returns the exit status."""
     config = AnalysisConfig.from_doc(_load_json(args.config)) if args.config else AnalysisConfig()
@@ -323,8 +314,15 @@ def run(args: argparse.Namespace) -> int:
         config.spectrum_bound if args.max_eigenvalue is None else args.max_eigenvalue,
     )
     if args.cache:
-        _check_cache_path(args.cache)
-        missing = not Path(args.cache).exists()
+        target = Path(args.cache)
+        try:  # checked before any root is computed
+            if target.is_dir():
+                raise ValidationError(f"--cache {args.cache} is a directory, not a file")
+            if not target.parent.is_dir():
+                raise ValidationError(f"--cache {args.cache}: the directory {target.parent} does not exist")
+            missing = not target.exists()
+        except OSError as exc:  # a name longer than the OS allows, say
+            raise ValidationError(f"--cache {args.cache}: {exc.strerror}") from exc
         cache, stale = RootCache.load(args.cache)
         if stale:
             print(

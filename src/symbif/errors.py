@@ -33,10 +33,6 @@ class NotInvertible(Error):
     """Ring element has no multiplicative inverse."""
 
 
-class NotAMember(Error):
-    """Value is not a member of the list it was asserted to belong to."""
-
-
 class SchemaError(Error):
     """Structured document does not match the expected shape."""
 

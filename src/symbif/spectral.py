@@ -405,7 +405,8 @@ class RootCache(_Record):
     Roots of the right type but the wrong value are not detected: checking
     them would cost a kernel evaluation per cached root.  Saving writes a
     temporary file beside the target and renames it over the target, so a
-    reader sees the old file or the new one, never a partial write;
+    reader sees the old file or the new one (with the old permission bits),
+    never a partial write; a path the OS cannot read is a ValidationError.
     ``grown`` tells a caller whether a loaded cache needs saving at all.
     ``records`` and ``get`` hand out copies, so no caller changes a stored
     record.
@@ -455,6 +456,8 @@ class RootCache(_Record):
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as out:
                 out.write(json.dumps(self.to_json(), sort_keys=True) + "\n")
+            if target.exists():  # mkstemp makes the file 0600; the replaced file's permission bits are kept
+                os.chmod(tmp, target.stat().st_mode & 0o7777)
             os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
@@ -464,10 +467,14 @@ class RootCache(_Record):
     def load(cls, path: str | Path) -> tuple["RootCache", bool]:
         """Load a cache; returns (cache, stale) where stale means regenerated."""
         p = Path(path)
-        if not p.exists():
-            return cls(), False
         try:
-            doc = _parse_json(p.read_bytes(), str(p))
+            if not p.exists():
+                return cls(), False
+            data = p.read_bytes()
+        except OSError as exc:
+            raise ValidationError(f"cannot read root cache {p}: {exc.strerror}") from exc
+        try:
+            doc = _parse_json(data, str(p))
             version, tol = doc["schema_version"], doc["tolerances"]
             # True == 1 and 1.0 == 1 in Python, so the type is checked too
             if (type(version), version, tol["xtol"], tol["step"]) != (int, CACHE_SCHEMA_VERSION, ROOT_XTOL, GRID_STEP):

@@ -31,10 +31,10 @@ spec that is not a SystemSpec.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from . import _EXPORTS
-from .errors import NotAMember, SchemaError, ValidationError, _bool, _int, _object, _real, _Record, _show, _window
+from .errors import SchemaError, ValidationError, _bool, _int, _object, _real, _Record, _show, _window
 from .euler import SO2Rep
 from .spectral import MERGE_REL, BallDomain, CustomDomain, DiskDomain, SpectrumEntry, close, domain_from_json
 
@@ -403,22 +403,3 @@ def linearization_eigenvalues(spec: SystemSpec, lam: float, k_max: int) -> list[
                 )
     return out
 
-
-def epsilon_gap(lambda0: float, members: Sequence[float]) -> float:
-    """Half the distance from lambda0 to the nearest other member (1 if alone).
-
-    ``lambda0`` and every member must be finite, and ``lambda0`` itself a
-    member (within ``MERGE_REL``); otherwise ValidationError resp. NotAMember
-    is raised.
-    """
-    lam = _real(lambda0, "lambda0")
-    if not isinstance(members, Iterable):
-        raise ValidationError(f"members must be an iterable of parameters, got {_show(members)}")
-    members = [_real(m, "parameter list member") for m in members]
-    idx = [i for i, m in enumerate(members) if close(lam, m)]
-    if not idx:
-        raise NotAMember(f"{lambda0!r} is not a member of the supplied parameter list")
-    others = [m for i, m in enumerate(members) if i not in idx]
-    if not others:
-        return 1.0
-    return min(abs(lam - m) for m in others) / 2.0

@@ -14,7 +14,8 @@ than 120 characters.  A public function of ``system``, ``bifurcation``, ``euler`
 given a plain ``object()`` for any required argument, or for an item of a sequence argument, refuses it with the
 package's own error, never AttributeError or TypeError, and so does ``cli.AnalysisConfig`` for any argument.  Whether
 an eigenspace is nontrivial is read off its stated representation alone: no module but ``ball_rep_nontrivial``'s
-own lines names ``rep_nontrivial``.
+own lines names ``rep_nontrivial``.  Every public name has a reader outside its own definition and the export
+table: in the package, in README.md or in the benchmark.
 """
 
 import ast
@@ -169,6 +170,32 @@ def test_names_the_benchmark_reads_exist():
         return True
 
     assert sorted(name for name in read if not resolves(name)) == []
+
+
+def test_every_public_name_has_a_reader():
+    # a public name with no reader outside its own definition and the export table is code nothing needs
+    root = Path(__file__).resolve().parent.parent
+    package = Path(symbif.__file__).parent
+    exports = next(
+        node for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_EXPORTS" for t in node.targets)
+    )
+    source = []
+    for path in sorted(package.glob("*.py")):
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if not (path.name == "__init__.py" and exports.lineno <= n <= exports.end_lineno):
+                source.append(line)
+    texts = [(root / "README.md").read_text(encoding="utf-8")]
+    texts += [path.read_text(encoding="utf-8") for path in sorted((root / "perfbench").glob("*.py"))]
+
+    def has_reader(name: str) -> bool:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        definition = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b|^{re.escape(name)}\s*(:[^=]*)?=")
+        return any(word.search(line) and not definition.match(line) for line in source) or any(
+            word.search(text) for text in texts
+        )
+
+    assert [name for name in symbif.__all__ if not has_reader(name)] == []
 
 
 def test_the_representation_class_has_one_public_name():

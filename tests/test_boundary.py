@@ -145,9 +145,8 @@ PLAIN_SPEC = symbif.system_spec_from_json({**A9_DISK, "a9": False})
         lambda: symbif.check_glob(A9_SPEC, "abc"),
         lambda: symbif.bif_difference(PLAIN_SPEC, "abc"),
         lambda: symbif.bif_a9(A9_SPEC, "11.49"),
-        lambda: symbif.epsilon_gap(1.0, ["a"]),
     ],
-    ids=["radial-condition-bool", "radial-roots-bool", "check-glob-str", "bif-difference-str", "bif-a9-str", "epsilon-gap-str"],
+    ids=["radial-condition-bool", "radial-roots-bool", "check-glob-str", "bif-difference-str", "bif-a9-str"],
 )
 def test_library_refuses_bools_and_strings_as_numbers(call):
     with pytest.raises((symbif.DomainError, symbif.ValidationError)):
@@ -168,11 +167,11 @@ BIG = 10**5000  # 5,001 digits: str() and repr() of it raise ValueError
         lambda: symbif.SystemSpec(p1=1, p2=0, sigma_b1={0: 1}, mu_b0=BIG),
         lambda: symbif.OrbitDatum("Z1", -BIG),
         lambda: symbif.DiskDomain().first_entries(-BIG),
-        lambda: symbif.epsilon_gap(BIG, [1.0]),
+        lambda: symbif.kernel_reps(A9_SPEC, BIG),
     ],
     ids=[
         "radial-roots-index", "so2rep-trivial", "euler-label", "euler-invert",
-        "spec-p1", "spec-mu-b0", "orbit-morse-index", "first-entries", "epsilon-gap",
+        "spec-p1", "spec-mu-b0", "orbit-morse-index", "first-entries", "kernel-reps",
     ],
 )
 def test_integer_too_long_to_print_is_a_package_error(call):

@@ -571,8 +571,22 @@ class TestCacheAndConfig:
         assert run_cli(capsys, "bif", "--config", a9_config, "--lambda", "0", "--cache", str(empty))[0] == 0
         assert json.loads(empty.read_bytes())["records"] == []
 
+    def test_a_replaced_cache_file_keeps_its_permission_bits(self, capsys, tmp_path):
+        # the temporary file is made 0600; the file it replaces gives it its own bits
+        cold, stale = tmp_path / "cold.json", tmp_path / "stale.json"
+        assert run_cli(capsys, "spectrum", "--max-eigenvalue", "5", "--cache", str(cold))[0] == 0
+        doc = json.loads(cold.read_bytes())
+        doc["tolerances"]["xtol"] = 1e-9
+        stale.write_text(json.dumps(doc))
+        stale.chmod(0o644)
+        code, _, err = run_cli(capsys, "spectrum", "--max-eigenvalue", "5", "--cache", str(stale))
+        assert code == 0 and "regenerating" in err
+        assert stale.stat().st_mode & 0o7777 == 0o644 and stale.read_bytes() == cold.read_bytes()
+
     @pytest.mark.parametrize(
-        "where", [lambda tmp: tmp, lambda tmp: tmp / "missing" / "roots.json"], ids=["directory", "no-parent"]
+        "where",
+        [lambda tmp: tmp, lambda tmp: tmp / "missing" / "roots.json", lambda tmp: tmp / ("a" * 300)],
+        ids=["directory", "no-parent", "name-too-long"],
     )
     def test_unusable_cache_path_is_exit_1_before_any_root(self, capsys, a9_config, tmp_path, kernel_calls, where):
         cache = where(tmp_path)

@@ -273,18 +273,18 @@ ROW_PASSES = [
 
 @pytest.mark.parametrize("row_of, x, m0", ROW_PASSES, ids=lambda v: str(v))
 def test_windowed_rows_match_the_full_row_bit_for_bit(row_of, x, m0):
-    # a window stores only indices up to hi, yet each value read in lo .. hi
+    # a window stores only indices up to hi, yet each value read in hi - 2 .. hi
     # and the sum keep the bits of the full row; the RESCALING passes rescale
     # stored values below, inside and above a window
     ref, ref_s = (_miller_full if row_of == "_miller_row" else _sph_full)(x, m0)
     kernel = getattr(_kernels, row_of)
     for i in range(m0 + 3):
-        # lo = -1 reads as 0, as for J_{-1} of the l = 0 disk condition
-        row, s = kernel(x, m0, i - 1, i + 1)
+        # J_{-1} of the l = 0 disk condition is not read, so i = 0 checks 0 .. 1
+        row, s = kernel(x, m0, i + 1)
         lo = max(i - 1, 0)
         assert _hexes(row[lo : i + 2]) == _hexes(ref[lo : i + 2]) and s.hex() == ref_s.hex(), i
-    for row, s in (kernel(x, m0), kernel(x, m0, 0, m0)):
-        assert _hexes(row[: m0 + 1]) == _hexes(ref[: m0 + 1]) and s.hex() == ref_s.hex()
+    row, s = kernel(x, m0)
+    assert _hexes(row[: m0 + 1]) == _hexes(ref[: m0 + 1]) and s.hex() == ref_s.hex()
 
 
 #: x in [60, 200] for the asymptotic loop, the band's edge and the top included

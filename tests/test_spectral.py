@@ -325,9 +325,9 @@ class TestInterlacingCheck:
         real = _kernels._sph_row
         passes = []
 
-        def counted(x, m0, lo=0, hi=None):
+        def counted(x, m0, hi=None):
             passes.append((x, hi))
-            return real(x, m0, lo, hi)
+            return real(x, m0, hi)
 
         monkeypatch.setattr(_kernels, "_sph_row", counted)
         disk_spectrum(4000.0, dim=3)
@@ -631,6 +631,20 @@ class TestNewtonRefinement:
         root = _kernels._bisect_radial(1, 2, 1.5, fa, 2.0, fb, ROOT_XTOL)
         assert abs(root - jp_zero(1, 1)) <= ROOT_XTOL
         assert calls[0] >= math.log2(0.5 / ROOT_XTOL) - 1
+
+    def test_two_hundred_newton_steps_without_convergence_give_nan(self, monkeypatch):
+        # f keeps the sign of fa and g makes the disk slope -1/(2 ROOT_XTOL), so
+        # each Newton step is 2 ROOT_XTOL: never small enough, and the bracket
+        # narrows by that much a step, far too slowly to meet the tolerance
+        calls = [0]
+
+        def creeping(l, dim, x):
+            calls[0] += 1
+            return 1.0, (1.0 / (2.0 * ROOT_XTOL) - 1.0 / x) / (1.0 - 1.0 / (x * x))
+
+        monkeypatch.setattr(_kernels, "_radial_condition", creeping)
+        assert math.isnan(_kernels._bisect_radial(1, 2, 1.0, 1.0, 2.0, -1.0, ROOT_XTOL))
+        assert calls[0] == 200
 
     def test_nan_inside_a_bracket_raises(self, monkeypatch):
         real = _kernels._radial_condition

@@ -36,16 +36,16 @@ A9_DISK = {
     "window": [-60.0, 60.0],
 }
 
-#: the 55 names the package root exports and the 7 submodules it imports on demand
+#: the 53 names the package root exports and the 7 submodules it imports on demand
 PARENT_NAMESPACE = [
     "BIFURCATES", "BallDomain", "BifurcationVerdict", "ConvergenceError", "CustomDomain", "DiskDomain",
     "DomainError", "Error", "EulerSO2", "GlobCheck", "INCONCLUSIVE", "InsufficientSpectrum", "KernelReps",
-    "LinearizationEigenvalue", "MissingClass", "NO_VERDICT", "NonInjectiveTable", "NotAMember", "NotInvertible",
+    "LinearizationEigenvalue", "MissingClass", "NO_VERDICT", "NonInjectiveTable", "NotInvertible",
     "OrbitDatum", "PreconditionError", "RootCache", "SO2Rep", "SchemaError", "SpectrumEntry", "SystemSpec",
     "UNBOUNDED", "UnboundedReport", "UnsupportedDomain", "ValidationError", "_kernels", "analyze",
     "ball_rep_nontrivial", "bessel_j", "bessel_j_prime", "bif_a9", "bif_difference", "bifurcation", "check_glob",
     "check_glob_zero", "deg_minus_id", "degree_from_orbits", "disk_spectrum", "enumerate_zero_sum_subsets",
-    "epsilon_gap", "errors", "euler", "kernel_reps", "lambda_membership", "lambda_set", "lift_degree",
+    "errors", "euler", "kernel_reps", "lambda_membership", "lambda_set", "lift_degree",
     "linearization_eigenvalues", "morse", "rabinowitz_excludes_bounded", "radial_condition", "radial_roots_up_to",
     "rep_equiv_mod_even_trivial", "so2_class_map_to_euler", "spectral", "system", "system_spec_from_json",
     "unbounded_verdict",

@@ -8,7 +8,6 @@ from symbif import (
     CustomDomain,
     DiskDomain,
     InsufficientSpectrum,
-    NotAMember,
     SO2Rep,
     SchemaError,
     SpectrumEntry,
@@ -19,7 +18,6 @@ from symbif import (
     bif_difference,
     check_glob,
     disk_spectrum,
-    epsilon_gap,
     kernel_reps,
     lambda_membership,
     lambda_set,
@@ -578,23 +576,6 @@ class TestCustomSpectrumIdempotence:
         assert again == entries
 
 
-class TestEpsilonGap:
-    def test_half_min_gap(self):
-        members = [0.0, 3.38996, 9.32836]
-        assert epsilon_gap(3.38996, members) == pytest.approx(1.69498)
-
-    def test_singleton_fallback(self):
-        assert epsilon_gap(0.0, [0.0]) == 1.0
-
-    def test_not_a_member(self):
-        with pytest.raises(NotAMember):
-            epsilon_gap(1.0, [0.0, 2.0])
-
-    def test_tolerant_membership(self):
-        members = [0.0, 2.0]
-        assert epsilon_gap(2.0 + 1e-12, members) == pytest.approx(1.0)
-
-
 NAN, INF = float("nan"), float("inf")
 NONFINITE_CUSTOM = {
     "type": "custom",
@@ -621,9 +602,6 @@ class TestNonFiniteInputs:
             lambda: bif_a9(a9_spec(2, 0), NAN),
             lambda: bif_difference(a9_spec(2, 0), NAN),
             lambda: linearization_eigenvalues(a9_spec(2, 0), INF, 3),
-            lambda: epsilon_gap(INF, [0.0, 3.38996]),
-            lambda: epsilon_gap(2.0, [0.0, INF]),
-            lambda: epsilon_gap(2.0, [2.0, NAN]),
             lambda: SystemSpec(p1=1, p2=0, sigma_b1={INF: 1}),
             lambda: SystemSpec(p1=0, p2=1, sigma_b2={-INF: 1}),
             lambda: SystemSpec(p1=1, p2=0, sigma_b1={10**400: 1}),
@@ -641,9 +619,6 @@ class TestNonFiniteInputs:
             "bif_a9-nan",
             "bif_difference-nan",
             "linearization-inf",
-            "epsilon_gap-inf",
-            "epsilon_gap-inf-member",
-            "epsilon_gap-nan-member",
             "b1-inf",
             "b2-neg-inf",
             "b1-int-beyond-float",
