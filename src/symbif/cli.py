@@ -32,6 +32,7 @@ from .errors import (
     Error,
     SchemaError,
     ValidationError,
+    _is_int,
     _object,
     _parse_json,
     _real,
@@ -107,7 +108,7 @@ def _load_json(path: str):
 def parse_report(text: str) -> dict:
     """Parse a structured report back into its document form."""
     doc = _parse_json(text, "report")
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
+    if not isinstance(doc, dict) or not _is_int(version := doc.get("schema_version")) or version != SCHEMA_VERSION:
         raise SchemaError("not a structured report (missing or wrong schema_version)")
     return doc
 
@@ -314,16 +315,7 @@ def run(args: argparse.Namespace) -> int:
         config.spectrum_bound if args.max_eigenvalue is None else args.max_eigenvalue,
     )
     if args.cache:
-        target = Path(args.cache)
-        try:  # checked before any root is computed
-            if target.is_dir():
-                raise ValidationError(f"--cache {args.cache} is a directory, not a file")
-            if not target.parent.is_dir():
-                raise ValidationError(f"--cache {args.cache}: the directory {target.parent} does not exist")
-            missing = not target.exists()
-        except OSError as exc:  # a name longer than the OS allows, say
-            raise ValidationError(f"--cache {args.cache}: {exc.strerror}") from exc
-        cache, stale = RootCache.load(args.cache)
+        cache, stale = RootCache.load(args.cache)  # an unusable path is refused here, before any root is computed
         if stale:
             print(
                 f"symbif: note: root cache {args.cache} has mismatched tolerance metadata or malformed "
@@ -337,7 +329,7 @@ def run(args: argparse.Namespace) -> int:
         payload = json.dumps({"schema_version": SCHEMA_VERSION, **fields}, indent=2, sort_keys=True)
     else:
         payload = table
-    if args.cache and (missing or stale or cache.grown):  # a warm run leaves the file alone
+    if args.cache and cache.grown:  # a warm run leaves the file alone
         cache.save(args.cache)
     print(payload)
     return 0

@@ -54,7 +54,7 @@ import math
 import os
 import tempfile
 from bisect import bisect_right
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -403,11 +403,13 @@ class RootCache(_Record):
     a float included) or other tolerances (say from an older release), or a
     record so refused or not indexed 1..n, is discarded and regenerated.
     Roots of the right type but the wrong value are not detected: checking
-    them would cost a kernel evaluation per cached root.  Saving writes a
-    temporary file beside the target and renames it over the target, so a
-    reader sees the old file or the new one (with the old permission bits),
-    never a partial write; a path the OS cannot read is a ValidationError.
-    ``grown`` tells a caller whether a loaded cache needs saving at all.
+    them would cost a kernel evaluation per cached root.  A missing file in
+    an existing directory loads as an empty cache; any other path the OS
+    will not read or write is a ValidationError naming it.  Saving renames a
+    temporary file over the target, so a reader sees the old file or the new
+    one (with the old permission bits), never a partial write.  ``grown``
+    means "a file would lack these records": none were given (a missing or
+    stale file) or ``put`` added some, so a caller saves exactly when it is set.
     ``records`` and ``get`` hand out copies, so no caller changes a stored
     record.
     """
@@ -418,7 +420,7 @@ class RootCache(_Record):
         if records is not None and not isinstance(records, dict):
             raise ValidationError(f"root cache records must map (dim, l) to a root list, got {type(records).__name__}")
         self._records = {key: _cached_roots(key, roots) for key, roots in (records or {}).items()}
-        self.grown = False  # whether put() added roots since construction
+        self.grown = records is None  # whether a file would lack these records
 
     @property
     def records(self) -> dict[tuple[int, int], list[float]]:
@@ -451,33 +453,38 @@ class RootCache(_Record):
         }
 
     def save(self, path: str | Path) -> None:
-        target = Path(path)
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
-        try:
+        target, tmp = Path(path), None
+        try:  # the temporary's name has a fixed length: no target name the OS accepts pushes it past the limit
+            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".symbif-roots.", suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as out:
                 out.write(json.dumps(self.to_json(), sort_keys=True) + "\n")
-            if target.exists():  # mkstemp makes the file 0600; the replaced file's permission bits are kept
+            with suppress(FileNotFoundError):  # mkstemp makes the file 0600; a replaced file's bits are kept
                 os.chmod(tmp, target.stat().st_mode & 0o7777)
             os.replace(tmp, target)
-        except BaseException:
-            os.unlink(tmp)
+        except BaseException as exc:
+            if tmp is not None:
+                os.unlink(tmp)
+            if isinstance(exc, OSError):  # a directory the user may not write, or a full disk
+                raise ValidationError(f"cannot write root cache {target}: {exc.strerror}") from exc
             raise
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["RootCache", bool]:
         """Load a cache; returns (cache, stale) where stale means regenerated."""
         p = Path(path)
-        try:
-            if not p.exists():
-                return cls(), False
+        try:  # read once, with no existence check first
             data = p.read_bytes()
-        except OSError as exc:
+        except FileNotFoundError as exc:
+            if not p.parent.is_dir():
+                raise ValidationError(f"cannot read root cache {p}: the directory {p.parent} does not exist") from exc
+            return cls(), False
+        except OSError as exc:  # a directory, or a name longer than the OS allows
             raise ValidationError(f"cannot read root cache {p}: {exc.strerror}") from exc
         try:
             doc = _parse_json(data, str(p))
-            version, tol = doc["schema_version"], doc["tolerances"]
-            # True == 1 and 1.0 == 1 in Python, so the type is checked too
-            if (type(version), version, tol["xtol"], tol["step"]) != (int, CACHE_SCHEMA_VERSION, ROOT_XTOL, GRID_STEP):
+            # an integer: True == 1 and 1.0 == 1 in Python, so the type is checked too
+            version, tol = _int(doc["schema_version"], "cache schema_version"), doc["tolerances"]
+            if (version, tol["xtol"], tol["step"]) != (CACHE_SCHEMA_VERSION, ROOT_XTOL, GRID_STEP):
                 return cls(), True
             records: dict[tuple[int, int], list] = {}
             for dim, l, idx, x in doc["records"]:

@@ -90,6 +90,14 @@ def test_only_the_checker_module_checks_an_object():
     assert found == ["errors.py"]
 
 
+def test_only_the_root_cache_touches_its_file():
+    # RootCache.load and RootCache.save own the whole cache-path rule: no other module checks a path or writes a file
+    package = Path(symbif.__file__).parent
+    path_call = re.compile(r"mkstemp|os\.replace|\.is_dir\(\)|\.exists\(\)")
+    found = sorted(f.name for f in package.glob("*.py") if path_call.search(f.read_text(encoding="utf-8")))
+    assert found == ["spectral.py"]
+
+
 def test_only_the_stated_rep_decides_a_nontrivial_eigenspace():
     # verdicts read entry.rep.has_nontrivial(); no domain decides it a second way, so the one name
     # left is the public radial test, ball_rep_nontrivial, which the benchmark's tracer wraps

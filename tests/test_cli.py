@@ -1,4 +1,5 @@
 import ast
+import errno
 import gc
 import hashlib
 import importlib
@@ -584,16 +585,48 @@ class TestCacheAndConfig:
         assert stale.stat().st_mode & 0o7777 == 0o644 and stale.read_bytes() == cold.read_bytes()
 
     @pytest.mark.parametrize(
-        "where",
-        [lambda tmp: tmp, lambda tmp: tmp / "missing" / "roots.json", lambda tmp: tmp / ("a" * 300)],
+        "where, reason",
+        [
+            (lambda tmp: tmp, "Is a directory"),
+            (lambda tmp: tmp / "missing" / "roots.json", "the directory {parent} does not exist"),
+            (lambda tmp: tmp / ("a" * 300), "File name too long"),
+        ],
         ids=["directory", "no-parent", "name-too-long"],
     )
-    def test_unusable_cache_path_is_exit_1_before_any_root(self, capsys, a9_config, tmp_path, kernel_calls, where):
+    def test_unusable_cache_path_is_exit_1_before_any_root(
+        self, capsys, a9_config, tmp_path, kernel_calls, where, reason
+    ):
         cache = where(tmp_path)
         code, out, err = run_cli(capsys, "analyze", "--config", a9_config, "--cache", str(cache))
-        assert code == 1 and out == ""
-        assert err.startswith("symbif: ValidationError: --cache ") and "Traceback" not in err
+        assert (code, out) == (1, "")
+        assert err == f"symbif: ValidationError: cannot read root cache {cache}: {reason.format(parent=cache.parent)}\n"
         assert kernel_calls.total == 0
+
+    def test_a_cache_name_near_the_limit_is_written(self, capsys, tmp_path):
+        # the temporary's name does not grow with the target's: a 250-byte name once ended in a traceback
+        cache = tmp_path / ("b" * 250)
+        argv = ("spectrum", "--max-eigenvalue", "20", "--cache", str(cache))
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and json.loads(cache.read_bytes())["records"]
+        assert [p.name for p in tmp_path.iterdir()] == [cache.name]
+        before = os.stat(cache)
+        code, _, err = run_cli(capsys, *argv)  # warm: the file is left as it was
+        after = os.stat(cache)
+        assert (code, err) == (0, "") and (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_a_refused_cache_write_is_exit_1_and_keeps_the_old_file(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "roots.json"
+        assert run_cli(capsys, "spectrum", "--max-eigenvalue", "20", "--cache", str(cache))[0] == 0
+        before = cache.read_bytes()
+
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        code, out, err = run_cli(capsys, "spectrum", "--max-eigenvalue", "50", "--cache", str(cache))
+        assert (code, out) == (1, "")
+        assert err == f"symbif: ValidationError: cannot write root cache {cache}: No space left on device\n"
+        assert cache.read_bytes() == before and [p.name for p in tmp_path.iterdir()] == ["roots.json"]
 
     def test_malformed_config_is_exit_1(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -621,6 +654,13 @@ class TestCacheAndConfig:
         else:
             with pytest.raises(symbif.SchemaError, match="not valid JSON"):
                 parse_report(text)
+
+    def test_a_report_version_is_an_integer(self):
+        # True == 1 and 1.0 == 1 in Python; the cache file refuses both for its own version too
+        for version in ("true", "1.0"):
+            with pytest.raises(SchemaError, match="wrong schema_version"):
+                parse_report('{"schema_version": %s}' % version)
+        assert parse_report('{"schema_version": 1}') == {"schema_version": 1}
 
     @pytest.mark.parametrize(
         "field",

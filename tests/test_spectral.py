@@ -1,8 +1,11 @@
+import errno
 import hashlib
 import json
 import math
+import os
 import re
 import sys
+import tempfile
 from datetime import timedelta
 from functools import lru_cache
 
@@ -1647,6 +1650,43 @@ class TestRootCache:
         clean = tmp_path / "clean"
         clean.mkdir()
         assert path.read_bytes() == self.saved(clean).read_bytes()
+
+    def test_a_directory_is_not_a_cache_file(self, tmp_path):
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'cannot read root cache {tmp_path}: Is a directory')}$"):
+            RootCache.load(tmp_path)
+
+    def test_a_path_in_a_missing_directory_is_refused(self, tmp_path, kernel_calls):
+        path = tmp_path / "missing" / "roots.json"
+        with pytest.raises(ValidationError, match=f"{re.escape(f'the directory {path.parent} does not exist')}$"):
+            RootCache.load(path)
+        assert kernel_calls.total == 0 and list(tmp_path.iterdir()) == []
+
+    def test_a_directory_the_user_may_not_write_is_a_validation_error(self, tmp_path, monkeypatch):
+        path = self.saved(tmp_path)
+        before = path.read_bytes()
+
+        def refused(**kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+        monkeypatch.setattr(tempfile, "mkstemp", refused)
+        with pytest.raises(ValidationError, match="^cannot write root cache .*: Permission denied$"):
+            RootCache().save(path)
+        assert path.read_bytes() == before and [p.name for p in tmp_path.iterdir()] == ["roots.json"]
+
+    def test_grown_says_whether_a_file_would_lack_the_records(self, tmp_path):
+        path = tmp_path / "roots.json"
+        missing, stale = RootCache.load(path)  # no file: an empty cache that a file still lacks
+        assert (missing.records, stale, missing.grown) == ({}, False, True)
+        self.saved(tmp_path)
+        intact, stale = RootCache.load(path)
+        assert (stale, intact.grown) == (False, False)
+        intact.put(2, 0, [3.8])  # the roots it holds: nothing to add
+        assert not intact.grown
+        intact.put(2, 0, [3.8, 7.0])
+        assert intact.grown
+        path.write_text(path.read_text().replace('"xtol"', '"old-xtol"'))
+        regenerated, stale = RootCache.load(path)
+        assert (regenerated.records, stale, regenerated.grown) == ({}, True, True)
 
     def test_round_trip(self, tmp_path):
         cache = RootCache()
