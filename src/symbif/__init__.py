@@ -33,8 +33,8 @@ _EXPORTS = {
     "euler": ("EulerSO2", "SO2Rep", "deg_minus_id", "rep_equiv_mod_even_trivial"),
     "morse": ("OrbitDatum", "degree_from_orbits", "lift_degree", "so2_class_map_to_euler"),
     "spectral": (
-        "BallDomain", "CustomDomain", "DiskDomain", "RootCache", "SpectrumEntry", "ball_rep_nontrivial", "bessel_j",
-        "bessel_j_prime", "disk_spectrum", "radial_condition", "radial_roots_up_to",
+        "CustomDomain", "DiskDomain", "RootCache", "SpectrumEntry", "ball_rep_nontrivial", "bessel_j", "bessel_j_prime",
+        "disk_spectrum", "radial_condition", "radial_roots_up_to",
     ),
     "system": (
         "KernelReps", "LinearizationEigenvalue", "SystemSpec", "kernel_reps", "lambda_membership",

@@ -12,19 +12,21 @@ and trivial of dimension 1 for l = 0, together with the eigenvalue 0
 SO(N)-representation exactly when l = 0, and is labelled irr(l).  One loop
 (``disk_spectrum``) computes the spectrum of every N-ball, the disk being
 N = 2, whose l = 0 order (N - 2)/2 is at most ``MAX_ROOT_X``; a larger N is
-refused when the domain is built.  Spectra of other invariant domains (or
-balls) may be supplied as structured documents or :class:`SpectrumEntry`
-lists, under one rule that the domain applies: ascending order, where a step
-down within ``MERGE_REL`` is a tie, and near-coincident eigenvalues merged
-with their representations summed.
+refused when the domain is built.  Spectra of other invariant domains
+(:class:`CustomDomain`) may be supplied as structured documents or
+:class:`SpectrumEntry` lists, and a ball's as a document, under one rule:
+ascending order, where a step down within ``MERGE_REL`` is a tie, and
+near-coincident eigenvalues merged with their representations summed.
 Every eigenspace is a :class:`symbif.euler.SO2Rep`, the package's one
 representation class; an entry's ``rep`` document is ``{"trivial", "irr"}``,
 and ``"rot"`` is accepted in place of ``"irr"`` on input only.  On every
 domain an eigenspace is nontrivial exactly when its stated ``rep`` has a
-nontrivial summand.  A supplied ball spectrum is checked once, when it is
-built, against the computed spectrum up to its top: entry by entry, the
-eigenvalues agree within ``MERGE_REL`` and the reps are equal, or
-ValidationError names the first eigenvalue that differs.
+nontrivial summand.  A supplied ball spectrum is checked once, when
+``domain_from_json`` reads it, against the computed spectrum up to its top
+t: entry by entry, the eigenvalues agree within ``MERGE_REL`` and the reps
+are equal, or ValidationError names the first eigenvalue that differs.  The
+result is the computed ball, ``DiskDomain(bound=max(t, 1) (1 + MERGE_REL),
+dim=N)``: the supplied eigenvalues serve the check alone.
 ``irr_dim_table`` maps an irreducible's label to its real dimension (None:
 all 2); a custom domain may set one, and a ball's gives degree l the
 dimension C(l+N-1, N-1) - C(l+N-3, N-1) of its harmonics.  A ``cache`` of
@@ -52,7 +54,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from bisect import bisect_right
 from contextlib import ExitStack, suppress
 from itertools import zip_longest
@@ -407,7 +408,8 @@ class RootCache(_Record):
     an existing directory loads as an empty cache; any other path the OS
     will not read or write is a ValidationError naming it.  Saving renames a
     temporary file over the target, so a reader sees the old file or the new
-    one (with the old permission bits), never a partial write.  ``grown``
+    one, never a partial write; a new file gets the bits a plain write gives
+    (0o666 less the umask), and a replaced one keeps its own.  ``grown``
     means "a file would lack these records": none were given (a missing or
     stale file) or ``put`` added some, so a caller saves exactly when it is set.
     ``records`` and ``get`` hand out copies, so no caller changes a stored
@@ -455,10 +457,13 @@ class RootCache(_Record):
     def save(self, path: str | Path) -> None:
         target, tmp = Path(path), None
         try:  # the temporary's name has a fixed length: no target name the OS accepts pushes it past the limit
-            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".symbif-roots.", suffix=".tmp")
+            name = target.parent / f".symbif-roots.{os.urandom(4).hex()}.tmp"
+            # the OS applies the umask to 0o666, so a new file gets the bits a plain write gives it
+            fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            tmp = name
             with os.fdopen(fd, "w", encoding="utf-8") as out:
                 out.write(json.dumps(self.to_json(), sort_keys=True) + "\n")
-            with suppress(FileNotFoundError):  # mkstemp makes the file 0600; a replaced file's bits are kept
+            with suppress(FileNotFoundError):  # a replaced file's bits are kept
                 os.chmod(tmp, target.stat().st_mode & 0o7777)
             os.replace(tmp, target)
         except BaseException as exc:
@@ -610,7 +615,7 @@ def ball_rep_nontrivial(entry: SpectrumEntry, dim: int) -> bool:
 
 
 def _entries_from_docs(raw) -> list[SpectrumEntry]:
-    """The entries of a supplied spectrum's document, in their order; the domain orders and merges them."""
+    """The entries of a supplied spectrum's document, in their order; ``_supplied_entries`` orders and merges them."""
     if not isinstance(raw, list) or not raw:
         raise SchemaError("'entries' must be a nonempty array of spectrum entries")
     return [SpectrumEntry.from_json(item) for item in raw]
@@ -687,37 +692,31 @@ class DiskDomain(_Record):
             target *= 2.0
 
 
-class _SuppliedDomain(_Record):
-    """Base for domains whose spectrum is user-supplied and finite; equal when the entries are."""
+class CustomDomain(_Record):
+    """Arbitrary invariant domain with a user-supplied, finite spectrum; equal when the entries and tables are.
 
-    irr_dim_table = None  # a ball computes its own; CustomDomain may set one
-    _fields = ("entries",)
+    ``irr_dim_table`` optionally gives the real dimension of each labelled
+    irreducible (default 2), used for linearization multiplicities.  A label
+    may be a decimal string, as JSON writes it.
+    """
 
-    def __init__(self, entries: list[SpectrumEntry]) -> None:
-        wanted = "a supplied spectrum is a list of SpectrumEntry records"
-        if not isinstance(entries, (list, tuple)):
-            raise ValidationError(f"{wanted}, got {_show(entries)}")
-        for e in entries:
-            if not isinstance(e, SpectrumEntry):
-                raise ValidationError(f"{wanted}, got {_show(e)}")
-        values = [e.eigenvalue for e in entries]
-        for a, b in zip(values, values[1:]):
-            if b < a and not close(a, b):  # a step down within MERGE_REL is a tie, which the merge sorts
-                raise ValidationError(f"entries must be listed in ascending eigenvalue order ({b!r} after {a!r})")
-        self.entries = _merge_entries(entries)
-        if not self.entries or self.entries[0].eigenvalue != 0.0:
-            raise ValidationError("a Neumann spectrum must start at the eigenvalue 0 (constants)")
-        zero = self.entries[0]
-        if zero.rep.has_nontrivial() or zero.rep.trivial_dim != 1:
-            raise ValidationError(
-                f"the zero eigenspace consists of the constants: trivial of dimension 1, got {zero.rep.describe()}"
-            )
-        if zero.angular_index not in (None, 0):
-            raise ValidationError("the zero eigenvalue has angular index 0")
+    _fields = ("entries", "irr_dim_table")
+
+    def __init__(self, entries: list[SpectrumEntry], irr_dim_table: dict[int, int] | None = None) -> None:
+        self.entries = _supplied_entries(entries)
         self._eigenvalues = [e.eigenvalue for e in self.entries]
+        if irr_dim_table is not None:
+            irr_dim_table = {
+                k: _int(d, "irreducible dimensions", 1, SchemaError, ValidationError)
+                for k, d in _label_table(irr_dim_table, "irr_dims").items()
+            }
+        self.irr_dim_table = irr_dim_table
 
     def to_json(self) -> dict:
-        return {"type": self.kind, "entries": [e.to_json() for e in self.entries]}
+        doc = {"type": "custom", "entries": [e.to_json() for e in self.entries]}
+        if self.irr_dim_table is not None:
+            doc["irr_dims"] = {str(k): v for k, v in sorted(self.irr_dim_table.items())}
+        return doc
 
     def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
         """The supplied entries <= alpha_max.
@@ -740,60 +739,47 @@ class _SuppliedDomain(_Record):
         return self.entries[:k]
 
 
-class BallDomain(_SuppliedDomain):
-    """Unit ball of dimension >= 3 with a user-supplied spectrum; the cache is neither compared nor shown."""
-
-    kind = "ball"
-    _fields = ("entries", "dim")
-
-    def __init__(self, entries: list[SpectrumEntry], dim: int = 3, cache: RootCache | None = None) -> None:
-        _SuppliedDomain.__init__(self, entries)
-        self.dim = n = _int(dim, "ball dimension", 3)
-        self.cache = _root_cache(cache)
-        top = self.entries[-1].eigenvalue
-        # every computed eigenvalue up to top (1 + MERGE_REL) is close to top; none lies in (0, 1]
-        computed = disk_spectrum(max(top, 1.0) * (1.0 + MERGE_REL), dim=n, cache=self.cache)
-        for claim, truth in zip_longest(self.entries, computed):
-            if not (claim and truth and close(claim.eigenvalue, truth.eigenvalue) and claim.rep == truth.rep):
-                at = min(e.eigenvalue for e in (claim, truth) if e)  # the smaller one differs
-                said, true = (e.rep.describe() if e and close(e.eigenvalue, at) else "none" for e in (claim, truth))
-                raise ValidationError(
-                    f"the supplied {n}-ball spectrum has {said} at {at!r} where the computed one has {true}"
-                )
-
-    @property
-    def irr_dim_table(self) -> dict[int, int]:
-        return _harmonic_dims(self.dim, self.entries)
-
-    def to_json(self) -> dict:
-        return {**_SuppliedDomain.to_json(self), "dim": self.dim}
+#: not exported; its one reader is perfbench/tracing.py:214, which wraps ``_SuppliedDomain.entries_up_to``
+_SuppliedDomain = CustomDomain
 
 
-class CustomDomain(_SuppliedDomain):
-    """Arbitrary invariant domain with a user-supplied spectrum.
+def _supplied_entries(entries) -> list[SpectrumEntry]:
+    """A supplied spectrum: SpectrumEntry records in ascending order, merged, starting at the constants."""
+    wanted = "a supplied spectrum is a list of SpectrumEntry records"
+    if not isinstance(entries, (list, tuple)):
+        raise ValidationError(f"{wanted}, got {_show(entries)}")
+    for e in entries:
+        if not isinstance(e, SpectrumEntry):
+            raise ValidationError(f"{wanted}, got {_show(e)}")
+    values = [e.eigenvalue for e in entries]
+    for a, b in zip(values, values[1:]):
+        if b < a and not close(a, b):  # a step down within MERGE_REL is a tie, which the merge sorts
+            raise ValidationError(f"entries must be listed in ascending eigenvalue order ({b!r} after {a!r})")
+    merged = _merge_entries(entries)
+    if not merged or merged[0].eigenvalue != 0.0:
+        raise ValidationError("a Neumann spectrum must start at the eigenvalue 0 (constants)")
+    zero = merged[0]
+    if zero.rep.has_nontrivial() or zero.rep.trivial_dim != 1:
+        raise ValidationError(
+            f"the zero eigenspace consists of the constants: trivial of dimension 1, got {zero.rep.describe()}"
+        )
+    if zero.angular_index not in (None, 0):
+        raise ValidationError("the zero eigenvalue has angular index 0")
+    return merged
 
-    ``irr_dim_table`` optionally gives the real dimension of each labelled
-    irreducible (default 2), used for linearization multiplicities.  A label
-    may be a decimal string, as JSON writes it.
-    """
 
-    kind = "custom"
-    _fields = ("entries", "irr_dim_table")
-
-    def __init__(self, entries: list[SpectrumEntry], irr_dim_table: dict[int, int] | None = None) -> None:
-        _SuppliedDomain.__init__(self, entries)
-        if irr_dim_table is not None:
-            irr_dim_table = {
-                k: _int(d, "irreducible dimensions", 1, SchemaError, ValidationError)
-                for k, d in _label_table(irr_dim_table, "irr_dims").items()
-            }
-        self.irr_dim_table = irr_dim_table
-
-    def to_json(self) -> dict:
-        doc = _SuppliedDomain.to_json(self)
-        if self.irr_dim_table is not None:
-            doc["irr_dims"] = {str(k): v for k, v in sorted(self.irr_dim_table.items())}
-        return doc
+def _checked_ball(entries: list[SpectrumEntry], dim: int, cache: RootCache | None) -> DiskDomain:
+    """The computed ``dim``-ball up to the top of the supplied ``entries``, once they match it entry by entry."""
+    # every computed eigenvalue up to top (1 + MERGE_REL) is close to top; none lies in (0, 1]
+    ball = DiskDomain(bound=max(entries[-1].eigenvalue, 1.0) * (1.0 + MERGE_REL), cache=cache, dim=dim)
+    for claim, truth in zip_longest(entries, ball.entries_up_to(ball.bound)):
+        if not (claim and truth and close(claim.eigenvalue, truth.eigenvalue) and claim.rep == truth.rep):
+            at = min(e.eigenvalue for e in (claim, truth) if e)  # the smaller one differs
+            said, true = (e.rep.describe() if e and close(e.eigenvalue, at) else "none" for e in (claim, truth))
+            raise ValidationError(
+                f"the supplied {dim}-ball spectrum has {said} at {at!r} where the computed one has {true}"
+            )
+    return ball
 
 
 def _harmonic_dims(n: int, entries: Iterable[SpectrumEntry]) -> dict[int, int]:
@@ -808,7 +794,7 @@ def domain_from_json(
     spectrum_bound: float | None = None,
     cache: RootCache | None = None,
 ):
-    """Build a domain from its document ``{"type": "disk"|"ball"|"custom", ...}``; ``to_json`` writes it."""
+    """The domain of a document ``{"type": "disk"|"ball"|"custom", ...}``; a supplied ball's is the computed one."""
     kind = _object(doc, "domain document", required=("type",))["type"]
     if kind == "disk" or kind == "ball" and "entries" not in doc:
         needs = ("dim",) if kind == "ball" else ()
@@ -819,7 +805,8 @@ def domain_from_json(
         return DiskDomain(bound=bound, cache=cache, dim=doc.get("dim", 2))
     if kind == "ball":
         _object(doc, "ball domain", {"type", "dim", "entries"}, ("dim",))
-        return BallDomain(_entries_from_docs(doc.get("entries")), dim=doc["dim"], cache=cache)
+        entries = _supplied_entries(_entries_from_docs(doc.get("entries")))
+        return _checked_ball(entries, _int(doc["dim"], "ball dimension", 3), cache)
     if kind == "custom":
         _object(doc, "custom domain", {"type", "entries", "irr_dims"})
         return CustomDomain(_entries_from_docs(doc.get("entries")), irr_dim_table=doc.get("irr_dims"))

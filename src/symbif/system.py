@@ -36,11 +36,11 @@ from collections.abc import Mapping, Sequence
 from . import _EXPORTS
 from .errors import SchemaError, ValidationError, _bool, _int, _object, _real, _Record, _show, _window
 from .euler import SO2Rep
-from .spectral import MERGE_REL, BallDomain, CustomDomain, DiskDomain, SpectrumEntry, close, domain_from_json
+from .spectral import MERGE_REL, CustomDomain, DiskDomain, SpectrumEntry, close, domain_from_json
 
 __all__ = [*_EXPORTS["system"]]
 
-Domain = DiskDomain | BallDomain | CustomDomain
+Domain = DiskDomain | CustomDomain
 
 
 def _as_multiset(pairs, what: str) -> dict:
@@ -84,7 +84,7 @@ class SystemSpec(_Record):
         self.domain = DiskDomain() if domain is None else domain
         self.a9 = _bool(a9, "a9")
         if not isinstance(self.domain, Domain):
-            raise ValidationError(f"domain must be a DiskDomain, BallDomain or CustomDomain, got {_show(domain)}")
+            raise ValidationError(f"domain must be a DiskDomain or CustomDomain, got {_show(domain)}")
         for name in ("p1", "p2", "mu_b0"):  # the one check, so a wrong type is a SchemaError as in a document
             _int(getattr(self, name), name, 0, SchemaError, ValidationError)
         if self.p1 + self.p2 < 1:

@@ -4,6 +4,12 @@ from contextlib import contextmanager
 import pytest
 
 from symbif import _kernels
+from symbif.spectral import domain_from_json
+
+
+def supplied_ball(entries, dim: int = 3, cache=None):
+    """The domain a ball document stating ``entries`` builds: the computed ball, once they pass its check."""
+    return domain_from_json({"type": "ball", "dim": dim, "entries": [e.to_json() for e in entries]}, cache=cache)
 
 
 @contextmanager

@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import symbif.bifurcation
 import symbif.spectral
+from conftest import supplied_ball
 from oracles import reference_verdicts
 from symbif import (
     BIFURCATES,
     INCONCLUSIVE,
     NO_VERDICT,
     UNBOUNDED,
-    BallDomain,
     CustomDomain,
     DiskDomain,
     EulerSO2,
@@ -183,7 +183,7 @@ class TestBifDifference:
     def test_rejects_non_disk(self):
         # a supplied and a computed 3-ball: the closed forms hold on the disk alone
         entries = disk_spectrum(5.0, dim=3)
-        for domain in (BallDomain(entries, dim=3), DiskDomain(dim=3)):
+        for domain in (supplied_ball(entries), DiskDomain(dim=3)):
             spec = SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, sigma_b2={}, domain=domain)
             with pytest.raises(UnsupportedDomain):
                 bif_difference(spec, entries[1].eigenvalue)
@@ -398,7 +398,7 @@ class TestUnboundedVerdict:
         # a true 3-ball spectrum holds a trivial summand at each squared trivial-type root, which the
         # build checks; the verdict reads the stated trivial rep there
         entries = disk_spectrum(radial_roots_up_to(0, 3, 8.0)[1] ** 2, dim=3)
-        spec = a9_spec(q1=2, p2=0, domain=BallDomain(entries, dim=3))
+        spec = a9_spec(q1=2, p2=0, domain=supplied_ball(entries))
         trivial = [e for e in entries[1:] if e.rep == SO2Rep.trivial(1)]
         assert len(trivial) == 2 and trivial[1] is entries[-1]
         assert all(unbounded_verdict(spec, e, 1).verdict == NO_VERDICT for e in trivial)
@@ -460,7 +460,7 @@ class TestAnalyze:
         degrees = 1 + max(e.angular_index for e in entries)  # 0, 1, ..., each with a root
         scans = call_counts(symbif.spectral, "_lattice_scan")
         kernel_calls.reset()
-        domain = BallDomain(entries, dim=3)
+        domain = supplied_ball(entries)
         built = (scans[0], kernel_calls.lattice, kernel_calls.refinement)
         verdicts = analyze(a9_spec(q1=2, p2=0, domain=domain), (-900.0, 900.0))
         assert len(verdicts) >= 90
@@ -717,7 +717,7 @@ class TestKernelSweep:
         disk = DiskDomain()
         disk.entries_up_to(KERNEL_REACH)
         # a supplied ball must be a true spectrum: the build checks it against the computed one
-        ball = BallDomain(disk_spectrum(1.5 * KERNEL_REACH, dim=3), dim=3)
+        ball = supplied_ball(disk_spectrum(1.5 * KERNEL_REACH, dim=3))
         return {"disk": disk, "ball": ball, "custom": CustomDomain(_custom_entries())}
 
     def check(self, domain, b1, b2, mu_b0, a9, window):
@@ -736,7 +736,8 @@ class TestKernelSweep:
             assert len(v.kernel.matched) == len(matched), lam
             assert all(a is b for a, b in zip(v.kernel.matched, matched)), lam
         entries = [e.to_json() for e in covered]
-        reference = reference_verdicts(entries, b1, b2, mu_b0, a9, window, disk=isinstance(domain, DiskDomain))
+        disk = isinstance(domain, DiskDomain) and domain.dim == 2
+        reference = reference_verdicts(entries, b1, b2, mu_b0, a9, window, disk=disk)
         assert _dumps(verdicts) == json.dumps(reference, sort_keys=True)
         return verdicts
 
@@ -800,16 +801,17 @@ class TestVerdictCost:
             counts.append((len(verdicts), lookups[0]))
         assert counts[0][0] == 33 and counts[1][0] > 300
         assert counts[0][1] == counts[1][1] == 1
-        entries = disk_spectrum(250.0, dim=3)
-        lookups = call_counts(BallDomain, "entries_up_to")
-        verdicts = analyze(a9_spec(q1=2, p2=2, domain=BallDomain(entries, dim=3)), (-200.0, 200.0))
+        ball = supplied_ball(disk_spectrum(250.0, dim=3))  # a computed ball, whose build reads it once
+        lookups[0] = 0
+        verdicts = analyze(a9_spec(q1=2, p2=2, domain=ball), (-200.0, 200.0))
         assert len(verdicts) > 40 and any(v.unbounded == UNBOUNDED for v in verdicts)
         assert lookups[0] == counts[0][1]
 
     def test_a_built_ball_is_judged_without_evaluation(self, kernel_calls, call_counts):
         # the build checks the trivial-type roots; after it, analyze and unbounded_verdict read the
-        # stated reps of the true 3-ball spectrum (degree l at each root of degree l) and scan nothing
-        x_max = 12.0
+        # stated reps of the true 3-ball spectrum (degree l at each root of degree l) and scan nothing;
+        # it is stated past the window, as analyze reads a margin past the window's reach
+        x_max = 12.5
         entries = [SpectrumEntry(0.0, SO2Rep.trivial(1))] + sorted(
             (
                 SpectrumEntry(x * x, SO2Rep.irr(l) if l else SO2Rep.trivial(1))
@@ -818,13 +820,15 @@ class TestVerdictCost:
             ),
             key=lambda e: e.eigenvalue,
         )
-        spec = a9_spec(q1=2, p2=2, domain=BallDomain(entries, dim=3))
+        spec = a9_spec(q1=2, p2=2, domain=supplied_ball(entries))
         roots = call_counts(symbif.spectral, "radial_roots_up_to")
         kernel_calls.reset()
-        top = entries[-1].eigenvalue
+        top = 144.0
         verdicts = analyze(spec, (-top, top))
         reports = [unbounded_verdict(spec, e, sign) for e in entries[1:] for sign in (1, -1)]
-        assert len(verdicts) == 2 * len(entries) - 1 and sum(v.unbounded == UNBOUNDED for v in verdicts) == 34
+        inside = [e for e in entries if e.eigenvalue <= top]
+        assert len(inside) == 21 and len(verdicts) == 2 * len(inside) - 1
+        assert sum(v.unbounded == UNBOUNDED for v in verdicts) == 34
         assert [r.verdict for r in reports] == [
             UNBOUNDED if e.rep.has_nontrivial() else NO_VERDICT for e in entries[1:] for _ in (1, -1)
         ]

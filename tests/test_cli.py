@@ -182,9 +182,9 @@ def ball3_entries(x_max: float) -> list[dict]:
 class TestSuppliedBall:
     """A supplied ball spectrum is checked against the computed one once, when it is built."""
 
-    def config(self, tmp_path, entries) -> str:
+    def config(self, tmp_path, entries, dim=3) -> str:
         system = {**A9_SYSTEM, "p2": 2, "b2": [{"value": 1, "mult": 2}]}
-        system["domain"] = {"type": "ball", "dim": 3, "entries": entries}
+        system["domain"] = {"type": "ball", "dim": dim, "entries": entries}
         cfg = tmp_path / "ball.json"
         cfg.write_text(json.dumps({"system": system, "window": [-60.0, 60.0]}))
         return str(cfg)
@@ -227,6 +227,33 @@ class TestSuppliedBall:
         )
 
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (
+                "unordered",
+                "entries must be listed in ascending eigenvalue order (4.332958551429382 after 11.169590014604001)",
+            ),
+            (
+                "zero-not-constants",
+                "the zero eigenspace consists of the constants: trivial of dimension 1, got 1*triv + 1*irr(1)",
+            ),
+            ("dim-2", "ball dimension must be >= 3, got 2"),
+        ],
+    )
+    def test_a_document_the_supplied_rule_refuses_is_exit_1(self, capsys, tmp_path, change, message):
+        # the rule a custom spectrum meets, and a ball's least dimension, checked before the computed spectrum
+        entries, dim = ball3_entries(8.5), 3
+        if change == "unordered":
+            entries[1], entries[2] = entries[2], entries[1]
+        elif change == "zero-not-constants":
+            entries[0]["rep"] = {"trivial": 1, "irr": {"1": 1}}
+        else:
+            dim = 2
+        code, out, err = run_cli(capsys, "analyze", "--config", self.config(tmp_path, entries, dim))
+        assert (code, out, err) == (1, "", f"symbif: ValidationError: {message}\n")
+
+
 class TestComputedBall:
     """A ball document without entries is computed, as the disk is; a supplied one is checked against it."""
 
@@ -244,6 +271,17 @@ class TestComputedBall:
         domains = ({"type": "ball", "dim": 3, "entries": entries}, {"type": "ball", "dim": 3})
         supplied, computed = (run_cli(capsys, "analyze", "--config", self.config(tmp_path, d)) for d in domains)
         assert supplied == computed and supplied[0] == 0 and len(supplied[1].splitlines()) > 133
+
+    def test_a_supplied_ball_reports_as_its_computed_twin(self, capsys, tmp_path):
+        # the 3-ball to x = 22 with window +-375, as the benchmark's session analyzes it: the document builds
+        # the computed ball up to its top, so the structured report is the twin's, byte for byte
+        entries = ball3_entries(22.0)
+        twin = {"type": "ball", "dim": 3, "max_eigenvalue": entries[-1]["eigenvalue"] * (1 + 1e-8)}
+        supplied, computed = (
+            run_cli(capsys, "analyze", "--config", self.config(tmp_path, d, 375.0), "--format", "structured")
+            for d in ({"type": "ball", "dim": 3, "entries": entries}, twin)
+        )
+        assert supplied == computed and supplied[0] == 0 and len(parse_report(supplied[1])["verdicts"]) == 103
 
     @pytest.mark.parametrize(
         "entries", [None, [{"eigenvalue": 0.0, "rep": {"trivial": 1}}]], ids=["computed", "supplied"]
@@ -573,7 +611,7 @@ class TestCacheAndConfig:
         assert json.loads(empty.read_bytes())["records"] == []
 
     def test_a_replaced_cache_file_keeps_its_permission_bits(self, capsys, tmp_path):
-        # the temporary file is made 0600; the file it replaces gives it its own bits
+        # the file a cache replaces gives the new one its own bits
         cold, stale = tmp_path / "cold.json", tmp_path / "stale.json"
         assert run_cli(capsys, "spectrum", "--max-eigenvalue", "5", "--cache", str(cold))[0] == 0
         doc = json.loads(cold.read_bytes())

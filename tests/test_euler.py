@@ -270,6 +270,13 @@ def test_rep_descriptor_is_so2rep():
     assert spectral.RepDescriptor is SO2Rep
 
 
+def test_supplied_domain_is_custom_domain():
+    """Guards the unexported binding whose ``entries_up_to`` perfbench's tracer wraps (``_SuppliedDomain``)."""
+    from symbif import CustomDomain, spectral
+
+    assert spectral._SuppliedDomain is CustomDomain
+
+
 def test_exhaustive_family_product_law_small():
     # a reduced version of the exhaustive acceptance family, kept fast here
     family = [

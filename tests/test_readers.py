@@ -20,7 +20,7 @@ from datetime import timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symbif import BallDomain, CustomDomain, DiskDomain, EulerSO2, SO2Rep, SpectrumEntry, spectral
+from symbif import CustomDomain, DiskDomain, EulerSO2, SO2Rep, SpectrumEntry, spectral
 from symbif.cli import AnalysisConfig
 from symbif.errors import Error, SchemaError
 from symbif.morse import OrbitDatum, class_table_from_json, orbit_data_from_json
@@ -172,8 +172,8 @@ def _check_entry(doc, entry: SpectrumEntry) -> None:
     _check_rep(doc["rep"], entry.rep)
 
 
-def _check_entries(docs, entries: list[SpectrumEntry]) -> None:
-    """``entries`` are ``docs``, each read faithfully, sorted, with eigenvalues within 1e-8 of a group's first fused."""
+def _stated(docs) -> list[tuple]:
+    """(eigenvalue, rep, angular_index, root_index) per group of ``docs``: read faithfully, sorted, fused within 1e-8."""
     assert type(docs) is list and docs
     read = [SpectrumEntry.from_json(d) for d in docs]
     for d, e in zip(docs, read):
@@ -189,7 +189,7 @@ def _check_entries(docs, entries: list[SpectrumEntry]) -> None:
     def common(values):
         return values[0] if all(v == values[0] for v in values) else None
 
-    assert [(e.eigenvalue, e.rep, e.angular_index, e.root_index) for e in entries] == [
+    return [
         (
             g[0].eigenvalue,
             functools.reduce(operator.add, (e.rep for e in g)),
@@ -198,6 +198,11 @@ def _check_entries(docs, entries: list[SpectrumEntry]) -> None:
         )
         for g in groups
     ]
+
+
+def _check_entries(docs, entries: list[SpectrumEntry]) -> None:
+    """``entries`` are ``docs`` as ``_stated`` reads them, and a Neumann spectrum."""
+    assert [(e.eigenvalue, e.rep, e.angular_index, e.root_index) for e in entries] == _stated(docs)
     # a Neumann spectrum: the constants first, then strictly ascending
     assert entries[0].eigenvalue == 0.0 and entries[0].rep == SO2Rep.trivial(1)
     assert all(a.eigenvalue < b.eigenvalue for a, b in zip(entries, entries[1:]))
@@ -214,9 +219,15 @@ def _check_domain(doc, domain) -> None:
         assert bound is None or type(bound) in (int, float) and bound > 0
         assert domain.bound == bound and type(domain.bound) is type(bound)
     elif kind == "ball":
-        assert set(doc) == {"type", "dim", "entries"} and type(domain) is BallDomain
+        # a supplied ball that passes its check is the computed one, up to its top eigenvalue
+        assert set(doc) == {"type", "dim", "entries"} and type(domain) is DiskDomain
         assert _is_int(doc["dim"]) and doc["dim"] >= 3 and domain.dim == doc["dim"] and _is_int(domain.dim)
-        _check_entries(doc["entries"], domain.entries)
+        stated = _stated(doc["entries"])
+        assert stated[0][:2] == (0.0, SO2Rep.trivial(1)) and domain.bound == max(stated[-1][0], 1.0) * (1 + 1e-8)
+        computed = domain.entries_up_to(domain.bound)
+        assert len(computed) == len(stated)
+        for e, (alpha, rep, _, _) in zip(computed, stated):
+            assert abs(e.eigenvalue - alpha) <= 1e-8 * max(1.0, alpha) and e.rep == rep
     else:
         assert kind == "custom" and set(doc) <= {"type", "entries", "irr_dims"} and type(domain) is CustomDomain
         if doc.get("irr_dims") is None:

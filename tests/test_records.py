@@ -12,7 +12,6 @@ import inspect
 import pytest
 
 from symbif import (
-    BallDomain,
     BifurcationVerdict,
     CustomDomain,
     DiskDomain,
@@ -28,7 +27,6 @@ from symbif import (
     UnboundedReport,
 )
 from symbif.cli import AnalysisConfig
-from symbif.spectral import _SuppliedDomain
 
 
 def zero_entry():
@@ -114,20 +112,6 @@ CASES = [
         "(bound: 'float | None' = None, cache: 'RootCache | None' = None, dim: 'int' = 2) -> 'None'",
         "DiskDomain(bound=50.0, dim=3)",
         lambda: DiskDomain(bound=50.0, dim=3),
-    ),
-    (
-        _SuppliedDomain, ("entries",), ("_eigenvalues",),
-        "(entries: 'list[SpectrumEntry]') -> 'None'",
-        f"_SuppliedDomain(entries=[{ENTRY_REPRS}])",
-        lambda: _SuppliedDomain([zero_entry(), rot_entry()]),
-    ),
-    (
-        BallDomain, ("entries", "dim"), ("_eigenvalues", "cache"),
-        "(entries: 'list[SpectrumEntry]', dim: 'int' = 3, cache: 'RootCache | None' = None) -> 'None'",
-        # a true 4-ball spectrum, as the build checks: its first nonzero eigenvalue lies above 3.39
-        "BallDomain(entries=[SpectrumEntry(eigenvalue=0.0, rep=SO2Rep(trivial_dim=1, irreducibles={}), "
-        "angular_index=0, root_index=None)], dim=4)",
-        lambda: BallDomain([zero_entry()], dim=4),
     ),
     (
         CustomDomain, ("entries", "irr_dim_table"), ("_eigenvalues",),

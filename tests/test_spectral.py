@@ -5,7 +5,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from datetime import timedelta
 from functools import lru_cache
 
@@ -14,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symbif import (
-    BallDomain,
     ConvergenceError,
     CustomDomain,
     DiskDomain,
@@ -34,9 +32,11 @@ from symbif import (
     radial_roots_up_to,
 )
 from symbif.spectral import (
-    GRID_STEP, MAX_DISK_ENTRIES, MAX_ROOT_X, MERGE_REL, ROOT_XTOL, _lattice_scan, close, domain_from_json
+    GRID_STEP, MAX_DISK_ENTRIES, MAX_ROOT_X, MERGE_REL, ROOT_XTOL, _lattice_scan, _supplied_entries, close,
+    domain_from_json,
 )
 
+from conftest import supplied_ball
 from oracles import _condition_and_slope, ball3_spectrum, oracle_radial_roots, radial_condition_mp, spherical_jp_zeros
 
 
@@ -843,7 +843,7 @@ class TestBallNontrivial:
         entries = disk_spectrum(40.0, dim=3)
         [root] = radial_roots_up_to(0, 3, 5.0)
         kernel_calls.reset()
-        domain = BallDomain(entries, dim=3, cache=None)
+        domain = supplied_ball(entries, cache=None)
         scanned = kernel_calls.total
         assert scanned > 0 and domain.cache.get(3, 0) and domain.cache.get(3, 4)
         assert radial_roots_up_to(0, 3, math.sqrt(40.0), cache=domain.cache) == [root]
@@ -859,7 +859,8 @@ class TestBallNontrivial:
             for l in range(int(x_max) + 1)
             for x in spherical_jp_zeros(l, x_max)
         )
-        entries = BallDomain([SpectrumEntry(a, rep) for a, rep in items], dim=3).entries
+        domain = supplied_ball([SpectrumEntry(a, rep) for a, rep in items])
+        entries = domain.entries_up_to(domain.bound)
         assert len(entries) == len(items) > 20 and sum(not e.rep.has_nontrivial() for e in entries) == 4
         for e in entries:
             assert ball_rep_nontrivial(e, 3) == e.rep.has_nontrivial(), e.eigenvalue
@@ -977,10 +978,14 @@ BALL_MERGED_ALIKE = {
 
 
 def _supplied(kind: str, items) -> tuple:
-    """The domain of ``kind`` built in Python from ``items`` and its document, each as a thunk."""
+    """The domain of ``kind`` stated in Python and by a document of ``items``, each as a thunk.
+
+    Python states a 3-ball as the computed one, up to the top of ``items``.
+    """
     entries = [SpectrumEntry(a, SO2Rep(*rep)) for a, rep in items]
     doc = {"type": kind, "entries": [e.to_json() for e in entries], **({"dim": 3} if kind == "ball" else {})}
-    built = (lambda: CustomDomain(entries)) if kind == "custom" else (lambda: BallDomain(entries, dim=3))
+    top = max(e.eigenvalue for e in entries)
+    built = (lambda: CustomDomain(entries)) if kind == "custom" else (lambda: DiskDomain(top * (1 + MERGE_REL), dim=3))
     return built, lambda: domain_from_json(doc)
 
 
@@ -993,14 +998,15 @@ class TestOneSuppliedRule:
         built, read = _supplied(kind, (MERGED_ALIKE if kind == "custom" else BALL_MERGED_ALIKE)[case])
         assert built() == read()
         middle = [(A, SO2Rep(0, {1: 1, 2: 2}))] if kind == "custom" else [(B, SO2Rep.irr(1)), (C, SO2Rep.irr(2))]
-        assert [(e.eigenvalue, e.rep) for e in built().entries] == [
-            (0.0, SO2Rep.trivial(1)), *middle, (T, SO2Rep.trivial(1))
-        ]
+        domain = read()
+        entries = domain.entries if kind == "custom" else domain.entries_up_to(domain.bound)
+        assert [(e.eigenvalue, e.rep) for e in entries] == [(0.0, SO2Rep.trivial(1)), *middle, (T, SO2Rep.trivial(1))]
 
     @pytest.mark.parametrize("kind", ["custom", "ball"])
     def test_out_of_order_gets_one_message(self, kind):
         message = re.escape("entries must be listed in ascending eigenvalue order (2.0 after 5.0)")
-        for make in _supplied(kind, [(0.0, (1, {})), (5.0, (1, {})), (2.0, (1, {}))]):
+        built, read = _supplied(kind, [(0.0, (1, {})), (5.0, (1, {})), (2.0, (1, {}))])
+        for make in (built, read) if kind == "custom" else (read,):  # Python states no ball by its entries
             with pytest.raises(ValidationError, match=message):
                 make()
 
@@ -1014,7 +1020,8 @@ class TestOneSuppliedRule:
         with pytest.raises(ValidationError, match="list of SpectrumEntry records"):
             CustomDomain(entries)
 
-    @pytest.mark.parametrize("domain", [CustomDomain, BallDomain])
+    # the rule a ball document's entries meet is CustomDomain's
+    @pytest.mark.parametrize("domain", [CustomDomain, _supplied_entries], ids=["CustomDomain", "ball"])
     @pytest.mark.parametrize(
         "entries",
         [
@@ -1097,7 +1104,7 @@ class TestComputedBall:
         for request in (
             lambda: disk_spectrum(4.0 * MAX_DISK_ENTRIES, dim=5),
             lambda: DiskDomain(dim=3).entries_up_to(4.0 * MAX_DISK_ENTRIES),
-            lambda: BallDomain(huge, dim=3),
+            lambda: supplied_ball(huge),
         ):
             with pytest.raises(InsufficientSpectrum, match=r"the \d+-ball spectrum up to .* \(Weyl estimate\)"):
                 request()
@@ -1109,13 +1116,13 @@ class TestComputedBall:
         kernel_calls.reset()
         for build in (
             lambda: DiskDomain(dim=403),
-            lambda: BallDomain(zero, dim=403),
+            lambda: supplied_ball(zero, 403),
             lambda: domain_from_json({"type": "ball", "dim": 403}),
             lambda: disk_spectrum(1.0, dim=403),
         ):
             with pytest.raises(DomainError, match="order"):
                 build()
-        assert DiskDomain(dim=402).dim == 402 and BallDomain(zero, dim=402).dim == 402
+        assert DiskDomain(dim=402).dim == 402 and supplied_ball(zero, 402).dim == 402
         assert kernel_calls.total == 0
 
     def test_degrees_past_the_orders_are_refused_at_once_or_never_scanned(self, kernel_calls):
@@ -1148,6 +1155,25 @@ class TestComputedBall:
         assert ball.irr_dim_table == {1: 5, 2: 14, 3: 30}
         with pytest.raises(SchemaError, match="unknown keys in disk domain"):
             domain_from_json({"type": "disk", "dim": 3})
+
+    @pytest.mark.parametrize("dim", [3, 5, 7])
+    def test_a_supplied_ball_is_the_computed_ball(self, dim):
+        # a true spectrum up to x = 9 from the mpmath oracle's roots: its document checks, and builds the
+        # computed ball up to its top, which lists the computed entries and writes the bound
+        x_max = 9.0
+        items = [(0.0, SO2Rep.trivial(1))]
+        for l in range(int(x_max) + 1):
+            roots = oracle_radial_roots(l, dim, 4)
+            assert roots[-1] > x_max
+            items += [(x * x, SO2Rep.irr(l) if l else SO2Rep.trivial(1)) for x in roots if x <= x_max]
+        items.sort(key=lambda item: item[0])
+        top = items[-1][0]
+        docs = [SpectrumEntry(*item).to_json() for item in items]
+        domain = domain_from_json({"type": "ball", "dim": dim, "entries": docs})
+        assert domain == DiskDomain(bound=top * (1 + MERGE_REL), dim=dim) and len(items) >= 8
+        assert domain.entries_up_to(domain.bound) == disk_spectrum(top * (1 + MERGE_REL), dim=dim)
+        assert [e.rep for e in domain.entries_up_to(domain.bound)] == [rep for _, rep in items]
+        assert domain.to_json() == {"type": "ball", "dim": dim, "max_eigenvalue": top * (1 + MERGE_REL)}
 
 
 class TestEntriesUpToTakesANumber:
@@ -1604,10 +1630,10 @@ class TestRootCache:
         [
             lambda cache: disk_spectrum(20.0, cache=cache),
             lambda cache: DiskDomain(cache=cache).entries_up_to(10),
-            lambda cache: BallDomain([SpectrumEntry(0.0, SO2Rep.trivial(1))], 3, cache=cache),
+            lambda cache: supplied_ball([SpectrumEntry(0.0, SO2Rep.trivial(1))], cache=cache),
             lambda cache: radial_roots_up_to(0, 2, 5.0, cache=cache),
         ],
-        ids=["disk_spectrum", "DiskDomain", "BallDomain", "radial_roots_up_to"],
+        ids=["disk_spectrum", "DiskDomain", "ball", "radial_roots_up_to"],
     )
     @pytest.mark.parametrize("cache", ["x", 5, {}], ids=["str", "int", "dict"])
     def test_a_cache_argument_is_none_or_a_root_cache(self, call, cache):
@@ -1665,13 +1691,32 @@ class TestRootCache:
         path = self.saved(tmp_path)
         before = path.read_bytes()
 
-        def refused(**kwargs):
+        def refused(*args, **kwargs):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
 
-        monkeypatch.setattr(tempfile, "mkstemp", refused)
-        with pytest.raises(ValidationError, match="^cannot write root cache .*: Permission denied$"):
+        with monkeypatch.context() as patched, pytest.raises(
+            ValidationError, match="^cannot write root cache .*: Permission denied$"
+        ):
+            patched.setattr(os, "open", refused)  # the temporary file's creation
             RootCache().save(path)
         assert path.read_bytes() == before and [p.name for p in tmp_path.iterdir()] == ["roots.json"]
+
+    def test_a_new_file_gets_the_bits_of_a_plain_write(self, tmp_path):
+        # 0o666 less the umask, as open() gives; a replaced file keeps its own bits under any umask
+        before = os.umask(0o022)
+        try:
+            for umask, bits in ((0o022, 0o644), (0o077, 0o600)):
+                os.umask(umask)
+                path = tmp_path / f"new-{umask:o}.json"
+                RootCache().save(path)
+                assert path.stat().st_mode & 0o7777 == bits, oct(umask)
+            replaced = tmp_path / "replaced.json"
+            replaced.write_text("{}")
+            replaced.chmod(0o640)
+            RootCache().save(replaced)
+            assert replaced.stat().st_mode & 0o7777 == 0o640 and json.loads(replaced.read_text())["records"] == []
+        finally:
+            os.umask(before)
 
     def test_grown_says_whether_a_file_would_lack_the_records(self, tmp_path):
         path = tmp_path / "roots.json"

@@ -36,10 +36,10 @@ A9_DISK = {
     "window": [-60.0, 60.0],
 }
 
-#: the 53 names the package root exports and the 7 submodules it imports on demand
+#: the 52 names the package root exports and the 7 submodules it imports on demand
 PARENT_NAMESPACE = [
-    "BIFURCATES", "BallDomain", "BifurcationVerdict", "ConvergenceError", "CustomDomain", "DiskDomain",
-    "DomainError", "Error", "EulerSO2", "GlobCheck", "INCONCLUSIVE", "InsufficientSpectrum", "KernelReps",
+    "BIFURCATES", "BifurcationVerdict", "ConvergenceError", "CustomDomain", "DiskDomain", "DomainError", "Error",
+    "EulerSO2", "GlobCheck", "INCONCLUSIVE", "InsufficientSpectrum", "KernelReps",
     "LinearizationEigenvalue", "MissingClass", "NO_VERDICT", "NonInjectiveTable", "NotInvertible",
     "OrbitDatum", "PreconditionError", "RootCache", "SO2Rep", "SchemaError", "SpectrumEntry", "SystemSpec",
     "UNBOUNDED", "UnboundedReport", "UnsupportedDomain", "ValidationError", "_kernels", "analyze",

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from symbif import (
-    BallDomain,
     CustomDomain,
     DiskDomain,
     InsufficientSpectrum,
@@ -25,7 +24,8 @@ from symbif import (
     radial_roots_up_to,
     system_spec_from_json,
 )
-from symbif.spectral import domain_from_json
+from conftest import supplied_ball
+from symbif.spectral import MERGE_REL, domain_from_json
 
 ALPHA2 = 1.8411837813406593**2  # first rotation-1 disk eigenvalue
 ALPHA3 = 3.0542369282271403**2  # first rotation-2 disk eigenvalue
@@ -67,7 +67,7 @@ class TestSystemSpecValidation:
 
     @pytest.mark.parametrize("domain", ["disk", {"type": "disk"}, SO2Rep.zero()])
     def test_domain_refused_when_built(self, domain):
-        with pytest.raises(ValidationError, match="domain must be a DiskDomain, BallDomain or CustomDomain"):
+        with pytest.raises(ValidationError, match="domain must be a DiskDomain or CustomDomain"):
             SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, domain=domain)
 
     def test_none_means_empty_blocks_and_a_fresh_disk(self):
@@ -168,15 +168,21 @@ class TestSystemSpecJson:
             system_spec_from_json({**self.DOC, key: -1})
 
     def test_ball_domain_round_trip(self):
-        # a supplied 4-ball, true up to 7 as the build checks (degree 1 at 5.29), and the computed one
-        supplied = {"type": "ball", "dim": 4, "entries": [e.to_json() for e in disk_spectrum(7.0, dim=4)]}
-        for domain in (supplied, {"type": "ball", "dim": 4}, {"type": "ball", "dim": 4, "max_eigenvalue": 7.0}):
+        # a supplied 4-ball, true up to 7 as the build checks (degree 1 at 5.29), and the computed one;
+        # the supplied one is the computed ball to its top eigenvalue, and is written as that
+        entries = disk_spectrum(7.0, dim=4)
+        supplied = {"type": "ball", "dim": 4, "entries": [e.to_json() for e in entries]}
+        as_computed = {"type": "ball", "dim": 4, "max_eigenvalue": entries[-1].eigenvalue * (1.0 + MERGE_REL)}
+        for domain, written in (
+            (supplied, as_computed),
+            *(2 * [d] for d in ({"type": "ball", "dim": 4}, {"type": "ball", "dim": 4, "max_eigenvalue": 7.0})),
+        ):
             doc = {"p1": 2, "p2": 0, "b1": [{"value": 1, "mult": 2}], "b2": [], "domain": domain, "a9": True}
             spec = system_spec_from_json(doc)
             redone = system_spec_from_json(spec.to_json())
             assert redone.domain.dim == 4 and redone.domain == spec.domain
             assert redone.domain.entries_up_to(5.0) == spec.domain.entries_up_to(5.0)
-            assert redone.to_json() == spec.to_json() and spec.to_json()["domain"] == domain
+            assert redone.to_json() == spec.to_json() and spec.to_json()["domain"] == written
 
     def test_custom_domain(self):
         doc = {
@@ -394,7 +400,7 @@ class TestLinearization:
         t = 20.19072855642663
         if kind == "ball":
             entries, dims = disk_spectrum(20.4, dim=3), [1, 3, 5, 1, 7]
-            domain = BallDomain(entries, dim=3)
+            domain = supplied_ball(entries)
         else:
             entries = [
                 SpectrumEntry(0.0, SO2Rep.trivial(1)),
@@ -421,7 +427,7 @@ class TestLinearization:
         # and (l + 1)^2 on the 4-ball; read by linearization_eigenvalues, one B1 row per entry of
         # the true spectrum up to the first root of the highest degree listed, supplied or computed
         entries = disk_spectrum(radial_roots_up_to(max(dims), dim, 10.0)[0] ** 2, dim=dim)
-        for domain in (BallDomain(entries, dim=dim), DiskDomain(dim=dim)):
+        for domain in (supplied_ball(entries, dim), DiskDomain(dim=dim)):
             spec = SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, domain=domain)
             rows = linearization_eigenvalues(spec, 0.5, len(entries))
             table = spec.domain.irr_dim_table
