@@ -660,17 +660,20 @@ class DiskDomain(_Record):
     def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
         """The computed entries <= alpha_max.
 
-        Extends the spectrum to ``alpha_max`` first, or raises
-        InsufficientSpectrum beyond ``bound``; the eigenvalue list searched
-        by bisection is rebuilt only when the spectrum grows.
+        Extends the spectrum to ``alpha_max`` first, but never past ``bound``:
+        a request inside the bound's slack reads the spectrum to the bound,
+        and one beyond it raises InsufficientSpectrum.  The eigenvalue list
+        searched by bisection is rebuilt only when the spectrum grows.
         """
         alpha_max = max(0.0, _real(alpha_max, "alpha_max", finite=False))
-        if self.bound is not None and _beyond_coverage(alpha_max, self.bound):
-            raise InsufficientSpectrum(
-                f"need eigenvalues up to {alpha_max!r} but the spectrum bound is {self.bound!r}"
-            )
-        if alpha_max > self._memo_bound:
-            target = max(alpha_max, 1.0)
+        target = max(alpha_max, 1.0)
+        if self.bound is not None:
+            if _beyond_coverage(alpha_max, self.bound):
+                raise InsufficientSpectrum(
+                    f"need eigenvalues up to {alpha_max!r} but the spectrum bound is {self.bound!r}"
+                )
+            target = min(target, self.bound)
+        if target > self._memo_bound:
             self._memo = disk_spectrum(target, dim=self.dim, cache=self.cache)
             self._eigenvalues = [e.eigenvalue for e in self._memo]
             self._memo_bound = target

@@ -809,9 +809,8 @@ class TestVerdictCost:
 
     def test_a_built_ball_is_judged_without_evaluation(self, kernel_calls, call_counts):
         # the build checks the trivial-type roots; after it, analyze and unbounded_verdict read the
-        # stated reps of the true 3-ball spectrum (degree l at each root of degree l) and scan nothing;
-        # it is stated past the window, as analyze reads a margin past the window's reach
-        x_max = 12.5
+        # stated reps of the true 3-ball spectrum (degree l at each root of degree l) and scan nothing
+        x_max = 12.0
         entries = [SpectrumEntry(0.0, SO2Rep.trivial(1))] + sorted(
             (
                 SpectrumEntry(x * x, SO2Rep.irr(l) if l else SO2Rep.trivial(1))
@@ -823,12 +822,10 @@ class TestVerdictCost:
         spec = a9_spec(q1=2, p2=2, domain=supplied_ball(entries))
         roots = call_counts(symbif.spectral, "radial_roots_up_to")
         kernel_calls.reset()
-        top = 144.0
+        top = entries[-1].eigenvalue
         verdicts = analyze(spec, (-top, top))
         reports = [unbounded_verdict(spec, e, sign) for e in entries[1:] for sign in (1, -1)]
-        inside = [e for e in entries if e.eigenvalue <= top]
-        assert len(inside) == 21 and len(verdicts) == 2 * len(inside) - 1
-        assert sum(v.unbounded == UNBOUNDED for v in verdicts) == 34
+        assert len(verdicts) == 2 * len(entries) - 1 and sum(v.unbounded == UNBOUNDED for v in verdicts) == 34
         assert [r.verdict for r in reports] == [
             UNBOUNDED if e.rep.has_nontrivial() else NO_VERDICT for e in entries[1:] for _ in (1, -1)
         ]

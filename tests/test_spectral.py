@@ -12,6 +12,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import symbif.spectral
 from symbif import (
     ConvergenceError,
     CustomDomain,
@@ -1174,6 +1175,17 @@ class TestComputedBall:
         assert domain.entries_up_to(domain.bound) == disk_spectrum(top * (1 + MERGE_REL), dim=dim)
         assert [e.rep for e in domain.entries_up_to(domain.bound)] == [rep for _, rep in items]
         assert domain.to_json() == {"type": "ball", "dim": dim, "max_eigenvalue": top * (1 + MERGE_REL)}
+
+    def test_a_request_in_the_bound_slack_reads_to_the_bound(self, call_counts):
+        # a bounded domain never extends its spectrum past its bound: a request the slack admits
+        # lists no eigenvalue above the bound and derives nothing again, so a supplied ball lists
+        # only checked entries to any window analyze may ask for
+        alpha = disk_spectrum(30.0, dim=3)[-1].eigenvalue
+        domain = DiskDomain(bound=alpha * (1 - 10 * MERGE_REL), dim=3)
+        below = domain.entries_up_to(domain.bound)
+        builds = call_counts(symbif.spectral, "disk_spectrum")
+        assert domain.entries_up_to(alpha) == below and below[-1].eigenvalue < domain.bound
+        assert builds[0] == 0
 
 
 class TestEntriesUpToTakesANumber:
