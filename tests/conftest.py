@@ -3,8 +3,15 @@ from contextlib import contextmanager
 
 import pytest
 
-from symbif import _kernels
+from oracles import a9_blocks
+from symbif import SystemSpec, _kernels
 from symbif.spectral import domain_from_json
+
+
+def a9_spec(q1: int, p2: int, mu: int = 0, domain=None) -> SystemSpec:
+    """The normalized a9 system of :func:`oracles.a9_blocks` on ``domain``, the disk by default."""
+    b1, b2 = a9_blocks(q1, p2, mu)
+    return SystemSpec(p1=q1 + mu, p2=p2, sigma_b1=b1, sigma_b2=b2, mu_b0=mu, domain=domain, a9=True)
 
 
 def supplied_ball(entries, dim: int = 3, cache=None):

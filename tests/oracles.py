@@ -17,7 +17,8 @@ agreement of roots is a two-sided check.
 JSON entries it assembles the verdicts the straightforward way, by linear
 scans for every match, explicit sums of eigenspaces for V(n), degrees as
 products of their base cases and powers as repeated products, with ring
-elements held as (unit, {k: coefficient}) pairs.
+elements held as (unit, {k: coefficient}) pairs.  Every match there, and in
+every reference check of the tests, is the one rule :func:`close`.
 
 :func:`spherical_jp_zeros` and :func:`ball3_spectrum` are a third path for
 the 3-ball: scipy's spherical Bessel functions, bracketed and refined by
@@ -168,13 +169,27 @@ def ball3_spectrum(x_max: float) -> list[tuple[float, int]]:
     return [(0.0, 0)] + sorted((x * x, l) for l in range(int(x_max) + 1) for x in spherical_jp_zeros(l, x_max))
 
 
+def ball3_entries(x_max: float) -> list[dict]:
+    """:func:`ball3_spectrum` as a ball document's entries: irr(l) at each root of degree l >= 1, trivial at l = 0."""
+    return [{"eigenvalue": a, "rep": {"irr": {str(l): 1}} if l else {"trivial": 1}} for a, l in ball3_spectrum(x_max)]
+
+
 # ---------------------------------------------------------------------------
 # verdict reference
 # ---------------------------------------------------------------------------
 
+#: relative tolerance of the matching rule :func:`close`
+REL = 1e-8
 
-def _close(a: float, b: float, rel: float) -> bool:
-    return abs(a - b) <= rel * max(1.0, abs(a), abs(b))
+
+def close(a: float, b: float) -> bool:
+    """The one matching rule: |a - b| <= REL * max(1, |a|, |b|) makes two parameters or eigenvalues one."""
+    return abs(a - b) <= REL * max(1.0, abs(a), abs(b))
+
+
+def a9_blocks(q1: int, p2: int, mu: int) -> tuple[dict, dict]:
+    """(B1, B2) of the normalized a9 form: mu at 0 and q1 at 1 in B1, p2 at 1 in B2, each only when nonzero."""
+    return {v: m for v, m in ((0, mu), (1, q1)) if m}, ({1: p2} if p2 else {})
 
 
 def _ring(unit: int, cyclic: dict | None = None) -> tuple[int, dict]:
@@ -231,41 +246,64 @@ def _rep_json(rep) -> dict:
     return {"trivial": rep[0], "irr": {str(k): m for k, m in sorted(rep[1].items()) if m}}
 
 
+def _entry_rep(doc: dict, mult: int = 1) -> tuple[int, dict]:
+    """``mult`` copies of a spectrum-entry document's rep, as (trivial, {k: multiplicity})."""
+    rep = doc["rep"]
+    return mult * rep.get("trivial", 0), {int(k): mult * m for k, m in rep.get("irr", {}).items()}
+
+
+def _pairs(b1: dict, b2: dict) -> list[tuple[int, float, int]]:
+    """(s, b, multiplicity) per nonzero block eigenvalue: B1 with s = 1, then B2 with s = -1, each ascending in b."""
+    return [(s, b, m) for s, block in ((1, b1), (-1, b2)) for b, m in sorted(block.items()) if b != 0]
+
+
+def reference_lambda_set(entries: list[dict], b1: dict, b2: dict, window) -> list[float]:
+    """The parameters s * alpha / b + 0.0 in the window, ascending, each one :func:`close` to the one before dropped."""
+    lo, hi = float(window[0]), float(window[1])
+    members = (s * e["eigenvalue"] / b + 0.0 for s, b, _ in _pairs(b1, b2) for e in entries)
+    merged: list[float] = []
+    for m in sorted(m for m in members if lo <= m <= hi):
+        if not merged or not close(merged[-1], m):
+            merged.append(m)
+    return merged
+
+
+def reference_candidates(entries: list[dict], b1: dict, b2: dict, window) -> list[float]:
+    """:func:`reference_lambda_set`, with 0 added when the window holds it and no member is :func:`close` to it."""
+    members = reference_lambda_set(entries, b1, b2, window)
+    if float(window[0]) <= 0.0 <= float(window[1]) and not any(close(m, 0.0) for m in members):
+        members = sorted(members + [0.0])
+    return members
+
+
+def reference_kernel(entries: list[dict], b1: dict, b2: dict, lam: float) -> tuple[tuple, tuple, list[int]]:
+    """(V1, V2, positions of the entries :func:`close` to s lam b): B1 first, then by b, then by position."""
+    pieces, matched = {1: [], -1: []}, []
+    for s, b, mult in _pairs(b1, b2):
+        for i, e in enumerate(entries):
+            if close(s * (lam * b), e["eigenvalue"]):
+                matched.append(i)
+                pieces[s].append(_entry_rep(e, mult))
+    return _rep_sum(pieces[1]), _rep_sum(pieces[-1]), matched
+
+
 def reference_verdicts(entries: list[dict], b1: dict, b2: dict, mu_b0: int, a9: bool, window, *,
-                       rel: float = 1e-8, disk: bool = True) -> list[dict]:
+                       disk: bool = True) -> list[dict]:
     """Verdict documents for the window, in the schema of ``BifurcationVerdict.to_json``.
 
     ``entries`` are spectrum-entry documents in ascending order reaching past
     every eigenvalue the window pairs with; ``b1``/``b2`` map block
     eigenvalues to multiplicities.
     """
-    lo, hi = float(window[0]), float(window[1])
     alphas = [e["eigenvalue"] for e in entries]
-    reps = [(e["rep"]["trivial"], {int(k): m for k, m in e["rep"].get("irr", {}).items()}) for e in entries]
-    bs1 = sorted((b, m) for b, m in b1.items() if b != 0)
-    bs2 = sorted((b, m) for b, m in b2.items() if b != 0)
-    members = sorted(
-        m
-        for m in [a / b + 0.0 for b, _ in bs1 for a in alphas] + [-a / b + 0.0 for b, _ in bs2 for a in alphas]
-        if lo <= m <= hi
-    )
-    candidates: list[float] = []
-    for m in members:
-        if not candidates or not _close(candidates[-1], m, rel):
-            candidates.append(m)
-    if lo <= 0.0 <= hi and not any(_close(c, 0.0, rel) for c in candidates):
-        candidates.append(0.0)
-    candidates.sort()
+    reps = [_entry_rep(e) for e in entries]
     p1, p2 = sum(b1.values()), sum(b2.values())
     q1 = p1 - mu_b0
     morse = sum(m for b, m in list(b1.items()) + list(b2.items()) if b != 0)
     out = []
-    for lam in candidates:
-        at_zero = _close(lam, 0.0, rel)
-        hits1 = [(i, m) for b, m in bs1 for i, a in enumerate(alphas) if _close(lam * b, a, rel)]
-        hits2 = [(i, m) for b, m in bs2 for i, a in enumerate(alphas) if _close(lam * b, -a, rel)]
-        v1 = _rep_sum((m * reps[i][0], {k: m * x for k, x in reps[i][1].items()}) for i, m in hits1)
-        v2 = _rep_sum((m * reps[i][0], {k: m * x for k, x in reps[i][1].items()}) for i, m in hits2)
+    for lam in reference_candidates(entries, b1, b2, window):
+        at_zero = close(lam, 0.0)
+        v1, v2, matched = reference_kernel(entries, b1, b2, lam)
         if at_zero:
             glob = ("Bifurcates" if morse % 2 else "Inconclusive", "ZeroCaseParity")
         elif v1 == (0, {}) and v2 == (0, {}):
@@ -276,7 +314,7 @@ def reference_verdicts(entries: list[dict], b1: dict, b2: dict, mu_b0: int, a9: 
             glob = ("Bifurcates", "RepNonEquivalence")
         bif, unbounded = None, "NoVerdict"
         if a9 and not at_zero:
-            k0 = next(k for k, a in enumerate(alphas, start=1) if _close(a, abs(lam), rel))
+            k0 = next(k for k, a in enumerate(alphas, start=1) if close(a, abs(lam)))
             nontrivial = bool(reps[k0 - 1][1])
             q = (q1, p2) if lam > 0 else (p2, q1)
             if q[0] > 0 and q[0] % 2 == 0 and q[1] % 2 == 0 and nontrivial:
@@ -295,7 +333,7 @@ def reference_verdicts(entries: list[dict], b1: dict, b2: dict, mu_b0: int, a9: 
         out.append(
             {
                 "lambda0": 0.0 if at_zero else lam,
-                "in_lambda": bool(hits1 or hits2),
+                "in_lambda": bool(matched),
                 "kernel": {"v1": _rep_json(v1), "v2": _rep_json(v2)},
                 "glob": glob[0],
                 "justification": glob[1],

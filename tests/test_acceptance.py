@@ -37,6 +37,7 @@ from symbif import (
 )
 from symbif.bifurcation import BIFURCATES, INCONCLUSIVE, NO_VERDICT, UNBOUNDED
 
+from conftest import a9_spec
 from oracles import oracle_radial_roots
 
 I = EulerSO2.one()
@@ -52,15 +53,6 @@ def criterion(num: int, description: str):
         print(f"criterion {num:2d}: FAIL  {description}")
         raise
     print(f"criterion {num:2d}: PASS  {description}")
-
-
-def a9_spec(q1: int, p2: int, mu: int = 0, **kw) -> SystemSpec:
-    b1 = {v: m for v, m in ((0, mu), (1, q1)) if m}
-    b2 = {1: p2} if p2 else {}
-    return SystemSpec(
-        p1=q1 + mu, p2=p2, sigma_b1=b1, sigma_b2=b2, mu_b0=mu,
-        domain=kw.pop("domain", DiskDomain()), a9=True, **kw,
-    )
 
 
 def _random_element(rng: random.Random) -> EulerSO2:

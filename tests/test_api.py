@@ -15,7 +15,8 @@ given a plain ``object()`` for any required argument, or for an item of a sequen
 package's own error, never AttributeError or TypeError, and so does ``cli.AnalysisConfig`` for any argument.  Whether
 an eigenspace is nontrivial is read off its stated representation alone: no module but ``ball_rep_nontrivial``'s
 own lines names ``rep_nontrivial``.  Every public name has a reader outside its own definition and the export
-table: in the package, in README.md or in the benchmark.
+table: in the package, in README.md or in the benchmark.  On the test side the matching rule is stated once, in
+``tests/oracles.py``, which imports nothing from the package.
 """
 
 import ast
@@ -110,6 +111,37 @@ def test_only_the_stated_rep_decides_a_nontrivial_eigenspace():
         if second_way.search(line)
     ]
     assert found == []
+
+
+def test_the_test_side_states_the_matching_rule_once():
+    # tests/oracles.py is the one verdict model of the tests: it imports nothing from the package, no other test
+    # module writes its own close, and only test_spectral, which tests the package's close, reads that one
+    def imported(tree):
+        """(module, name) per imported name; (module, None) for a plain import."""
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                yield from ((alias.name, None) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                yield from ((node.module or "", alias.name) for alias in node.names)
+
+    tests = Path(__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(tests.glob("*.py"))}
+    assert [m for m, _ in imported(trees["oracles.py"]) if m.split(".")[0] == "symbif"] == []
+    writers = sorted(
+        name for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in ("close", "_close")
+    )
+    assert writers == ["oracles.py"]
+    readers = sorted(
+        name for name, tree in trees.items()
+        if {("symbif", "close"), ("symbif.spectral", "close")} & set(imported(tree))
+        or any(
+            isinstance(node, ast.Attribute) and node.attr == "close"
+            and isinstance(node.value, ast.Name) and node.value.id in ("symbif", "spectral")
+            for node in ast.walk(tree)
+        )
+    )
+    assert readers == ["test_spectral.py"]
 
 
 def package_modules():

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import symbif.bifurcation
 import symbif.spectral
-from conftest import supplied_ball
-from oracles import reference_verdicts
+from conftest import a9_spec, supplied_ball
+from oracles import a9_blocks, close, reference_candidates, reference_kernel, reference_verdicts
 from symbif import (
     BIFURCATES,
     INCONCLUSIVE,
@@ -44,7 +44,7 @@ from symbif import (
     radial_roots_up_to,
     unbounded_verdict,
 )
-from symbif.spectral import MERGE_REL, close
+from symbif.spectral import MERGE_REL
 from symbif.system import _merged, _spectral_pairs, _swept_kernels
 from symbif.bifurcation import (
     J_EQUIV_MOD_EVEN,
@@ -60,20 +60,6 @@ chi = EulerSO2.chi
 ALPHA2 = 1.8411837813406593**2
 ALPHA3 = 3.0542369282271403**2
 ALPHA4 = 3.8317059702075125**2  # trivial (l = 0) eigenvalue
-
-
-def a9_spec(q1: int, p2: int, mu: int = 0, domain=None) -> SystemSpec:
-    b1 = {v: m for v, m in ((0, mu), (1, q1)) if m}
-    b2 = {1: p2} if p2 else {}
-    return SystemSpec(
-        p1=q1 + mu,
-        p2=p2,
-        sigma_b1=b1,
-        sigma_b2=b2,
-        mu_b0=mu,
-        domain=DiskDomain() if domain is None else domain,
-        a9=True,
-    )
 
 
 ROT1 = SpectrumEntry(ALPHA2, SO2Rep.irr(1), angular_index=1, root_index=1)
@@ -583,6 +569,11 @@ class TestVerdictsAgainstReference:
         verdicts = self.check(domain, b1, b2, 0, False, (-800.0, 800.0))
         assert {v["justification"] for v in verdicts} >= {J_REP_NONEQUIV, J_ZERO_PARITY}
 
+    def test_pairs_at_the_edges_of_the_matching_band(self, domain):
+        # the disk's eigenvalues lie far apart, so blocks set the pairs 0.95e-8 (one candidate) and 1.05e-8 apart (two)
+        inside = self.check(domain, {1: 1, 1 + 0.95e-8: 1}, {}, 0, False, (3.0, 40.0))
+        outside = self.check(domain, {1: 1, 1 + 1.05e-8: 1}, {}, 0, False, (3.0, 40.0))
+        assert len(inside) > 5 and len(outside) == 2 * len(inside)
 
     def test_zero_eigenspace_is_still_a_member(self):
         # a supplied eigenspace may be the zero representation: the kernel is
@@ -633,8 +624,7 @@ class TestA9Sweep:
         for v in verdicts:
             assert v.bif_element == bif_a9(spec, v.lambda0), v.lambda0
         entries = [e.to_json() for e in domain.entries_up_to(SWEEP_REACH * 1.01)]
-        b1 = {v: m for v, m in ((0, mu), (1, q1)) if m}
-        reference = reference_verdicts(entries, b1, {1: p2} if p2 else {}, mu, True, window)
+        reference = reference_verdicts(entries, *a9_blocks(q1, p2, mu), mu, True, window)
         assert _dumps(verdicts) == json.dumps(reference, sort_keys=True)
         if window[0] > 0.0 and window[1] < ALPHA2 or window[1] < 0.0 and window[0] > -ALPHA2:
             assert verdicts == []
@@ -684,7 +674,7 @@ def _near_blocks(draw):
 
 
 _a9_blocks = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)).filter(lambda t: sum(t) > 0).map(
-    lambda t: ({v: m for v, m in ((0, t[2]), (1, t[0])) if m}, {1: t[1]} if t[1] else {}, t[2], True)
+    lambda t: (*a9_blocks(*t), t[2], True)
 )
 
 
@@ -695,22 +685,8 @@ def _kernel_window(t: tuple[int, float, int]) -> tuple[float, float]:
     return lo, min(lo + t[2] * step, 16 * step)
 
 
-def brute_force_kernel(b1, b2, entries, lam):
-    """(V1, V2, matched) at lam from every (block, entry) pair: B1 first, then by b, then by position."""
-    trivial, irr, matched = {1: 0, -1: 0}, {1: {}, -1: {}}, []
-    for s, block in ((1, b1), (-1, b2)):
-        for b, mult in sorted((b, m) for b, m in block.items() if b != 0):
-            for e in entries:
-                if close(s * (lam * b), e.eigenvalue):
-                    matched.append(e)
-                    trivial[s] += mult * e.rep.trivial_dim
-                    for label, m in e.rep.irreducibles.items():
-                        irr[s][label] = irr[s].get(label, 0) + mult * m
-    return SO2Rep(trivial[1], irr[1]), SO2Rep(trivial[-1], irr[-1]), matched
-
-
 class TestKernelSweep:
-    """analyze's kernels, candidate by candidate, against a brute-force match and the reference verdicts."""
+    """analyze's kernels, candidate by candidate, against the reference's candidates, kernels and verdicts."""
 
     @pytest.fixture(scope="class")
     def domains(self):
@@ -725,17 +701,15 @@ class TestKernelSweep:
             p1=sum(b1.values()), p2=sum(b2.values()), sigma_b1=b1, sigma_b2=b2, mu_b0=mu_b0, domain=domain, a9=a9
         )
         verdicts = analyze(spec, window)
-        lams = lambda_set(spec, window)
-        if window[0] <= 0.0 <= window[1] and not any(close(c, 0.0) for c in lams):
-            lams = sorted(lams + [0.0])
-        assert len(verdicts) == len(lams)
         covered = domain.entries_up_to(KERNEL_REACH)
-        for lam, v in zip(lams, verdicts):
-            v1, v2, matched = brute_force_kernel(b1, b2, covered, lam)
-            assert (v.kernel.v1, v.kernel.v2) == (v1, v2), lam
-            assert len(v.kernel.matched) == len(matched), lam
-            assert all(a is b for a, b in zip(v.kernel.matched, matched)), lam
         entries = [e.to_json() for e in covered]
+        lams = reference_candidates(entries, b1, b2, window)
+        # kernel by kernel before the count, so a candidate the matching rule merges or splits shows as its kernel
+        for lam, v in zip(lams, verdicts):
+            v1, v2, matched = reference_kernel(entries, b1, b2, lam)
+            assert (v.kernel.v1, v.kernel.v2) == (SO2Rep(*v1), SO2Rep(*v2)), lam
+            assert [id(e) for e in v.kernel.matched] == [id(covered[i]) for i in matched], lam
+        assert len(verdicts) == len(lams)
         disk = isinstance(domain, DiskDomain) and domain.dim == 2
         reference = reference_verdicts(entries, b1, b2, mu_b0, a9, window, disk=disk)
         assert _dumps(verdicts) == json.dumps(reference, sort_keys=True)

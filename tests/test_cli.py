@@ -18,7 +18,7 @@ import symbif.system
 from symbif import DomainError, SchemaError, ValidationError
 from symbif.cli import main, parse_report, process_main
 
-from oracles import ball3_spectrum
+from oracles import ball3_entries
 
 ALPHA2 = 3.3899577166932745  # close enough for --lambda matching (1e-8 relative)
 #: sha256 of the cache file a cold ``spectrum --max-eigenvalue 100 --cache FILE`` writes
@@ -171,14 +171,6 @@ class TestAnalyze:
         assert "InsufficientSpectrum: the 3-ball spectrum up to" in proc.stderr and "Weyl" in proc.stderr
 
 
-def ball3_entries(x_max: float) -> list[dict]:
-    """The 3-ball spectrum up to x_max^2 as entry documents: degree l at each root of degree l, trivial at l = 0."""
-    items = [(0.0, 0)] + sorted(
-        (x * x, l) for l in range(int(x_max) + 1) for x in symbif.radial_roots_up_to(l, 3, x_max)
-    )
-    return [{"eigenvalue": a, "rep": {"irr": {str(l): 1}} if l else {"trivial": 1}} for a, l in items]
-
-
 class TestSuppliedBall:
     """A supplied ball spectrum is checked against the computed one once, when it is built."""
 
@@ -265,10 +257,7 @@ class TestComputedBall:
 
     def test_supplied_and_computed_give_one_table(self, capsys, tmp_path):
         # supplied from scipy's zeros of j_l', so the eigenvalues differ from the computed ones in the last bits
-        entries = [
-            {"eigenvalue": a, "rep": {"irr": {str(l): 1}} if l else {"trivial": 1}} for a, l in ball3_spectrum(22.0)
-        ]
-        domains = ({"type": "ball", "dim": 3, "entries": entries}, {"type": "ball", "dim": 3})
+        domains = ({"type": "ball", "dim": 3, "entries": ball3_entries(22.0)}, {"type": "ball", "dim": 3})
         supplied, computed = (run_cli(capsys, "analyze", "--config", self.config(tmp_path, d)) for d in domains)
         assert supplied == computed and supplied[0] == 0 and len(supplied[1].splitlines()) > 133
 

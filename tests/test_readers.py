@@ -26,6 +26,7 @@ from symbif.errors import Error, SchemaError
 from symbif.morse import OrbitDatum, class_table_from_json, orbit_data_from_json
 from symbif.spectral import domain_from_json
 from symbif.system import system_spec_from_json
+from oracles import close
 
 REP = {"trivial": 1, "irr": {"1": 2, "3": 1}}
 EULER = {"unit": -1, "cyclic": {"1": -2, "4": 3}}
@@ -173,7 +174,7 @@ def _check_entry(doc, entry: SpectrumEntry) -> None:
 
 
 def _stated(docs) -> list[tuple]:
-    """(eigenvalue, rep, angular_index, root_index) per group of ``docs``: read faithfully, sorted, fused within 1e-8."""
+    """(eigenvalue, rep, angular_index, root_index) per group of ``docs``: read faithfully, sorted, fused by ``close``."""
     assert type(docs) is list and docs
     read = [SpectrumEntry.from_json(d) for d in docs]
     for d, e in zip(docs, read):
@@ -181,7 +182,7 @@ def _stated(docs) -> list[tuple]:
     groups: list[list[SpectrumEntry]] = []
     for e in sorted(read, key=lambda e: e.eigenvalue):
         first = groups[-1][0].eigenvalue if groups else None
-        if first is not None and abs(e.eigenvalue - first) <= 1e-8 * max(1.0, first, e.eigenvalue):
+        if first is not None and close(first, e.eigenvalue):
             groups[-1].append(e)
         else:
             groups.append([e])

@@ -475,12 +475,6 @@ class TestOneRadialFamily:
         assert abs(root - 3.3406) < 1e-4
 
 
-def _spacing(zeros) -> tuple[float, float]:
-    """Least gap between consecutive zeros in (0, 200], and least span of four consecutive ones."""
-    z = sorted(x for x in zeros if 0.0 < x <= MAX_ROOT_X)
-    return min(b - a for a, b in zip(z, z[1:])), min(d - a for a, d in zip(z, z[3:]))
-
-
 def _ball_zeros(dim: int, l: int = 0, step: float = 0.01) -> tuple[list[float], list[float]]:
     """Zeros in (0, 200] of f = (l/x) J_nu - J_{nu+1} and of g = J_nu, nu = l + (dim - 2)/2.
 
@@ -507,14 +501,12 @@ def _ball_zeros(dim: int, l: int = 0, step: float = 0.01) -> tuple[list[float], 
 
 
 class TestSpacingPremise:
-    """scipy's zeros as the oracle of the spacing on which a pi/8 cell holds at most one zero of g.
+    """scipy's zeros as the oracle of the premises of ``_lattice_scan``, x <= 200.
 
-    ``_lattice_scan`` proves that consecutive zeros of the partner g = J_nu
-    lie more than 3.07 apart, and more than pi for nu > 1/2.  The sampled
-    spacing of f and g together is checked as well: consecutive zeros lie at
-    least 1.2 apart, and four of them span at least 4.5, for the disk with
-    l < 200, for the trivial-type test on balls with N <= 7, and for l >= 1
-    on the sampled balls below, x <= 200.
+    The scan proves that consecutive zeros of the partner g = J_nu lie more
+    than 3.07 apart, and more than pi for nu > 1/2, so a pi/8 cell holds at
+    most one zero of g; and it reads the zeros of f and g as interlacing, f
+    first.
     """
 
     def test_zeros_of_the_partner_lie_as_far_apart_as_proven(self):
@@ -534,43 +526,13 @@ class TestSpacingPremise:
             else:
                 assert gaps and min(gaps) > math.pi, (l, dim)
 
-    def test_disk(self):
-        from scipy.special import jn_zeros, jnp_zeros
-
-        gaps, spans = [], []
-        for l in range(200):
-            n = int((MAX_ROOT_X - l) / math.pi) + 3  # more zeros than lie below 200
-            zeros = [*jnp_zeros(l, n), *jn_zeros(l, n)]
-            if sum(x <= MAX_ROOT_X for x in zeros) >= 4:
-                gap, span = _spacing(zeros)
-                gaps.append(gap)
-                spans.append(span)
-        # the least of both sits at l = 0: 1.427 and 4.611
-        assert min(gaps) >= 1.2 and min(spans) >= 4.5
-
-    @pytest.mark.parametrize("dim", [3, 4, 5, 6, 7])
-    def test_balls(self, dim):
-        gap, span = _spacing(sum(_ball_zeros(dim), []))
-        # the least gap falls with dim, to 1.2245 at N = 7; the least span is 4.5837 at N = 3
-        assert gap >= 1.2 and span >= 4.5
-
-    def test_the_claim_stops_at_dim_7(self):
-        # at N = 9 the first zeros of J_{7/2} and J_{9/2} lie 1.1946 apart, so the claim cannot reach it
-        assert _spacing(sum(_ball_zeros(9), []))[0] < 1.2
-
     @pytest.mark.parametrize("dim", [3, 4, 5, 7, 10])
     def test_positive_degrees(self, dim):
-        gaps, spans = [], []
         for l in (1, 2, 3, 5, 10, 30, 100, 150):
             f, g = _ball_zeros(dim, l, step=0.05)
             # f leads and the zeros alternate, so the coarse grid hid no pair of either
             kinds = "".join(kind for _, kind in sorted([(x, "f") for x in f] + [(x, "g") for x in g]))
             assert kinds.startswith("f") and "ff" not in kinds and "gg" not in kinds, l
-            gap, span = _spacing(f + g)
-            gaps.append(gap)
-            spans.append(span)
-        # the least of both sits at N = 10, l = 1: 1.2697 and 4.6366
-        assert min(gaps) >= 1.2 and min(spans) >= 4.5
 
 
 def _degrees(pairs) -> list:

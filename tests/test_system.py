@@ -24,19 +24,12 @@ from symbif import (
     radial_roots_up_to,
     system_spec_from_json,
 )
-from conftest import supplied_ball
+from conftest import a9_spec, supplied_ball
+from oracles import close, reference_kernel, reference_lambda_set
 from symbif.spectral import MERGE_REL, domain_from_json
 
 ALPHA2 = 1.8411837813406593**2  # first rotation-1 disk eigenvalue
 ALPHA3 = 3.0542369282271403**2  # first rotation-2 disk eigenvalue
-
-
-def a9_spec(q1: int, p2: int, mu: int = 0, **kw) -> SystemSpec:
-    b1 = {v: m for v, m in ((0, mu), (1, q1)) if m}
-    b2 = {1: p2} if p2 else {}
-    return SystemSpec(
-        p1=q1 + mu, p2=p2, sigma_b1=b1, sigma_b2=b2, mu_b0=mu, domain=DiskDomain(), a9=True, **kw
-    )
 
 
 class TestSystemSpecValidation:
@@ -479,50 +472,28 @@ class TestDocstringFormulas:
 
     def entries(self, spec):
         reach = max(abs(w) for w in self.WINDOW) * max(abs(b) for b in (*self.B1, *self.B2))
-        return spec.domain.entries_up_to(2.0 * reach)
+        return [e.to_json() for e in spec.domain.entries_up_to(2.0 * reach)]
 
     def test_lambda_set(self, spec):
-        lo, hi = self.WINDOW
-        alphas = [e.eigenvalue for e in self.entries(spec)]
-        raw = [a / b + 0.0 for b in self.B1 if b != 0 for a in alphas]
-        raw += [-a / b + 0.0 for b in self.B2 if b != 0 for a in alphas]
-        expected: list[float] = []
-        for m in sorted(m for m in raw if lo <= m <= hi):
-            if not expected or not self.close(expected[-1], m):
-                expected.append(m)
+        expected = reference_lambda_set(self.entries(spec), self.B1, self.B2, self.WINDOW)
         got = lambda_set(spec, self.WINDOW)
         assert [m.hex() for m in got] == [m.hex() for m in expected]
         assert any(m < 0 for m in got) and any(m > 0 for m in got)
 
-    @staticmethod
-    def close(a, b):
-        return abs(a - b) <= 1e-8 * max(1.0, abs(a), abs(b))
-
     def test_kernel_reps(self, spec):
         entries = self.entries(spec)
-        members = lambda_set(spec, self.WINDOW)
+        members = reference_lambda_set(entries, self.B1, self.B2, self.WINDOW)
         # each member moved just inside (0.9e-8) and just outside (1.1e-8) the merge band
         shifted = [m * (1.0 + f) for f in (0.9e-8, -0.9e-8, 1.1e-8, -1.1e-8) for m in members]
         lams = members + [0.0, 1.2345, -7.5] + shifted
         for lam in lams:
-            pieces, matched = [], False
-            for sign, sigma in ((1, self.B1), (-1, self.B2)):
-                trivial, irr = 0, {}
-                for b, mult in sorted(sigma.items()):
-                    for e in entries:
-                        if b != 0 and self.close(lam * b, sign * e.eigenvalue):
-                            matched = True
-                            trivial += mult * e.rep.trivial_dim
-                            for label, m in e.rep.irreducibles.items():
-                                irr[label] = irr.get(label, 0) + mult * m
-                pieces.append(SO2Rep(trivial, irr))
+            v1, v2, matched = reference_kernel(entries, self.B1, self.B2, lam)
             kr = kernel_reps(spec, lam)
-            assert (kr.v1, kr.v2) == tuple(pieces), lam
-            assert lambda_membership(spec, lam) is matched, lam
+            assert (kr.v1, kr.v2) == (SO2Rep(*v1), SO2Rep(*v2)), lam
+            assert lambda_membership(spec, lam) is bool(matched), lam
         assert not kernel_reps(spec, lams[0]).v2.is_zero()
 
     def test_linearization_rows(self, spec):
-        close = self.close
         k_max = 12
         entries = spec.domain.first_entries(k_max)
         for lam in lambda_set(spec, (-8.0, 8.0)) + [0.0, 2.5, -3.75]:
