@@ -222,6 +222,8 @@ def _cmd_rabinowitz(config: AnalysisConfig, args, cache) -> tuple[dict, str]:
         if subsets:
             lines.append("parameter families with zero index sum (bounded alternative possible):")
             lines.extend("  {" + ", ".join(f"{lam:g}" for lam in s) + "}" for s in subsets)
+        elif not labelled:  # no continuum to call unbounded
+            lines.append("(no candidate parameters in the window)")
         else:
             lines.append("no parameter family has zero index sum: every continuum is unbounded")
     return fields, "\n".join(lines)

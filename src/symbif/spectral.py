@@ -25,8 +25,14 @@ nontrivial summand.  A supplied ball spectrum is checked once, when
 ``domain_from_json`` reads it, against the computed spectrum up to its top
 t: entry by entry, the eigenvalues agree within ``MERGE_REL`` and the reps
 are equal, or ValidationError names the first eigenvalue that differs.  The
-result is the computed ball, ``DiskDomain(bound=max(t, 1) (1 + MERGE_REL),
-dim=N)``: the supplied eigenvalues serve the check alone.
+result is the computed ball, ``DiskDomain(bound=_reach(max(t, 1)), dim=N)``:
+the supplied eigenvalues serve the check alone.
+How far ``close`` reaches is stated once, next to it: ``REACH`` and
+``_reach(x)`` = x + ``REACH`` max(1, x), rounded up, past which no b is close
+to x.  Every coverage margin reads them, so none depends on the units of the
+spectrum: a bounded or supplied domain with top t answers a request up to
+``_reach(t)`` and refuses one beyond it, and the system asks for ``_reach`` of
+the largest s*lam*b of a window, so a window whose reach is t is answered.
 ``irr_dim_table`` maps an irreducible's label to its real dimension (None:
 all 2); a custom domain may set one, and a ball's gives degree l the
 dimension C(l+N-1, N-1) - C(l+N-3, N-1) of its harmonics.  A ``cache`` of
@@ -79,11 +85,15 @@ from .errors import (
 from .euler import SO2Rep
 
 __all__ = [
-    *_EXPORTS["spectral"], "MERGE_REL", "ROOT_XTOL", "GRID_STEP", "MAX_DISK_ENTRIES", "MAX_ROOT_X", "domain_from_json"
+    *_EXPORTS["spectral"], "MERGE_REL", "REACH", "ROOT_XTOL", "GRID_STEP", "MAX_DISK_ENTRIES", "MAX_ROOT_X",
+    "domain_from_json",
 ]
 
 #: relative tolerance at which two nearby eigenvalues are one logical eigenvalue
 MERGE_REL = 1e-8
+#: how far ``close`` reaches: for a, b >= 0, close(a, b) implies |b - a| <= REACH * max(1, a), as
+#: |b - a| <= MERGE_REL * b gives b <= a / (1 - MERGE_REL); every coverage margin is ``_reach``
+REACH = MERGE_REL / (1.0 - MERGE_REL)
 #: absolute width to which root brackets are refined; fixed, as Newton converges
 #: quadratically and any width in (0, 1e-8] moves an eigenvalue by ~1 ulp
 ROOT_XTOL = 1e-10
@@ -108,9 +118,9 @@ def close(a: float, b: float) -> bool:
     return abs(a - b) <= MERGE_REL * max(1.0, abs(a), abs(b)) < math.inf
 
 
-def _beyond_coverage(alpha_max: float, coverage: float) -> bool:
-    # slack mirrors the matching margin so boundary-exact requests succeed
-    return alpha_max > coverage * (1.0 + 20.0 * MERGE_REL) + 1e-12
+def _reach(x: float) -> float:
+    """x + ``REACH`` * max(1, x), rounded up: for x >= 0, every b >= 0 with ``close(x, b)`` lies at or below it."""
+    return math.nextafter(x + REACH * max(1.0, x), math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +146,8 @@ class SpectrumEntry(_Record):
         # the one check of the eigenvalue and the indices, so a wrong one is refused as in a document
         self.angular_index = None if angular_index is None else _int(angular_index, "angular_index", 0, SchemaError)
         self.root_index = None if root_index is None else _int(root_index, "root_index", 0, SchemaError)
-        self.eigenvalue = _real(eigenvalue, "eigenvalue", error=SchemaError, invalid=ValidationError)
+        # + 0.0 drops -0.0, as for the pairs' parameters, so a stated -0.0 reads and prints as the constants' 0.0
+        self.eigenvalue = _real(eigenvalue, "eigenvalue", error=SchemaError, invalid=ValidationError) + 0.0
         if self.eigenvalue < 0.0:
             raise ValidationError(f"eigenvalue must be nonnegative, got {self.eigenvalue!r}")
         if not isinstance(rep, SO2Rep):
@@ -661,14 +672,14 @@ class DiskDomain(_Record):
         """The computed entries <= alpha_max.
 
         Extends the spectrum to ``alpha_max`` first, but never past ``bound``:
-        a request inside the bound's slack reads the spectrum to the bound,
+        a request up to ``_reach(bound)`` reads the spectrum to the bound,
         and one beyond it raises InsufficientSpectrum.  The eigenvalue list
         searched by bisection is rebuilt only when the spectrum grows.
         """
         alpha_max = max(0.0, _real(alpha_max, "alpha_max", finite=False))
         target = max(alpha_max, 1.0)
         if self.bound is not None:
-            if _beyond_coverage(alpha_max, self.bound):
+            if alpha_max > _reach(self.bound):
                 raise InsufficientSpectrum(
                     f"need eigenvalues up to {alpha_max!r} but the spectrum bound is {self.bound!r}"
                 )
@@ -724,12 +735,12 @@ class CustomDomain(_Record):
     def entries_up_to(self, alpha_max: float) -> list[SpectrumEntry]:
         """The supplied entries <= alpha_max.
 
-        Raises InsufficientSpectrum when alpha_max lies beyond the supplied
-        spectrum.
+        Raises InsufficientSpectrum when alpha_max lies beyond ``_reach`` of
+        the top supplied eigenvalue.
         """
         alpha_max = max(0.0, _real(alpha_max, "alpha_max", finite=False))
         coverage = self.entries[-1].eigenvalue
-        if _beyond_coverage(alpha_max, coverage):
+        if alpha_max > _reach(coverage):
             raise InsufficientSpectrum(
                 f"need eigenvalues up to {alpha_max!r} but the supplied spectrum stops at {coverage!r}"
             )
@@ -773,8 +784,8 @@ def _supplied_entries(entries) -> list[SpectrumEntry]:
 
 def _checked_ball(entries: list[SpectrumEntry], dim: int, cache: RootCache | None) -> DiskDomain:
     """The computed ``dim``-ball up to the top of the supplied ``entries``, once they match it entry by entry."""
-    # every computed eigenvalue up to top (1 + MERGE_REL) is close to top; none lies in (0, 1]
-    ball = DiskDomain(bound=max(entries[-1].eigenvalue, 1.0) * (1.0 + MERGE_REL), cache=cache, dim=dim)
+    # the bound holds every computed eigenvalue close to the top; none lies in (0, 1]
+    ball = DiskDomain(bound=_reach(max(entries[-1].eigenvalue, 1.0)), cache=cache, dim=dim)
     for claim, truth in zip_longest(entries, ball.entries_up_to(ball.bound)):
         if not (claim and truth and close(claim.eigenvalue, truth.eigenvalue) and claim.rep == truth.rep):
             at = min(e.eigenvalue for e in (claim, truth) if e)  # the smaller one differs

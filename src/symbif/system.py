@@ -17,8 +17,11 @@ domain's Neumann spectrum.  From these the module derives
 Each formula is written once over the signed blocks; IEEE negation is exact,
 so ``-(alpha/b) == alpha/(-b)`` and the sign costs no rounding.
 
-One relative tolerance, ``MERGE_REL``, drives eigenvalue merging, Lambda
-membership and kernel matching, so the three stay consistent.  The spectral
+One test, ``spectral.close``, drives eigenvalue merging, Lambda membership
+and kernel matching, so the three stay consistent, and every margin this
+module needs is derived from it in ``spectral``: a window asks its domain for
+the entries up to ``_reach`` of its largest s*lam*b, and the walk below
+sizes its window by ``REACH``.  The spectral
 pairs of a window are sorted once by the parameter at which each vanishes,
 and one walk up them gives every candidate's kernel.  The walk and
 :func:`linearization_eigenvalues` match a pair against a parameter by the
@@ -36,7 +39,7 @@ from collections.abc import Mapping, Sequence
 from . import _EXPORTS
 from .errors import SchemaError, ValidationError, _bool, _int, _object, _real, _Record, _show, _window
 from .euler import SO2Rep
-from .spectral import MERGE_REL, CustomDomain, DiskDomain, SpectrumEntry, close, domain_from_json
+from .spectral import REACH, CustomDomain, DiskDomain, SpectrumEntry, _reach, close, domain_from_json
 
 __all__ = [*_EXPORTS["system"]]
 
@@ -160,8 +163,8 @@ def system_spec_from_json(doc, *, spectrum_bound=None, cache=None) -> SystemSpec
     ``{"p1": int, "p2": int, "b1": [{"value": num, "mult": int}], "b2": [...],
     "mu_b0": int, "domain": {...}, "a9": bool}``.  The optional root cache,
     which carries the root tolerance, is threaded into the constructed
-    domain, whose eigenvalues are merged and matched at the one tolerance
-    ``MERGE_REL``.
+    domain, whose eigenvalues are merged and matched by the one test
+    ``close``.
     """
     _object(doc, "system document", {"p1", "p2", "b1", "b2", "mu_b0", "domain", "a9"}, ("p1", "p2", "domain"))
 
@@ -194,12 +197,12 @@ def system_spec_from_json(doc, *, spectrum_bound=None, cache=None) -> SystemSpec
 
 
 def _covered_entries(spec: SystemSpec, lo: float, hi: float) -> list[SpectrumEntry]:
-    """The entries that could pair into the window [lo, hi]: up to the largest s*lam*b there, plus a margin.
+    """The entries that could pair into the window [lo, hi]: up to ``_reach`` of the largest s*lam*b there.
 
     Raises InsufficientSpectrum when that reach lies beyond the loaded spectrum.
     """
     reach = max([0.0, *(s * (hi if s * b > 0 else lo) * b for s, b, _ in spec._blocks())])
-    return spec.domain.entries_up_to(reach * (1.0 + 10.0 * MERGE_REL) + MERGE_REL)
+    return spec.domain.entries_up_to(_reach(reach))
 
 
 def _spectral_pairs(spec: SystemSpec, window: tuple[float, float]):
@@ -296,9 +299,9 @@ def _swept_kernels(entries, blocks, pairs, lams: Sequence[float]) -> list[Kernel
 
     ``entries``, ``blocks`` and ``pairs`` come from :func:`_spectral_pairs`
     over a window holding every lam.  A pair (m, k, i) with b = blocks[k]
-    can match lam only if |lam - m| <= MERGE_REL * max(1/|b|, |lam|, |m|),
-    and |m| <= |lam| / (1 - MERGE_REL) then; so one window moving up the
-    sorted pairs, twice that wide at the largest 1/|b|, holds every match.
+    can match lam only if |lam - m| <= ``REACH`` * max(1/|b|, |lam|), the
+    reach of ``close`` scaled by 1/|b|; so one window moving up the sorted
+    pairs, twice that wide at the largest 1/|b| plus 4 ulp, holds every match.
     Each pair in it is decided by ``close(s*(lam*b), alpha_i)``, the one
     matching test, and each hit adds its eigenspace mult times to V1
     (s = +1) or V2 (s = -1), in the order of ``matched``: B1 first, by b,
@@ -311,7 +314,7 @@ def _swept_kernels(entries, blocks, pairs, lams: Sequence[float]) -> list[Kernel
     start, end = 0, len(pairs)
     for lam in lams:
         scale = max(inv_b, abs(lam))
-        reach = 2.0 * MERGE_REL * scale / (1.0 - MERGE_REL) + 4.0 * math.ulp(scale)
+        reach = 2.0 * REACH * scale + 4.0 * math.ulp(scale)
         lowest, highest = lam - reach, lam + reach
         while start < end and pairs[start][0] < lowest:
             start += 1

@@ -5,7 +5,8 @@ No public callable takes a root tolerance ``xtol`` (the constant
 threaded through a domain or a spectrum builder could disagree with the cache
 that stores its roots, and no setting of it changes a result.  Likewise no
 public callable takes a merge or matching tolerance (the constant
-``MERGE_REL``) or one of the single-value knobs that became constants.  Input checks live in one module:
+``MERGE_REL``) or one of the single-value knobs that became constants, and no module but ``spectral`` reads
+``MERGE_REL``: every margin derives from ``close`` there.  Input checks live in one module:
 no other module tests for bools or checks a JSON object by hand.  A record states its fields once, in
 ``_fields``; only the base ``errors._Record`` compares and prints records.  "A fresh one" has one
 spelling, the default ``None``: every other default is a plain immutable value.  The representation class has one public
@@ -111,6 +112,19 @@ def test_only_the_stated_rep_decides_a_nontrivial_eigenspace():
         if second_way.search(line)
     ]
     assert found == []
+
+
+def test_only_spectral_reads_the_merge_tolerance():
+    # every margin derives from close in spectral, as REACH and _reach; a module reading MERGE_REL itself
+    # would state a second margin, which could stop agreeing with how far close reaches
+    package = Path(symbif.__file__).parent
+    readers = sorted(
+        path.name for path in package.glob("*.py") for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "MERGE_REL"
+        or isinstance(node, ast.Attribute) and node.attr == "MERGE_REL"
+        or isinstance(node, ast.ImportFrom) and any(alias.name == "MERGE_REL" for alias in node.names)
+    )
+    assert set(readers) == {"spectral.py"}
 
 
 def test_the_test_side_states_the_matching_rule_once():

@@ -883,16 +883,17 @@ class TestVerdictCost:
         spec = SystemSpec(p1=0, p2=1, sigma_b1={}, sigma_b2={2: 1}, domain=DiskDomain(bound=1.0))
         with pytest.raises(InsufficientSpectrum) as exc:
             analyze(spec, (-1.0, 100.0))
-        assert str(exc.value) == "need eigenvalues up to 2.00000021 but the spectrum bound is 1.0"
+        # the request is _reach(2.0) = 2 + 2 REACH, rounded up: how far close can reach from 2, and no further
+        assert str(exc.value) == "need eigenvalues up to 2.0000000200000008 but the spectrum bound is 1.0"
         # B2's b = 2 pairs only with parameters below 0, so the window (-1, 100)
         # needs no more spectrum than B1's b = 1 and analyze answers within the bound
         spec = SystemSpec(p1=1, p2=1, sigma_b1={1: 1}, sigma_b2={2: 1}, domain=DiskDomain(bound=150.0))
         unbounded = SystemSpec(p1=1, p2=1, sigma_b1={1: 1}, sigma_b2={2: 1}, domain=DiskDomain())
         assert _dumps(analyze(spec, (-1.0, 100.0))) == _dumps(analyze(unbounded, (-1.0, 100.0)))
         # a kernel lookup past the bound on the positive side still raises: at
-        # alpha = j'_{4,2}^2 B1's b = 2 asks for 2 * alpha plus the matching
-        # margin; the number is a computed root, so it is compared with the
-        # bisection refiner's value and with mpmath
+        # alpha = j'_{4,2}^2 B1's b = 2 asks for _reach(2 * alpha) = 2 * alpha
+        # (1 + REACH); the number is a computed root, so it is compared with
+        # the bisection refiner's value and with mpmath
         spec = SystemSpec(p1=1, p2=1, sigma_b1={2: 1}, sigma_b2={1: 1}, domain=DiskDomain(bound=150.0))
         (alpha,) = [e.eigenvalue for e in DiskDomain().entries_up_to(100.0) if (e.angular_index, e.root_index) == (4, 2)]
         with pytest.raises(InsufficientSpectrum) as exc:
@@ -900,6 +901,6 @@ class TestVerdictCost:
         found = re.fullmatch(r"need eigenvalues up to (\S+) but the spectrum bound is 150\.0", str(exc.value))
         assert found is not None, str(exc.value)
         need = float(found.group(1))
-        assert math.isclose(need, 172.3257788344548, rel_tol=1e-9, abs_tol=0.0)
+        assert math.isclose(need, 172.32576331579222, rel_tol=1e-9, abs_tol=0.0)
         alpha = float(mpmath.besseljzero(4, 2, derivative=1)) ** 2
-        assert math.isclose(need, 2.0 * alpha * (1.0 + 1e-7) + 1e-8, rel_tol=1e-12, abs_tol=0.0)
+        assert math.isclose(need, 2.0 * alpha * (1.0 + 1e-8), rel_tol=1e-12, abs_tol=0.0)

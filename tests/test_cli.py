@@ -324,6 +324,18 @@ class TestSpectrum:
         code, _, err = run_cli(capsys, "spectrum")
         assert code == 1 and "ValidationError" in err
 
+    def test_a_stated_minus_zero_is_the_constants_zero(self, capsys, tmp_path):
+        # -0.0 printed as -0.00000000 in the table and as -0.0 in the document
+        entries = [{"eigenvalue": -0.0, "rep": {"trivial": 1}}, {"eigenvalue": 2.0, "rep": {"irr": {"1": 1}}}]
+        system = {"p1": 1, "p2": 0, "b1": [{"value": 1}], "domain": {"type": "custom", "entries": entries}}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": system, "spectrum_bound": 2.0}))
+        code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg))
+        assert (code, out.splitlines()[1]) == (0, f"{'0.00000000':>16}  {'-':>4}  {'-':>4}  1*triv")
+        code, out, _ = run_cli(capsys, "spectrum", "--config", str(cfg), "--format", "structured")
+        zero = parse_report(out)["entries"][0]["eigenvalue"]
+        assert code == 0 and zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
     def test_custom_domain_entries(self, capsys, tmp_path):
         system = {
             "p1": 1,
@@ -444,7 +456,7 @@ class TestRabinowitz:
         "lambdas, code, err",
         [
             ("3.3899577166932745,5.0,1000.0", 1, "PreconditionError: 5.0 is not an eigenvalue of the loaded spectrum"),
-            ("1000.0,5.0", 2, "InsufficientSpectrum: need eigenvalues up to 1000.0001000100001 but the spectrum bound is 50.0"),
+            ("1000.0,5.0", 2, "InsufficientSpectrum: need eigenvalues up to 1000.0000100000002 but the spectrum bound is 50.0"),
         ],
         ids=["non-member-first", "beyond-bound-first"],
     )
@@ -529,6 +541,18 @@ class TestTableText:
         out = run_cli(capsys, "analyze", "--config", a9_config, "--window", "0.5", "1")
         header = f"{'lambda0':>14}  {'glob':<12} {'justification':<26} {'unbounded':<10} {'bif':<18} kernel"
         assert out == (0, f"{header}\n(no candidate parameters in the window)\n", "")
+
+    def test_enumerate_without_candidates(self, capsys, a9_config):
+        # no continuum is called unbounded when there is none; the document is as before
+        args = ("rabinowitz", "--config", a9_config, "--window", "1", "2", "--enumerate")
+        text = "index sum = 0\nexcludes bounded continua: no\n(no candidate parameters in the window)\n"
+        assert run_cli(capsys, *args) == (0, text, "")
+        code, out, _ = run_cli(capsys, *args, "--format", "structured")
+        doc = {
+            "excludes_bounded": False, "indices": [], "schema_version": 1, "sum": {"cyclic": {}, "unit": 0},
+            "zero_sum_subsets": [],
+        }
+        assert (code, parse_report(out)) == (0, doc)
 
     @pytest.mark.parametrize(
         "orbits, lift, text",

@@ -26,7 +26,7 @@ from symbif.errors import Error, SchemaError
 from symbif.morse import OrbitDatum, class_table_from_json, orbit_data_from_json
 from symbif.spectral import domain_from_json
 from symbif.system import system_spec_from_json
-from oracles import close
+from oracles import REL, close
 
 REP = {"trivial": 1, "irr": {"1": 2, "3": 1}}
 EULER = {"unit": -1, "cyclic": {"1": -2, "4": 3}}
@@ -224,7 +224,10 @@ def _check_domain(doc, domain) -> None:
         assert set(doc) == {"type", "dim", "entries"} and type(domain) is DiskDomain
         assert _is_int(doc["dim"]) and doc["dim"] >= 3 and domain.dim == doc["dim"] and _is_int(domain.dim)
         stated = _stated(doc["entries"])
-        assert stated[0][:2] == (0.0, SO2Rep.trivial(1)) and domain.bound == max(stated[-1][0], 1.0) * (1 + 1e-8)
+        # the bound is how far the matching rule reaches from the top: top / (1 - REL), rounded up
+        top = max(stated[-1][0], 1.0)
+        assert stated[0][:2] == (0.0, SO2Rep.trivial(1))
+        assert domain.bound == math.nextafter(top + top * (REL / (1 - REL)), math.inf)
         computed = domain.entries_up_to(domain.bound)
         assert len(computed) == len(stated)
         for e, (alpha, rep, _, _) in zip(computed, stated):

@@ -6,6 +6,7 @@ import os
 import re
 import sys
 from datetime import timedelta
+from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
@@ -33,8 +34,8 @@ from symbif import (
     radial_roots_up_to,
 )
 from symbif.spectral import (
-    GRID_STEP, MAX_DISK_ENTRIES, MAX_ROOT_X, MERGE_REL, ROOT_XTOL, _lattice_scan, _supplied_entries, close,
-    domain_from_json,
+    GRID_STEP, MAX_DISK_ENTRIES, MAX_ROOT_X, MERGE_REL, REACH, ROOT_XTOL, _lattice_scan, _reach, _supplied_entries,
+    close, domain_from_json,
 )
 
 from conftest import supplied_ball
@@ -948,7 +949,7 @@ def _supplied(kind: str, items) -> tuple:
     entries = [SpectrumEntry(a, SO2Rep(*rep)) for a, rep in items]
     doc = {"type": kind, "entries": [e.to_json() for e in entries], **({"dim": 3} if kind == "ball" else {})}
     top = max(e.eigenvalue for e in entries)
-    built = (lambda: CustomDomain(entries)) if kind == "custom" else (lambda: DiskDomain(top * (1 + MERGE_REL), dim=3))
+    built = (lambda: CustomDomain(entries)) if kind == "custom" else (lambda: DiskDomain(_reach(top), dim=3))
     return built, lambda: domain_from_json(doc)
 
 
@@ -1013,6 +1014,47 @@ class TestClose:
             scale = max(1.0, abs(x))
             assert close(x, x + 0.9 * MERGE_REL * scale) and not close(x, x + 1.1 * MERGE_REL * scale)
         assert close(sys.float_info.max, sys.float_info.max) and not close(sys.float_info.max, -sys.float_info.max)
+
+
+#: a >= 0, log-uniform over 1e-300..1e300, and 0
+NONNEGATIVE = st.just(0.0) | st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+def _ulps(x: float, n: int) -> float:
+    """x moved by n ulps, up for n > 0."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+class TestReach:
+    """``_reach(x)`` = x + REACH max(1, x), rounded up, bounds every b that ``close`` pairs with x."""
+
+    @given(a=NONNEGATIVE, steps=st.integers(-4, 4))
+    @settings(max_examples=400, deadline=None)
+    def test_close_reaches_no_further(self, a, steps):
+        # b a few ulps either side of a + REACH max(1, a), where close stops
+        b = _ulps(a + REACH * max(1.0, a), steps)
+        assert not close(a, b) or b <= _reach(a)
+
+    @given(x=NONNEGATIVE)
+    @settings(max_examples=400, deadline=None)
+    def test_rounded_up(self, x):
+        # the float is at or above the real x + REACH max(1, x), not only the nearest float to it
+        assert Fraction(_reach(x)) >= Fraction(x) + Fraction(REACH) * max(1, Fraction(x))
+
+    @given(x=NONNEGATIVE, y=NONNEGATIVE)
+    @settings(max_examples=400, deadline=None)
+    def test_monotone(self, x, y):
+        x, y = sorted((x, y))
+        assert _reach(x) <= _reach(y)
+
+    def test_the_constant(self):
+        # close stops at x (1 + REACH) to within an ulp above 1, and at MERGE_REL above 0
+        assert REACH == MERGE_REL / (1.0 - MERGE_REL)
+        edge = 2.0 * (1.0 + REACH)
+        assert close(2.0, _ulps(edge, -1)) and not close(2.0, _ulps(edge, 1)) and _ulps(edge, -1) <= _reach(2.0)
+        assert close(0.0, MERGE_REL) and not close(0.0, _ulps(MERGE_REL, 1)) and MERGE_REL < _reach(0.0)
 
 
 class TestEntryBudget:
@@ -1133,20 +1175,21 @@ class TestComputedBall:
         top = items[-1][0]
         docs = [SpectrumEntry(*item).to_json() for item in items]
         domain = domain_from_json({"type": "ball", "dim": dim, "entries": docs})
-        assert domain == DiskDomain(bound=top * (1 + MERGE_REL), dim=dim) and len(items) >= 8
-        assert domain.entries_up_to(domain.bound) == disk_spectrum(top * (1 + MERGE_REL), dim=dim)
+        assert domain == DiskDomain(bound=_reach(top), dim=dim) and len(items) >= 8
+        assert domain.entries_up_to(domain.bound) == disk_spectrum(_reach(top), dim=dim)
         assert [e.rep for e in domain.entries_up_to(domain.bound)] == [rep for _, rep in items]
-        assert domain.to_json() == {"type": "ball", "dim": dim, "max_eigenvalue": top * (1 + MERGE_REL)}
+        assert domain.to_json() == {"type": "ball", "dim": dim, "max_eigenvalue": _reach(top)}
 
     def test_a_request_in_the_bound_slack_reads_to_the_bound(self, call_counts):
         # a bounded domain never extends its spectrum past its bound: a request the slack admits
         # lists no eigenvalue above the bound and derives nothing again, so a supplied ball lists
         # only checked entries to any window analyze may ask for
         alpha = disk_spectrum(30.0, dim=3)[-1].eigenvalue
-        domain = DiskDomain(bound=alpha * (1 - 10 * MERGE_REL), dim=3)
+        domain = DiskDomain(bound=alpha * (1 - REACH / 2), dim=3)
         below = domain.entries_up_to(domain.bound)
         builds = call_counts(symbif.spectral, "disk_spectrum")
-        assert domain.entries_up_to(alpha) == below and below[-1].eigenvalue < domain.bound
+        for request in (alpha, _reach(domain.bound)):  # an eigenvalue just past the bound, and the slack's end
+            assert domain.entries_up_to(request) == below and below[-1].eigenvalue < domain.bound < request
         assert builds[0] == 0
 
 

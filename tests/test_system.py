@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -26,7 +27,14 @@ from symbif import (
 )
 from conftest import a9_spec, supplied_ball
 from oracles import close, reference_kernel, reference_lambda_set
-from symbif.spectral import MERGE_REL, domain_from_json
+from symbif.spectral import REACH, RootCache, _reach, domain_from_json
+
+
+@pytest.fixture(scope="module")
+def disk_roots():
+    """One root cache for the bounded disks of a module, so each radial order is scanned once."""
+    return RootCache()
+
 
 ALPHA2 = 1.8411837813406593**2  # first rotation-1 disk eigenvalue
 ALPHA3 = 3.0542369282271403**2  # first rotation-2 disk eigenvalue
@@ -165,7 +173,7 @@ class TestSystemSpecJson:
         # the supplied one is the computed ball to its top eigenvalue, and is written as that
         entries = disk_spectrum(7.0, dim=4)
         supplied = {"type": "ball", "dim": 4, "entries": [e.to_json() for e in entries]}
-        as_computed = {"type": "ball", "dim": 4, "max_eigenvalue": entries[-1].eigenvalue * (1.0 + MERGE_REL)}
+        as_computed = {"type": "ball", "dim": 4, "max_eigenvalue": _reach(entries[-1].eigenvalue)}
         for domain, written in (
             (supplied, as_computed),
             *(2 * [d] for d in ({"type": "ball", "dim": 4}, {"type": "ball", "dim": 4, "max_eigenvalue": 7.0})),
@@ -306,6 +314,73 @@ class TestLambdaSet:
         spec = SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, sigma_b2={}, domain=CustomDomain(entries))
         with pytest.raises(InsufficientSpectrum):
             lambda_set(spec, (0.0, 50.0))
+
+
+def _window_to(top: float, b: float) -> float:
+    """The largest float hi whose reach hi * b, as the system computes it, is at most ``top``."""
+    hi = top / b
+    while hi * b > top:
+        hi = math.nextafter(hi, -math.inf)
+    return hi
+
+
+class TestCoverage:
+    """A window whose reach, its largest s*lam*b, is the top of the spectrum is answered at every scale.
+
+    A window reaching 2 REACH max(1, top) past the top is refused at every scale: ``close`` could pair an
+    eigenvalue the domain does not hold into it.
+    """
+
+    @staticmethod
+    def _answers_to_the_top(domain, top: float, b: float = 1.0) -> None:
+        spec = SystemSpec(p1=1, p2=0, sigma_b1={b: 1}, sigma_b2={}, domain=domain)
+        assert analyze(spec, (0.0, _window_to(top, b)))
+        with pytest.raises(InsufficientSpectrum, match="need eigenvalues up to"):
+            analyze(spec, (0.0, (top + 2.0 * REACH * max(1.0, top)) / b))
+
+    @pytest.mark.parametrize("k", range(-12, 13))
+    def test_a_scaled_custom_spectrum(self, k):
+        # {0, 2t, 5t}; zero eigenspaces let it be built where close fuses 2t and 5t with the constants
+        # (t <= 5e-9), and there the domain's top is 0
+        t = 10.0**k
+        domain = CustomDomain([SpectrumEntry(x, SO2Rep(1 if x == 0 else 0, {})) for x in (0.0, 2.0 * t, 5.0 * t)])
+        top = domain.entries[-1].eigenvalue
+        assert top == (5.0 * t if k >= -8 else 0.0)
+        self._answers_to_the_top(domain, top)
+
+    @pytest.mark.parametrize("k", range(-12, 5))
+    def test_a_disk_at_any_bound(self, k, disk_roots):
+        # the disk's entry budget ends at a bound of about 39,600
+        self._answers_to_the_top(DiskDomain(bound=10.0**k, cache=disk_roots), 10.0**k)
+
+    @pytest.mark.parametrize("k", range(-12, 13))
+    def test_a_bounded_disk_at_any_block_scale(self, k, disk_roots):
+        self._answers_to_the_top(DiskDomain(bound=50.0, cache=disk_roots), 50.0, b=10.0**k)
+
+    @pytest.mark.parametrize(
+        "domain, window, verdicts",
+        [
+            (lambda: CustomDomain([SpectrumEntry(0.0, SO2Rep.trivial(1)), SpectrumEntry(0.01, SO2Rep.irr(1))]),
+             (0.0, 0.01), [(0.0, "ZeroCaseParity"), (0.01, "RepNonEquivalence")]),
+            (lambda: CustomDomain([SpectrumEntry(0.0, SO2Rep.trivial(1))]), (0.0, 0.0), [(0.0, "ZeroCaseParity")]),
+            (lambda: DiskDomain(bound=0.05), (0.0, 0.05), [(0.0, "ZeroCaseParity")]),
+        ],
+        ids=["small-top", "constants-only", "disk-bound-0.05"],
+    )
+    def test_a_window_to_a_small_top_is_answered(self, domain, window, verdicts):
+        # a top under 0.1 is answered as any other: the margin is _reach(top), whatever the units
+        spec = SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, sigma_b2={}, domain=domain())
+        assert [(v.lambda0, v.justification) for v in analyze(spec, window)] == verdicts
+
+    def test_a_window_past_the_top_is_refused(self):
+        # an eigenvalue at 2 (1 + 3e-8), not stated, would be a candidate of its own, so the window is refused
+        entries = [
+            SpectrumEntry(0.0, SO2Rep.trivial(1)), SpectrumEntry(1.0, SO2Rep.irr(1)), SpectrumEntry(2.0, SO2Rep.irr(2))
+        ]
+        spec = SystemSpec(p1=1, p2=0, sigma_b1={1: 1}, sigma_b2={}, domain=CustomDomain(entries))
+        assert [v.lambda0 for v in analyze(spec, (0.0, 2.0))] == [0.0, 1.0, 2.0]
+        with pytest.raises(InsufficientSpectrum, match="but the supplied spectrum stops at 2.0"):
+            analyze(spec, (0.0, 2.0 * (1.0 + 2e-8)))
 
 
 class TestKernelReps:
