@@ -35,12 +35,17 @@ spectrum: a bounded or supplied domain with top t answers a request up to
 the largest s*lam*b of a window, so a window whose reach is t is answered.
 ``irr_dim_table`` maps an irreducible's label to its real dimension (None:
 all 2); a custom domain may set one, and a ball's gives degree l the
-dimension C(l+N-1, N-1) - C(l+N-3, N-1) of its harmonics.  A ``cache`` of
-None is a fresh in-memory :class:`RootCache`, and any other must be one.
+dimension C(l+N-1, N-1) - C(l+N-3, N-1) of its harmonics.  A ``cache`` is
+None or a :class:`RootCache`: ``disk_spectrum`` and ``radial_roots_up_to``
+keep nothing with None, and a :class:`DiskDomain` makes a cache of its own.
 
 Root finding is one scan for every (l, N): sign-change bracketing on a
 fixed pi/8 lattice, then safeguarded Newton inside each bracket
-(``_kernels._bisect_radial``) to the fixed ``ROOT_XTOL``.
+(``_kernels._bisect_radial``) to the fixed ``ROOT_XTOL``.  A scan into a
+cache runs through the first root beyond its bound, by which the cache knows
+it covers that bound; a scan with no cache ends at the first lattice point
+past the bound.  No bracket depends on the bound, so both return the same
+roots up to it, bit for bit.
 Each kernel call also gives the partner J_nu, whose zeros interlace with the
 condition's (DLMF 10.21(i)); the scan checks after every cell that the two
 still alternate, so a root list is complete or the call raises
@@ -50,9 +55,9 @@ first cell is checked like every other; for l >= 1 it starts at the last
 lattice point at or below sqrt(l(l+N)), below which u and u' are proven
 positive (``_lattice_scan``), and checks those signs there.  Requests for
 roots beyond x = ``MAX_ROOT_X`` are refused.
-Two structurally different Bessel evaluation paths (ascending series vs.
-backward recurrence) back the production kernels, and the test suite runs
-an independent series-based oracle against every root.
+The production kernels evaluate J_nu in three bands of x (ascending series,
+backward recurrence, large-argument asymptotics; see ``_kernels``), and the
+test suite runs an independent series-based oracle against every root.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from bisect import bisect_right
 from contextlib import ExitStack, suppress
 from itertools import zip_longest
@@ -262,8 +268,13 @@ _MAX_HALVINGS = 3
 _UNDERFLOW = math.ulp(0.0)
 
 
-def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.0) -> list[float]:
-    """Roots of f above ``after`` through the first beyond ``x_max``, on the lattice step, 2*step, ...
+def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.0, past: bool = True) -> list[float]:
+    """Roots of f above ``after`` on the lattice step, 2*step, ..., through the first beyond ``x_max`` when ``past``.
+
+    Without ``past`` it ends after the last cell whose left end is at or below
+    ``x_max``: every root up to ``x_max`` is found, and a root beyond it only
+    when it shares that cell.  The first root beyond ``x_max`` serves a
+    :class:`RootCache` alone, which tells by it that it covers ``x_max``.
 
     The zeros of f and of its partner g (both from ``_kernels._radial_condition``)
     interlace, f leading for l >= 1 and g for l == 0, so the leader's sign
@@ -344,7 +355,7 @@ def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.
     # the lead is one zero ahead exactly when the sign pattern differs from that at 0+
     ahead = int(((prev[1] > 0.0) == (prev[2] > 0.0)) != f_leads)
     roots: list[float] = []
-    while not roots or roots[-1] <= x_max:
+    while (not roots or roots[-1] <= x_max) if past else prev[0] <= x_max:
         i += 1
         x = point(i * step, prev)
         if (prev[1] > 0.0) != (x[1] > 0.0) or (prev[2] > 0.0) != (x[2] > 0.0):  # a quiet cell keeps ``ahead``
@@ -368,10 +379,11 @@ def radial_roots_up_to(
     (proof in ``_lattice_scan``).  An ``x_max`` below dim/2, and for l >= 1
     below sqrt(l(l+dim)) too, lies below the first root and gets [] at once;
     beyond ``MAX_ROOT_X`` it raises InsufficientSpectrum, and an order nu above
-    that DomainError, before any evaluation.  Roots are refined to ``ROOT_XTOL``
-    and kept in ``cache`` (a new in-memory :class:`RootCache` when None) through
-    the first root beyond ``x_max``, so the cache serves the same request again,
-    and a longer request resumes the scan after the last cached root.
+    that DomainError, before any evaluation.  Roots are refined to ``ROOT_XTOL``.
+    With a ``cache`` they are kept in it through the first root beyond
+    ``x_max``, so the cache serves the same request again, and a longer request
+    resumes the scan after the last cached root.  With None nothing is kept, so
+    the scan ends at the lattice point past ``x_max``; the roots are the same.
     """
     _check_radial_family(angular_index, dim)
     _real(x_max, "radial roots bound x_max", finite=False, error=DomainError)
@@ -387,12 +399,15 @@ def radial_roots_up_to(
         return []
     _check_order(angular_index, dim)
     cache = _root_cache(cache)
-    cached = cache.get(dim, angular_index)
-    if not cache.covers(dim, angular_index, x_max):
-        after = cached[-1] if cached else 0.0
-        cached = cached + _lattice_scan(angular_index, dim, x_max, GRID_STEP, after)
-        cache.put(dim, angular_index, cached)
-    return [r for r in cached if r <= x_max]
+    if cache is None:
+        roots = _lattice_scan(angular_index, dim, x_max, GRID_STEP, past=False)
+    else:
+        roots = cache.get(dim, angular_index)
+        if not cache.covers(dim, angular_index, x_max):
+            after = roots[-1] if roots else 0.0
+            roots = roots + _lattice_scan(angular_index, dim, x_max, GRID_STEP, after)
+            cache.put(dim, angular_index, roots)
+    return [r for r in roots if r <= x_max]
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +431,14 @@ class RootCache(_Record):
     record so refused or not indexed 1..n, is discarded and regenerated.
     Roots of the right type but the wrong value are not detected: checking
     them would cost a kernel evaluation per cached root.  A missing file in
-    an existing directory loads as an empty cache; any other path the OS
-    will not read or write is a ValidationError naming it.  Saving renames a
-    temporary file over the target, so a reader sees the old file or the new
-    one, never a partial write; a new file gets the bits a plain write gives
-    (0o666 less the umask), and a replaced one keeps its own.  ``grown``
+    an existing directory loads as an empty cache.  An existing path that is
+    not a regular file (a FIFO, a device node), and any other path the OS
+    will not read or write, is a ValidationError naming it, before anything
+    is read or written.  Links are followed: saving renames a temporary file
+    over the file the path names, so a link stays a link, and a reader sees
+    the old file or the new one, never a partial write; a new file gets the
+    bits a plain write gives (0o666 less the umask), and a replaced one keeps
+    its own.  ``grown``
     means "a file would lack these records": none were given (a missing or
     stale file) or ``put`` added some, so a caller saves exactly when it is set.
     ``records`` and ``get`` hand out copies, so no caller changes a stored
@@ -466,29 +484,39 @@ class RootCache(_Record):
         }
 
     def save(self, path: str | Path) -> None:
-        target, tmp = Path(path), None
-        try:  # the temporary's name has a fixed length: no target name the OS accepts pushes it past the limit
+        # a link stays a link: the file it names is the one replaced
+        shown, target, tmp = Path(path), Path(os.path.realpath(path)), None
+        try:
+            mode = None
+            with suppress(FileNotFoundError):
+                mode = target.stat().st_mode
+            if mode is not None and not stat.S_ISREG(mode):  # a FIFO or a device node is never replaced
+                raise ValidationError(f"cannot write root cache {shown}: not a regular file")
+            # the temporary's name has a fixed length: no target name the OS accepts pushes it past the limit
             name = target.parent / f".symbif-roots.{os.urandom(4).hex()}.tmp"
             # the OS applies the umask to 0o666, so a new file gets the bits a plain write gives it
             fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             tmp = name
             with os.fdopen(fd, "w", encoding="utf-8") as out:
                 out.write(json.dumps(self.to_json(), sort_keys=True) + "\n")
-            with suppress(FileNotFoundError):  # a replaced file's bits are kept
-                os.chmod(tmp, target.stat().st_mode & 0o7777)
+            if mode is not None:  # a replaced file's bits are kept
+                os.chmod(tmp, mode & 0o7777)
             os.replace(tmp, target)
         except BaseException as exc:
             if tmp is not None:
                 os.unlink(tmp)
             if isinstance(exc, OSError):  # a directory the user may not write, or a full disk
-                raise ValidationError(f"cannot write root cache {target}: {exc.strerror}") from exc
+                raise ValidationError(f"cannot write root cache {shown}: {exc.strerror}") from exc
             raise
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["RootCache", bool]:
         """Load a cache; returns (cache, stale) where stale means regenerated."""
         p = Path(path)
-        try:  # read once, with no existence check first
+        try:  # the stat follows links; a FIFO is refused as its read would block, and a device node with it
+            mode = p.stat().st_mode
+            if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):  # a directory's read fails with the OS's reason
+                raise ValidationError(f"cannot read root cache {p}: not a regular file")
             data = p.read_bytes()
         except FileNotFoundError as exc:
             if not p.parent.is_dir():
@@ -527,11 +555,11 @@ def _cached_roots(key, roots) -> tuple[float, ...]:
     return out
 
 
-def _root_cache(cache) -> RootCache:
-    """``cache``, or a fresh in-memory RootCache when it is None; ValidationError for anything else."""
+def _root_cache(cache) -> RootCache | None:
+    """``cache`` when it is None or a RootCache; ValidationError for anything else."""
     if cache is not None and not isinstance(cache, RootCache):
         raise ValidationError(f"cache must be a RootCache or None, got {_show(cache)}")
-    return RootCache() if cache is None else cache
+    return cache
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +600,14 @@ def disk_spectrum(
     dimension 1 when l = 0).  A ``dim`` the domains refuse, a request whose
     disk Weyl estimate exceeds ``MAX_DISK_ENTRIES``, or one past l(l+dim) for
     the least degree l whose order exceeds ``MAX_ROOT_X`` raises before any
-    evaluation; no such degree is scanned.  From the first order the cache
-    does not cover, the orders are scanned inside ``_kernels.shared_rows``, so
-    the orders of any dim scanned at one lattice point read one recurrence row
-    instead of a pass each; the rows are dropped when the spectrum is built or
-    the build raises.
+    evaluation; no such degree is scanned.  Each degree's roots come from
+    ``radial_roots_up_to`` on ``cache``: a cache keeps them through the first
+    beyond sqrt(``max_eigenvalue``), and None keeps nothing, so each scan ends
+    at the lattice point past it.  From the first order that is not cached,
+    the orders are scanned inside ``_kernels.shared_rows``, so the orders of
+    any dim scanned at one lattice point read one recurrence row instead of a
+    pass each; the rows are dropped when the spectrum is built or the build
+    raises.
     """
     if not _real(max_eigenvalue, "max_eigenvalue", finite=False) > 0.0:
         raise ValidationError(f"max_eigenvalue must be positive, got {max_eigenvalue!r}")
@@ -600,7 +631,7 @@ def disk_spectrum(
     with ExitStack() as rows:
         kernels = None
         while l < cut and l <= x_max + 1.0:
-            if kernels is None and not cache.covers(dim, l, x_max):
+            if kernels is None and (cache is None or not cache.covers(dim, l, x_max)):
                 # the first order to scan opens the rows, so a spectrum served from the cache loads no kernel
                 from . import _kernels as kernels
 
@@ -654,7 +685,7 @@ class DiskDomain(_Record):
         self.bound = bound
         self.dim = _int(dim, "ball dimension", 2)
         _check_order(0, self.dim)
-        self.cache = _root_cache(cache)
+        self.cache = _root_cache(cache) or RootCache()
         self._memo: list[SpectrumEntry] = []
         self._eigenvalues: list[float] = []
         self._memo_bound = -1.0

@@ -24,6 +24,7 @@ from symbif import (
     GlobCheck,
     InsufficientSpectrum,
     PreconditionError,
+    RootCache,
     SO2Rep,
     SpectrumEntry,
     SystemSpec,
@@ -440,8 +441,9 @@ class TestAnalyze:
         assert [[e.eigenvalue for e in v.kernel.matched] for v in verdicts] == [[20.0], [20.0]]
 
     def test_ball_trivial_type_roots_scanned_once(self, kernel_calls, call_counts):
-        # the build computes the spectrum once, up to the top eigenvalue, with one scan per degree as
-        # a computation of its own to that bound does; the verdicts read the stated reps and evaluate nothing
+        # the build computes the spectrum once, up to the top eigenvalue, with one scan per degree as a
+        # computation of its own to that bound into a cache does (the domain keeps its roots); the
+        # verdicts read the stated reps and evaluate nothing
         entries = disk_spectrum(1000.0, dim=3)
         degrees = 1 + max(e.angular_index for e in entries)  # 0, 1, ..., each with a root
         scans = call_counts(symbif.spectral, "_lattice_scan")
@@ -453,7 +455,7 @@ class TestAnalyze:
         assert (scans[0], kernel_calls.lattice, kernel_calls.refinement) == built
         assert built[0] == degrees + 1  # and the first degree with none
         kernel_calls.reset()
-        disk_spectrum(entries[-1].eigenvalue * (1.0 + 2.0 * MERGE_REL), dim=3)
+        disk_spectrum(entries[-1].eigenvalue * (1.0 + 2.0 * MERGE_REL), dim=3, cache=RootCache())
         assert built[1:] == (kernel_calls.lattice, kernel_calls.refinement)
         for e in entries:
             assert ball_rep_nontrivial(e, 3) == e.rep.has_nontrivial()

@@ -42,6 +42,11 @@ def a9_config(tmp_path):
     return str(path)
 
 
+def _fifo(path: Path) -> Path:
+    os.mkfifo(path)
+    return path
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -641,17 +646,34 @@ class TestCacheAndConfig:
             (lambda tmp: tmp, "Is a directory"),
             (lambda tmp: tmp / "missing" / "roots.json", "the directory {parent} does not exist"),
             (lambda tmp: tmp / ("a" * 300), "File name too long"),
+            (lambda tmp: _fifo(tmp / "roots.fifo"), "not a regular file"),  # its read once blocked for ever
         ],
-        ids=["directory", "no-parent", "name-too-long"],
+        ids=["directory", "no-parent", "name-too-long", "fifo"],
     )
     def test_unusable_cache_path_is_exit_1_before_any_root(
-        self, capsys, a9_config, tmp_path, kernel_calls, where, reason
+        self, capsys, a9_config, tmp_path, kernel_calls, deadline, where, reason
     ):
         cache = where(tmp_path)
-        code, out, err = run_cli(capsys, "analyze", "--config", a9_config, "--cache", str(cache))
+        with deadline(10, "the run did not finish within 10 s"):
+            code, out, err = run_cli(capsys, "analyze", "--config", a9_config, "--cache", str(cache))
         assert (code, out) == (1, "")
         assert err == f"symbif: ValidationError: cannot read root cache {cache}: {reason.format(parent=cache.parent)}\n"
         assert kernel_calls.total == 0
+
+    def test_a_linked_cache_stays_a_link_and_its_target_grows(self, capsys, tmp_path):
+        # a run that grew the cache once replaced the link with a file, and the target kept its old roots
+        (tmp_path / "store").mkdir()
+        target, link, plain = tmp_path / "store" / "roots.json", tmp_path / "roots.json", tmp_path / "plain.json"
+        for cache in (target, plain):
+            assert run_cli(capsys, "spectrum", "--max-eigenvalue", "20", "--cache", str(cache))[0] == 0
+        link.symlink_to(Path("store") / "roots.json")
+        small = target.read_bytes()
+        for cache in (link, plain):
+            code, _, err = run_cli(capsys, "spectrum", "--max-eigenvalue", "50", "--cache", str(cache))
+            assert (code, err) == (0, "")
+        assert link.is_symlink() and os.readlink(link) == str(Path("store") / "roots.json")
+        assert target.read_bytes() == plain.read_bytes() != small
+        assert [p.name for p in (tmp_path / "store").iterdir()] == ["roots.json"]
 
     def test_a_cache_name_near_the_limit_is_written(self, capsys, tmp_path):
         # the temporary's name does not grow with the target's: a 250-byte name once ended in a traceback

@@ -3,11 +3,14 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
+import stat
 import sys
 from datetime import timedelta
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -323,7 +326,7 @@ class TestInterlacingCheck:
     def test_orders_share_one_recurrence_pass_per_lattice_point(self, kernel_calls, call_counts):
         passes = call_counts(_kernels, "_miller_row")
         disk_spectrum(3200.0)
-        assert kernel_calls.total == 5_818
+        assert kernel_calls.total == 5_390
         assert passes[0] <= 1_600  # 5,705 with a pass per order and point
 
     def test_odd_ball_orders_share_one_spherical_row_per_lattice_point(self, kernel_calls, monkeypatch):
@@ -336,7 +339,7 @@ class TestInterlacingCheck:
 
         monkeypatch.setattr(_kernels, "_sph_row", counted)
         disk_spectrum(4000.0, dim=3)
-        assert kernel_calls.total == 7_067
+        assert kernel_calls.total == 6_612
         assert len(passes) <= 1_800  # 6,766 with a pass per order and point
         shared = [x for x, hi in passes if hi is None]  # the full rows, kept in ``shared_rows``
         assert len(shared) > 100 and len(set(shared)) == len(shared)
@@ -777,6 +780,63 @@ class TestDiskSpectrumBytes:
             assert [e.eigenvalue for e in entries if e.angular_index == l and e.root_index] == [
                 r * r for r in roots if r * r <= alpha
             ]
+
+
+class TestCachelessScan:
+    """With no cache nothing keeps the first root beyond x_max, so each scan ends at the lattice point past it."""
+
+    @pytest.fixture
+    def evaluated(self, monkeypatch):
+        real = _kernels._radial_condition
+        xs = []
+
+        def spy(l, dim, x):
+            xs.append(x)
+            return real(l, dim, x)
+
+        monkeypatch.setattr(_kernels, "_radial_condition", spy)
+        return xs
+
+    @pytest.mark.parametrize(
+        "call, x_max",
+        [
+            # the point past x_max = 63.25 is 162 pi/8 = 63.617; into a cache the scan reaches 70.686
+            (lambda cache: disk_spectrum(4000.0, cache=cache), math.sqrt(4000.0)),
+            (lambda cache: disk_spectrum(777.0, dim=3, cache=cache), math.sqrt(777.0)),
+            (lambda cache: radial_roots_up_to(0, 2, 50.0, cache=cache), 50.0),
+            (lambda cache: radial_roots_up_to(7, 5, 120.3, cache=cache), 120.3),
+        ],
+        ids=["disk", "3-ball", "l0-disk", "l7-5-ball"],
+    )
+    def test_no_evaluation_past_the_lattice_point_past_x_max(self, evaluated, call, x_max):
+        past = (math.floor(x_max / GRID_STEP) + 1) * GRID_STEP
+        assert x_max < past <= x_max + GRID_STEP
+        call(None)
+        assert max(evaluated) == past
+        evaluated.clear()
+        call(RootCache())  # a cache is filled through the first root beyond x_max, which lies past that point
+        assert max(evaluated) > past
+
+    def test_a_cache_still_keeps_the_first_root_beyond_x_max(self):
+        x_max = math.sqrt(4000.0)
+        cache = RootCache()
+        disk_spectrum(4000.0, cache=cache)
+        radial_roots_up_to(3, 4, 50.0, cache=cache)
+        assert len(cache.records) > 60
+        for (dim, l), roots in cache.records.items():
+            bound = 50.0 if dim == 4 else x_max
+            assert roots[-1] > bound and (len(roots) == 1 or roots[-2] <= bound), (dim, l)
+
+    def test_cacheless_and_cached_results_are_equal_float_for_float(self):
+        rng = random.Random(44)
+        bands = ((0.5, 8.0), (8.0, 60.0), (60.0, 72.0))  # x_max in the series, recurrence and asymptotic bands
+        for i in range(15):
+            alpha, dim = rng.uniform(*bands[i % 3]) ** 2, rng.choice((2, 3, 4, 5, 7))
+            assert disk_spectrum(alpha, dim=dim) == disk_spectrum(alpha, dim=dim, cache=RootCache()), (alpha, dim)
+        for i in range(120):
+            l, dim = rng.choice((0, 1, 2, rng.randrange(200))), rng.choice((2, 3, 4, 5, 8))
+            x = rng.uniform(*bands[i % 3])
+            assert radial_roots_up_to(l, dim, x) == radial_roots_up_to(l, dim, x, cache=RootCache()), (l, dim, x)
 
 
 class TestBallNontrivial:
@@ -1697,6 +1757,33 @@ class TestRootCache:
     def test_a_directory_is_not_a_cache_file(self, tmp_path):
         with pytest.raises(ValidationError, match=f"^{re.escape(f'cannot read root cache {tmp_path}: Is a directory')}$"):
             RootCache.load(tmp_path)
+
+    def test_a_fifo_is_neither_read_nor_replaced(self, tmp_path, deadline):
+        # reading a FIFO with no writer once blocked for ever, and a save replaced the node with a file
+        fifo, link = tmp_path / "roots.fifo", tmp_path / "roots.json"
+        os.mkfifo(fifo)
+        link.symlink_to(fifo.name)
+        for path in (fifo, link):
+            with deadline(5, "RootCache.load of a FIFO did not answer within 5 s"), pytest.raises(
+                ValidationError, match=f"^{re.escape(f'cannot read root cache {path}: not a regular file')}$"
+            ):
+                RootCache.load(path)
+            refused = f"cannot write root cache {path}: not a regular file"
+            with pytest.raises(ValidationError, match=f"^{re.escape(refused)}$"):
+                RootCache().save(path)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["roots.fifo", "roots.json"]
+
+    def test_a_save_through_a_link_replaces_its_target(self, tmp_path):
+        (tmp_path / "store").mkdir()
+        target, link = tmp_path / "store" / "roots.json", tmp_path / "roots.json"
+        link.symlink_to(Path("store") / "roots.json")
+        for roots in ([1.5], [1.5, 4.5]):  # a new target, then a replaced one
+            cache = RootCache()
+            cache.put(2, 1, roots)
+            cache.save(link)
+            assert link.is_symlink() and RootCache.load(target)[0].records == {(2, 1): roots}
+        assert [p.name for p in (tmp_path / "store").iterdir()] == ["roots.json"]
 
     def test_a_path_in_a_missing_directory_is_refused(self, tmp_path, kernel_calls):
         path = tmp_path / "missing" / "roots.json"
