@@ -1,10 +1,12 @@
-"""Scalar Bessel-evaluation and root-refinement kernels.
+"""Scalar Bessel-evaluation kernels and the root scan built on them.
 
 These are the hot inner loops of the package: every spectrum computation
 boils down to thousands of evaluations of a radial Neumann condition, on
-the scan lattice and inside the safeguarded Newton refinement of each
-bracket (about three per root).  They are plain Python with ``math``
-only; there is one evaluation path.
+the scan lattice of ``_lattice_scan`` and inside the safeguarded Newton
+refinement of each bracket (about three per root).  They are plain Python
+with ``math`` only; there is one evaluation path.  The module loads only
+when a root is scanned or a Bessel function evaluated, so the scan is
+compiled by a process that runs it and by no other.
 
 The condition is one formula for the disk and every ball: on the unit
 N-ball the radial part of the degree-l eigenfunctions is u = x^-c J_nu with
@@ -72,7 +74,12 @@ balls with l = 1, 3, 10 and N = 3, 4, 5, 7 it stays within
 J_l' for l = 150, 177 and 190 below x = 199 agree with mpmath's
 ``besseljzero`` to the last bit.  Kernels assume validated arguments
 (x >= 0, order integer or half-integer >= -1/2); wrappers in
-``symbif.spectral`` do the checking and raise package errors.
+``symbif.spectral`` do the checking and raise package errors.  The scan
+raises one itself: :class:`~symbif.errors.ConvergenceError` when a
+refinement or an evaluation breaks down, or the interlacing check fails.
+It takes its lattice step and refinement tolerance from its caller,
+``symbif.spectral.radial_roots_up_to``, where ``GRID_STEP`` and
+``ROOT_XTOL`` are defined.
 """
 
 from __future__ import annotations
@@ -82,6 +89,8 @@ import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator
+
+from .errors import ConvergenceError
 
 SERIES_X_MAX = 8.0
 ASYMPTOTIC_X_MIN = 60.0
@@ -317,7 +326,7 @@ def _bisect_radial(l: int, dim: int, a: float, fa: float, b: float, fb: float, x
     """Root of the radial condition in a sign-change bracket [a, b], by safeguarded Newton.
 
     The caller's bracket has a < b and finite, nonzero ends fa, fb of
-    opposite sign (``symbif.spectral._lattice_scan`` refines only there).
+    opposite sign (``_lattice_scan`` refines only there).
     The slope comes from the pair (f, g) of ``_radial_condition`` and the
     radial equation u'' + ((dim-1)/x) u' + (1 - l(l+dim-2)/x^2) u = 0 of
     u = x^-c g, whose derivative is x^-c f: f' = -(dim/2x) f -
@@ -353,3 +362,108 @@ def _bisect_radial(l: int, dim: int, a: float, fa: float, b: float, fb: float, x
             return 0.5 * (a + b)
         x = x + step
     return math.nan
+
+
+#: halvings of a lattice cell that fails the interlacing check before the scan gives up
+_MAX_HALVINGS = 3
+#: stand-in magnitude for a kernel value that underflowed to 0.0
+_UNDERFLOW = math.ulp(0.0)
+
+
+def _lattice_scan(
+    l: int, dim: int, x_max: float, step: float, xtol: float, after: float = 0.0, past: bool = True
+) -> list[float]:
+    """Roots of f above ``after`` on the lattice step, 2*step, ..., through the first beyond ``x_max`` when ``past``.
+
+    Each root is refined to ``xtol`` by ``_bisect_radial``.  Without ``past``
+    the scan ends after the last cell whose left end is at or below
+    ``x_max``: every root up to ``x_max`` is found, and a root beyond it only
+    when it shares that cell.  The first root beyond ``x_max`` serves a
+    :class:`~symbif.spectral.RootCache` alone, which tells by it that it
+    covers ``x_max``.
+
+    The zeros of f and of its partner g (both from ``_radial_condition``)
+    interlace, f leading for l >= 1 and g for l == 0, so the leader's sign
+    changes run ahead of the other's by 0 or 1.  A cell that breaks this
+    hides a pair of zeros and is scanned again on its halved lattice, at most
+    ``_MAX_HALVINGS`` times before ConvergenceError.  No bracket depends on
+    ``x_max`` or ``after`` (prefix stability).  With ``after == 0`` the scan
+    starts at x = 0+, where g > 0 and f has the sign of the derivative of
+    u = x^-c g ~ x^l (DLMF 10.2.2): positive for l >= 1, negative for l == 0.
+    For l >= 1 it skips ahead to the last lattice point at or below
+    sqrt(l(l+dim)), where f > 0 and g > 0 or ConvergenceError, so the brackets
+    are those of the full scan: by the radial equation q = x u'/u has q(0+) = l
+    and x q' = l(l+dim-2) - x^2 - (dim-2) q - q^2, which p = l - x^2/(l+dim)
+    satisfies with <= for = while x^2 <= l(l+dim); so q >= p > 0 there, and
+    no zero of f = x^c u' or g = x^c u precedes that point (on the disk,
+    j'_{l,1} > sqrt(l(l+2)), DLMF 10.21(i)).  With ``after > 0`` the scan
+    starts at the end of the cell holding ``after``.  A value that underflowed
+    to 0.0 (high orders near the origin) keeps the sign of the point before it.
+
+    No cell of length 3 or less holds two zeros of g = J_nu, so none hides a
+    zero the check misses.  w = sqrt(x) g solves w'' + q w = 0 with
+    q = 1 - (nu^2 - 1/4)/x^2, and by Sturm comparison with sin(k (x - a)),
+    consecutive zeros a < b of w lie more than pi/k apart where q < k^2 on
+    (a, b), and less where q > k^2.  For nu > 1/2, q < 1: more than pi apart.
+    For 0 <= nu <= 1/2 they lie at most pi apart, and above j_{nu,1} >=
+    j_{0,1} > 2.4 (zeros grow with nu, DLMF 10.21), where q <= 1 + 1/23: more
+    than pi/sqrt(1 + 1/23) > 3.07 apart (scipy's least is j_{0,2} - j_{0,1} =
+    3.115).  A cell then holds at most one zero of g and, as the zeros
+    interlace, two of f; two hidden zeros of f have g's zero between them,
+    which breaks the lead.
+    """
+    f_leads = l >= 1
+    origin = (0.0, 1.0 if f_leads else -1.0, 1.0)
+
+    def refine(a: float, fa: float, b: float, fb: float) -> float:
+        x = _bisect_radial(l, dim, a, fa, b, fb, xtol)
+        if math.isnan(x):
+            raise ConvergenceError(f"root refinement failed in bracket [{a!r}, {b!r}] for (l={l}, dim={dim})")
+        return x
+
+    def point(x: float, before: tuple[float, float, float]) -> tuple[float, float, float]:
+        f, g = _radial_condition(l, dim, x)
+        if f != f or g != g:  # NaN
+            raise ConvergenceError(f"radial condition evaluated to NaN at x={x!r} (l={l}, dim={dim})")
+        if f == 0.0:
+            f = math.copysign(_UNDERFLOW, before[1])
+        if g == 0.0:
+            g = math.copysign(_UNDERFLOW, before[2])
+        return x, f, g
+
+    def cell(a, b, ahead: int, halvings: int) -> tuple[list[float], int]:
+        """Roots in the cell (a, b] of two lattice points, and the lead's count ahead at b."""
+        (xa, fa, ga), (xb, fb, gb) = a, b
+        f_turns = (fa > 0.0) != (fb > 0.0)
+        g_turns = (ga > 0.0) != (gb > 0.0)
+        ahead_b = ahead + ((f_turns - g_turns) if f_leads else (g_turns - f_turns))
+        if ahead_b in (0, 1):
+            return ([refine(xa, fa, xb, fb)] if f_turns else []), ahead_b
+        if halvings == _MAX_HALVINGS:
+            raise ConvergenceError(
+                f"zeros of the radial condition and its partner fail to interlace in "
+                f"({xa!r}, {xb!r}] after {halvings} halvings (l={l}, dim={dim})"
+            )
+        mid = point(0.5 * (xa + xb), a)
+        left, ahead = cell(a, mid, ahead, halvings + 1)
+        right, ahead = cell(mid, b, ahead, halvings + 1)
+        return left + right, ahead
+
+    known_signs = f_leads and not after
+    i = math.floor(math.sqrt(l * (l + dim)) / step) if known_signs else math.ceil(after / step)
+    prev = point(i * step, origin) if i else origin
+    if known_signs and i and not (prev[1] > 0.0 and prev[2] > 0.0):
+        raise ConvergenceError(
+            f"f and g must be positive below sqrt(l(l+dim)), got {prev[1]!r}, {prev[2]!r} at x={prev[0]!r} (l={l})"
+        )
+    # the lead is one zero ahead exactly when the sign pattern differs from that at 0+
+    ahead = int(((prev[1] > 0.0) == (prev[2] > 0.0)) != f_leads)
+    roots: list[float] = []
+    while (not roots or roots[-1] <= x_max) if past else prev[0] <= x_max:
+        i += 1
+        x = point(i * step, prev)
+        if (prev[1] > 0.0) != (x[1] > 0.0) or (prev[2] > 0.0) != (x[2] > 0.0):  # a quiet cell keeps ``ahead``
+            found, ahead = cell(prev, x, ahead, 0)
+            roots.extend(r for r in found if r > after)
+        prev = x
+    return roots

@@ -14,13 +14,15 @@ model nor the kernels.
 A process enters through :func:`process_main` (the ``__main__`` block and
 the ``symbif`` console script): it runs :func:`main`, which has no
 process-level side effects and is what library callers use, and then ends
-the process without the interpreter's exit-time garbage collections.
+the process itself once its exit handlers have run and its output is
+flushed, without the interpreter's module teardown and exit-time garbage
+collections.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
+import atexit
 import json
 import os
 import re
@@ -252,7 +254,15 @@ def _cmd_morse_degree(config: AnalysisConfig, args, cache) -> tuple[dict, str]:
 #: a real number as ``float`` spells it
 _REAL = r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)"
 #: a word that starts with ``-`` and spells one real or a comma-separated list of them
-_NEGATIVE_REALS = re.compile(rf"(?=-){_REAL}(?:,{_REAL})*\Z", re.IGNORECASE)
+_NEGATIVE_REALS = rf"(?=-){_REAL}(?:,{_REAL})*\Z"
+
+
+class _NegativeReals:
+    """Matches ``_NEGATIVE_REALS``, compiled on first use: a run whose dash-words all name options never compiles it."""
+
+    @staticmethod
+    def match(word: str):
+        return re.match(_NEGATIVE_REALS, word, re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,12 +270,13 @@ class _Parser(argparse.ArgumentParser):
 
     A word that starts with ``-`` and reads as reals (``-1e2``, ``-inf``,
     ``-10,5``) is a value, not an option; argparse alone takes only ``-100``
-    and ``-1.5`` for negative numbers.
+    and ``-1.5`` for negative numbers.  The parser reads its matcher only for
+    a dash-word that names no option (its option groups keep argparse's).
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_REALS
+        self._negative_number_matcher = _NegativeReals()
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -351,24 +362,30 @@ def main(argv=None) -> int:
 
 
 def process_main() -> int:
-    """The ``symbif`` process: ``main()`` on ``sys.argv``, then an exit without shutdown collections.
+    """The ``symbif`` process: ``main()`` on ``sys.argv``, then the end of the process, at once.
 
-    ``gc.freeze()`` moves every tracked object to the permanent generation, so
-    the collections the interpreter runs at shutdown have nothing to traverse;
-    the cycles left are reclaimed by the OS with the process.  atexit handlers
-    and the flush of the standard streams still run, and the cache file is
-    complete before the payload is printed.  A reader that closes the pipe
+    Once ``main()`` returns, the process runs its exit handlers
+    (``atexit._run_exitfuncs``, as the interpreter does at shutdown), flushes
+    stdout and stderr and ends with ``os._exit(status)``.  What the
+    interpreter would do after that, tearing down every module and running
+    the collections at shutdown, is skipped; the OS reclaims the memory with
+    the process.  Nothing is lost: symbif defines no finalizer, starts no
+    thread and keeps no file open past the call that opened it, and the cache
+    file is complete before the payload is printed.  A ``SystemExit`` from
+    argparse (``--help``, a usage error) or an unexpected exception leaves
+    through the interpreter's normal exit.  A reader that closes the pipe
     early ends the process with status 1 and no traceback.
     """
     try:
         status = main()
-        gc.freeze()
-        sys.stdout.flush()  # a closed pipe shows here, not in the flush at shutdown
+        atexit._run_exitfuncs()  # each runs once: the call clears the handlers it ran
+        sys.stdout.flush()  # a closed pipe shows here, not in a flush at shutdown
+        sys.stderr.flush()
     except BrokenPipeError:
         # the flush at shutdown would fail again: point stdout at devnull (the note on SIGPIPE in the signal docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    return status
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -39,12 +39,14 @@ dimension C(l+N-1, N-1) - C(l+N-3, N-1) of its harmonics.  A ``cache`` is
 None or a :class:`RootCache`: ``disk_spectrum`` and ``radial_roots_up_to``
 keep nothing with None, and a :class:`DiskDomain` makes a cache of its own.
 
-Root finding is one scan for every (l, N): sign-change bracketing on a
-fixed pi/8 lattice, then safeguarded Newton inside each bracket
-(``_kernels._bisect_radial``) to the fixed ``ROOT_XTOL``.  A scan into a
-cache runs through the first root beyond its bound, by which the cache knows
-it covers that bound; a scan with no cache ends at the first lattice point
-past the bound.  No bracket depends on the bound, so both return the same
+Root finding is one scan for every (l, N), ``_kernels._lattice_scan``:
+sign-change bracketing on a fixed pi/8 lattice (``GRID_STEP``), then
+safeguarded Newton inside each bracket (``_kernels._bisect_radial``) to the
+fixed ``ROOT_XTOL``; both constants are defined here and passed to the
+scan.  The scan loads with the kernels, so a request served from a cache
+loads neither.  A scan into a cache runs through the first root beyond its
+bound, by which the cache knows it covers that bound; a scan with no cache
+ends at the first lattice point past the bound.  No bracket depends on the bound, so both return the same
 roots up to it, bit for bit.
 Each kernel call also gives the partner J_nu, whose zeros interlace with the
 condition's (DLMF 10.21(i)); the scan checks after every cell that the two
@@ -53,8 +55,8 @@ still alternate, so a root list is complete or the call raises
 pair as x -> 0+, where u = x^-c J_nu behaves like x^l (DLMF 10.2.2), so the
 first cell is checked like every other; for l >= 1 it starts at the last
 lattice point at or below sqrt(l(l+N)), below which u and u' are proven
-positive (``_lattice_scan``), and checks those signs there.  Requests for
-roots beyond x = ``MAX_ROOT_X`` are refused.
+positive (the proof is the scan's), and checks those signs there.  Requests
+for roots beyond x = ``MAX_ROOT_X`` are refused.
 The production kernels evaluate J_nu in three bands of x (ascending series,
 backward recurrence, large-argument asymptotics; see ``_kernels``), and the
 test suite runs an independent series-based oracle against every root.
@@ -115,7 +117,8 @@ MAX_DISK_ENTRIES = 10_000
 #: largest x a root scan may be asked to reach: the kernels' accuracy is stated
 #: for x <= 200, and every disk request inside MAX_DISK_ENTRIES stays below 199.
 #: It caps the order nu = l + (N-2)/2 of every evaluator, and a degree l above it has no root in range, as
-#: every root of degree l lies above sqrt(l(l+N)) > l (``_lattice_scan``); a disk request scans l <= x_max + 1 < 201
+#: every root of degree l lies above sqrt(l(l+N)) > l (``_kernels._lattice_scan``); a disk request scans
+#: l <= x_max + 1 < 201
 MAX_ROOT_X = 200.0
 
 
@@ -262,108 +265,6 @@ def _check_order(angular_index: int, dim: int) -> None:
 # root finding
 # ---------------------------------------------------------------------------
 
-#: halvings of a lattice cell that fails the interlacing check before the scan gives up
-_MAX_HALVINGS = 3
-#: stand-in magnitude for a kernel value that underflowed to 0.0
-_UNDERFLOW = math.ulp(0.0)
-
-
-def _lattice_scan(l: int, dim: int, x_max: float, step: float, after: float = 0.0, past: bool = True) -> list[float]:
-    """Roots of f above ``after`` on the lattice step, 2*step, ..., through the first beyond ``x_max`` when ``past``.
-
-    Without ``past`` it ends after the last cell whose left end is at or below
-    ``x_max``: every root up to ``x_max`` is found, and a root beyond it only
-    when it shares that cell.  The first root beyond ``x_max`` serves a
-    :class:`RootCache` alone, which tells by it that it covers ``x_max``.
-
-    The zeros of f and of its partner g (both from ``_kernels._radial_condition``)
-    interlace, f leading for l >= 1 and g for l == 0, so the leader's sign
-    changes run ahead of the other's by 0 or 1.  A cell that breaks this
-    hides a pair of zeros and is scanned again on its halved lattice, at most
-    ``_MAX_HALVINGS`` times before ConvergenceError.  No bracket depends on
-    ``x_max`` or ``after`` (prefix stability).  With ``after == 0`` the scan
-    starts at x = 0+, where g > 0 and f has the sign of the derivative of
-    u = x^-c g ~ x^l (DLMF 10.2.2): positive for l >= 1, negative for l == 0.
-    For l >= 1 it skips ahead to the last lattice point at or below
-    sqrt(l(l+dim)), where f > 0 and g > 0 or ConvergenceError, so the brackets
-    are those of the full scan: by the radial equation q = x u'/u has q(0+) = l
-    and x q' = l(l+dim-2) - x^2 - (dim-2) q - q^2, which p = l - x^2/(l+dim)
-    satisfies with <= for = while x^2 <= l(l+dim); so q >= p > 0 there, and
-    no zero of f = x^c u' or g = x^c u precedes that point (on the disk,
-    j'_{l,1} > sqrt(l(l+2)), DLMF 10.21(i)).  With ``after > 0`` the scan
-    starts at the end of the cell holding ``after``.  A value that underflowed
-    to 0.0 (high orders near the origin) keeps the sign of the point before it.
-
-    No cell of length 3 or less holds two zeros of g = J_nu, so none hides a
-    zero the check misses.  w = sqrt(x) g solves w'' + q w = 0 with
-    q = 1 - (nu^2 - 1/4)/x^2, and by Sturm comparison with sin(k (x - a)),
-    consecutive zeros a < b of w lie more than pi/k apart where q < k^2 on
-    (a, b), and less where q > k^2.  For nu > 1/2, q < 1: more than pi apart.
-    For 0 <= nu <= 1/2 they lie at most pi apart, and above j_{nu,1} >=
-    j_{0,1} > 2.4 (zeros grow with nu, DLMF 10.21), where q <= 1 + 1/23: more
-    than pi/sqrt(1 + 1/23) > 3.07 apart (scipy's least is j_{0,2} - j_{0,1} =
-    3.115).  A cell then holds at most one zero of g and, as the zeros
-    interlace, two of f; two hidden zeros of f have g's zero between them,
-    which breaks the lead.
-    """
-    from . import _kernels  # once per scan: the kernels load with the first scan of a process
-
-    f_leads = l >= 1
-    origin = (0.0, 1.0 if f_leads else -1.0, 1.0)
-
-    def refine(a: float, fa: float, b: float, fb: float) -> float:
-        x = _kernels._bisect_radial(l, dim, a, fa, b, fb, ROOT_XTOL)
-        if math.isnan(x):
-            raise ConvergenceError(f"root refinement failed in bracket [{a!r}, {b!r}] for (l={l}, dim={dim})")
-        return x
-
-    def point(x: float, before: tuple[float, float, float]) -> tuple[float, float, float]:
-        f, g = _kernels._radial_condition(l, dim, x)
-        if f != f or g != g:  # NaN
-            raise ConvergenceError(f"radial condition evaluated to NaN at x={x!r} (l={l}, dim={dim})")
-        if f == 0.0:
-            f = math.copysign(_UNDERFLOW, before[1])
-        if g == 0.0:
-            g = math.copysign(_UNDERFLOW, before[2])
-        return x, f, g
-
-    def cell(a, b, ahead: int, halvings: int) -> tuple[list[float], int]:
-        """Roots in the cell (a, b] of two lattice points, and the lead's count ahead at b."""
-        (xa, fa, ga), (xb, fb, gb) = a, b
-        f_turns = (fa > 0.0) != (fb > 0.0)
-        g_turns = (ga > 0.0) != (gb > 0.0)
-        ahead_b = ahead + ((f_turns - g_turns) if f_leads else (g_turns - f_turns))
-        if ahead_b in (0, 1):
-            return ([refine(xa, fa, xb, fb)] if f_turns else []), ahead_b
-        if halvings == _MAX_HALVINGS:
-            raise ConvergenceError(
-                f"zeros of the radial condition and its partner fail to interlace in "
-                f"({xa!r}, {xb!r}] after {halvings} halvings (l={l}, dim={dim})"
-            )
-        mid = point(0.5 * (xa + xb), a)
-        left, ahead = cell(a, mid, ahead, halvings + 1)
-        right, ahead = cell(mid, b, ahead, halvings + 1)
-        return left + right, ahead
-
-    known_signs = f_leads and not after
-    i = math.floor(math.sqrt(l * (l + dim)) / step) if known_signs else math.ceil(after / step)
-    prev = point(i * step, origin) if i else origin
-    if known_signs and i and not (prev[1] > 0.0 and prev[2] > 0.0):
-        raise ConvergenceError(
-            f"f and g must be positive below sqrt(l(l+dim)), got {prev[1]!r}, {prev[2]!r} at x={prev[0]!r} (l={l})"
-        )
-    # the lead is one zero ahead exactly when the sign pattern differs from that at 0+
-    ahead = int(((prev[1] > 0.0) == (prev[2] > 0.0)) != f_leads)
-    roots: list[float] = []
-    while (not roots or roots[-1] <= x_max) if past else prev[0] <= x_max:
-        i += 1
-        x = point(i * step, prev)
-        if (prev[1] > 0.0) != (x[1] > 0.0) or (prev[2] > 0.0) != (x[2] > 0.0):  # a quiet cell keeps ``ahead``
-            found, ahead = cell(prev, x, ahead, 0)
-            roots.extend(r for r in found if r > after)
-        prev = x
-    return roots
-
 
 def radial_roots_up_to(
     angular_index: int,
@@ -376,7 +277,7 @@ def radial_roots_up_to(
 
     No root is missed: a pi/8 cell (``GRID_STEP``) holds at most one zero of
     the partner g, so the scan halves every cell that hides two zeros of f
-    (proof in ``_lattice_scan``).  An ``x_max`` below dim/2, and for l >= 1
+    (proof in ``_kernels._lattice_scan``).  An ``x_max`` below dim/2, and for l >= 1
     below sqrt(l(l+dim)) too, lies below the first root and gets [] at once;
     beyond ``MAX_ROOT_X`` it raises InsufficientSpectrum, and an order nu above
     that DomainError, before any evaluation.  Roots are refined to ``ROOT_XTOL``.
@@ -400,12 +301,16 @@ def radial_roots_up_to(
     _check_order(angular_index, dim)
     cache = _root_cache(cache)
     if cache is None:
-        roots = _lattice_scan(angular_index, dim, x_max, GRID_STEP, past=False)
+        from . import _kernels  # the kernels, the scan among them, load with the first scan of a process
+
+        roots = _kernels._lattice_scan(angular_index, dim, x_max, GRID_STEP, ROOT_XTOL, past=False)
     else:
         roots = cache.get(dim, angular_index)
         if not cache.covers(dim, angular_index, x_max):
+            from . import _kernels
+
             after = roots[-1] if roots else 0.0
-            roots = roots + _lattice_scan(angular_index, dim, x_max, GRID_STEP, after)
+            roots = roots + _kernels._lattice_scan(angular_index, dim, x_max, GRID_STEP, ROOT_XTOL, after)
             cache.put(dim, angular_index, roots)
     return [r for r in roots if r <= x_max]
 

@@ -100,6 +100,15 @@ def test_only_the_root_cache_touches_its_file():
     assert found == ["spectral.py"]
 
 
+def test_only_the_cli_ends_a_process():
+    # cli.process_main ends the process once main() returns; a library call that named os._exit or
+    # atexit could end, or change the end of, the process of the program that called it
+    package = Path(symbif.__file__).parent
+    ending = re.compile(r"\b_exit\b|\batexit\b")
+    found = sorted(f.name for f in package.glob("*.py") if ending.search(f.read_text(encoding="utf-8")))
+    assert found == ["cli.py"]
+
+
 def test_only_the_stated_rep_decides_a_nontrivial_eigenspace():
     # verdicts read entry.rep.has_nontrivial(); no domain decides it a second way, so the one name
     # left is the public radial test, ball_rep_nontrivial, which the benchmark's tracer wraps

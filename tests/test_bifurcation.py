@@ -446,7 +446,7 @@ class TestAnalyze:
         # verdicts read the stated reps and evaluate nothing
         entries = disk_spectrum(1000.0, dim=3)
         degrees = 1 + max(e.angular_index for e in entries)  # 0, 1, ..., each with a root
-        scans = call_counts(symbif.spectral, "_lattice_scan")
+        scans = call_counts(symbif._kernels, "_lattice_scan")
         kernel_calls.reset()
         domain = supplied_ball(entries)
         built = (scans[0], kernel_calls.lattice, kernel_calls.refinement)

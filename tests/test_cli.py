@@ -1007,15 +1007,30 @@ class TestRefusals:
             assert (code, capsys.readouterr().err) == (1, f"symbif: {error.__name__}: {message}\n")
 
 
-def cli_process(argv, cwd, **kwargs):
-    """``python -m symbif.cli ARGV`` in a fresh process, as a Popen with the package on its path.
+def python_process(args, cwd, **kwargs):
+    """``python ARGS`` in a fresh process, as a Popen with the package on its path.
 
     Its stdout is buffered, as in a shell without PYTHONUNBUFFERED.
     """
     src = str(Path(symbif.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.Popen([sys.executable, "-m", "symbif.cli", *argv], env=env, cwd=cwd, **kwargs)
+    return subprocess.Popen([sys.executable, *args], env=env, cwd=cwd, **kwargs)
+
+
+def cli_process(argv, cwd, **kwargs):
+    """``python -m symbif.cli ARGV`` in a fresh process, as :func:`python_process` starts it."""
+    return python_process(["-m", "symbif.cli", *argv], cwd, **kwargs)
+
+
+#: ``process_main`` on ARGV, with an exit handler registered before it that writes to stdout and stderr
+WITH_EXIT_HANDLER = """
+import atexit, sys
+from symbif.cli import process_main
+atexit.register(lambda: (print("handler: stdout"), print("handler: stderr", file=sys.stderr)))
+sys.argv = ["symbif", *sys.argv[1:]]
+sys.exit(process_main())
+"""
 
 
 class TestProcessEntry:
@@ -1050,6 +1065,43 @@ class TestProcessEntry:
             out, err = proc.communicate(timeout=60)
             assert (proc.returncode, out, err) == (0, expected.encode(), b"")
             assert cache.read_bytes() == written
+
+    def test_an_exit_handler_runs_once_and_what_it_writes_arrives(self, capsys, a9_config, tmp_path):
+        # the process ends itself after main(): the handler runs once, before the flush of both streams
+        argv = ["analyze", "--config", a9_config, "--format", "structured"]
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        proc = python_process(["-c", WITH_EXIT_HANDLER, *argv], tmp_path, **pipes)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (0, expected.encode() + b"handler: stdout\n", b"handler: stderr\n")
+
+    @pytest.mark.parametrize("form", ["structured", "table"])
+    def test_a_large_report_read_whole_through_a_pipe_is_what_main_prints(self, capsys, tmp_path, form):
+        # 490 kB structured and 100 kB as a table: the process writes more than a pipe buffer holds and
+        # ends only once the reader has all of it
+        argv = ["spectrum", "--max-eigenvalue", "20000", "--format", form]
+        code, expected, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and len(expected) > 65536
+        proc = cli_process(argv, tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (0, expected.encode(), b"")
+
+    @pytest.mark.parametrize(
+        "argv, status, error",
+        [
+            (["analyze", "--window", "5", "5"], 1, "ValidationError"),
+            (["spectrum", "--max-eigenvalue", "1e9"], 2, "InsufficientSpectrum"),
+        ],
+        ids=["exit-1", "exit-2"],
+    )
+    def test_an_error_status_and_its_line_pass_through(self, capsys, a9_config, tmp_path, argv, status, error):
+        argv = [*argv, "--config", a9_config]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (status, "")
+        assert err.startswith(f"symbif: {error}: ") and err.index("\n") == len(err) - 1
+        proc = cli_process(argv, tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.communicate(timeout=60) == (b"", err.encode()) and proc.returncode == status
 
     @pytest.mark.parametrize(
         "bound, form, read",

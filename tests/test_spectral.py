@@ -36,9 +36,10 @@ from symbif import (
     radial_condition,
     radial_roots_up_to,
 )
+from symbif._kernels import _lattice_scan
 from symbif.spectral import (
-    GRID_STEP, MAX_DISK_ENTRIES, MAX_ROOT_X, MERGE_REL, REACH, ROOT_XTOL, _lattice_scan, _reach, _supplied_entries,
-    close, domain_from_json,
+    GRID_STEP, MAX_DISK_ENTRIES, MAX_ROOT_X, MERGE_REL, REACH, ROOT_XTOL, _reach, _supplied_entries, close,
+    domain_from_json,
 )
 
 from conftest import supplied_ball
@@ -254,10 +255,8 @@ class TestRadialRoots:
         # the interlacing check fails and the cell is scanned on its halved
         # lattice.  The first cell (0, 4] starts from the signs at 0+, so its
         # root 1.84 is refined like the others.
-        from symbif.spectral import _lattice_scan
-
         reference = radial_roots_up_to(1, 2, 16.0)
-        coarse = [r for r in _lattice_scan(1, 2, 16.0, step=4.0) if r <= 16.0]
+        coarse = [r for r in _lattice_scan(1, 2, 16.0, 4.0, ROOT_XTOL) if r <= 16.0]
         assert len(coarse) == len(reference) == 5
         for got, want in zip(coarse, reference):
             assert abs(got - want) < 1e-8
@@ -298,7 +297,7 @@ class TestInterlacingCheck:
     def test_first_cell_is_checked(self, monkeypatch):
         # with step 4 the first cell (0, 4] holds J_1' = 0 at 1.84 and J_1 = 0
         # at 3.83; scanned from the signs at 0+ it yields its root ...
-        assert abs(_lattice_scan(1, 2, 16.0, 4.0)[0] - 1.8411837813406593) < 1e-8
+        assert abs(_lattice_scan(1, 2, 16.0, 4.0, ROOT_XTOL)[0] - 1.8411837813406593) < 1e-8
         # ... and with that root hidden, J_1 alone changes sign there, so the
         # check fails instead of returning the list without it
         from symbif import ConvergenceError, _kernels
@@ -311,7 +310,7 @@ class TestInterlacingCheck:
 
         monkeypatch.setattr(_kernels, "_radial_condition", hidden_first)
         with pytest.raises(ConvergenceError, match="interlace"):
-            _lattice_scan(1, 2, 16.0, 4.0)
+            _lattice_scan(1, 2, 16.0, 4.0, ROOT_XTOL)
 
     def test_underflow_near_origin_is_not_a_root(self):
         # J_140 and J_140' underflow to 0.0 at the first lattice points; those
@@ -450,7 +449,7 @@ class TestOneRadialFamily:
     @pytest.mark.parametrize("l,dim", [(1, 3), (3, 4), (10, 5), (1, 7)])
     def test_scan_matches_the_oracle_roots(self, l, dim):
         # the lead rule (f ahead of g for l >= 1) and the one Newton slope, from 0+ with no skip
-        roots = [r for r in _lattice_scan(l, dim, 30.0, GRID_STEP) if r <= 30.0]
+        roots = [r for r in _lattice_scan(l, dim, 30.0, GRID_STEP, ROOT_XTOL) if r <= 30.0]
         assert len(roots) >= 5
         for got, want in zip(roots, oracle_radial_roots(l, dim, len(roots))):
             assert abs(got - want) <= 1e-12 * want, (got, want)
@@ -560,10 +559,10 @@ class TestKnownSignPrefix:
     def test_skip_keeps_the_brackets(self, l, dim, kernel_calls):
         # a scan resumed just above 0 walks the whole lattice; the skipping
         # scan refines the same brackets, so the roots agree bit for bit
-        skipped = _lattice_scan(l, dim, 70.0, GRID_STEP)
+        skipped = _lattice_scan(l, dim, 70.0, GRID_STEP, ROOT_XTOL)
         lattice = kernel_calls.lattice
         kernel_calls.reset()
-        assert skipped == _lattice_scan(l, dim, 70.0, GRID_STEP, after=5e-324)
+        assert skipped == _lattice_scan(l, dim, 70.0, GRID_STEP, ROOT_XTOL, after=5e-324)
         # the full walk evaluates lattice points 1, 2, ...; the skipping scan
         # starts at the last one at or below sqrt(l(l+dim))
         start = math.floor(math.sqrt(l * (l + dim)) / GRID_STEP)
@@ -1399,7 +1398,8 @@ class TestRootRange:
         assert bessel_j_prime(3, MAX_ROOT_X) == radial_condition(3, 2, MAX_ROOT_X) == top
         assert abs(bessel_j(3, MAX_ROOT_X) - float(mpmath.besselj(3, MAX_ROOT_X))) <= 5e-12
         assert abs(bessel_j_prime(3, MAX_ROOT_X) - float(mpmath.besselj(3, MAX_ROOT_X, derivative=1))) <= 5e-12
-        assert radial_roots_up_to(1, 400, 25.0) == [r for r in _lattice_scan(1, 400, 25.0, GRID_STEP) if r <= 25.0]
+        scanned = _lattice_scan(1, 400, 25.0, GRID_STEP, ROOT_XTOL)
+        assert radial_roots_up_to(1, 400, 25.0) == [r for r in scanned if r <= 25.0]
         for call in (
             lambda: bessel_j(MAX_ROOT_X + 0.5, 150.0),
             lambda: bessel_j_prime(MAX_ROOT_X + 1, 150.0),
