@@ -46,8 +46,8 @@ fixed ``ROOT_XTOL``; both constants are defined here and passed to the
 scan.  The scan loads with the kernels, so a request served from a cache
 loads neither.  A scan into a cache runs through the first root beyond its
 bound, by which the cache knows it covers that bound; a scan with no cache
-ends at the first lattice point past the bound.  No bracket depends on the bound, so both return the same
-roots up to it, bit for bit.
+ends at the first lattice point past the bound.  No bracket depends on the
+bound, so both return the same roots up to it, bit for bit.
 Each kernel call also gives the partner J_nu, whose zeros interlace with the
 condition's (DLMF 10.21(i)); the scan checks after every cell that the two
 still alternate, so a root list is complete or the call raises
@@ -55,8 +55,8 @@ still alternate, so a root list is complete or the call raises
 pair as x -> 0+, where u = x^-c J_nu behaves like x^l (DLMF 10.2.2), so the
 first cell is checked like every other; for l >= 1 it starts at the last
 lattice point at or below sqrt(l(l+N)), below which u and u' are proven
-positive (the proof is the scan's), and checks those signs there.  Requests
-for roots beyond x = ``MAX_ROOT_X`` are refused.
+positive (the scan's docstring has the proof), and checks those signs
+there.  Requests for roots beyond x = ``MAX_ROOT_X`` are refused.
 The production kernels evaluate J_nu in three bands of x (ascending series,
 backward recurrence, large-argument asymptotics; see ``_kernels``), and the
 test suite runs an independent series-based oracle against every root.
