@@ -353,12 +353,9 @@ def main(argv=None) -> int:
         if argv is not None and not (isinstance(argv, (list, tuple)) and all(isinstance(w, str) for w in argv)):
             raise ValidationError(f"argv must be a list of strings, got {_show(argv)}")
         return run(_build_parser().parse_args(argv))
-    except COMPUTATIONAL_ERRORS as exc:
-        print(f"symbif: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except Error as exc:
         print(f"symbif: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, COMPUTATIONAL_ERRORS) else 1
 
 
 def process_main() -> int:

@@ -300,17 +300,13 @@ def radial_roots_up_to(
         return []
     _check_order(angular_index, dim)
     cache = _root_cache(cache)
-    if cache is None:
+    roots = [] if cache is None else cache.get(dim, angular_index)
+    if cache is None or not cache.covers(dim, angular_index, x_max):
         from . import _kernels  # the kernels, the scan among them, load with the first scan of a process
 
-        roots = _kernels._lattice_scan(angular_index, dim, x_max, GRID_STEP, ROOT_XTOL, past=False)
-    else:
-        roots = cache.get(dim, angular_index)
-        if not cache.covers(dim, angular_index, x_max):
-            from . import _kernels
-
-            after = roots[-1] if roots else 0.0
-            roots = roots + _kernels._lattice_scan(angular_index, dim, x_max, GRID_STEP, ROOT_XTOL, after)
+        after = roots[-1] if roots else 0.0
+        roots += _kernels._lattice_scan(angular_index, dim, x_max, GRID_STEP, ROOT_XTOL, after, cache is not None)
+        if cache is not None:
             cache.put(dim, angular_index, roots)
     return [r for r in roots if r <= x_max]
 
@@ -592,7 +588,6 @@ class DiskDomain(_Record):
         _check_order(0, self.dim)
         self.cache = _root_cache(cache) or RootCache()
         self._memo: list[SpectrumEntry] = []
-        self._eigenvalues: list[float] = []
         self._memo_bound = -1.0
 
     @property
@@ -609,8 +604,8 @@ class DiskDomain(_Record):
 
         Extends the spectrum to ``alpha_max`` first, but never past ``bound``:
         a request up to ``_reach(bound)`` reads the spectrum to the bound,
-        and one beyond it raises InsufficientSpectrum.  The eigenvalue list
-        searched by bisection is rebuilt only when the spectrum grows.
+        and one beyond it raises InsufficientSpectrum.  The spectrum is
+        recomputed only when it grows; the entries are bisected by eigenvalue.
         """
         alpha_max = max(0.0, _real(alpha_max, "alpha_max", finite=False))
         target = max(alpha_max, 1.0)
@@ -622,9 +617,8 @@ class DiskDomain(_Record):
             target = min(target, self.bound)
         if target > self._memo_bound:
             self._memo = disk_spectrum(target, dim=self.dim, cache=self.cache)
-            self._eigenvalues = [e.eigenvalue for e in self._memo]
             self._memo_bound = target
-        return self._memo[: bisect_right(self._eigenvalues, alpha_max)]
+        return self._memo[: bisect_right(self._memo, alpha_max, key=lambda e: e.eigenvalue)]
 
     def first_entries(self, k: int) -> list[SpectrumEntry]:
         _int(k, "k", 1)
@@ -654,7 +648,6 @@ class CustomDomain(_Record):
 
     def __init__(self, entries: list[SpectrumEntry], irr_dim_table: dict[int, int] | None = None) -> None:
         self.entries = _supplied_entries(entries)
-        self._eigenvalues = [e.eigenvalue for e in self.entries]
         if irr_dim_table is not None:
             irr_dim_table = {
                 k: _int(d, "irreducible dimensions", 1, SchemaError, ValidationError)
@@ -680,7 +673,7 @@ class CustomDomain(_Record):
             raise InsufficientSpectrum(
                 f"need eigenvalues up to {alpha_max!r} but the supplied spectrum stops at {coverage!r}"
             )
-        return self.entries[: bisect_right(self._eigenvalues, alpha_max)]
+        return self.entries[: bisect_right(self.entries, alpha_max, key=lambda e: e.eigenvalue)]
 
     def first_entries(self, k: int) -> list[SpectrumEntry]:
         _int(k, "k", 1)

@@ -173,8 +173,10 @@ def test_criterion_5_lambda_consistency():
         for lam in sampled:
             in_lambda = lambda_membership(spec, lam)
             kernel_nonzero = not kernel_reps(spec, lam).is_zero()
-            vanishing = any(r.vanishes for r in linearization_eigenvalues(spec, lam, k_max))
-            assert in_lambda == kernel_nonzero == vanishing, lam
+            lin = linearization_eigenvalues(spec, lam, k_max)
+            assert in_lambda == kernel_nonzero == any(r.vanishes for r in lin), lam
+            assert all(abs(r.value) < 5e-7 for r in lin if r.vanishes), lam
+            assert all(r.value == 0.0 for r in lin if r.structural), lam
 
         # normalized block form: Lambda matches the three-case description exactly
         window = (-40.0, 40.0)

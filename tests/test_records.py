@@ -108,13 +108,13 @@ CASES = [
         lambda: RootCache({(2, 1): [1.5, 5.25]}),
     ),
     (
-        DiskDomain, ("bound", "dim"), ("_eigenvalues", "_memo", "_memo_bound", "cache"),
+        DiskDomain, ("bound", "dim"), ("_memo", "_memo_bound", "cache"),
         "(bound: 'float | None' = None, cache: 'RootCache | None' = None, dim: 'int' = 2) -> 'None'",
         "DiskDomain(bound=50.0, dim=3)",
         lambda: DiskDomain(bound=50.0, dim=3),
     ),
     (
-        CustomDomain, ("entries", "irr_dim_table"), ("_eigenvalues",),
+        CustomDomain, ("entries", "irr_dim_table"), (),
         "(entries: 'list[SpectrumEntry]', irr_dim_table: 'dict[int, int] | None' = None) -> 'None'",
         f"CustomDomain(entries=[{ENTRY_REPRS}], irr_dim_table={{1: 2}})",
         lambda: CustomDomain([zero_entry(), rot_entry()], irr_dim_table={"1": 2}),

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -501,33 +500,6 @@ class TestLinearization:
             table = spec.domain.irr_dim_table
             assert [r.entry for r in rows] == entries and {l: table[l] for l in dims} == dims
             assert [r.multiplicity for r in rows] == [table[e.angular_index] if e.angular_index else 1 for e in entries]
-
-
-class TestThreeWayEquivalence:
-    def test_membership_kernel_linearization_agree(self):
-        spec = SystemSpec(
-            p1=3,
-            p2=1,
-            sigma_b1={1: 1, -0.5: 1, 0: 1},
-            sigma_b2={2: 1},
-            mu_b0=1,
-            domain=DiskDomain(),
-        )
-        members = lambda_set(spec, (-12.0, 12.0))
-        rng = random.Random(20240817)
-        sampled = [rng.uniform(-12.0, 12.0) for _ in range(200)] + members
-        k_max = len(spec.domain.entries_up_to(30.0))
-        for lam in sampled:
-            in_lambda = lambda_membership(spec, lam)
-            kernel_nonzero = not kernel_reps(spec, lam).is_zero()
-            lin = linearization_eigenvalues(spec, lam, k_max)
-            has_vanishing = any(r.vanishes for r in lin)
-            assert in_lambda == kernel_nonzero == has_vanishing, lam
-            for r in lin:
-                if r.vanishes:
-                    assert abs(r.value) < 5e-7
-                if r.structural:
-                    assert r.value == 0.0
 
 
 class TestDocstringFormulas:
