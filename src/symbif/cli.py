@@ -16,7 +16,8 @@ the ``symbif`` console script): it runs :func:`main`, which has no
 process-level side effects and is what library callers use, and then ends
 the process itself once its exit handlers have run and its output is
 flushed, without the interpreter's module teardown and exit-time garbage
-collections.
+collections.  A process that cannot write its answer (stdout closed, a full
+device, a reader that left) ends with status 1 and at most one stderr line.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import json
 import os
 import re
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .errors import (
@@ -370,18 +372,31 @@ def process_main() -> int:
     thread and keeps no file open past the call that opened it, and the cache
     file is complete before the payload is printed.  A ``SystemExit`` from
     argparse (``--help``, a usage error) or an unexpected exception leaves
-    through the interpreter's normal exit.  A reader that closes the pipe
-    early ends the process with status 1 and no traceback.
+    through the interpreter's normal exit.
+
+    An answer that cannot be written ends the process with status 1.  A
+    reader that closes the pipe early leaves stderr empty.  A process started
+    with stdout closed, or whose write or flush fails otherwise (a full
+    device), runs its exit handlers and writes one ``symbif: Type: message``
+    line to stderr, if stderr takes it.
     """
     try:
         status = main()
         atexit._run_exitfuncs()  # each runs once: the call clears the handlers it ran
-        sys.stdout.flush()  # a closed pipe shows here, not in a flush at shutdown
-        sys.stderr.flush()
+        if sys.stdout is None and status == 0:  # print() drops what it writes to a stdout the process lacks
+            raise OSError("stdout is closed, so the answer was not written")
+        for stream in (sys.stdout, sys.stderr):  # a closed pipe shows here, not in a flush at shutdown
+            if stream is not None:
+                stream.flush()
     except BrokenPipeError:
         # the flush at shutdown would fail again: point stdout at devnull (the note on SIGPIPE in the signal docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:  # the stream failed for good, so the process ends here, without the flush at shutdown
+        atexit._run_exitfuncs()  # none has run when main() raised; those that ran before are cleared
+        with suppress(OSError):  # stderr may be full or closed as well
+            print(f"symbif: {type(exc).__name__}: {exc}", file=sys.stderr, flush=True)
+        os._exit(1)
     os._exit(status)
 
 

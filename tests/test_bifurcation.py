@@ -871,14 +871,21 @@ class TestVerdictCost:
         assert counts[0][1] == counts[1][1] == 1
 
     def test_ring_elements_grow_with_candidates(self, domain, call_counts):
-        built = call_counts(EulerSO2, "__post_init__")
-        counts = []
-        for w in (300.0, 1200.0):
-            built[0] = 0
-            n = len(analyze(a9_spec(q1=3, p2=1, mu=1, domain=domain), (-w, w)))
-            counts.append((n, built[0]))
-        (n_small, e_small), (n_large, e_large) = counts
-        assert e_large / e_small <= 1.1 * n_large / n_small
+        # every record built, checked or not: per verdict, two kernel pieces and, on the a9 path, its index,
+        # whose verdict at 0 also builds the unit class; 89, 327 and 1,251 a9 verdicts
+        counts = [call_counts(cls, name) for cls in (EulerSO2, SO2Rep) for name in ("__init__", "_make")]
+
+        def built():
+            """Records built so far: EulerSO2, SO2Rep."""
+            return counts[0][0] + counts[1][0], counts[2][0] + counts[3][0]
+
+        general = SystemSpec(p1=2, p2=3, sigma_b1={0.5: 1, -0.75: 1}, sigma_b2={1.25: 2, -0.375: 1}, domain=domain)
+        for spec, index in ((a9_spec(q1=3, p2=1, domain=domain), 1), (general, 0)):
+            analyze(spec, (-4_800.0, 4_800.0))  # the spectrum, whose entries hold reps too, is built before counting
+            for w in (300.0, 1_200.0, 4_800.0):
+                elements, reps = built()
+                n = len(analyze(spec, (-w, w)))
+                assert n > w / 4 and built() == (elements + index * (n + 1), reps + 2 * n), w
 
     def test_insufficient_spectrum_unchanged(self):
         # raised by the candidate set

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 
 import pytest
@@ -1123,3 +1124,35 @@ class TestProcessEntry:
         code, out, err = run_cli(capsys, *argv)  # warm: a complete cache serves every root
         assert (code, err) == (0, "") and out.encode().startswith(head)
         assert cache.read_bytes() == written
+
+    @pytest.mark.parametrize(
+        "stdout, argv, status, error",
+        [
+            ("closed", ["--format", "table"], 1, "OSError"),
+            ("/dev/full", ["--format", "table"], 1, "OSError"),
+            ("/dev/full", ["--format", "structured"], 1, "OSError"),
+            ("closed", ["--max-eigenvalue", "1e9"], 2, "InsufficientSpectrum"),
+        ],
+        ids=["closed", "full-table", "full-structured", "closed-refused"],
+    )
+    def test_an_answer_that_cannot_be_written_is_one_line(self, tmp_path, stdout, argv, status, error):
+        # a process started with stdout closed has sys.stdout None, and print() drops the answer; a full
+        # device refuses its write; a refusal wrote no answer, so a closed stdout leaves its line and status
+        argv = ["spectrum", "--max-eigenvalue", "10", *argv]
+        with ExitStack() as stack:
+            if stdout == "closed":
+                streams = {"preexec_fn": lambda: os.close(1)}
+            else:
+                streams = {"stdout": stack.enter_context(open(stdout, "wb"))}
+            proc = cli_process(argv, tmp_path, stderr=subprocess.PIPE, **streams)
+            _, err = proc.communicate(timeout=60)
+        assert proc.returncode == status and b"Traceback" not in err
+        assert err.startswith(f"symbif: {error}: ".encode()) and err.index(b"\n") == len(err) - 1
+
+    def test_a_closed_stderr_keeps_the_answer_and_its_status(self, capsys, tmp_path):
+        # sys.stderr is None, so its flush is skipped, not an AttributeError that turns status 0 into 1
+        argv = ["spectrum", "--max-eigenvalue", "10"]
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        proc = cli_process(argv, tmp_path, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
+        assert (proc.communicate(timeout=60)[0], proc.returncode) == (expected.encode(), 0)

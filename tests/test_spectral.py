@@ -421,6 +421,41 @@ class TestInterlacingCheck:
         assert len(entries) == 400 and entries == disk_spectrum(entries[-1].eigenvalue)
 
 
+class TestSpectrumScaling:
+    """Spectrum cost is linear in the entries, by count of kernel calls, on the disk and on the 3-ball."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_calls_per_entry_stay_flat_and_a_warm_cache_makes_none(self, kernel_calls, dim):
+        # cacheless: 12.34, 12.81 and 12.85 calls per entry on the disk (138, 525 and 2,054 entries),
+        # 12.36, 12.79 and 12.90 on the 3-ball
+        per_entry = []
+        for alpha in (1_000.0, 4_000.0, 16_000.0):
+            kernel_calls.reset()
+            entries = disk_spectrum(alpha, dim=dim)
+            per_entry.append(kernel_calls.total / len(entries))
+            cache = RootCache()
+            disk_spectrum(alpha, dim=dim, cache=cache)
+            kernel_calls.reset()
+            assert disk_spectrum(alpha, dim=dim, cache=cache) == entries and kernel_calls.total == 0
+        assert max(per_entry) <= 1.1 * per_entry[0]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_growing_domain_scans_each_root_once(self, kernel_calls, dim):
+        # first_entries(n) doubles its target from 25 and stops at the bound holding exactly n entries; each
+        # doubling resumes the cached scans and pays only the first root past its bound per degree, so its
+        # calls over a cacheless build to the bound fall: 1.16, 1.10 and 1.05 on the disk, 1.20, 1.10 and
+        # 1.05 on the 3-ball (a rescan from 0 at each doubling costs 2.1-2.4)
+        overheads = []
+        for bound in (800.0, 3_200.0, 12_800.0):
+            kernel_calls.reset()
+            n = len(disk_spectrum(bound, dim=dim))
+            cacheless = kernel_calls.total
+            kernel_calls.reset()
+            DiskDomain(dim=dim).first_entries(n)
+            overheads.append(kernel_calls.total / cacheless)
+        assert max(overheads) <= 1.25 and overheads == sorted(overheads, reverse=True)
+
+
 #: x in each kernel band: the series (x <= 8), the recurrences (8 < x < 60) and the
 #: asymptotic expansion (x >= 60), with the band edges
 BAND_XS = (0.3, 2.9, 8.0, 8.5, 23.7, 47.1, 59.9, 60.0, 121.3, 199.0)
